@@ -19,6 +19,13 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
+# The signature fast path must never move a byte: known-answer vectors from
+# the original implementation plus the full-size differential test (debug
+# builds run a short prefix), then the ledger's exact counts twice over.
+echo "==> crypto known answers + differential (release), ledger determinism"
+cargo test --release -q -p watchmen-crypto --test fast_path
+benchmark/run.sh --selfcheck
+
 echo "==> chrome trace smoke (deathmatch, 8 players, 200 frames)"
 TRACE_OUT=/tmp/watchmen-trace.json
 rm -f "$TRACE_OUT"

@@ -14,7 +14,8 @@ use watchmen_core::proxy::ProxySchedule;
 use watchmen_core::subscription::{compute_sets, NoRecency};
 use watchmen_core::verify::Verifier;
 use watchmen_core::WatchmenConfig;
-use watchmen_crypto::schnorr::Keypair;
+use watchmen_crypto::schnorr::{Keypair, VerifyingKey};
+use watchmen_crypto::sha256;
 use watchmen_game::PlayerId;
 use watchmen_sim::workload::standard_workload;
 use watchmen_telemetry::trace::{EventKind, Phase, TraceEvent, TraceId};
@@ -44,7 +45,7 @@ fn bench_kernel(registry: &Registry, name: &'static str, mut body: impl FnMut())
         hist.record(start.elapsed().as_secs_f64() * 1e6);
     }
     format!(
-        "{name:<22} p50 {:>9.2}us  p99 {:>9.2}us  mean {:>9.2}us  ({} iters)",
+        "{name:<28} p50 {:>9.2}us  p99 {:>9.2}us  mean {:>9.2}us  ({} iters)",
         hist.quantile(0.5),
         hist.quantile(0.99),
         hist.mean(),
@@ -68,6 +69,22 @@ fn main() {
             }));
             lines.push(bench_kernel(&registry, "schnorr_verify_88B", || {
                 black_box(keys.public().verify(black_box(&msg), black_box(&sig)));
+            }));
+
+            // What a node pays per datagram: the roster already holds the
+            // origin's prepared key; preparation is paid once per member.
+            let prepared = VerifyingKey::new(keys.public());
+            lines.push(bench_kernel(&registry, "schnorr_verify_prepared_88B", || {
+                black_box(black_box(&prepared).verify(black_box(&msg), black_box(&sig)));
+            }));
+            lines.push(bench_kernel(&registry, "schnorr_prepare_key", || {
+                black_box(VerifyingKey::new(black_box(keys.public())));
+            }));
+            // 81 bytes is the modal signed state-update body; with a
+            // signature's hash prefix it still pads out to two blocks.
+            let body = [0x5au8; 81];
+            lines.push(bench_kernel(&registry, "sha256_2block", || {
+                black_box(sha256(black_box(&body)));
             }));
 
             let w = standard_workload(48, 7, 10);
@@ -122,12 +139,12 @@ fn main() {
             // between the two is the recorder's overhead on message
             // handling (the budget is < 5%).
             lines.push(bench_kernel(&registry, "handle_state", || {
-                black_box(keys.public().verify(black_box(&msg), black_box(&sig)));
+                black_box(prepared.verify(black_box(&msg), black_box(&sig)));
                 black_box(verifier.check_position(black_box(prev), black_box(next), 1, &wv.map));
             }));
             let mut tseq = 0u64;
             lines.push(bench_kernel(&registry, "handle_state_traced", || {
-                black_box(keys.public().verify(black_box(&msg), black_box(&sig)));
+                black_box(prepared.verify(black_box(&msg), black_box(&sig)));
                 let score = verifier.check_position(black_box(prev), black_box(next), 1, &wv.map);
                 tseq += 1;
                 recorder.record(TraceEvent::point(

@@ -18,7 +18,7 @@
 //! relaying proxy and every subscriber tag their events with the same id
 //! and one identifier stitches the whole multi-hop journey together.
 
-use watchmen_crypto::schnorr::{Keypair, PublicKey, Signature, SIGNATURE_LEN};
+use watchmen_crypto::schnorr::{Keypair, PublicKey, Signature, VerifyingKey, SIGNATURE_LEN};
 use watchmen_game::trace::PlayerFrame;
 use watchmen_game::{PlayerId, WeaponKind};
 use watchmen_math::{Aim, Vec3};
@@ -434,6 +434,17 @@ impl Envelope {
         SignedEnvelope { envelope: self, signature: sig }
     }
 
+    /// Signs the envelope straight to wire bytes: encodes once, signs that
+    /// buffer and appends the signature. Byte-identical to
+    /// `self.sign(keys).encode()`, without the second encoding.
+    #[must_use]
+    pub fn sign_encoded(&self, keys: &Keypair) -> Vec<u8> {
+        let mut bytes = self.encode();
+        let sig = keys.sign(&bytes);
+        bytes.extend_from_slice(&sig.to_bytes());
+        bytes
+    }
+
     /// The encoded size in bytes (without signature).
     #[must_use]
     pub fn wire_size(&self) -> usize {
@@ -459,9 +470,17 @@ pub struct SignedEnvelope {
 }
 
 impl SignedEnvelope {
-    /// Verifies the signature against the claimed origin's public key.
+    /// Verifies the signature against the claimed origin's public key,
+    /// preparing the key on the spot (tickets, one-off checks).
     #[must_use]
     pub fn verify(&self, origin_key: &PublicKey) -> bool {
+        self.verify_prepared(&VerifyingKey::new(*origin_key))
+    }
+
+    /// Verifies the signature against the claimed origin's prepared key —
+    /// the per-datagram path, fed from [`crate::roster::Roster::verifying_key`].
+    #[must_use]
+    pub fn verify_prepared(&self, origin_key: &VerifyingKey) -> bool {
         origin_key.verify(&self.envelope.encode(), &self.signature)
     }
 
@@ -1031,11 +1050,16 @@ mod tests {
     #[test]
     fn signed_roundtrip() {
         let keys = Keypair::generate(8);
+        let prepared = VerifyingKey::new(keys.public());
         for payload in all_payloads() {
-            let signed = Envelope { from: PlayerId(3), seq: 11, frame: 22, payload }.sign(&keys);
+            let env = Envelope { from: PlayerId(3), seq: 11, frame: 22, payload };
+            let signed = env.sign(&keys);
             let decoded = SignedEnvelope::decode(&signed.encode()).unwrap();
             assert_eq!(signed, decoded);
             assert!(decoded.verify(&keys.public()));
+            assert!(decoded.verify_prepared(&prepared));
+            // The single-encode signer puts the same bytes on the wire.
+            assert_eq!(env.sign_encoded(&keys), signed.encode());
         }
     }
 

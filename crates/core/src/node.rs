@@ -841,7 +841,7 @@ impl WatchmenNode {
     ) {
         self.seq += 1;
         let env = Envelope { from: self.id, seq: self.seq, frame, payload };
-        let bytes = env.sign(&self.keys).encode();
+        let bytes = env.sign_encoded(&self.keys);
         // Control messages enter the reliable layer: remember the exact
         // signed bytes so retransmissions are byte-identical, plus the
         // routing inputs so a retransmit can re-target a fallback proxy.
@@ -1575,7 +1575,7 @@ impl WatchmenNode {
         // resolution) stamp their audit records with this message's trace.
         self.audit_trace = trace;
         let origin = msg.envelope.from;
-        let Some(origin_key) = self.roster.key(origin) else {
+        let Some(origin_key) = self.roster.verifying_key(origin) else {
             // Unknown origin: the only admissible message is a Join
             // carrying a lobby-signed ticket — the ticket vouches for the
             // key, the key vouches for the envelope. Anything else is
@@ -1591,7 +1591,7 @@ impl WatchmenNode {
             self.metrics.observe_events(&events);
             return (out, events);
         };
-        if !msg.verify(&origin_key) {
+        if !msg.verify_prepared(origin_key) {
             events.push(NodeEvent::BadSignature { claimed_from: origin });
             self.trace_events(frame, trace, &events);
             self.metrics.observe_events(&events);

@@ -13,7 +13,7 @@
 //! never recycled, so stale traffic signed under a dead id can never
 //! alias a rejoined player (rejoiners get a fresh id from the lobby).
 
-use watchmen_crypto::schnorr::PublicKey;
+use watchmen_crypto::schnorr::{PublicKey, VerifyingKey};
 use watchmen_game::PlayerId;
 
 /// A member's lifecycle state.
@@ -83,7 +83,10 @@ pub enum RosterDelta {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Roster {
-    keys: Vec<PublicKey>,
+    /// Each member's key in its prepared form: the roster is where a
+    /// node's per-datagram signature checks look keys up, so preparation
+    /// is paid once per membership change, never per message.
+    keys: Vec<VerifyingKey>,
     status: Vec<MemberStatus>,
     /// Monotonic version counter: advances once per *applied* delta, so
     /// any two nodes that have applied the same delta set — however the
@@ -101,7 +104,7 @@ impl Roster {
     pub fn new(directory: Vec<PublicKey>) -> Self {
         assert!(directory.len() >= 2, "need at least two players");
         let status = vec![MemberStatus::Active; directory.len()];
-        Roster { keys: directory, status, epoch: 0 }
+        Roster::from_parts(directory, status, 0)
     }
 
     /// Total members ever admitted (ids are dense and never recycled).
@@ -131,7 +134,13 @@ impl Roster {
     /// The member's public key, if a member.
     #[must_use]
     pub fn key(&self, player: PlayerId) -> Option<PublicKey> {
-        self.keys.get(player.index()).copied()
+        self.verifying_key(player).map(VerifyingKey::public)
+    }
+
+    /// The member's key prepared for verification, if a member.
+    #[must_use]
+    pub fn verifying_key(&self, player: PlayerId) -> Option<&VerifyingKey> {
+        self.keys.get(player.index())
     }
 
     /// The member's status, if a member.
@@ -176,7 +185,7 @@ impl Roster {
     /// Returns the new member's id.
     pub fn admit_provisional(&mut self, key: PublicKey) -> PlayerId {
         let id = PlayerId(self.keys.len() as u32);
-        self.keys.push(key);
+        self.keys.push(VerifyingKey::new(key));
         self.status.push(MemberStatus::Joining);
         id
     }
@@ -192,6 +201,7 @@ impl Roster {
     pub fn from_parts(keys: Vec<PublicKey>, status: Vec<MemberStatus>, epoch: u64) -> Self {
         assert_eq!(keys.len(), status.len(), "keys and statuses must align");
         assert!(keys.len() >= 2, "need at least two players");
+        let keys = keys.into_iter().map(VerifyingKey::new).collect();
         Roster { keys, status, epoch }
     }
 
@@ -240,11 +250,11 @@ impl Roster {
         joins.sort_by_key(|(p, _)| p.index());
         for (player, key) in joins {
             if player.index() == self.keys.len() {
-                self.keys.push(key);
+                self.keys.push(VerifyingKey::new(key));
                 self.status.push(MemberStatus::Active);
                 applied += 1;
             } else if self.status.get(player.index()) == Some(&MemberStatus::Joining)
-                && self.keys[player.index()] == key
+                && self.keys[player.index()].public() == key
             {
                 self.status[player.index()] = MemberStatus::Active;
                 applied += 1;
@@ -263,7 +273,7 @@ impl Roster {
         let mut bytes = Vec::with_capacity(8 + self.keys.len() * 9);
         bytes.extend_from_slice(&self.epoch.to_le_bytes());
         for (key, status) in self.keys.iter().zip(&self.status) {
-            bytes.extend_from_slice(&key.to_u64().to_le_bytes());
+            bytes.extend_from_slice(&key.public().to_u64().to_le_bytes());
             bytes.push(status.tag());
         }
         watchmen_crypto::sha256(&bytes)
@@ -348,6 +358,62 @@ mod tests {
         veteran.apply(&join);
         assert_eq!(own.digest(), veteran.digest(), "both views converge at the boundary");
         assert!(own.is_active(id));
+    }
+
+    /// Every path that adds a member — founding directory, lobby
+    /// snapshot, provisional self-admission, a `Join` at a boundary —
+    /// must leave a prepared key that verifies that member's traffic.
+    #[test]
+    fn prepared_keys_follow_every_admission_path() {
+        use crate::msg::{Envelope, Payload};
+
+        let pairs: Vec<Keypair> = (0..5).map(Keypair::generate).collect();
+        let public = |i: usize| pairs[i].public();
+        let signed_by = |i: usize| {
+            Envelope {
+                from: PlayerId(i as u32),
+                seq: 1,
+                frame: 40,
+                payload: Payload::Ack { ack_seq: 0 },
+            }
+            .sign(&pairs[i])
+        };
+        let assert_in_step = |roster: &Roster, members: usize| {
+            assert_eq!(roster.len(), members);
+            for i in 0..members {
+                let id = PlayerId(i as u32);
+                let prepared = roster.verifying_key(id).expect("member");
+                assert_eq!(Some(prepared.public()), roster.key(id));
+                assert_eq!(prepared.public(), public(i));
+                assert!(signed_by(i).verify_prepared(prepared), "member {i}'s own traffic");
+                assert!(!signed_by((i + 1) % members).verify_prepared(prepared));
+            }
+            assert!(roster.verifying_key(PlayerId(members as u32)).is_none());
+        };
+
+        // A veteran: founded with three, admits 3 and 4 at one boundary.
+        let mut veteran = Roster::new((0..3).map(public).collect());
+        assert_in_step(&veteran, 3);
+        let joins = [
+            RosterDelta::Join { player: PlayerId(4), key: public(4) },
+            RosterDelta::Join { player: PlayerId(3), key: public(3) },
+        ];
+        assert_eq!(veteran.apply(&joins), 2);
+        // The joiners' first signed messages verify right after the boundary.
+        assert_in_step(&veteran, 5);
+        // Departures keep the slot and its key: late traffic still
+        // authenticates before it is dropped as stale.
+        veteran.apply(&[RosterDelta::Evict { player: PlayerId(1) }]);
+        assert_in_step(&veteran, 5);
+
+        // Joiner 3: lobby snapshot of the founders, then itself provisionally.
+        let status = vec![MemberStatus::Active; 3];
+        let mut joiner = Roster::from_parts((0..3).map(public).collect(), status, 0);
+        assert_in_step(&joiner, 3);
+        assert_eq!(joiner.admit_provisional(public(3)), PlayerId(3));
+        assert_in_step(&joiner, 4);
+        joiner.apply(&joins);
+        assert_in_step(&joiner, 5);
     }
 
     #[test]

@@ -3,6 +3,15 @@
 //! Supports the Schnorr signature scheme in [`crate::schnorr`]. All values
 //! fit in `u64`; products use `u128` intermediates so no multi-precision
 //! arithmetic is needed.
+//!
+//! Two layers live here. [`mul_mod`] and [`pow_mod`] work for any modulus
+//! and pay one 128-by-64-bit division per multiplication: they are the
+//! *reference path* — primality testing, public-key validation, and the
+//! oracle the tests compare against. Signing and verification instead run
+//! on the crate-private Montgomery routines below, fixed to the Schnorr
+//! prime, which never divide.
+
+use crate::schnorr::MODULUS;
 
 /// `(a + b) mod m`.
 ///
@@ -12,8 +21,12 @@
 #[must_use]
 pub fn add_mod(a: u64, b: u64, m: u64) -> u64 {
     debug_assert!(m > 0 && a < m && b < m);
-    let s = (a as u128 + b as u128) % m as u128;
-    s as u64
+    let (s, carried) = a.overflowing_add(b);
+    if carried || s >= m {
+        s.wrapping_sub(m)
+    } else {
+        s
+    }
 }
 
 /// `(a - b) mod m`.
@@ -33,6 +46,9 @@ pub fn sub_mod(a: u64, b: u64, m: u64) -> u64 {
 
 /// `(a * b) mod m` using a 128-bit intermediate.
 ///
+/// Reference path: one hardware division per call. The signature hot path
+/// multiplies in Montgomery form instead.
+///
 /// # Panics
 ///
 /// Panics in debug builds if `m == 0`.
@@ -44,7 +60,8 @@ pub fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
 
 /// `base^exp mod m` by square-and-multiply.
 ///
-/// `0^0` is defined as `1`.
+/// Reference path (see the module docs): generic in `m`, two [`mul_mod`]
+/// divisions per exponent bit. `0^0` is defined as `1`.
 ///
 /// # Panics
 ///
@@ -125,10 +142,58 @@ pub fn is_prime(n: u64) -> bool {
     true
 }
 
+/// `-MODULUS⁻¹ mod 2⁶⁴`, by Newton iteration (each step doubles the
+/// number of correct low bits; an odd `p` is its own inverse mod 8).
+const NEG_INV: u64 = {
+    let mut inv = MODULUS;
+    let mut i = 0;
+    while i < 5 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(MODULUS.wrapping_mul(inv)));
+        i += 1;
+    }
+    inv.wrapping_neg()
+};
+
+/// `1` in Montgomery form: `2⁶⁴ mod p`.
+pub(crate) const MONT_ONE: u64 = ((1u128 << 64) % MODULUS as u128) as u64;
+
+/// `2¹²⁸ mod p`, the factor that carries a value into Montgomery form.
+const MONT_R2: u64 = ((MONT_ONE as u128 * MONT_ONE as u128) % MODULUS as u128) as u64;
+
+/// Montgomery reduction: `t · 2⁻⁶⁴ mod p` for `t < p · 2⁶⁴`.
+///
+/// `p < 2⁶³`, so `t + m·p < 2¹²⁸` and the sum cannot overflow.
+const fn mont_reduce(t: u128) -> u64 {
+    let m = (t as u64).wrapping_mul(NEG_INV);
+    let r = ((t + m as u128 * MODULUS as u128) >> 64) as u64;
+    if r >= MODULUS {
+        r - MODULUS
+    } else {
+        r
+    }
+}
+
+/// Product of two Montgomery-form residues (each `< p`), in Montgomery
+/// form. Division-free: three 64-bit multiplications.
+pub(crate) const fn mont_mul(a: u64, b: u64) -> u64 {
+    mont_reduce(a as u128 * b as u128)
+}
+
+/// Carries `a < p` into Montgomery form.
+pub(crate) const fn to_mont(a: u64) -> u64 {
+    mont_mul(a, MONT_R2)
+}
+
+/// Brings a Montgomery-form residue back to its canonical value in `[0, p)`.
+pub(crate) const fn from_mont(a: u64) -> u64 {
+    mont_reduce(a as u128)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schnorr::{GENERATOR, GROUP_ORDER, MODULUS};
+    use crate::rng::Xoshiro256;
+    use crate::schnorr::{GENERATOR, GROUP_ORDER};
 
     #[test]
     fn add_sub_roundtrip() {
@@ -137,6 +202,45 @@ mod tests {
             for b in 0..m {
                 assert_eq!(sub_mod(add_mod(a, b, m), b, m), a);
             }
+        }
+    }
+
+    #[test]
+    fn add_mod_near_the_top_of_u64() {
+        let m = u64::MAX - 58;
+        assert_eq!(add_mod(m - 1, m - 1, m), m - 2);
+        assert_eq!(add_mod(m - 1, 1, m), 0);
+        assert_eq!(add_mod(0, 0, m), 0);
+        assert_eq!(add_mod(m - 1, 0, m), m - 1);
+    }
+
+    #[test]
+    fn montgomery_constants_are_consistent() {
+        assert_eq!(MODULUS.wrapping_mul(NEG_INV), u64::MAX, "p · (−p⁻¹) ≡ −1 mod 2⁶⁴");
+        assert_eq!(from_mont(MONT_ONE), 1);
+        assert_eq!(to_mont(1), MONT_ONE);
+        assert_eq!(to_mont(0), 0);
+    }
+
+    #[test]
+    fn montgomery_product_matches_the_reference() {
+        let mut rng = Xoshiro256::new(77);
+        let edges = [0, 1, 2, GENERATOR, MODULUS - 2, MODULUS - 1];
+        let check = |a: u64, b: u64| {
+            assert_eq!(from_mont(to_mont(a)), a);
+            assert_eq!(
+                from_mont(mont_mul(to_mont(a), to_mont(b))),
+                mul_mod(a, b, MODULUS),
+                "{a} · {b}"
+            );
+        };
+        for a in edges {
+            for b in edges {
+                check(a, b);
+            }
+        }
+        for _ in 0..20_000 {
+            check(rng.next_range(MODULUS), rng.next_range(MODULUS));
         }
     }
 

@@ -18,6 +18,22 @@
 //!   depends on every node computing identical streams, so we do not use
 //!   `rand`'s unspecified `StdRng` algorithm here.
 //!
+//! # Fast path
+//!
+//! Signing and verifying every forwarded update is the largest single cost
+//! of a Watchmen frame, so [`schnorr`] never divides: residues of the
+//! fixed prime are multiplied in Montgomery form ([`field`]), and every
+//! exponentiation walks a 16-entry *comb table* — the exponent read as 4
+//! rows × 16 columns, 15 squarings and 16 lookups. The generator's table
+//! is a compile-time constant; [`schnorr::VerifyingKey`] holds the table
+//! of one public key (128 bytes, built once in ~0.3 µs) so that
+//! `g^s · X^(q−e)` shares a single squaring chain. The table stays at 16
+//! entries because every node keeps one per roster member. [`Sha256`]
+//! runs fully unrolled over a rolling 16-word schedule and compresses
+//! blocks where they lie. [`field::pow_mod`] and [`field::mul_mod`] remain
+//! as the generic reference path (primality, key validation, test
+//! oracle); signatures and verdicts are bit-identical between the two.
+//!
 //! # Security disclaimer
 //!
 //! The Schnorr group modulus is 63 bits: **this is a research stand-in**,

@@ -126,83 +126,104 @@ impl Sha256 {
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
             self.buffer_len += take;
             data = &data[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffer_len = 0;
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
+        // Whole blocks are compressed where they lie, never copied.
+        while let Some((block, rest)) = data.split_first_chunk::<64>() {
+            compress(&mut self.state, block);
             data = rest;
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
-        }
+        self.buffer[..data.len()].copy_from_slice(data);
+        self.buffer_len = data.len();
     }
 
     /// Consumes the hasher and returns the 32-byte digest.
     #[must_use]
     pub fn finalize(mut self) -> [u8; 32] {
+        // Padding: 0x80, zeros, then the 64-bit big-endian bit length in
+        // the last eight bytes of a block — a second block if the length
+        // no longer fits behind the data.
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        // `update` adjusted total_len; restore the semantics by padding with
-        // zeros until 8 bytes remain in the block.
-        while self.buffer_len != 56 {
-            let zeros = [0u8; 1];
-            self.update(&zeros);
+        self.buffer[self.buffer_len] = 0x80;
+        self.buffer[self.buffer_len + 1..].fill(0);
+        if self.buffer_len >= 56 {
+            compress(&mut self.state, &self.buffer);
+            self.buffer = [0; 64];
         }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffer_len, 0);
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buffer);
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-        }
+/// The SHA-256 compression function: 64 rounds, fully unrolled, over a
+/// rolling 16-word message schedule (word `i ≥ 16` overwrites word
+/// `i − 16`, the only one it no longer needs).
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
+    // One round with the working variables named in their current
+    // rotation: it updates `d` and `h` in place, and the caller rotates
+    // the names instead of moving eight registers.
+    macro_rules! round {
+        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {{
+            const I: usize = $i;
+            if I >= 16 {
+                let w15 = w[(I + 1) % 16];
+                let w2 = w[(I + 14) % 16];
+                let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                w[I % 16] =
+                    w[I % 16].wrapping_add(s0).wrapping_add(w[(I + 9) % 16]).wrapping_add(s1);
+            }
+            let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
+            let ch = $g ^ ($e & ($f ^ $g));
+            let t1 = $h
+                .wrapping_add(s1)
+                .wrapping_add(ch)
+                .wrapping_add(K[I])
+                .wrapping_add(w[I % 16]);
+            let s0 = $a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22);
+            let maj = ($a & $b) | ($c & ($a | $b));
+            $d = $d.wrapping_add(t1);
+            $h = t1.wrapping_add(s0).wrapping_add(maj);
+        }};
+    }
+    macro_rules! rounds8 {
+        ($i:expr) => {
+            round!(a, b, c, d, e, f, g, h, $i);
+            round!(h, a, b, c, d, e, f, g, $i + 1);
+            round!(g, h, a, b, c, d, e, f, $i + 2);
+            round!(f, g, h, a, b, c, d, e, $i + 3);
+            round!(e, f, g, h, a, b, c, d, $i + 4);
+            round!(d, e, f, g, h, a, b, c, $i + 5);
+            round!(c, d, e, f, g, h, a, b, $i + 6);
+            round!(b, c, d, e, f, g, h, a, $i + 7);
+        };
+    }
+    rounds8!(0);
+    rounds8!(8);
+    rounds8!(16);
+    rounds8!(24);
+    rounds8!(32);
+    rounds8!(40);
+    rounds8!(48);
+    rounds8!(56);
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
