@@ -23,8 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// A summary score at or below this is a "clean" report.
 pub const CLEAN_SUMMARY_MAX: u8 = 3;
 
-/// Witness verdicts at or above this count as severe evidence.
-pub const SEVERE_SCORE: u8 = 6;
+pub use crate::rating::SEVERE_SCORE;
 
 /// A flagged contradiction between a proxy's summary and witness
 /// evidence.

@@ -614,7 +614,7 @@ impl GameLobby {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rating::{CheatRating, Confidence};
+    use crate::rating::{CheatRating, Confidence, SEVERE_SCORE};
     use crate::roster::RosterDelta;
     use watchmen_crypto::schnorr::Keypair;
 
@@ -980,7 +980,7 @@ mod tests {
             assert_eq!(record.check, checks::ADMISSION);
             assert_eq!(record.node, LOBBY_NODE);
             assert_eq!(record.subject, *tag);
-            assert!(record.score >= 6, "severe from the first refusal: {record:?}");
+            assert!(record.score >= SEVERE_SCORE, "severe from the first refusal: {record:?}");
         }
         assert!(audit.windows(2).all(|w| w[0].score <= w[1].score), "escalates");
         assert_eq!(audit.last().expect("six records").score, 10);

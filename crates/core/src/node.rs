@@ -39,7 +39,7 @@ use crate::msg::{
     PositionUpdate, SignedEnvelope, StateUpdate,
 };
 use crate::proxy::ProxySchedule;
-use crate::rating::{CheatRating, Confidence};
+use crate::rating::{CheatRating, Confidence, SEVERE_SCORE};
 use crate::roster::{MemberStatus, Roster, RosterDelta};
 use crate::subscription::{compute_sets, NoRecency, SetKind};
 use crate::verify::{checks, Verifier};
@@ -2236,7 +2236,7 @@ impl WatchmenNode {
             };
             let raw =
                 self.verifier.check_vs_subscription(&sub_frame, target_state.position, &self.map);
-            if raw >= 6 {
+            if raw >= SEVERE_SCORE {
                 self.audit_pending_resolved(origin, gen_frame, raw, "confirmed");
                 events.push(NodeEvent::Suspicion {
                     subject: origin,
@@ -2334,7 +2334,7 @@ impl WatchmenNode {
         // the offense for re-judgement once skew-free evidence from both
         // sides of the subscription frame is in hand (see
         // confirm_sub_offenses).
-        let score = if raw >= 6 {
+        let score = if raw >= SEVERE_SCORE {
             let sub_state_exact = (sub_frame_no == sub_gen).then_some(sub_state);
             self.sub_pending.insert(
                 (subscriber, target),
@@ -2518,7 +2518,7 @@ mod tests {
             .iter()
             .filter(|e| {
                 matches!(e, NodeEvent::Suspicion { rating, check, .. }
-                    if rating.score >= 6 && *check == checks::SUBSCRIPTION)
+                    if rating.is_suspicious() && *check == checks::SUBSCRIPTION)
             })
             .count()
     }

@@ -58,6 +58,11 @@ impl fmt::Display for Confidence {
 /// assigned a very low confidence").
 const STALENESS_HALF_LIFE_FRAMES: f64 = 40.0;
 
+/// Scores at or above this are *severe*: flagged as suspected cheating,
+/// counted by every soak gate, and weighed as evidence by the detectors
+/// that corroborate other verifiers' reports.
+pub const SEVERE_SCORE: u8 = 6;
+
 /// One verification outcome: a 1–10 score with the verifier's confidence
 /// and the staleness of the evidence.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,10 +89,10 @@ impl CheatRating {
     }
 
     /// Returns `true` if the action is flagged as suspected cheating
-    /// (score above the midpoint).
+    /// (score at or above [`SEVERE_SCORE`]).
     #[must_use]
     pub fn is_suspicious(&self) -> bool {
-        self.score > 5
+        self.score >= SEVERE_SCORE
     }
 
     /// The confidence-and-staleness-modulated suspicion in `[0, 1]`:

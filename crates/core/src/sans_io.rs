@@ -15,15 +15,22 @@
 //!
 //! No sockets, no clocks, no sleeps: time is the `now_frame` the driver
 //! passes in, and retransmits/heartbeats/epoch boundaries all fall out of
-//! the tick input. That makes the identical core exact under every
-//! driver in the repo:
+//! the tick input. That makes the identical core exact under both
+//! drivers in the repo:
 //!
 //! | driver | where | transport | time source |
 //! |---|---|---|---|
-//! | deathmatch secured segment | `examples/deathmatch.rs` | in-memory instant bus | loop counter |
-//! | simnet loops (faulted, churn) | `examples/deathmatch.rs`, e2e tests | [`watchmen_net::SimNetwork`] | virtual ms |
-//! | fleet match cell | `watchmen-fleet::cell` | per-match simnet | scheduler quanta |
-//! | live cluster | `examples/live_cluster.rs` | `watchmen_net::live::LiveTransport` (real UDP) | wall-clock paced ticks |
+//! | `Cluster` | `watchmen-sim::cluster` | [`watchmen_net::SimNetwork`] | virtual ms |
+//! | live | `examples/live_cluster.rs`, `tests/sans_io_e2e.rs` | `watchmen_net::live::LiveTransport` (real UDP) | wall-clock paced ticks |
+//!
+//! Every simnet match — the scripted soaks of `watchmen-sim::scenario`,
+//! the fleet's match cell, the deathmatch and lobby examples — is a
+//! caller of `Cluster::step`. Three loops stay separate on purpose: the
+//! unit tests below (the node-vs-core byte-identity reference, which
+//! cannot depend on `watchmen-sim`), `tests/node_protocol.rs` (a
+//! same-frame instant bus whose assertions are about intra-frame
+//! ordering), and the perf ledger under `benchmark/` (it times each call
+//! into the core from outside).
 //!
 //! A worked tick, as every driver performs it:
 //!
@@ -58,11 +65,14 @@
 //! simnet drivers stay pinned by their e2e suites while the same core
 //! goes live over UDP.
 
+use watchmen_crypto::schnorr::{Keypair, PublicKey};
 use watchmen_game::trace::PlayerFrame;
 use watchmen_game::PlayerId;
+use watchmen_world::{GameMap, PhysicsConfig};
 
 use crate::audit::AuditRecord;
 use crate::node::{FrameOutput, NodeEvent, Outgoing, WatchmenNode};
+use crate::WatchmenConfig;
 
 /// One input to the core: a tick boundary or an arrived datagram.
 #[derive(Debug)]
@@ -215,6 +225,41 @@ impl ProtocolCore {
     pub fn into_node(self) -> WatchmenNode {
         self.node
     }
+}
+
+/// One secured core per key, ids dense from 0 in key order, all sharing
+/// `directory`, `seed`, `config` and `map` with default physics — the
+/// cluster every simnet and in-process live driver starts from. With a
+/// `lobby_key` the nodes accept lobby-signed join tickets. Lazy, so a
+/// caller that adjusts each node (`into_node`, rewrap) never holds two
+/// full sets.
+///
+/// # Panics
+///
+/// Panics (on iteration) if `directory` does not cover every key.
+pub fn secured_cores<'a>(
+    keys: &'a [Keypair],
+    directory: &'a [PublicKey],
+    lobby_key: Option<PublicKey>,
+    seed: u64,
+    config: WatchmenConfig,
+    map: &'a GameMap,
+) -> impl Iterator<Item = ProtocolCore> + 'a {
+    keys.iter().enumerate().map(move |(i, k)| {
+        let node = WatchmenNode::new(
+            PlayerId(i as u32),
+            k.clone(),
+            directory.to_vec(),
+            seed,
+            config,
+            map.clone(),
+            PhysicsConfig::default(),
+        );
+        ProtocolCore::new(match lobby_key {
+            Some(key) => node.with_lobby_key(key),
+            None => node,
+        })
+    })
 }
 
 #[cfg(test)]

@@ -176,6 +176,7 @@ impl ScheduleBiasDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rating::SEVERE_SCORE;
 
     fn p(i: u32) -> PlayerId {
         PlayerId(i)
@@ -218,7 +219,7 @@ mod tests {
         let suspects: BTreeSet<u32> = verdicts.iter().map(|v| v.suspect).collect();
         assert_eq!(suspects, clique.iter().copied().collect());
         for v in &verdicts {
-            assert!(v.score >= 6, "severe at crossing: {v:?}");
+            assert!(v.score >= SEVERE_SCORE, "severe at crossing: {v:?}");
             assert_eq!(v.victim, 0);
             assert!(v.fallbacks > ScheduleBiasDetector::DEFAULT_MAX_FALLBACKS);
         }

@@ -5,13 +5,15 @@
 //! scheduler can soak every [`CampaignKind`] across many seeds in
 //! parallel — the coordinated-adversary analogue of the single-cheater
 //! fleet soak. The rollup merges per-kind detection quality and renders
-//! one SLO line per campaign kind in the same machine-parseable shape
+//! one SLO line per campaign kind in the same shape
 //! [`watchmen_sim::campaign::CampaignOutcome::summary_line`] uses for a
-//! single run, which the campaign e2e test and ci.sh gate on.
+//! single run; [`CampaignSoakResult::ok`] is the gate `campaign_run`
+//! exits on.
 
 use watchmen_core::WatchmenConfig;
 use watchmen_sim::campaign::{run_campaign, CampaignKind, CampaignOutcome, CampaignSpec};
 use watchmen_sim::quality::DetectionQuality;
+use watchmen_telemetry::spec;
 
 use crate::pool::{default_workers, run_tasks, PoolConfig, Quantum, ShardContext, Task};
 
@@ -51,18 +53,7 @@ impl CampaignSoakConfig {
     /// gate should fail loudly, not silently soak the wrong campaigns.
     #[must_use]
     pub fn from_env() -> Option<Self> {
-        let spec = std::env::var("WATCHMEN_CAMPAIGN").ok()?;
-        let spec = spec.trim();
-        if spec.is_empty() {
-            return None;
-        }
-        if matches!(spec, "1" | "on" | "defaults") {
-            return Some(CampaignSoakConfig::default());
-        }
-        match Self::from_spec(spec) {
-            Ok(config) => Some(config),
-            Err(e) => panic!("WATCHMEN_CAMPAIGN: {e}"),
-        }
+        spec::from_env_or_default("WATCHMEN_CAMPAIGN", Self::from_spec)
     }
 
     /// Parses a comma-separated spec over the defaults:
@@ -73,16 +64,13 @@ impl CampaignSoakConfig {
     /// Returns a description of the first malformed or unknown entry.
     pub fn from_spec(spec: &str) -> Result<Self, String> {
         let mut config = CampaignSoakConfig::default();
-        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) =
-                part.split_once('=').ok_or_else(|| format!("expected key=value, got {part:?}"))?;
-            let parse =
-                |v: &str| v.parse::<u64>().map_err(|_| format!("bad number {v:?} for {key}"));
+        for pair in spec::pairs(spec) {
+            let (key, value) = pair?;
             match key {
-                "runs" => config.runs_per_kind = parse(value)?,
-                "seed" => config.seed = parse(value)?,
-                "workers" => config.workers = parse(value)? as usize,
-                "max_local" => config.max_local = parse(value)? as usize,
+                "runs" => config.runs_per_kind = spec::num(key, value)?,
+                "seed" => config.seed = spec::num(key, value)?,
+                "workers" => config.workers = spec::num(key, value)?,
+                "max_local" => config.max_local = spec::num(key, value)?,
                 other => return Err(format!("unknown campaign knob {other:?}")),
             }
         }
@@ -148,22 +136,34 @@ impl CampaignSoakResult {
         merged
     }
 
-    /// Whether every campaign met its SLO and none panicked.
+    /// Whether `kind` met its SLO: no campaign panicked, every run of
+    /// the kind met its own SLO, and the kind's merged time-to-detect
+    /// p99 fits its budget (which also requires that adversaries were
+    /// injected at all).
+    fn kind_ok(&self, kind: CampaignKind) -> bool {
+        self.panics.is_empty()
+            && self.outcomes.iter().filter(|o| o.kind == kind).all(CampaignOutcome::ok)
+            && self
+                .quality_for(kind)
+                .ttd_percentile(99.0)
+                .is_some_and(|p99| p99 <= kind.ttd_budget_frames())
+    }
+
+    /// Whether every campaign kind met its SLO and none panicked —
+    /// `campaign_run`'s exit condition.
     #[must_use]
     pub fn ok(&self) -> bool {
-        self.panics.is_empty() && self.outcomes.iter().all(CampaignOutcome::ok)
+        CampaignKind::ALL.into_iter().all(|kind| self.kind_ok(kind))
     }
 
     /// One merged SLO line per campaign kind, in catalog order — the
-    /// same shape as a single run's summary line, so one parser serves
-    /// the e2e test, the CI gate and the soak.
+    /// same shape as a single run's summary line.
     #[must_use]
     pub fn summary_lines(&self) -> String {
         let mut out = String::new();
         for kind in CampaignKind::ALL {
             let q = self.quality_for(kind);
-            let ok = self.panics.is_empty()
-                && self.outcomes.iter().filter(|o| o.kind == kind).all(CampaignOutcome::ok);
+            let ok = self.kind_ok(kind);
             let p99 = q.ttd_percentile(99.0).map_or_else(|| "none".to_owned(), |p| p.to_string());
             out.push_str(&format!(
                 "campaign {}: adversaries={} detected={} false_verdicts={} ttd_p99={} \

@@ -1,9 +1,9 @@
 //! One match as a schedulable unit.
 //!
 //! A [`MatchCell`] owns everything a single Watchmen match needs — its
-//! recorded trace, a [`SimNetwork`], a [`GameLobby`] and one secured
-//! sans-io [`ProtocolCore`] per player — and shares **nothing** with any other
-//! cell, so thousands of cells run in parallel without coordination and
+//! recorded trace, a [`GameLobby`] and a [`Cluster`] of one secured
+//! sans-io core per player on its own simnet — and shares **nothing**
+//! with any other cell, so thousands of cells run in parallel without coordination and
 //! a cell's outcome depends only on its [`MatchSpec`]. The cell
 //! implements [`Task`]: each quantum advances the match by a bounded
 //! number of frames, which lets the pool interleave long matches with
@@ -12,8 +12,8 @@
 //! Cheating is scripted the same way the deathmatch example scripts it:
 //! a cheater's reported position teleports sideways every fourth frame,
 //! which the player's proxy flags as a severe physics violation. The
-//! cell tallies severe verdicts (score ≥ 6, the same bar every soak gate
-//! in this repo uses) against the spec's cheater set: a severe verdict
+//! cell tallies severe verdicts (`CheatRating::is_suspicious`, the bar
+//! every soak gate in this repo uses) against the spec's cheater set: a severe verdict
 //! on a cheater is a detection, on an honest player a **false verdict**.
 //! Every suspicion report is also forwarded to the cell's lobby, whose
 //! threshold reputation bans players that accumulate enough failed
@@ -23,17 +23,17 @@ use std::time::Instant;
 
 use watchmen_core::audit::AuditRecord;
 use watchmen_core::lobby::{GameLobby, LobbyEvent};
-use watchmen_core::node::{NodeEvent, WatchmenNode};
-use watchmen_core::sans_io::ProtocolCore;
+use watchmen_core::node::NodeEvent;
+use watchmen_core::sans_io::{secured_cores, ProtocolCore};
 use watchmen_core::verify::checks;
 use watchmen_core::WatchmenConfig;
 use watchmen_crypto::schnorr::Keypair;
 use watchmen_game::trace::GameTrace;
 use watchmen_game::PlayerId;
 use watchmen_net::{latency, SimNetwork};
+use watchmen_sim::cluster::Cluster;
 use watchmen_sim::quality::{evaluate, DetectionQuality, GroundTruth, UNDETECTED};
 use watchmen_sim::workload::match_workload;
-use watchmen_world::PhysicsConfig;
 
 use crate::pool::{Quantum, ShardContext, Task};
 
@@ -151,7 +151,7 @@ pub struct MatchReport {
     pub cheaters: usize,
     /// Whether every scripted cheater drew at least one severe verdict.
     pub detected: bool,
-    /// Severe verdicts (score ≥ 6) against scripted cheaters.
+    /// Severe verdicts against scripted cheaters.
     pub severe_verdicts: u64,
     /// Severe verdicts against honest players — the fleet-wide gate
     /// asserts this is zero.
@@ -173,8 +173,8 @@ pub struct MatchReport {
 }
 
 impl MatchReport {
-    /// The report as one deterministic machine-parseable line — the unit
-    /// the cross-worker-count determinism test compares byte-for-byte.
+    /// The report as one deterministic line — the unit the
+    /// cross-worker-count determinism test compares byte-for-byte.
     /// Wall-clock never appears here.
     #[must_use]
     pub fn summary_line(&self) -> String {
@@ -209,19 +209,11 @@ impl MatchReport {
 /// quantum so a 10k-match fleet only materialises the cells currently in
 /// flight.
 struct Running {
-    /// One sans-io protocol core per player — the same poll-driven state
-    /// machine the simnet and live-UDP drivers run; this cell is just
-    /// another driver for it.
-    cores: Vec<ProtocolCore>,
-    net: SimNetwork<Vec<u8>>,
+    cluster: Cluster,
     lobby: GameLobby,
     trace: GameTrace,
-    frame_ms: f64,
     frame: u64,
-    /// Per-cheater severe-verdict tallies, indexed like `spec.cheaters`.
-    per_cheater: Vec<u64>,
-    false_verdicts: u64,
-    bad_signatures: u64,
+    tally: Tally,
     banned: u64,
     /// The match's audit stream, drained from every emitter each frame
     /// in a deterministic order (nodes by index, then the lobby).
@@ -267,46 +259,29 @@ impl MatchCell {
         lobby.start();
         let lobby_key = lobby.lobby_key().expect("fleet lobby has keys");
 
-        let mut cores: Vec<ProtocolCore> = keys
-            .into_iter()
-            .enumerate()
-            .map(|(i, k)| {
-                ProtocolCore::new(
-                    WatchmenNode::new(
-                        PlayerId(i as u32),
-                        k,
-                        lobby.directory().to_vec(),
-                        spec.seed,
-                        config,
-                        workload.map.clone(),
-                        PhysicsConfig::default(),
-                    )
-                    .with_lobby_key(lobby_key)
-                    .with_recorder_capacity(RECORDER_CAPACITY),
-                )
-            })
-            .collect();
-
-        if !spec.observe {
-            for core in &mut cores {
-                core.node_mut().set_audit_enabled(false);
-            }
-            lobby.set_audit_enabled(false);
-        }
-
-        let net: SimNetwork<Vec<u8>> =
-            SimNetwork::new(spec.players, latency::constant(LATENCY_MS), 0.0, spec.seed);
+        let cores = secured_cores(
+            &keys,
+            lobby.directory(),
+            Some(lobby_key),
+            spec.seed,
+            config,
+            &workload.map,
+        )
+        .map(|core| {
+            let mut node = core.into_node().with_recorder_capacity(RECORDER_CAPACITY);
+            node.set_audit_enabled(spec.observe);
+            ProtocolCore::new(node)
+        });
+        let net = SimNetwork::new(spec.players, latency::constant(LATENCY_MS), 0.0, spec.seed);
+        let cluster = Cluster::new(cores, net, config.frame_ms);
+        lobby.set_audit_enabled(spec.observe);
 
         Box::new(Running {
-            cores,
-            net,
+            cluster,
             lobby,
             trace: workload.trace,
-            frame_ms: config.frame_ms,
             frame: 0,
-            per_cheater: vec![0; spec.cheaters.len()],
-            false_verdicts: 0,
-            bad_signatures: 0,
+            tally: Tally { per_cheater: vec![0; spec.cheaters.len()], ..Tally::default() },
             banned: 0,
             audit: Vec::new(),
         })
@@ -321,34 +296,25 @@ impl MatchCell {
             panic!("scripted poison in match {} at frame {f}", spec.match_id);
         }
 
-        let deliveries = run.net.advance_to(f as f64 * run.frame_ms);
-        for d in deliveries {
-            let observer = PlayerId(d.to as u32);
-            let output = run.cores[d.to].datagram(f, PlayerId(d.from as u32), &d.payload);
-            tally(run, spec, observer, &output.events);
-            for o in output.datagrams {
-                let size = o.bytes.len();
-                run.net.send(d.to, o.to.index(), o.bytes, size);
-            }
-        }
-
+        let Running { cluster, trace, tally, lobby, .. } = run;
+        cluster.step(
+            f,
+            |i| {
+                let mut state = trace.frames[f as usize].states[i];
+                if spec.cheaters.contains(&(i as u32)) && f > 0 && f.is_multiple_of(4) {
+                    // The scripted speed-hack: a sideways teleport no legal
+                    // movement allows; the proxy's physics check flags it.
+                    state.position.x += CHEAT_OFFSET;
+                }
+                state
+            },
+            |i, output| tally.note(lobby, spec, PlayerId(i as u32), &output.events),
+        );
         for i in 0..spec.players {
-            let mut state = run.trace.frames[f as usize].states[i];
-            if spec.cheaters.contains(&(i as u32)) && f > 0 && f.is_multiple_of(4) {
-                // The scripted speed-hack: a sideways teleport no legal
-                // movement allows; the proxy's physics check flags it.
-                state.position.x += CHEAT_OFFSET;
-            }
-            let output = run.cores[i].tick(f, &state);
-            tally(run, spec, PlayerId(i as u32), &output.events);
-            for o in output.datagrams {
-                let size = o.bytes.len();
-                run.net.send(i, o.to.index(), o.bytes, size);
-            }
-            run.lobby.heartbeat(PlayerId(i as u32), f);
+            lobby.heartbeat(PlayerId(i as u32), f);
         }
 
-        for e in run.lobby.tick(f) {
+        for e in lobby.tick(f) {
             if let LobbyEvent::Banned(_) = e {
                 run.banned += 1;
             }
@@ -365,7 +331,7 @@ impl MatchCell {
         if !spec.observe {
             return;
         }
-        for core in &mut run.cores {
+        for core in run.cluster.cores.iter_mut().flatten() {
             run.audit.append(&mut core.drain_audit());
         }
         run.audit.append(&mut run.lobby.drain_audit());
@@ -376,14 +342,15 @@ impl MatchCell {
     /// catches it all), count verdicts, but send nothing new — the match
     /// is over.
     fn drain(run: &mut Running, spec: &MatchSpec) -> MatchReport {
-        let horizon = (spec.frames as f64 + 2.0) * run.frame_ms + 10.0 * LATENCY_MS;
-        for d in run.net.advance_to(horizon) {
-            let observer = PlayerId(d.to as u32);
-            let output = run.cores[d.to].datagram(spec.frames, PlayerId(d.from as u32), &d.payload);
-            tally(run, spec, observer, &output.events);
-        }
-        run.net.stats().assert_invariant("fleet match cell");
+        let Running { cluster, tally, lobby, .. } = run;
+        let horizon = (spec.frames as f64 + 2.0) * cluster.frame_ms + 10.0 * LATENCY_MS;
+        cluster.deliver_until(spec.frames, horizon, |i, output| {
+            tally.note(lobby, spec, PlayerId(i as u32), &output.events);
+        });
+        let net = cluster.net.stats();
+        net.assert_invariant("fleet match cell");
         Self::collect_audit(run, spec);
+        let tally = &run.tally;
 
         let quality = if spec.observe {
             let truth = GroundTruth {
@@ -395,10 +362,10 @@ impl MatchCell {
             let quality = evaluate(&truth, &run.audit);
             // The join re-derives the cell's inline tallies from the
             // audit stream — the two accountings must agree.
-            debug_assert_eq!(quality.false_verdicts, run.false_verdicts);
+            debug_assert_eq!(quality.false_verdicts, tally.false_verdicts);
             debug_assert_eq!(
                 quality.per_check.values().map(|c| c.true_pos).sum::<u64>(),
-                run.per_cheater.iter().sum::<u64>(),
+                tally.per_cheater.iter().sum::<u64>(),
             );
             quality
         } else {
@@ -415,18 +382,18 @@ impl MatchCell {
             Vec::new()
         };
 
-        let detected = !spec.cheaters.is_empty() && run.per_cheater.iter().all(|&n| n > 0);
+        let detected = !spec.cheaters.is_empty() && tally.per_cheater.iter().all(|&n| n > 0);
         MatchReport {
             match_id: spec.match_id,
             players: spec.players,
             frames: spec.frames,
             cheaters: spec.cheaters.len(),
             detected,
-            severe_verdicts: run.per_cheater.iter().sum(),
-            false_verdicts: run.false_verdicts,
-            bad_signatures: run.bad_signatures,
+            severe_verdicts: tally.per_cheater.iter().sum(),
+            false_verdicts: tally.false_verdicts,
+            bad_signatures: tally.bad_signatures,
             banned: run.banned,
-            messages: run.net.stats().delivered,
+            messages: net.delivered,
             audit_records: run.audit.len() as u64,
             quality,
             audit_lines,
@@ -434,24 +401,42 @@ impl MatchCell {
     }
 }
 
-/// Classifies node events: severe suspicions split into detections
-/// (subject is a scripted cheater) and false verdicts; every suspicion —
-/// including the clean per-epoch summaries — is forwarded to the lobby's
-/// reputation system under the observing player's name.
-fn tally(run: &mut Running, spec: &MatchSpec, observer: PlayerId, events: &[NodeEvent]) {
-    for e in events {
-        match e {
-            NodeEvent::Suspicion { subject, rating, .. } => {
-                run.lobby.report(observer, *subject, rating);
-                if rating.score >= 6 {
-                    match spec.cheaters.iter().position(|&c| c == subject.0) {
-                        Some(slot) => run.per_cheater[slot] += 1,
-                        None => run.false_verdicts += 1,
+/// The cell's inline verdict accounting.
+#[derive(Default)]
+struct Tally {
+    /// Per-cheater severe-verdict tallies, indexed like `spec.cheaters`.
+    per_cheater: Vec<u64>,
+    false_verdicts: u64,
+    bad_signatures: u64,
+}
+
+impl Tally {
+    /// Classifies node events: severe suspicions split into detections
+    /// (subject is a scripted cheater) and false verdicts; every
+    /// suspicion — including the clean per-epoch summaries — is forwarded
+    /// to the lobby's reputation system under the observing player's
+    /// name.
+    fn note(
+        &mut self,
+        lobby: &mut GameLobby,
+        spec: &MatchSpec,
+        observer: PlayerId,
+        events: &[NodeEvent],
+    ) {
+        for e in events {
+            match e {
+                NodeEvent::Suspicion { subject, rating, .. } => {
+                    lobby.report(observer, *subject, rating);
+                    if rating.is_suspicious() {
+                        match spec.cheaters.iter().position(|&c| c == subject.0) {
+                            Some(slot) => self.per_cheater[slot] += 1,
+                            None => self.false_verdicts += 1,
+                        }
                     }
                 }
+                NodeEvent::BadSignature { .. } => self.bad_signatures += 1,
+                _ => {}
             }
-            NodeEvent::BadSignature { .. } => run.bad_signatures += 1,
-            _ => {}
         }
     }
 }
@@ -537,30 +522,45 @@ mod tests {
         assert_eq!(a, b, "tick quantum is scheduling granularity, not simulation input");
     }
 
+    /// Reports captured at commit 9d5bedc, before the cell moved onto
+    /// `sim::cluster`: the summary line (which also pins its format)
+    /// plus a SHA-256 over the audit JSONL. `fleet_e2e` proves equality
+    /// across worker counts; this proves it across commits. A protocol
+    /// change that moves these on purpose re-captures them; a driver
+    /// refactor must not.
     #[test]
-    fn summary_line_is_stable() {
-        let report = MatchReport {
-            match_id: 3,
-            players: 16,
-            frames: 160,
-            cheaters: 1,
-            detected: true,
-            severe_verdicts: 38,
-            false_verdicts: 0,
-            bad_signatures: 0,
-            banned: 1,
-            messages: 12345,
-            audit_records: 872,
-            quality: DetectionQuality { ttd_frames: vec![12], ..DetectionQuality::default() },
-            audit_lines: Vec::new(),
-        };
-        assert_eq!(
-            report.summary_line(),
-            "match 3: players=16 frames=160 cheaters=1 detected=1 severe=38 \
-             false_verdicts=0 bad_signatures=0 banned=1 messages=12345 ttd=12 audit=872"
-        );
-        let honest = MatchReport { cheaters: 0, quality: DetectionQuality::default(), ..report };
-        assert!(honest.summary_line().contains("ttd=- "), "{}", honest.summary_line());
+    fn reports_match_the_golden_capture() {
+        let golden = [
+            (
+                MatchSpec::new(0, 16, 160, 2013),
+                "match 0: players=16 frames=160 cheaters=0 detected=0 severe=0 false_verdicts=0 \
+                 bad_signatures=0 banned=0 messages=8945 ttd=- audit=53",
+                "067e40e6fbd1264ef01eef7d604dd04e594c07c2175aff563a23cde41ae588dc",
+            ),
+            (
+                MatchSpec::new(1, 16, 160, 2013).with_cheater(2),
+                "match 1: players=16 frames=160 cheaters=1 detected=1 severe=56 false_verdicts=0 \
+                 bad_signatures=0 banned=1 messages=8722 ttd=1 audit=114",
+                "abbb1b6592fed585ebdc60eba8bbe007705bcb9b2600a8319658ba633a7be834",
+            ),
+            (
+                MatchSpec::new(2, 6, 80, 4177),
+                "match 2: players=6 frames=80 cheaters=0 detected=0 severe=0 false_verdicts=0 \
+                 bad_signatures=0 banned=0 messages=791 ttd=- audit=6",
+                "499f35974bb24fc904f497fb0ac80b533d3155ef09435108141f88b661aee016",
+            ),
+        ];
+        for (spec, line, audit_sha) in golden {
+            let report = drive(spec.with_audit());
+            assert_eq!(report.summary_line(), line);
+            let mut hash = watchmen_crypto::Sha256::new();
+            for l in &report.audit_lines {
+                hash.update(l.as_bytes());
+                hash.update(b"\n");
+            }
+            let hex: String = hash.finalize().iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, audit_sha, "audit stream of match {}", report.match_id);
+        }
     }
 
     #[test]

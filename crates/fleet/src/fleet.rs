@@ -16,9 +16,10 @@
 
 use std::sync::Arc;
 
+use watchmen_core::verify::checks;
 use watchmen_crypto::rng::SplitMix64;
 use watchmen_sim::quality::DetectionQuality;
-use watchmen_telemetry::{Registry, Snapshot};
+use watchmen_telemetry::{spec, Registry, Snapshot};
 
 use crate::cell::{MatchCell, MatchReport, MatchSpec};
 use crate::pool::{default_workers, run_tasks_on, PoolConfig, TaskOutcome, WorkerStats};
@@ -91,18 +92,7 @@ impl FleetConfig {
     /// gate should fail loudly, not silently soak the wrong fleet.
     #[must_use]
     pub fn from_env() -> Option<Self> {
-        let spec = std::env::var("WATCHMEN_FLEET").ok()?;
-        let spec = spec.trim();
-        if spec.is_empty() {
-            return None;
-        }
-        if matches!(spec, "1" | "on" | "defaults") {
-            return Some(FleetConfig::default());
-        }
-        match Self::from_spec(spec) {
-            Ok(config) => Some(config),
-            Err(e) => panic!("WATCHMEN_FLEET: {e}"),
-        }
+        spec::from_env_or_default("WATCHMEN_FLEET", Self::from_spec)
     }
 
     /// Parses a comma-separated fleet spec over the default config:
@@ -115,22 +105,19 @@ impl FleetConfig {
     /// Returns a description of the first malformed or unknown entry.
     pub fn from_spec(spec: &str) -> Result<Self, String> {
         let mut config = FleetConfig::default();
-        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) =
-                part.split_once('=').ok_or_else(|| format!("expected key=value, got {part:?}"))?;
-            let parse =
-                |v: &str| v.parse::<u64>().map_err(|_| format!("bad number {v:?} for {key}"));
+        for pair in spec::pairs(spec) {
+            let (key, value) = pair?;
             match key {
-                "matches" => config.matches = parse(value)?,
-                "players" => config.players = parse(value)? as usize,
-                "frames" => config.frames = parse(value)?,
-                "workers" => config.workers = parse(value)? as usize,
-                "max_local" => config.max_local = parse(value)? as usize,
-                "tick_quantum" => config.tick_quantum = parse(value)?,
-                "seed" => config.seed = parse(value)?,
-                "cheat_every" => config.cheat_every = parse(value)?,
-                "observe" => config.observe = parse(value)? != 0,
-                "audit" => config.audit = parse(value)? != 0,
+                "matches" => config.matches = spec::num(key, value)?,
+                "players" => config.players = spec::num(key, value)?,
+                "frames" => config.frames = spec::num(key, value)?,
+                "workers" => config.workers = spec::num(key, value)?,
+                "max_local" => config.max_local = spec::num(key, value)?,
+                "tick_quantum" => config.tick_quantum = spec::num(key, value)?,
+                "seed" => config.seed = spec::num(key, value)?,
+                "cheat_every" => config.cheat_every = spec::num(key, value)?,
+                "observe" => config.observe = spec::num::<u64>(key, value)? != 0,
+                "audit" => config.audit = spec::num::<u64>(key, value)? != 0,
                 other => return Err(format!("unknown fleet knob {other:?}")),
             }
         }
@@ -341,9 +328,39 @@ impl FleetResult {
             && q.ttd_percentile(99.0).is_none_or(|p99| p99 <= TTD_BUDGET_FRAMES)
     }
 
-    /// The machine-parseable detection-quality SLO line ci.sh gates on:
-    /// headline counters, time-to-detect percentiles (in frames, `-`
-    /// when no cheater was injected), the budget, the verdict, and one
+    /// The soak's gate against the config it ran: every match completed,
+    /// none panicked, the configured workers all ran, the cheat injection
+    /// engaged and every injected cheater was detected — inline and, with
+    /// the observability plane on, on the audit stream by the position
+    /// check within the [`slo_ok`](Self::slo_ok) budget — and no honest
+    /// player drew a severe verdict. `fleet_soak` exits non-zero on `Err`.
+    ///
+    /// # Errors
+    ///
+    /// Names the first condition that failed.
+    pub fn gate(&self, config: &FleetConfig) -> Result<(), String> {
+        let require = |ok: bool, what: &str| if ok { Ok(()) } else { Err(what.to_owned()) };
+        require(self.panics.is_empty(), "matches panicked")?;
+        require(self.completed() == config.matches, "matches lost")?;
+        require(self.workers.len() == config.workers, "fleet ran under-parallel")?;
+        require(self.false_verdicts() == 0, "honest players drew severe verdicts")?;
+        let cheating = config.cheat_every > 0;
+        require(!cheating || self.cheater_matches() > 0, "cheat injection never engaged")?;
+        require(self.detected_matches() == self.cheater_matches(), "a cheater went undetected")?;
+        if config.observe {
+            require(self.slo_ok(), "detection slo failed")?;
+            let position = self.detection_quality().per_check.get(checks::POSITION).copied();
+            require(
+                !cheating || position.is_some_and(|c| c.true_pos > 0),
+                "the position check never scored a true positive",
+            )?;
+        }
+        Ok(())
+    }
+
+    /// The detection-quality SLO line: headline counters, time-to-detect
+    /// percentiles (in frames, `-` when no cheater was injected), the
+    /// budget, the verdict, and one
     /// `check:<name>=tp/fp/fn` triple per check that fired.
     #[must_use]
     pub fn detection_summary(&self) -> String {
@@ -383,8 +400,8 @@ impl FleetResult {
         out
     }
 
-    /// The machine-parseable fleet summary ci.sh gates on. Deterministic
-    /// counters only — timing lives in the bench record, not here.
+    /// The one-line fleet summary. Deterministic counters only — timing
+    /// lives in the bench record, not here.
     #[must_use]
     pub fn summary_line(&self) -> String {
         format!(
@@ -583,6 +600,38 @@ mod tests {
         assert!(view.help_for("fleet_quanta_total").is_some(), "shard help must surface");
     }
 
+    /// The gate `fleet_soak` exits on: a clean fleet passes it, and a
+    /// fleet with one poisoned match — or one the config says should
+    /// have had more matches, workers or cheaters — does not.
+    #[test]
+    fn gate_passes_a_clean_fleet_and_fails_a_poisoned_one() {
+        let config = FleetConfig {
+            matches: 4,
+            players: 8,
+            frames: 60,
+            workers: 2,
+            cheat_every: 2,
+            seed: 77,
+            ..FleetConfig::default()
+        };
+        let pool = PoolConfig { workers: config.workers, max_local: config.max_local };
+        let clean = run_fleet(&config);
+        assert_eq!(clean.gate(&config), Ok(()), "{}", clean.match_lines());
+
+        let mut specs = config.specs();
+        specs[3] = specs[3].clone().poisoned_at(10);
+        let poisoned = run_fleet_specs(specs, &pool);
+        assert_eq!(poisoned.gate(&config), Err("matches panicked".into()));
+
+        let expect = |other: FleetConfig, why: &str| {
+            assert_eq!(clean.gate(&other), Err(why.into()));
+        };
+        expect(FleetConfig { matches: 5, ..config.clone() }, "matches lost");
+        expect(FleetConfig { workers: 4, ..config.clone() }, "fleet ran under-parallel");
+        let honest = run_fleet(&FleetConfig { cheat_every: 0, ..config.clone() });
+        assert_eq!(honest.gate(&config), Err("cheat injection never engaged".into()));
+    }
+
     #[test]
     fn audit_jsonl_is_empty_unless_requested() {
         let config = FleetConfig {
@@ -600,20 +649,5 @@ mod tests {
         let jsonl = audited.audit_jsonl();
         assert!(!jsonl.is_empty());
         assert!(jsonl.lines().all(|l| l.starts_with("{\"match\":")), "every line tagged");
-    }
-
-    #[test]
-    fn summary_line_shape_is_machine_parseable() {
-        let result = FleetResult {
-            reports: Vec::new(),
-            panics: Vec::new(),
-            workers: Vec::new(),
-            rollup: roll_up(&[]),
-        };
-        let line = result.summary_line();
-        assert!(line.starts_with("fleet summary: "));
-        for field in ["matches=", "completed=", "false_verdicts=", "detected_matches="] {
-            assert!(line.contains(field), "missing {field} in {line}");
-        }
     }
 }

@@ -30,8 +30,8 @@
 //!   (`watchmen-store`) so bans earned in one match block matchmaking
 //!   in the next — measured as time-to-ban and false-ban rate.
 //!
-//! The `fleet_soak` example drives all of it and prints the
-//! machine-parseable `fleet summary:` line ci.sh gates on.
+//! The `fleet_soak` example drives all of it and exits non-zero unless
+//! [`FleetResult::gate`] passes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -33,8 +33,13 @@ use watchmen_crypto::rng::Xoshiro256;
 use watchmen_crypto::schnorr::Keypair;
 use watchmen_game::PlayerId;
 use watchmen_store::{Dir, ReputationStore, StorePolicy};
+use watchmen_telemetry::spec;
 
 use crate::pool::{default_workers, run_tasks, PoolConfig, Quantum, ShardContext, Task};
+
+/// The time-to-ban budget: a repeat cheater's ban must be durable
+/// within this many of its own matches (p99).
+pub const TTB_BUDGET_MATCHES: u64 = 20;
 
 /// Shape of one population soak.
 #[derive(Debug, Clone, Copy)]
@@ -106,18 +111,7 @@ impl PopulationConfig {
     /// gate should fail loudly, not silently soak the wrong population.
     #[must_use]
     pub fn from_env() -> Option<Self> {
-        let spec = std::env::var("WATCHMEN_POPULATION").ok()?;
-        let spec = spec.trim();
-        if spec.is_empty() {
-            return None;
-        }
-        if matches!(spec, "1" | "on" | "defaults") {
-            return Some(PopulationConfig::default());
-        }
-        match Self::from_spec(spec) {
-            Ok(config) => Some(config),
-            Err(e) => panic!("WATCHMEN_POPULATION: {e}"),
-        }
+        spec::from_env_or_default("WATCHMEN_POPULATION", Self::from_spec)
     }
 
     /// Parses a comma-separated spec over the defaults:
@@ -128,24 +122,21 @@ impl PopulationConfig {
     /// Returns a description of the first malformed or unknown entry.
     pub fn from_spec(spec: &str) -> Result<Self, String> {
         let mut config = PopulationConfig::default();
-        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) =
-                part.split_once('=').ok_or_else(|| format!("expected key=value, got {part:?}"))?;
-            let parse =
-                |v: &str| v.parse::<u64>().map_err(|_| format!("bad number {v:?} for {key}"));
+        for pair in spec::pairs(spec) {
+            let (key, value) = pair?;
             match key {
-                "seed" => config.seed = parse(value)?,
-                "players" => config.players = parse(value)? as usize,
-                "cheaters" => config.cheater_permille = parse(value)? as u32,
-                "matches" => config.matches = parse(value)?,
-                "match_size" => config.match_size = parse(value)? as usize,
-                "round_matches" => config.round_matches = parse(value)?,
-                "reports" => config.reports_per_player = parse(value)? as u32,
-                "cheat_failed" => config.cheat_failed_permille = parse(value)? as u32,
-                "honest_failed" => config.honest_failed_permille = parse(value)? as u32,
-                "workers" => config.workers = parse(value)? as usize,
-                "max_local" => config.max_local = parse(value)? as usize,
-                "compact_bytes" => config.compact_wal_bytes = parse(value)?,
+                "seed" => config.seed = spec::num(key, value)?,
+                "players" => config.players = spec::num(key, value)?,
+                "cheaters" => config.cheater_permille = spec::num(key, value)?,
+                "matches" => config.matches = spec::num(key, value)?,
+                "match_size" => config.match_size = spec::num(key, value)?,
+                "round_matches" => config.round_matches = spec::num(key, value)?,
+                "reports" => config.reports_per_player = spec::num(key, value)?,
+                "cheat_failed" => config.cheat_failed_permille = spec::num(key, value)?,
+                "honest_failed" => config.honest_failed_permille = spec::num(key, value)?,
+                "workers" => config.workers = spec::num(key, value)?,
+                "max_local" => config.max_local = spec::num(key, value)?,
+                "compact_bytes" => config.compact_wal_bytes = spec::num(key, value)?,
                 other => return Err(format!("unknown population knob {other:?}")),
             }
         }
@@ -323,16 +314,18 @@ impl PopulationResult {
         }
     }
 
-    /// The soak's SLO: every repeat cheater durably banned, zero false
-    /// bans, and the ban actually blocked later matchmaking.
+    /// The soak's SLO: every repeat cheater durably banned within
+    /// [`TTB_BUDGET_MATCHES`] (p99), zero false bans, and the ban
+    /// actually blocked later matchmaking.
     #[must_use]
     pub fn ok(&self) -> bool {
         self.cheaters_banned == self.cheaters
             && self.false_bans == 0
             && (self.cheaters == 0 || self.refused_admissions > 0)
+            && self.ttb_percentile(99.0).is_none_or(|p99| p99 <= TTB_BUDGET_MATCHES)
     }
 
-    /// The machine-parseable summary line ci.sh gates on.
+    /// The one-line summary.
     #[must_use]
     pub fn summary_line(&self) -> String {
         let (p50, p99) = (
@@ -557,5 +550,7 @@ mod tests {
         assert!(PopulationConfig::from_spec("matches=0").is_err());
         assert!(PopulationConfig::from_spec("players=4,match_size=8").is_err());
         assert!(PopulationConfig::from_spec("cheaters=2000").is_err());
+        // 2^32 + 100: a u64 parse cast to u32 wrapped this to a valid 100‰.
+        assert!(PopulationConfig::from_spec("cheaters=4294967396").is_err());
     }
 }

@@ -26,6 +26,7 @@
 //! simulator.
 
 use watchmen_crypto::rng::Xoshiro256;
+use watchmen_telemetry::spec;
 
 use crate::NodeId;
 
@@ -74,10 +75,11 @@ impl GilbertElliott {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < mean < 0.5`.
+    /// Panics unless `0 < mean < 0.4` (from there on the entry probability
+    /// the solve yields reaches 1).
     #[must_use]
     pub fn with_mean_loss(mean: f64) -> Self {
-        assert!(mean > 0.0 && mean < 0.5, "mean burst loss {mean} out of (0, 0.5)");
+        assert!(mean > 0.0 && mean < 0.4, "mean burst loss {mean} out of (0, 0.4)");
         let (loss_bad, p_exit_bad) = (0.5, 0.25);
         // Stationary P(bad) = p_enter / (p_enter + p_exit); mean loss =
         // P(bad) * loss_bad.
@@ -368,14 +370,7 @@ impl FaultPlan {
     /// Panics if the variable is set but does not parse.
     #[must_use]
     pub fn from_env() -> Option<Self> {
-        let spec = std::env::var("WATCHMEN_FAULTS").ok()?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        match Self::from_spec(&spec, 0xfa017) {
-            Ok(plan) => Some(plan),
-            Err(e) => panic!("WATCHMEN_FAULTS: {e}"),
-        }
+        spec::from_env("WATCHMEN_FAULTS", |s| Self::from_spec(s, 0xfa017))
     }
 
     /// Parses a comma-separated fault spec:
@@ -395,27 +390,34 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed entry.
+    /// Returns a description of the first malformed or out-of-range
+    /// entry: `loss` must lie in `(0, 0.4)`, `dup` and `reorder` in
+    /// `[0, 1]`, `reorder_ms` must not be negative.
     pub fn from_spec(spec: &str, seed: u64) -> Result<Self, String> {
         let mut plan = FaultPlan::new(seed);
         let mut reorder_rate = 0.0;
         let mut reorder_ms = 20.0;
-        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) =
-                part.split_once('=').ok_or_else(|| format!("expected key=value, got {part:?}"))?;
-            let parse_f64 =
-                |v: &str| v.parse::<f64>().map_err(|_| format!("bad number {v:?} for {key}"));
+        for pair in spec::pairs(spec) {
+            let (key, value) = pair?;
+            // Range checks are written so that NaN fails them.
+            let in_range = |ok: fn(f64) -> bool, range: &str| {
+                spec::num::<f64>(key, value).and_then(|v| {
+                    if ok(v) {
+                        Ok(v)
+                    } else {
+                        Err(format!("{key}={value} outside {range}"))
+                    }
+                })
+            };
             match key {
                 "loss" => {
-                    plan.burst = Some(GilbertElliott::with_mean_loss(parse_f64(value)?));
+                    let mean = in_range(|v| v > 0.0 && v < 0.4, "(0, 0.4)")?;
+                    plan.burst = Some(GilbertElliott::with_mean_loss(mean));
                 }
-                "dup" => plan.duplicate_rate = parse_f64(value)?,
-                "reorder" => reorder_rate = parse_f64(value)?,
-                "reorder_ms" => reorder_ms = parse_f64(value)?,
-                "seed" => {
-                    let s = value.parse::<u64>().map_err(|_| format!("bad seed {value:?}"))?;
-                    plan.rng = Xoshiro256::seed_from(s, 0xfau64 << 32);
-                }
+                "dup" => plan.duplicate_rate = in_range(|v| (0.0..=1.0).contains(&v), "[0, 1]")?,
+                "reorder" => reorder_rate = in_range(|v| (0.0..=1.0).contains(&v), "[0, 1]")?,
+                "reorder_ms" => reorder_ms = in_range(|v| v >= 0.0, "[0, ∞)")?,
+                "seed" => plan.rng = Xoshiro256::seed_from(spec::num(key, value)?, 0xfau64 << 32),
                 "crash" => {
                     let (node, window) = parse_at(value)?;
                     let (from, to) = parse_range(window)?;
@@ -428,7 +430,7 @@ impl FaultPlan {
                 "join" | "leave" => {
                     let (node, at) = parse_at(value)?;
                     let node = node.parse().map_err(|_| format!("bad {key} node {node:?}"))?;
-                    let at_ms = at.parse::<f64>().map_err(|_| format!("bad {key} time {at:?}"))?;
+                    let at_ms: f64 = spec::num(key, at)?;
                     let kind = if key == "join" { ChurnKind::Join } else { ChurnKind::Leave };
                     plan.churn.push(ChurnEvent { node, kind, at_ms });
                 }
@@ -554,6 +556,26 @@ mod tests {
         ] {
             assert!(FaultPlan::from_spec(bad, 1).is_err(), "accepted {bad:?}");
         }
+    }
+
+    /// `from_spec` documents `# Errors`, so out-of-range rates must come
+    /// back as `Err` — not panic inside `with_mean_loss`, and not slip
+    /// past `with_duplication`'s range assert.
+    #[test]
+    fn spec_rejects_out_of_range_rates_without_panicking() {
+        for bad in [
+            "loss=0.7",
+            "loss=0.45",
+            "loss=0",
+            "loss=NaN",
+            "dup=1.5",
+            "dup=NaN",
+            "reorder=1.5",
+            "reorder=0.2,reorder_ms=-1",
+        ] {
+            assert!(FaultPlan::from_spec(bad, 1).is_err(), "accepted {bad:?}");
+        }
+        assert!(FaultPlan::from_spec("loss=0.39,dup=1,reorder=0,reorder_ms=0", 1).is_ok());
     }
 
     #[test]

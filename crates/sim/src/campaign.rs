@@ -29,13 +29,14 @@
 //! Each campaign returns a [`CampaignOutcome`] carrying the injected
 //! [`GroundTruth`], the emitted audit stream and the joined
 //! [`DetectionQuality`]; [`CampaignOutcome::summary_line`] renders the
-//! machine-parseable per-campaign SLO line the fleet and CI gate on.
+//! per-campaign SLO line.
 
 use watchmen_core::audit::{AuditKind, AuditRecord, LOBBY_NODE};
 use watchmen_core::cheat::{CheatInjector, CheatKind};
 use watchmen_core::collusion::SummaryCorroborator;
 use watchmen_core::lobby::{key_tag, AdmitError, GameLobby};
 use watchmen_core::proxy::ProxySchedule;
+use watchmen_core::rating::SEVERE_SCORE;
 use watchmen_core::schedule_guard::ScheduleBiasDetector;
 use watchmen_core::verify::{checks, Verifier};
 use watchmen_core::WatchmenConfig;
@@ -183,7 +184,7 @@ impl CampaignOutcome {
             && self.quality.ttd_percentile(99.0).is_some_and(|p| p <= self.kind.ttd_budget_frames())
     }
 
-    /// The machine-parseable per-campaign SLO line:
+    /// The per-campaign SLO line:
     ///
     /// ```text
     /// campaign collusion: adversaries=2 detected=2 false_verdicts=0 ttd_p99=1120 budget=1200 ok=true
@@ -293,7 +294,7 @@ fn run_collusion(spec: &CampaignSpec, config: &WatchmenConfig) -> (GroundTruth, 
             // The same witnesses watch an honest player turn slowly:
             // sub-severe, contributes nothing to anyone's tally.
             let honest_score = verifier.check_aim(Aim::new(0.0, 0.0), Aim::new(0.02, 0.0), 1);
-            debug_assert!(honest_score < 6);
+            debug_assert!(honest_score < SEVERE_SCORE);
             corroborator.observe_witness(epoch, w.0, honest_control.0, honest_score);
         }
 

@@ -21,6 +21,10 @@
 //! and [`quality`] joins the verdict audit stream against injected
 //! ground truth into detection-quality metrics (time-to-detect,
 //! per-check confusion matrices) for the fleet's SLO gate.
+//!
+//! [`cluster`] is the one simnet match driver — N secured protocol cores
+//! advanced deliver-then-tick — and [`scenario`] holds the scripted
+//! soaks (control plane under faults, churn) that run on it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,11 +33,13 @@ pub mod age;
 pub mod bandwidth_exp;
 pub mod campaign;
 pub mod cheat_matrix;
+pub mod cluster;
 pub mod detection;
 pub mod disclosure;
 pub mod heat;
 pub mod is_churn;
 pub mod quality;
 pub mod report;
+pub mod scenario;
 pub mod witness;
 pub mod workload;

@@ -29,6 +29,7 @@
 use std::collections::BTreeMap;
 
 use watchmen_core::audit::{AuditKind, AuditRecord};
+use watchmen_core::rating::SEVERE_SCORE;
 
 /// Sentinel time-to-detect for a cheater no check ever caught.
 pub const UNDETECTED: u64 = u64::MAX;
@@ -145,7 +146,7 @@ pub fn evaluate(truth: &GroundTruth, records: &[AuditRecord]) -> DetectionQualit
     let mut caught_by: BTreeMap<(u32, &'static str), ()> = BTreeMap::new();
 
     for record in records {
-        if record.kind != AuditKind::Verdict || record.score < 6 {
+        if record.kind != AuditKind::Verdict || record.score < SEVERE_SCORE {
             continue;
         }
         let is_cheater = truth.cheaters.contains(&record.subject);

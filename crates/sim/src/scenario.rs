@@ -1,0 +1,454 @@
+//! The scripted soaks, each held once.
+//!
+//! A scenario is a fixed script — who crashes when, who joins, who
+//! leaves — run on a [`Cluster`] of honest secured nodes over a faulted
+//! simnet. Each returns the finished cluster (for assertions about
+//! individual nodes) and a typed outcome whose `check` is the gate:
+//! `tests/control_plane_e2e.rs` and `tests/churn_e2e.rs` assert on it,
+//! and `examples/deathmatch.rs` exits non-zero when it fails. All
+//! players are honest, so every severe verdict is a false one.
+
+use std::collections::BTreeMap;
+use std::fmt;
+
+use watchmen_core::lobby::GameLobby;
+use watchmen_core::node::{ChurnStats, ControlPlaneStats, NodeEvent, WatchmenNode};
+use watchmen_core::proxy::ProxySchedule;
+use watchmen_core::sans_io::{secured_cores, CoreOutput, ProtocolCore};
+use watchmen_core::WatchmenConfig;
+use watchmen_crypto::schnorr::{Keypair, PublicKey};
+use watchmen_game::trace::GameTrace;
+use watchmen_game::{GameConfig, PlayerId};
+use watchmen_net::fault::{FaultPlan, GilbertElliott};
+use watchmen_net::{latency, NetStats, SimNetwork};
+use watchmen_world::{maps, GameMap, PhysicsConfig};
+
+use crate::cluster::Cluster;
+
+const FRAME_MS: f64 = 50.0;
+
+/// The protocol configuration both soaks run: a proxy is presumed
+/// crashed after two silent relay periods (40 frames) — quick enough
+/// that the fallback engages inside the scripted crash window, but
+/// tolerant of a single lost broadcast cycle (k = 1 flaps under 5% burst
+/// loss, and a false crash presumption diverts traffic away from a live
+/// proxy).
+#[must_use]
+pub fn soak_config() -> WatchmenConfig {
+    let config = WatchmenConfig { proxy_liveness_k: 2, ..WatchmenConfig::default() };
+    config.validate();
+    config
+}
+
+/// An open arena: the soaks gate on *transport*-level recovery, and the
+/// position checker's wall-geometry corner cases (corner-clip lerp
+/// samples, platform landings) fire even on a perfectly honest q3dm17
+/// trace — a physics-check concern, not a transport one.
+fn soak_map() -> GameMap {
+    maps::arena(32, 10.0)
+}
+
+fn soak_net(nodes: usize, plan: FaultPlan) -> SimNetwork<Vec<u8>> {
+    let mut net = SimNetwork::new(nodes, latency::constant(8.0), 0.0, 77);
+    net.set_fault_plan(plan);
+    net
+}
+
+/// Appends one line per severe verdict in `output` to `severe`.
+fn note_severe(severe: &mut Vec<String>, frame: u64, observer: usize, output: &CoreOutput) {
+    for e in &output.events {
+        if let NodeEvent::Suspicion { subject, rating, check } = e {
+            if rating.is_suspicious() {
+                severe.push(format!(
+                    "frame {frame}: node {observer} rated p{} {}/10 on {check}",
+                    subject.0, rating.score
+                ));
+            }
+        }
+    }
+}
+
+/// One figure of an outcome: its label on the summary line, its value,
+/// and whether it passes the gate.
+type Figure = (&'static str, u64, bool);
+
+fn summary(f: &mut fmt::Formatter<'_>, title: &str, figures: &[Figure]) -> fmt::Result {
+    write!(f, "{title} summary:")?;
+    figures.iter().try_for_each(|(label, value, _)| write!(f, " {label}={value}"))
+}
+
+/// `Err` naming the first figure that fails its gate.
+fn check(outcome: &dyn fmt::Display, figures: &[Figure]) -> Result<(), String> {
+    match figures.iter().find(|(.., passes)| !passes) {
+        Some((label, value, _)) => Err(format!("{label}={value} fails the gate ({outcome})")),
+        None => Ok(()),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Control plane under faults
+// ---------------------------------------------------------------------
+
+/// The fault spec `deathmatch` soaks under unless `WATCHMEN_FAULTS`
+/// overrides it: 5% burst loss, 1% duplication, a quarter of messages
+/// delayed by up to 40 ms (under one frame, so reordering produces
+/// single-frame swaps, not multi-frame time travel).
+pub const DEFAULT_FAULT_SPEC: &str = "loss=0.05,dup=0.01,reorder=0.25,reorder_ms=40,seed=9";
+
+/// [`DEFAULT_FAULT_SPEC`], parsed.
+#[must_use]
+pub fn default_fault_plan() -> FaultPlan {
+    FaultPlan::from_spec(DEFAULT_FAULT_SPEC, 0).expect("the default fault spec parses")
+}
+
+/// What [`control_plane_soak`] observed.
+#[derive(Debug, Clone)]
+pub struct ControlPlaneOutcome {
+    /// One line per severe verdict raised (all false by construction).
+    pub severe: Vec<String>,
+    /// Handoff chains delivered.
+    pub handoffs_received: u64,
+    /// Every node's control-plane counters, summed.
+    pub control: ControlPlaneStats,
+    /// Handoff chains still unrecovered after the drain, summed.
+    pub pending_handoffs: u64,
+    /// The network's counters at the end of the run.
+    pub net: NetStats,
+}
+
+impl ControlPlaneOutcome {
+    fn figures(&self) -> [Figure; 9] {
+        let (c, net) = (&self.control, &self.net);
+        [
+            ("retransmits", c.retransmits, c.retransmits > 0),
+            ("acks", c.acks_received, true),
+            ("fallbacks", c.proxy_fallbacks, c.proxy_fallbacks >= 1),
+            ("abandoned", c.abandoned, c.abandoned == 0),
+            ("pending_handoffs", self.pending_handoffs, self.pending_handoffs == 0),
+            ("handoffs_received", self.handoffs_received, self.handoffs_received > 0),
+            ("severe_false_verdicts", self.severe.len() as u64, self.severe.is_empty()),
+            ("dup", net.duplicated, true),
+            ("dropped", net.dropped, net.dropped > 0),
+        ]
+    }
+
+    /// The gate: the fault plan engaged, the reliable layer did real
+    /// work, fully recovered and fell back around the crashed proxy, and
+    /// nobody was falsely accused.
+    ///
+    /// # Errors
+    ///
+    /// Names the first figure that failed.
+    pub fn check(&self) -> Result<(), String> {
+        check(self, &self.figures())
+    }
+}
+
+impl fmt::Display for ControlPlaneOutcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        summary(f, "fault", &self.figures())
+    }
+}
+
+/// Runs 16 secured nodes for eight proxy epochs plus a 60-frame drain
+/// for retransmissions to finish, under `plan` plus a scripted crash —
+/// frames 55..125, spanning the epoch boundary at 80 — of whichever node
+/// the shared schedule makes player 0's proxy in epoch 2, so the
+/// liveness fallback is always exercised.
+#[must_use]
+pub fn control_plane_soak(plan: FaultPlan) -> (Cluster, ControlPlaneOutcome) {
+    const N: usize = 16;
+    const SEED: u64 = 2013;
+    const FRAMES: u64 = 320 + 60;
+    let config = soak_config();
+    let schedule = ProxySchedule::new(SEED, N, config.proxy_period);
+    let crashed = schedule.proxy_of(PlayerId(0), 2 * config.proxy_period);
+    let plan = plan.with_crash(crashed.index(), 55.0 * FRAME_MS, 125.0 * FRAME_MS);
+
+    let keys: Vec<Keypair> = (0..N).map(|i| Keypair::generate(SEED ^ i as u64)).collect();
+    let directory: Vec<PublicKey> = keys.iter().map(Keypair::public).collect();
+    let map = soak_map();
+    let mut cluster = Cluster::new(
+        secured_cores(&keys, &directory, None, SEED, config, &map),
+        soak_net(N, plan),
+        FRAME_MS,
+    );
+    let trace = GameTrace::record(GameConfig { map, ..GameConfig::default() }, N, SEED, FRAMES);
+
+    let mut severe = Vec::new();
+    let mut handoffs_received = 0u64;
+    for f in 0..FRAMES {
+        // A crashed node does not tick at all; on recovery its own gap
+        // detection resets its liveness view and suppresses the
+        // partially-observed epoch's summary.
+        cluster.step(
+            f,
+            |i| trace.frames[f as usize].states[i],
+            |i, output| {
+                note_severe(&mut severe, f, i, output);
+                handoffs_received += output
+                    .events
+                    .iter()
+                    .filter(|e| matches!(e, NodeEvent::HandoffReceived { .. }))
+                    .count() as u64;
+            },
+        );
+    }
+
+    let net = cluster.net.stats();
+    net.assert_invariant("control-plane soak");
+    let (mut control, mut pending_handoffs) = (ControlPlaneStats::default(), 0);
+    for core in cluster.cores.iter().flatten() {
+        let stats = core.node().control_stats();
+        control.retransmits += stats.retransmits;
+        control.acks_received += stats.acks_received;
+        control.proxy_fallbacks += stats.proxy_fallbacks;
+        control.abandoned += stats.abandoned;
+        pending_handoffs += core.node().pending_handoffs() as u64;
+    }
+    let outcome = ControlPlaneOutcome { severe, handoffs_received, control, pending_handoffs, net };
+    (cluster, outcome)
+}
+
+// ---------------------------------------------------------------------
+// Churn
+// ---------------------------------------------------------------------
+
+/// Players present from frame 0 in the churn soak.
+pub const CHURN_VETERANS: usize = 16;
+/// Mid-game joiners, seated in slots `CHURN_VETERANS..`.
+pub const CHURN_JOINERS: usize = 4;
+/// Enough epochs (period 40) for all joins, both leaves, and the
+/// membership-timeout evictions to be announced and applied, then a
+/// drain period for retransmissions to finish.
+const CHURN_FRAMES: u64 = 840 + 40;
+/// The churn script, in frames. Windows are deliberately non-overlapping:
+/// each join's lobby snapshot is taken while no departure delta is still
+/// in flight (see DESIGN.md §10 on the snapshot/activation window). A
+/// membership event roughly every other second is the densest the
+/// one-epoch join window admits.
+const JOIN_FRAMES: [u64; CHURN_JOINERS] = [50, 130, 210, 290];
+/// `(slot, announce frame)` of each graceful leave.
+pub const CHURN_LEAVES: [(usize, u64); 2] = [(3, 370), (5, 450)];
+/// Slots that crash for good (and are evicted on membership timeout).
+pub const CHURN_CRASHED: [usize; 2] = [7, 9];
+const CRASH_FRAME: u64 = 530;
+
+/// What [`churn_soak`] observed.
+#[derive(Debug, Clone)]
+pub struct ChurnOutcome {
+    /// The churn counters of veteran 0, who survives to the end.
+    pub witness: ChurnStats,
+    /// Joiners that got their bootstrap within one epoch of admission
+    /// and became active members.
+    pub joiners_converged: u64,
+    /// Renewal boundaries at which roster agreement was checked.
+    pub boundaries: u64,
+    /// The first boundary at which two running active members held
+    /// different rosters, if any.
+    pub roster_divergence: Option<String>,
+    /// One line per severe verdict raised (all false by construction).
+    pub severe: Vec<String>,
+    /// One line per signature rejection (none expected: churn traffic
+    /// must never score as forgery).
+    pub bad_signatures: Vec<String>,
+    /// Joiner slot → the admission boundary on its ticket.
+    pub admit_frames: BTreeMap<usize, u64>,
+    /// Joiner slot → the frame its first bootstrap arrived.
+    pub bootstrap_frames: BTreeMap<usize, u64>,
+}
+
+impl ChurnOutcome {
+    fn figures(&self) -> [Figure; 8] {
+        let w = &self.witness;
+        let agreed = self.roster_divergence.is_none();
+        [
+            ("joins", w.joins_applied, w.joins_applied == CHURN_JOINERS as u64),
+            ("leaves", w.leaves_applied, w.leaves_applied == CHURN_LEAVES.len() as u64),
+            ("evictions", w.evictions_applied, w.evictions_applied == CHURN_CRASHED.len() as u64),
+            (
+                "joiners_converged",
+                self.joiners_converged,
+                self.joiners_converged == w.joins_applied,
+            ),
+            ("boundaries", self.boundaries, true),
+            ("roster_agreement", u64::from(agreed), agreed),
+            ("false_verdicts", self.severe.len() as u64, self.severe.is_empty()),
+            ("bad_signatures", self.bad_signatures.len() as u64, self.bad_signatures.is_empty()),
+        ]
+    }
+
+    /// The gate: the whole lifecycle ran, every joiner converged, every
+    /// running active member agreed on the roster at every boundary, and
+    /// nobody was falsely accused.
+    ///
+    /// # Errors
+    ///
+    /// Names the first figure that failed.
+    pub fn check(&self) -> Result<(), String> {
+        check(self, &self.figures())
+    }
+}
+
+impl fmt::Display for ChurnOutcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        summary(f, "churn", &self.figures())
+    }
+}
+
+/// Runs [`CHURN_VETERANS`] secured nodes plus a lobby with signing keys
+/// through [`CHURN_JOINERS`] mid-game joins, two graceful leaves and two
+/// crash-evictions under 5% burst loss and 1% duplication, checking
+/// roster agreement across all running active members at every renewal
+/// boundary.
+///
+/// # Panics
+///
+/// Panics if the lobby refuses a scripted admission or hands out a
+/// non-dense id.
+#[must_use]
+pub fn churn_soak() -> (Cluster, ChurnOutcome) {
+    const TOTAL: usize = CHURN_VETERANS + CHURN_JOINERS;
+    const SEED: u64 = 4177;
+    let config = soak_config();
+    let period = config.proxy_period;
+
+    // The lobby owns admission: veterans register up front, joiners get
+    // signed tickets mid-match.
+    let mut lobby = GameLobby::new(SEED, config, config.membership_timeout_frames)
+        .with_keys(Keypair::generate(SEED ^ 0x10bb));
+    let keys: Vec<Keypair> = (0..TOTAL).map(|i| Keypair::generate(SEED ^ i as u64)).collect();
+    for k in &keys[..CHURN_VETERANS] {
+        lobby.register(k.public());
+    }
+    lobby.start();
+    let lobby_key = lobby.lobby_key().expect("lobby has keys");
+
+    let mut plan = FaultPlan::new(0xc4)
+        .with_burst_loss(GilbertElliott::with_mean_loss(0.05))
+        .with_duplication(0.01);
+    for (j, &f) in JOIN_FRAMES.iter().enumerate() {
+        plan = plan.with_join(CHURN_VETERANS + j, f as f64 * FRAME_MS);
+    }
+    for &(leaver, announce) in &CHURN_LEAVES {
+        // The node unplugs a few frames after its announced departure
+        // boundary, leaving room for final acks.
+        let unplug = ((announce.div_ceil(period) + 1) * period + 10) as f64 * FRAME_MS;
+        plan = plan.with_leave(leaver, unplug);
+    }
+    for &c in &CHURN_CRASHED {
+        plan = plan.with_crash(c, CRASH_FRAME as f64 * FRAME_MS, f64::INFINITY);
+    }
+
+    let map = soak_map();
+    let mut cluster = Cluster::new(
+        secured_cores(
+            &keys[..CHURN_VETERANS],
+            lobby.directory(),
+            Some(lobby_key),
+            SEED,
+            config,
+            &map,
+        ),
+        soak_net(TOTAL, plan),
+        FRAME_MS,
+    );
+    let trace = GameTrace::record(
+        GameConfig { map: map.clone(), ..GameConfig::default() },
+        TOTAL,
+        SEED,
+        CHURN_FRAMES,
+    );
+
+    let (mut severe, mut bad_signatures) = (Vec::new(), Vec::new());
+    let mut bootstrap_frames: BTreeMap<usize, u64> = BTreeMap::new();
+    let mut admit_frames: BTreeMap<usize, u64> = BTreeMap::new();
+    let mut roster_divergence = None;
+    let mut boundaries = 0u64;
+
+    for f in 0..CHURN_FRAMES {
+        if let Some(j) = JOIN_FRAMES.iter().position(|&at| at == f) {
+            let slot = CHURN_VETERANS + j;
+            let (id, ticket, roster) =
+                lobby.admit_midgame(keys[slot].public(), f).expect("mid-game admission");
+            assert_eq!(id.index(), slot, "lobby must hand out dense ids");
+            admit_frames.insert(slot, ticket.admit_frame);
+            cluster.cores[slot] = Some(ProtocolCore::new(WatchmenNode::new_joining(
+                id,
+                keys[slot].clone(),
+                roster,
+                ticket,
+                lobby_key,
+                SEED,
+                config,
+                map.clone(),
+                PhysicsConfig::default(),
+            )));
+        }
+        for &(leaver, announce) in &CHURN_LEAVES {
+            if f == announce {
+                lobby.leave(PlayerId(leaver as u32), f);
+                let out = cluster.cores[leaver].as_mut().expect("leaver exists").announce_leave(f);
+                cluster.send(leaver, out.datagrams);
+            }
+        }
+
+        cluster.step(
+            f,
+            |i| trace.frames[f as usize].states[i],
+            |i, output| {
+                note_severe(&mut severe, f, i, output);
+                for e in &output.events {
+                    match e {
+                        NodeEvent::BadSignature { claimed_from } => {
+                            bad_signatures
+                                .push(format!("frame {f}: node {i} vs p{}", claimed_from.0));
+                        }
+                        NodeEvent::BootstrapReceived { .. } => {
+                            bootstrap_frames.entry(i).or_insert(f);
+                        }
+                        _ => {}
+                    }
+                }
+            },
+        );
+
+        // Roster agreement at every renewal boundary: every running,
+        // active member holds the identical epoch and digest.
+        if f > 0 && f % period == 0 {
+            let mut views = (0..TOTAL)
+                .filter(|&i| cluster.is_running(i) && cluster.node(i).is_active_member())
+                .map(|i| (i, cluster.node(i).roster_epoch(), cluster.node(i).roster_digest()));
+            let (first, e0, d0) = views.next().expect("someone is always running");
+            if let Some((i, e, _)) = views.find(|&(_, e, d)| (e, d) != (e0, d0)) {
+                roster_divergence.get_or_insert_with(|| {
+                    format!(
+                        "boundary {f}: node {i} roster (epoch {e}) diverged from node {first}'s \
+                         (epoch {e0})"
+                    )
+                });
+            }
+            boundaries += 1;
+        }
+    }
+
+    cluster.net.stats().assert_invariant("churn soak");
+    let joiners_converged = admit_frames
+        .iter()
+        .filter(|&(&slot, &admit)| {
+            bootstrap_frames.get(&slot).is_some_and(|&got| got <= admit + period)
+                && cluster.node(slot).is_active_member()
+        })
+        .count() as u64;
+    let outcome = ChurnOutcome {
+        witness: cluster.node(0).churn_stats(),
+        joiners_converged,
+        boundaries,
+        roster_divergence,
+        severe,
+        bad_signatures,
+        admit_frames,
+        bootstrap_frames,
+    };
+    (cluster, outcome)
+}

@@ -26,6 +26,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use watchmen_crypto::rng::SplitMix64;
+use watchmen_telemetry::spec;
 
 /// A directory of named, append-oriented files — the store's entire
 /// view of stable storage.
@@ -294,18 +295,15 @@ impl FaultSpec {
     /// Returns a description of the first malformed or unknown entry.
     pub fn from_spec(spec: &str) -> Result<Self, String> {
         let mut out = FaultSpec::default();
-        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) =
-                part.split_once('=').ok_or_else(|| format!("expected key=value, got {part:?}"))?;
-            let parse =
-                |v: &str| v.parse::<u64>().map_err(|_| format!("bad number {v:?} for {key}"));
+        for pair in spec::pairs(spec) {
+            let (key, value) = pair?;
             match key {
-                "seed" => out.seed = parse(value)?,
-                "short" => out.short_permille = parse(value)? as u32,
-                "fsync_fail" => out.fsync_fail_permille = parse(value)? as u32,
-                "torn_replace" => out.torn_replace_permille = parse(value)? as u32,
-                "crash_at" => out.crash_at_op = parse(value)?,
-                "flip" => out.flip_bits = parse(value)? != 0,
+                "seed" => out.seed = spec::num(key, value)?,
+                "short" => out.short_permille = spec::num(key, value)?,
+                "fsync_fail" => out.fsync_fail_permille = spec::num(key, value)?,
+                "torn_replace" => out.torn_replace_permille = spec::num(key, value)?,
+                "crash_at" => out.crash_at_op = spec::num(key, value)?,
+                "flip" => out.flip_bits = spec::num::<u64>(key, value)? != 0,
                 other => return Err(format!("unknown store fault knob {other:?}")),
             }
         }
@@ -329,15 +327,7 @@ impl FaultSpec {
     /// plan must fail loudly, not silently run an un-faulted store.
     #[must_use]
     pub fn from_env() -> Option<Self> {
-        let spec = std::env::var("WATCHMEN_STORE_FAULTS").ok()?;
-        let spec = spec.trim();
-        if spec.is_empty() {
-            return None;
-        }
-        match Self::from_spec(spec) {
-            Ok(plan) => Some(plan),
-            Err(e) => panic!("WATCHMEN_STORE_FAULTS: {e}"),
-        }
+        spec::from_env("WATCHMEN_STORE_FAULTS", Self::from_spec)
     }
 }
 
@@ -517,6 +507,8 @@ mod tests {
         assert!(FaultSpec::from_spec("bogus=1").is_err(), "unknown knob");
         assert!(FaultSpec::from_spec("short=abc").is_err(), "bad number");
         assert!(FaultSpec::from_spec("short=1001").is_err(), "permille out of range");
+        // 2^32 + 1000: a u64 parse cast to u32 wrapped this to a valid 1000.
+        assert!(FaultSpec::from_spec("short=4294968296").is_err(), "must not wrap into range");
         assert_eq!(FaultSpec::from_spec("").expect("empty is defaults"), FaultSpec::default());
     }
 

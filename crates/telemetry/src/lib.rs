@@ -44,7 +44,9 @@
 //! events as a Chrome `trace_event` JSON document loadable in
 //! `chrome://tracing` or Perfetto. [`dump_from_env`] is the shared
 //! end-of-run hook every example and bench calls to honor the
-//! `WATCHMEN_TELEMETRY=prom|json` knob uniformly.
+//! `WATCHMEN_TELEMETRY=prom|json` knob uniformly, and [`spec`] is the
+//! one `key=value,…` grammar every other `WATCHMEN_*` spec variable
+//! parses with.
 //!
 //! For *live* visibility — watching a fleet mid-run rather than reading
 //! a dump after it exits — [`serve::MetricsServer`] is a `std`-only HTTP
@@ -95,6 +97,7 @@ mod histogram;
 mod recorder;
 mod registry;
 pub mod serve;
+pub mod spec;
 mod timer;
 pub mod trace;
 

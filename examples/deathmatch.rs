@@ -2,7 +2,9 @@
 //! headline workload, with a live scoreboard, the Figure 1 presence
 //! heatmap, a network replay over the simnet, a secured-node segment
 //! (including a scripted cheater whose violations trigger flight-recorder
-//! dumps), and a final telemetry snapshot in Prometheus text format.
+//! dumps), the two scripted soaks of `sim::scenario` (control plane under
+//! faults, churn — the run exits non-zero if either fails its gate), and
+//! a final telemetry snapshot in Prometheus text format.
 //!
 //! ```sh
 //! cargo run --release --example deathmatch [players] [frames]
@@ -14,25 +16,26 @@
 //! `chrome://tracing`). Set `WATCHMEN_METRICS_ADDR=127.0.0.1:9464` to
 //! serve the global registry live on `/metrics` while the match runs
 //! (`WATCHMEN_METRICS_HOLD_MS=<ms>` keeps it up after the final
-//! snapshot).
+//! snapshot). `WATCHMEN_FAULTS=loss=0.1,dup=0.02,…` replaces the fault
+//! plan the control-plane soak runs under.
 
 use std::sync::Arc;
 
-use watchmen::core::node::{NodeEvent, WatchmenNode};
 use watchmen::core::overlay::run_watchmen;
-use watchmen::core::proxy::ProxySchedule;
-use watchmen::core::sans_io::ProtocolCore;
+use watchmen::core::sans_io::secured_cores;
 use watchmen::core::WatchmenConfig;
 use watchmen::crypto::schnorr::{Keypair, PublicKey};
 use watchmen::game::heatmap::Heatmap;
 use watchmen::game::trace::GameTrace;
-use watchmen::game::{GameConfig, GameEvent, PlayerId};
+use watchmen::game::{GameConfig, GameEvent};
 use watchmen::net::fault::FaultPlan;
 use watchmen::net::{latency, SimNetwork};
+use watchmen::sim::cluster::Cluster;
+use watchmen::sim::scenario;
 use watchmen::telemetry::{
     causal_chain, export, global, FlightDump, FlightRecorder, MetricValue, MetricsServer, TraceMode,
 };
-use watchmen::world::{maps, GameMap, PhysicsConfig};
+use watchmen::world::{maps, GameMap};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -91,7 +94,6 @@ fn main() {
                     if attacker != victim {
                         scores[attacker.index()] += 1;
                     }
-                    scores[victim.index()] -= 0; // deaths tracked implicitly
                 }
                 GameEvent::Fall { victim } => {
                     falls += 1;
@@ -147,11 +149,11 @@ fn main() {
         report.mean_down_kbps,
     );
 
-    // --- Secured segment: a small cluster of full WatchmenNodes (signed
-    // envelopes, proxy supervision, handoffs) over an instant bus, enough
+    // --- Secured segment: a small cluster of full secured nodes (signed
+    // envelopes, proxy supervision, handoffs) over an 8 ms simnet, enough
     // frames to cross several proxy epochs.
     let cluster_size = players.clamp(3, 12);
-    let cluster_frames = (net_frames as usize).min(130);
+    let cluster_frames = net_frames.min(130);
     println!(
         "\nrunning {cluster_size} secured nodes for {cluster_frames} frames \
          (signatures, proxies, handoffs; p2 speed-hacks, p1 replays)…"
@@ -159,24 +161,20 @@ fn main() {
     let (recorders, dumps) = run_secured_segment(&trace, &map, cluster_size, cluster_frames);
     report_violations(&recorders, &dumps);
 
-    // --- Faulted segment: with `WATCHMEN_FAULTS` set (e.g.
-    // `loss=0.05,dup=0.01,reorder=0.25,reorder_ms=40`), run a 16-node
-    // secured cluster over the simnet under the requested fault plan plus
-    // one scripted proxy crash, and report how the reliable control plane
-    // coped. The `fault summary:` line is machine-parseable; ci.sh gates
-    // on it.
-    if let Some(plan) = FaultPlan::from_env() {
-        run_faulted_segment(plan);
-    }
-
-    // --- Churn segment: with `WATCHMEN_CHURN` set (any non-empty value),
-    // run a 16-veteran secured cluster under 5% burst loss through four
-    // mid-game joins, two graceful leaves and two crash-evictions — a
-    // membership event roughly every other second, the densest the
-    // one-epoch join window admits — and report the outcome on the
-    // machine-parseable `churn summary:` line that ci.sh gates on.
-    if std::env::var("WATCHMEN_CHURN").is_ok_and(|v| !v.trim().is_empty()) {
-        run_churn_segment();
+    // --- The scripted soaks: 16 honest secured nodes over a faulted
+    // simnet, first under burst loss, duplication, reordering and a proxy
+    // crash, then through joins, leaves and crash-evictions. Each gates
+    // itself.
+    let plan = FaultPlan::from_env().unwrap_or_else(scenario::default_fault_plan);
+    println!("\ncontrol-plane soak: 16 secured nodes under faults plus a scripted proxy crash…");
+    let (_, faulted) = scenario::control_plane_soak(plan);
+    println!("{faulted}");
+    println!("\nchurn soak: 16 veterans, 4 mid-game joins, 2 leaves, 2 crash-evictions…");
+    let (_, churn) = scenario::churn_soak();
+    println!("{churn}");
+    if let Err(e) = faulted.check().and_then(|()| churn.check()) {
+        eprintln!("soak FAILED: {e}");
+        std::process::exit(1);
     }
 
     // --- Telemetry: what the instrumented layers recorded.
@@ -221,391 +219,65 @@ fn usage_error(reason: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Drives a small cluster of [`WatchmenNode`]s over an in-memory instant
-/// bus, feeding them the first `cluster_size` players' recorded states —
-/// except player 2, who speed-hacks every fourth frame, and player 1,
-/// whose first state update is replayed verbatim once. Returns every
-/// node's flight recorder and the violation dumps they captured.
+/// Drives a small [`Cluster`] over a clean 8 ms simnet, feeding it the
+/// first `cluster_size` players' recorded states — except player 2, who
+/// speed-hacks every fourth frame, and player 1, whose first state update
+/// is replayed verbatim once. Returns every node's flight recorder and
+/// the violation dumps they captured.
 fn run_secured_segment(
     trace: &GameTrace,
     map: &GameMap,
     cluster_size: usize,
-    frames: usize,
+    frames: u64,
 ) -> (Vec<Arc<FlightRecorder>>, Vec<FlightDump>) {
     let seed = 2013u64;
+    let config = WatchmenConfig::default();
     let keys: Vec<Keypair> =
         (0..cluster_size).map(|i| Keypair::generate(seed ^ i as u64)).collect();
     let directory: Vec<PublicKey> = keys.iter().map(Keypair::public).collect();
-    let mut cores: Vec<ProtocolCore> = keys
-        .into_iter()
-        .enumerate()
-        .map(|(i, k)| {
-            ProtocolCore::new(WatchmenNode::new(
-                PlayerId(i as u32),
-                k,
-                directory.clone(),
-                seed,
-                WatchmenConfig::default(),
-                map.clone(),
-                PhysicsConfig::default(),
-            ))
-        })
-        .collect();
-    let mut bus: std::collections::VecDeque<(PlayerId, PlayerId, Vec<u8>)> =
-        std::collections::VecDeque::new();
-    let mut replayed: Option<(PlayerId, PlayerId, Vec<u8>)> = None;
-    for frame in 0..frames as u64 {
-        let states = &trace.frames[frame as usize].states;
-        for i in 0..cluster_size {
-            let mut state = states[i];
-            // The scripted cheater: p2 reports a teleported position
-            // every fourth frame, which its proxy's physics check flags.
-            if i == 2 && frame > 0 && frame % 4 == 0 {
-                state.position.x += 30.0;
-            }
-            let output = cores[i].tick(frame, &state);
-            for o in output.datagrams {
-                if i == 1 && replayed.is_none() && o.bytes.len() > 60 {
-                    // Keep p1's first state update for a later replay.
-                    replayed = Some((PlayerId(1), o.to, o.bytes.clone()));
-                }
-                bus.push_back((PlayerId(i as u32), o.to, o.bytes));
-            }
-        }
-        // Half-way through, re-deliver the captured bytes: a replay cheat
+    let mut cluster = Cluster::new(
+        secured_cores(&keys, &directory, None, seed, config, map),
+        SimNetwork::new(cluster_size, latency::constant(8.0), 0.0, seed),
+        config.frame_ms,
+    );
+    let mut replayed: Option<(usize, Vec<u8>)> = None;
+    for frame in 0..frames {
+        // Half-way through, re-send p1's captured bytes: a replay cheat
         // the anti-replay window rejects and dumps.
-        if frame == frames as u64 / 2 {
-            if let Some(r) = replayed.take() {
-                bus.push_back(r);
+        if frame == frames / 2 {
+            if let Some((to, bytes)) = replayed.take() {
+                let size = bytes.len();
+                cluster.net.send(1, to, bytes, size);
             }
         }
-        while let Some((sender, to, bytes)) = bus.pop_front() {
-            let output = cores[to.index()].datagram(frame, sender, &bytes);
-            for o in output.datagrams {
-                bus.push_back((to, o.to, o.bytes));
-            }
-        }
+        cluster.step(
+            frame,
+            |i| {
+                let mut state = trace.frames[frame as usize].states[i];
+                // The scripted cheater: p2 reports a teleported position
+                // every fourth frame, which its proxy's physics check flags.
+                if i == 2 && frame > 0 && frame % 4 == 0 {
+                    state.position.x += 30.0;
+                }
+                state
+            },
+            |i, output| {
+                if i == 1 && frame == 0 {
+                    // Keep p1's first state update for the later replay
+                    // (nothing is in flight yet, so this is its tick).
+                    replayed = output
+                        .datagrams
+                        .iter()
+                        .find(|o| o.bytes.len() > 60)
+                        .map(|o| (o.to.index(), o.bytes.clone()));
+                }
+            },
+        );
     }
-    let recorders = cores.iter().map(|c| c.node().recorder()).collect();
-    let dumps = cores.iter_mut().flat_map(|c| c.node_mut().take_flight_dumps()).collect();
+    let recorders = cluster.cores.iter().flatten().map(|c| c.node().recorder()).collect();
+    let dumps =
+        cluster.cores.iter_mut().flatten().flat_map(|c| c.node_mut().take_flight_dumps()).collect();
     (recorders, dumps)
-}
-
-/// Runs a 16-node secured cluster over the simnet under the given fault
-/// plan, plus a scripted crash of player 0's epoch-2 proxy so the
-/// liveness fallback is always exercised. All players are honest: every
-/// severe verdict is by construction a false one, and the printed
-/// `fault summary:` line reports it alongside the reliable-layer
-/// counters (ci.sh parses that line and fails the build on any
-/// unrecovered handoff chain or false verdict).
-#[allow(clippy::needless_range_loop)] // nodes and the net are index-parallel
-fn run_faulted_segment(plan: FaultPlan) {
-    const PLAYERS: usize = 16;
-    const SEED: u64 = 2013;
-    const FRAME_MS: f64 = 50.0;
-    const FRAMES: u64 = 320;
-    const DRAIN: u64 = 60;
-
-    let config = WatchmenConfig { proxy_liveness_k: 2, ..WatchmenConfig::default() };
-    let schedule = ProxySchedule::new(SEED, PLAYERS, config.proxy_period);
-    let crashed = schedule.proxy_of(PlayerId(0), 2 * config.proxy_period);
-    let plan = plan.with_crash(crashed.index(), 55.0 * FRAME_MS, 125.0 * FRAME_MS);
-    println!(
-        "\nWATCHMEN_FAULTS set: {PLAYERS} secured nodes for {} frames under faults \
-         (scripted crash of p{} in frames 55..125)…",
-        FRAMES + DRAIN,
-        crashed.0
-    );
-
-    let mut net: SimNetwork<Vec<u8>> = SimNetwork::new(PLAYERS, latency::constant(8.0), 0.0, 77);
-    net.set_fault_plan(plan);
-
-    let keys: Vec<Keypair> = (0..PLAYERS).map(|i| Keypair::generate(SEED ^ i as u64)).collect();
-    let directory: Vec<PublicKey> = keys.iter().map(Keypair::public).collect();
-    // An open arena: the faulted segment gates on *transport*-level
-    // recovery, and the position checker's wall-geometry corner cases
-    // fire even on honest q3dm17 traces.
-    let map = maps::arena(32, 10.0);
-    let mut cores: Vec<ProtocolCore> = keys
-        .into_iter()
-        .enumerate()
-        .map(|(i, k)| {
-            ProtocolCore::new(WatchmenNode::new(
-                PlayerId(i as u32),
-                k,
-                directory.clone(),
-                SEED,
-                config,
-                map.clone(),
-                PhysicsConfig::default(),
-            ))
-        })
-        .collect();
-
-    let fault_trace = GameTrace::record(
-        GameConfig { map, ..GameConfig::default() },
-        PLAYERS,
-        SEED,
-        FRAMES + DRAIN,
-    );
-    let mut severe = 0u64;
-    let mut tally = |events: &[NodeEvent]| {
-        for e in events {
-            if let NodeEvent::Suspicion { rating, .. } = e {
-                if rating.score >= 6 {
-                    severe += 1;
-                }
-            }
-        }
-    };
-    for f in 0..FRAMES + DRAIN {
-        for d in net.advance_to(f as f64 * FRAME_MS) {
-            if net.is_crashed(d.to) {
-                continue;
-            }
-            let output = cores[d.to].datagram(f, PlayerId(d.from as u32), &d.payload);
-            tally(&output.events);
-            for o in output.datagrams {
-                let size = o.bytes.len();
-                net.send(d.to, o.to.index(), o.bytes, size);
-            }
-        }
-        for i in 0..PLAYERS {
-            if net.is_crashed(i) {
-                continue;
-            }
-            let output = cores[i].tick(f, &fault_trace.frames[f as usize].states[i]);
-            tally(&output.events);
-            for o in output.datagrams {
-                let size = o.bytes.len();
-                net.send(i, o.to.index(), o.bytes, size);
-            }
-        }
-    }
-
-    let stats = net.stats();
-    stats.assert_invariant("deathmatch faulted segment");
-    let (mut retransmits, mut acks, mut fallbacks, mut abandoned, mut pending) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
-    for c in &cores {
-        let n = c.node();
-        let cs = n.control_stats();
-        retransmits += cs.retransmits;
-        acks += cs.acks_received;
-        fallbacks += cs.proxy_fallbacks;
-        abandoned += cs.abandoned;
-        pending += n.pending_handoffs() as u64;
-    }
-    println!(
-        "fault summary: retransmits={retransmits} acks={acks} fallbacks={fallbacks} \
-         abandoned={abandoned} pending_handoffs={pending} severe_false_verdicts={severe} \
-         dup={} dropped={}",
-        stats.duplicated, stats.dropped
-    );
-}
-
-/// The churn soak: 16 veterans plus a lobby with signing keys absorb
-/// four mid-game joins, two graceful leaves and two crash-evictions
-/// under 5% burst loss. Roster agreement is checked at every renewal
-/// boundary across all online active members; the `churn summary:` line
-/// reports the counters ci.sh gates on (joins/leaves/evictions applied,
-/// joiner convergence, roster agreement, false verdicts).
-#[allow(clippy::needless_range_loop, clippy::too_many_lines)] // index-parallel driver loop
-fn run_churn_segment() {
-    use watchmen::core::lobby::GameLobby;
-    use watchmen::net::fault::GilbertElliott;
-
-    const VETERANS: usize = 16;
-    const JOINERS: usize = 4;
-    const TOTAL: usize = VETERANS + JOINERS;
-    const SEED: u64 = 4177;
-    const FRAME_MS: f64 = 50.0;
-    const FRAMES: u64 = 840;
-    const DRAIN: u64 = 40;
-    const JOIN_FRAMES: [u64; JOINERS] = [50, 130, 210, 290];
-    const LEAVES: [(usize, u64); 2] = [(3, 370), (5, 450)];
-    const CRASHED: [usize; 2] = [7, 9];
-    const CRASH_FRAME: u64 = 530;
-
-    let config = WatchmenConfig { proxy_liveness_k: 2, ..WatchmenConfig::default() };
-    let period = config.proxy_period;
-    println!(
-        "\nWATCHMEN_CHURN set: {VETERANS} veterans for {} frames under 5% burst loss — \
-         {JOINERS} mid-game joins, {} graceful leaves, {} crash-evictions…",
-        FRAMES + DRAIN,
-        LEAVES.len(),
-        CRASHED.len()
-    );
-
-    let mut lobby = GameLobby::new(SEED, config, config.membership_timeout_frames)
-        .with_keys(Keypair::generate(SEED ^ 0x10bb));
-    let keys: Vec<Keypair> = (0..TOTAL).map(|i| Keypair::generate(SEED ^ i as u64)).collect();
-    for k in keys.iter().take(VETERANS) {
-        lobby.register(k.public());
-    }
-    lobby.start();
-    let lobby_key = lobby.lobby_key().expect("lobby has keys");
-
-    let mut plan = FaultPlan::new(0xc4u64)
-        .with_burst_loss(GilbertElliott::with_mean_loss(0.05))
-        .with_duplication(0.01);
-    for (j, &f) in JOIN_FRAMES.iter().enumerate() {
-        plan = plan.with_join(VETERANS + j, f as f64 * FRAME_MS);
-    }
-    for &(leaver, announce) in &LEAVES {
-        let unplug = ((announce.div_ceil(period) + 1) * period + 10) as f64 * FRAME_MS;
-        plan = plan.with_leave(leaver, unplug);
-    }
-    for &c in &CRASHED {
-        plan = plan.with_crash(c, CRASH_FRAME as f64 * FRAME_MS, f64::INFINITY);
-    }
-    let mut net: SimNetwork<Vec<u8>> = SimNetwork::new(TOTAL, latency::constant(8.0), 0.0, 77);
-    net.set_fault_plan(plan);
-
-    let map = maps::arena(32, 10.0);
-    let mut cores: Vec<Option<ProtocolCore>> = keys
-        .iter()
-        .take(VETERANS)
-        .enumerate()
-        .map(|(i, k)| {
-            Some(ProtocolCore::new(
-                WatchmenNode::new(
-                    PlayerId(i as u32),
-                    k.clone(),
-                    lobby.directory().to_vec(),
-                    SEED,
-                    config,
-                    map.clone(),
-                    PhysicsConfig::default(),
-                )
-                .with_lobby_key(lobby_key),
-            ))
-        })
-        .collect();
-    cores.resize_with(TOTAL, || None);
-
-    let churn_trace =
-        GameTrace::record(GameConfig { map, ..GameConfig::default() }, TOTAL, SEED, FRAMES + DRAIN);
-
-    let (mut severe, mut bad_sigs) = (0u64, 0u64);
-    let mut bootstrap_frame: std::collections::BTreeMap<usize, u64> = Default::default();
-    let mut admit_frames: std::collections::BTreeMap<usize, u64> = Default::default();
-    let mut agreement_ok = true;
-    let mut boundaries = 0u64;
-    let mut join_cursor = 0usize;
-
-    for f in 0..FRAMES + DRAIN {
-        if join_cursor < JOINERS && f == JOIN_FRAMES[join_cursor] {
-            let idx = VETERANS + join_cursor;
-            let (id, ticket, roster) =
-                lobby.admit_midgame(keys[idx].public(), f).expect("mid-game admission");
-            admit_frames.insert(idx, ticket.admit_frame);
-            cores[idx] = Some(ProtocolCore::new(WatchmenNode::new_joining(
-                id,
-                keys[idx].clone(),
-                roster,
-                ticket,
-                lobby_key,
-                SEED,
-                config,
-                maps::arena(32, 10.0),
-                PhysicsConfig::default(),
-            )));
-            join_cursor += 1;
-        }
-        for &(leaver, announce) in &LEAVES {
-            if f == announce {
-                lobby.leave(PlayerId(leaver as u32), f);
-                let outs = cores[leaver].as_mut().expect("leaver exists").announce_leave(f);
-                for o in outs.datagrams {
-                    let size = o.bytes.len();
-                    net.send(leaver, o.to.index(), o.bytes, size);
-                }
-            }
-        }
-
-        for d in net.advance_to(f as f64 * FRAME_MS) {
-            if net.is_crashed(d.to) || net.is_offline(d.to) {
-                continue;
-            }
-            let Some(core) = cores[d.to].as_mut() else { continue };
-            let output = core.datagram(f, PlayerId(d.from as u32), &d.payload);
-            for e in &output.events {
-                match e {
-                    NodeEvent::Suspicion { rating, .. } if rating.score >= 6 => severe += 1,
-                    NodeEvent::BadSignature { .. } => bad_sigs += 1,
-                    NodeEvent::BootstrapReceived { .. } => {
-                        bootstrap_frame.entry(d.to).or_insert(f);
-                    }
-                    _ => {}
-                }
-            }
-            for o in output.datagrams {
-                let size = o.bytes.len();
-                net.send(d.to, o.to.index(), o.bytes, size);
-            }
-        }
-        for i in 0..TOTAL {
-            if net.is_crashed(i) || net.is_offline(i) {
-                continue;
-            }
-            let Some(core) = cores[i].as_mut() else { continue };
-            let output = core.tick(f, &churn_trace.frames[f as usize].states[i]);
-            for e in &output.events {
-                if let NodeEvent::Suspicion { rating, .. } = e {
-                    if rating.score >= 6 {
-                        severe += 1;
-                    }
-                }
-            }
-            for o in output.datagrams {
-                let size = o.bytes.len();
-                net.send(i, o.to.index(), o.bytes, size);
-            }
-        }
-
-        if f > 0 && f % period == 0 {
-            let views: Vec<(u64, [u8; 32])> = (0..TOTAL)
-                .filter(|&i| !net.is_crashed(i) && !net.is_offline(i))
-                .filter_map(|i| {
-                    cores[i]
-                        .as_ref()
-                        .map(ProtocolCore::node)
-                        .filter(|n| n.is_active_member())
-                        .map(|n| (n.roster_epoch(), n.roster_digest()))
-                })
-                .collect();
-            if views.windows(2).any(|w| w[0] != w[1]) {
-                agreement_ok = false;
-            }
-            boundaries += 1;
-        }
-    }
-
-    net.stats().assert_invariant("deathmatch churn segment");
-    let witness = cores[0].as_ref().expect("node 0 lives").node();
-    let cs = witness.churn_stats();
-    let joiners_converged = admit_frames
-        .iter()
-        .filter(|(j, &admit)| {
-            bootstrap_frame.get(j).is_some_and(|&got| got <= admit + period)
-                && cores[**j].as_ref().is_some_and(|c| c.node().is_active_member())
-        })
-        .count();
-    let (mut bootstraps_sent, mut stale_drops) = (0u64, 0u64);
-    for c in cores.iter().flatten() {
-        bootstraps_sent += c.node().churn_stats().bootstraps_sent;
-        stale_drops += c.node().churn_stats().stale_drops;
-    }
-    println!(
-        "churn summary: joins={} leaves={} evictions={} bootstraps_sent={bootstraps_sent} \
-         joiners_converged={joiners_converged} boundaries={boundaries} roster_agreement={} \
-         stale_drops={stale_drops} false_verdicts={severe} bad_signatures={bad_sigs}",
-        cs.joins_applied,
-        cs.leaves_applied,
-        cs.evictions_applied,
-        u64::from(agreement_ok),
-    );
 }
 
 /// Prints what the flight recorders captured around the scripted

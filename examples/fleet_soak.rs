@@ -33,12 +33,17 @@
 //!   JSONL (forces `audit=1`); the stream is byte-identical across
 //!   worker counts for a fixed seed.
 //!
-//! The final `fleet summary:` and `detection slo:` lines are
-//! machine-parseable (ci.sh gates on both), and with
+//! The run gates itself: it exits non-zero unless
+//! [`FleetResult::gate`](watchmen::fleet::FleetResult::gate) passes
+//! (every match completed, none panicked, every injected cheater
+//! detected inside the time-to-detect budget, nobody honest accused) and
+//! prints the per-match lines of the matches that failed. The final
+//! `detection slo:` and `fleet summary:` lines are for the reader. With
 //! `WATCHMEN_BENCH_OUT=<dir>` set the run also writes `BENCH_fleet.json`
 //! and `BENCH_detection.json` — the latter with time-to-detect p50/p99,
 //! per-check TP/FP/FN, and the measured overhead of running the plane at
-//! all (two extra mini-fleets, observe on vs. off).
+//! all (two extra mini-fleets, observe on vs. off), which must then stay
+//! under [`PLANE_OVERHEAD_LIMIT_PCT`].
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -46,6 +51,9 @@ use std::time::Instant;
 use watchmen::bench::BenchRecord;
 use watchmen::fleet::{run_fleet, run_fleet_on, FleetConfig, FleetView, TTD_BUDGET_FRAMES};
 use watchmen::telemetry::MetricsServer;
+
+/// The most the observability plane may slow the tick loop, in percent.
+const PLANE_OVERHEAD_LIMIT_PCT: f64 = 5.0;
 
 fn main() {
     let mut config = FleetConfig::from_env().unwrap_or_default();
@@ -134,16 +142,20 @@ fn main() {
          aggregate over {elapsed:.2}s"
     );
 
-    // Per-match lines on request (WATCHMEN_FLEET_LINES=1) — the raw
-    // material behind the summary, and the unit the determinism test
-    // compares across worker counts.
-    if std::env::var("WATCHMEN_FLEET_LINES").is_ok_and(|v| !v.trim().is_empty()) {
-        print!("\n{}", result.match_lines());
+    // The gate, and the raw material behind it when it fails.
+    let mut failure = result.gate(&config).err();
+    for r in &result.reports {
+        if r.false_verdicts > 0 || (r.cheaters > 0 && !r.detected) {
+            println!("{}", r.summary_line());
+        }
     }
 
     // The audit stream, when a destination was named.
     if let Some(path) = &audit_path {
         let jsonl = result.audit_jsonl();
+        if jsonl.is_empty() {
+            failure.get_or_insert_with(|| "the audit stream is empty".to_owned());
+        }
         match std::fs::write(path, &jsonl) {
             Ok(()) => println!("\nwrote {} audit records to {path}", jsonl.lines().count()),
             Err(e) => {
@@ -153,7 +165,7 @@ fn main() {
         }
     }
 
-    // The two machine-parseable gate lines (deterministic counters only).
+    // The two summary lines (deterministic counters only).
     println!("\n{}", result.detection_summary());
     println!("{}", result.summary_line());
 
@@ -163,6 +175,9 @@ fn main() {
     let overhead_pct = if recording && config.observe {
         let pct = measure_plane_overhead(&config);
         println!("observability plane overhead: {pct:.2}% on the tick loop (probe fleets)");
+        if pct >= PLANE_OVERHEAD_LIMIT_PCT {
+            failure.get_or_insert_with(|| format!("observability plane costs {pct:.2}%"));
+        }
         Some(pct)
     } else {
         None
@@ -226,6 +241,11 @@ fn main() {
         }
     }
     drop(server);
+
+    if let Some(why) = failure {
+        eprintln!("fleet soak FAILED: {why}");
+        std::process::exit(1);
+    }
 }
 
 /// Measures what the observability plane costs on the tick loop: two
@@ -243,15 +263,20 @@ fn measure_plane_overhead(config: &FleetConfig) -> f64 {
     // Warm caches with the plane off, then measure interleaved off/on
     // pairs and keep the best (least scheduler-noise) rate of each side:
     // noise only ever slows a run down, so the max is the robust
-    // estimate of true throughput.
+    // estimate of true throughput. On a contended host three pairs can
+    // still be ±10% apart, and the estimate now fails the run, so keep
+    // pairing (up to nine) while it reads over the limit.
     let _ = ticks_per_sec(false);
-    let mut off = f64::MIN;
-    let mut on = f64::MIN;
-    for _ in 0..3 {
+    let (mut off, mut on, mut pct) = (f64::MIN, f64::MIN, f64::MAX);
+    for pair in 0..9 {
+        if pair >= 3 && pct < PLANE_OVERHEAD_LIMIT_PCT {
+            break;
+        }
         off = off.max(ticks_per_sec(false));
         on = on.max(ticks_per_sec(true));
+        pct = (off / on - 1.0) * 100.0;
     }
-    (off / on - 1.0) * 100.0
+    pct
 }
 
 /// Saves a bench record, failing the run loudly on filesystem errors.

@@ -19,7 +19,10 @@
 //! * `WATCHMEN_LIVE_CHEATER` — player index scripted to speed-hack
 //!   (default 2)
 //!
-//! The parent prints one machine-parseable line that ci.sh gates on:
+//! The parent prints one summary line and exits non-zero unless every
+//! process completed, the cheater (and nobody else) drew severe
+//! verdicts, transport heartbeats flowed and no datagram arrived
+//! malformed or truncated:
 //!
 //! ```text
 //! live summary: players=6 frames=240 cheater=2 severe=38 false_verdicts=0 \
@@ -319,7 +322,12 @@ fn run_parent(knobs: &Knobs) {
         knobs.cheater,
         u64::from(detected),
     );
-    if completed != knobs.players || false_verdicts > 0 || !detected {
+    if completed != knobs.players
+        || false_verdicts > 0
+        || !detected
+        || heartbeats == 0
+        || malformed + truncated > 0
+    {
         eprintln!("live cluster FAILED");
         std::process::exit(1);
     }
@@ -403,7 +411,7 @@ fn run_node(index: usize, knobs: Knobs) {
     let tally = |events: &[NodeEvent], severe: &mut u64, false_verdicts: &mut u64| {
         for e in events {
             if let NodeEvent::Suspicion { subject, rating, .. } = e {
-                if rating.score >= 6 {
+                if rating.is_suspicious() {
                     if subject.0 == knobs.cheater {
                         *severe += 1;
                     } else {

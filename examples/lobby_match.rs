@@ -8,15 +8,16 @@
 //! cargo run --release --example lobby_match
 //! ```
 
-use std::collections::VecDeque;
-
-use watchmen::core::lobby::{GameLobby, LobbyEvent, PlayerStatus};
-use watchmen::core::node::{NodeEvent, WatchmenNode};
+use watchmen::core::lobby::{GameLobby, LobbyEvent};
+use watchmen::core::node::NodeEvent;
+use watchmen::core::sans_io::secured_cores;
 use watchmen::core::WatchmenConfig;
 use watchmen::crypto::schnorr::Keypair;
 use watchmen::game::trace::standard_trace;
 use watchmen::game::PlayerId;
-use watchmen::world::{maps, PhysicsConfig};
+use watchmen::net::{latency, SimNetwork};
+use watchmen::sim::cluster::Cluster;
+use watchmen::world::maps;
 
 const PLAYERS: usize = 10;
 const CHEATER: u32 = 4;
@@ -35,66 +36,45 @@ fn main() {
     lobby.start();
     println!("lobby: {} players registered, roster frozen, seed {seed:#x}", lobby.players());
 
-    // --- Match phase: one node per player over an in-memory bus.
+    // --- Match phase: one node per player over an 8 ms simnet.
     let map = maps::q3dm17_like();
-    let mut nodes: Vec<WatchmenNode> = keys
-        .iter()
-        .enumerate()
-        .map(|(i, k)| {
-            WatchmenNode::new(
-                PlayerId(i as u32),
-                k.clone(),
-                lobby.directory().to_vec(),
-                seed,
-                config,
-                map.clone(),
-                PhysicsConfig::default(),
-            )
-        })
-        .collect();
+    let mut cluster = Cluster::new(
+        secured_cores(&keys, lobby.directory(), None, seed, config, &map),
+        SimNetwork::new(PLAYERS, latency::constant(8.0), 0.0, seed),
+        config.frame_ms,
+    );
     let trace = standard_trace(PLAYERS, seed, FRAMES);
 
-    let mut bus: VecDeque<(PlayerId, PlayerId, Vec<u8>)> = VecDeque::new();
     let mut banned_frame: Option<u64> = None;
     for frame in 0..FRAMES {
-        let states = &trace.frames[frame as usize].states;
-        for i in 0..PLAYERS {
-            let pid = PlayerId(i as u32);
-            if lobby.status(pid) == PlayerStatus::Banned {
-                continue; // ejected players stop playing
-            }
-            let mut state = states[i];
-            // The cheater falsifies some of its positions.
-            if pid.0 == CHEATER && frame % 5 == 0 && frame > 0 {
-                state.position.x += 25.0;
-            }
-            lobby.heartbeat(pid, frame);
-            let output = nodes[i].begin_frame(frame, &state);
-            for e in output.events {
-                // Epoch summaries (clean or not) feed the reputation
-                // denominator.
-                if let NodeEvent::Suspicion { subject, rating, .. } = e {
-                    lobby.report(pid, subject, &rating);
+        cluster.step(
+            frame,
+            |i| {
+                let mut state = trace.frames[frame as usize].states[i];
+                // The cheater falsifies some of its positions.
+                if i as u32 == CHEATER && frame % 5 == 0 && frame > 0 {
+                    state.position.x += 25.0;
                 }
-            }
-            for o in output.outgoing {
-                bus.push_back((pid, o.to, o.bytes));
-            }
-        }
-        while let Some((sender, to, bytes)) = bus.pop_front() {
-            let (out, events) = nodes[to.index()].handle_message(frame, sender, &bytes);
-            for o in out {
-                bus.push_back((to, o.to, o.bytes));
-            }
-            for e in events {
-                if let NodeEvent::Suspicion { subject, rating, check } = e {
-                    // Proxy reports flow to the lobby.
-                    lobby.report(to, subject, &rating);
-                    if rating.score >= 8 {
-                        println!("frame {frame:3}: {to} flags {subject} ({check}, {rating})");
+                state
+            },
+            |i, output| {
+                let observer = PlayerId(i as u32);
+                for e in &output.events {
+                    // Proxy reports and epoch summaries (clean or not)
+                    // flow to the lobby's reputation system.
+                    if let NodeEvent::Suspicion { subject, rating, check } = e {
+                        lobby.report(observer, *subject, rating);
+                        if rating.score >= 8 {
+                            println!(
+                                "frame {frame:3}: {observer} flags {subject} ({check}, {rating})"
+                            );
+                        }
                     }
                 }
-            }
+            },
+        );
+        for i in 0..PLAYERS {
+            lobby.heartbeat(PlayerId(i as u32), frame);
         }
         for event in lobby.tick(frame) {
             match event {

@@ -20,11 +20,13 @@
 //!
 //! The store persists to `WATCHMEN_STORE_DIR` (default: a fresh
 //! directory under the system temp dir — re-run with the same dir and
-//! the bans carry over). Prints the machine-parseable
-//! `population summary:` line ci.sh gates on; with
-//! `WATCHMEN_BENCH_OUT=<dir>` set the run also writes
-//! `BENCH_reputation.json` with time-to-ban percentiles and the
-//! false-ban count.
+//! the bans carry over). Prints a `population summary:` line and exits
+//! non-zero unless the soak met its SLO (`PopulationResult::ok`: every
+//! repeat cheater banned within the time-to-ban budget, no false ban,
+//! bans refused later admissions) and the store both committed and
+//! compacted on the way; with `WATCHMEN_BENCH_OUT=<dir>` set the run
+//! also writes `BENCH_reputation.json` with time-to-ban percentiles and
+//! the false-ban count.
 
 use std::time::Instant;
 
@@ -99,6 +101,10 @@ fn main() {
 
     if !result.ok() {
         eprintln!("population SLO violated");
+        std::process::exit(1);
+    }
+    if result.store_commits == 0 || result.store_compactions == 0 {
+        eprintln!("the store never cycled through commit and compaction");
         std::process::exit(1);
     }
 }

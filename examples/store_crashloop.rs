@@ -32,8 +32,9 @@
 //!    reference (torn-off unacknowledged bans are re-staged).
 //!
 //! A final fault-free cycle runs the stream to completion. The run
-//! prints the machine-parseable `crashloop summary:` line that ci.sh
-//! gates on and exits non-zero on any divergence.
+//! prints a `crashloop summary:` line and exits non-zero on any
+//! divergence, if the stream did not finish, if no ban was ever
+//! acknowledged, or if no crash was ever injected.
 //!
 //! Knobs via `WATCHMEN_CRASHLOOP` (comma-separated `key=value`):
 //! `cycles` (crash cycles before the clean finish, default 8), `ops`
@@ -46,6 +47,7 @@ use std::process::Command;
 use std::time::Duration;
 
 use watchmen::store::{Dir, FaultDir, FaultSpec, FsDir, RepState, ReputationStore, StorePolicy};
+use watchmen::telemetry::spec;
 
 /// Identities in the deterministic stream (first `CHEATERS` cheat).
 const POPULATION: u64 = 32;
@@ -69,13 +71,10 @@ impl Config {
     fn from_env() -> Self {
         let mut out = Config { cycles: 8, ops: 3000, seed: 2013 };
         let Ok(spec) = std::env::var("WATCHMEN_CRASHLOOP") else { return out };
-        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .unwrap_or_else(|| panic!("WATCHMEN_CRASHLOOP: expected key=value, got {part:?}"));
-            let value: u64 = value
-                .parse()
-                .unwrap_or_else(|_| panic!("WATCHMEN_CRASHLOOP: bad number {value:?} for {key}"));
+        for pair in spec::pairs(&spec) {
+            let (key, value) = pair
+                .and_then(|(key, value)| Ok((key, spec::num::<u64>(key, value)?)))
+                .unwrap_or_else(|e| panic!("WATCHMEN_CRASHLOOP: {e}"));
             match key {
                 "cycles" => out.cycles = value,
                 "ops" => out.ops = value,
@@ -403,7 +402,11 @@ fn main() {
         divergences += 1;
     }
 
-    let ok = divergences == 0 && completed && !acked.is_empty();
+    let ok = divergences == 0
+        && completed
+        && audit.ops == config.ops
+        && !acked.is_empty()
+        && sigkills + aborts > 0;
     println!(
         "crashloop summary: cycles={} sigkills={sigkills} aborts={aborts} \
          finished_early={clean_exits} ops={} acked_bans={} restaged={restaged_total} \

@@ -4,6 +4,7 @@
 //! false verdicts, time-to-detect p99 within the campaign budget).
 
 use watchmen::core::audit::AuditKind;
+use watchmen::core::rating::SEVERE_SCORE;
 use watchmen::core::verify::checks;
 use watchmen::core::WatchmenConfig;
 use watchmen::fleet::{run_campaign_soak, CampaignSoakConfig};
@@ -22,7 +23,7 @@ fn severe_subjects(outcome: &CampaignOutcome, check: &str) -> Vec<u32> {
     outcome
         .audit
         .iter()
-        .filter(|r| r.kind == AuditKind::Verdict && r.check == check && r.score >= 6)
+        .filter(|r| r.kind == AuditKind::Verdict && r.check == check && r.score >= SEVERE_SCORE)
         .map(|r| r.subject)
         .collect()
 }

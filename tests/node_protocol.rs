@@ -3,15 +3,21 @@
 //! Drives a cluster of [`watchmen::core::node::WatchmenNode`]s over an
 //! in-memory message bus: the full player-side protocol with no global
 //! knowledge, exactly as it would run over UDP.
+//!
+//! The bus here is *instant* — every hop of a frame's traffic lands
+//! inside that frame — which `watchmen::sim::cluster` (one hop per
+//! frame over the simnet) cannot express; these tests are about what a
+//! node does with same-frame arrivals, so they keep their own loop.
 
 use std::collections::VecDeque;
 
 use watchmen::core::node::{NodeEvent, Outgoing, WatchmenNode};
+use watchmen::core::sans_io::{secured_cores, ProtocolCore};
 use watchmen::core::WatchmenConfig;
 use watchmen::crypto::schnorr::{Keypair, PublicKey};
-use watchmen::game::trace::{standard_trace, GameTrace};
+use watchmen::game::trace::{standard_trace, GameTrace, PlayerFrame};
 use watchmen::game::PlayerId;
-use watchmen::world::{maps, PhysicsConfig};
+use watchmen::world::maps;
 
 /// An in-memory cluster: N nodes plus a FIFO bus.
 struct Cluster {
@@ -26,20 +32,8 @@ impl Cluster {
         let keys: Vec<Keypair> = (0..players).map(|i| Keypair::generate(seed ^ i as u64)).collect();
         let directory: Vec<PublicKey> = keys.iter().map(Keypair::public).collect();
         let map = maps::q3dm17_like();
-        let nodes = keys
-            .into_iter()
-            .enumerate()
-            .map(|(i, k)| {
-                WatchmenNode::new(
-                    PlayerId(i as u32),
-                    k,
-                    directory.clone(),
-                    seed,
-                    WatchmenConfig::default(),
-                    map.clone(),
-                    PhysicsConfig::default(),
-                )
-            })
+        let nodes = secured_cores(&keys, &directory, None, seed, WatchmenConfig::default(), &map)
+            .map(ProtocolCore::into_node)
             .collect();
         Cluster { nodes, bus: VecDeque::new(), events: Vec::new() }
     }
@@ -50,12 +44,24 @@ impl Cluster {
         }
     }
 
-    /// Runs one frame: every node publishes, then the bus drains fully
-    /// (instant delivery — latency is exercised by the simnet tests).
+    /// Runs one honest frame.
     fn run_frame(&mut self, frame: u64, trace: &GameTrace) {
-        let states = &trace.frames[frame as usize].states;
+        self.run_frame_with(frame, trace, |_, _| {});
+    }
+
+    /// Runs one frame: every node publishes the state `falsify(player,
+    /// state)` leaves it with, then the bus drains fully (instant
+    /// delivery — latency is exercised by the simnet tests).
+    fn run_frame_with(
+        &mut self,
+        frame: u64,
+        trace: &GameTrace,
+        mut falsify: impl FnMut(usize, &mut PlayerFrame),
+    ) {
         for i in 0..self.nodes.len() {
-            let output = self.nodes[i].begin_frame(frame, &states[i]);
+            let mut state = trace.frames[frame as usize].states[i];
+            falsify(i, &mut state);
+            let output = self.nodes[i].begin_frame(frame, &state);
             for e in output.events {
                 self.events.push((PlayerId(i as u32), e));
             }
@@ -140,7 +146,7 @@ fn honest_cluster_raises_no_high_confidence_alarms() {
         .events
         .iter()
         .filter(|(_, e)| match e {
-            NodeEvent::Suspicion { rating, .. } => rating.score >= 6,
+            NodeEvent::Suspicion { rating, .. } => rating.is_suspicious(),
             NodeEvent::BadSignature { .. } | NodeEvent::Replay { .. } => true,
             _ => false,
         })
@@ -203,35 +209,21 @@ fn replayed_bytes_are_flagged() {
     assert!(second.iter().any(|e| matches!(e, NodeEvent::Replay { .. })), "{second:?}");
 }
 
+/// Player 2 lies: every 4th frame it reports a teleported position.
+fn speed_hack_at(frame: u64) -> impl FnMut(usize, &mut PlayerFrame) {
+    move |i, state| {
+        if i == 2 && frame.is_multiple_of(4) && frame > 0 {
+            state.position.x += 30.0;
+        }
+    }
+}
+
 #[test]
 fn speed_hacking_node_draws_proxy_suspicion() {
     let trace = standard_trace(5, 23, 120);
     let mut cluster = Cluster::new(5, 23);
     for f in 0..120 {
-        let states = &trace.frames[f as usize].states;
-        for i in 0..5usize {
-            let mut state = states[i];
-            // Player 2 lies: every 4th frame it reports a teleported
-            // position.
-            if i == 2 && f % 4 == 0 && f > 0 {
-                state.position.x += 30.0;
-            }
-            let output = cluster.nodes[i].begin_frame(f, &state);
-            for e in output.events {
-                cluster.events.push((PlayerId(i as u32), e));
-            }
-            cluster.enqueue(PlayerId(i as u32), output.outgoing);
-        }
-        let mut hops = 0;
-        while let Some((sender, to, bytes)) = cluster.bus.pop_front() {
-            hops += 1;
-            assert!(hops < 1_000_000);
-            let (out, events) = cluster.nodes[to.index()].handle_message(f, sender, &bytes);
-            cluster.enqueue(to, out);
-            for e in events {
-                cluster.events.push((to, e));
-            }
-        }
+        cluster.run_frame_with(f, &trace, speed_hack_at(f));
     }
     let cheater_flags = cluster.suspicions_about(PlayerId(2));
     let severe_position = |events: &[&NodeEvent]| {
@@ -239,7 +231,7 @@ fn speed_hacking_node_draws_proxy_suspicion() {
             .iter()
             .filter(|e| {
                 matches!(e, NodeEvent::Suspicion { rating, check, .. }
-                    if rating.score >= 6 && *check == "position")
+                    if rating.is_suspicious() && *check == "position")
             })
             .count()
     };
@@ -265,24 +257,9 @@ fn violations_capture_flight_dumps_with_the_causal_chain() {
 
     let trace = standard_trace(5, 23, 120);
     let mut cluster = Cluster::new(5, 23);
+    // Same speed-hack scenario as above: player 2 teleports.
     for f in 0..120 {
-        let states = &trace.frames[f as usize].states;
-        for i in 0..5usize {
-            let mut state = states[i];
-            // Same speed-hack scenario as above: player 2 teleports.
-            if i == 2 && f % 4 == 0 && f > 0 {
-                state.position.x += 30.0;
-            }
-            let output = cluster.nodes[i].begin_frame(f, &state);
-            cluster.enqueue(PlayerId(i as u32), output.outgoing);
-        }
-        let mut hops = 0;
-        while let Some((sender, to, bytes)) = cluster.bus.pop_front() {
-            hops += 1;
-            assert!(hops < 1_000_000);
-            let (out, _) = cluster.nodes[to.index()].handle_message(f, sender, &bytes);
-            cluster.enqueue(to, out);
-        }
+        cluster.run_frame_with(f, &trace, speed_hack_at(f));
     }
 
     // Some proxy of player 2 must have captured position-violation dumps.
@@ -362,7 +339,7 @@ fn kill_claims_are_verified_by_proxies_and_witnesses() {
         let (fwd, events) = cluster.nodes[o.to.index()].handle_message(40, PlayerId(0), &o.bytes);
         for e in &events {
             if matches!(e, NodeEvent::Suspicion { subject, check, rating }
-                if *subject == PlayerId(0) && *check == "kill" && rating.score >= 6)
+                if *subject == PlayerId(0) && *check == "kill" && rating.is_suspicious())
             {
                 flagged = true;
             }
@@ -372,7 +349,7 @@ fn kill_claims_are_verified_by_proxies_and_witnesses() {
             let (_, ev) = cluster.nodes[f2.to.index()].handle_message(40, o.to, &f2.bytes);
             for e in &ev {
                 if matches!(e, NodeEvent::Suspicion { subject, check, rating }
-                    if *subject == PlayerId(0) && *check == "kill" && rating.score >= 6)
+                    if *subject == PlayerId(0) && *check == "kill" && rating.is_suspicious())
                 {
                     flagged = true;
                 }

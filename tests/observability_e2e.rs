@@ -43,10 +43,18 @@ fn audit_stream_is_byte_identical_across_worker_counts() {
     let baseline = run_fleet_specs(audited_specs(), &PoolConfig { workers: 1, max_local: 4 });
     let base_jsonl = baseline.audit_jsonl();
     assert!(!base_jsonl.is_empty(), "audited fleet produced no audit records");
-    // Every line is tagged with its match id and is a JSON object.
+    // Every line is tagged with its match id, is a JSON object, and
+    // carries the keys downstream tooling joins on; both record kinds
+    // appear in a fleet with cheaters.
     for line in base_jsonl.lines() {
         assert!(line.starts_with("{\"match\":"), "untagged audit line: {line}");
         assert!(line.ends_with('}'), "truncated audit line: {line}");
+        for key in ["frame", "node", "kind", "check", "trace"] {
+            assert!(line.contains(&format!("\"{key}\":")), "audit line lacks {key}: {line}");
+        }
+    }
+    for kind in ["verdict", "rating_transition"] {
+        assert!(base_jsonl.contains(&format!("\"kind\":\"{kind}\"")), "no {kind} record");
     }
 
     for workers in [2, 8] {

@@ -3,45 +3,34 @@
 //! End-to-end exercises of the sans-io [`ProtocolCore`] under transports
 //! the unit tests don't reach:
 //!
-//! * the exact deliver-then-tick loop every driver (simnet, fleet cell,
-//!   live UDP) runs, over an in-memory bus, asserting protocol liveness
-//!   and zero false verdicts on an honest match;
+//! * the shared deliver-then-tick loop ([`Cluster`]) over a clean 8 ms
+//!   simnet, asserting protocol liveness and zero false verdicts on an
+//!   honest match;
 //! * an in-process cluster of [`LiveTransport`]s over *real* loopback
 //!   UDP sockets — the same marriage `examples/live_cluster.rs` performs
 //!   across OS processes — detecting a scripted speed-hacker with zero
 //!   false verdicts.
 
-use watchmen::core::node::{NodeEvent, WatchmenNode};
-use watchmen::core::sans_io::{CoreOutput, ProtocolCore};
+use watchmen::core::node::NodeEvent;
+use watchmen::core::sans_io::{secured_cores, CoreOutput, ProtocolCore};
 use watchmen::core::WatchmenConfig;
 use watchmen::crypto::schnorr::{Keypair, PublicKey};
 use watchmen::game::PlayerId;
 use watchmen::net::live::LiveTransport;
+use watchmen::net::{latency, SimNetwork};
+use watchmen::sim::cluster::Cluster;
 use watchmen::sim::workload::{match_workload, Workload};
 
 fn build_cores(players: usize, seed: u64, workload: &Workload) -> Vec<ProtocolCore> {
     let keys: Vec<Keypair> = (0..players).map(|i| Keypair::generate(seed ^ i as u64)).collect();
     let directory: Vec<PublicKey> = keys.iter().map(Keypair::public).collect();
-    keys.into_iter()
-        .enumerate()
-        .map(|(i, k)| {
-            ProtocolCore::new(WatchmenNode::new(
-                PlayerId(i as u32),
-                k,
-                directory.clone(),
-                seed,
-                WatchmenConfig::default(),
-                workload.map.clone(),
-                watchmen::world::PhysicsConfig::default(),
-            ))
-        })
-        .collect()
+    secured_cores(&keys, &directory, None, seed, WatchmenConfig::default(), &workload.map).collect()
 }
 
 fn count_verdicts(out: &CoreOutput, cheater: Option<u32>, severe: &mut u64, false_v: &mut u64) {
     for e in &out.events {
         if let NodeEvent::Suspicion { subject, rating, .. } = e {
-            if rating.score >= 6 {
+            if rating.is_suspicious() {
                 if Some(subject.0) == cheater {
                     *severe += 1;
                 } else {
@@ -52,42 +41,33 @@ fn count_verdicts(out: &CoreOutput, cheater: Option<u32>, severe: &mut u64, fals
     }
 }
 
-/// An honest match over an instant in-memory bus: the control plane
-/// makes progress (acks flow, nothing is abandoned) and no honest player
-/// is ever flagged.
+/// An honest match over the shared simnet loop: the control plane makes
+/// progress (acks flow, nothing is abandoned) and no honest player is
+/// ever flagged.
 #[test]
 fn honest_match_over_bus_has_no_false_verdicts() {
     const PLAYERS: usize = 6;
     const FRAMES: u64 = 200;
     let workload = match_workload(PLAYERS, 0x5a11, FRAMES);
-    let mut cores = build_cores(PLAYERS, 0x5a11, &workload);
-    let mut bus: Vec<(usize, PlayerId, Vec<u8>)> = Vec::new();
+    let mut cluster = Cluster::new(
+        build_cores(PLAYERS, 0x5a11, &workload),
+        SimNetwork::new(PLAYERS, latency::constant(8.0), 0.0, 0x5a11),
+        WatchmenConfig::default().frame_ms,
+    );
     let (mut severe, mut false_v) = (0, 0);
-
     for f in 0..FRAMES {
-        // Deliver last frame's traffic, then tick: the shared ordering
-        // contract of every ProtocolCore driver.
-        for (to, sender, bytes) in std::mem::take(&mut bus) {
-            let out = cores[to].datagram(f, sender, &bytes);
-            count_verdicts(&out, None, &mut severe, &mut false_v);
-            for o in out.datagrams {
-                bus.push((o.to.index(), PlayerId(to as u32), o.bytes));
-            }
-        }
-        for i in 0..PLAYERS {
-            let state = workload.trace.frames[f as usize].states[i];
-            let out = cores[i].tick(f, &state);
-            count_verdicts(&out, None, &mut severe, &mut false_v);
-            for o in out.datagrams {
-                bus.push((o.to.index(), PlayerId(i as u32), o.bytes));
-            }
-        }
+        cluster.step(
+            f,
+            |i| workload.trace.frames[f as usize].states[i],
+            |_, out| count_verdicts(out, None, &mut severe, &mut false_v),
+        );
     }
 
     assert_eq!(severe + false_v, 0, "honest match must produce zero verdicts");
-    let acks: u64 = cores.iter().map(|c| c.node().control_stats().acks_received).sum();
+    let cores = cluster.cores.iter().flatten();
+    let acks: u64 = cores.clone().map(|c| c.node().control_stats().acks_received).sum();
     assert!(acks > 0, "control plane never acked anything");
-    for c in &cores {
+    for c in cores {
         assert_eq!(c.node().control_stats().abandoned, 0, "control chains were abandoned");
     }
 }
