@@ -32,6 +32,14 @@ echo "==> crypto known answers + differential (release), ledger determinism"
 cargo test --release -q -p watchmen-crypto --test fast_path
 benchmark/run.sh --selfcheck
 
+# The paper figures that run the shipped node must keep building and
+# finishing; their shape gates are Rust assertions (DESIGN.md §7), so the
+# output is discarded.
+echo "==> paper-figure benches on real nodes (quick mode)"
+WATCHMEN_QUICK=1 cargo bench -p watchmen-bench --bench fig7_update_age \
+    --bench scalability_bandwidth --bench ablation_proxy_period \
+    --bench ablation_interest_size > /dev/null
+
 # One run covers the trace smoke and both scripted soaks (control plane
 # under burst loss + duplication + reordering + a proxy crash; churn with
 # joins, leaves and evictions): deathmatch exits non-zero if either fails.

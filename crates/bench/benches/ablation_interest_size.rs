@@ -5,10 +5,10 @@
 //! that motivates the fixed top-5 choice.
 
 use watchmen_bench::{run_experiment, BenchParams};
-use watchmen_core::overlay::run_watchmen;
 use watchmen_core::WatchmenConfig;
 use watchmen_net::latency;
 use watchmen_sim::disclosure::{run_disclosure, Architecture, InfoClass};
+use watchmen_sim::overlay::run_watchmen;
 use watchmen_sim::report::render_table;
 
 fn main() {

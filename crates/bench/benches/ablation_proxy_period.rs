@@ -7,9 +7,9 @@
 //! delivery freshness.
 
 use watchmen_bench::{run_experiment, BenchParams};
-use watchmen_core::overlay::run_watchmen;
 use watchmen_core::WatchmenConfig;
 use watchmen_net::latency;
+use watchmen_sim::overlay::run_watchmen;
 use watchmen_sim::report::render_table;
 
 fn main() {

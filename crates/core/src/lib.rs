@@ -23,9 +23,10 @@
 //!    1–10 cheat rating modulated by a confidence factor
 //!    (`c_P > c_IS > c_VS > c_O`) and feeds a pluggable reputation system.
 //!
-//! [`cheat`] provides the Table I cheat injectors used by the evaluation,
-//! and [`overlay`] the message-flow drivers (Watchmen, Donnybrook,
-//! Client/Server) that replay recorded games over a simulated network.
+//! [`cheat`] provides the Table I cheat injectors used by the evaluation.
+//! The replay drivers that put these nodes (and the Donnybrook and
+//! Client/Server baselines) on a simulated network live in
+//! `watchmen-sim::overlay`.
 //!
 //! # Examples
 //!
@@ -57,7 +58,6 @@ pub mod lobby;
 pub mod membership;
 pub mod msg;
 pub mod node;
-pub mod overlay;
 pub mod proxy;
 pub mod rating;
 pub mod reputation;

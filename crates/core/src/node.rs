@@ -263,8 +263,9 @@ pub struct ControlPlaneStats {
     /// Control messages abandoned after the retry budget — the
     /// "unrecovered chain" counter; nonzero means a peer never answered.
     pub abandoned: u64,
-    /// Pending subscriptions dropped at epoch turnover because the new
-    /// epoch's refresh supersedes them.
+    /// Pending control resolved without an ack: subscriptions the new
+    /// epoch's refresh supersedes, traffic for a departed member, and
+    /// retransmits whose fallback target turned out to be this node.
     pub superseded: u64,
     /// Times this node switched its own publishing to a fallback proxy
     /// after presuming the scheduled one crashed.
@@ -1481,6 +1482,16 @@ impl WatchmenNode {
             } else {
                 self.effective_proxy(route_player, route_frame, frame)
             };
+            if to == self.id {
+                // The scheduled target looks crashed and the fallback draw
+                // is this node: it already holds the duty it was handing
+                // over, so the chain is complete. Nothing is ever addressed
+                // to oneself (`begin_frame` skips the same case on first
+                // send).
+                self.pending.remove(&seq);
+                self.control_stats.superseded += 1;
+                continue;
+            }
             let p = self.pending.get_mut(&seq).expect("listed");
             p.attempts += 1;
             p.to = to;

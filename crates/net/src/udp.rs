@@ -1,9 +1,9 @@
 //! A small framed transport over real UDP sockets.
 //!
 //! The paper's prototype "rel\[ies\] on UDP for faster communication"; this
-//! module lets the overlay run over genuine sockets for live demos (see
-//! the `udp_overlay` and `live_cluster` examples), while the experiments
-//! use the deterministic [`crate::SimNetwork`].
+//! module lets the overlay run over genuine sockets (see [`crate::live`]
+//! and the `live_cluster` example), while the experiments use the
+//! deterministic [`crate::SimNetwork`].
 //!
 //! Frames are length-prefixed datagrams tagged with the sender's logical
 //! node id, so a receiver can demultiplex players without a lookup table.

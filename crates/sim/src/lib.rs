@@ -23,8 +23,10 @@
 //! per-check confusion matrices) for the fleet's SLO gate.
 //!
 //! [`cluster`] is the one simnet match driver — N secured protocol cores
-//! advanced deliver-then-tick — and [`scenario`] holds the scripted
-//! soaks (control plane under faults, churn) that run on it.
+//! advanced deliver-then-tick — [`scenario`] holds the scripted soaks
+//! (control plane under faults, churn) that run on it, and [`overlay`]
+//! replays a recorded game on it (and under the Donnybrook and
+//! Client/Server baselines) for [`age`] and [`bandwidth_exp`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,6 +40,7 @@ pub mod detection;
 pub mod disclosure;
 pub mod heat;
 pub mod is_churn;
+pub mod overlay;
 pub mod quality;
 pub mod report;
 pub mod scenario;

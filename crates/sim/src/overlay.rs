@@ -1,0 +1,497 @@
+//! Message-flow drivers: replaying a recorded game over a simulated
+//! network under each architecture.
+//!
+//! This is the reproduction of the paper's replay engine, which "can
+//! replay game traces and generate the same network traffic repeatedly and
+//! under different networking and proxy architectures to measure different
+//! aspects of the performance (e.g., latency)". Three drivers share the
+//! [`OverlayReport`] output:
+//!
+//! * [`run_watchmen`] — the shipped node: one secured
+//!   [`watchmen_core::sans_io::ProtocolCore`] per player on a
+//!   [`Cluster`], fed the trace frame by frame. Everything Watchmen does
+//!   on the wire — signed updates routed player → proxy → subscribers,
+//!   subscribe/unsubscribe, handoffs, acks, retransmits — is the node's
+//!   own traffic; this module only counts it.
+//! * [`run_donnybrook`] — the multi-resolution baseline: direct frequent
+//!   updates to interest-set subscribers, dead reckoning to everyone else.
+//! * [`run_client_server`] — the optimal-exposure baseline: one server
+//!   relays frequent updates for PVS-visible avatars only.
+//!
+//! The baselines are not Watchmen and have no node, so they keep their
+//! own minimal loops — on the node's clock and codec. All three consume
+//! deliveries at frame boundaries, so **age = the frame in which the
+//! receiver's game loop consumes an update − the frame it was generated
+//! in**, and baseline messages weigh what [`Envelope::sign_encoded`]
+//! produces for the same payload.
+
+use std::sync::Arc;
+
+use watchmen_core::dead_reckoning::Guidance;
+use watchmen_core::msg::{Envelope, Payload, StateUpdate};
+use watchmen_core::node::NodeEvent;
+use watchmen_core::sans_io::secured_cores;
+use watchmen_core::subscription::{compute_sets, NoRecency};
+use watchmen_core::WatchmenConfig;
+use watchmen_crypto::schnorr::{Keypair, PublicKey};
+use watchmen_game::trace::{GameTrace, PlayerFrame};
+use watchmen_game::PlayerId;
+use watchmen_math::stats::Histogram;
+use watchmen_net::{latency::LatencyModel, SimNetwork};
+use watchmen_telemetry as telemetry;
+use watchmen_world::{potentially_visible_set, GameMap};
+
+use crate::cluster::Cluster;
+
+/// A baseline update on the simulated wire: about whom, generated when.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Update {
+    about: PlayerId,
+    gen_frame: u64,
+}
+
+/// Bytes `payload` occupies on the wire once the shipped codec has
+/// enveloped and signed it.
+fn signed_len(payload: Payload) -> usize {
+    Envelope { from: PlayerId(0), seq: 0, frame: 0, payload }
+        .sign_encoded(&Keypair::generate(0))
+        .len()
+}
+
+/// [`signed_len`] of the frequent update carrying `state`.
+pub(crate) fn state_len(state: &PlayerFrame) -> usize {
+    signed_len(Payload::State(StateUpdate::from(state)))
+}
+
+/// Metrics from one overlay run — the raw material for Figure 7 and the
+/// scalability table.
+#[derive(Debug)]
+pub struct OverlayReport {
+    /// Which driver produced this.
+    pub architecture: &'static str,
+    /// Latency model name.
+    pub latency_model: String,
+    /// Frames replayed.
+    pub frames: u64,
+    /// Player count (excluding any server node).
+    pub players: usize,
+    /// Histogram of delivered-update ages in frames (Figure 7's PDF).
+    pub ages: Histogram,
+    /// Updates arriving `loss_age_frames` or older, plus network drops,
+    /// as a fraction of all updates sent to final consumers.
+    pub late_or_lost: f64,
+    /// Mean per-player upload in kbps.
+    pub mean_up_kbps: f64,
+    /// Maximum per-player upload in kbps.
+    pub max_up_kbps: f64,
+    /// Mean per-player download in kbps.
+    pub mean_down_kbps: f64,
+    /// Server upload in kbps (client/server only, else 0).
+    pub server_up_kbps: f64,
+    /// Total updates delivered to final consumers.
+    pub updates_delivered: u64,
+    /// Messages dropped by the network.
+    pub network_dropped: u64,
+}
+
+impl OverlayReport {
+    /// The fraction of delivered updates with age `< frames`.
+    #[must_use]
+    pub fn fraction_younger_than(&self, frames: u64) -> f64 {
+        (0..frames.min(self.ages.buckets() as u64)).map(|i| self.ages.fraction(i as usize)).sum()
+    }
+}
+
+/// Shared age/accounting state, mirrored into the global telemetry
+/// registry labelled by driver architecture.
+struct Metrics {
+    ages: Histogram,
+    delivered: u64,
+    late: u64,
+    loss_age: u64,
+    delivered_total: Arc<telemetry::Counter>,
+    late_total: Arc<telemetry::Counter>,
+    age_frames: Arc<telemetry::Histogram>,
+}
+
+impl Metrics {
+    fn new(config: &WatchmenConfig, architecture: &'static str) -> Self {
+        let t = telemetry::global();
+        t.describe("sim_updates_delivered_total", "Updates delivered to final consumers");
+        t.describe("sim_updates_late_total", "Delivered updates at or past the loss-age bound");
+        t.describe("sim_update_age_frames", "Age of delivered updates in frames");
+        let arch = &[("arch", architecture)];
+        Metrics {
+            ages: Histogram::new(0.0, 10.0, 10),
+            delivered: 0,
+            late: 0,
+            loss_age: config.loss_age_frames,
+            delivered_total: t.counter_with("sim_updates_delivered_total", arch),
+            late_total: t.counter_with("sim_updates_late_total", arch),
+            age_frames: t.histogram_with("sim_update_age_frames", arch),
+        }
+    }
+
+    /// One update generated in `gen_frame`, consumed by its receiver's
+    /// game loop in `consume_frame`.
+    fn record(&mut self, gen_frame: u64, consume_frame: u64) {
+        let age = consume_frame.saturating_sub(gen_frame) as f64;
+        self.ages.push(age);
+        self.age_frames.record(age);
+        self.delivered += 1;
+        self.delivered_total.inc();
+        if age >= self.loss_age as f64 {
+            self.late += 1;
+            self.late_total.inc();
+        }
+    }
+}
+
+fn finish_report<T>(
+    architecture: &'static str,
+    net: &SimNetwork<T>,
+    metrics: Metrics,
+    players: usize,
+    frames: u64,
+    config: &WatchmenConfig,
+    server: Option<usize>,
+) -> OverlayReport {
+    let elapsed_ms = frames as f64 * config.frame_ms;
+    let ups: Vec<f64> = (0..players).map(|i| net.meter(i).up_kbps(elapsed_ms)).collect();
+    let downs: Vec<f64> = (0..players).map(|i| net.meter(i).down_kbps(elapsed_ms)).collect();
+    let t = telemetry::global();
+    t.describe("sim_player_up_kbps", "Per-player upstream bandwidth over a full run");
+    t.describe("sim_player_down_kbps", "Per-player downstream bandwidth over a full run");
+    let arch = &[("arch", architecture)];
+    let up_hist = t.histogram_with("sim_player_up_kbps", arch);
+    let down_hist = t.histogram_with("sim_player_down_kbps", arch);
+    for (&up, &down) in ups.iter().zip(&downs) {
+        up_hist.record(up);
+        down_hist.record(down);
+    }
+    let dropped = net.stats().dropped;
+    let denominator = (metrics.delivered + dropped).max(1);
+    OverlayReport {
+        architecture,
+        latency_model: net.latency_name().to_owned(),
+        frames,
+        players,
+        late_or_lost: (metrics.late + dropped) as f64 / denominator as f64,
+        mean_up_kbps: ups.iter().sum::<f64>() / players as f64,
+        max_up_kbps: ups.iter().copied().fold(0.0, f64::max),
+        mean_down_kbps: downs.iter().sum::<f64>() / players as f64,
+        server_up_kbps: server.map_or(0.0, |s| net.meter(s).up_kbps(elapsed_ms)),
+        updates_delivered: metrics.delivered,
+        network_dropped: dropped,
+        ages: metrics.ages,
+    }
+}
+
+/// Runs the full Watchmen architecture over the trace: the shipped
+/// secured node, one per player, seated on a [`Cluster`].
+///
+/// # Panics
+///
+/// Panics if the trace has fewer than 2 players or is empty.
+#[must_use]
+pub fn run_watchmen(
+    trace: &GameTrace,
+    map: &GameMap,
+    config: &WatchmenConfig,
+    latency: Box<dyn LatencyModel>,
+    loss_rate: f64,
+    seed: u64,
+) -> OverlayReport {
+    let (cluster, metrics) = replay_watchmen(trace, map, config, latency, loss_rate, seed);
+    finish_report(
+        "watchmen",
+        &cluster.net,
+        metrics,
+        trace.players,
+        trace.len() as u64,
+        config,
+        None,
+    )
+}
+
+/// Steps a cluster of secured nodes through the trace, recording the age
+/// of every update a node's frame consumes.
+fn replay_watchmen(
+    trace: &GameTrace,
+    map: &GameMap,
+    config: &WatchmenConfig,
+    latency: Box<dyn LatencyModel>,
+    loss_rate: f64,
+    seed: u64,
+) -> (Cluster, Metrics) {
+    assert!(trace.players >= 2 && !trace.is_empty());
+    let n = trace.players;
+    let keys: Vec<Keypair> = (0..n).map(|i| Keypair::generate(seed ^ i as u64)).collect();
+    let directory: Vec<PublicKey> = keys.iter().map(Keypair::public).collect();
+    let mut cluster = Cluster::new(
+        secured_cores(&keys, &directory, None, seed, *config, map),
+        SimNetwork::new(n, latency, loss_rate, seed),
+        config.frame_ms,
+    );
+    let mut metrics = Metrics::new(config, "watchmen");
+    for (frame, recorded) in (0u64..).zip(&trace.frames) {
+        cluster.step(
+            frame,
+            |i| recorded.states[i],
+            |_, output| {
+                for event in &output.events {
+                    if let NodeEvent::Delivery { gen_frame, .. } = event {
+                        metrics.record(*gen_frame, frame);
+                    }
+                }
+            },
+        );
+    }
+    (cluster, metrics)
+}
+
+/// Runs the Donnybrook baseline: frequent updates direct to interest-set
+/// subscribers, dead-reckoning broadcast to everyone else at 1 Hz.
+///
+/// # Panics
+///
+/// Panics if the trace has fewer than 2 players or is empty.
+#[must_use]
+pub fn run_donnybrook(
+    trace: &GameTrace,
+    map: &GameMap,
+    config: &WatchmenConfig,
+    latency: Box<dyn LatencyModel>,
+    loss_rate: f64,
+    seed: u64,
+) -> OverlayReport {
+    assert!(trace.players >= 2 && !trace.is_empty());
+    let n = trace.players;
+    let first = &trace.frames[0].states[0];
+    let state_bytes = state_len(first);
+    let guidance_bytes = signed_len(Payload::Guidance(Guidance::from_state(
+        first,
+        0,
+        config.guidance_period,
+        config.frame_seconds(),
+    )));
+    let mut net: SimNetwork<Update> = SimNetwork::new(n, latency, loss_rate, seed);
+    let mut metrics = Metrics::new(config, "donnybrook");
+
+    for (frame, recorded) in (0u64..).zip(&trace.frames) {
+        for d in net.advance_to(frame as f64 * config.frame_ms) {
+            metrics.record(d.payload.gen_frame, frame);
+        }
+
+        let states = &recorded.states;
+        // Interest sets determine who receives whose frequent updates.
+        for p in 0..n {
+            let pid = PlayerId(p as u32);
+            if !states[p].is_alive() {
+                continue;
+            }
+            let sets = compute_sets(pid, states, map, config, &NoRecency);
+            // Donnybrook: p receives frequent updates about its IS — the
+            // *members* send them directly to p.
+            for &member in &sets.interest {
+                let update = Update { about: member, gen_frame: frame };
+                net.send(member.index(), p, update, state_bytes);
+            }
+            // 1 Hz dead reckoning from p to everyone (not in their IS —
+            // approximated as broadcast, the paper's lower bound remark).
+            if config.is_guidance_frame(frame, p) {
+                for q in (0..n).filter(|&q| q != p) {
+                    net.send(p, q, Update { about: pid, gen_frame: frame }, guidance_bytes);
+                }
+            }
+        }
+    }
+
+    finish_report("donnybrook", &net, metrics, n, trace.len() as u64, config, None)
+}
+
+/// Runs the optimal Client/Server baseline: every player sends its state
+/// to the server each frame; the server relays to exactly the players
+/// whose PVS contains the sender, and nothing else.
+///
+/// # Panics
+///
+/// Panics if the trace has fewer than 2 players or is empty.
+#[must_use]
+pub fn run_client_server(
+    trace: &GameTrace,
+    map: &GameMap,
+    config: &WatchmenConfig,
+    latency: Box<dyn LatencyModel>,
+    loss_rate: f64,
+    seed: u64,
+) -> OverlayReport {
+    assert!(trace.players >= 2 && !trace.is_empty());
+    let n = trace.players;
+    let server = n; // extra node
+    let state_bytes = state_len(&trace.frames[0].states[0]);
+    let mut net: SimNetwork<Update> = SimNetwork::new(n + 1, latency, loss_rate, seed);
+    let mut metrics = Metrics::new(config, "client-server");
+
+    // Per-frame PVS cache: visibility is symmetric in open space but we
+    // store the full per-observer sets; recomputed once per frame rather
+    // than per delivery (PVS per delivery is quadratic in players).
+    let mut pvs_cache: Vec<Vec<usize>> = Vec::new();
+
+    for (frame, recorded) in (0u64..).zip(&trace.frames) {
+        let states = &recorded.states;
+        let positions: Vec<_> = states.iter().map(|s| s.position).collect();
+        pvs_cache.clear();
+        for q in 0..n {
+            pvs_cache.push(potentially_visible_set(map, &positions, q, config.vision_radius));
+        }
+
+        // The server runs a frame loop like everyone else: what reached
+        // it during the last frame is relayed at this boundary.
+        for d in net.advance_to(frame as f64 * config.frame_ms) {
+            let update = d.payload;
+            if d.to != server {
+                metrics.record(update.gen_frame, frame);
+                continue;
+            }
+            // Relay to players whose PVS contains `about`.
+            let about = update.about.index();
+            for q in 0..n {
+                if q != about && states[q].is_alive() && pvs_cache[q].contains(&about) {
+                    net.send(server, q, update, state_bytes);
+                }
+            }
+        }
+
+        for p in (0..n).filter(|&p| states[p].is_alive()) {
+            net.send(
+                p,
+                server,
+                Update { about: PlayerId(p as u32), gen_frame: frame },
+                state_bytes,
+            );
+        }
+    }
+
+    finish_report("client-server", &net, metrics, n, trace.len() as u64, config, Some(server))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use watchmen_game::trace::standard_trace;
+    use watchmen_net::latency;
+    use watchmen_world::maps;
+
+    fn small_inputs() -> (GameTrace, GameMap, WatchmenConfig) {
+        (standard_trace(8, 3, 200), maps::q3dm17_like(), WatchmenConfig::default())
+    }
+
+    #[test]
+    fn watchmen_delivers_updates_with_low_age() {
+        let (trace, map, config) = small_inputs();
+        let report = run_watchmen(&trace, &map, &config, latency::constant(20.0), 0.0, 7);
+        assert!(report.updates_delivered > 1000, "{}", report.updates_delivered);
+        // Two constant 20 ms hops = 40 ms < 1 frame budget for most.
+        assert!(
+            report.fraction_younger_than(3) > 0.9,
+            "young fraction {}",
+            report.fraction_younger_than(3)
+        );
+        assert!(report.mean_up_kbps > 0.0);
+    }
+
+    #[test]
+    fn watchmen_loss_counts_drops() {
+        let (trace, map, config) = small_inputs();
+        let lossless = run_watchmen(&trace, &map, &config, latency::constant(20.0), 0.0, 7);
+        let lossy = run_watchmen(&trace, &map, &config, latency::constant(20.0), 0.05, 7);
+        assert_eq!(lossless.network_dropped, 0);
+        assert!(lossy.network_dropped > 0);
+        assert!(lossy.late_or_lost > lossless.late_or_lost);
+    }
+
+    #[test]
+    fn donnybrook_delivers_one_hop_faster_legs() {
+        let (trace, map, config) = small_inputs();
+        let report = run_donnybrook(&trace, &map, &config, latency::constant(20.0), 0.0, 7);
+        assert!(report.updates_delivered > 1000);
+        // Single 20 ms hop: virtually everything inside 1 frame.
+        assert!(report.fraction_younger_than(2) > 0.95);
+    }
+
+    #[test]
+    fn client_server_relays_pvs_only() {
+        let (trace, map, config) = small_inputs();
+        let report = run_client_server(&trace, &map, &config, latency::constant(10.0), 0.0, 7);
+        assert!(report.updates_delivered > 0);
+        assert!(report.server_up_kbps > 0.0, "server should relay");
+        // Two 10 ms hops stay within the budget.
+        assert!(report.fraction_younger_than(3) > 0.9);
+    }
+
+    #[test]
+    fn deterministic_runs() {
+        let (trace, map, config) = small_inputs();
+        let a = run_watchmen(&trace, &map, &config, latency::king_like(8, 5), 0.01, 5);
+        let b = run_watchmen(&trace, &map, &config, latency::king_like(8, 5), 0.01, 5);
+        assert_eq!(a.updates_delivered, b.updates_delivered);
+        assert_eq!(a.network_dropped, b.network_dropped);
+        assert_eq!(a.mean_up_kbps, b.mean_up_kbps);
+        assert_eq!(a.late_or_lost, b.late_or_lost);
+    }
+
+    /// The report's bytes and drops are the network's own meters: every
+    /// byte a node uploaded is downloaded by another once the wire drains.
+    #[test]
+    fn wire_accounting_is_the_networks() {
+        let (trace, map, config) = small_inputs();
+        let (mut cluster, _) =
+            replay_watchmen(&trace, &map, &config, latency::constant(20.0), 0.0, 7);
+        let end = trace.len() as u64;
+        cluster.deliver_until(end, (end + 1) as f64 * config.frame_ms, |_, _| {});
+        let meters = || (0..trace.players).map(|i| cluster.net.meter(i));
+        let up: u64 = meters().map(|m| m.up_bytes()).sum();
+        let down: u64 = meters().map(|m| m.down_bytes()).sum();
+        assert!(up > 0);
+        assert_eq!(up, down);
+        let stats = cluster.net.stats();
+        assert_eq!((stats.in_flight, stats.dropped), (0, 0));
+        stats.check_invariant().expect("sent == delivered");
+    }
+
+    /// One rule for all three architectures: age is the frame whose game
+    /// loop consumes the update minus the frame that generated it.
+    #[test]
+    fn age_is_consuming_frame_minus_generating_frame() {
+        let (trace, map, config) = small_inputs();
+        // One 20 ms hop: sent by tick f, consumed by the receiver's f + 1.
+        let direct = run_donnybrook(&trace, &map, &config, latency::constant(20.0), 0.0, 7);
+        assert_eq!(direct.ages.bucket_count(1), direct.ages.count());
+        // Player → proxy → subscriber over 2 × 20 ms: the proxy's frame
+        // f + 1 consumes and relays, the subscriber's f + 2 consumes.
+        let relayed = run_watchmen(&trace, &map, &config, latency::constant(20.0), 0.0, 7);
+        let (at_proxy, at_subscriber) =
+            (relayed.ages.bucket_count(1), relayed.ages.bucket_count(2));
+        assert!(at_proxy > 0 && at_subscriber > 0, "{at_proxy} / {at_subscriber}");
+        assert_eq!(at_proxy + at_subscriber, relayed.ages.count());
+    }
+
+    #[test]
+    fn watchmen_bandwidth_beats_full_broadcast() {
+        let (trace, map, config) = small_inputs();
+        let report = run_watchmen(&trace, &map, &config, latency::constant(20.0), 0.0, 11);
+        // Full mesh would be one signed state × (n−1) × 20 Hz per player
+        // upstream. Watchmen's multi-resolution + proxy scheme must come
+        // in well under the all-pairs bound for the publisher leg… but
+        // proxies forward, so compare mean.
+        let state_bits = state_len(&trace.frames[0].states[0]) as f64 * 8.0;
+        let full_mesh_kbps = state_bits * 7.0 * 20.0 / 1000.0;
+        assert!(
+            report.mean_up_kbps < full_mesh_kbps,
+            "mean {} vs mesh {}",
+            report.mean_up_kbps,
+            full_mesh_kbps
+        );
+    }
+}

@@ -1,10 +1,11 @@
 //! A full 48-player deathmatch on the q3dm17-like arena: the paper's
 //! headline workload, with a live scoreboard, the Figure 1 presence
-//! heatmap, a network replay over the simnet, a secured-node segment
-//! (including a scripted cheater whose violations trigger flight-recorder
-//! dumps), the two scripted soaks of `sim::scenario` (control plane under
-//! faults, churn — the run exits non-zero if either fails its gate), and
-//! a final telemetry snapshot in Prometheus text format.
+//! heatmap, a replay through one secured node per player over the
+//! simnet, a small secured segment with a scripted cheater (whose
+//! violations trigger flight-recorder dumps), the two scripted soaks of
+//! `sim::scenario` (control plane under faults, churn — the run exits
+//! non-zero if either fails its gate), and a final telemetry snapshot in
+//! Prometheus text format.
 //!
 //! ```sh
 //! cargo run --release --example deathmatch [players] [frames]
@@ -21,7 +22,6 @@
 
 use std::sync::Arc;
 
-use watchmen::core::overlay::run_watchmen;
 use watchmen::core::sans_io::secured_cores;
 use watchmen::core::WatchmenConfig;
 use watchmen::crypto::schnorr::{Keypair, PublicKey};
@@ -31,6 +31,7 @@ use watchmen::game::{GameConfig, GameEvent};
 use watchmen::net::fault::FaultPlan;
 use watchmen::net::{latency, SimNetwork};
 use watchmen::sim::cluster::Cluster;
+use watchmen::sim::overlay::run_watchmen;
 use watchmen::sim::scenario;
 use watchmen::telemetry::{
     causal_chain, export, global, FlightDump, FlightRecorder, MetricValue, MetricsServer, TraceMode,
@@ -124,12 +125,16 @@ fn main() {
         heat.gini()
     );
 
-    // --- Network replay: the same match over the simulated internet.
+    // --- Network replay: the same match through the shipped secured node,
+    // one per player, over the simulated internet.
     let net_frames = frames.min(600);
     let mut net_trace = trace.clone();
     net_trace.frames.truncate(net_frames as usize);
     let watchmen_config = WatchmenConfig::default();
-    println!("\nreplaying {net_frames} frames over the simnet (king-like latency, 1% loss)…");
+    println!(
+        "\nreplaying {net_frames} frames through {players} secured nodes over the simnet \
+         (king-like latency, 1% loss)…"
+    );
     let report = run_watchmen(
         &net_trace,
         &map,
@@ -139,7 +144,7 @@ fn main() {
         2013,
     );
     println!(
-        "overlay: {} updates delivered, {} dropped, {:.1}% late-or-lost, \
+        "secured nodes: {} updates delivered, {} dropped, {:.1}% late-or-lost, \
          mean up {:.1} kbps (max {:.1}), mean down {:.1} kbps",
         report.updates_delivered,
         report.network_dropped,

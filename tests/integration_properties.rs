@@ -2,13 +2,13 @@
 //! must hold across the whole stack for arbitrary small games, driven by
 //! the workspace's deterministic [`Xoshiro256`] generator.
 
-use watchmen::core::overlay::run_watchmen;
 use watchmen::core::proxy::ProxySchedule;
 use watchmen::core::subscription::{compute_sets, NoRecency, SetKind};
 use watchmen::core::WatchmenConfig;
 use watchmen::game::trace::GameTrace;
 use watchmen::game::{GameConfig, PlayerId};
 use watchmen::net::latency;
+use watchmen::sim::overlay::run_watchmen;
 use watchmen::world::maps;
 use watchmen_crypto::rng::Xoshiro256;
 
