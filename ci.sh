@@ -27,9 +27,11 @@ cargo test --workspace -q
 
 # The signature fast path must never move a byte: known-answer vectors from
 # the original implementation plus the full-size differential test (debug
-# builds run a short prefix), then the ledger's exact counts twice over.
-echo "==> crypto known answers + differential (release), ledger determinism"
-cargo test --release -q -p watchmen-crypto --test fast_path
+# builds run a short prefix), and the crate's unit tests optimised too, so
+# the scalar-vs-hardware SHA-256 agreement test runs on the code the
+# benchmark runs; then the ledger's exact counts twice over.
+echo "==> crypto unit tests, known answers + differential (release), ledger determinism"
+cargo test --release -q -p watchmen-crypto
 benchmark/run.sh --selfcheck
 
 # The paper figures that run the shipped node must keep building and
@@ -59,16 +61,19 @@ assert spans, "chrome trace has no complete (ph=X) spans"
 print(f"trace OK: {len(events)} events, {len(spans)} complete spans")
 PY
 
+# Every BENCH_*.json a stage writes carries this run's timings: they go to
+# a scratch directory, never over the tracked copies.
+BENCH_DIR=/tmp/watchmen-ci-bench
+rm -rf "$BENCH_DIR" && mkdir -p "$BENCH_DIR"
+
 echo "==> fleet soak + live observability plane (256 matches x 16 bots, endpoint scraped mid-run)"
 FLEET_OUT=/tmp/watchmen-fleet.txt
-FLEET_BENCH_DIR=/tmp/watchmen-fleet-bench
-rm -rf "$FLEET_BENCH_DIR" && mkdir -p "$FLEET_BENCH_DIR"
 rm -f "$FLEET_OUT"
 # Background run with the metrics endpoint up and a short post-run hold,
 # so the scrape below finds a live server whether it lands mid-soak or
 # just after. The soak gates itself; `wait` collects its exit code.
 WATCHMEN_FLEET="${WATCHMEN_FLEET:-matches=256,players=16,frames=160,workers=4,cheat_every=8,audit=1}" \
-WATCHMEN_BENCH_OUT="$FLEET_BENCH_DIR" \
+WATCHMEN_BENCH_OUT="$BENCH_DIR" \
 WATCHMEN_METRICS_ADDR=127.0.0.1:0 \
 WATCHMEN_METRICS_HOLD_MS=2000 \
 WATCHMEN_AUDIT=/tmp/watchmen-fleet-audit.jsonl \
@@ -137,7 +142,7 @@ cargo run --release --example live_cluster | tail -n 1
 
 echo "==> coordinated-adversary campaigns (collusion, sybil-flood, eclipse at fixed seeds)"
 WATCHMEN_CAMPAIGN="runs=3,seed=2013,workers=2" \
-WATCHMEN_BENCH_OUT=. \
+WATCHMEN_BENCH_OUT="$BENCH_DIR" \
     cargo run --release --example campaign_run
 
 echo "==> store crash loop (8 kill/abort cycles against the durable reputation store)"
@@ -149,7 +154,7 @@ echo "==> reputation population soak (2000 matches, repeat offenders banned acro
 POP_STORE=/tmp/watchmen-population-store
 rm -rf "$POP_STORE"
 WATCHMEN_STORE_DIR="$POP_STORE" \
-WATCHMEN_BENCH_OUT=. \
+WATCHMEN_BENCH_OUT="$BENCH_DIR" \
     cargo run --release --example population_run
 
 echo "CI OK"

@@ -7,6 +7,7 @@
 //! instrumentation uses.
 
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 use watchmen_bench::run_experiment;
@@ -15,11 +16,11 @@ use watchmen_core::subscription::{compute_sets, NoRecency};
 use watchmen_core::verify::Verifier;
 use watchmen_core::WatchmenConfig;
 use watchmen_crypto::schnorr::{Keypair, VerifyingKey};
-use watchmen_crypto::sha256;
+use watchmen_crypto::{sha256, sha256_compress, sha256_compress_scalar};
 use watchmen_game::PlayerId;
 use watchmen_sim::workload::standard_workload;
 use watchmen_telemetry::trace::{EventKind, Phase, TraceEvent, TraceId};
-use watchmen_telemetry::{FlightRecorder, Registry};
+use watchmen_telemetry::{FlightRecorder, Histogram, Registry};
 use watchmen_world::PhysicsConfig;
 
 /// Iterations per kernel (quick mode: fewer).
@@ -31,9 +32,8 @@ fn iterations() -> u32 {
     }
 }
 
-/// Times `body` `iters` times into a per-kernel histogram and renders one
-/// summary line (all figures in microseconds).
-fn bench_kernel(registry: &Registry, name: &'static str, mut body: impl FnMut()) -> String {
+/// Times `body` `iters` times into a per-kernel histogram (microseconds).
+fn time_kernel(registry: &Registry, name: &'static str, mut body: impl FnMut()) -> Arc<Histogram> {
     let hist = registry.histogram_with("kernel_duration_us", &[("kernel", name)]);
     // Warm up caches and branch predictors outside the measurement.
     for _ in 0..8 {
@@ -44,12 +44,39 @@ fn bench_kernel(registry: &Registry, name: &'static str, mut body: impl FnMut())
         body();
         hist.record(start.elapsed().as_secs_f64() * 1e6);
     }
+    hist
+}
+
+/// Times `body` and renders one summary line (all figures in
+/// microseconds).
+fn bench_kernel(registry: &Registry, name: &'static str, body: impl FnMut()) -> String {
+    let hist = time_kernel(registry, name, body);
     format!(
         "{name:<28} p50 {:>9.2}us  p99 {:>9.2}us  mean {:>9.2}us  ({} iters)",
         hist.quantile(0.5),
         hist.quantile(0.99),
         hist.mean(),
         hist.count(),
+    )
+}
+
+/// Times `compress` over a 64-block batch (one block is too short for
+/// the clock) and renders the median as nanoseconds per 64-byte block.
+fn bench_compress(
+    registry: &Registry,
+    name: &'static str,
+    mut compress: impl FnMut(&mut [u32; 8], &[[u8; 64]]),
+) -> String {
+    let blocks = [[0x5au8; 64]; 64];
+    let mut state = [0x6a09_e667u32; 8];
+    let hist = time_kernel(registry, name, || compress(black_box(&mut state), black_box(&blocks)));
+    let per_block = |us: f64| us * 1e3 / blocks.len() as f64;
+    format!(
+        "{name:<28} p50 {:>9.1}ns  p99 {:>9.1}ns  per 64-byte block  ({} x {} blocks)",
+        per_block(hist.quantile(0.5)),
+        per_block(hist.quantile(0.99)),
+        hist.count(),
+        blocks.len(),
     )
 }
 
@@ -86,6 +113,14 @@ fn main() {
             lines.push(bench_kernel(&registry, "sha256_2block", || {
                 black_box(sha256(black_box(&body)));
             }));
+            // Both compression paths side by side; on a CPU without the
+            // SHA extensions the two rows read the same.
+            lines.push(bench_compress(&registry, "sha256_compress_scalar", |state, blocks| {
+                for block in blocks {
+                    sha256_compress_scalar(state, block);
+                }
+            }));
+            lines.push(bench_compress(&registry, "sha256_compress_dispatched", sha256_compress));
 
             let w = standard_workload(48, 7, 10);
             let states = &w.trace.frames[9].states;

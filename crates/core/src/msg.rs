@@ -420,10 +420,16 @@ impl Envelope {
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError`] on truncated or malformed input.
+    /// Returns [`DecodeError`] on truncated or malformed input, and on
+    /// input that goes on after the payload: a signature is checked over
+    /// the re-encoded envelope, so bytes the decoder skipped would ride
+    /// along under it unsigned.
     pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
         let mut buf = bytes;
-        let (env, _rest) = decode_envelope(&mut buf)?;
+        let env = decode_envelope(&mut buf)?;
+        if !buf.is_empty() {
+            return Err(DecodeError::TrailingBytes);
+        }
         Ok(env)
     }
 
@@ -508,7 +514,8 @@ impl SignedEnvelope {
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError`] on truncated or malformed input.
+    /// Returns [`DecodeError`] on truncated, malformed or padded input
+    /// (see [`Envelope::decode`]).
     pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
         if bytes.len() < SIGNATURE_LEN {
             return Err(DecodeError::Truncated);
@@ -530,6 +537,8 @@ pub enum DecodeError {
     InvalidTag(u8),
     /// Signature scalars out of range.
     BadSignature,
+    /// Input continued past the end of the payload.
+    TrailingBytes,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -538,6 +547,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::Truncated => f.write_str("message truncated"),
             DecodeError::InvalidTag(t) => write!(f, "invalid tag {t:#04x}"),
             DecodeError::BadSignature => f.write_str("signature scalars out of range"),
+            DecodeError::TrailingBytes => f.write_str("bytes after the payload"),
         }
     }
 }
@@ -718,7 +728,7 @@ fn get_set_kind(buf: &mut &[u8]) -> Result<SetKind, DecodeError> {
     }
 }
 
-fn decode_envelope<'a>(buf: &mut &'a [u8]) -> Result<(Envelope, &'a [u8]), DecodeError> {
+fn decode_envelope(buf: &mut &[u8]) -> Result<Envelope, DecodeError> {
     let mut head = take(buf, 20)?;
     let from = PlayerId(head.get_u32());
     let seq = head.get_u64();
@@ -843,7 +853,7 @@ fn decode_envelope<'a>(buf: &mut &'a [u8]) -> Result<(Envelope, &'a [u8]), Decod
         }
         t => return Err(DecodeError::InvalidTag(t)),
     };
-    Ok((Envelope { from, seq, frame, payload }, buf))
+    Ok(Envelope { from, seq, frame, payload })
 }
 
 #[cfg(test)]
@@ -1081,6 +1091,26 @@ mod tests {
         let second = mk(2);
         assert_ne!(first.encode(), second.encode());
         assert_ne!(first.signature, second.signature);
+    }
+
+    #[test]
+    fn padded_datagrams_do_not_decode() {
+        // envelope ‖ junk ‖ signature: the signature still matches the
+        // re-encoded envelope, so the padding has to fail at the decoder.
+        let keys = Keypair::generate(5);
+        for payload in all_payloads() {
+            let env = Envelope { from: PlayerId(2), seq: 42, frame: 1000, payload };
+            let mut bytes = env.encode();
+            bytes.push(0);
+            assert_eq!(Envelope::decode(&bytes), Err(DecodeError::TrailingBytes));
+            bytes.extend_from_slice(&keys.sign(&env.encode()).to_bytes());
+            assert_eq!(
+                SignedEnvelope::decode(&bytes),
+                Err(DecodeError::TrailingBytes),
+                "{}",
+                payload.label()
+            );
+        }
     }
 
     #[test]

@@ -995,7 +995,7 @@ impl WatchmenNode {
         // --- Subscriptions from *learned* knowledge.
         let sub_span = FrameTimer::start(&self.metrics.subscription_phase_ms);
         let sub_trace = rec.span(self.id.0, frame, Phase::Subscription, "subscriptions");
-        let sets = self.compute_local_sets(frame, my_state);
+        let sets = self.compute_local_sets(my_state);
         for (target, kind) in sets {
             let due = self
                 .my_subs
@@ -1515,7 +1515,7 @@ impl WatchmenNode {
     }
 
     /// The (target, kind) subscription list derived from learned state.
-    fn compute_local_sets(&self, frame: u64, my_state: &PlayerFrame) -> Vec<(PlayerId, SetKind)> {
+    fn compute_local_sets(&self, my_state: &PlayerFrame) -> Vec<(PlayerId, SetKind)> {
         // Build a dense state table from knowledge; unknown players stay
         // at an unreachable position so they classify as others.
         let far = watchmen_math::Vec3::new(-1e6, -1e6, 0.0);
@@ -1544,7 +1544,6 @@ impl WatchmenNode {
                 }
             })
             .collect();
-        let _ = frame;
         let sets = compute_sets(self.id, &states, &self.map, &self.config, &NoRecency);
         sets.interest
             .into_iter()

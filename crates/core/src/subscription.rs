@@ -103,9 +103,14 @@ pub fn in_vision(
     map: &GameMap,
     config: &WatchmenConfig,
 ) -> bool {
-    let eye = observer.position + Vec3::Z * EYE_HEIGHT;
+    sees(&vision_cone(observer, config), candidate, map)
+}
+
+/// [`in_vision`] with the observer's cone already built; the cone's apex
+/// is the observer's eye.
+fn sees(cone: &Cone, candidate: &PlayerFrame, map: &GameMap) -> bool {
     let target = candidate.position + Vec3::Z * EYE_HEIGHT;
-    vision_cone(observer, config).contains(target) && map.line_of_sight(eye, target)
+    cone.contains(target) && map.line_of_sight(cone.apex(), target)
 }
 
 /// A source of pairwise interaction recency, typically
@@ -171,6 +176,8 @@ pub fn compute_sets(
 ) -> SetAssignment {
     let observer = &states[observer_id.index()];
     let weights = AttentionWeights::default();
+    // One cone per observer: building it costs two sin/cos pairs.
+    let cone = vision_cone(observer, config);
 
     // Visible candidates with their attention score.
     let mut visible: Vec<(PlayerId, f64)> = Vec::new();
@@ -180,10 +187,7 @@ pub fn compute_sets(
         if id == observer_id {
             continue;
         }
-        if candidate.is_alive()
-            && observer.is_alive()
-            && in_vision(observer, candidate, map, config)
-        {
+        if candidate.is_alive() && observer.is_alive() && sees(&cone, candidate, map) {
             let s = score(
                 &AttentionInput {
                     observer,

@@ -28,11 +28,23 @@
 //! is a compile-time constant; [`schnorr::VerifyingKey`] holds the table
 //! of one public key (128 bytes, built once in ~0.3 µs) so that
 //! `g^s · X^(q−e)` shares a single squaring chain. The table stays at 16
-//! entries because every node keeps one per roster member. [`Sha256`]
-//! runs fully unrolled over a rolling 16-word schedule and compresses
-//! blocks where they lie. [`field::pow_mod`] and [`field::mul_mod`] remain
-//! as the generic reference path (primality, key validation, test
-//! oracle); signatures and verdicts are bit-identical between the two.
+//! entries because every node keeps one per roster member.
+//! [`field::pow_mod`] and [`field::mul_mod`] remain as the generic
+//! reference path (primality, key validation, test oracle); signatures
+//! and verdicts are bit-identical between the two.
+//!
+//! With the exponentiation that cheap, the two hashes a signature takes
+//! are most of its cost. [`Sha256`] compresses blocks where they lie, on
+//! one of two functions with the same output: on an `x86_64` CPU that
+//! reports the SHA extensions, `sha256rnds2`/`sha256msg1`/`sha256msg2`,
+//! about four times as fast; everywhere else, and as the reference the
+//! other is tested against, portable Rust fully unrolled over a rolling
+//! 16-word schedule. The CPU is asked once per process and nothing else
+//! selects: no feature, no flag. That hardware path is the
+//! workspace's only `unsafe` — one call of a `#[target_feature]` function,
+//! in the private `sha256::sha_ni` module, straight after the detection
+//! that makes it sound — so this crate is `deny(unsafe_code)` with that
+//! module allowed, and every other crate stays `forbid`.
 //!
 //! # Security disclaimer
 //!
@@ -52,7 +64,7 @@
 //! assert!(!keys.public().verify(b"forged update", &sig));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod field;
@@ -62,4 +74,6 @@ pub mod schnorr;
 mod sha256;
 
 pub use hmac::hmac_sha256;
+#[doc(hidden)]
+pub use sha256::{compress as sha256_compress, compress_scalar as sha256_compress_scalar};
 pub use sha256::{sha256, Sha256};

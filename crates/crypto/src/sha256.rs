@@ -1,4 +1,19 @@
 //! SHA-256 (FIPS 180-4), implemented from the specification.
+//!
+//! The compression function exists twice. [`compress_scalar`] is portable
+//! Rust and runs everywhere. On `x86_64` the private `sha_ni` module holds
+//! a second one on the CPU's SHA extensions (`sha256rnds2`, `sha256msg1`,
+//! `sha256msg2`), about four times as fast; [`compress`] asks the CPU once
+//! per process whether it has them (`is_x86_feature_detected!`) and uses
+//! the scalar function when it does not. Nothing selects between them but
+//! that observation. The scalar function stays because it is the only
+//! path on every other CPU and the reference the hardware one is tested
+//! against: the tests below drive the NIST vectors through it directly
+//! and compare the two block by block.
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod sha_ni;
 
 /// Initial hash values: the first 32 bits of the fractional parts of the
 /// square roots of the first eight primes.
@@ -129,16 +144,19 @@ impl Sha256 {
             if self.buffer_len < 64 {
                 return;
             }
-            compress(&mut self.state, &self.buffer);
+            compress(&mut self.state, std::slice::from_ref(&self.buffer));
             self.buffer_len = 0;
         }
-        // Whole blocks are compressed where they lie, never copied.
-        while let Some((block, rest)) = data.split_first_chunk::<64>() {
-            compress(&mut self.state, block);
-            data = rest;
+        // Whole blocks are compressed where they lie, never copied, and
+        // in one call, so the state changes layout once for all of them
+        // (and not at all for the short pieces a signature's prefix
+        // arrives in).
+        let (blocks, rest) = data.as_chunks::<64>();
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
         }
-        self.buffer[..data.len()].copy_from_slice(data);
-        self.buffer_len = data.len();
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffer_len = rest.len();
     }
 
     /// Consumes the hasher and returns the 32-byte digest.
@@ -151,11 +169,11 @@ impl Sha256 {
         self.buffer[self.buffer_len] = 0x80;
         self.buffer[self.buffer_len + 1..].fill(0);
         if self.buffer_len >= 56 {
-            compress(&mut self.state, &self.buffer);
+            compress(&mut self.state, std::slice::from_ref(&self.buffer));
             self.buffer = [0; 64];
         }
         self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
-        compress(&mut self.state, &self.buffer);
+        compress(&mut self.state, std::slice::from_ref(&self.buffer));
         let mut out = [0u8; 32];
         for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
             bytes.copy_from_slice(&word.to_be_bytes());
@@ -164,10 +182,26 @@ impl Sha256 {
     }
 }
 
-/// The SHA-256 compression function: 64 rounds, fully unrolled, over a
-/// rolling 16-word message schedule (word `i ≥ 16` overwrites word
-/// `i − 16`, the only one it no longer needs).
-fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+/// Compresses `blocks` into `state`, in order, on the fastest path this
+/// CPU has. Public only for `micro_kernels`, which times it beside
+/// [`compress_scalar`].
+#[doc(hidden)]
+pub fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni::try_compress(state, blocks) {
+        return;
+    }
+    for block in blocks {
+        compress_scalar(state, block);
+    }
+}
+
+/// The SHA-256 compression function in portable Rust: 64 rounds, fully
+/// unrolled, over a rolling 16-word message schedule (word `i ≥ 16`
+/// overwrites word `i − 16`, the only one it no longer needs). Public
+/// only for `micro_kernels`.
+#[doc(hidden)]
+pub fn compress_scalar(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 16];
     for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
         *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
@@ -285,6 +319,91 @@ mod tests {
             hex(&h.finalize()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
+    }
+
+    /// One-shot SHA-256 on [`compress_scalar`] alone, whatever the CPU.
+    fn sha256_scalar(data: &[u8]) -> String {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        padded.resize(padded.len().next_multiple_of(64), 0);
+        if padded.len() - data.len() < 9 {
+            padded.resize(padded.len() + 64, 0);
+        }
+        let bit_len = (data.len() as u64) * 8;
+        let at = padded.len() - 8;
+        padded[at..].copy_from_slice(&bit_len.to_be_bytes());
+        let mut state = H0;
+        for block in padded.as_chunks::<64>().0 {
+            compress_scalar(&mut state, block);
+        }
+        state.iter().map(|word| format!("{word:08x}")).collect()
+    }
+
+    #[test]
+    fn nist_vectors_on_the_scalar_path() {
+        assert_eq!(
+            sha256_scalar(b""),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        );
+        assert_eq!(
+            sha256_scalar(b"abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
+        assert_eq!(
+            sha256_scalar(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        );
+        assert_eq!(
+            sha256_scalar(&vec![b'a'; 1_000_000]),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        );
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn hardware_compress_agrees_with_scalar() {
+        use crate::rng::Xoshiro256;
+
+        if !sha_ni::try_compress(&mut [0; 8], &[]) {
+            println!("skipped: this CPU has no SHA extensions, the scalar path is the only one");
+            return;
+        }
+        let agree = |state: [u32; 8], blocks: &[[u8; 64]]| {
+            let (mut scalar, mut hardware) = (state, state);
+            for block in blocks {
+                compress_scalar(&mut scalar, block);
+            }
+            assert!(sha_ni::try_compress(&mut hardware, blocks));
+            assert_eq!(scalar, hardware, "state {state:08x?}, blocks {blocks:02x?}");
+        };
+
+        let mut rng = Xoshiro256::new(0x5a_256);
+        let mut random_state = move || {
+            let mut state = [0u32; 8];
+            state.fill_with(|| rng.next_u64() as u32);
+            state
+        };
+        let mut rng = Xoshiro256::new(0xb10c);
+        let mut random_block = move || {
+            let mut block = [0u8; 64];
+            block.fill_with(|| rng.next_u64() as u8);
+            block
+        };
+        for _ in 0..10_000 {
+            agree(random_state(), &[random_block()]);
+        }
+        for edge in [[0x00u8; 64], [0xff; 64]] {
+            agree(H0, &[edge]);
+            agree([0; 8], &[edge]);
+            agree([u32::MAX; 8], &[edge]);
+            agree(random_state(), &[edge]);
+        }
+        // Several blocks in one call: the state stays in the
+        // instructions' layout from the first block to the last.
+        for count in 0..=9 {
+            let blocks: Vec<[u8; 64]> = (0..count).map(|_| random_block()).collect();
+            agree(random_state(), &blocks);
+        }
     }
 
     #[test]

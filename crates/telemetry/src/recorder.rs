@@ -34,6 +34,18 @@ struct Ring {
     total: u64,
 }
 
+impl Ring {
+    /// The retained events as two runs, oldest first.
+    fn in_order(&self) -> (&[TraceEvent], &[TraceEvent]) {
+        if self.buf.len() < self.cap {
+            (&self.buf, &[])
+        } else {
+            let (newer, older) = self.buf.split_at(self.head);
+            (older, newer)
+        }
+    }
+}
+
 /// A fixed-capacity, overwrite-oldest event ring. See the module docs.
 ///
 /// # Examples
@@ -149,13 +161,10 @@ impl FlightRecorder {
     #[must_use]
     pub fn snapshot(&self) -> Vec<TraceEvent> {
         let ring = self.inner.lock().expect("recorder lock");
+        let (older, newer) = ring.in_order();
         let mut out = Vec::with_capacity(ring.len);
-        if ring.buf.len() < ring.cap {
-            out.extend_from_slice(&ring.buf);
-        } else {
-            out.extend_from_slice(&ring.buf[ring.head..]);
-            out.extend_from_slice(&ring.buf[..ring.head]);
-        }
+        out.extend_from_slice(older);
+        out.extend_from_slice(newer);
         out
     }
 
@@ -171,16 +180,22 @@ impl FlightRecorder {
     /// sentinels captures everything retained.
     #[must_use]
     pub fn dump(&self, reason: &str, trace_id: TraceId, subject: u32) -> FlightDump {
-        let events: Vec<TraceEvent> = self
-            .snapshot()
-            .into_iter()
+        let ring = self.inner.lock().expect("recorder lock");
+        // Filtered straight off the ring: collecting a filtered
+        // `snapshot()` in place would leave every dump holding a
+        // whole-ring allocation for its handful of events.
+        let (older, newer) = ring.in_order();
+        let mut events: Vec<TraceEvent> = older
+            .iter()
+            .chain(newer)
             .filter(|e| {
                 (!trace_id.is_some() && subject == NO_SUBJECT)
                     || (trace_id.is_some() && e.trace_id == trace_id)
                     || (subject != NO_SUBJECT && e.subject == subject)
             })
+            .copied()
             .collect();
-        let ring = self.inner.lock().expect("recorder lock");
+        events.shrink_to_fit();
         FlightDump {
             reason: reason.to_owned(),
             trace_id,
@@ -341,6 +356,28 @@ mod tests {
         assert_eq!(d.events.len(), 2);
         assert_eq!(d.overwritten, 3);
         assert!(d.to_string().contains("3 older overwritten"));
+    }
+
+    #[test]
+    fn dump_holds_no_more_than_its_events() {
+        // A wrapped ring, three matching events: the dump keeps those
+        // three in ring order, not an allocation the size of the ring.
+        let r = FlightRecorder::new(128);
+        for s in 1..=200 {
+            r.record(ev(s));
+        }
+        let mut wanted = ev(201);
+        wanted.subject = 77;
+        for _ in 0..3 {
+            wanted.at_us += 1;
+            r.record(wanted);
+            r.record(ev(300));
+        }
+        let d = r.dump("test", TraceId::NONE, 77);
+        assert_eq!(d.events.len(), 3);
+        assert!(d.events.windows(2).all(|w| w[0].at_us < w[1].at_us));
+        assert!(d.events.capacity() < 8, "capacity {}", d.events.capacity());
+        assert_eq!(d.overwritten, 206 - 128);
     }
 
     #[test]

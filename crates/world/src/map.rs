@@ -1,6 +1,7 @@
 //! The tile map and its spatial queries.
 
 use std::fmt;
+use std::sync::Arc;
 
 use watchmen_math::grid::{self, Cell};
 use watchmen_math::{Aabb, Vec3};
@@ -33,7 +34,9 @@ pub struct GameMap {
     width: usize,
     height: usize,
     cell_size: f64,
-    tiles: Vec<Tile>,
+    /// Shared between clones until one of them is edited: every node of
+    /// a match holds its own `GameMap` of the same arena.
+    tiles: Arc<[Tile]>,
     spawn_points: Vec<Vec3>,
     item_spawners: Vec<ItemSpawner>,
 }
@@ -54,7 +57,7 @@ impl GameMap {
             width,
             height,
             cell_size,
-            tiles: vec![tile; width * height],
+            tiles: vec![tile; width * height].into(),
             spawn_points: Vec::new(),
             item_spawners: Vec::new(),
         }
@@ -121,15 +124,16 @@ impl GameMap {
     /// Panics if the coordinates are outside the grid.
     pub fn set_tile(&mut self, x: usize, y: usize, tile: Tile) {
         assert!(x < self.width && y < self.height, "tile ({x}, {y}) out of range");
-        self.tiles[y * self.width + x] = tile;
+        Arc::make_mut(&mut self.tiles)[y * self.width + x] = tile;
     }
 
     /// Fills the axis-aligned cell rectangle `[x0, x1] × [y0, y1]`
     /// (inclusive) with a tile, clamped to the grid.
     pub fn fill_rect(&mut self, x0: usize, y0: usize, x1: usize, y1: usize, tile: Tile) {
+        let tiles = Arc::make_mut(&mut self.tiles);
         for y in y0..=y1.min(self.height - 1) {
             for x in x0..=x1.min(self.width - 1) {
-                self.tiles[y * self.width + x] = tile;
+                tiles[y * self.width + x] = tile;
             }
         }
     }
@@ -268,6 +272,18 @@ mod tests {
         assert_eq!(map.tile(-1, 0), Tile::Wall);
         assert_eq!(map.tile(0, 10), Tile::Wall);
         assert_eq!(map.tile(5, 5), Tile::default());
+    }
+
+    #[test]
+    fn editing_a_clone_leaves_the_original_alone() {
+        let original = open_map();
+        let mut edited = original.clone();
+        edited.set_tile(2, 3, Tile::Wall);
+        edited.fill_rect(6, 6, 7, 7, Tile::Pit);
+        assert_eq!(original, open_map());
+        assert_eq!(edited.tile(2, 3), Tile::Wall);
+        assert_eq!(edited.tile(7, 6), Tile::Pit);
+        assert_ne!(edited, original);
     }
 
     #[test]
