@@ -145,6 +145,12 @@ WATCHMEN_CAMPAIGN="runs=3,seed=2013,workers=2" \
 WATCHMEN_BENCH_OUT="$BENCH_DIR" \
     cargo run --release --example campaign_run
 
+# The store's checksum is table-driven and its formats are pinned by golden
+# bytes: run its tests optimised too, so the CRC agreement test checks the
+# code the benchmark and the drivers below run.
+echo "==> store unit + golden-bytes + recovery tests (release)"
+cargo test --release -q -p watchmen-store
+
 echo "==> store crash loop (8 kill/abort cycles against the durable reputation store)"
 WATCHMEN_STORE_DIR=/tmp/watchmen-crashloop-store \
 WATCHMEN_CRASHLOOP="cycles=8,ops=3000,seed=2013" \

@@ -1,11 +1,13 @@
 //! Microbenchmarks of the architecture's hot kernels: signature
-//! sign/verify, subscription-set computation, proxy schedule evaluation
-//! and the verification suite.
+//! sign/verify, subscription-set computation, proxy schedule evaluation,
+//! the verification suite, and the durable store's checksum, snapshot
+//! and staging paths.
 //!
 //! Each kernel is timed into a [`watchmen_telemetry::Histogram`], so the
 //! reported p50/p99 come from the same quantile machinery the runtime
 //! instrumentation uses.
 
+use std::cell::RefCell;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -19,6 +21,10 @@ use watchmen_crypto::schnorr::{Keypair, VerifyingKey};
 use watchmen_crypto::{sha256, sha256_compress, sha256_compress_scalar};
 use watchmen_game::PlayerId;
 use watchmen_sim::workload::standard_workload;
+use watchmen_store::{
+    crc32, crc32_bitwise, decode_snapshot, encode_snapshot, snapshot_matches, MemDir, RepState,
+    ReputationStore, StorePolicy, StoreRecord,
+};
 use watchmen_telemetry::trace::{EventKind, Phase, TraceEvent, TraceId};
 use watchmen_telemetry::{FlightRecorder, Histogram, Registry};
 use watchmen_world::PhysicsConfig;
@@ -32,17 +38,27 @@ fn iterations() -> u32 {
     }
 }
 
-/// Times `body` `iters` times into a per-kernel histogram (microseconds).
-fn time_kernel(registry: &Registry, name: &'static str, mut body: impl FnMut()) -> Arc<Histogram> {
+/// Times `body` `iters` times into a per-kernel histogram
+/// (microseconds); `settle` runs untimed after each call, for kernels
+/// that must put something back before the next one.
+fn time_kernel(
+    registry: &Registry,
+    name: &'static str,
+    iters: u32,
+    mut body: impl FnMut(),
+    mut settle: impl FnMut(),
+) -> Arc<Histogram> {
     let hist = registry.histogram_with("kernel_duration_us", &[("kernel", name)]);
     // Warm up caches and branch predictors outside the measurement.
-    for _ in 0..8 {
+    for _ in 0..8.min(iters) {
         body();
+        settle();
     }
-    for _ in 0..iterations() {
+    for _ in 0..iters {
         let start = Instant::now();
         body();
         hist.record(start.elapsed().as_secs_f64() * 1e6);
+        settle();
     }
     hist
 }
@@ -50,7 +66,7 @@ fn time_kernel(registry: &Registry, name: &'static str, mut body: impl FnMut()) 
 /// Times `body` and renders one summary line (all figures in
 /// microseconds).
 fn bench_kernel(registry: &Registry, name: &'static str, body: impl FnMut()) -> String {
-    let hist = time_kernel(registry, name, body);
+    let hist = time_kernel(registry, name, iterations(), body, || {});
     format!(
         "{name:<28} p50 {:>9.2}us  p99 {:>9.2}us  mean {:>9.2}us  ({} iters)",
         hist.quantile(0.5),
@@ -69,7 +85,13 @@ fn bench_compress(
 ) -> String {
     let blocks = [[0x5au8; 64]; 64];
     let mut state = [0x6a09_e667u32; 8];
-    let hist = time_kernel(registry, name, || compress(black_box(&mut state), black_box(&blocks)));
+    let hist = time_kernel(
+        registry,
+        name,
+        iterations(),
+        || compress(black_box(&mut state), black_box(&blocks)),
+        || {},
+    );
     let per_block = |us: f64| us * 1e3 / blocks.len() as f64;
     format!(
         "{name:<28} p50 {:>9.1}ns  p99 {:>9.1}ns  per 64-byte block  ({} x {} blocks)",
@@ -77,6 +99,77 @@ fn bench_compress(
         per_block(hist.quantile(0.99)),
         hist.count(),
         blocks.len(),
+    )
+}
+
+/// Public-key scalars are not dense: spreads index `i` over the `u64`
+/// identity space, as the ledger's `store256k` does.
+fn spread_identity(i: u64) -> u64 {
+    (i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// The store's whole-image kernels at the ledger's `store256k` size.
+/// One call is milliseconds, so they get a hundredth of the iterations.
+fn bench_snapshot_kernels(registry: &Registry, lines: &mut Vec<String>) {
+    const IDENTITIES: u64 = 262_144;
+    let mut state = RepState::new();
+    for i in 0..IDENTITIES {
+        let identity = spread_identity(i);
+        state.apply(&StoreRecord::Outcome { seq: i + 1, identity, ok: 30, failed: 1 });
+    }
+    let image = encode_snapshot(&state);
+    let iters = (iterations() / 100).max(2);
+    let mut row = |name: &'static str, body: &mut dyn FnMut()| {
+        let hist = time_kernel(registry, name, iters, body, || {});
+        lines.push(format!(
+            "{name:<28} p50 {:>9.2}ms  max {:>9.2}ms  at {IDENTITIES} identities, {:.1} MB  ({} iters)",
+            hist.quantile(0.5) / 1e3,
+            hist.max() / 1e3,
+            image.len() as f64 / 1e6,
+            hist.count(),
+        ));
+    };
+    row("snapshot_encode_256k", &mut || {
+        black_box(encode_snapshot(black_box(&state)));
+    });
+    row("snapshot_decode_256k", &mut || {
+        black_box(decode_snapshot(black_box(&image)).is_ok());
+    });
+    row("snapshot_verify_256k", &mut || {
+        black_box(snapshot_matches(black_box(&image), black_box(&state)));
+    });
+}
+
+/// `note_outcome` per call when the staged batch is `batch` long: the
+/// batch is staged timed, committed untimed.
+fn bench_note_outcome(registry: &Registry, name: &'static str, batch: u64) -> String {
+    let store = ReputationStore::open(Box::new(MemDir::new()), StorePolicy::default())
+        .expect("MemDir never fails")
+        .0;
+    let store = RefCell::new(store);
+    let mut next = 0u64;
+    let hist = time_kernel(
+        registry,
+        name,
+        (iterations() / 10).max(2),
+        || {
+            let mut store = store.borrow_mut();
+            for _ in 0..batch {
+                // 4096 identities, revisited: the largest batch repeats none,
+                // later batches meet a store that already holds them.
+                next = (next + 1) % 4096;
+                store.note_outcome(black_box(spread_identity(next)), 30, 1);
+            }
+        },
+        || {
+            store.borrow_mut().commit().expect("MemDir never fails");
+        },
+    );
+    format!(
+        "{name:<28} p50 {:>9.1}ns  p99 {:>9.1}ns  per call  ({} batches of {batch})",
+        hist.quantile(0.5) * 1e3 / batch as f64,
+        hist.quantile(0.99) * 1e3 / batch as f64,
+        hist.count(),
     )
 }
 
@@ -121,6 +214,23 @@ fn main() {
                 }
             }));
             lines.push(bench_compress(&registry, "sha256_compress_dispatched", sha256_compress));
+
+            // The store's checksum: the table-driven routine every frame
+            // and snapshot pays, beside the bit-at-a-time definition it
+            // is tested against. 1 KiB, so microseconds read as us/KB.
+            let kb = [0x5au8; 1024];
+            lines.push(bench_kernel(&registry, "crc32_sliced_1KB", || {
+                black_box(crc32(black_box(&kb)));
+            }));
+            lines.push(bench_kernel(&registry, "crc32_bitwise_1KB", || {
+                black_box(crc32_bitwise(black_box(&kb)));
+            }));
+            bench_snapshot_kernels(&registry, &mut lines);
+            for (name, batch) in
+                [("note_outcome_b16", 16), ("note_outcome_b256", 256), ("note_outcome_b4096", 4096)]
+            {
+                lines.push(bench_note_outcome(&registry, name, batch));
+            }
 
             let w = standard_workload(48, 7, 10);
             let states = &w.trace.frames[9].states;

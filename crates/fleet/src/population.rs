@@ -288,6 +288,9 @@ pub struct PopulationResult {
     pub store_commits: u64,
     /// Store snapshot compactions.
     pub store_compactions: u64,
+    /// Mean wall-clock time of one compaction, milliseconds (0 with no
+    /// compactions).
+    pub store_compaction_ms_mean: f64,
     /// Final store WAL size, bytes.
     pub store_wal_bytes: u64,
 }
@@ -462,7 +465,7 @@ pub fn run_population(config: &PopulationConfig, dir: Box<dyn Dir>) -> Populatio
     }
 
     matches_to_ban.sort_unstable();
-    let stats = store.stats();
+    let (stats, timings) = (store.stats(), store.timings());
     PopulationResult {
         matches_run,
         matches_aborted,
@@ -475,6 +478,8 @@ pub fn run_population(config: &PopulationConfig, dir: Box<dyn Dir>) -> Populatio
         refused_admissions,
         store_commits: stats.commits,
         store_compactions: stats.compactions,
+        store_compaction_ms_mean: timings.compaction_total.as_secs_f64() * 1e3
+            / stats.compactions.max(1) as f64,
         store_wal_bytes: store.wal_bytes(),
     }
 }

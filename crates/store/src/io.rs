@@ -19,8 +19,23 @@
 //! the classic torn-write + media-corruption model); in an [`FsDir`] it
 //! aborts the process, which is what the kill-and-restart crash-loop
 //! harness leans on for *real* mid-write crashes at scripted offsets.
+//!
+//! # Durability of directory entries
+//!
+//! On a real file system a file's fsync makes its *bytes* durable, not
+//! the directory entry that names it. [`FsDir`] therefore fsyncs the
+//! directory whenever an entry appears or moves: after the rename in
+//! `replace`, and after each handle's first `append` to a file, whether
+//! or not the file was already there — a WAL created by an earlier
+//! process, or by an append that then failed, exists without its entry
+//! being durable. Once per file per open, so steady-state commits pay
+//! nothing (after that the WAL's entry only ever moves by `replace`).
+//! No test here can observe the difference: it only shows after a power
+//! cut, which neither [`MemDir`]'s crash model (it has no directory
+//! entries to lose) nor a killed process (the kernel keeps its cache)
+//! reproduces.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -81,6 +96,9 @@ pub trait Dir: Send {
 #[derive(Debug)]
 pub struct FsDir {
     root: PathBuf,
+    /// Files this handle has appended to and then fsynced the directory
+    /// for (module docs, "Durability of directory entries").
+    entry_synced: BTreeSet<String>,
 }
 
 impl FsDir {
@@ -92,11 +110,19 @@ impl FsDir {
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Self> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
-        Ok(FsDir { root })
+        Ok(FsDir { root, entry_synced: BTreeSet::new() })
     }
 
     fn path(&self, name: &str) -> PathBuf {
         self.root.join(name)
+    }
+
+    /// Makes a created or renamed directory entry durable (best effort:
+    /// not every platform lets a directory be fsynced through std).
+    fn sync_root(&self) {
+        if let Ok(dir) = std::fs::File::open(&self.root) {
+            let _ = dir.sync_all();
+        }
     }
 }
 
@@ -114,6 +140,11 @@ impl Dir for FsDir {
         let mut file =
             std::fs::OpenOptions::new().create(true).append(true).open(self.path(name))?;
         file.write_all(bytes)?;
+        if !self.entry_synced.contains(name) {
+            // `sync` reaches the file's bytes, not the entry naming it.
+            self.sync_root();
+            self.entry_synced.insert(name.to_owned());
+        }
         Ok(bytes.len())
     }
 
@@ -130,11 +161,7 @@ impl Dir for FsDir {
             file.sync_all()?;
         }
         std::fs::rename(&tmp, self.path(name))?;
-        // Make the rename itself durable (best effort: not every
-        // platform lets a directory be fsynced through std).
-        if let Ok(dir) = std::fs::File::open(&self.root) {
-            let _ = dir.sync_all();
-        }
+        self.sync_root();
         Ok(())
     }
 

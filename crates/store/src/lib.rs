@@ -38,9 +38,11 @@ pub mod store;
 
 pub use crate::io::{Dir, FaultDir, FaultSpec, FaultStats, FsDir, MemDir};
 pub use crate::log::{scan_log, LogScanReport};
+#[doc(hidden)]
+pub use crate::record::crc32_bitwise;
 pub use crate::record::{crc32, decode_frame, FrameError, StoreRecord, FRAME_LEN, FRAME_MAGIC};
-pub use crate::snapshot::{decode_snapshot, encode_snapshot, SnapshotError};
+pub use crate::snapshot::{decode_snapshot, encode_snapshot, snapshot_matches, SnapshotError};
 pub use crate::state::{IdentityEntry, RepState, StorePolicy};
 pub use crate::store::{
-    CommitReceipt, RecoveryReport, ReputationStore, StoreStats, SNAP_SLOTS, WAL_FILE,
+    CommitReceipt, RecoveryReport, ReputationStore, StoreStats, StoreTimings, SNAP_SLOTS, WAL_FILE,
 };

@@ -13,8 +13,15 @@
 //! │  u32  │   u32   │     u64     │  u64  │   29 B each   │  u32  │
 //! └───────┴─────────┴─────────────┴───────┴───────────────┴───────┘
 //! ```
+//!
+//! Entries are written in ascending identity order. Two readers share
+//! one validation of everything around the entries: [`decode_snapshot`]
+//! rebuilds the state (recovery), and [`snapshot_matches`] checks an
+//! image against a state the caller already holds without building
+//! anything (compaction's read-back). At 262 144 identities the image
+//! is 7.6 MB; checksumming it is most of what either costs.
 
-use std::collections::BTreeMap;
+use std::slice::ChunksExact;
 
 use crate::record::crc32;
 use crate::state::{IdentityEntry, RepState};
@@ -60,13 +67,12 @@ pub fn encode_snapshot(state: &RepState) -> Vec<u8> {
     out
 }
 
-/// Parses and validates a snapshot image.
-///
-/// # Errors
-///
-/// A [`SnapshotError`] naming the first violated invariant; the caller
-/// treats any error as "this slot is unusable" and falls back.
-pub fn decode_snapshot(bytes: &[u8]) -> Result<RepState, SnapshotError> {
+/// Validates everything about an image except what its entries say:
+/// length, trailing CRC, magic, version, and that the entry count
+/// accounts for exactly the bytes present (computed with checked
+/// arithmetic — the count is the image's own claim). Returns
+/// `applied_seq` and the raw entries, [`ENTRY_LEN`] bytes each.
+fn parse_image(bytes: &[u8]) -> Result<(u64, ChunksExact<'_, u8>), SnapshotError> {
     if bytes.len() < HEADER_LEN + 4 {
         return Err(SnapshotError::Truncated);
     }
@@ -81,26 +87,61 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<RepState, SnapshotError> {
         return Err(SnapshotError::BadHeader);
     }
     let applied_seq = u64::from_le_bytes(body[8..16].try_into().expect("8 bytes"));
-    let count = u64::from_le_bytes(body[16..24].try_into().expect("8 bytes")) as usize;
-    if body.len() != HEADER_LEN + count * ENTRY_LEN {
+    let count = u64::from_le_bytes(body[16..24].try_into().expect("8 bytes"));
+    let implied_len = usize::try_from(count)
+        .ok()
+        .and_then(|count| count.checked_mul(ENTRY_LEN))
+        .and_then(|entries| entries.checked_add(HEADER_LEN));
+    if implied_len != Some(body.len()) {
         return Err(SnapshotError::Truncated);
     }
-    let mut entries = BTreeMap::new();
-    for i in 0..count {
-        let at = HEADER_LEN + i * ENTRY_LEN;
-        let e = &body[at..at + ENTRY_LEN];
-        let identity = u64::from_le_bytes(e[0..8].try_into().expect("8 bytes"));
-        entries.insert(
-            identity,
-            IdentityEntry {
-                ok: u64::from_le_bytes(e[8..16].try_into().expect("8 bytes")),
-                failed: u64::from_le_bytes(e[16..24].try_into().expect("8 bytes")),
-                banned: e[24] != 0,
-                ban_suspicion_permille: u32::from_le_bytes(e[25..29].try_into().expect("4 bytes")),
-            },
-        );
-    }
-    Ok(RepState::from_parts(entries, applied_seq))
+    Ok((applied_seq, body[HEADER_LEN..].chunks_exact(ENTRY_LEN)))
+}
+
+fn parse_entry(e: &[u8]) -> (u64, IdentityEntry) {
+    (
+        u64::from_le_bytes(e[0..8].try_into().expect("8 bytes")),
+        IdentityEntry {
+            ok: u64::from_le_bytes(e[8..16].try_into().expect("8 bytes")),
+            failed: u64::from_le_bytes(e[16..24].try_into().expect("8 bytes")),
+            banned: e[24] != 0,
+            ban_suspicion_permille: u32::from_le_bytes(e[25..29].try_into().expect("4 bytes")),
+        },
+    )
+}
+
+/// Parses and validates a snapshot image.
+///
+/// The entries are collected into the map in one go: `BTreeMap`'s
+/// `FromIterator` stable-sorts them by identity — linear on the
+/// ascending run [`encode_snapshot`] writes — and builds the tree
+/// bottom-up, the last of any repeated identity winning, so an image in
+/// any order decodes to the state one insert per entry would give.
+///
+/// # Errors
+///
+/// A [`SnapshotError`] naming the first violated invariant; the caller
+/// treats any error as "this slot is unusable" and falls back.
+pub fn decode_snapshot(bytes: &[u8]) -> Result<RepState, SnapshotError> {
+    let (applied_seq, raw) = parse_image(bytes)?;
+    Ok(RepState::from_parts(raw.map(parse_entry).collect(), applied_seq))
+}
+
+/// Whether `bytes` is a valid image of exactly `state`: every check
+/// [`decode_snapshot`] makes, then `applied_seq`, the count and each
+/// entry compared in step with `state`'s own ascending iteration — one
+/// pass, nothing built. This is compaction's read-back verification.
+/// It accepts what decode-then-compare accepts, except an image whose
+/// identities are not strictly ascending (which could still decode to
+/// an equal map); [`encode_snapshot`] never writes one.
+#[must_use]
+pub fn snapshot_matches(bytes: &[u8], state: &RepState) -> bool {
+    let Ok((applied_seq, raw)) = parse_image(bytes) else {
+        return false;
+    };
+    applied_seq == state.applied_seq()
+        && raw.len() == state.len()
+        && raw.map(parse_entry).zip(state.iter()).all(|(image, (&id, &entry))| image == (id, entry))
 }
 
 #[cfg(test)]
@@ -130,6 +171,123 @@ mod tests {
         let state = RepState::new();
         let back = decode_snapshot(&encode_snapshot(&state)).expect("round trip");
         assert_eq!(back, state);
+    }
+
+    /// Recomputes the trailing CRC after a test edited the body.
+    fn reseal(image: &mut [u8]) {
+        let at = image.len() - 4;
+        let crc = crc32(&image[..at]);
+        image[at..].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// The image's `i`-th entry.
+    fn entry_range(i: usize) -> std::ops::Range<usize> {
+        HEADER_LEN + i * ENTRY_LEN..HEADER_LEN + (i + 1) * ENTRY_LEN
+    }
+
+    #[test]
+    fn overflowing_entry_count_fails_closed() {
+        // count * 29 wraps to 34, so with 34 bytes after the header the
+        // wrapped product even agrees with the image's length.
+        let count = u64::MAX / ENTRY_LEN as u64 + 2;
+        let mut image = Vec::new();
+        image.extend_from_slice(&SNAP_MAGIC.to_le_bytes());
+        image.extend_from_slice(&SNAP_VERSION.to_le_bytes());
+        image.extend_from_slice(&0u64.to_le_bytes());
+        image.extend_from_slice(&count.to_le_bytes());
+        image.extend_from_slice(&[0u8; 34 + 4]);
+        assert_eq!(count.wrapping_mul(ENTRY_LEN as u64), 34);
+        reseal(&mut image);
+        assert_eq!(decode_snapshot(&image), Err(SnapshotError::Truncated));
+        assert!(!snapshot_matches(&image, &RepState::new()));
+    }
+
+    #[test]
+    fn unsorted_and_duplicated_entries_decode_as_inserts_would() {
+        // Three entries out of order, the first identity repeated: the
+        // later copy wins, exactly as one insert per entry gives. std
+        // documents no winner among equal keys; this test pins it.
+        let mut a = RepState::new();
+        a.apply(&StoreRecord::Outcome { seq: 1, identity: 9, ok: 1, failed: 0 });
+        a.apply(&StoreRecord::Outcome { seq: 2, identity: 4, ok: 2, failed: 0 });
+        a.apply(&StoreRecord::Outcome { seq: 3, identity: 6, ok: 3, failed: 0 });
+        let mut image = encode_snapshot(&a); // 4, 6, 9
+        let (first, last) = (image[entry_range(0)].to_vec(), image[entry_range(2)].to_vec());
+        image[entry_range(0)].copy_from_slice(&last); // 9, 6, 9'
+        image[entry_range(2)].copy_from_slice(&first); // 9, 6, 4
+        image[entry_range(0)][8] = 77; // the early 9 says ok=77…
+        image[entry_range(1)][..8].copy_from_slice(&9u64.to_le_bytes()); // …the later 9 ok=3
+        reseal(&mut image);
+        let state = decode_snapshot(&image).expect("valid image");
+        assert_eq!(state.len(), 2);
+        assert_eq!(state.entry(9).expect("tracked").ok, 3);
+        assert_eq!(state.entry(4).expect("tracked").ok, 2);
+    }
+
+    #[test]
+    fn one_pass_verify_accepts_exactly_the_encoded_state() {
+        for state in [RepState::new(), sample_state()] {
+            assert!(snapshot_matches(&encode_snapshot(&state), &state));
+        }
+        let state = sample_state();
+        let image = encode_snapshot(&state);
+        for cut in 0..image.len() {
+            assert!(!snapshot_matches(&image[..cut], &state), "cut at {cut}");
+        }
+        for byte in 0..image.len() {
+            for bit in 0..8 {
+                let mut bent = image.clone();
+                bent[byte] ^= 1 << bit;
+                assert!(!snapshot_matches(&bent, &state), "flip at {byte}.{bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_verify_rejects_valid_images_of_another_state() {
+        let state = sample_state(); // identities 7 and 42
+        let image = encode_snapshot(&state);
+        let edited = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut image = image.clone();
+            edit(&mut image);
+            reseal(&mut image);
+            assert!(decode_snapshot(&image).is_ok(), "the edit must leave a valid image");
+            image
+        };
+
+        let wrong_seq = edited(&|image| image[8] ^= 1);
+        assert!(!snapshot_matches(&wrong_seq, &state));
+
+        // One field at a time: identity, ok, failed, banned, permille.
+        for offset in [0, 8, 16, 24, 25] {
+            let changed = edited(&|image| image[entry_range(1)][offset] ^= 1);
+            assert!(!snapshot_matches(&changed, &state), "field at {offset}");
+        }
+
+        // Same two entries, swapped: decodes to an equal map, but no
+        // encoder writes it, and the lockstep walk refuses it.
+        let swapped = edited(&|image| {
+            let first = image[entry_range(0)].to_vec();
+            image.copy_within(entry_range(1), HEADER_LEN);
+            image[entry_range(1)].copy_from_slice(&first);
+        });
+        assert_eq!(decode_snapshot(&swapped).expect("valid"), state);
+        assert!(!snapshot_matches(&swapped, &state));
+
+        // An entry written twice (count raised to match).
+        let duplicated = edited(&|image| {
+            let last = image[entry_range(1)].to_vec();
+            let at = image.len() - 4;
+            image.splice(at..at, last);
+            image[16..24].copy_from_slice(&3u64.to_le_bytes());
+        });
+        assert_eq!(decode_snapshot(&duplicated).expect("valid"), state);
+        assert!(!snapshot_matches(&duplicated, &state));
+
+        // And a state one record further on.
+        let mut later = state.clone();
+        later.apply(&StoreRecord::Outcome { seq: 4, identity: 42, ok: 1, failed: 0 });
+        assert!(!snapshot_matches(&image, &later));
     }
 
     #[test]

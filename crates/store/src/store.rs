@@ -15,17 +15,30 @@
 //! [`crate::state::RepState::apply`]).
 //!
 //! Compaction writes the folded state into one of two alternating
-//! snapshot slots, **reads it back and verifies it decodes to the same
-//! state**, and only then truncates the WAL. A torn snapshot therefore
-//! never costs data: the WAL still holds everything, and recovery falls
-//! back to the other slot or to full replay.
+//! snapshot slots, **reads it back and verifies it is a valid image of
+//! the same state**, and only then truncates the WAL. A torn snapshot
+//! therefore never costs data: the WAL still holds everything, and
+//! recovery falls back to the other slot or to full replay. The
+//! verification is one pass over the bytes read back
+//! ([`crate::snapshot::snapshot_matches`]): no second copy of the state
+//! is built to compare against.
+//!
+//! What a call costs is independent of how much is staged:
+//! `note_outcome` keeps, per identity the batch mentions, the entry that
+//! identity will have once the batch folds, so deciding a ban is one
+//! hash lookup however long the batch has grown; `commit` encodes the
+//! batch into one buffer. [`StoreTimings`] records where the wall-clock
+//! time went (commit, compaction, recovery) beside [`StoreStats`]'
+//! deterministic counts.
 
+use std::collections::HashMap;
 use std::io;
+use std::time::{Duration, Instant};
 
 use crate::io::Dir;
 use crate::log::scan_log;
 use crate::record::{StoreRecord, FRAME_LEN};
-use crate::snapshot::{decode_snapshot, encode_snapshot};
+use crate::snapshot::{decode_snapshot, encode_snapshot, snapshot_matches};
 use crate::state::{IdentityEntry, RepState, StorePolicy};
 use watchmen_telemetry::Registry;
 
@@ -94,16 +107,39 @@ pub struct StoreStats {
     pub lost_bytes: u64,
 }
 
+/// Wall-clock time the store spent in its three expensive operations.
+/// Kept apart from [`StoreStats`], which deterministic runs compare
+/// with `==`.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct StoreTimings {
+    /// Total time in successful non-empty commits (encode, append,
+    /// fsync, fold).
+    pub commit_total: Duration,
+    /// Total time in successful compactions (encode, replace, read
+    /// back, verify, truncate).
+    pub compaction_total: Duration,
+    /// The most recent successful compaction.
+    pub last_compaction: Duration,
+    /// How long [`ReputationStore::open`] took to recover.
+    pub recovery: Duration,
+}
+
 /// A durable, crash-safe reputation store over an abstract [`Dir`].
 pub struct ReputationStore {
     dir: Box<dyn Dir>,
     policy: StorePolicy,
     state: RepState,
     staged: Vec<StoreRecord>,
+    /// For each identity `staged` mentions, the entry it will have once
+    /// the batch folds: `state`'s counts plus the staged ones, banned
+    /// if either says so. Only ever looked up by key; kept in step by
+    /// [`Self::stage`], cleared when the batch folds into `state`.
+    prospective: HashMap<u64, IdentityEntry>,
     next_seq: u64,
     next_snap_slot: usize,
     wal_bytes: u64,
     stats: StoreStats,
+    timings: StoreTimings,
 }
 
 impl ReputationStore {
@@ -122,6 +158,7 @@ impl ReputationStore {
     /// Panics if `policy` is invalid (see [`StorePolicy::validate`]).
     pub fn open(mut dir: Box<dyn Dir>, policy: StorePolicy) -> io::Result<(Self, RecoveryReport)> {
         policy.validate();
+        let started = Instant::now();
         let mut report = RecoveryReport::default();
 
         // Pick the freshest snapshot slot that validates.
@@ -164,6 +201,7 @@ impl ReputationStore {
             policy,
             state,
             staged: Vec::new(),
+            prospective: HashMap::new(),
             next_seq,
             next_snap_slot,
             wal_bytes,
@@ -172,6 +210,7 @@ impl ReputationStore {
                 lost_bytes: scan.skipped_bytes + scan.torn_tail_bytes,
                 ..StoreStats::default()
             },
+            timings: StoreTimings::default(),
         };
 
         // Counts may satisfy the ban policy while the Ban record itself
@@ -187,6 +226,7 @@ impl ReputationStore {
             store.stage(StoreRecord::Ban { seq: 0, identity, suspicion_permille: permille });
             report.restaged_bans += 1;
         }
+        store.timings.recovery = started.elapsed();
         Ok((store, report))
     }
 
@@ -232,12 +272,27 @@ impl ReputationStore {
         self.stats
     }
 
+    /// Where the store's wall-clock time went.
+    #[must_use]
+    pub fn timings(&self) -> StoreTimings {
+        self.timings
+    }
+
     /// Stages one match's aggregated outcome for `identity` and, if the
     /// prospective cross-match counts now satisfy the ban policy (and
     /// no ban exists or is staged), stages the ban decision too.
     ///
     /// Nothing is durable until [`ReputationStore::commit`] succeeds.
     pub fn note_outcome(&mut self, identity: u64, ok: u32, failed: u32) {
+        let entry = self.stage(StoreRecord::Outcome { seq: 0, identity, ok, failed });
+        self.stage_ban_if_due(identity, &entry);
+    }
+
+    /// [`Self::note_outcome`] as it was before the `prospective` index:
+    /// the entry found by scanning the whole staged batch. The
+    /// differential test holds the indexed path to it.
+    #[cfg(test)]
+    fn note_outcome_by_scan(&mut self, identity: u64, ok: u32, failed: u32) {
         self.stage(StoreRecord::Outcome { seq: 0, identity, ok, failed });
         let mut entry = self.state.entry(identity).copied().unwrap_or_default();
         for r in &self.staged {
@@ -250,24 +305,39 @@ impl ReputationStore {
                 _ => {}
             }
         }
-        if !entry.banned && self.policy.should_ban(entry.ok, entry.failed) {
-            let permille = suspicion_permille(&entry);
+        self.stage_ban_if_due(identity, &entry);
+    }
+
+    fn stage_ban_if_due(&mut self, identity: u64, prospective: &IdentityEntry) {
+        if !prospective.banned && self.policy.should_ban(prospective.ok, prospective.failed) {
+            let permille = suspicion_permille(prospective);
             self.stage(StoreRecord::Ban { seq: 0, identity, suspicion_permille: permille });
         }
     }
 
-    fn stage(&mut self, record: StoreRecord) {
+    /// Stamps `record` with the next seq and stages it. Returns its
+    /// identity's prospective entry, this record included.
+    fn stage(&mut self, record: StoreRecord) -> IdentityEntry {
         let seq = self.next_seq;
         self.next_seq += 1;
+        let id = record.identity();
+        let entry = self
+            .prospective
+            .entry(id)
+            .or_insert_with(|| self.state.entry(id).copied().unwrap_or_default());
         let stamped = match record {
             StoreRecord::Outcome { identity, ok, failed, .. } => {
+                entry.ok += u64::from(ok);
+                entry.failed += u64::from(failed);
                 StoreRecord::Outcome { seq, identity, ok, failed }
             }
             StoreRecord::Ban { identity, suspicion_permille, .. } => {
+                entry.banned = true;
                 StoreRecord::Ban { seq, identity, suspicion_permille }
             }
         };
         self.staged.push(stamped);
+        *entry
     }
 
     /// Commits every staged record: append to the WAL, fsync, fold into
@@ -287,7 +357,11 @@ impl ReputationStore {
                 new_bans: Vec::new(),
             });
         }
-        let frames: Vec<u8> = self.staged.iter().flat_map(StoreRecord::encode_frame).collect();
+        let started = Instant::now();
+        let mut frames = Vec::with_capacity(self.staged.len() * FRAME_LEN);
+        for record in &self.staged {
+            record.encode_frame_into(&mut frames);
+        }
         let mut written = 0usize;
         let mut calls = 0u64;
         while written < frames.len() {
@@ -319,13 +393,16 @@ impl ReputationStore {
             }
             self.state.apply(&record);
         }
+        self.prospective.clear();
         self.stats.commits += 1;
         self.stats.records_committed += records;
+        self.timings.commit_total += started.elapsed();
         Ok(CommitReceipt { acked_seq: self.state.applied_seq(), records, new_bans })
     }
 
     /// Compacts: snapshot the committed state into the alternate slot,
-    /// read it back and verify it decodes to the identical state, then
+    /// read it back and verify it is a valid image of the identical
+    /// state ([`snapshot_matches`], one pass over the bytes), then
     /// truncate the WAL. On verification failure the WAL is left
     /// untouched — no data is at risk, the attempt just didn't pay off.
     ///
@@ -334,13 +411,10 @@ impl ReputationStore {
     /// Backend I/O errors, or `InvalidData` when the written snapshot
     /// fails read-back verification.
     pub fn compact(&mut self) -> io::Result<()> {
-        let image = encode_snapshot(&self.state);
+        let started = Instant::now();
         let slot = SNAP_SLOTS[self.next_snap_slot];
-        self.dir.replace(slot, &image)?;
-        let ok = match self.dir.read(slot)? {
-            Some(back) => decode_snapshot(&back).is_ok_and(|s| s == self.state),
-            None => false,
-        };
+        self.dir.replace(slot, &encode_snapshot(&self.state))?;
+        let ok = self.dir.read(slot)?.is_some_and(|back| snapshot_matches(&back, &self.state));
         if !ok {
             self.stats.snapshot_verify_failures += 1;
             return Err(io::Error::new(
@@ -352,6 +426,8 @@ impl ReputationStore {
         self.wal_bytes = 0;
         self.next_snap_slot = 1 - self.next_snap_slot;
         self.stats.compactions += 1;
+        self.timings.last_compaction = started.elapsed();
+        self.timings.compaction_total += self.timings.last_compaction;
         Ok(())
     }
 
@@ -371,9 +447,12 @@ impl ReputationStore {
         Ok(receipt)
     }
 
-    /// Publishes the store counters into a telemetry registry.
+    /// Publishes the store counters and timings into a telemetry
+    /// registry. Durations go out as whole-millisecond `_ms` gauges,
+    /// which the Prometheus exporter renames to `_seconds` and scales;
+    /// [`Self::timings`] has the exact values.
     pub fn publish_metrics(&self, registry: &Registry) {
-        let s = &self.stats;
+        let (s, t) = (&self.stats, &self.timings);
         let pairs: [(&str, u64); 8] = [
             ("store_commits_total", s.commits),
             ("store_records_committed_total", s.records_committed),
@@ -388,6 +467,15 @@ impl ReputationStore {
             let counter = registry.counter(name);
             counter.reset();
             counter.add(value);
+        }
+        let durations = [
+            ("store_commit_total_ms", t.commit_total),
+            ("store_compaction_total_ms", t.compaction_total),
+            ("store_last_compaction_ms", t.last_compaction),
+            ("store_recovery_ms", t.recovery),
+        ];
+        for (name, d) in durations {
+            registry.gauge(name).set(i64::try_from(d.as_millis()).unwrap_or(i64::MAX));
         }
     }
 }
@@ -556,5 +644,122 @@ mod tests {
         store.publish_metrics(&registry);
         assert_eq!(registry.counter("store_commits_total").get(), 1);
         assert_eq!(registry.counter("store_records_committed_total").get(), 1);
+    }
+
+    #[test]
+    fn timings_cover_commit_compaction_and_recovery() {
+        let (dir, mut store) = mem_store();
+        assert_eq!(store.timings().commit_total, Duration::ZERO);
+        store.commit().expect("empty commit");
+        assert_eq!(store.timings().commit_total, Duration::ZERO, "nothing to time");
+        store.note_outcome(1, 9, 1);
+        store.commit_and_maybe_compact(1).expect("commit");
+        let t = store.timings();
+        assert!(t.commit_total > Duration::ZERO);
+        assert!(t.last_compaction > Duration::ZERO);
+        assert_eq!(t.compaction_total, t.last_compaction, "one compaction so far");
+        let (back, _) = reopen(&dir);
+        assert!(back.timings().recovery > Duration::ZERO);
+
+        // The exported totals are whole milliseconds: work until both
+        // have a few (each round grows the state the next one compacts).
+        let enough = Duration::from_millis(3);
+        let mut identity = 2;
+        while store.timings().commit_total < enough || store.timings().compaction_total < enough {
+            for _ in 0..256 {
+                store.note_outcome(identity, 9, 1);
+                identity += 1;
+            }
+            store.commit_and_maybe_compact(1).expect("commit");
+        }
+        let registry = Registry::new();
+        store.publish_metrics(&registry);
+        assert!(registry.gauge("store_commit_total_ms").get() >= 3);
+        assert!(registry.gauge("store_compaction_total_ms").get() >= 3);
+        let text = watchmen_telemetry::export::prometheus_text(&registry.snapshot());
+        for name in ["store_commit_total_seconds", "store_compaction_total_seconds"] {
+            let sample = text.lines().find_map(|l| l.strip_prefix(&format!("{name} ")));
+            let seconds: f64 = sample.expect(name).parse().expect("a number");
+            assert!((0.003..60.0).contains(&seconds), "{name} = {seconds}");
+        }
+        for name in ["store_last_compaction_seconds", "store_recovery_seconds"] {
+            assert!(text.contains(&format!("# TYPE {name} gauge")), "{name} missing from:\n{text}");
+        }
+    }
+
+    /// Drives the indexed `note_outcome` and the staged scan it replaced
+    /// through the same script — a sliding window of 32 identities so
+    /// batches are full of repeats, batch sizes from 1 to 700, short
+    /// writes and failed fsyncs that leave batches staged across
+    /// commits, and a reopen that loses a ban to a torn tail — and
+    /// requires them to be indistinguishable throughout.
+    #[test]
+    fn indexed_staging_is_indistinguishable_from_the_staged_scan() {
+        use watchmen_crypto::rng::SplitMix64;
+        const CALLS: u64 = 16_000;
+        let spec = FaultSpec {
+            seed: 17,
+            short_permille: 100,
+            fsync_fail_permille: 150,
+            ..FaultSpec::default()
+        };
+        let open = |media: &MemDir| {
+            let dir = FaultDir::new(media.clone(), spec);
+            ReputationStore::open(Box::new(dir), StorePolicy::default()).expect("open")
+        };
+        let wal_of =
+            |media: &MemDir| media.clone().read(WAL_FILE).expect("read").unwrap_or_default();
+        let (media_a, media_b) = (MemDir::new(), MemDir::new());
+        let (mut indexed, mut scanned) = (open(&media_a).0, open(&media_b).0);
+        let mut rng = SplitMix64::new(2013);
+        let (mut calls, mut failed_commits, mut bans, mut restaged) = (0u64, 0u64, 0usize, 0u64);
+        let mut reopened = false;
+        while calls < CALLS {
+            let batch = [1, 3, 16, 64, 256, 700][(rng.next_u64() % 6) as usize];
+            for _ in 0..batch {
+                let identity = calls / 400 * 8 + rng.next_u64() % 32;
+                let failed =
+                    (rng.next_u64() % if identity.is_multiple_of(4) { 8 } else { 2 }) as u32;
+                indexed.note_outcome(identity, 10 - failed, failed);
+                scanned.note_outcome_by_scan(identity, 10 - failed, failed);
+                calls += 1;
+            }
+            assert_eq!(indexed.staged, scanned.staged, "after {calls} calls");
+            match (indexed.commit(), scanned.commit()) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a, b, "receipts after {calls} calls");
+                    bans += a.new_bans.len();
+                }
+                (Err(_), Err(_)) => failed_commits += 1,
+                (a, b) => panic!("commits disagree after {calls} calls: {a:?} vs {b:?}"),
+            }
+            assert_eq!(indexed.staged, scanned.staged, "what a commit leaves staged");
+            assert_eq!(indexed.state().digest(), scanned.state().digest());
+            assert_eq!(wal_of(&media_a), wal_of(&media_b));
+
+            if !reopened && calls >= CALLS / 2 {
+                reopened = true;
+                // Tear both logs just before their last ban frame (every
+                // frame in them is whole), so recovery re-stages it.
+                let wal = wal_of(&media_a);
+                let (records, _) = scan_log(&wal);
+                let last_ban = records
+                    .iter()
+                    .rposition(|r| matches!(r, StoreRecord::Ban { .. }))
+                    .expect("a ban was logged");
+                for media in [&media_a, &media_b] {
+                    media.clone().replace(WAL_FILE, &wal[..last_ban * FRAME_LEN]).expect("tear");
+                }
+                let (a, report_a) = open(&media_a);
+                let (b, report_b) = open(&media_b);
+                assert_eq!(report_a, report_b);
+                restaged = report_a.restaged_bans;
+                (indexed, scanned) = (a, b);
+                assert_eq!(indexed.staged, scanned.staged, "re-staged at open");
+            }
+        }
+        assert!(failed_commits >= 5, "only {failed_commits} commits failed");
+        assert!(bans >= 50, "only {bans} bans");
+        assert!(restaged >= 1, "the torn ban was not re-staged");
     }
 }

@@ -62,12 +62,13 @@ fn main() {
     println!("{}", result.summary_line());
     println!(
         "population soak: {} matches ({} aborted) in {elapsed:.2}s over {} rounds, \
-         store: {} commits / {} compactions / {} B WAL",
+         store: {} commits / {} compactions ({:.2} ms mean) / {} B WAL",
         result.matches_run,
         result.matches_aborted,
         result.rounds,
         result.store_commits,
         result.store_compactions,
+        result.store_compaction_ms_mean,
         result.store_wal_bytes,
     );
 
