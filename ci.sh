@@ -137,6 +137,13 @@ wait "$FLEET_PID"
 trap - EXIT
 tail -n 4 "$FLEET_OUT"
 
+# The live transport frames into reused buffers and counts through cached
+# handles: run the net tests optimised too, so the frame fuzz, the socket
+# classification and the counter-delta tests check the code the ledger's
+# live16 and the cluster below run.
+echo "==> net unit + frame-fuzz + counter tests (release)"
+cargo test --release -q -p watchmen-net
+
 echo "==> live cluster smoke (6 OS processes over loopback UDP, scripted speed-hacker)"
 cargo run --release --example live_cluster | tail -n 1
 

@@ -1,7 +1,7 @@
 //! Microbenchmarks of the architecture's hot kernels: signature
 //! sign/verify, subscription-set computation, proxy schedule evaluation,
-//! the verification suite, and the durable store's checksum, snapshot
-//! and staging paths.
+//! the verification suite, the durable store's checksum, snapshot and
+//! staging paths, and the live transport beside the raw sockets under it.
 //!
 //! Each kernel is timed into a [`watchmen_telemetry::Histogram`], so the
 //! reported p50/p99 come from the same quantile machinery the runtime
@@ -9,6 +9,8 @@
 
 use std::cell::RefCell;
 use std::hint::black_box;
+use std::io::ErrorKind;
+use std::net::UdpSocket;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -20,6 +22,8 @@ use watchmen_core::WatchmenConfig;
 use watchmen_crypto::schnorr::{Keypair, VerifyingKey};
 use watchmen_crypto::{sha256, sha256_compress, sha256_compress_scalar};
 use watchmen_game::PlayerId;
+use watchmen_net::live::{LiveConfig, LiveTransport};
+use watchmen_net::udp::HEADER_LEN;
 use watchmen_sim::workload::standard_workload;
 use watchmen_store::{
     crc32, crc32_bitwise, decode_snapshot, encode_snapshot, snapshot_matches, MemDir, RepState,
@@ -173,6 +177,117 @@ fn bench_note_outcome(registry: &Registry, name: &'static str, batch: u64) -> St
     )
 }
 
+/// Sockets in the loopback ring, as many as `live16` has players.
+const RING: usize = 16;
+/// Payloads each socket sends its ring successor per round.
+const PER_ROUND: usize = 4;
+/// A signed state update is ~100 bytes on the wire.
+const RING_PAYLOAD: usize = 100;
+/// The two ring kernels take turns in this many blocks of rounds each.
+const RING_BLOCKS: u32 = 50;
+
+/// The live transport beside the raw sockets under it: µs per datagram
+/// sent and received over a ring of `RING` loopback sockets, each sending
+/// its successor `PER_ROUND` datagrams a round.
+fn bench_udp_ring(registry: &Registry, lines: &mut Vec<String>) {
+    // What the kernel charges: drain what the predecessor sent, send the
+    // successor datagrams of a framed payload's size. Nothing is parsed,
+    // counted or allocated.
+    let sockets: Vec<UdpSocket> = (0..RING)
+        .map(|_| {
+            let socket = UdpSocket::bind("127.0.0.1:0").expect("bind loopback");
+            socket.set_nonblocking(true).expect("nonblocking");
+            socket
+        })
+        .collect();
+    let raw_addrs: Vec<_> = sockets.iter().map(|s| s.local_addr().expect("bound")).collect();
+    let datagram = [0x5au8; HEADER_LEN + RING_PAYLOAD];
+    let mut buf = [0u8; 2048];
+    let mut raw_round = || {
+        for (i, socket) in sockets.iter().enumerate() {
+            loop {
+                match socket.recv_from(&mut buf) {
+                    Ok(received) => {
+                        black_box(received);
+                    }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) => panic!("loopback receive: {e}"),
+                }
+            }
+            for _ in 0..PER_ROUND {
+                let to = raw_addrs[(i + 1) % RING];
+                socket.send_to(black_box(&datagram), to).expect("loopback send");
+            }
+        }
+    };
+
+    // The same ring through `LiveTransport`: pump (drain, flush), then
+    // queue the next payloads. Received payload buffers are queued again,
+    // so the allocations timed are the transport's own. No cadence
+    // heartbeats: every datagram moved is one of the counted.
+    let config = LiveConfig { heartbeat_every: 0, ..LiveConfig::default() };
+    let mut transports: Vec<LiveTransport> = (0..RING)
+        .map(|i| LiveTransport::bind(i as u32, "127.0.0.1:0").expect("bind loopback"))
+        .map(|t| t.with_config(config))
+        .collect();
+    let addrs: Vec<_> = transports.iter().map(|t| t.local_addr().expect("bound")).collect();
+    for (i, t) in transports.iter_mut().enumerate() {
+        let next = (i + 1) % RING;
+        t.register_peer(next as u32, addrs[next]);
+    }
+    // A round's worth sits queued and another in socket buffers.
+    let mut stock = vec![vec![0x5au8; RING_PAYLOAD]; 3 * RING * PER_ROUND];
+    let mut live_round = || {
+        for (i, t) in transports.iter_mut().enumerate() {
+            stock.extend(t.pump().expect("loopback pump").into_iter().map(|(_, payload)| payload));
+            for _ in 0..PER_ROUND {
+                t.queue(((i + 1) % RING) as u32, stock.pop().expect("a payload per datagram"));
+            }
+        }
+    };
+
+    // Alternate short blocks of the two kernels and compare each live block
+    // with the raw block beside it: the host's speed drifts by ±15 % over a
+    // run, under both rows alike, and the median ratio sheds the spikes.
+    let rounds = (iterations() / RING_BLOCKS).max(1);
+    let block_mean = |hist: &Histogram, seen: &mut (f64, u64)| {
+        let mean = (hist.sum() - seen.0) / (hist.count() - seen.1) as f64;
+        *seen = (hist.sum(), hist.count());
+        mean
+    };
+    let (mut raw_seen, mut live_seen) = ((0.0, 0), (0.0, 0));
+    let mut over_raw = Vec::new();
+    let mut hists = None;
+    for _ in 0..RING_BLOCKS {
+        let raw = time_kernel(registry, "udp_loopback_raw", rounds, &mut raw_round, || {});
+        let live = time_kernel(registry, "live_transport", rounds, &mut live_round, || {});
+        let (raw_us, live_us) =
+            (block_mean(&raw, &mut raw_seen), block_mean(&live, &mut live_seen));
+        over_raw.push((live_us / raw_us - 1.0) * 100.0);
+        hists = Some((raw, live));
+    }
+    let (raw, live) = hists.expect("at least one block");
+    over_raw.sort_by(f64::total_cmp);
+    let lost = transports.iter().map(|t| t.stats()).any(|s| {
+        s.queue_dropped + s.unroutable_dropped + s.malformed + s.truncated + s.heartbeats_sent > 0
+    });
+    assert!(!lost, "the ring dropped, rejected or added traffic");
+
+    let datagrams = (RING * PER_ROUND) as f64;
+    let row = |name: &str, hist: &Histogram, note: String| {
+        format!(
+            "{name:<28} p50 {:>9.2}us  p99 {:>9.2}us  per datagram sent and received{note}  \
+             ({} rounds of {datagrams})",
+            hist.quantile(0.5) / datagrams,
+            hist.quantile(0.99) / datagrams,
+            hist.count(),
+        )
+    };
+    lines.push(row("udp_loopback_raw", &raw, String::new()));
+    let median = over_raw[over_raw.len() / 2];
+    lines.push(row("live_transport", &live, format!(", {median:+.1} % over raw")));
+}
+
 fn main() {
     run_experiment(
         "micro_kernels",
@@ -231,6 +346,10 @@ fn main() {
             {
                 lines.push(bench_note_outcome(&registry, name, batch));
             }
+
+            // The live transport's whole overhead is the gap between
+            // these two rows.
+            bench_udp_ring(&registry, &mut lines);
 
             let w = standard_workload(48, 7, 10);
             let states = &w.trace.frames[9].states;

@@ -639,8 +639,8 @@ impl WatchmenNode {
     }
 
     /// Replaces the flight recorder with a fresh ring of `capacity`
-    /// events. The default [`DEFAULT_CAPACITY`]-event ring costs a few
-    /// hundred kilobytes per node — the right trade for a handful of
+    /// events. The default [`DEFAULT_CAPACITY`]-event ring costs tens of
+    /// kilobytes per node — the right trade for a handful of
     /// nodes under a debugging microscope, but prohibitive when a fleet
     /// orchestrator keeps thousands of nodes alive at once. Call this
     /// immediately after construction, before any frame runs: handles

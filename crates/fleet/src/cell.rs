@@ -37,8 +37,8 @@ use watchmen_sim::workload::match_workload;
 
 use crate::pool::{Quantum, ShardContext, Task};
 
-/// Flight recorders are trimmed for population scale: the default 4096
-/// events/node costs ~megabytes per match at 16 players; 128 still holds
+/// Flight recorders are trimmed for population scale: the default 1024
+/// events/node costs over a megabyte per match at 16 players; 128 still holds
 /// several proxy epochs of context around a violation.
 const RECORDER_CAPACITY: usize = 128;
 

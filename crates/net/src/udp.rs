@@ -12,14 +12,26 @@
 //! — each with its own telemetry counter, so a receive loop can keep
 //! draining through garbage and an operator can tell wire corruption from
 //! oversized datagrams at a glance.
+//!
+//! The per-datagram path is held to what the kernel charges: the five
+//! `udp_*` counters are resolved on the global registry once, at
+//! [`UdpEndpoint::bind`], and bumped through the held handles; a send
+//! frames into a buffer the endpoint reuses; a receive lands in one
+//! per-endpoint buffer and is parsed in place, so the only allocation per
+//! datagram is the payload `Vec` handed to the caller. [`encode_frame`]
+//! and [`parse_frame`] stay as the allocating public reference of the same
+//! layout (`tests/frame_fuzz.rs` pins it; a unit test here holds the endpoint
+//! to it byte for byte). The reused buffers sit behind `RefCell`s,
+//! so an endpoint is `Send` but not `Sync`: one thread drives it.
 
+use std::cell::RefCell;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use watchmen_telemetry::trace::{EventKind, Phase, TraceEvent, TraceId, NO_SUBJECT};
-use watchmen_telemetry::FlightRecorder;
+use watchmen_telemetry::{Counter, FlightRecorder};
 
 use crate::wire::{GetBytes, PutBytes};
 
@@ -38,6 +50,10 @@ const RECV_BUF: usize = HEADER_LEN + MAX_PAYLOAD + 1;
 
 /// Magic bytes marking a Watchmen frame.
 const MAGIC: u16 = 0x574d; // "WM"
+
+/// Counter names shared by [`parse_frame`] and the endpoint's cached handles.
+const FRAMES_RECEIVED: &str = "udp_frames_received_total";
+const FRAMES_MALFORMED: &str = "udp_frames_malformed_total";
 
 /// The typed outcome of one receive attempt: exactly one of accepted,
 /// malformed, truncated, or nothing pending. Drain loops match on this
@@ -91,6 +107,36 @@ pub struct UdpEndpoint {
     socket: UdpSocket,
     /// Optional flight recorder for per-frame send/receive events.
     recorder: Option<Arc<FlightRecorder>>,
+    counters: Counters,
+    /// The outgoing frame is assembled here; it grows to the largest frame
+    /// sent and keeps that capacity.
+    send_buf: RefCell<Vec<u8>>,
+    /// Every datagram is received into, and parsed out of, this buffer.
+    recv_buf: RefCell<Box<[u8; RECV_BUF]>>,
+}
+
+/// Handles to the `udp_*` counters on the global registry, looked up once
+/// per endpoint instead of once per datagram.
+#[derive(Debug)]
+struct Counters {
+    frames_sent: Arc<Counter>,
+    bytes_sent: Arc<Counter>,
+    frames_received: Arc<Counter>,
+    frames_malformed: Arc<Counter>,
+    frames_truncated: Arc<Counter>,
+}
+
+impl Counters {
+    fn resolve() -> Self {
+        let telemetry = watchmen_telemetry::global();
+        Counters {
+            frames_sent: telemetry.counter("udp_frames_sent_total"),
+            bytes_sent: telemetry.counter("udp_bytes_sent_total"),
+            frames_received: telemetry.counter(FRAMES_RECEIVED),
+            frames_malformed: telemetry.counter(FRAMES_MALFORMED),
+            frames_truncated: telemetry.counter("udp_frames_truncated_total"),
+        }
+    }
 }
 
 impl UdpEndpoint {
@@ -103,7 +149,14 @@ impl UdpEndpoint {
     pub fn bind(node_id: u32, addr: &str) -> io::Result<Self> {
         let socket = UdpSocket::bind(addr)?;
         socket.set_nonblocking(true)?;
-        Ok(UdpEndpoint { node_id, socket, recorder: None })
+        Ok(UdpEndpoint {
+            node_id,
+            socket,
+            recorder: None,
+            counters: Counters::resolve(),
+            send_buf: RefCell::new(Vec::new()),
+            recv_buf: RefCell::new(Box::new([0u8; RECV_BUF])),
+        })
     }
 
     /// Attaches a flight recorder: every frame sent or received is
@@ -156,11 +209,12 @@ impl UdpEndpoint {
                 format!("payload {} exceeds {MAX_PAYLOAD}", payload.len()),
             ));
         }
-        let frame = encode_frame(self.node_id, payload);
+        let mut frame = self.send_buf.borrow_mut();
+        frame.clear();
+        write_frame(&mut frame, self.node_id, payload);
         self.socket.send_to(&frame, dest)?;
-        let telemetry = watchmen_telemetry::global();
-        telemetry.counter("udp_frames_sent_total").inc();
-        telemetry.counter("udp_bytes_sent_total").add(frame.len() as u64);
+        self.counters.frames_sent.inc();
+        self.counters.bytes_sent.add(frame.len() as u64);
         self.record_frame_event(EventKind::Send, NO_SUBJECT, payload.len() as i64);
         Ok(())
     }
@@ -174,27 +228,31 @@ impl UdpEndpoint {
     ///
     /// Propagates socket errors other than `WouldBlock`/`TimedOut`.
     pub fn poll_recv(&self) -> io::Result<Recv> {
-        let mut buf = [0u8; RECV_BUF];
-        match self.socket.recv_from(&mut buf) {
+        let mut buf = self.recv_buf.borrow_mut();
+        match self.socket.recv_from(&mut buf[..]) {
             Ok((len, from)) => {
                 if len == RECV_BUF {
                     // The kernel filled the whole buffer: the datagram was
                     // at least one byte longer than any legal frame and
                     // its tail is gone. Distinct from malformed — this is
                     // an MTU/attacker signal, not wire corruption.
-                    watchmen_telemetry::global().counter("udp_frames_truncated_total").inc();
+                    self.counters.frames_truncated.inc();
                     Ok(Recv::Truncated { from })
                 } else {
-                    match parse_frame(&buf[..len]) {
+                    match split_frame(&buf[..len]) {
                         Some((sender, payload)) => {
+                            self.counters.frames_received.inc();
                             self.record_frame_event(
                                 EventKind::Deliver,
                                 sender,
                                 payload.len() as i64,
                             );
-                            Ok(Recv::Frame { sender, from, payload })
+                            Ok(Recv::Frame { sender, from, payload: payload.to_vec() })
                         }
-                        None => Ok(Recv::Malformed { from }),
+                        None => {
+                            self.counters.frames_malformed.inc();
+                            Ok(Recv::Malformed { from })
+                        }
                     }
                 }
             }
@@ -272,30 +330,45 @@ impl UdpEndpoint {
 #[must_use]
 pub fn encode_frame(node_id: u32, payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+    write_frame(&mut frame, node_id, payload);
+    frame
+}
+
+/// Appends one frame to `frame`: the layout, written once for
+/// [`encode_frame`] and [`UdpEndpoint::send_to`].
+fn write_frame(frame: &mut Vec<u8>, node_id: u32, payload: &[u8]) {
     frame.put_u16(MAGIC);
     frame.put_u32(node_id);
     frame.put_u16(payload.len() as u16);
     frame.put_slice(payload);
-    frame
 }
 
 /// Parses a frame, returning the sender id and payload, or `None` if
 /// malformed. Never panics, whatever the input bytes.
 #[must_use]
-pub fn parse_frame(mut data: &[u8]) -> Option<(u32, Vec<u8>)> {
+pub fn parse_frame(data: &[u8]) -> Option<(u32, Vec<u8>)> {
     let telemetry = watchmen_telemetry::global();
+    match split_frame(data) {
+        Some((id, payload)) => {
+            telemetry.counter(FRAMES_RECEIVED).inc();
+            Some((id, payload.to_vec()))
+        }
+        None => {
+            telemetry.counter(FRAMES_MALFORMED).inc();
+            None
+        }
+    }
+}
+
+/// The framing check itself, borrowing the payload out of `data`: what
+/// [`parse_frame`] and [`UdpEndpoint::poll_recv`] both classify with.
+fn split_frame(mut data: &[u8]) -> Option<(u32, &[u8])> {
     if data.len() < HEADER_LEN || data.get_u16() != MAGIC {
-        telemetry.counter("udp_frames_malformed_total").inc();
         return None;
     }
     let id = data.get_u32();
     let len = data.get_u16() as usize;
-    if data.len() != len {
-        telemetry.counter("udp_frames_malformed_total").inc();
-        return None;
-    }
-    telemetry.counter("udp_frames_received_total").inc();
-    Some((id, data.to_vec()))
+    (data.len() == len).then_some((id, data))
 }
 
 #[cfg(test)]
@@ -459,5 +532,24 @@ mod tests {
             b.recv_timeout(Duration::from_secs(2)).unwrap().expect("max-size frame");
         assert_eq!(id, 11);
         assert_eq!(payload.len(), MAX_PAYLOAD);
+    }
+
+    /// What `send_to` puts on the wire is `encode_frame`'s output, byte for
+    /// byte, whatever the reused buffer held before: a raw socket is the
+    /// witness.
+    #[test]
+    fn send_to_puts_encode_frame_bytes_on_the_wire() {
+        let a = UdpEndpoint::bind(0x0a0b_0c0d, "127.0.0.1:0").unwrap();
+        let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let dest = raw.local_addr().unwrap();
+        let mut buf = [0u8; RECV_BUF + 64];
+        // Long, short, long again: a stale tail must never leak.
+        for len in [MAX_PAYLOAD, 0, 97, 1, MAX_PAYLOAD, 97] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 + len) as u8).collect();
+            a.send_to(dest, &payload).unwrap();
+            let (got, _) = raw.recv_from(&mut buf).unwrap();
+            assert_eq!(&buf[..got], &encode_frame(0x0a0b_0c0d, &payload)[..], "payload len {len}");
+        }
     }
 }

@@ -16,8 +16,10 @@ use std::time::Instant;
 
 use crate::trace::{now_us, EventKind, Phase, TraceEvent, TraceId, NO_SUBJECT};
 
-/// Default ring capacity: enough for several proxy epochs of a busy node.
-pub const DEFAULT_CAPACITY: usize = 4096;
+/// Default ring capacity: 72 KiB of events, more than a proxy epoch of a
+/// busy node. Dumps keep only the offending trace and player, so a deeper
+/// ring buys little — and a mid-game joiner is built with this default.
+pub const DEFAULT_CAPACITY: usize = 1024;
 
 /// Ring state behind the mutex.
 #[derive(Debug)]

@@ -25,15 +25,19 @@
 //! malformed or truncated:
 //!
 //! ```text
-//! live summary: players=6 frames=240 cheater=2 severe=38 false_verdicts=0 \
-//!   detected=1 completed=6 heartbeats=66 malformed=0 truncated=0
+//! live summary: players=6 frames=240 cheater=2 severe=120 false_verdicts=0 \
+//!   detected=1 completed=6 heartbeats=459 malformed=0 truncated=0
 //! ```
+//!
+//! The `match wall clock:` line before it carries the mean wall time of
+//! one `LiveTransport::pump` across the children.
 //!
 //! Rendezvous protocol (stdin/stdout lines, parent ↔ child):
 //! child prints `ADDR <socketaddr>`; parent gathers all addresses and
 //! writes `PEERS <addr0> <addr1> …`; child heartbeats until it has heard
 //! every peer, prints `UP`; parent writes `GO` to everyone at once; the
-//! match runs; child prints `RESULT k=v …` and exits.
+//! match runs; child prints `RESULT k=v …` (counters and its mean
+//! `pump_ns`) and exits.
 //!
 //! Every rendezvous step runs against a deadline: a child that crashes
 //! (or wedges) fails the run immediately with a per-node diagnostic —
@@ -274,6 +278,7 @@ fn run_parent(knobs: &Knobs) {
     let (mut severe, mut false_verdicts, mut heartbeats) = (0u64, 0u64, 0u64);
     let (mut malformed, mut truncated, mut queue_dropped) = (0u64, 0u64, 0u64);
     let mut completed = 0usize;
+    let mut pump_ns = 0u64;
     for (i, node) in children.iter_mut().enumerate() {
         let line = match node.next_line(i, "RESULT", deadline) {
             Ok(line) => line,
@@ -304,14 +309,17 @@ fn run_parent(knobs: &Knobs) {
         malformed += get("malformed");
         truncated += get("truncated");
         queue_dropped += get("qdrop");
+        pump_ns += get("pump_ns");
         completed += 1;
     }
 
     let detected = severe > 0;
     println!(
-        "match wall clock: {:.2}s across {} processes (queue_dropped={queue_dropped})",
+        "match wall clock: {:.2}s across {} processes (queue_dropped={queue_dropped}, \
+         mean pump {:.1} us)",
         started.elapsed().as_secs_f64(),
-        knobs.players
+        knobs.players,
+        pump_ns as f64 / 1e3 / completed.max(1) as f64
     );
     println!(
         "live summary: players={} frames={} cheater={} severe={severe} \
@@ -458,11 +466,14 @@ fn run_node(index: usize, knobs: Knobs) {
     }
 
     let stats = transport.stats();
+    let timings = transport.timings();
+    let pump_ns =
+        (timings.drain_total + timings.flush_total).as_nanos() / u128::from(timings.pumps.max(1));
     let mut out = stdout.lock();
     writeln!(
         out,
         "RESULT node={index} severe={severe} false={false_verdicts} frames={total} \
-         heartbeats={} malformed={} truncated={} qdrop={} unroutable={}",
+         heartbeats={} malformed={} truncated={} qdrop={} unroutable={} pump_ns={pump_ns}",
         stats.heartbeats_received,
         stats.malformed,
         stats.truncated,
