@@ -152,11 +152,16 @@ WATCHMEN_CAMPAIGN="runs=3,seed=2013,workers=2" \
 WATCHMEN_BENCH_OUT="$BENCH_DIR" \
     cargo run --release --example campaign_run
 
-# The store's checksum is table-driven and its formats are pinned by golden
-# bytes: run its tests optimised too, so the CRC agreement test checks the
-# code the benchmark and the drivers below run.
-echo "==> store unit + golden-bytes + recovery tests (release)"
+# The store's checksum has two kernels and its formats are pinned by golden
+# bytes: run its tests optimised too, so the CRC agreement tests and the
+# columns-vs-map differential check the code the benchmark and the drivers
+# below run. Then hold the docs to their claim: `unsafe` is said in exactly
+# the two modules that call a `#[target_feature]` kernel after detection.
+echo "==> store unit + golden-bytes + recovery tests (release), unsafe audit"
 cargo test --release -q -p watchmen-store
+unsafe_in=$(grep -rlE 'unsafe[[:space:]]*(\{|fn|impl)' crates src examples tests | sort | tr '\n' ' ' || true)
+[ "$unsafe_in" = "crates/crypto/src/sha256/sha_ni.rs crates/store/src/record/clmul.rs " ] ||
+    { echo "unsafe outside the two audited modules: $unsafe_in" >&2; exit 1; }
 
 echo "==> store crash loop (8 kill/abort cycles against the durable reputation store)"
 WATCHMEN_STORE_DIR=/tmp/watchmen-crashloop-store \

@@ -26,8 +26,8 @@ use watchmen_net::live::{LiveConfig, LiveTransport};
 use watchmen_net::udp::HEADER_LEN;
 use watchmen_sim::workload::standard_workload;
 use watchmen_store::{
-    crc32, crc32_bitwise, decode_snapshot, encode_snapshot, snapshot_matches, MemDir, RepState,
-    ReputationStore, StorePolicy, StoreRecord,
+    crc32, crc32_bitwise, crc32_table, decode_snapshot, encode_snapshot, snapshot_matches, MemDir,
+    RepState, ReputationStore, StorePolicy, StoreRecord,
 };
 use watchmen_telemetry::trace::{EventKind, Phase, TraceEvent, TraceId};
 use watchmen_telemetry::{FlightRecorder, Histogram, Registry};
@@ -112,15 +112,63 @@ fn spread_identity(i: u64) -> u64 {
     (i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
-/// The store's whole-image kernels at the ledger's `store256k` size.
-/// One call is milliseconds, so they get a hundredth of the iterations.
+/// The store's checksum over a snapshot-sized buffer: slicing-by-8
+/// beside whatever `crc32` dispatches to — carry-less-multiply folding
+/// where the CPU has it, the same tables (and the same figure) where it
+/// does not. Both rows read as microseconds per KiB.
+fn bench_crc32(registry: &Registry, lines: &mut Vec<String>) {
+    const KIB: usize = 1024;
+    let buffer: Vec<u8> = (0..KIB * 1024).map(|i| (i * 31) as u8).collect();
+    let iters = (iterations() / 10).max(2);
+    let mut row = |name: &'static str, kernel: fn(&[u8]) -> u32| {
+        let body = || {
+            black_box(kernel(black_box(&buffer)));
+        };
+        let hist = time_kernel(registry, name, iters, body, || {});
+        lines.push(format!(
+            "{name:<28} p50 {:>9.4}us  p99 {:>9.4}us  per KiB of a 1 MiB buffer  ({} iters)",
+            hist.quantile(0.5) / KIB as f64,
+            hist.quantile(0.99) / KIB as f64,
+            hist.count(),
+        ));
+    };
+    row("crc32_table", crc32_table);
+    row("crc32", crc32);
+}
+
+/// The store's whole-image kernels and its point lookup at the ledger's
+/// `store256k` size. One image call is milliseconds, so those get a
+/// hundredth of the iterations.
 fn bench_snapshot_kernels(registry: &Registry, lines: &mut Vec<String>) {
     const IDENTITIES: u64 = 262_144;
+    const LOOKUPS: u64 = 4096;
     let mut state = RepState::new();
     for i in 0..IDENTITIES {
         let identity = spread_identity(i);
         state.apply(&StoreRecord::Outcome { seq: i + 1, identity, ok: 30, failed: 1 });
     }
+    // A stride coprime to the table size visits identities in no order
+    // the columns or the cache could follow.
+    let mut next = 0u64;
+    let hist = time_kernel(
+        registry,
+        "rep_state_entry",
+        iterations(),
+        || {
+            for _ in 0..LOOKUPS {
+                next = (next + 104_729) % IDENTITIES;
+                black_box(state.entry(black_box(spread_identity(next))));
+            }
+        },
+        || {},
+    );
+    lines.push(format!(
+        "{:<28} p50 {:>9.1}ns  p99 {:>9.1}ns  per lookup at {IDENTITIES} identities  ({} x {LOOKUPS})",
+        "rep_state_entry",
+        hist.quantile(0.5) * 1e3 / LOOKUPS as f64,
+        hist.quantile(0.99) * 1e3 / LOOKUPS as f64,
+        hist.count(),
+    ));
     let image = encode_snapshot(&state);
     let iters = (iterations() / 100).max(2);
     let mut row = |name: &'static str, body: &mut dyn FnMut()| {
@@ -330,16 +378,14 @@ fn main() {
             }));
             lines.push(bench_compress(&registry, "sha256_compress_dispatched", sha256_compress));
 
-            // The store's checksum: the table-driven routine every frame
-            // and snapshot pays, beside the bit-at-a-time definition it
-            // is tested against. 1 KiB, so microseconds read as us/KB.
+            // The store's checksum: the bit-at-a-time definition on
+            // 1 KiB (so microseconds read as us/KiB), then the two
+            // kernels it is the reference for.
             let kb = [0x5au8; 1024];
-            lines.push(bench_kernel(&registry, "crc32_sliced_1KB", || {
-                black_box(crc32(black_box(&kb)));
-            }));
             lines.push(bench_kernel(&registry, "crc32_bitwise_1KB", || {
                 black_box(crc32_bitwise(black_box(&kb)));
             }));
+            bench_crc32(&registry, &mut lines);
             bench_snapshot_kernels(&registry, &mut lines);
             for (name, batch) in
                 [("note_outcome_b16", 16), ("note_outcome_b256", 256), ("note_outcome_b4096", 4096)]

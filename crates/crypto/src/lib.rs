@@ -40,11 +40,14 @@
 //! about four times as fast; everywhere else, and as the reference the
 //! other is tested against, portable Rust fully unrolled over a rolling
 //! 16-word schedule. The CPU is asked once per process and nothing else
-//! selects: no feature, no flag. That hardware path is the
-//! workspace's only `unsafe` — one call of a `#[target_feature]` function,
-//! in the private `sha256::sha_ni` module, straight after the detection
-//! that makes it sound — so this crate is `deny(unsafe_code)` with that
-//! module allowed, and every other crate stays `forbid`.
+//! selects: no feature, no flag. That hardware path is one of the
+//! workspace's two uses of `unsafe` — one call of a `#[target_feature]`
+//! function, in the private `sha256::sha_ni` module, straight after the
+//! detection that makes it sound — so this crate is `deny(unsafe_code)`
+//! with that module allowed. The other is the same shape one crate over:
+//! `watchmen_store`'s carry-less-multiply CRC-32 (`record::clmul`), which
+//! lives there because the checksum is part of the store's file format.
+//! Every other crate stays `forbid`.
 //!
 //! # Security disclaimer
 //!

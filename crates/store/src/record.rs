@@ -16,6 +16,23 @@
 //! the state has already applied is a no-op), a kind tag, the 64-bit
 //! cross-match identity (a player's public key scalar), and two
 //! kind-specific words.
+//!
+//! [`crc32`] has two kernels and one answer. Slicing-by-8 over tables
+//! built at compile time ([`crc32_table`]) runs everywhere. On `x86_64`
+//! the private `clmul` module folds 64 bytes a step with the CPU's
+//! carry-less multiply, roughly ten times as fast; `crc32` asks the CPU
+//! once per process whether it has the instruction
+//! (`is_x86_feature_detected!`) and uses that kernel for inputs of 64
+//! bytes and more — snapshot images, in practice: a compaction checksums
+//! the whole image twice, recovery once. The 25-byte frame payloads, the
+//! last few bytes of a long input and every other CPU stay on the
+//! tables, which are also the reference the kernel is tested against,
+//! next to the bit-at-a-time definition ([`crc32_bitwise`]). Nothing
+//! selects between the kernels but the CPU and the input's length.
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod clmul;
 
 /// Frame magic: `WREP` little-endian ("Watchmen REPutation").
 pub const FRAME_MAGIC: u32 = 0x5052_4557;
@@ -219,21 +236,39 @@ static CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// CRC-32 (IEEE 802.3 / zlib polynomial, reflected) by slicing-by-8:
-/// eight bytes per step through eight 256-entry tables evaluated at
-/// compile time (table `k` holds each byte's contribution after `k`
-/// further bytes have shifted through the register), the tail bytewise
-/// through the first. Every frame and snapshot checksum is the `u32`
-/// the bit-at-a-time definition computes — the formats did not move
-/// when this replaced it — at about a quarter of the cost, which
-/// matters because a compaction checksums the whole snapshot image
-/// twice. That definition stays in the crate (`crc32_bitwise`): the
-/// tables are derived from its inner step, and the tests hold this
-/// function to it on every length and alignment.
+/// CRC-32 (IEEE 802.3 / zlib polynomial, reflected) on the fastest
+/// kernel this CPU has for this length: carry-less-multiply folding over
+/// the largest multiple of 16 bytes of an input of 64 bytes or more,
+/// where the CPU has it, and the tables ([`crc32_table`]) for the rest
+/// and for everything else. Every frame and snapshot checksum is the
+/// `u32` the bit-at-a-time definition computes — the formats never moved
+/// when a kernel was added — and the tests hold both kernels to it on
+/// every length and alignment.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if let Some((folded, tail)) = clmul::try_fold(!0, bytes) {
+        return !table_update(folded, tail);
+    }
+    crc32_table(bytes)
+}
+
+/// [`crc32`] by slicing-by-8 alone, whatever the CPU: the only kernel
+/// off `x86_64` or without `pclmulqdq`, and the reference the folding
+/// kernel is tested against. Public only for `micro_kernels`, which
+/// times it beside [`crc32`].
+#[doc(hidden)]
+#[must_use]
+pub fn crc32_table(bytes: &[u8]) -> u32 {
+    !table_update(!0, bytes)
+}
+
+/// Advances the raw register `crc` over `bytes`: eight bytes per step
+/// through eight 256-entry tables evaluated at compile time (table `k`
+/// holds each byte's contribution after `k` further bytes have shifted
+/// through the register), the tail bytewise through the first.
+fn table_update(mut crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc: u32 = !0;
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
         let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
@@ -250,7 +285,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
-    !crc
+    crc
 }
 
 /// [`crc32`] one bit at a time, straight from the polynomial: the
@@ -277,17 +312,39 @@ mod tests {
         assert_eq!(crc32(b"hello"), 0x3610_A686);
     }
 
+    /// Every kernel this build and CPU have, by name. `crc32` is the
+    /// folding kernel wherever it is available and the tables elsewhere,
+    /// so the table path is held to the definition on every host.
+    const KERNELS: [(&str, Kernel); 2] = [("dispatched", crc32), ("tables", crc32_table)];
+    type Kernel = fn(&[u8]) -> u32;
+
     #[test]
-    fn sliced_crc32_agrees_with_bitwise_on_every_length_and_alignment() {
-        for vector in [&b""[..], b"123456789", b"hello"] {
-            assert_eq!(crc32_bitwise(vector), crc32(vector));
-        }
+    fn every_kernel_agrees_with_bitwise_on_every_length_and_alignment() {
         let mut rng = watchmen_crypto::rng::SplitMix64::new(0x0c2c_3217);
-        let data: Vec<u8> = (0..608 + 8).map(|_| rng.next_u64() as u8).collect();
-        for start in 0..8 {
-            for len in 0..=600 {
-                let slice = &data[start..start + len];
-                assert_eq!(crc32(slice), crc32_bitwise(slice), "start {start} len {len}");
+        let data: Vec<u8> = (0..600 + 16).map(|_| rng.next_u64() as u8).collect();
+        for (name, kernel) in KERNELS {
+            for vector in [&b""[..], b"123456789", b"hello"] {
+                assert_eq!(kernel(vector), crc32_bitwise(vector), "{name}");
+            }
+            for start in 0..16 {
+                for len in 0..=600 {
+                    let slice = &data[start..start + len];
+                    assert_eq!(kernel(slice), crc32_bitwise(slice), "{name} at {start} len {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_kernel_agrees_with_bitwise_on_long_buffers() {
+        // Around the four-lane loop's block size, a page, and a
+        // snapshot-sized image that ends mid-block.
+        let mut rng = watchmen_crypto::rng::SplitMix64::new(0x636c_6d75);
+        let data: Vec<u8> = (0..(1 << 20) + 7).map(|_| rng.next_u64() as u8).collect();
+        for len in [1023, 1024, 1025, 4096, data.len()] {
+            let expected = crc32_bitwise(&data[..len]);
+            for (name, kernel) in KERNELS {
+                assert_eq!(kernel(&data[..len]), expected, "{name} len {len}");
             }
         }
     }

@@ -14,12 +14,15 @@
 //! └───────┴─────────┴─────────────┴───────┴───────────────┴───────┘
 //! ```
 //!
-//! Entries are written in ascending identity order. Two readers share
-//! one validation of everything around the entries: [`decode_snapshot`]
-//! rebuilds the state (recovery), and [`snapshot_matches`] checks an
-//! image against a state the caller already holds without building
-//! anything (compaction's read-back). At 262 144 identities the image
-//! is 7.6 MB; checksumming it is most of what either costs.
+//! Entries are written in ascending identity order, which is the order
+//! [`RepState`] keeps them in, so a decode pushes them straight into its
+//! columns. Three readers share one validation of everything around the
+//! entries: [`decode_snapshot`] rebuilds the state, [`CheckedImage`]
+//! validates now and rebuilds later — recovery checks both slots but
+//! builds a state only from the fresher valid one — and
+//! [`snapshot_matches`] checks an image against a state the caller
+//! already holds without building anything (compaction's read-back). At
+//! 262 144 identities the image is 7.6 MB.
 
 use std::slice::ChunksExact;
 
@@ -55,13 +58,17 @@ pub fn encode_snapshot(state: &RepState) -> Vec<u8> {
     out.extend_from_slice(&SNAP_VERSION.to_le_bytes());
     out.extend_from_slice(&state.applied_seq().to_le_bytes());
     out.extend_from_slice(&(state.len() as u64).to_le_bytes());
-    for (id, e) in state.iter() {
-        out.extend_from_slice(&id.to_le_bytes());
-        out.extend_from_slice(&e.ok.to_le_bytes());
-        out.extend_from_slice(&e.failed.to_le_bytes());
-        out.push(u8::from(e.banned));
-        out.extend_from_slice(&e.ban_suspicion_permille.to_le_bytes());
-    }
+    // Internal iteration: the state's iterator is a chain of slice runs,
+    // which `for_each` walks as plain loops.
+    state.iter().for_each(|(id, e)| {
+        let mut entry = [0u8; ENTRY_LEN];
+        entry[0..8].copy_from_slice(&id.to_le_bytes());
+        entry[8..16].copy_from_slice(&e.ok.to_le_bytes());
+        entry[16..24].copy_from_slice(&e.failed.to_le_bytes());
+        entry[24] = u8::from(e.banned);
+        entry[25..29].copy_from_slice(&e.ban_suspicion_permille.to_le_bytes());
+        out.extend_from_slice(&entry);
+    });
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
@@ -110,13 +117,20 @@ fn parse_entry(e: &[u8]) -> (u64, IdentityEntry) {
     )
 }
 
-/// Parses and validates a snapshot image.
+/// Builds the state a validated image describes.
 ///
-/// The entries are collected into the map in one go: `BTreeMap`'s
-/// `FromIterator` stable-sorts them by identity — linear on the
-/// ascending run [`encode_snapshot`] writes — and builds the tree
-/// bottom-up, the last of any repeated identity winning, so an image in
-/// any order decodes to the state one insert per entry would give.
+/// The strictly ascending run [`encode_snapshot`] writes goes straight
+/// into the state's columns. Anything else is collected into a map
+/// first: `BTreeMap`'s `FromIterator` stable-sorts by identity and
+/// builds bottom-up, the last of any repeated identity winning, so an
+/// image in any order decodes to the state one insert per entry would
+/// give.
+fn build_state(applied_seq: u64, raw: ChunksExact<'_, u8>) -> RepState {
+    RepState::from_ascending(raw.clone().map(parse_entry), applied_seq)
+        .unwrap_or_else(|| RepState::from_parts(raw.map(parse_entry).collect(), applied_seq))
+}
+
+/// Parses and validates a snapshot image.
 ///
 /// # Errors
 ///
@@ -124,7 +138,36 @@ fn parse_entry(e: &[u8]) -> (u64, IdentityEntry) {
 /// treats any error as "this slot is unusable" and falls back.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<RepState, SnapshotError> {
     let (applied_seq, raw) = parse_image(bytes)?;
-    Ok(RepState::from_parts(raw.map(parse_entry).collect(), applied_seq))
+    Ok(build_state(applied_seq, raw))
+}
+
+/// An image that has passed every check [`decode_snapshot`] makes, and
+/// its bytes: what recovery holds while it looks at the other slot, so
+/// that only the image it keeps is ever built into a state.
+pub(crate) struct CheckedImage {
+    bytes: Vec<u8>,
+    applied_seq: u64,
+}
+
+impl CheckedImage {
+    /// Validates `bytes` as [`decode_snapshot`] would.
+    pub(crate) fn check(bytes: Vec<u8>) -> Result<Self, SnapshotError> {
+        let (applied_seq, _) = parse_image(&bytes)?;
+        Ok(CheckedImage { bytes, applied_seq })
+    }
+
+    /// The image's replay cursor.
+    pub(crate) fn applied_seq(&self) -> u64 {
+        self.applied_seq
+    }
+
+    /// The state [`decode_snapshot`] returns for these bytes.
+    pub(crate) fn decode(self) -> RepState {
+        // `check` established that exactly the entries lie between the
+        // header and the trailing CRC.
+        let entries = &self.bytes[HEADER_LEN..self.bytes.len() - 4];
+        build_state(self.applied_seq, entries.chunks_exact(ENTRY_LEN))
+    }
 }
 
 /// Whether `bytes` is a valid image of exactly `state`: every check
@@ -136,12 +179,15 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<RepState, SnapshotError> {
 /// an equal map); [`encode_snapshot`] never writes one.
 #[must_use]
 pub fn snapshot_matches(bytes: &[u8], state: &RepState) -> bool {
-    let Ok((applied_seq, raw)) = parse_image(bytes) else {
+    let Ok((applied_seq, mut raw)) = parse_image(bytes) else {
         return false;
     };
+    // The state's iterator drives (it walks its slice runs as plain
+    // loops under `all`); the lengths were compared first, so the image
+    // runs out exactly when the state does.
     applied_seq == state.applied_seq()
         && raw.len() == state.len()
-        && raw.map(parse_entry).zip(state.iter()).all(|(image, (&id, &entry))| image == (id, entry))
+        && state.iter().all(|(&id, &entry)| raw.next().map(parse_entry) == Some((id, entry)))
 }
 
 #[cfg(test)]

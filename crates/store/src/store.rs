@@ -21,15 +21,17 @@
 //! recovery falls back to the other slot or to full replay. The
 //! verification is one pass over the bytes read back
 //! ([`crate::snapshot::snapshot_matches`]): no second copy of the state
-//! is built to compare against.
+//! is built to compare against. Recovery is as sparing: it validates
+//! both slots but builds a state only from the fresher valid one, and
+//! holds at most one image besides the one it is keeping.
 //!
 //! What a call costs is independent of how much is staged:
 //! `note_outcome` keeps, per identity the batch mentions, the entry that
 //! identity will have once the batch folds, so deciding a ban is one
 //! hash lookup however long the batch has grown; `commit` encodes the
 //! batch into one buffer. [`StoreTimings`] records where the wall-clock
-//! time went (commit, compaction, recovery) beside [`StoreStats`]'
-//! deterministic counts.
+//! time went (commit and the fsync inside it, compaction, recovery)
+//! beside [`StoreStats`]' deterministic counts.
 
 use std::collections::HashMap;
 use std::io;
@@ -38,7 +40,7 @@ use std::time::{Duration, Instant};
 use crate::io::Dir;
 use crate::log::scan_log;
 use crate::record::{StoreRecord, FRAME_LEN};
-use crate::snapshot::{decode_snapshot, encode_snapshot, snapshot_matches};
+use crate::snapshot::{encode_snapshot, snapshot_matches, CheckedImage};
 use crate::state::{IdentityEntry, RepState, StorePolicy};
 use watchmen_telemetry::Registry;
 
@@ -115,6 +117,9 @@ pub struct StoreTimings {
     /// Total time in successful non-empty commits (encode, append,
     /// fsync, fold).
     pub commit_total: Duration,
+    /// The part of `commit_total` spent inside the backend's `sync`: what
+    /// durability itself costs, which on real files is most of a commit.
+    pub fsync_total: Duration,
     /// Total time in successful compactions (encode, replace, read
     /// back, verify, truncate).
     pub compaction_total: Duration,
@@ -161,20 +166,26 @@ impl ReputationStore {
         let started = Instant::now();
         let mut report = RecoveryReport::default();
 
-        // Pick the freshest snapshot slot that validates.
-        let mut state = RepState::new();
-        let mut loaded_slot = None;
+        // Pick the freshest snapshot slot that validates. Each image is
+        // read, checked and kept or dropped before the next is read, and
+        // only the one kept is built into a state.
+        let mut freshest: Option<(usize, CheckedImage)> = None;
         for (slot, name) in SNAP_SLOTS.iter().enumerate() {
             let Some(bytes) = dir.read(name)? else { continue };
-            match decode_snapshot(&bytes) {
-                Ok(snap) if loaded_slot.is_none() || snap.applied_seq() > state.applied_seq() => {
-                    state = snap;
-                    loaded_slot = Some(slot);
+            match CheckedImage::check(bytes) {
+                Ok(image) => {
+                    if freshest.as_ref().is_none_or(|(_, f)| image.applied_seq() > f.applied_seq())
+                    {
+                        freshest = Some((slot, image));
+                    }
                 }
-                Ok(_) => {}
                 Err(_) => report.snapshot_slots_invalid += 1,
             }
         }
+        let (loaded_slot, mut state) = match freshest {
+            Some((slot, image)) => (Some(slot), image.decode()),
+            None => (None, RepState::new()),
+        };
         report.snapshot_loaded = loaded_slot.is_some();
 
         // Replay the WAL over the snapshot.
@@ -379,10 +390,12 @@ impl ReputationStore {
             }
         }
         self.stats.short_write_retries += calls.saturating_sub(1);
+        let syncing = Instant::now();
         if let Err(e) = self.dir.sync(WAL_FILE) {
             self.stats.commit_failures += 1;
             return Err(e);
         }
+        let synced = syncing.elapsed();
 
         // Durable: fold, collect bans, acknowledge.
         let mut new_bans = Vec::new();
@@ -397,6 +410,7 @@ impl ReputationStore {
         self.stats.commits += 1;
         self.stats.records_committed += records;
         self.timings.commit_total += started.elapsed();
+        self.timings.fsync_total += synced;
         Ok(CommitReceipt { acked_seq: self.state.applied_seq(), records, new_bans })
     }
 
@@ -413,6 +427,8 @@ impl ReputationStore {
     pub fn compact(&mut self) -> io::Result<()> {
         let started = Instant::now();
         let slot = SNAP_SLOTS[self.next_snap_slot];
+        // The encoded image is a temporary of this statement: it is gone
+        // before the read-back allocates its copy.
         self.dir.replace(slot, &encode_snapshot(&self.state))?;
         let ok = self.dir.read(slot)?.is_some_and(|back| snapshot_matches(&back, &self.state));
         if !ok {
@@ -470,6 +486,7 @@ impl ReputationStore {
         }
         let durations = [
             ("store_commit_total_ms", t.commit_total),
+            ("store_fsync_total_ms", t.fsync_total),
             ("store_compaction_total_ms", t.compaction_total),
             ("store_last_compaction_ms", t.last_compaction),
             ("store_recovery_ms", t.recovery),
@@ -586,6 +603,49 @@ mod tests {
     }
 
     #[test]
+    fn recovery_keeps_the_fresher_valid_slot_whatever_the_other_holds() {
+        let (dir, mut store) = mem_store();
+        store.note_outcome(1, 10, 0);
+        store.commit().expect("commit");
+        store.compact().expect("compact into slot a");
+        store.note_outcome(2, 10, 0);
+        store.commit().expect("commit");
+        store.compact().expect("compact into slot b");
+        store.note_outcome(3, 10, 0);
+        store.commit().expect("commit: one record in the log");
+        let read = |name| dir.clone().read(name).expect("read").expect("exists");
+        let (older, fresher) = (read(SNAP_SLOTS[0]), read(SNAP_SLOTS[1]));
+        let flipped = |image: &[u8]| {
+            let mut bent = image.to_vec();
+            bent[image.len() / 2] ^= 0x10;
+            bent
+        };
+
+        // Both valid: the fresher one, and the log on top of it.
+        let (back, report) = reopen(&dir);
+        let expected =
+            RecoveryReport { snapshot_loaded: true, wal_records: 1, ..RecoveryReport::default() };
+        assert_eq!(report, expected);
+        assert_eq!(back.state(), store.state());
+
+        // The older one corrupt: counted, and nothing else changes.
+        dir.clone().replace(SNAP_SLOTS[0], &flipped(&older)).expect("corrupt");
+        let (back, report) = reopen(&dir);
+        assert_eq!(report, RecoveryReport { snapshot_slots_invalid: 1, ..expected });
+        assert_eq!(back.state(), store.state());
+        assert_eq!(back.state().digest(), store.state().digest());
+
+        // Both corrupt: nothing to load, so the state is the log alone.
+        dir.clone().replace(SNAP_SLOTS[1], &flipped(&fresher)).expect("corrupt");
+        let (back, report) = reopen(&dir);
+        assert!(!report.snapshot_loaded);
+        assert_eq!((report.snapshot_slots_invalid, report.wal_records), (2, 1));
+        assert_eq!(back.state().len(), 1);
+        assert_eq!(back.state().entry(3).expect("replayed").ok, 10);
+        assert_eq!(back.state().applied_seq(), store.state().applied_seq());
+    }
+
+    #[test]
     fn failed_fsync_keeps_batch_staged_and_retry_converges() {
         // Fail every fsync until the spec is swapped out.
         let spec = FaultSpec { fsync_fail_permille: 1000, ..FaultSpec::default() };
@@ -682,7 +742,11 @@ mod tests {
             let seconds: f64 = sample.expect(name).parse().expect("a number");
             assert!((0.003..60.0).contains(&seconds), "{name} = {seconds}");
         }
-        for name in ["store_last_compaction_seconds", "store_recovery_seconds"] {
+        let t = store.timings();
+        assert!(t.fsync_total <= t.commit_total, "the sync is part of the commit: {t:?}");
+        for name in
+            ["store_fsync_total_seconds", "store_last_compaction_seconds", "store_recovery_seconds"]
+        {
             assert!(text.contains(&format!("# TYPE {name} gauge")), "{name} missing from:\n{text}");
         }
     }
