@@ -12,11 +12,12 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use watchmen_core::lobby::GameLobby;
-use watchmen_core::node::{ChurnStats, ControlPlaneStats, NodeEvent, WatchmenNode};
+use watchmen_core::node::{ChurnStats, ControlPlaneStats, NodeEvent, Outgoing, WatchmenNode};
 use watchmen_core::proxy::ProxySchedule;
 use watchmen_core::sans_io::{secured_cores, CoreOutput, ProtocolCore};
 use watchmen_core::WatchmenConfig;
 use watchmen_crypto::schnorr::{Keypair, PublicKey};
+use watchmen_crypto::Sha256;
 use watchmen_game::trace::GameTrace;
 use watchmen_game::{GameConfig, PlayerId};
 use watchmen_net::fault::{FaultPlan, GilbertElliott};
@@ -68,6 +69,34 @@ fn note_severe(severe: &mut Vec<String>, frame: u64, observer: usize, output: &C
     }
 }
 
+/// SHA-256 over every datagram a soak put on the wire — `(frame, slot,
+/// to, bytes)` — and the `Debug` of every event, in `Cluster::step`
+/// order: one value that moves if any wire byte or event does.
+struct WireDigest(Sha256);
+
+impl WireDigest {
+    fn new() -> Self {
+        WireDigest(Sha256::new())
+    }
+
+    fn fold(&mut self, frame: u64, slot: usize, datagrams: &[Outgoing], events: &[NodeEvent]) {
+        for o in datagrams {
+            self.0.update(&frame.to_le_bytes());
+            self.0.update(&(slot as u64).to_le_bytes());
+            self.0.update(&o.to.0.to_le_bytes());
+            self.0.update(&(o.bytes.len() as u64).to_le_bytes());
+            self.0.update(&o.bytes);
+        }
+        for e in events {
+            self.0.update(format!("{e:?}\n").as_bytes());
+        }
+    }
+
+    fn finish(self) -> [u8; 32] {
+        self.0.finalize()
+    }
+}
+
 /// One figure of an outcome: its label on the summary line, its value,
 /// and whether it passes the gate.
 type Figure = (&'static str, u64, bool);
@@ -114,6 +143,8 @@ pub struct ControlPlaneOutcome {
     pub pending_handoffs: u64,
     /// The network's counters at the end of the run.
     pub net: NetStats,
+    /// SHA-256 of every datagram and event of the run (see `WireDigest`).
+    pub wire_digest: [u8; 32],
 }
 
 impl ControlPlaneOutcome {
@@ -177,6 +208,7 @@ pub fn control_plane_soak(plan: FaultPlan) -> (Cluster, ControlPlaneOutcome) {
 
     let mut severe = Vec::new();
     let mut handoffs_received = 0u64;
+    let mut digest = WireDigest::new();
     for f in 0..FRAMES {
         // A crashed node does not tick at all; on recovery its own gap
         // detection resets its liveness view and suppresses the
@@ -190,6 +222,7 @@ pub fn control_plane_soak(plan: FaultPlan) -> (Cluster, ControlPlaneOutcome) {
                     "frame {f}: node {i} addressed a datagram to itself"
                 );
                 note_severe(&mut severe, f, i, output);
+                digest.fold(f, i, &output.datagrams, &output.events);
                 handoffs_received += output
                     .events
                     .iter()
@@ -210,7 +243,14 @@ pub fn control_plane_soak(plan: FaultPlan) -> (Cluster, ControlPlaneOutcome) {
         control.abandoned += stats.abandoned;
         pending_handoffs += core.node().pending_handoffs() as u64;
     }
-    let outcome = ControlPlaneOutcome { severe, handoffs_received, control, pending_handoffs, net };
+    let outcome = ControlPlaneOutcome {
+        severe,
+        handoffs_received,
+        control,
+        pending_handoffs,
+        net,
+        wire_digest: digest.finish(),
+    };
     (cluster, outcome)
 }
 
@@ -260,6 +300,9 @@ pub struct ChurnOutcome {
     pub admit_frames: BTreeMap<usize, u64>,
     /// Joiner slot → the frame its first bootstrap arrived.
     pub bootstrap_frames: BTreeMap<usize, u64>,
+    /// SHA-256 of every datagram and event of the run, leave
+    /// announcements included (see `WireDigest`).
+    pub wire_digest: [u8; 32],
 }
 
 impl ChurnOutcome {
@@ -369,6 +412,7 @@ pub fn churn_soak() -> (Cluster, ChurnOutcome) {
     let mut admit_frames: BTreeMap<usize, u64> = BTreeMap::new();
     let mut roster_divergence = None;
     let mut boundaries = 0u64;
+    let mut digest = WireDigest::new();
 
     for f in 0..CHURN_FRAMES {
         if let Some(j) = JOIN_FRAMES.iter().position(|&at| at == f) {
@@ -393,6 +437,7 @@ pub fn churn_soak() -> (Cluster, ChurnOutcome) {
             if f == announce {
                 lobby.leave(PlayerId(leaver as u32), f);
                 let out = cluster.cores[leaver].as_mut().expect("leaver exists").announce_leave(f);
+                digest.fold(f, leaver, &out.datagrams, &out.events);
                 cluster.send(leaver, out.datagrams);
             }
         }
@@ -402,6 +447,7 @@ pub fn churn_soak() -> (Cluster, ChurnOutcome) {
             |i| trace.frames[f as usize].states[i],
             |i, output| {
                 note_severe(&mut severe, f, i, output);
+                digest.fold(f, i, &output.datagrams, &output.events);
                 for e in &output.events {
                     match e {
                         NodeEvent::BadSignature { claimed_from } => {
@@ -453,6 +499,7 @@ pub fn churn_soak() -> (Cluster, ChurnOutcome) {
         bad_signatures,
         admit_frames,
         bootstrap_frames,
+        wire_digest: digest.finish(),
     };
     (cluster, outcome)
 }
@@ -470,5 +517,26 @@ mod tests {
         let plan = FaultPlan::from_spec("loss=0.39,dup=0.2", 0).expect("spec parses");
         let (_, outcome) = control_plane_soak(plan);
         assert!(outcome.net.dropped > 0 && outcome.control.retransmits > 0, "{outcome}");
+    }
+
+    fn hex(digest: [u8; 32]) -> String {
+        digest.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Both soaks, byte for byte: every datagram and event of the default
+    /// fault plan and of the churn script, against digests captured before
+    /// the node was split into components. Never regenerate these: a
+    /// mismatch means a wire byte, an event or their order moved.
+    #[test]
+    fn soaks_match_the_capture() {
+        let (_, control) = control_plane_soak(default_fault_plan());
+        let (_, churn) = churn_soak();
+        assert_eq!(
+            [hex(control.wire_digest), hex(churn.wire_digest)],
+            [
+                "47d736921e80fb1f26ec0158e01c88bffbb4de237d16fcddfb493cbf1149a1d2",
+                "5711574d0bbbc779bdd5685cfb76e9e0b286b424f9bd21d97d0a7cac96c20b9e",
+            ]
+        );
     }
 }
