@@ -30,9 +30,6 @@ pub struct WatchmenConfig {
     /// Updates older than this many frames count as lost (150 ms latency
     /// tolerance at 50 ms frames = 3 frames).
     pub loss_age_frames: u64,
-    /// How many predecessor summaries a handoff embeds ("follow up on two
-    /// previous proxies").
-    pub handoff_depth: usize,
     /// Frames an unacked control message (subscription or handoff) waits
     /// before its first retransmission; later attempts back off
     /// exponentially from this base.
@@ -99,7 +96,6 @@ impl Default for WatchmenConfig {
             others_period: 20,
             subscription_retention: 40,
             loss_age_frames: 3,
-            handoff_depth: 2,
             retransmit_timeout_frames: 8,
             retransmit_backoff_cap_frames: 64,
             retransmit_max_attempts: 12,

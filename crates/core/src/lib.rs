@@ -11,8 +11,8 @@
 //!    updates every frame), a *vision set* (occlusion-aware spherical cone;
 //!    1 Hz dead-reckoning guidance) and *others* (1 Hz position-only
 //!    updates).
-//! 2. **Proxy-based indirect communication** ([`proxy`], [`handoff`],
-//!    [`msg`]) — every frame each player has a single designated proxy
+//! 2. **Proxy-based indirect communication** ([`proxy`], [`msg`],
+//!    [`node`]) — every frame each player has a single designated proxy
 //!    derived from a shared seeded PRNG, verifiable by every node without
 //!    communication, renewed every few seconds with a two-generation
 //!    handoff; all traffic flows player → proxy → subscribers, and
@@ -45,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aim_analysis;
 pub mod attention;
 pub mod audit;
 pub mod cheat;
@@ -53,7 +52,6 @@ pub mod collusion;
 mod config;
 pub mod dead_reckoning;
 pub mod delta;
-pub mod handoff;
 pub mod lobby;
 pub mod membership;
 pub mod msg;

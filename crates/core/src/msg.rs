@@ -63,6 +63,20 @@ impl From<&PlayerFrame> for StateUpdate {
     }
 }
 
+impl From<&StateUpdate> for PlayerFrame {
+    fn from(s: &StateUpdate) -> Self {
+        PlayerFrame {
+            position: s.position,
+            velocity: s.velocity,
+            aim: s.aim,
+            health: s.health,
+            armor: s.armor,
+            weapon: s.weapon,
+            ammo: s.ammo,
+        }
+    }
+}
+
 /// The infrequent position-only update sent to *others*: "partial state
 /// updates containing only the position of the avatars, sufficient to
 /// determine the subscription type".
@@ -87,10 +101,10 @@ pub struct KillClaim {
     pub victim_position: Vec3,
 }
 
-/// A wire-level handoff notice: the fixed-size companion of
-/// [`crate::handoff::HandoffSummary`] — the recursive chain is replaced by
-/// the predecessor digest, which the successor can verify against the
-/// summary body it received in the predecessor's own handoff.
+/// A proxy's summary of one epoch of duty, handed to the next epoch's
+/// proxy. Fixed-size: instead of embedding the chain of earlier summaries,
+/// it carries the predecessor's digest, which the successor can verify
+/// against the notice it received in the predecessor's own handoff.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HandoffNotice {
     /// The supervised player whose duty transfers.
@@ -938,6 +952,13 @@ mod tests {
         let again = SignedEnvelope::decode(&bytes).unwrap();
         let Payload::Handoff(dup) = again.envelope.payload else { panic!("payload changed") };
         assert_eq!(dup.digest(), notice.digest());
+        // A colluding middleman cannot launder the chain: rewriting the
+        // verdict it received, or the link to its own predecessor, moves
+        // the digest its successor embeds.
+        let laundered = HandoffNotice { worst_rating: 1, ..notice };
+        assert_ne!(laundered.digest(), notice.digest());
+        let relinked = HandoffNotice { predecessor_digest: [0; 32], ..notice };
+        assert_ne!(relinked.digest(), notice.digest());
     }
 
     #[test]

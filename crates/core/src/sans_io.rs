@@ -26,11 +26,10 @@
 //! Every simnet match — the scripted soaks of `watchmen-sim::scenario`,
 //! the fleet's match cell, the deathmatch and lobby examples — is a
 //! caller of `Cluster::step`. Three loops stay separate on purpose: the
-//! unit tests below (the node-vs-core byte-identity reference, which
-//! cannot depend on `watchmen-sim`), `tests/node_protocol.rs` (a
-//! same-frame instant bus whose assertions are about intra-frame
-//! ordering), and the perf ledger under `benchmark/` (it times each call
-//! into the core from outside).
+//! unit tests below (which cannot depend on `watchmen-sim`),
+//! `tests/node_protocol.rs` (a same-frame instant bus whose assertions
+//! are about intra-frame ordering), and the perf ledger under
+//! `benchmark/` (it times each call into the core from outside).
 //!
 //! A worked tick, as every driver performs it:
 //!
@@ -59,11 +58,9 @@
 //! retransmits queued this frame, learned states feed this frame's
 //! subscription sets).
 //!
-//! [`ProtocolCore`] wraps the existing [`WatchmenNode`] machinery —
-//! `begin_frame`, `handle_message`, the ack/retransmit control plane —
-//! without changing a byte of its behavior, which is what lets the
-//! simnet drivers stay pinned by their e2e suites while the same core
-//! goes live over UDP.
+//! [`ProtocolCore`] is the only driver API: the node's tick and datagram
+//! entry points are crate-private, and return the [`CoreOutput`] this
+//! core hands back unchanged.
 
 use watchmen_crypto::schnorr::{Keypair, PublicKey};
 use watchmen_game::trace::PlayerFrame;
@@ -71,7 +68,7 @@ use watchmen_game::PlayerId;
 use watchmen_world::{GameMap, PhysicsConfig};
 
 use crate::audit::AuditRecord;
-use crate::node::{FrameOutput, NodeEvent, Outgoing, WatchmenNode};
+use crate::node::{NodeEvent, Outgoing, WatchmenNode};
 use crate::WatchmenConfig;
 
 /// One input to the core: a tick boundary or an arrived datagram.
@@ -104,12 +101,6 @@ pub struct CoreOutput {
     /// Events for the application and reputation layer, in emission
     /// order.
     pub events: Vec<NodeEvent>,
-}
-
-impl From<FrameOutput> for CoreOutput {
-    fn from(out: FrameOutput) -> Self {
-        CoreOutput { datagrams: out.outgoing, events: out.events }
-    }
 }
 
 /// The poll-driven protocol endpoint. Construct a [`WatchmenNode`]
@@ -166,10 +157,9 @@ impl ProtocolCore {
     /// datagrams delivered before a frame, then the frame's tick.
     pub fn handle(&mut self, now_frame: u64, input: CoreInput<'_>) -> CoreOutput {
         match input {
-            CoreInput::Tick { state } => self.node.begin_frame(now_frame, state).into(),
+            CoreInput::Tick { state } => self.node.begin_frame(now_frame, state),
             CoreInput::Datagram { wire_sender, bytes } => {
-                let (datagrams, events) = self.node.handle_message(now_frame, wire_sender, bytes);
-                CoreOutput { datagrams, events }
+                self.node.handle_message(now_frame, wire_sender, bytes)
             }
         }
     }
@@ -187,12 +177,12 @@ impl ProtocolCore {
     /// Announces this player's graceful departure (reliable control
     /// traffic; the leave lands at a future epoch boundary).
     pub fn announce_leave(&mut self, now_frame: u64) -> CoreOutput {
-        CoreOutput { datagrams: self.node.announce_leave(now_frame), events: Vec::new() }
+        self.node.announce_leave(now_frame)
     }
 
     /// Submits a kill claim for witness verification.
     pub fn claim_kill(&mut self, now_frame: u64, claim: crate::msg::KillClaim) -> CoreOutput {
-        CoreOutput { datagrams: self.node.claim_kill(now_frame, claim), events: Vec::new() }
+        self.node.claim_kill(now_frame, claim)
     }
 
     /// This endpoint's player id.
@@ -296,56 +286,6 @@ mod tests {
     fn record(n: usize, seed: u64, frames: u64) -> GameTrace {
         let map = maps::arena(16, 10.0);
         GameTrace::record(GameConfig { map, ..GameConfig::default() }, n, seed, frames)
-    }
-
-    /// The core is a strict re-hosting: over an identical instant-bus
-    /// schedule, a `ProtocolCore` cluster and a raw `WatchmenNode`
-    /// cluster produce byte-identical datagrams and identical events.
-    #[test]
-    fn core_is_byte_identical_to_direct_node_driving() {
-        const N: usize = 6;
-        const FRAMES: u64 = 90;
-        const SEED: u64 = 0x5a5;
-        let trace = record(N, SEED, FRAMES);
-
-        let mut direct = build_cluster(N, SEED);
-        let mut cores: Vec<ProtocolCore> =
-            build_cluster(N, SEED).into_iter().map(ProtocolCore::new).collect();
-
-        let mut bus_a: std::collections::VecDeque<(PlayerId, PlayerId, Vec<u8>)> =
-            Default::default();
-        let mut bus_b = bus_a.clone();
-        for f in 0..FRAMES {
-            for i in 0..N {
-                let state = &trace.frames[f as usize].states[i];
-                let a = direct[i].begin_frame(f, state);
-                let b = cores[i].tick(f, state);
-                assert_eq!(a.outgoing, b.datagrams, "frame {f} node {i}");
-                assert_eq!(format!("{:?}", a.events), format!("{:?}", b.events));
-                for o in a.outgoing {
-                    bus_a.push_back((PlayerId(i as u32), o.to, o.bytes));
-                }
-                for o in b.datagrams {
-                    bus_b.push_back((PlayerId(i as u32), o.to, o.bytes));
-                }
-            }
-            while let (Some((sa, ta, ba)), Some((sb, tb, bb))) =
-                (bus_a.pop_front(), bus_b.pop_front())
-            {
-                assert_eq!((sa, ta, &ba), (sb, tb, &bb));
-                let (out_a, ev_a) = direct[ta.index()].handle_message(f, sa, &ba);
-                let out_b = cores[tb.index()].datagram(f, sb, &bb);
-                assert_eq!(out_a, out_b.datagrams, "frame {f} deliver to {ta:?}");
-                assert_eq!(format!("{ev_a:?}"), format!("{:?}", out_b.events));
-                for o in out_a {
-                    bus_a.push_back((ta, o.to, o.bytes));
-                }
-                for o in out_b.datagrams {
-                    bus_b.push_back((tb, o.to, o.bytes));
-                }
-            }
-            assert!(bus_a.is_empty() && bus_b.is_empty());
-        }
     }
 
     /// The poll contract: inputs only through `handle`, outputs only

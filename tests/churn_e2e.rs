@@ -7,10 +7,18 @@
 //! within one epoch, and **zero** cheat verdicts are raised against the
 //! all-honest population.
 
+use watchmen::core::lobby::GameLobby;
+use watchmen::core::msg::{BootstrapEntry, BootstrapSnapshot, Envelope, Payload, StateUpdate};
+use watchmen::core::node::WatchmenNode;
+use watchmen::core::proxy::ProxySchedule;
+use watchmen::core::sans_io::{secured_cores, ProtocolCore};
+use watchmen::crypto::schnorr::Keypair;
+use watchmen::game::trace::standard_trace;
 use watchmen::game::PlayerId;
 use watchmen::sim::scenario::{
     churn_soak, soak_config, CHURN_CRASHED, CHURN_JOINERS, CHURN_LEAVES, CHURN_VETERANS,
 };
+use watchmen::world::{maps, PhysicsConfig};
 
 #[test]
 fn churn_run_keeps_rosters_agreed_and_raises_no_false_verdicts() {
@@ -89,4 +97,85 @@ fn churn_run_keeps_rosters_agreed_and_raises_no_false_verdicts() {
             "node {i} abandoned control traffic"
         );
     }
+}
+
+/// A `Bootstrap` is a joiner's first-proxy seed, nothing else: a member
+/// cannot use one to plant far-future states (which freeze a player's copy
+/// and blind the knowledge-break checks) or to move a replica's roster
+/// epoch. A veteran never applies one; a joiner applies one only from its
+/// plausible first proxies, and only entries no newer than the envelope.
+#[test]
+fn bootstraps_seed_only_a_joiner_from_its_first_proxy() {
+    const N: usize = 6;
+    const SEED: u64 = 31;
+    let config = soak_config();
+    let period = config.proxy_period;
+    let map = maps::arena(32, 10.0);
+    let mut lobby = GameLobby::new(SEED, config, config.membership_timeout_frames)
+        .with_keys(Keypair::generate(SEED ^ 0x10bb));
+    let keys: Vec<Keypair> = (0..=N).map(|i| Keypair::generate(SEED ^ i as u64)).collect();
+    for k in &keys[..N] {
+        lobby.register(k.public());
+    }
+    lobby.start();
+    let lobby_key = lobby.lobby_key().expect("lobby has keys");
+    let mut veterans: Vec<ProtocolCore> =
+        secured_cores(&keys[..N], lobby.directory(), Some(lobby_key), SEED, config, &map).collect();
+    let states = &standard_trace(N, SEED, 1).frames[0].states;
+    let state = |i: usize| StateUpdate::from(&states[i]);
+    let signed = |from: usize, frame: u64, payload: Payload| {
+        Envelope { from: PlayerId(from as u32), seq: 1, frame, payload }.sign_encoded(&keys[from])
+    };
+    let bootstrap = |entries: &[(usize, u64, StateUpdate)]| {
+        let mut snapshot = BootstrapSnapshot::new(99);
+        for &(i, frame, state) in entries {
+            snapshot.push(BootstrapEntry { player: PlayerId(i as u32), frame, state });
+        }
+        Payload::Bootstrap(snapshot)
+    };
+
+    // A veteran that learned player 2 first-hand ignores member 1's
+    // far-future copy of it and its roster epoch, but still acks.
+    let vet = &mut veterans[0];
+    vet.datagram(3, PlayerId(2), &signed(2, 3, Payload::State(state(2))));
+    let before = (vet.node().known_state(PlayerId(2)).copied(), vet.node().roster_digest());
+    let forged = StateUpdate { health: 1, ..state(3) };
+    let out = vet.datagram(4, PlayerId(1), &signed(1, 4, bootstrap(&[(2, 1_000_000, forged)])));
+    assert_eq!(out.datagrams.len(), 1, "the bootstrap is acked, stopping retransmits");
+    assert!(out.events.is_empty(), "{:?}", out.events);
+    let after = (vet.node().known_state(PlayerId(2)).copied(), vet.node().roster_digest());
+    assert_eq!(after, before);
+    assert_eq!(vet.node().roster_epoch(), 0);
+
+    // A joiner: only its plausible first proxies may seed it, and only
+    // with states no newer than the snapshot.
+    let (id, ticket, roster) = lobby.admit_midgame(keys[N].public(), 10).expect("admission");
+    let boundary = ticket.admit_frame.div_ceil(period) * period;
+    let mut joiner = ProtocolCore::new(WatchmenNode::new_joining(
+        id,
+        keys[N].clone(),
+        roster,
+        ticket,
+        lobby_key,
+        SEED,
+        config,
+        map.clone(),
+        PhysicsConfig::default(),
+    ));
+    let mut schedule = ProxySchedule::new(SEED, N, period);
+    assert_eq!(schedule.admit_at(ticket.admit_frame.div_ceil(period)), id);
+    let plausible: Vec<usize> = (0..=config.proxy_fallback_depth as usize)
+        .map(|n| schedule.nth_proxy_of(id, boundary, n).index())
+        .collect();
+    let outsider = (0..N).find(|i| !plausible.contains(i)).expect("a non-proxy veteran");
+    let (a, b) = (plausible[1], plausible[2]);
+    let seed = bootstrap(&[(a, boundary - 1, state(a))]);
+    joiner.datagram(boundary + 1, PlayerId(outsider as u32), &signed(outsider, boundary, seed));
+    assert!(joiner.node().known_state(PlayerId(a as u32)).is_none(), "outsider seeded the joiner");
+    let first = plausible[0];
+    let seed = bootstrap(&[(a, boundary - 1, state(a)), (b, boundary + 500, state(b))]);
+    let out = joiner.datagram(boundary + 1, PlayerId(first as u32), &signed(first, boundary, seed));
+    assert_eq!(out.events.len(), 1, "{:?}", out.events);
+    assert!(joiner.node().known_state(PlayerId(a as u32)).is_some());
+    assert!(joiner.node().known_state(PlayerId(b as u32)).is_none(), "future-dated entry taken");
 }

@@ -1,6 +1,6 @@
 #![allow(clippy::needless_range_loop)] // nodes/states are index-parallel
 
-//! Drives a cluster of [`watchmen::core::node::WatchmenNode`]s over an
+//! Drives a cluster of [`watchmen::core::sans_io::ProtocolCore`]s over an
 //! in-memory message bus: the full player-side protocol with no global
 //! knowledge, exactly as it would run over UDP.
 //!
@@ -11,7 +11,7 @@
 
 use std::collections::VecDeque;
 
-use watchmen::core::node::{NodeEvent, Outgoing, WatchmenNode};
+use watchmen::core::node::{NodeEvent, Outgoing};
 use watchmen::core::sans_io::{secured_cores, ProtocolCore};
 use watchmen::core::WatchmenConfig;
 use watchmen::crypto::schnorr::{Keypair, PublicKey};
@@ -19,9 +19,9 @@ use watchmen::game::trace::{standard_trace, GameTrace, PlayerFrame};
 use watchmen::game::PlayerId;
 use watchmen::world::maps;
 
-/// An in-memory cluster: N nodes plus a FIFO bus.
+/// An in-memory cluster: N cores plus a FIFO bus.
 struct Cluster {
-    nodes: Vec<WatchmenNode>,
+    cores: Vec<ProtocolCore>,
     /// (wire sender, destination, bytes)
     bus: VecDeque<(PlayerId, PlayerId, Vec<u8>)>,
     events: Vec<(PlayerId, NodeEvent)>,
@@ -32,10 +32,9 @@ impl Cluster {
         let keys: Vec<Keypair> = (0..players).map(|i| Keypair::generate(seed ^ i as u64)).collect();
         let directory: Vec<PublicKey> = keys.iter().map(Keypair::public).collect();
         let map = maps::q3dm17_like();
-        let nodes = secured_cores(&keys, &directory, None, seed, WatchmenConfig::default(), &map)
-            .map(ProtocolCore::into_node)
-            .collect();
-        Cluster { nodes, bus: VecDeque::new(), events: Vec::new() }
+        let cores =
+            secured_cores(&keys, &directory, None, seed, WatchmenConfig::default(), &map).collect();
+        Cluster { cores, bus: VecDeque::new(), events: Vec::new() }
     }
 
     fn enqueue(&mut self, from: PlayerId, outgoing: Vec<Outgoing>) {
@@ -58,23 +57,23 @@ impl Cluster {
         trace: &GameTrace,
         mut falsify: impl FnMut(usize, &mut PlayerFrame),
     ) {
-        for i in 0..self.nodes.len() {
+        for i in 0..self.cores.len() {
             let mut state = trace.frames[frame as usize].states[i];
             falsify(i, &mut state);
-            let output = self.nodes[i].begin_frame(frame, &state);
+            let output = self.cores[i].tick(frame, &state);
             for e in output.events {
                 self.events.push((PlayerId(i as u32), e));
             }
-            self.enqueue(PlayerId(i as u32), output.outgoing);
+            self.enqueue(PlayerId(i as u32), output.datagrams);
         }
         // Drain with a safety cap against forwarding loops.
         let mut hops = 0;
         while let Some((sender, to, bytes)) = self.bus.pop_front() {
             hops += 1;
             assert!(hops < 2_000_000, "message storm: forwarding loop?");
-            let (out, events) = self.nodes[to.index()].handle_message(frame, sender, &bytes);
-            self.enqueue(to, out);
-            for e in events {
+            let output = self.cores[to.index()].datagram(frame, sender, &bytes);
+            self.enqueue(to, output.datagrams);
+            for e in output.events {
                 self.events.push((to, e));
             }
         }
@@ -115,7 +114,7 @@ fn nodes_learn_about_each_other_and_deliver_updates() {
         for q in 0..6u32 {
             if p != q {
                 assert!(
-                    cluster.nodes[p as usize].known_state(PlayerId(q)).is_some(),
+                    cluster.cores[p as usize].node().known_state(PlayerId(q)).is_some(),
                     "p{p} never learned about p{q}"
                 );
             }
@@ -169,8 +168,56 @@ fn proxies_rotate_and_handoffs_arrive() {
         .count();
     assert!(handoffs > 0, "no handoffs across 3 epochs");
     // Supervision exists and rotates.
-    let supervised: usize = cluster.nodes.iter().map(|n| n.supervised().len()).sum();
+    let supervised: usize = cluster.cores.iter().map(|c| c.node().supervised().len()).sum();
     assert!(supervised > 0);
+}
+
+#[test]
+fn successor_judges_the_first_move_of_an_epoch_against_the_handoff() {
+    // Player 2's first update of epoch 1 goes to a proxy that has never
+    // seen it first-hand: its only physics baseline is the state the
+    // epoch-0 proxy handed off. A teleport there must still be caught,
+    // by the successor, while the honest move is not.
+    const EPOCH: u64 = 40;
+    let cheater = PlayerId(2);
+    let trace = standard_trace(6, 11, EPOCH + 1);
+    let honest_at = trace.frames[EPOCH as usize].states[2].position;
+    let far = (0..6)
+        .map(|i| trace.frames[EPOCH as usize].states[i].position)
+        .max_by(|a, b| a.distance(honest_at).total_cmp(&b.distance(honest_at)))
+        .expect("six players");
+    assert!(far.distance(honest_at) > 100.0, "players too bunched for the test");
+
+    let run = |teleport: bool| {
+        let mut cluster = Cluster::new(6, 11);
+        for f in 0..EPOCH {
+            cluster.run_frame(f, &trace);
+        }
+        let before = cluster.events.len();
+        cluster.run_frame_with(EPOCH, &trace, |i, state| {
+            if teleport && i == cheater.index() {
+                state.position = far;
+            }
+        });
+        let node = cluster.cores[cheater.index()].node();
+        let (predecessor, successor) = (node.proxy(EPOCH - 1), node.proxy(EPOCH));
+        assert_ne!(predecessor, successor, "the seed must rotate player 2's proxy");
+        let handed_off = cluster.events[..before].iter().any(|(at, e)| {
+            *at == successor
+                && matches!(e, NodeEvent::HandoffReceived { player, .. } if *player == cheater)
+        });
+        assert!(handed_off, "the successor never received player 2's handoff");
+        cluster.events[before..]
+            .iter()
+            .filter(|(at, e)| {
+                *at == successor
+                    && matches!(e, NodeEvent::Suspicion { subject, rating, check }
+                        if *subject == cheater && *check == "position" && rating.is_suspicious())
+            })
+            .count()
+    };
+    assert!(run(true) > 0, "teleport across the epoch boundary went unflagged");
+    assert_eq!(run(false), 0, "the honest first move of the epoch was flagged");
 }
 
 #[test]
@@ -183,12 +230,12 @@ fn tampering_proxy_is_caught_by_receivers() {
     }
     // Now inject a tampered message: take a node's outgoing state update,
     // flip a payload byte, and deliver it claiming to be forwarded.
-    let out = cluster.nodes[0].begin_frame(5, &trace.frames[5].states[0]).outgoing;
+    let out = cluster.cores[0].tick(5, &trace.frames[5].states[0]).datagrams;
     let victim = out.iter().find(|o| o.bytes.len() > 60).expect("a state update");
     let mut tampered = victim.bytes.clone();
     let mid = tampered.len() / 2;
     tampered[mid] ^= 0xff;
-    let (_, events) = cluster.nodes[1].handle_message(5, PlayerId(2), &tampered);
+    let events = cluster.cores[1].datagram(5, PlayerId(2), &tampered).events;
     assert!(
         events.iter().any(|e| matches!(e, NodeEvent::BadSignature { .. })),
         "tampered bytes accepted: {events:?}"
@@ -199,13 +246,13 @@ fn tampering_proxy_is_caught_by_receivers() {
 fn replayed_bytes_are_flagged() {
     let trace = standard_trace(4, 17, 10);
     let mut cluster = Cluster::new(4, 17);
-    let out = cluster.nodes[0].begin_frame(0, &trace.frames[0].states[0]).outgoing;
+    let out = cluster.cores[0].tick(0, &trace.frames[0].states[0]).datagrams;
     let msg = out.first().expect("something sent").clone();
     // First delivery is fine…
-    let (_, first) = cluster.nodes[msg.to.index()].handle_message(0, PlayerId(0), &msg.bytes);
+    let first = cluster.cores[msg.to.index()].datagram(0, PlayerId(0), &msg.bytes).events;
     assert!(!first.iter().any(|e| matches!(e, NodeEvent::Replay { .. })));
     // …the byte-identical second one is a replay.
-    let (_, second) = cluster.nodes[msg.to.index()].handle_message(0, PlayerId(0), &msg.bytes);
+    let second = cluster.cores[msg.to.index()].datagram(0, PlayerId(0), &msg.bytes).events;
     assert!(second.iter().any(|e| matches!(e, NodeEvent::Replay { .. })), "{second:?}");
 }
 
@@ -264,9 +311,9 @@ fn violations_capture_flight_dumps_with_the_causal_chain() {
 
     // Some proxy of player 2 must have captured position-violation dumps.
     let dumps: Vec<_> = cluster
-        .nodes
+        .cores
         .iter_mut()
-        .flat_map(|n| n.take_flight_dumps())
+        .flat_map(|c| c.node_mut().take_flight_dumps())
         .filter(|d| d.reason == "position" && d.subject == 2)
         .collect();
     assert!(!dumps.is_empty(), "no position-violation dump captured");
@@ -274,7 +321,7 @@ fn violations_capture_flight_dumps_with_the_causal_chain() {
     // Each dump names the offending message; assembling the causal chain
     // across every node's recorder must show the origin's send and the
     // verifying proxy's verdict, in causal order.
-    let recorders: Vec<_> = cluster.nodes.iter().map(|n| n.recorder()).collect();
+    let recorders: Vec<_> = cluster.cores.iter().map(|c| c.node().recorder()).collect();
     let recorder_refs: Vec<&watchmen::telemetry::FlightRecorder> =
         recorders.iter().map(std::sync::Arc::as_ref).collect();
     let mut chains_with_full_story = 0;
@@ -332,12 +379,12 @@ fn kill_claims_are_verified_by_proxies_and_witnesses() {
         victim_position: victim_pos,
     };
 
-    let out = cluster.nodes[0].claim_kill(40, claim);
+    let out = cluster.cores[0].claim_kill(40, claim).datagrams;
     assert!(!out.is_empty());
     let mut flagged = false;
     for o in out {
-        let (fwd, events) = cluster.nodes[o.to.index()].handle_message(40, PlayerId(0), &o.bytes);
-        for e in &events {
+        let output = cluster.cores[o.to.index()].datagram(40, PlayerId(0), &o.bytes);
+        for e in &output.events {
             if matches!(e, NodeEvent::Suspicion { subject, check, rating }
                 if *subject == PlayerId(0) && *check == "kill" && rating.is_suspicious())
             {
@@ -345,8 +392,8 @@ fn kill_claims_are_verified_by_proxies_and_witnesses() {
             }
         }
         // Witness forwarding can add further verifiers.
-        for f2 in fwd {
-            let (_, ev) = cluster.nodes[f2.to.index()].handle_message(40, o.to, &f2.bytes);
+        for f2 in output.datagrams {
+            let ev = cluster.cores[f2.to.index()].datagram(40, o.to, &f2.bytes).events;
             for e in &ev {
                 if matches!(e, NodeEvent::Suspicion { subject, check, rating }
                     if *subject == PlayerId(0) && *check == "kill" && rating.is_suspicious())
