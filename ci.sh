@@ -157,12 +157,16 @@ WATCHMEN_BENCH_OUT="$BENCH_DIR" \
 # columns-vs-map differential check the code the benchmark and the drivers
 # below run. Then hold the docs to their claim: `unsafe` is said in exactly
 # the two modules that call a `#[target_feature]` kernel after detection;
-# and keep the node's components small (clippy.toml bounds their functions).
+# every driver reports through `telemetry::report::Report` (only a match's
+# pinned per-match line is hand-formatted); and keep the node's components
+# small (clippy.toml bounds their functions).
 echo "==> store unit + golden-bytes + recovery tests (release), unsafe audit"
 cargo test --release -q -p watchmen-store
 unsafe_in=$(grep -rlE 'unsafe[[:space:]]*(\{|fn|impl)' crates src examples tests | sort | tr '\n' ' ' || true)
 [ "$unsafe_in" = "crates/crypto/src/sha256/sha_ni.rs crates/store/src/record/clmul.rs " ] ||
     { echo "unsafe outside the two audited modules: $unsafe_in" >&2; exit 1; }
+formats=$(grep -rl 'BenchRecord\|fn summary_line' crates examples tests src | tr '\n' ' ' || true)
+[ "$formats" = "crates/fleet/src/cell.rs " ] || { echo "a second report format: $formats" >&2; exit 1; }
 long=$(wc -l crates/core/src/node/*.rs | awk '$2 != "total" && $1 > 800 { print $2 }')
 [ -z "$long" ] || { echo "node component files over 800 lines: $long" >&2; exit 1; }
 

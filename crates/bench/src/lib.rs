@@ -13,10 +13,6 @@ use std::time::Instant;
 
 use watchmen_sim::workload::{standard_workload, Workload};
 
-pub mod record;
-
-pub use record::BenchRecord;
-
 /// Experiment scale parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchParams {

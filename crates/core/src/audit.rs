@@ -21,6 +21,7 @@
 
 use std::fmt::Write as _;
 
+use watchmen_telemetry::export::json_string;
 use watchmen_telemetry::TraceId;
 
 /// What kind of decision an [`AuditRecord`] captures.
@@ -94,37 +95,20 @@ impl AuditRecord {
         let mut out = String::with_capacity(128);
         let _ = write!(
             out,
-            "{{\"frame\":{},\"node\":{},\"subject\":{},\"kind\":\"{}\",\"check\":\"{}\",\
-             \"score\":{},\"confidence\":\"{}\",\"trace\":\"{}\",\"detail\":\"{}\"}}",
+            "{{\"frame\":{},\"node\":{},\"subject\":{},\"kind\":\"{}\",\"check\":{},\
+             \"score\":{},\"confidence\":\"{}\",\"trace\":\"{}\",\"detail\":{}}}",
             self.frame,
             self.node,
             self.subject,
             self.kind.label(),
-            json_escape(self.check),
+            json_string(self.check),
             self.score,
             self.confidence,
             self.trace,
-            json_escape(&self.detail),
+            json_string(&self.detail),
         );
         out
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// How many records an [`AuditLog`] retains between drains before it

@@ -4,15 +4,15 @@
 //! ([`watchmen_sim::campaign`]) as a pool [`Task`], so the work-stealing
 //! scheduler can soak every [`CampaignKind`] across many seeds in
 //! parallel — the coordinated-adversary analogue of the single-cheater
-//! fleet soak. The rollup merges per-kind detection quality and renders
-//! one SLO line per campaign kind in the same shape
-//! [`watchmen_sim::campaign::CampaignOutcome::summary_line`] uses for a
-//! single run; [`CampaignSoakResult::ok`] is the gate `campaign_run`
-//! exits on.
+//! fleet soak. [`CampaignSoakResult::report`] merges per-kind detection
+//! quality into one SLO report per campaign kind, in the shape
+//! [`watchmen_sim::campaign::CampaignKind::report`] gives a single run,
+//! plus the soak's own; `campaign_run` prints, records and exits on them.
 
 use watchmen_core::WatchmenConfig;
 use watchmen_sim::campaign::{run_campaign, CampaignKind, CampaignOutcome, CampaignSpec};
 use watchmen_sim::quality::DetectionQuality;
+use watchmen_telemetry::report::Report;
 use watchmen_telemetry::spec;
 
 use crate::pool::{default_workers, run_tasks, PoolConfig, Quantum, ShardContext, Task};
@@ -136,48 +136,27 @@ impl CampaignSoakResult {
         merged
     }
 
-    /// Whether `kind` met its SLO: no campaign panicked, every run of
-    /// the kind met its own SLO, and the kind's merged time-to-detect
-    /// p99 fits its budget (which also requires that adversaries were
-    /// injected at all).
-    fn kind_ok(&self, kind: CampaignKind) -> bool {
-        self.panics.is_empty()
-            && self.outcomes.iter().filter(|o| o.kind == kind).all(CampaignOutcome::ok)
-            && self
-                .quality_for(kind)
-                .ttd_percentile(99.0)
-                .is_some_and(|p99| p99 <= kind.ttd_budget_frames())
-    }
-
-    /// Whether every campaign kind met its SLO and none panicked —
-    /// `campaign_run`'s exit condition.
+    /// One report per campaign kind in catalog order — the kind's merged
+    /// SLO plus `failed_runs`, the runs that missed their own — then the
+    /// `campaign soak:` report, which gates on no campaign panicking.
     #[must_use]
-    pub fn ok(&self) -> bool {
-        CampaignKind::ALL.into_iter().all(|kind| self.kind_ok(kind))
-    }
-
-    /// One merged SLO line per campaign kind, in catalog order — the
-    /// same shape as a single run's summary line.
-    #[must_use]
-    pub fn summary_lines(&self) -> String {
-        let mut out = String::new();
-        for kind in CampaignKind::ALL {
-            let q = self.quality_for(kind);
-            let ok = self.kind_ok(kind);
-            let p99 = q.ttd_percentile(99.0).map_or_else(|| "none".to_owned(), |p| p.to_string());
-            out.push_str(&format!(
-                "campaign {}: adversaries={} detected={} false_verdicts={} ttd_p99={} \
-                 budget={} ok={}\n",
-                kind.name(),
-                q.injected,
-                q.detected,
-                q.false_verdicts,
-                p99,
-                kind.ttd_budget_frames(),
-                ok,
-            ));
-        }
-        out
+    pub fn report(&self) -> Vec<Report> {
+        let mut reports: Vec<Report> = CampaignKind::ALL
+            .into_iter()
+            .map(|kind| {
+                let failed = self
+                    .outcomes
+                    .iter()
+                    .filter(|o| o.kind == kind && o.report().check().is_err())
+                    .count();
+                kind.report(&self.quality_for(kind)).figure("failed_runs", failed, failed == 0)
+            })
+            .collect();
+        let soak = Report::new("campaign soak")
+            .figure("campaigns", self.outcomes.len(), true)
+            .figure("panics", self.panics.len(), self.panics.is_empty());
+        reports.push(soak);
+        reports
     }
 }
 
@@ -227,26 +206,29 @@ mod tests {
             assert_eq!(q.detected, q.injected, "{kind}: missed adversaries");
             assert_eq!(q.false_verdicts, 0, "{kind}: framed an honest actor");
         }
-        assert!(result.ok(), "{}", result.summary_lines());
+        for report in result.report() {
+            assert_eq!(report.check(), Ok(()));
+        }
     }
 
     #[test]
-    fn summary_lines_cover_every_kind_in_order() {
-        let result = run_campaign_soak(&CampaignSoakConfig {
+    fn reports_cover_every_kind_in_order() {
+        let mut result = run_campaign_soak(&CampaignSoakConfig {
             runs_per_kind: 1,
             seed: 7,
             workers: 1,
             max_local: 2,
         });
-        let summary = result.summary_lines();
-        let lines: Vec<&str> = summary.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("campaign collusion: "), "{}", lines[0]);
-        assert!(lines[1].starts_with("campaign sybil-flood: "), "{}", lines[1]);
-        assert!(lines[2].starts_with("campaign eclipse: "), "{}", lines[2]);
-        for line in lines {
-            assert!(line.ends_with("ok=true"), "{line}");
-        }
+        let titles: Vec<String> = result.report().iter().map(|r| r.title().to_owned()).collect();
+        assert_eq!(
+            titles,
+            ["campaign collusion", "campaign sybil-flood", "campaign eclipse", "campaign soak"]
+        );
+        assert!(result.report().iter().all(|r| r.failing().is_none()));
+        result.panics.push("a doctored panic".to_owned());
+        assert_eq!(result.report()[3].failing(), Some("panics"));
+        result.outcomes[0].quality.false_verdicts = 1;
+        assert_eq!(result.report()[0].failing(), Some("false_verdicts"));
     }
 
     #[test]
@@ -270,6 +252,6 @@ mod tests {
         let base = CampaignSoakConfig { runs_per_kind: 3, seed: 42, workers: 1, max_local: 2 };
         let one = run_campaign_soak(&base);
         let four = run_campaign_soak(&CampaignSoakConfig { workers: 4, ..base });
-        assert_eq!(one.summary_lines(), four.summary_lines());
+        assert_eq!(one.report(), four.report());
     }
 }

@@ -19,6 +19,7 @@ use std::sync::Arc;
 use watchmen_core::verify::checks;
 use watchmen_crypto::rng::SplitMix64;
 use watchmen_sim::quality::DetectionQuality;
+use watchmen_telemetry::report::Report;
 use watchmen_telemetry::{spec, Registry, Snapshot};
 
 use crate::cell::{MatchCell, MatchReport, MatchSpec};
@@ -317,71 +318,61 @@ impl FleetResult {
         quality
     }
 
-    /// Whether the fleet meets the detection-quality SLO: zero false
-    /// verdicts, every injected cheater detected, and time-to-detect p99
-    /// within [`TTD_BUDGET_FRAMES`].
+    /// The fleet's two reports, gated against the config it ran:
+    ///
+    /// * `fleet summary:` — every configured match ran, none panicked, the
+    ///   configured workers all ran, the cheat injection engaged, every
+    ///   cheater match was detected inline and no honest player drew a
+    ///   severe verdict;
+    /// * `detection slo:` — the audit stream's join: every injected
+    ///   cheater detected, time-to-detect p99 within
+    ///   [`TTD_BUDGET_FRAMES`] (`-` when nobody cheated), and per check
+    ///   `<check>_tp`/`_fp`/`_fn`, where no check may score a false
+    ///   positive (their sum is the join's false-verdict count) and the
+    ///   position check must score a true positive whenever cheaters were
+    ///   scripted and the plane was on.
+    ///
+    /// Counters only, no timings; `fleet_soak` exits non-zero when either
+    /// fails.
     #[must_use]
-    pub fn slo_ok(&self) -> bool {
-        let q = self.detection_quality();
-        q.false_verdicts == 0
-            && q.detected == q.injected
-            && q.ttd_percentile(99.0).is_none_or(|p99| p99 <= TTD_BUDGET_FRAMES)
-    }
-
-    /// The soak's gate against the config it ran: every match completed,
-    /// none panicked, the configured workers all ran, the cheat injection
-    /// engaged and every injected cheater was detected — inline and, with
-    /// the observability plane on, on the audit stream by the position
-    /// check within the [`slo_ok`](Self::slo_ok) budget — and no honest
-    /// player drew a severe verdict. `fleet_soak` exits non-zero on `Err`.
-    ///
-    /// # Errors
-    ///
-    /// Names the first condition that failed.
-    pub fn gate(&self, config: &FleetConfig) -> Result<(), String> {
-        let require = |ok: bool, what: &str| if ok { Ok(()) } else { Err(what.to_owned()) };
-        require(self.panics.is_empty(), "matches panicked")?;
-        require(self.completed() == config.matches, "matches lost")?;
-        require(self.workers.len() == config.workers, "fleet ran under-parallel")?;
-        require(self.false_verdicts() == 0, "honest players drew severe verdicts")?;
+    pub fn report(&self, config: &FleetConfig) -> [Report; 2] {
         let cheating = config.cheat_every > 0;
-        require(!cheating || self.cheater_matches() > 0, "cheat injection never engaged")?;
-        require(self.detected_matches() == self.cheater_matches(), "a cheater went undetected")?;
-        if config.observe {
-            require(self.slo_ok(), "detection slo failed")?;
-            let position = self.detection_quality().per_check.get(checks::POSITION).copied();
-            require(
-                !cheating || position.is_some_and(|c| c.true_pos > 0),
-                "the position check never scored a true positive",
-            )?;
-        }
-        Ok(())
-    }
+        let (cheater_matches, detected_matches) = (self.cheater_matches(), self.detected_matches());
+        let total = |f: fn(&MatchReport) -> u64| self.reports.iter().map(f).sum::<u64>();
+        let matches = self.reports.len() + self.panics.len();
+        let fleet = Report::new("fleet summary")
+            .figure("matches", matches, matches as u64 == config.matches)
+            .figure("completed", self.completed(), true)
+            .figure("panicked", self.panics.len(), self.panics.is_empty())
+            .figure("workers", self.workers.len(), self.workers.len() == config.workers)
+            .figure("cheater_matches", cheater_matches, !cheating || cheater_matches > 0)
+            .figure("detected_matches", detected_matches, detected_matches == cheater_matches)
+            .figure("severe", total(|r| r.severe_verdicts), true)
+            .figure("false_verdicts", self.false_verdicts(), self.false_verdicts() == 0)
+            .figure("bad_signatures", total(|r| r.bad_signatures), true)
+            .figure("banned", total(|r| r.banned), true)
+            .figure("messages", total(|r| r.messages), true)
+            .figure("ticks", self.total_ticks(), true)
+            .figure("steals", self.total_steals(), true);
 
-    /// The detection-quality SLO line: headline counters, time-to-detect
-    /// percentiles (in frames, `-` when no cheater was injected), the
-    /// budget, the verdict, and one
-    /// `check:<name>=tp/fp/fn` triple per check that fired.
-    #[must_use]
-    pub fn detection_summary(&self) -> String {
         let q = self.detection_quality();
-        let pct = |p: f64| q.ttd_percentile(p).map_or_else(|| "-".to_owned(), |v| v.to_string());
-        let mut line = format!(
-            "detection slo: injected={i} detected={d} false_verdicts={fv} ttd_p50={p50} \
-             ttd_p99={p99} budget={budget} ok={ok}",
-            i = q.injected,
-            d = q.detected,
-            fv = q.false_verdicts,
-            p50 = pct(50.0),
-            p99 = pct(99.0),
-            budget = TTD_BUDGET_FRAMES,
-            ok = u64::from(self.slo_ok()),
-        );
-        for (check, c) in &q.per_check {
-            use std::fmt::Write as _;
-            let _ = write!(line, " check:{check}={}/{}/{}", c.true_pos, c.false_pos, c.false_neg);
+        let p99 = q.ttd_percentile(99.0);
+        let mut detection = Report::new("detection slo")
+            .figure("injected", q.injected, true)
+            .figure("detected", q.detected, q.detected == q.injected)
+            .figure("ttd_p50", q.ttd_percentile(50.0), true)
+            .figure("ttd_p99", p99, p99.is_none_or(|p| p <= TTD_BUDGET_FRAMES))
+            .figure("budget", TTD_BUDGET_FRAMES, true);
+        let mut per_check = q.per_check;
+        per_check.entry(checks::POSITION).or_default();
+        for (check, c) in per_check {
+            let must_catch = check == checks::POSITION && config.observe && cheating;
+            detection = detection
+                .figure(format!("{check}_tp"), c.true_pos, !must_catch || c.true_pos > 0)
+                .figure(format!("{check}_fp"), c.false_pos, c.false_pos == 0)
+                .figure(format!("{check}_fn"), c.false_neg, true);
         }
-        line
+        [fleet, detection]
     }
 
     /// The fleet's audit stream as JSONL, matches in id order, each line
@@ -398,30 +389,6 @@ impl FleetResult {
             }
         }
         out
-    }
-
-    /// The one-line fleet summary. Deterministic counters only — timing
-    /// lives in the bench record, not here.
-    #[must_use]
-    pub fn summary_line(&self) -> String {
-        format!(
-            "fleet summary: matches={total} completed={c} panicked={p} workers={w} \
-             cheater_matches={cm} detected_matches={dm} severe={s} false_verdicts={fv} \
-             bad_signatures={bs} banned={b} messages={m} ticks={t} steals={st}",
-            total = self.reports.len() + self.panics.len(),
-            c = self.completed(),
-            p = self.panics.len(),
-            w = self.workers.len(),
-            cm = self.cheater_matches(),
-            dm = self.detected_matches(),
-            s = self.reports.iter().map(|r| r.severe_verdicts).sum::<u64>(),
-            fv = self.false_verdicts(),
-            bs = self.reports.iter().map(|r| r.bad_signatures).sum::<u64>(),
-            b = self.reports.iter().map(|r| r.banned).sum::<u64>(),
-            m = self.reports.iter().map(|r| r.messages).sum::<u64>(),
-            t = self.total_ticks(),
-            st = self.total_steals(),
-        )
     }
 }
 
@@ -553,7 +520,7 @@ mod tests {
     }
 
     #[test]
-    fn detection_summary_meets_the_slo_and_the_view_tracks_states() {
+    fn detection_report_meets_the_slo_and_the_view_tracks_states() {
         let config = FleetConfig {
             matches: 4,
             players: 8,
@@ -570,15 +537,13 @@ mod tests {
         assert_eq!(q.injected, 2, "matches 0 and 2 script a cheater");
         assert_eq!(q.detected, 2, "{}", result.match_lines());
         assert_eq!(q.false_verdicts, 0);
-        assert!(result.slo_ok(), "{}", result.detection_summary());
+        let [_, detection] = result.report(&config);
+        assert_eq!(detection.check(), Ok(()));
 
-        let line = result.detection_summary();
-        assert!(
-            line.starts_with("detection slo: injected=2 detected=2 false_verdicts=0"),
-            "{line}"
-        );
-        assert!(line.contains(" ok=1"), "{line}");
-        assert!(line.contains(" check:position="), "{line}");
+        let line = detection.to_string();
+        assert!(line.starts_with("detection slo: injected=2 detected=2 ttd_p50="), "{line}");
+        assert!(line.contains(" position_tp="), "{line}");
+        assert!(line.contains(" position_fp=0"), "{line}");
 
         // The live view: shard-labelled metrics plus lifecycle gauges,
         // settled now that the run is over.
@@ -602,9 +567,12 @@ mod tests {
 
     /// The gate `fleet_soak` exits on: a clean fleet passes it, and a
     /// fleet with one poisoned match — or one the config says should
-    /// have had more matches, workers or cheaters — does not.
+    /// have had more matches, workers or cheaters — fails on that figure.
     #[test]
     fn gate_passes_a_clean_fleet_and_fails_a_poisoned_one() {
+        let failing = |result: &FleetResult, config: &FleetConfig| {
+            result.report(config).iter().find_map(|r| r.failing().map(str::to_owned))
+        };
         let config = FleetConfig {
             matches: 4,
             players: 8,
@@ -616,20 +584,20 @@ mod tests {
         };
         let pool = PoolConfig { workers: config.workers, max_local: config.max_local };
         let clean = run_fleet(&config);
-        assert_eq!(clean.gate(&config), Ok(()), "{}", clean.match_lines());
+        assert_eq!(failing(&clean, &config), None, "{}", clean.match_lines());
 
         let mut specs = config.specs();
         specs[3] = specs[3].clone().poisoned_at(10);
         let poisoned = run_fleet_specs(specs, &pool);
-        assert_eq!(poisoned.gate(&config), Err("matches panicked".into()));
+        assert_eq!(failing(&poisoned, &config).as_deref(), Some("panicked"));
 
-        let expect = |other: FleetConfig, why: &str| {
-            assert_eq!(clean.gate(&other), Err(why.into()));
+        let expect = |other: FleetConfig, label: &str| {
+            assert_eq!(failing(&clean, &other).as_deref(), Some(label));
         };
-        expect(FleetConfig { matches: 5, ..config.clone() }, "matches lost");
-        expect(FleetConfig { workers: 4, ..config.clone() }, "fleet ran under-parallel");
+        expect(FleetConfig { matches: 5, ..config.clone() }, "matches");
+        expect(FleetConfig { workers: 4, ..config.clone() }, "workers");
         let honest = run_fleet(&FleetConfig { cheat_every: 0, ..config.clone() });
-        assert_eq!(honest.gate(&config), Err("cheat injection never engaged".into()));
+        assert_eq!(failing(&honest, &config).as_deref(), Some("cheater_matches"));
     }
 
     #[test]

@@ -28,10 +28,10 @@
 //!   statistical matches over one persistent identity population, with
 //!   every match outcome folded into the durable reputation store
 //!   (`watchmen-store`) so bans earned in one match block matchmaking
-//!   in the next — measured as time-to-ban and false-ban rate.
+//!   in the next — measured as time-to-ban and false bans.
 //!
 //! The `fleet_soak` example drives all of it and exits non-zero unless
-//! [`FleetResult::gate`] passes.
+//! both reports of [`FleetResult::report`] pass.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -32,7 +32,9 @@ use watchmen_core::WatchmenConfig;
 use watchmen_crypto::rng::Xoshiro256;
 use watchmen_crypto::schnorr::Keypair;
 use watchmen_game::PlayerId;
-use watchmen_store::{Dir, ReputationStore, StorePolicy};
+use watchmen_sim::quality::percentile;
+use watchmen_store::{Dir, ReputationStore, StorePolicy, StoreTimings};
+use watchmen_telemetry::report::Report;
 use watchmen_telemetry::spec;
 
 use crate::pool::{default_workers, run_tasks, PoolConfig, Quantum, ShardContext, Task};
@@ -288,66 +290,44 @@ pub struct PopulationResult {
     pub store_commits: u64,
     /// Store snapshot compactions.
     pub store_compactions: u64,
-    /// Mean wall-clock time of one compaction, milliseconds (0 with no
-    /// compactions).
-    pub store_compaction_ms_mean: f64,
+    /// Wall-clock time the store spent committing, in fsync and
+    /// compacting — prose for the reader, never a report figure.
+    pub store_timings: StoreTimings,
     /// Final store WAL size, bytes.
     pub store_wal_bytes: u64,
 }
 
 impl PopulationResult {
-    /// Time-to-ban percentile over banned cheaters, in matches played.
+    /// Time-to-ban percentile over banned cheaters, in matches played
+    /// (nearest-rank, like every other SLO percentile).
     #[must_use]
     pub fn ttb_percentile(&self, p: f64) -> Option<u64> {
-        if self.matches_to_ban.is_empty() {
-            return None;
-        }
-        let rank = ((p / 100.0) * (self.matches_to_ban.len() - 1) as f64).round() as usize;
-        Some(self.matches_to_ban[rank.min(self.matches_to_ban.len() - 1)])
+        (!self.matches_to_ban.is_empty()).then(|| percentile(&self.matches_to_ban, p))
     }
 
-    /// False bans per honest identity.
+    /// The `population summary:` report. Its gate: every repeat cheater
+    /// durably banned within [`TTB_BUDGET_MATCHES`] (p99), zero false
+    /// bans, the bans actually refused later matchmaking, and the store
+    /// both committed and compacted.
     #[must_use]
-    pub fn false_ban_rate(&self) -> f64 {
-        let honest = self.players - self.cheaters;
-        if honest == 0 {
-            0.0
-        } else {
-            self.false_bans as f64 / honest as f64
-        }
-    }
-
-    /// The soak's SLO: every repeat cheater durably banned within
-    /// [`TTB_BUDGET_MATCHES`] (p99), zero false bans, and the ban
-    /// actually blocked later matchmaking.
-    #[must_use]
-    pub fn ok(&self) -> bool {
-        self.cheaters_banned == self.cheaters
-            && self.false_bans == 0
-            && (self.cheaters == 0 || self.refused_admissions > 0)
-            && self.ttb_percentile(99.0).is_none_or(|p99| p99 <= TTB_BUDGET_MATCHES)
-    }
-
-    /// The one-line summary.
-    #[must_use]
-    pub fn summary_line(&self) -> String {
-        let (p50, p99) = (
-            self.ttb_percentile(50.0).map_or_else(|| "none".into(), |v: u64| v.to_string()),
-            self.ttb_percentile(99.0).map_or_else(|| "none".into(), |v: u64| v.to_string()),
-        );
-        format!(
-            "population summary: matches={} players={} cheaters={} banned={} false_bans={} \
-             ttb_p50={p50} ttb_p99={p99} refused={} commits={} compactions={} ok={}",
-            self.matches_run,
-            self.players,
-            self.cheaters,
-            self.cheaters_banned,
-            self.false_bans,
-            self.refused_admissions,
-            self.store_commits,
-            self.store_compactions,
-            self.ok(),
-        )
+    pub fn report(&self) -> Report {
+        let p99 = self.ttb_percentile(99.0);
+        Report::new("population summary")
+            .figure("matches", self.matches_run, true)
+            .figure("players", self.players, true)
+            .figure("cheaters", self.cheaters, true)
+            .figure("banned", self.cheaters_banned, self.cheaters_banned == self.cheaters)
+            .figure("false_bans", self.false_bans, self.false_bans == 0)
+            .figure("ttb_p50", self.ttb_percentile(50.0), true)
+            .figure("ttb_p90", self.ttb_percentile(90.0), true)
+            .figure("ttb_p99", p99, p99.is_none_or(|p| p <= TTB_BUDGET_MATCHES))
+            .figure(
+                "refused",
+                self.refused_admissions,
+                self.cheaters == 0 || self.refused_admissions > 0,
+            )
+            .figure("commits", self.store_commits, self.store_commits > 0)
+            .figure("compactions", self.store_compactions, self.store_compactions > 0)
     }
 }
 
@@ -465,7 +445,7 @@ pub fn run_population(config: &PopulationConfig, dir: Box<dyn Dir>) -> Populatio
     }
 
     matches_to_ban.sort_unstable();
-    let (stats, timings) = (store.stats(), store.timings());
+    let stats = store.stats();
     PopulationResult {
         matches_run,
         matches_aborted,
@@ -478,8 +458,7 @@ pub fn run_population(config: &PopulationConfig, dir: Box<dyn Dir>) -> Populatio
         refused_admissions,
         store_commits: stats.commits,
         store_compactions: stats.compactions,
-        store_compaction_ms_mean: timings.compaction_total.as_secs_f64() * 1e3
-            / stats.compactions.max(1) as f64,
+        store_timings: store.timings(),
         store_wal_bytes: store.wal_bytes(),
     }
 }
@@ -499,6 +478,8 @@ mod tests {
             round_matches: 25,
             workers: 2,
             max_local: 4,
+            // Small enough that the soak's gate sees the store compact.
+            compact_wal_bytes: 4 * 1024,
             ..PopulationConfig::default()
         }
     }
@@ -507,10 +488,15 @@ mod tests {
     fn soak_bans_every_cheater_and_no_honest_player() {
         let result = run_population(&small(), Box::new(MemDir::new()));
         assert_eq!(result.cheaters, 4);
-        assert_eq!(result.cheaters_banned, 4, "{}", result.summary_line());
-        assert_eq!(result.false_bans, 0, "{}", result.summary_line());
+        assert_eq!(result.cheaters_banned, 4, "{}", result.report());
+        assert_eq!(result.false_bans, 0, "{}", result.report());
         assert!(result.refused_admissions > 0, "bans never blocked matchmaking");
-        assert!(result.ok(), "{}", result.summary_line());
+        assert_eq!(result.report().check(), Ok(()));
+        let framed = PopulationResult { false_bans: 1, ..result.clone() };
+        assert_eq!(framed.report().failing(), Some("false_bans"));
+        let slow =
+            PopulationResult { matches_to_ban: vec![TTB_BUDGET_MATCHES + 1], ..result.clone() };
+        assert_eq!(slow.report().failing(), Some("ttb_p99"));
         assert!(result.ttb_percentile(50.0).expect("bans exist") >= 3, "warm-up needs ≥3 matches");
         assert_eq!(result.matches_run + result.matches_aborted, 200);
         assert!(result.store_commits > 0);
@@ -522,7 +508,7 @@ mod tests {
             run_population(&PopulationConfig { workers: 1, ..small() }, Box::new(MemDir::new()));
         let four =
             run_population(&PopulationConfig { workers: 4, ..small() }, Box::new(MemDir::new()));
-        assert_eq!(one.summary_line(), four.summary_line());
+        assert_eq!(one.report(), four.report());
         assert_eq!(one.matches_to_ban, four.matches_to_ban);
     }
 
@@ -534,11 +520,26 @@ mod tests {
         let half = PopulationConfig { matches: 100, ..small() };
         let first = run_population(&half, Box::new(dir.clone()));
         let second = run_population(&half, Box::new(dir.clone()));
-        assert!(first.cheaters_banned > 0, "{}", first.summary_line());
+        assert!(first.cheaters_banned > 0, "{}", first.report());
         // Identities banned in soak one are refused from soak two's very
         // first round.
-        assert!(second.refused_admissions > 0, "{}", second.summary_line());
+        assert!(second.refused_admissions > 0, "{}", second.report());
         assert_eq!(second.false_bans, 0);
+    }
+
+    /// One percentile rule: nearest-rank, as `sim::quality` computes
+    /// every other SLO percentile. The old `round(p·(n−1))` index read 3.
+    #[test]
+    fn ttb_percentile_is_nearest_rank() {
+        let result =
+            run_population(&PopulationConfig { matches: 1, ..small() }, Box::new(MemDir::new()));
+        let result = PopulationResult { matches_to_ban: vec![1, 2, 3, 4], ..result };
+        assert_eq!(result.ttb_percentile(50.0), Some(2));
+        assert_eq!(result.ttb_percentile(99.0), Some(4));
+        assert_eq!(
+            PopulationResult { matches_to_ban: Vec::new(), ..result }.ttb_percentile(50.0),
+            None
+        );
     }
 
     #[test]

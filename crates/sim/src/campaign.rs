@@ -28,8 +28,8 @@
 //!
 //! Each campaign returns a [`CampaignOutcome`] carrying the injected
 //! [`GroundTruth`], the emitted audit stream and the joined
-//! [`DetectionQuality`]; [`CampaignOutcome::summary_line`] renders the
-//! per-campaign SLO line.
+//! [`DetectionQuality`]; [`CampaignOutcome::report`] is the per-campaign
+//! SLO line and gate.
 
 use watchmen_core::audit::{AuditKind, AuditRecord, LOBBY_NODE};
 use watchmen_core::cheat::{CheatInjector, CheatKind};
@@ -43,6 +43,7 @@ use watchmen_core::WatchmenConfig;
 use watchmen_crypto::schnorr::Keypair;
 use watchmen_game::PlayerId;
 use watchmen_math::{Aim, Vec3};
+use watchmen_telemetry::report::Report;
 use watchmen_telemetry::TraceId;
 use watchmen_world::PhysicsConfig;
 
@@ -121,6 +122,27 @@ impl CampaignKind {
     pub fn parse(name: &str) -> Option<CampaignKind> {
         CampaignKind::ALL.into_iter().find(|k| k.name() == name)
     }
+
+    /// The `campaign <name>:` SLO report over `quality` (one run's, or
+    /// a soak's merge). Its gate: every scripted adversary drew a severe
+    /// verdict, no honest actor did, and the p99 time-to-detect fits the
+    /// campaign's budget.
+    ///
+    /// ```text
+    /// campaign collusion: adversaries=2 detected=2 false_verdicts=0 ttd_p50=0 ttd_p99=400 budget=1200
+    /// ```
+    #[must_use]
+    pub fn report(self, quality: &DetectionQuality) -> Report {
+        let (q, budget) = (quality, self.ttd_budget_frames());
+        let p99 = q.ttd_percentile(99.0);
+        Report::new(format!("campaign {}", self.name()))
+            .figure("adversaries", q.injected, true)
+            .figure("detected", q.detected, q.detected == q.injected)
+            .figure("false_verdicts", q.false_verdicts, q.false_verdicts == 0)
+            .figure("ttd_p50", q.ttd_percentile(50.0), true)
+            .figure("ttd_p99", p99, p99.is_some_and(|p| p <= budget))
+            .figure("budget", budget, true)
+    }
 }
 
 impl std::fmt::Display for CampaignKind {
@@ -174,35 +196,10 @@ pub struct CampaignOutcome {
 }
 
 impl CampaignOutcome {
-    /// Whether the campaign met its SLO: every scripted adversary drew a
-    /// severe verdict, no honest actor did, and the p99 time-to-detect
-    /// fits the campaign's budget.
+    /// This run's SLO report ([`CampaignKind::report`]).
     #[must_use]
-    pub fn ok(&self) -> bool {
-        self.quality.detected == self.quality.injected
-            && self.quality.false_verdicts == 0
-            && self.quality.ttd_percentile(99.0).is_some_and(|p| p <= self.kind.ttd_budget_frames())
-    }
-
-    /// The per-campaign SLO line:
-    ///
-    /// ```text
-    /// campaign collusion: adversaries=2 detected=2 false_verdicts=0 ttd_p99=1120 budget=1200 ok=true
-    /// ```
-    #[must_use]
-    pub fn summary_line(&self) -> String {
-        let p99 =
-            self.quality.ttd_percentile(99.0).map_or_else(|| "none".to_owned(), |p| p.to_string());
-        format!(
-            "campaign {}: adversaries={} detected={} false_verdicts={} ttd_p99={} budget={} ok={}",
-            self.kind.name(),
-            self.quality.injected,
-            self.quality.detected,
-            self.quality.false_verdicts,
-            p99,
-            self.kind.ttd_budget_frames(),
-            self.ok(),
-        )
+    pub fn report(&self) -> Report {
+        self.kind.report(&self.quality)
     }
 }
 
@@ -513,31 +510,31 @@ mod tests {
     fn collusion_flags_both_client_and_proxy() {
         let o = outcome(CampaignKind::Collusion, 11);
         assert_eq!(o.quality.injected, 2);
-        assert_eq!(o.quality.detected, 2, "{}", o.summary_line());
+        assert_eq!(o.quality.detected, 2, "{}", o.report());
         assert_eq!(o.quality.false_verdicts, 0);
         assert!(o.quality.per_check[checks::COLLUSION].true_pos >= 1);
         assert!(o.quality.per_check[checks::AIM].true_pos >= 1);
-        assert!(o.ok(), "{}", o.summary_line());
+        assert_eq!(o.report().check(), Ok(()));
     }
 
     #[test]
     fn sybil_flood_flags_every_over_rate_identity() {
         let o = outcome(CampaignKind::SybilFlood, 11);
-        assert!(o.quality.injected >= 8, "{}", o.summary_line());
+        assert!(o.quality.injected >= 8, "{}", o.report());
         assert_eq!(o.quality.detected, o.quality.injected);
         assert_eq!(o.quality.false_verdicts, 0);
         // Refusals are instant: everything detected inside one window.
         assert!(o.quality.ttd_percentile(99.0).expect("detected") <= 40);
-        assert!(o.ok(), "{}", o.summary_line());
+        assert_eq!(o.report().check(), Ok(()));
     }
 
     #[test]
     fn eclipse_flags_the_whole_clique_without_framing_honest_churn() {
         let o = outcome(CampaignKind::Eclipse, 11);
         assert_eq!(o.quality.injected, 2);
-        assert_eq!(o.quality.detected, 2, "{}", o.summary_line());
+        assert_eq!(o.quality.detected, 2, "{}", o.report());
         assert_eq!(o.quality.false_verdicts, 0, "honest crash-fallback was framed");
-        assert!(o.ok(), "{}", o.summary_line());
+        assert_eq!(o.report().check(), Ok(()));
     }
 
     #[test]
@@ -545,20 +542,26 @@ mod tests {
         for seed in 0..6u64 {
             for kind in CampaignKind::ALL {
                 let o = outcome(kind, seed);
-                assert!(o.ok(), "seed {seed}: {}", o.summary_line());
+                assert_eq!(o.report().check(), Ok(()), "seed {seed}");
             }
         }
     }
 
+    /// A campaign that missed an adversary, framed an honest actor or
+    /// blew its budget fails on that figure.
     #[test]
-    fn summary_line_is_machine_parseable() {
+    fn report_fails_on_the_figure_that_broke() {
         let o = outcome(CampaignKind::Collusion, 7);
-        let line = o.summary_line();
-        assert!(line.starts_with("campaign collusion: "), "{line}");
-        for field in ["adversaries=", "detected=", "false_verdicts=", "ttd_p99=", "budget=", "ok="]
-        {
-            assert!(line.contains(field), "{line} missing {field}");
-        }
+        assert_eq!(o.report().title(), "campaign collusion");
+        let mut q = o.quality.clone();
+        q.false_verdicts = 1;
+        assert_eq!(o.kind.report(&q).failing(), Some("false_verdicts"));
+        q.detected -= 1;
+        assert_eq!(o.kind.report(&q).failing(), Some("detected"));
+        let late = DetectionQuality { ttd_frames: vec![1201], ..o.quality.clone() };
+        assert_eq!(o.kind.report(&late).failing(), Some("ttd_p99"));
+        let none = DetectionQuality { ttd_frames: Vec::new(), ..o.quality };
+        assert_eq!(o.kind.report(&none).failing(), Some("ttd_p99"));
     }
 
     #[test]

@@ -288,8 +288,8 @@ pub fn run_cheat_matrix(workload: &Workload, config: &WatchmenConfig, seed: u64)
     // drew a severe verdict, no honest actor did, and time-to-detect
     // fit the campaign budget.
     for campaign in CampaignKind::ALL {
-        let outcome = run_campaign(&CampaignSpec::standard(campaign, seed), config);
-        push(campaign.cheat_kind(), outcome.ok(), outcome.summary_line());
+        let report = run_campaign(&CampaignSpec::standard(campaign, seed), config).report();
+        push(campaign.cheat_kind(), report.check().is_ok(), report.to_string());
     }
 
     debug_assert_eq!(rows.len(), CheatKind::ALL.len());

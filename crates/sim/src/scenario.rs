@@ -3,13 +3,13 @@
 //! A scenario is a fixed script — who crashes when, who joins, who
 //! leaves — run on a [`Cluster`] of honest secured nodes over a faulted
 //! simnet. Each returns the finished cluster (for assertions about
-//! individual nodes) and a typed outcome whose `check` is the gate:
-//! `tests/control_plane_e2e.rs` and `tests/churn_e2e.rs` assert on it,
-//! and `examples/deathmatch.rs` exits non-zero when it fails. All
-//! players are honest, so every severe verdict is a false one.
+//! individual nodes) and a typed outcome whose [`Report`] is the summary
+//! line and the gate: `tests/control_plane_e2e.rs` and
+//! `tests/churn_e2e.rs` assert on it, and `examples/deathmatch.rs` exits
+//! non-zero when it fails. All players are honest, so every severe
+//! verdict is a false one.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use watchmen_core::lobby::GameLobby;
 use watchmen_core::node::{ChurnStats, ControlPlaneStats, NodeEvent, Outgoing, WatchmenNode};
@@ -22,6 +22,7 @@ use watchmen_game::trace::GameTrace;
 use watchmen_game::{GameConfig, PlayerId};
 use watchmen_net::fault::{FaultPlan, GilbertElliott};
 use watchmen_net::{latency, NetStats, SimNetwork};
+use watchmen_telemetry::report::Report;
 use watchmen_world::{maps, GameMap, PhysicsConfig};
 
 use crate::cluster::Cluster;
@@ -97,23 +98,6 @@ impl WireDigest {
     }
 }
 
-/// One figure of an outcome: its label on the summary line, its value,
-/// and whether it passes the gate.
-type Figure = (&'static str, u64, bool);
-
-fn summary(f: &mut fmt::Formatter<'_>, title: &str, figures: &[Figure]) -> fmt::Result {
-    write!(f, "{title} summary:")?;
-    figures.iter().try_for_each(|(label, value, _)| write!(f, " {label}={value}"))
-}
-
-/// `Err` naming the first figure that fails its gate.
-fn check(outcome: &dyn fmt::Display, figures: &[Figure]) -> Result<(), String> {
-    match figures.iter().find(|(.., passes)| !passes) {
-        Some((label, value, _)) => Err(format!("{label}={value} fails the gate ({outcome})")),
-        None => Ok(()),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Control plane under faults
 // ---------------------------------------------------------------------
@@ -148,36 +132,22 @@ pub struct ControlPlaneOutcome {
 }
 
 impl ControlPlaneOutcome {
-    fn figures(&self) -> [Figure; 9] {
+    /// The `fault summary:` report. Its gate: the fault plan engaged, the
+    /// reliable layer did real work, fully recovered and fell back around
+    /// the crashed proxy, and nobody was falsely accused.
+    #[must_use]
+    pub fn report(&self) -> Report {
         let (c, net) = (&self.control, &self.net);
-        [
-            ("retransmits", c.retransmits, c.retransmits > 0),
-            ("acks", c.acks_received, true),
-            ("fallbacks", c.proxy_fallbacks, c.proxy_fallbacks >= 1),
-            ("abandoned", c.abandoned, c.abandoned == 0),
-            ("pending_handoffs", self.pending_handoffs, self.pending_handoffs == 0),
-            ("handoffs_received", self.handoffs_received, self.handoffs_received > 0),
-            ("severe_false_verdicts", self.severe.len() as u64, self.severe.is_empty()),
-            ("dup", net.duplicated, true),
-            ("dropped", net.dropped, net.dropped > 0),
-        ]
-    }
-
-    /// The gate: the fault plan engaged, the reliable layer did real
-    /// work, fully recovered and fell back around the crashed proxy, and
-    /// nobody was falsely accused.
-    ///
-    /// # Errors
-    ///
-    /// Names the first figure that failed.
-    pub fn check(&self) -> Result<(), String> {
-        check(self, &self.figures())
-    }
-}
-
-impl fmt::Display for ControlPlaneOutcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        summary(f, "fault", &self.figures())
+        Report::new("fault summary")
+            .figure("retransmits", c.retransmits, c.retransmits > 0)
+            .figure("acks", c.acks_received, true)
+            .figure("fallbacks", c.proxy_fallbacks, c.proxy_fallbacks >= 1)
+            .figure("abandoned", c.abandoned, c.abandoned == 0)
+            .figure("pending_handoffs", self.pending_handoffs, self.pending_handoffs == 0)
+            .figure("handoffs_received", self.handoffs_received, self.handoffs_received > 0)
+            .figure("severe_false_verdicts", self.severe.len(), self.severe.is_empty())
+            .figure("dup", net.duplicated, true)
+            .figure("dropped", net.dropped, net.dropped > 0)
     }
 }
 
@@ -306,40 +276,30 @@ pub struct ChurnOutcome {
 }
 
 impl ChurnOutcome {
-    fn figures(&self) -> [Figure; 8] {
+    /// The `churn summary:` report. Its gate: the whole lifecycle ran,
+    /// every joiner converged, every running active member agreed on the
+    /// roster at every boundary, and nobody was falsely accused.
+    #[must_use]
+    pub fn report(&self) -> Report {
         let w = &self.witness;
         let agreed = self.roster_divergence.is_none();
-        [
-            ("joins", w.joins_applied, w.joins_applied == CHURN_JOINERS as u64),
-            ("leaves", w.leaves_applied, w.leaves_applied == CHURN_LEAVES.len() as u64),
-            ("evictions", w.evictions_applied, w.evictions_applied == CHURN_CRASHED.len() as u64),
-            (
+        Report::new("churn summary")
+            .figure("joins", w.joins_applied, w.joins_applied == CHURN_JOINERS as u64)
+            .figure("leaves", w.leaves_applied, w.leaves_applied == CHURN_LEAVES.len() as u64)
+            .figure(
+                "evictions",
+                w.evictions_applied,
+                w.evictions_applied == CHURN_CRASHED.len() as u64,
+            )
+            .figure(
                 "joiners_converged",
                 self.joiners_converged,
                 self.joiners_converged == w.joins_applied,
-            ),
-            ("boundaries", self.boundaries, true),
-            ("roster_agreement", u64::from(agreed), agreed),
-            ("false_verdicts", self.severe.len() as u64, self.severe.is_empty()),
-            ("bad_signatures", self.bad_signatures.len() as u64, self.bad_signatures.is_empty()),
-        ]
-    }
-
-    /// The gate: the whole lifecycle ran, every joiner converged, every
-    /// running active member agreed on the roster at every boundary, and
-    /// nobody was falsely accused.
-    ///
-    /// # Errors
-    ///
-    /// Names the first figure that failed.
-    pub fn check(&self) -> Result<(), String> {
-        check(self, &self.figures())
-    }
-}
-
-impl fmt::Display for ChurnOutcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        summary(f, "churn", &self.figures())
+            )
+            .figure("boundaries", self.boundaries, true)
+            .figure("roster_agreement", agreed, agreed)
+            .figure("false_verdicts", self.severe.len(), self.severe.is_empty())
+            .figure("bad_signatures", self.bad_signatures.len(), self.bad_signatures.is_empty())
     }
 }
 
@@ -516,7 +476,7 @@ mod tests {
     fn no_node_addresses_itself_under_heavy_loss() {
         let plan = FaultPlan::from_spec("loss=0.39,dup=0.2", 0).expect("spec parses");
         let (_, outcome) = control_plane_soak(plan);
-        assert!(outcome.net.dropped > 0 && outcome.control.retransmits > 0, "{outcome}");
+        assert!(outcome.net.dropped > 0 && outcome.control.retransmits > 0, "{}", outcome.report());
     }
 
     fn hex(digest: [u8; 32]) -> String {

@@ -276,8 +276,16 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// JSON-escapes a string and wraps it in quotes.
-fn json_string(s: &str) -> String {
+/// JSON-escapes a string and wraps it in quotes — the workspace's one
+/// escaper (exporters, [`crate::report`], the verdict audit stream).
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(watchmen_telemetry::export::json_string("a\"b\n"), "\"a\\\"b\\n\"");
+/// ```
+#[must_use]
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -46,7 +46,8 @@
 //! end-of-run hook every example and bench calls to honor the
 //! `WATCHMEN_TELEMETRY=prom|json` knob uniformly, and [`spec`] is the
 //! one `key=value,…` grammar every other `WATCHMEN_*` spec variable
-//! parses with.
+//! parses with. [`report::Report`] is the one run report every driver
+//! prints, records (`BENCH_<name>.json`) and gates through.
 //!
 //! For *live* visibility — watching a fleet mid-run rather than reading
 //! a dump after it exits — [`serve::MetricsServer`] is a `std`-only HTTP
@@ -96,6 +97,7 @@ pub mod export;
 mod histogram;
 mod recorder;
 mod registry;
+pub mod report;
 pub mod serve;
 pub mod spec;
 mod timer;

@@ -16,79 +16,46 @@
 //!
 //! Knobs: `runs` (seeds per kind), `seed`, `workers`, `max_local`.
 //!
-//! Prints one line per run and one merged `campaign <name>:` SLO line
-//! per kind, and exits non-zero unless every kind met its SLO (all
+//! Prints one `campaign <name>:` line per run, then one merged line per
+//! kind and the `campaign soak:` line ([`CampaignSoakResult::report`]),
+//! and exits non-zero unless every one of those gates holds (all
 //! adversaries detected within the kind's time-to-detect budget, no
-//! honest actor framed, no panic). With `WATCHMEN_BENCH_OUT=<dir>` set
-//! the run also writes `BENCH_campaign.json` with per-kind adversary /
-//! detection / false-verdict counts and time-to-detect percentiles.
+//! honest actor framed, no run missing its own SLO, no panic). With
+//! `WATCHMEN_BENCH_OUT=<dir>` set the run also writes the merged reports
+//! as `BENCH_campaign.json`.
+//!
+//! [`CampaignSoakResult::report`]: watchmen::fleet::CampaignSoakResult::report
 
-use std::time::Instant;
-
-use watchmen::bench::BenchRecord;
 use watchmen::fleet::{run_campaign_soak, CampaignSoakConfig};
 use watchmen::sim::campaign::CampaignKind;
+use watchmen::telemetry::report::{self, Report};
 
 fn main() {
     let config = CampaignSoakConfig::from_env().unwrap_or_default();
     println!(
-        "campaign soak: {} kinds x {} seeds on {} workers (base seed {})…",
+        "soaking {} campaign kinds x {} seeds on {} workers (base seed {})…",
         CampaignKind::ALL.len(),
         config.runs_per_kind,
         config.workers,
         config.seed,
     );
 
-    let started = Instant::now();
     let result = run_campaign_soak(&config);
-    let elapsed = started.elapsed().as_secs_f64();
-
     for msg in &result.panics {
         println!("campaign panicked: {msg}");
     }
     for outcome in &result.outcomes {
-        println!("seed {}: {}", outcome.seed, outcome.summary_line());
+        println!("seed {}: {}", outcome.seed, outcome.report());
     }
     println!();
-    print!("{}", result.summary_lines());
-    println!(
-        "campaign soak: {} campaigns in {elapsed:.2}s, ok={}",
-        result.outcomes.len(),
-        result.ok()
-    );
-
-    let mut record = BenchRecord::new("campaign")
-        .with_u64("runs_per_kind", config.runs_per_kind)
-        .with_u64("workers", config.workers as u64)
-        .with_u64("campaigns", result.outcomes.len() as u64)
-        .with_u64("panics", result.panics.len() as u64)
-        .with_u64("ok", u64::from(result.ok()))
-        .with_f64("elapsed_sec", elapsed);
-    for kind in CampaignKind::ALL {
-        let q = result.quality_for(kind);
-        let name = kind.name().replace('-', "_");
-        let ttd = |p: f64| q.ttd_percentile(p).map_or(f64::NAN, |v| v as f64);
-        record = record
-            .with_u64(&format!("{name}_adversaries"), q.injected)
-            .with_u64(&format!("{name}_detected"), q.detected)
-            .with_u64(&format!("{name}_false_verdicts"), q.false_verdicts)
-            .with_f64(&format!("{name}_ttd_p50_frames"), ttd(50.0))
-            .with_f64(&format!("{name}_ttd_p99_frames"), ttd(99.0))
-            .with_u64(&format!("{name}_ttd_budget_frames"), kind.ttd_budget_frames());
+    let reports = result.report();
+    for r in &reports {
+        println!("{r}");
     }
-    match record.save() {
-        Ok(Some(path)) => println!("wrote bench record to {}", path.display()),
-        Ok(None) => {
-            println!("(set WATCHMEN_BENCH_OUT=<dir> to record BENCH_campaign.json)");
-        }
-        Err(e) => {
-            eprintln!("failed to write bench record {}: {e}", record.file_name());
-            std::process::exit(1);
-        }
-    }
-
-    if !result.ok() {
-        eprintln!("campaign SLO violated");
+    let verdict = report::save("campaign", &reports)
+        .and_then(|()| reports.iter().try_for_each(Report::check));
+    if let Err(e) = verdict {
+        eprintln!("campaign soak FAILED: {e}");
         std::process::exit(1);
     }
 }

@@ -172,10 +172,10 @@ fn main() {
     // itself.
     let plan = FaultPlan::from_env().unwrap_or_else(scenario::default_fault_plan);
     println!("\ncontrol-plane soak: 16 secured nodes under faults plus a scripted proxy crash…");
-    let (_, faulted) = scenario::control_plane_soak(plan);
+    let faulted = scenario::control_plane_soak(plan).1.report();
     println!("{faulted}");
     println!("\nchurn soak: 16 veterans, 4 mid-game joins, 2 leaves, 2 crash-evictions…");
-    let (_, churn) = scenario::churn_soak();
+    let churn = scenario::churn_soak().1.report();
     println!("{churn}");
     if let Err(e) = faulted.check().and_then(|()| churn.check()) {
         eprintln!("soak FAILED: {e}");

@@ -33,24 +33,23 @@
 //!   JSONL (forces `audit=1`); the stream is byte-identical across
 //!   worker counts for a fixed seed.
 //!
-//! The run gates itself: it exits non-zero unless
-//! [`FleetResult::gate`](watchmen::fleet::FleetResult::gate) passes
-//! (every match completed, none panicked, every injected cheater
-//! detected inside the time-to-detect budget, nobody honest accused) and
-//! prints the per-match lines of the matches that failed. The final
-//! `detection slo:` and `fleet summary:` lines are for the reader. With
-//! `WATCHMEN_BENCH_OUT=<dir>` set the run also writes `BENCH_fleet.json`
-//! and `BENCH_detection.json` — the latter with time-to-detect p50/p99,
-//! per-check TP/FP/FN, and the measured overhead of running the plane at
-//! all (two extra mini-fleets, observe on vs. off), which must then stay
-//! under [`PLANE_OVERHEAD_LIMIT_PCT`].
+//! The run gates itself through the two reports of
+//! [`FleetResult::report`](watchmen::fleet::FleetResult::report) — the
+//! final `detection slo:` and `fleet summary:` lines: it exits non-zero
+//! unless every match completed, none panicked, every injected cheater
+//! was detected inside the time-to-detect budget and nobody honest was
+//! accused, and prints the per-match lines of the matches that failed.
+//! With `WATCHMEN_BENCH_OUT=<dir>` set the run also writes those reports
+//! as `BENCH_fleet.json` and `BENCH_detection.json`, the latter with one
+//! more figure: the measured overhead of running the plane at all (two
+//! extra mini-fleets, observe on vs. off), which must stay under
+//! [`PLANE_OVERHEAD_LIMIT_PCT`].
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use watchmen::bench::BenchRecord;
-use watchmen::fleet::{run_fleet, run_fleet_on, FleetConfig, FleetView, TTD_BUDGET_FRAMES};
-use watchmen::telemetry::MetricsServer;
+use watchmen::fleet::{run_fleet, run_fleet_on, FleetConfig, FleetView};
+use watchmen::telemetry::{report, MetricsServer};
 
 /// The most the observability plane may slow the tick loop, in percent.
 const PLANE_OVERHEAD_LIMIT_PCT: f64 = 5.0;
@@ -142,8 +141,8 @@ fn main() {
          aggregate over {elapsed:.2}s"
     );
 
-    // The gate, and the raw material behind it when it fails.
-    let mut failure = result.gate(&config).err();
+    // The raw material behind the gate when it fails.
+    let mut failure = None;
     for r in &result.reports {
         if r.false_verdicts > 0 || (r.cheaters > 0 && !r.detected) {
             println!("{}", r.summary_line());
@@ -165,72 +164,19 @@ fn main() {
         }
     }
 
-    // The two summary lines (deterministic counters only).
-    println!("\n{}", result.detection_summary());
-    println!("{}", result.summary_line());
-
-    // The plane-overhead probe runs only when recording a bench — it
-    // costs two extra mini-fleets (observe on vs. off).
+    // The plane-overhead probe runs only when recording — it costs two
+    // extra mini-fleets (observe on vs. off) — and is the one wall-clock
+    // figure a report carries, because it is gated.
+    let [fleet, mut detection] = result.report(&config);
     let recording = std::env::var("WATCHMEN_BENCH_OUT").is_ok_and(|v| !v.trim().is_empty());
-    let overhead_pct = if recording && config.observe {
+    if recording && config.observe {
         let pct = measure_plane_overhead(&config);
-        println!("observability plane overhead: {pct:.2}% on the tick loop (probe fleets)");
-        if pct >= PLANE_OVERHEAD_LIMIT_PCT {
-            failure.get_or_insert_with(|| format!("observability plane costs {pct:.2}%"));
-        }
-        Some(pct)
-    } else {
-        None
-    };
-
-    // The recorded trajectory, when asked for.
-    let fleet_p99 = result.rollup.fleet_ticks.map_or(f64::NAN, |t| t.p99);
-    let record = BenchRecord::new("fleet")
-        .with_u64("matches", config.matches)
-        .with_u64("players", config.players as u64)
-        .with_u64("frames", config.frames)
-        .with_u64("workers", config.workers as u64)
-        .with_u64("completed", result.completed())
-        .with_u64("false_verdicts", result.false_verdicts())
-        .with_u64("detected_matches", result.detected_matches())
-        .with_u64("cheater_matches", result.cheater_matches())
-        .with_u64("steals", result.total_steals())
-        .with_f64("elapsed_sec", elapsed)
-        .with_f64("matches_per_sec", matches_per_sec)
-        .with_f64("ticks_per_sec", ticks_per_sec)
-        .with_f64("fleet_tick_p99_ms", fleet_p99)
-        .with_f64("worst_shard_tick_p99_ms", result.rollup.worst_shard_tick_p99())
-        .with_f64_list("shard_tick_p99_ms", &result.rollup.shard_tick_p99s());
-    save_or_die(&record);
-
-    // The detection-quality record: the SLO evidence, committed as
-    // BENCH_detection.json for a reviewable trajectory.
-    let quality = result.detection_quality();
-    let ttd = |p: f64| quality.ttd_percentile(p).map_or(f64::NAN, |v| v as f64);
-    let mut detection = BenchRecord::new("detection")
-        .with_u64("matches", config.matches)
-        .with_u64("injected", quality.injected)
-        .with_u64("detected", quality.detected)
-        .with_u64("false_verdicts", quality.false_verdicts)
-        .with_f64("ttd_p50_frames", ttd(50.0))
-        .with_f64("ttd_p99_frames", ttd(99.0))
-        .with_u64("ttd_budget_frames", TTD_BUDGET_FRAMES)
-        .with_u64("slo_ok", u64::from(result.slo_ok()));
-    for (check, c) in &quality.per_check {
-        detection = detection
-            .with_u64(&format!("{check}_tp"), c.true_pos)
-            .with_u64(&format!("{check}_fp"), c.false_pos)
-            .with_u64(&format!("{check}_fn"), c.false_neg);
+        detection = detection.figure("plane_overhead_pct", pct, pct < PLANE_OVERHEAD_LIMIT_PCT);
     }
-    if let Some(pct) = overhead_pct {
-        detection = detection.with_f64("plane_overhead_pct", pct);
-    }
-    save_or_die(&detection);
-    if !recording {
-        println!(
-            "(set WATCHMEN_BENCH_OUT=<dir> to record BENCH_fleet.json + BENCH_detection.json)"
-        );
-    }
+    println!("\n{detection}\n{fleet}");
+    let saved = report::save("fleet", std::slice::from_ref(&fleet))
+        .and_then(|()| report::save("detection", std::slice::from_ref(&detection)));
+    failure = fleet.check().and(detection.check()).and(saved).err().or(failure);
 
     // Keep the endpoint up for scrapers that want the settled snapshot.
     if server.is_some() {
@@ -277,16 +223,4 @@ fn measure_plane_overhead(config: &FleetConfig) -> f64 {
         pct = (off / on - 1.0) * 100.0;
     }
     pct
-}
-
-/// Saves a bench record, failing the run loudly on filesystem errors.
-fn save_or_die(record: &BenchRecord) {
-    match record.save() {
-        Ok(Some(path)) => println!("wrote bench record to {}", path.display()),
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("failed to write bench record {}: {e}", record.file_name());
-            std::process::exit(1);
-        }
-    }
 }

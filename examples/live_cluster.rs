@@ -19,25 +19,23 @@
 //! * `WATCHMEN_LIVE_CHEATER` — player index scripted to speed-hack
 //!   (default 2)
 //!
-//! The parent prints one summary line and exits non-zero unless every
-//! process completed, the cheater (and nobody else) drew severe
-//! verdicts, transport heartbeats flowed and no datagram arrived
-//! malformed or truncated:
+//! The parent prints one `live summary:` report and exits non-zero
+//! unless its gate holds: every process completed, the cheater (and
+//! nobody else) drew severe verdicts, transport heartbeats flowed and no
+//! datagram arrived malformed or truncated:
 //!
 //! ```text
-//! live summary: players=6 frames=240 cheater=2 severe=120 false_verdicts=0 \
-//!   detected=1 completed=6 heartbeats=459 malformed=0 truncated=0
+//! live summary: players=6 frames=240 cheater=2 completed=6 severe=120 \
+//!   detected=1 false_verdicts=0 heartbeats=458 malformed=0 truncated=0 queue_dropped=0
 //! ```
-//!
-//! The `match wall clock:` line before it carries the mean wall time of
-//! one `LiveTransport::pump` across the children.
 //!
 //! Rendezvous protocol (stdin/stdout lines, parent ↔ child):
 //! child prints `ADDR <socketaddr>`; parent gathers all addresses and
 //! writes `PEERS <addr0> <addr1> …`; child heartbeats until it has heard
 //! every peer, prints `UP`; parent writes `GO` to everyone at once; the
-//! match runs; child prints `RESULT k=v …` (counters and its mean
-//! `pump_ns`) and exits.
+//! match runs; child prints its counters as a `node <i> result:` report
+//! line and exits. The parent reads that line back strictly: a missing
+//! or non-numeric count fails the node.
 //!
 //! Every rendezvous step runs against a deadline: a child that crashes
 //! (or wedges) fails the run immediately with a per-node diagnostic —
@@ -57,6 +55,7 @@ use watchmen::crypto::schnorr::Keypair;
 use watchmen::game::PlayerId;
 use watchmen::net::live::LiveTransport;
 use watchmen::sim::workload::match_workload;
+use watchmen::telemetry::report::{self, Report};
 use watchmen::world::PhysicsConfig;
 
 /// Extra frames after the playable match: one proxy epoch, enough for
@@ -66,6 +65,14 @@ const DRAIN_FRAMES: u64 = 40;
 /// How far the scripted cheater teleports sideways, in world units —
 /// the same magnitude every soak gate in this repo scripts.
 const CHEAT_OFFSET: f64 = 30.0;
+
+/// What each child reports and the parent sums, in order.
+const NODE_FIGURES: [&str; 6] =
+    ["severe", "false_verdicts", "heartbeats", "malformed", "truncated", "queue_dropped"];
+
+fn node_title(index: usize) -> String {
+    format!("node {index} result")
+}
 
 struct Knobs {
     players: usize,
@@ -275,68 +282,50 @@ fn run_parent(knobs: &Knobs) {
     // that overruns its own runtime by 30s is wedged, not slow.
     let match_time = Duration::from_millis(knobs.pace_ms * (knobs.frames + DRAIN_FRAMES));
     let deadline = started + match_time + Duration::from_secs(30);
-    let (mut severe, mut false_verdicts, mut heartbeats) = (0u64, 0u64, 0u64);
-    let (mut malformed, mut truncated, mut queue_dropped) = (0u64, 0u64, 0u64);
+    let mut totals = [0u64; NODE_FIGURES.len()];
     let mut completed = 0usize;
-    let mut pump_ns = 0u64;
     for (i, node) in children.iter_mut().enumerate() {
-        let line = match node.next_line(i, "RESULT", deadline) {
-            Ok(line) => line,
+        let result = node.next_line(i, "result", deadline).and_then(|line| {
+            let counts = report::read(&line, &node_title(i), NODE_FIGURES)
+                .map_err(|e| format!("node {i}: {e}"))?;
+            match node.child.wait() {
+                Ok(status) if status.success() => Ok(counts),
+                _ => Err(format!("node {i}: nonzero exit")),
+            }
+        });
+        match result {
+            Ok(counts) => {
+                totals.iter_mut().zip(counts).for_each(|(total, n)| *total += n);
+                completed += 1;
+            }
             Err(reason) => {
                 eprintln!("{reason}");
                 let _ = node.child.kill();
-                continue;
             }
-        };
-        let ok = node.child.wait().map(|s| s.success()).unwrap_or(false);
-        let Some(kv) = line.strip_prefix("RESULT ") else {
-            eprintln!("node {i}: expected RESULT, got {line:?}");
-            continue;
-        };
-        if !ok {
-            eprintln!("node {i}: nonzero exit");
-            continue;
         }
-        let get = |key: &str| -> u64 {
-            kv.split_whitespace()
-                .find_map(|pair| pair.strip_prefix(&format!("{key}=")))
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0)
-        };
-        severe += get("severe");
-        false_verdicts += get("false");
-        heartbeats += get("heartbeats");
-        malformed += get("malformed");
-        truncated += get("truncated");
-        queue_dropped += get("qdrop");
-        pump_ns += get("pump_ns");
-        completed += 1;
     }
 
-    let detected = severe > 0;
     println!(
-        "match wall clock: {:.2}s across {} processes (queue_dropped={queue_dropped}, \
-         mean pump {:.1} us)",
+        "match wall clock: {:.2}s across {} processes",
         started.elapsed().as_secs_f64(),
-        knobs.players,
-        pump_ns as f64 / 1e3 / completed.max(1) as f64
+        knobs.players
     );
-    println!(
-        "live summary: players={} frames={} cheater={} severe={severe} \
-         false_verdicts={false_verdicts} detected={} completed={completed} \
-         heartbeats={heartbeats} malformed={malformed} truncated={truncated}",
-        knobs.players,
-        knobs.frames,
-        knobs.cheater,
-        u64::from(detected),
-    );
-    if completed != knobs.players
-        || false_verdicts > 0
-        || !detected
-        || heartbeats == 0
-        || malformed + truncated > 0
-    {
-        eprintln!("live cluster FAILED");
+    let [severe, false_verdicts, heartbeats, malformed, truncated, queue_dropped] = totals;
+    let summary = Report::new("live summary")
+        .figure("players", knobs.players, true)
+        .figure("frames", knobs.frames, true)
+        .figure("cheater", u64::from(knobs.cheater), true)
+        .figure("completed", completed, completed == knobs.players)
+        .figure("severe", severe, true)
+        .figure("detected", severe > 0, severe > 0)
+        .figure("false_verdicts", false_verdicts, false_verdicts == 0)
+        .figure("heartbeats", heartbeats, heartbeats > 0)
+        .figure("malformed", malformed, malformed == 0)
+        .figure("truncated", truncated, truncated == 0)
+        .figure("queue_dropped", queue_dropped, true);
+    println!("{summary}");
+    if let Err(e) = summary.check() {
+        eprintln!("live cluster FAILED: {e}");
         std::process::exit(1);
     }
 }
@@ -466,20 +455,19 @@ fn run_node(index: usize, knobs: Knobs) {
     }
 
     let stats = transport.stats();
-    let timings = transport.timings();
-    let pump_ns =
-        (timings.drain_total + timings.flush_total).as_nanos() / u128::from(timings.pumps.max(1));
-    let mut out = stdout.lock();
-    writeln!(
-        out,
-        "RESULT node={index} severe={severe} false={false_verdicts} frames={total} \
-         heartbeats={} malformed={} truncated={} qdrop={} unroutable={} pump_ns={pump_ns}",
+    let counts = [
+        severe,
+        false_verdicts,
         stats.heartbeats_received,
         stats.malformed,
         stats.truncated,
         stats.queue_dropped,
-        stats.unroutable_dropped,
-    )
-    .unwrap();
+    ];
+    let result = NODE_FIGURES
+        .into_iter()
+        .zip(counts)
+        .fold(Report::new(node_title(index)), |r, (label, n)| r.figure(label, n, true));
+    let mut out = stdout.lock();
+    writeln!(out, "{result}").unwrap();
     out.flush().unwrap();
 }

@@ -32,9 +32,9 @@
 //!    reference (torn-off unacknowledged bans are re-staged).
 //!
 //! A final fault-free cycle runs the stream to completion. The run
-//! prints a `crashloop summary:` line and exits non-zero on any
-//! divergence, if the stream did not finish, if no ban was ever
-//! acknowledged, or if no crash was ever injected.
+//! prints a `crashloop summary:` report and exits non-zero when its gate
+//! fails: any divergence, a stream that did not finish, no ban ever
+//! acknowledged, or no crash ever injected.
 //!
 //! Knobs via `WATCHMEN_CRASHLOOP` (comma-separated `key=value`):
 //! `cycles` (crash cycles before the clean finish, default 8), `ops`
@@ -47,6 +47,7 @@ use std::process::Command;
 use std::time::Duration;
 
 use watchmen::store::{Dir, FaultDir, FaultSpec, FsDir, RepState, ReputationStore, StorePolicy};
+use watchmen::telemetry::report::Report;
 use watchmen::telemetry::spec;
 
 /// Identities in the deterministic stream (first `CHEATERS` cheat).
@@ -402,21 +403,21 @@ fn main() {
         divergences += 1;
     }
 
-    let ok = divergences == 0
-        && completed
-        && audit.ops == config.ops
-        && !acked.is_empty()
-        && sigkills + aborts > 0;
-    println!(
-        "crashloop summary: cycles={} sigkills={sigkills} aborts={aborts} \
-         finished_early={clean_exits} ops={} acked_bans={} restaged={restaged_total} \
-         divergences={divergences} ok={ok}",
-        config.cycles,
-        audit.ops,
-        acked.len(),
-    );
-    if !ok {
-        eprintln!("crashloop FAILED");
+    // A final cycle that did not complete already counts as a divergence.
+    let crashes = sigkills + aborts;
+    let summary = Report::new("crashloop summary")
+        .figure("cycles", config.cycles, true)
+        .figure("sigkills", sigkills, true)
+        .figure("aborts", aborts, true)
+        .figure("crashes", crashes, crashes > 0)
+        .figure("finished_early", clean_exits, true)
+        .figure("ops", audit.ops, audit.ops == config.ops)
+        .figure("acked_bans", acked.len(), !acked.is_empty())
+        .figure("restaged", restaged_total, true)
+        .figure("divergences", divergences, divergences == 0);
+    println!("{summary}");
+    if let Err(e) = summary.check() {
+        eprintln!("crashloop FAILED: {e}");
         std::process::exit(1);
     }
     let _ = std::fs::remove_dir_all(&store_dir);

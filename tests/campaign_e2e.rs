@@ -9,6 +9,7 @@ use watchmen::core::verify::checks;
 use watchmen::core::WatchmenConfig;
 use watchmen::fleet::{run_campaign_soak, CampaignSoakConfig};
 use watchmen::sim::campaign::{run_campaign, CampaignKind, CampaignOutcome, CampaignSpec};
+use watchmen::telemetry::report::{self, Report};
 
 /// The fixed seeds the e2e gate runs each campaign at — same family as
 /// the CI gate's seeds.
@@ -32,7 +33,7 @@ fn severe_subjects(outcome: &CampaignOutcome, check: &str) -> Vec<u32> {
 fn collusion_campaign_flags_client_and_laundering_proxy() {
     for seed in SEEDS {
         let o = outcome(CampaignKind::Collusion, seed);
-        assert!(o.ok(), "seed {seed}: {}", o.summary_line());
+        assert_eq!(o.report().check(), Ok(()), "seed {seed}");
         assert_eq!(o.truth.cheaters.len(), 2, "client + colluding proxy");
         let (client, colluder) = (o.truth.cheaters[0], o.truth.cheaters[1]);
 
@@ -55,7 +56,7 @@ fn collusion_campaign_flags_client_and_laundering_proxy() {
 fn sybil_flood_campaign_flags_every_over_rate_identity() {
     for seed in SEEDS {
         let o = outcome(CampaignKind::SybilFlood, seed);
-        assert!(o.ok(), "seed {seed}: {}", o.summary_line());
+        assert_eq!(o.report().check(), Ok(()), "seed {seed}");
         assert!(o.truth.cheaters.len() >= 8, "seed {seed}: flood too small");
 
         let flagged = severe_subjects(&o, checks::ADMISSION);
@@ -82,7 +83,7 @@ fn sybil_flood_campaign_flags_every_over_rate_identity() {
 fn eclipse_campaign_flags_the_whole_clique() {
     for seed in SEEDS {
         let o = outcome(CampaignKind::Eclipse, seed);
-        assert!(o.ok(), "seed {seed}: {}", o.summary_line());
+        assert_eq!(o.report().check(), Ok(()), "seed {seed}");
 
         let flagged = severe_subjects(&o, checks::SCHEDULE);
         for member in &o.truth.cheaters {
@@ -103,19 +104,20 @@ fn eclipse_campaign_flags_the_whole_clique() {
 fn per_campaign_slo_lines_parse_and_hold() {
     for kind in CampaignKind::ALL {
         let o = outcome(kind, SEEDS[0]);
-        let line = o.summary_line();
-        let field = |name: &str| -> u64 {
-            line.split_whitespace()
-                .find_map(|part| part.strip_prefix(&format!("{name}=")))
-                .unwrap_or_else(|| panic!("{line} missing {name}"))
-                .parse()
-                .unwrap_or_else(|_| panic!("{line}: {name} not numeric"))
-        };
-        assert!(line.starts_with(&format!("campaign {}: ", kind.name())), "{line}");
-        assert_eq!(field("adversaries"), field("detected"), "{line}");
-        assert_eq!(field("false_verdicts"), 0, "{line}");
-        assert!(field("ttd_p99") <= field("budget"), "{line}");
-        assert!(line.ends_with("ok=true"), "{line}");
+        let line = o.report().to_string();
+        let title = format!("campaign {}", kind.name());
+        let labels = ["adversaries", "detected", "false_verdicts", "ttd_p99", "budget"];
+        let [adversaries, detected, false_verdicts, ttd_p99, budget] =
+            report::read(&line, &title, labels).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(adversaries, detected, "{line}");
+        assert_eq!(false_verdicts, 0, "{line}");
+        assert!(ttd_p99 <= budget, "{line}");
+        assert_eq!(o.report().failing(), None, "{line}");
+
+        // The same line fails on the figure a broken campaign breaks.
+        let mut framed = o.quality.clone();
+        framed.false_verdicts += 1;
+        assert_eq!(kind.report(&framed).failing(), Some("false_verdicts"), "{line}");
     }
 }
 
@@ -129,7 +131,7 @@ fn campaign_soak_holds_across_seeds_and_workers() {
     });
     assert!(result.panics.is_empty(), "{:?}", result.panics);
     assert_eq!(result.outcomes.len(), 18);
-    assert!(result.ok(), "{}", result.summary_lines());
+    result.report().iter().try_for_each(Report::check).unwrap_or_else(|e| panic!("{e}"));
     for kind in CampaignKind::ALL {
         let q = result.quality_for(kind);
         assert_eq!(q.detected, q.injected, "{kind}");

@@ -44,7 +44,10 @@ fn churn_run_keeps_rosters_agreed_and_raises_no_false_verdicts() {
     // --- The full lifecycle actually ran (all joins, leaves and
     // evictions applied, every joiner converged), observed from a
     // veteran that survived to the end.
-    outcome.check().unwrap();
+    outcome.report().check().unwrap();
+    let mut split = outcome.clone();
+    split.roster_divergence = Some("a doctored divergence".to_owned());
+    assert_eq!(split.report().failing(), Some("roster_agreement"));
 
     // --- (b) Every joiner received its bootstrap within one epoch of its
     // admission boundary, and entered the veterans' pipelines.

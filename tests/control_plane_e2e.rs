@@ -32,7 +32,10 @@ fn handoff_chains_survive_loss_duplication_and_a_proxy_crash() {
         // retransmissions happened, nothing was abandoned, the crashed
         // proxy triggered a fallback, handoff chains were delivered and
         // none is left pending.
-        outcome.check().unwrap_or_else(|e| panic!("{name}: {e}"));
+        outcome.report().check().unwrap_or_else(|e| panic!("{name}: {e}"));
+        let mut framed = outcome.clone();
+        framed.severe.push("a doctored verdict".to_owned());
+        assert_eq!(framed.report().failing(), Some("severe_false_verdicts"), "{name}");
         for (i, core) in cluster.cores.iter().flatten().enumerate() {
             assert_eq!(
                 core.node().pending_handoffs(),

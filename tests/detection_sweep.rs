@@ -17,7 +17,7 @@ const SEEDS: [u64; 8] = [1, 7, 33, 42, 101, 555, 901, 4099];
 #[test]
 fn fleet_detection_slo_holds_across_seeds() {
     for seed in SEEDS {
-        let result = run_fleet(&FleetConfig {
+        let config = FleetConfig {
             matches: 4,
             players: 8,
             frames: 120,
@@ -25,12 +25,18 @@ fn fleet_detection_slo_holds_across_seeds() {
             cheat_every: 2,
             seed,
             ..FleetConfig::default()
-        });
+        };
+        let result = run_fleet(&config);
+        let [_, detection] = result.report(&config);
         let q = result.detection_quality();
         assert!(q.injected > 0, "seed {seed}: fleet scripted no cheaters");
-        assert_eq!(q.detected, q.injected, "seed {seed}: {}", result.detection_summary());
-        assert_eq!(q.false_verdicts, 0, "seed {seed}: {}", result.detection_summary());
-        assert!(result.slo_ok(), "seed {seed}: {}", result.detection_summary());
+        assert_eq!(q.detected, q.injected, "seed {seed}: {detection}");
+        assert_eq!(q.false_verdicts, 0, "seed {seed}: {detection}");
+        assert_eq!(detection.failing(), None, "seed {seed}: {detection}");
+        // A fleet whose position check never fired fails on that figure.
+        let mut blind = result;
+        blind.reports.iter_mut().for_each(|r| r.quality.per_check.clear());
+        assert_eq!(blind.report(&config)[1].failing(), Some("position_tp"), "seed {seed}");
     }
 }
 

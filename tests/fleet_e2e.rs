@@ -10,12 +10,10 @@
 //! are small; the population-scale run is the `fleet_soak` example ci.sh
 //! drives in release mode.
 
-use watchmen::fleet::{run_fleet_specs, FleetConfig, MatchSpec, PoolConfig};
+use watchmen::fleet::{run_fleet_specs, FleetConfig, FleetResult, MatchSpec, PoolConfig};
 
-/// A small mixed fleet: honest matches plus scripted cheaters, varied
-/// sizes so quanta interleave unevenly across workers.
-fn mixed_specs() -> Vec<MatchSpec> {
-    let config = FleetConfig {
+fn mixed_config() -> FleetConfig {
+    FleetConfig {
         matches: 10,
         players: 8,
         frames: 90,
@@ -23,8 +21,13 @@ fn mixed_specs() -> Vec<MatchSpec> {
         cheat_every: 5,
         tick_quantum: 8,
         ..FleetConfig::default()
-    };
-    let mut specs = config.specs();
+    }
+}
+
+/// A small mixed fleet: honest matches plus scripted cheaters, varied
+/// sizes so quanta interleave unevenly across workers.
+fn mixed_specs() -> Vec<MatchSpec> {
+    let mut specs = mixed_config().specs();
     // Uneven lengths: long and short matches must coexist fairly.
     for (i, spec) in specs.iter_mut().enumerate() {
         if i % 3 == 0 {
@@ -49,14 +52,17 @@ fn fleet_results_are_identical_across_worker_counts() {
             "per-match output must be byte-identical under {workers} workers"
         );
         // The summary echoes two scheduling facts (worker count and
-        // steal count); every simulation-derived field matches.
-        let strip = |s: &str| {
-            s.split_whitespace()
+        // steal count); every simulation-derived figure matches.
+        let strip = |r: &FleetResult| {
+            let [fleet, detection] = r.report(&mixed_config());
+            let line = fleet.to_string();
+            let kept: Vec<&str> = line
+                .split_whitespace()
                 .filter(|t| !t.starts_with("workers=") && !t.starts_with("steals="))
-                .collect::<Vec<_>>()
-                .join(" ")
+                .collect();
+            (kept.join(" "), detection)
         };
-        assert_eq!(strip(&run.summary_line()), strip(&baseline.summary_line()));
+        assert_eq!(strip(&run), strip(&baseline));
     }
 }
 

@@ -76,10 +76,14 @@ fn audit_stream_meets_the_detection_slo() {
     assert_eq!(quality.false_verdicts, 0, "honest players drew severe verdicts");
     let p99 = quality.ttd_percentile(99.0).expect("detections have a ttd");
     assert!(p99 <= TTD_BUDGET_FRAMES, "ttd p99 {p99} blew the {TTD_BUDGET_FRAMES}-frame budget");
-    assert!(run.slo_ok(), "slo gate disagrees with the joined quality stats");
-    let summary = run.detection_summary();
-    assert!(summary.contains("ok=1"), "summary line failed the slo: {summary}");
-    assert!(summary.contains("check:position="), "summary lacks per-check confusion: {summary}");
+    let config = FleetConfig { matches: 8, cheat_every: 4, ..FleetConfig::default() };
+    let [_, detection] = run.report(&config);
+    assert_eq!(detection.failing(), None, "slo gate disagrees with the joined stats: {detection}");
+    assert!(detection.get("position_tp").is_some(), "no per-check confusion: {detection}");
+    // One late detection past the budget fails the report on that figure.
+    let mut late = run;
+    late.reports[0].quality.ttd_frames = vec![TTD_BUDGET_FRAMES + 1];
+    assert_eq!(late.report(&config)[1].failing(), Some("ttd_p99"));
 }
 
 /// Scrape `path` from a live endpoint over a raw TCP socket.
