@@ -8,6 +8,8 @@
 //! items (weighted by [`watchmen_world::ItemKind::attraction`]), engage
 //! visible enemies, and avoid walls and pits with simple steering.
 
+use std::sync::LazyLock;
+
 use watchmen_crypto::rng::Xoshiro256;
 use watchmen_math::{Aim, Vec3};
 use watchmen_world::{GameMap, ItemInstance, PhysicsConfig};
@@ -20,6 +22,10 @@ const ENGAGE_RANGE: f64 = 140.0;
 const PREFERRED_RANGE: f64 = 50.0;
 /// How close counts as "reached" for a navigation goal.
 const GOAL_RADIUS: f64 = 5.0;
+/// `sin_cos` of the turns steering tries, in order, when the way ahead is
+/// blocked.
+static DETOURS: LazyLock<[(f64, f64); 8]> =
+    LazyLock::new(|| [0.5f64, -0.5, 1.0, -1.0, 1.6, -1.6, 2.4, -2.4].map(f64::sin_cos));
 
 /// A read-only snapshot handed to bots each frame.
 #[derive(Debug, Clone, Copy)]
@@ -131,20 +137,39 @@ impl BotController {
         }
     }
 
-    /// The nearest living enemy with line of sight, if any.
+    /// The nearest living enemy within `ENGAGE_RANGE × aggression` that is
+    /// in line of sight, with its distance. Of enemies at exactly equal
+    /// distance the lower id wins.
+    ///
+    /// One pass in id order keeps the best visible enemy so far and traces
+    /// a sight line only for an in-range enemy strictly nearer than it, so
+    /// a decision costs O(players) distances plus, in expectation, a few
+    /// sight lines (the running minima of the distances). A squared
+    /// distance at or above the best's cannot win — `sqrt` is monotone —
+    /// so its square root is skipped.
     fn nearest_visible_enemy(&self, view: &BotView<'_>, me: &AvatarState) -> Option<(usize, f64)> {
         let eye = me.position + Vec3::Z * 1.5;
-        view.avatars
-            .iter()
-            .enumerate()
-            .filter(|&(j, a)| j != self.id.index() && a.is_alive())
-            .filter_map(|(j, a)| {
-                let d = me.position.distance(a.position);
-                (d <= ENGAGE_RANGE * self.aggression
-                    && view.map.line_of_sight(eye, a.position + Vec3::Z * 1.5))
-                .then_some((j, d))
-            })
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"))
+        let range = ENGAGE_RANGE * self.aggression;
+        let mut best: Option<(usize, f64)> = None;
+        let mut best_squared = f64::INFINITY;
+        for (j, a) in view.avatars.iter().enumerate() {
+            if j == self.id.index() || !a.is_alive() {
+                continue;
+            }
+            let squared = me.position.distance_squared(a.position);
+            if squared >= best_squared {
+                continue;
+            }
+            let d = squared.sqrt();
+            if d <= range
+                && best.is_none_or(|(_, b)| d < b)
+                && view.map.line_of_sight(eye, a.position + Vec3::Z * 1.5)
+            {
+                best = Some((j, d));
+                best_squared = squared;
+            }
+        }
+        best
     }
 
     /// Combat behaviour: face the enemy (with aim noise), strafe, keep the
@@ -252,8 +277,7 @@ impl BotController {
         if safe(dir) {
             return dir;
         }
-        for angle in [0.5f64, -0.5, 1.0, -1.0, 1.6, -1.6, 2.4, -2.4] {
-            let (s, c) = angle.sin_cos();
+        for &(s, c) in DETOURS.iter() {
             let rotated = Vec3::new(dir.x * c - dir.y * s, dir.x * s + dir.y * c, 0.0);
             if safe(rotated) {
                 return rotated;
@@ -347,5 +371,58 @@ mod tests {
         let found =
             bot.nearest_visible_enemy(&view_fixture(&map, &physics, &avatars, &[]), &avatars[0]);
         assert!(found.is_none(), "saw enemy through wall");
+    }
+
+    /// Who bot 0, standing at `avatars[0]`, targets on `map`.
+    fn target_of(map: &GameMap, avatars: &[AvatarState]) -> Option<(usize, f64)> {
+        let physics = PhysicsConfig::default();
+        let bot = BotController::new(PlayerId(0), 6);
+        bot.nearest_visible_enemy(&view_fixture(map, &physics, avatars, &[]), &avatars[0])
+    }
+
+    fn at(x: f64, y: f64) -> AvatarState {
+        AvatarState::spawn(Vec3::new(x, y, 0.0))
+    }
+
+    #[test]
+    fn targeting_takes_the_nearest_visible_living_enemy_in_range() {
+        // 640 units a side: room for any aggression's engagement range.
+        let open = maps::arena(64, 10.0);
+        let me = at(300.0, 300.0);
+
+        // Exactly equal distances: the lower id wins, whichever side it is on.
+        assert_eq!(target_of(&open, &[me, at(320.0, 300.0), at(280.0, 300.0)]), Some((1, 20.0)));
+        assert_eq!(target_of(&open, &[me, at(280.0, 300.0), at(320.0, 300.0)]), Some((1, 20.0)));
+        assert_eq!(
+            target_of(&open, &[me, at(350.0, 300.0), at(300.0, 320.0), at(280.0, 300.0)]),
+            Some((2, 20.0))
+        );
+
+        // Dead enemies are ignored; the next-nearest living one is chosen.
+        let mut dead = at(310.0, 300.0);
+        dead.health = 0;
+        assert_eq!(target_of(&open, &[me, dead, at(300.0, 330.0)]), Some((2, 30.0)));
+        assert_eq!(target_of(&open, &[me, dead]), None);
+
+        // The engagement range scales with aggression: just inside is
+        // engaged, just beyond is not.
+        let range = ENGAGE_RANGE * BotController::new(PlayerId(0), 6).aggression;
+        let inside = at(300.0 + range * 0.999, 300.0);
+        let beyond = at(300.0, 300.0 - range * 1.001);
+        assert_eq!(target_of(&open, &[me, beyond, inside]).map(|(j, _)| j), Some(2));
+        assert_eq!(target_of(&open, &[me, beyond]), None);
+
+        // Alone, nothing to target.
+        assert_eq!(target_of(&open, &[me]), None);
+
+        // The nearest enemy stands behind a wall: the next-nearest visible
+        // one is chosen.
+        let mut walled = maps::arena(16, 10.0);
+        walled.fill_rect(5, 1, 5, 14, watchmen_world::Tile::Wall);
+        let me = at(30.0, 75.0);
+        assert_eq!(
+            target_of(&walled, &[me, at(70.0, 75.0), at(30.0, 130.0), at(30.0, 25.0)]),
+            Some((3, 50.0))
+        );
     }
 }

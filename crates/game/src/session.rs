@@ -84,7 +84,12 @@ pub struct GameSession {
     rockets: Vec<Rocket>,
     bots: Vec<BotController>,
     rng: Xoshiro256,
+    /// The last frame's events; the buffer is reused from frame to frame,
+    /// as are the two below.
     last_events: Vec<GameEvent>,
+    commands: Vec<BotCommand>,
+    /// Rockets that exploded this frame, with where they blew up.
+    exploded: Vec<(Rocket, Vec3)>,
 }
 
 impl GameSession {
@@ -122,6 +127,8 @@ impl GameSession {
             bots,
             rng,
             last_events: Vec::new(),
+            commands: Vec::new(),
+            exploded: Vec::new(),
         }
     }
 
@@ -174,20 +181,21 @@ impl GameSession {
     /// Advances one frame: bots decide, movement integrates, projectiles
     /// fly, pickups and respawns resolve. Returns the frame's events.
     pub fn step(&mut self) -> &[GameEvent] {
-        let mut events = Vec::new();
+        let mut events = std::mem::take(&mut self.last_events);
+        events.clear();
         let dt = FRAME_SECONDS;
 
         // 1. Bot decisions against a read-only view of the world.
-        let commands: Vec<BotCommand> = {
-            let view = BotView {
-                map: &self.config.map,
-                physics: &self.config.physics,
-                avatars: &self.avatars,
-                items: &self.items,
-                frame: self.frame,
-            };
-            self.bots.iter_mut().map(|b| b.decide(&view)).collect()
+        let mut commands = std::mem::take(&mut self.commands);
+        commands.clear();
+        let view = BotView {
+            map: &self.config.map,
+            physics: &self.config.physics,
+            avatars: &self.avatars,
+            items: &self.items,
+            frame: self.frame,
         };
+        commands.extend(self.bots.iter_mut().map(|b| b.decide(&view)));
 
         // 2. Apply commands: aim (angular-speed clamped), movement, firing.
         for (i, cmd) in commands.iter().enumerate() {
@@ -304,6 +312,7 @@ impl GameSession {
         }
 
         self.frame += 1;
+        self.commands = commands;
         self.last_events = events;
         &self.last_events
     }
@@ -329,13 +338,12 @@ impl GameSession {
             if along > weapon.max_range() {
                 continue;
             }
-            if ray.distance_to_point(center) > self.config.physics.avatar_radius {
+            if ray.distance_to_point(center) > self.config.physics.avatar_radius
+                || best.is_some_and(|(_, d)| along >= d)
+            {
                 continue;
             }
-            if !self.config.map.line_of_sight(origin, center) {
-                continue;
-            }
-            if best.is_none_or(|(_, d)| along < d) {
+            if self.config.map.line_of_sight(origin, center) {
                 best = Some((j, along));
             }
         }
@@ -373,34 +381,34 @@ impl GameSession {
     /// Moves rockets, exploding on contact, wall or timeout.
     fn step_rockets(&mut self, events: &mut Vec<GameEvent>) {
         let dt = FRAME_SECONDS;
-        let mut exploded: Vec<(Rocket, Vec3)> = Vec::new();
-        let mut keep = Vec::new();
-        let rockets = std::mem::take(&mut self.rockets);
-        for mut r in rockets {
+        let mut exploded = std::mem::take(&mut self.exploded);
+        let (map, physics, avatars, frame) =
+            (&self.config.map, &self.config.physics, &self.avatars, self.frame);
+        self.rockets.retain_mut(|r| {
             let next = r.position + r.direction * (r.speed * dt);
-            let hit_wall = !self.config.map.line_of_sight(r.position, next);
+            let hit_wall = !map.line_of_sight(r.position, next);
             let mut hit_avatar = false;
-            for (j, target) in self.avatars.iter().enumerate() {
+            for (j, target) in avatars.iter().enumerate() {
                 if j == r.owner.index() || !target.is_alive() {
                     continue;
                 }
                 let center = target.position + Vec3::Z * 1.5;
                 let seg = watchmen_math::Segment::new(r.position, next);
-                if seg.distance_to_point(center) <= self.config.physics.avatar_radius {
+                if seg.distance_to_point(center) <= physics.avatar_radius {
                     hit_avatar = true;
                     break;
                 }
             }
-            if hit_wall || hit_avatar || self.frame >= r.expires_at {
-                exploded.push((r, next));
+            if hit_wall || hit_avatar || frame >= r.expires_at {
+                exploded.push((*r, next));
+                false
             } else {
                 r.position = next;
-                keep.push(r);
+                true
             }
-        }
-        self.rockets = keep;
+        });
 
-        for (r, at) in exploded {
+        for &(r, at) in &exploded {
             let weapon = crate::WeaponKind::RocketLauncher;
             let splash = weapon.splash_radius();
             for j in 0..self.avatars.len() {
@@ -416,6 +424,8 @@ impl GameSession {
                 }
             }
         }
+        exploded.clear();
+        self.exploded = exploded;
     }
 }
 

@@ -161,28 +161,27 @@ impl GameTrace {
     /// # Errors
     ///
     /// Returns [`TraceDecodeError`] if the input is truncated or contains
-    /// invalid tags.
+    /// invalid tags. A count the remaining bytes cannot hold is
+    /// [`TraceDecodeError::Truncated`] before anything is reserved for it,
+    /// so a short hostile header costs no more memory than its bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, TraceDecodeError> {
         let mut r = codec::Reader::new(bytes);
         let map_name = String::from_utf8(r.bytes_with_len()?.to_vec())
             .map_err(|_| TraceDecodeError::InvalidUtf8)?;
-        let players = r.u64()? as usize;
+        let players = r.u64()?;
         let seed = r.u64()?;
-        let frame_count = r.u64()? as usize;
-        // Sanity bound: refuse absurd allocations from corrupt headers.
-        if players > 1 << 20 || frame_count > 1 << 28 {
-            return Err(TraceDecodeError::Corrupt("implausible header counts"));
-        }
+        // A frame holds every player's state and its event count.
+        let frame_bytes = players.saturating_mul(codec::PLAYER_FRAME_BYTES).saturating_add(8);
+        let frame_count = r.count(frame_bytes)?;
+        let players = players as usize;
         let mut frames = Vec::with_capacity(frame_count);
         for _ in 0..frame_count {
             let mut states = Vec::with_capacity(players);
             for _ in 0..players {
                 states.push(r.player_frame()?);
             }
-            let n_events = r.u64()? as usize;
-            if n_events > 1 << 20 {
-                return Err(TraceDecodeError::Corrupt("implausible event count"));
-            }
+            // Every event is at least its tag byte.
+            let n_events = r.count(1)?;
             let mut events = Vec::with_capacity(n_events);
             for _ in 0..n_events {
                 events.push(r.event()?);
@@ -226,6 +225,10 @@ mod codec {
     use crate::{GameEvent, PlayerId, WeaponKind};
     use watchmen_math::{Aim, Vec3};
     use watchmen_world::ItemKind;
+
+    /// Encoded size of a [`PlayerFrame`]: six coordinates, yaw and pitch,
+    /// health, armor, the weapon tag and ammo.
+    pub const PLAYER_FRAME_BYTES: u64 = 8 * 8 + 4 + 4 + 1 + 4;
 
     pub struct Writer {
         buf: Vec<u8>,
@@ -385,6 +388,18 @@ mod codec {
 
         pub fn vec3(&mut self) -> Result<Vec3, TraceDecodeError> {
             Ok(Vec3::new(self.f64()?, self.f64()?, self.f64()?))
+        }
+
+        /// Reads a `u64` count of items that each take at least
+        /// `min_bytes`: [`TraceDecodeError::Truncated`] if the rest of the
+        /// input cannot hold that many.
+        pub fn count(&mut self, min_bytes: u64) -> Result<usize, TraceDecodeError> {
+            let n = self.u64()?;
+            let left = (self.data.len() - self.pos) as u64;
+            if n.saturating_mul(min_bytes) > left {
+                return Err(TraceDecodeError::Truncated);
+            }
+            Ok(n as usize)
         }
 
         pub fn bytes_with_len(&mut self) -> Result<&'a [u8], TraceDecodeError> {
@@ -558,5 +573,11 @@ mod tests {
     #[test]
     fn empty_input_errors() {
         assert!(GameTrace::from_bytes(&[]).is_err());
+    }
+
+    #[test]
+    fn frameless_trace_roundtrips() {
+        let t = GameTrace::record(GameConfig::default(), 48, 1, 0);
+        assert_eq!(GameTrace::from_bytes(&t.to_bytes()), Ok(t));
     }
 }

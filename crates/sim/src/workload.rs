@@ -205,4 +205,33 @@ mod tests {
         let c = match_workload(6, 32, 25);
         assert_ne!(a.trace, c.trace, "distinct seeds must diverge");
     }
+
+    fn trace_digest(w: &Workload) -> String {
+        watchmen_crypto::sha256(&w.trace.to_bytes()).iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Every byte the bots record, at the ledger's shapes: `match48` at
+    /// both seeds, `match16`, `hostile16` and a fleet cell. Captured
+    /// before bot targeting was reordered; never regenerate these: a
+    /// mismatch means a bot decision, a state or an event moved.
+    #[test]
+    fn traces_match_the_capture() {
+        let digests = [
+            trace_digest(&standard_workload(48, 2013, 400)),
+            trace_digest(&standard_workload(48, 4177, 400)),
+            trace_digest(&match_workload(16, 2013, 400)),
+            trace_digest(&match_workload(20, 2013, 880)),
+            trace_digest(&match_workload(16, 7, 160)),
+        ];
+        assert_eq!(
+            digests,
+            [
+                "18685ad031e75f50df12337960fa6127df537e4cde35e2abd780ef003a57c9ec",
+                "f0f275f2600d9d0673c89c084229a4ce63363128fcbb2aeaa3a7165dbf0218cf",
+                "ca7b11115bef77c2d1455ca8a22b4a8cc731700088f3c6353db19f24b7961a92",
+                "25f9bad468989956888e1b0d31bbe3cb24296e70a11849a63974c0859481a230",
+                "2c8d5f793dd92222856bfde66a6f5a472473ccdaf63b1dd34425ba863ff7f860",
+            ]
+        );
+    }
 }
