@@ -159,8 +159,11 @@ WATCHMEN_BENCH_OUT="$BENCH_DIR" \
 # the two modules that call a `#[target_feature]` kernel after detection,
 # and in the one test that counts allocations with a `#[global_allocator]`;
 # every driver reports through `telemetry::report::Report` (only a match's
-# pinned per-match line is hand-formatted); and keep the node's components
-# small (clippy.toml bounds their functions).
+# pinned per-match line is hand-formatted); keep the node's components
+# (clippy.toml bounds their functions) and the codec's files small; and
+# keep State deltas out of the codec — a delta needs a baseline every
+# receiver holds, which IS subscribers that come and go every few dozen
+# frames do not (DESIGN.md, "The wire").
 echo "==> store unit + golden-bytes + recovery tests (release), unsafe audit"
 cargo test --release -q -p watchmen-store
 unsafe_in=$(grep -rlE 'unsafe[[:space:]]*(\{|fn|impl)' crates src examples tests | sort | tr '\n' ' ' || true)
@@ -168,8 +171,9 @@ unsafe_in=$(grep -rlE 'unsafe[[:space:]]*(\{|fn|impl)' crates src examples tests
     { echo "unsafe outside the audited files: $unsafe_in" >&2; exit 1; }
 formats=$(grep -rl 'BenchRecord\|fn summary_line' crates examples tests src | tr '\n' ' ' || true)
 [ "$formats" = "crates/fleet/src/cell.rs " ] || { echo "a second report format: $formats" >&2; exit 1; }
-long=$(wc -l crates/core/src/node/*.rs | awk '$2 != "total" && $1 > 800 { print $2 }')
-[ -z "$long" ] || { echo "node component files over 800 lines: $long" >&2; exit 1; }
+long=$(wc -l crates/core/src/node/*.rs crates/core/src/msg/*.rs | awk '$2 != "total" && $1 > 800 { print $2 }')
+[ -z "$long" ] || { echo "node or codec files over 800 lines: $long" >&2; exit 1; }
+[ ! -e crates/core/src/delta.rs ] || { echo "core::delta is back: crates/core/src/delta.rs" >&2; exit 1; }
 
 echo "==> store crash loop (8 kill/abort cycles against the durable reputation store)"
 WATCHMEN_STORE_DIR=/tmp/watchmen-crashloop-store \

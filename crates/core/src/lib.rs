@@ -51,7 +51,6 @@ pub mod cheat;
 pub mod collusion;
 mod config;
 pub mod dead_reckoning;
-pub mod delta;
 pub mod lobby;
 pub mod membership;
 pub mod msg;

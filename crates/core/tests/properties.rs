@@ -1,7 +1,6 @@
 //! Randomized property tests for the core architecture's invariants,
 //! driven by the workspace's deterministic [`Xoshiro256`] generator.
 
-use watchmen_core::delta::DeltaStateUpdate;
 use watchmen_core::msg::{
     Envelope, HandoffNotice, KillClaim, Payload, PositionUpdate, SignedEnvelope, StateUpdate,
 };
@@ -78,45 +77,6 @@ fn arb_payload(rng: &mut Xoshiro256) -> Payload {
 }
 
 #[test]
-fn envelope_codec_roundtrips() {
-    let mut rng = Xoshiro256::new(41);
-    for _ in 0..CASES {
-        let env = Envelope {
-            from: PlayerId(rng.next_range(64) as u32),
-            seq: rng.next_u64(),
-            frame: rng.next_u64(),
-            payload: arb_payload(&mut rng),
-        };
-        assert_eq!(Envelope::decode(&env.encode()).unwrap(), env);
-    }
-}
-
-#[test]
-fn signed_envelope_roundtrips_and_verifies() {
-    let mut rng = Xoshiro256::new(42);
-    for _ in 0..32 {
-        let keys = Keypair::generate(rng.next_u64());
-        let payload = arb_payload(&mut rng);
-        let signed = Envelope { from: PlayerId(1), seq: 1, frame: 1, payload }.sign(&keys);
-        let decoded = SignedEnvelope::decode(&signed.encode()).unwrap();
-        assert_eq!(decoded, signed);
-        assert!(decoded.verify(&keys.public()));
-    }
-}
-
-#[test]
-fn envelope_decoder_never_panics_on_garbage() {
-    let mut rng = Xoshiro256::new(43);
-    for _ in 0..CASES {
-        let n = rng.next_range(300);
-        let bytes: Vec<u8> = (0..n).map(|_| rng.next_u64() as u8).collect();
-        let _ = Envelope::decode(&bytes);
-        let _ = SignedEnvelope::decode(&bytes);
-        let _ = DeltaStateUpdate::from_bytes(&bytes);
-    }
-}
-
-#[test]
 fn bitflip_always_breaks_signature() {
     let mut rng = Xoshiro256::new(44);
     for _ in 0..32 {
@@ -134,40 +94,32 @@ fn bitflip_always_breaks_signature() {
 }
 
 #[test]
-fn delta_apply_reconstructs() {
-    let mut rng = Xoshiro256::new(45);
-    for _ in 0..CASES {
-        let baseline = arb_state(&mut rng);
-        let current = arb_state(&mut rng);
-        let seq = rng.next_u64();
-        let delta = DeltaStateUpdate::encode_against(seq, &baseline, &current);
-        // In-memory application is exact.
-        let rebuilt = delta.apply_to(seq, &baseline).unwrap();
-        assert_eq!(rebuilt, current);
-        // Wire roundtrip is exact on integers, f32-accurate on floats.
-        let decoded = DeltaStateUpdate::from_bytes(&delta.to_bytes()).unwrap();
-        let wire = decoded.apply_to(seq, &baseline).unwrap();
-        let tol = |v: f64| v.abs().max(1.0) * 1e-6;
-        assert!(wire.position.approx_eq(current.position, tol(current.position.length())));
-        assert!(wire.velocity.approx_eq(current.velocity, tol(current.velocity.length())));
-        assert!((wire.aim.yaw() - current.aim.yaw()).abs() <= 1e-6);
-        assert!((wire.aim.pitch() - current.aim.pitch()).abs() <= 1e-6);
-        assert_eq!(wire.health, current.health);
-        assert_eq!(wire.armor, current.armor);
-        assert_eq!(wire.weapon, current.weapon);
-        assert_eq!(wire.ammo, current.ammo);
-    }
-}
-
-#[test]
-fn delta_never_larger_than_quantized_full_plus_header() {
-    let mut rng = Xoshiro256::new(46);
-    for _ in 0..CASES {
-        let baseline = arb_state(&mut rng);
-        let current = arb_state(&mut rng);
-        let delta = DeltaStateUpdate::encode_against(0, &baseline, &current);
-        // All-fields-changed worst case: 9-byte header + 12+12+8+4+4+1+4.
-        assert!(delta.wire_size() <= 9 + 45);
+fn a_relay_cannot_rewrite_an_aim_under_the_origins_signature() {
+    // A signed State's yaw sits after the 20-byte envelope header, the
+    // tag, position and velocity; its pitch follows.
+    const YAW_AT: usize = 21 + 48;
+    const PITCH_AT: usize = YAW_AT + 8;
+    let keys = Keypair::generate(7);
+    let state = StateUpdate {
+        position: Vec3::new(1.0, 2.0, 0.0),
+        velocity: Vec3::ZERO,
+        aim: Aim::new(0.0, std::f64::consts::FRAC_PI_2),
+        health: 100,
+        armor: 0,
+        weapon: WeaponKind::MachineGun,
+        ammo: 50,
+    };
+    let env = Envelope { from: PlayerId(1), seq: 3, frame: 40, payload: Payload::State(state) };
+    let wire = env.sign_encoded(&keys);
+    assert!(SignedEnvelope::decode(&wire).unwrap().verify(&keys.public()));
+    // `Aim::new` maps yaw 2π to 0 and clamps pitch 3.0 to π/2, so a
+    // decoder that normalised would re-encode either rewrite to the
+    // signed bytes.
+    for (at, value) in [(YAW_AT, std::f64::consts::TAU), (PITCH_AT, 3.0)] {
+        let mut forged = wire.clone();
+        forged[at..at + 8].copy_from_slice(&value.to_be_bytes());
+        let verifies = SignedEnvelope::decode(&forged).is_ok_and(|m| m.verify(&keys.public()));
+        assert!(!verifies, "offset {at} := {value} still verifies");
     }
 }
 

@@ -1,10 +1,11 @@
-//! Minimal big-endian byte-buffer helpers shared by the wire codecs.
+//! Minimal big-endian byte-buffer helpers for the UDP framing.
 //!
-//! The message codecs in `watchmen-core` and the UDP framing here used to
-//! lean on the `bytes` crate; these two extension traits provide the same
-//! `put_*`/`get_*` vocabulary over plain `Vec<u8>`/`&[u8]`, keeping the
-//! workspace free of external dependencies. All integers are big-endian,
-//! matching the original encodings byte for byte.
+//! These two extension traits provide the `bytes` crate's
+//! `put_*`/`get_*` vocabulary over plain `Vec<u8>`/`&[u8]` for the widths
+//! the frame header uses, keeping the workspace free of external
+//! dependencies. All integers are big-endian. (`watchmen-core`'s message
+//! codec writes its layouts through its own `Wire` trait, whose decoders
+//! report truncation instead of panicking.)
 
 /// Big-endian write helpers for `Vec<u8>`.
 ///
@@ -19,44 +20,19 @@
 /// assert_eq!(b, [0x57, 0x4d, 0, 0, 0, 7]);
 /// ```
 pub trait PutBytes {
-    /// Appends one byte.
-    fn put_u8(&mut self, v: u8);
     /// Appends a big-endian `u16`.
     fn put_u16(&mut self, v: u16);
     /// Appends a big-endian `u32`.
     fn put_u32(&mut self, v: u32);
-    /// Appends a big-endian `u64`.
-    fn put_u64(&mut self, v: u64);
-    /// Appends a big-endian `i32`.
-    fn put_i32(&mut self, v: i32);
-    /// Appends a big-endian IEEE-754 `f32`.
-    fn put_f32(&mut self, v: f32);
-    /// Appends a big-endian IEEE-754 `f64`.
-    fn put_f64(&mut self, v: f64);
     /// Appends raw bytes.
     fn put_slice(&mut self, v: &[u8]);
 }
 
 impl PutBytes for Vec<u8> {
-    fn put_u8(&mut self, v: u8) {
-        self.push(v);
-    }
     fn put_u16(&mut self, v: u16) {
         self.extend_from_slice(&v.to_be_bytes());
     }
     fn put_u32(&mut self, v: u32) {
-        self.extend_from_slice(&v.to_be_bytes());
-    }
-    fn put_u64(&mut self, v: u64) {
-        self.extend_from_slice(&v.to_be_bytes());
-    }
-    fn put_i32(&mut self, v: i32) {
-        self.extend_from_slice(&v.to_be_bytes());
-    }
-    fn put_f32(&mut self, v: f32) {
-        self.extend_from_slice(&v.to_be_bytes());
-    }
-    fn put_f64(&mut self, v: f64) {
         self.extend_from_slice(&v.to_be_bytes());
     }
     fn put_slice(&mut self, v: &[u8]) {
@@ -76,27 +52,17 @@ impl PutBytes for Vec<u8> {
 /// ```
 /// use watchmen_net::wire::GetBytes;
 ///
-/// let data = [0u8, 0, 0, 9, 42];
+/// let data = [0u8, 0, 0, 9, 0, 42];
 /// let mut buf: &[u8] = &data;
 /// assert_eq!(buf.get_u32(), 9);
-/// assert_eq!(buf.get_u8(), 42);
+/// assert_eq!(buf.get_u16(), 42);
 /// assert!(buf.is_empty());
 /// ```
 pub trait GetBytes {
-    /// Reads one byte.
-    fn get_u8(&mut self) -> u8;
     /// Reads a big-endian `u16`.
     fn get_u16(&mut self) -> u16;
     /// Reads a big-endian `u32`.
     fn get_u32(&mut self) -> u32;
-    /// Reads a big-endian `u64`.
-    fn get_u64(&mut self) -> u64;
-    /// Reads a big-endian `i32`.
-    fn get_i32(&mut self) -> i32;
-    /// Reads a big-endian IEEE-754 `f32`.
-    fn get_f32(&mut self) -> f32;
-    /// Reads a big-endian IEEE-754 `f64`.
-    fn get_f64(&mut self) -> f64;
 }
 
 /// Splits off the first `N` bytes as an array, advancing the slice.
@@ -107,26 +73,11 @@ fn take_array<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
 }
 
 impl GetBytes for &[u8] {
-    fn get_u8(&mut self) -> u8 {
-        take_array::<1>(self)[0]
-    }
     fn get_u16(&mut self) -> u16 {
         u16::from_be_bytes(take_array(self))
     }
     fn get_u32(&mut self) -> u32 {
         u32::from_be_bytes(take_array(self))
-    }
-    fn get_u64(&mut self) -> u64 {
-        u64::from_be_bytes(take_array(self))
-    }
-    fn get_i32(&mut self) -> i32 {
-        i32::from_be_bytes(take_array(self))
-    }
-    fn get_f32(&mut self) -> f32 {
-        f32::from_be_bytes(take_array(self))
-    }
-    fn get_f64(&mut self) -> f64 {
-        f64::from_be_bytes(take_array(self))
     }
 }
 
@@ -137,22 +88,12 @@ mod tests {
     #[test]
     fn roundtrip_all_widths() {
         let mut b = Vec::new();
-        b.put_u8(0xab);
         b.put_u16(0x1234);
         b.put_u32(0xdead_beef);
-        b.put_u64(0x0102_0304_0506_0708);
-        b.put_i32(-7);
-        b.put_f32(1.5);
-        b.put_f64(-2.25);
         b.put_slice(b"xy");
         let mut r: &[u8] = &b;
-        assert_eq!(r.get_u8(), 0xab);
         assert_eq!(r.get_u16(), 0x1234);
         assert_eq!(r.get_u32(), 0xdead_beef);
-        assert_eq!(r.get_u64(), 0x0102_0304_0506_0708);
-        assert_eq!(r.get_i32(), -7);
-        assert_eq!(r.get_f32(), 1.5);
-        assert_eq!(r.get_f64(), -2.25);
         assert_eq!(r, b"xy");
     }
 
