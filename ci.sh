@@ -160,7 +160,8 @@ WATCHMEN_BENCH_OUT="$BENCH_DIR" \
 # and in the one test that counts allocations with a `#[global_allocator]`;
 # every driver reports through `telemetry::report::Report` (only a match's
 # pinned per-match line is hand-formatted); keep the node's components
-# (clippy.toml bounds their functions) and the codec's files small; and
+# (clippy.toml bounds their functions), the codec's and the lobby's files
+# small, and the lobby in its parts; and
 # keep State deltas out of the codec — a delta needs a baseline every
 # receiver holds, which IS subscribers that come and go every few dozen
 # frames do not (DESIGN.md, "The wire").
@@ -171,9 +172,10 @@ unsafe_in=$(grep -rlE 'unsafe[[:space:]]*(\{|fn|impl)' crates src examples tests
     { echo "unsafe outside the audited files: $unsafe_in" >&2; exit 1; }
 formats=$(grep -rl 'BenchRecord\|fn summary_line' crates examples tests src | tr '\n' ' ' || true)
 [ "$formats" = "crates/fleet/src/cell.rs " ] || { echo "a second report format: $formats" >&2; exit 1; }
-long=$(wc -l crates/core/src/node/*.rs crates/core/src/msg/*.rs | awk '$2 != "total" && $1 > 800 { print $2 }')
-[ -z "$long" ] || { echo "node or codec files over 800 lines: $long" >&2; exit 1; }
+long=$(wc -l crates/core/src/{node,msg,lobby}/*.rs | awk '$2 != "total" && $1 > 800 { print $2 }')
+[ -z "$long" ] || { echo "node, codec or lobby files over 800 lines: $long" >&2; exit 1; }
 [ ! -e crates/core/src/delta.rs ] || { echo "core::delta is back: crates/core/src/delta.rs" >&2; exit 1; }
+[ ! -e crates/core/src/lobby.rs ] || { echo "the one-file lobby is back: crates/core/src/lobby.rs" >&2; exit 1; }
 
 echo "==> store crash loop (8 kill/abort cycles against the durable reputation store)"
 WATCHMEN_STORE_DIR=/tmp/watchmen-crashloop-store \

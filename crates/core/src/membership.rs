@@ -1,4 +1,4 @@
-//! Churn handling: heartbeats and membership agreement (§VI).
+//! Churn handling: heartbeats (§VI).
 //!
 //! "Most architectures have to deal with churn. In our case, updates sent
 //! between players also act as a heartbeat mechanism that easily
@@ -6,17 +6,16 @@
 //! nodes are removed in the next round, through an agreement protocol,
 //! from the proxy pool."
 //!
-//! [`MembershipTracker`] turns observed traffic into liveness suspicion;
-//! removals take effect *deterministically at the next proxy-renewal
-//! boundary*, so all honest nodes that agree on the suspect list derive
-//! the identical updated proxy pool with no further coordination.
+//! [`MembershipTracker`] turns observed traffic into liveness suspicion
+//! and records when each removal takes effect. It agrees on nothing
+//! itself: a node announces its suspects as signed evictions that every
+//! node applies at a renewal boundary (`node::churn`), and the lobby
+//! reports its own as [`crate::lobby::LobbyEvent::Disconnected`].
 
 use watchmen_game::PlayerId;
 
-use crate::proxy::ProxySchedule;
-
-/// Tracks per-player liveness from message arrivals and schedules
-/// epoch-aligned removals from the proxy pool.
+/// Tracks per-player liveness from message arrivals, and the frame from
+/// which each removed player counts as gone.
 ///
 /// # Examples
 ///
@@ -100,34 +99,6 @@ impl MembershipTracker {
             .collect()
     }
 
-    /// Runs the agreement round at `frame`: every suspect is scheduled for
-    /// removal at the next proxy-renewal boundary of `schedule`, and the
-    /// schedule's proxy pool is updated accordingly. Returns the players
-    /// removed this round.
-    ///
-    /// All honest nodes observing the same silence make the same decision
-    /// at the same boundary, keeping their schedules identical.
-    pub fn agree_and_remove(&mut self, frame: u64, schedule: &mut ProxySchedule) -> Vec<PlayerId> {
-        let boundary = schedule.next_renewal(frame);
-        let epoch = boundary / schedule.period();
-        let mut removed = Vec::new();
-        for p in self.suspects(frame) {
-            if schedule.is_excluded(p) {
-                continue;
-            }
-            // The exclusion is epoch-versioned: past epochs keep their
-            // draws, and an exclusion that would empty the pool is
-            // refused — the last survivor keeps serving in degraded
-            // single-proxy mode instead of the process aborting.
-            if schedule.try_exclude_from(p, epoch).is_err() {
-                continue;
-            }
-            self.removed_at[p.index()] = Some(boundary);
-            removed.push(p);
-        }
-        removed
-    }
-
     /// Admits a new player, alive as of `frame`, and returns its id —
     /// always a *fresh* dense index. Ids of removed players are never
     /// reused: a player that left and rejoins comes back under a new id
@@ -141,7 +112,7 @@ impl MembershipTracker {
         id
     }
 
-    /// Records a deliberate departure (graceful leave or agreed eviction)
+    /// Records a deliberate departure (graceful leave or eviction)
     /// effective at `frame`: the player counts live through `frame - 1`
     /// and gone at exactly `frame`. Removal is permanent — see
     /// [`MembershipTracker::admit`] for rejoins.
@@ -184,53 +155,6 @@ mod tests {
         assert!(!t.is_live(PlayerId(0), 55));
         assert!(t.is_live(PlayerId(1), 55));
         assert_eq!(t.live_count(55), 2);
-    }
-
-    #[test]
-    fn agreement_removes_at_epoch_boundary() {
-        let mut schedule = ProxySchedule::new(5, 8, 40);
-        let mut t = MembershipTracker::new(8, 40);
-        for p in 0..8 {
-            t.observe(PlayerId(p), 5);
-        }
-        // Player 3 goes silent; everyone else keeps heartbeating.
-        for frame in (10..100).step_by(10) {
-            for p in 0..8 {
-                if p != 3 {
-                    t.observe(PlayerId(p), frame);
-                }
-            }
-        }
-        let removed = t.agree_and_remove(70, &mut schedule);
-        assert_eq!(removed, vec![PlayerId(3)]);
-        // The pool excludes the dead node from the boundary on.
-        for epoch_frame in (80..400).step_by(40) {
-            for p in 0..8 {
-                if p != 3 {
-                    assert_ne!(schedule.proxy_of(PlayerId(p), epoch_frame), PlayerId(3));
-                }
-            }
-        }
-        // Removal is effective at the boundary (frame 80).
-        assert!(!t.is_live(PlayerId(3), 80));
-        // A second agreement round has nothing left to do.
-        assert!(t.agree_and_remove(120, &mut schedule).is_empty());
-    }
-
-    #[test]
-    fn deterministic_agreement_across_nodes() {
-        // Two independent nodes observing the same traffic derive the
-        // same pool.
-        let run = || {
-            let mut schedule = ProxySchedule::new(9, 6, 40);
-            let mut t = MembershipTracker::new(6, 40);
-            for p in [0u32, 1, 2, 4, 5] {
-                t.observe(PlayerId(p), 50);
-            }
-            t.agree_and_remove(60, &mut schedule);
-            (0..6).map(|p| schedule.proxy_of(PlayerId(p), 120)).collect::<Vec<_>>()
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]
@@ -277,24 +201,6 @@ mod tests {
         assert_eq!(t.players(), 3);
         assert!(t.is_live(fresh, 100));
         assert!(!t.is_live(PlayerId(1), 100), "old id stays dead");
-    }
-
-    #[test]
-    fn eviction_degrades_to_single_proxy_instead_of_aborting() {
-        // A churn burst silences everyone but player 0: the pool degrades
-        // to one eligible proxy and the process survives.
-        let mut schedule = ProxySchedule::new(7, 4, 40);
-        let mut t = MembershipTracker::new(4, 40);
-        t.observe(PlayerId(0), 100);
-        let removed = t.agree_and_remove(100, &mut schedule);
-        assert_eq!(removed, vec![PlayerId(1), PlayerId(2), PlayerId(3)]);
-        assert_eq!(schedule.eligible_count(), 1);
-        assert!(schedule.is_degraded());
-        // The last survivor is never evicted even if it, too, goes
-        // silent: the exclusion that would empty the pool is refused.
-        let removed = t.agree_and_remove(500, &mut schedule);
-        assert!(removed.is_empty());
-        assert_eq!(schedule.eligible_count(), 1);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use watchmen_game::PlayerId;
 ///
 /// Proxies are fixed within an *epoch* of `period` frames and re-drawn at
 /// every epoch boundary. A player is never its own proxy. Players removed
-/// from the pool (banned, disconnected, or resource-poor nodes excluded by
+/// from the pool (departed members, or resource-poor nodes excluded by
 /// the refinement of Section VI) are skipped by re-drawing.
 ///
 /// # Examples
@@ -102,7 +102,7 @@ impl ProxySchedule {
     /// proportionally to `weights` (§VI's resource-heterogeneity
     /// refinement — "the selection process can be refined … players with
     /// low resources are removed from the proxy pool and more powerful
-    /// [ones] can become proxies for more than one player"). A zero weight
+    /// \[ones\] can become proxies for more than one player"). A zero weight
     /// removes the player from the pool entirely; all nodes must use the
     /// identical (advertised) weight vector to stay verifiable.
     ///
@@ -155,32 +155,16 @@ impl ProxySchedule {
         (self.epoch_of(frame) + 1) * self.period
     }
 
-    /// Removes a player from the proxy pool for every epoch ("these nodes
-    /// are removed in the next round … from the proxy pool"). This is the
-    /// pre-game form (lobby bans, zero-capacity nodes); mid-game churn
-    /// uses [`ProxySchedule::try_exclude_from`] so past epochs keep their
-    /// draws.
-    ///
-    /// Shrinking the pool to a single eligible proxy is allowed (degraded
-    /// single-proxy mode — the game limps rather than aborts under a
-    /// churn burst); an exclusion that would *empty* the pool is refused
-    /// and the player stays eligible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn exclude(&mut self, player: PlayerId) {
-        let _ = self.try_exclude_from(player, 0);
-    }
-
-    /// Removes `player` from the proxy pool from `epoch` on, leaving
+    /// Removes `player` from the proxy pool from `epoch` on ("these nodes
+    /// are removed in the next round … from the proxy pool"), leaving
     /// draws for earlier epochs untouched (an exclusion at epoch `e`
     /// serves through `e - 1`, mirroring the exclusive expiry boundary
     /// convention used everywhere else).
     ///
     /// Refuses (without mutating) an exclusion that would leave *zero*
     /// eligible proxies at `epoch`; a single survivor is accepted as the
-    /// degraded single-proxy mode. Excluding an already-excluded player
+    /// degraded single-proxy mode (the game limps rather than aborts
+    /// under a churn burst). Excluding an already-excluded player
     /// keeps the earliest exclusion epoch.
     ///
     /// # Errors
@@ -446,8 +430,8 @@ mod tests {
     #[test]
     fn excluded_players_never_serve() {
         let mut s = ProxySchedule::new(17, 8, 40);
-        s.exclude(PlayerId(2));
-        s.exclude(PlayerId(5));
+        s.try_exclude_from(PlayerId(2), 0).unwrap();
+        s.try_exclude_from(PlayerId(5), 0).unwrap();
         assert!(s.is_excluded(PlayerId(2)));
         assert!(!s.is_excluded(PlayerId(0)));
         for epoch in 0..200 {
@@ -524,7 +508,7 @@ mod tests {
         }
         // Excluded players shrink the pool the clamp sees.
         let mut s = ProxySchedule::new(3, 4, 40);
-        s.exclude(PlayerId(2));
+        s.try_exclude_from(PlayerId(2), 0).unwrap();
         let deepest = s.nth_proxy_of(PlayerId(0), 0, 99);
         assert_ne!(deepest, PlayerId(0));
         assert_ne!(deepest, PlayerId(2));
@@ -577,8 +561,8 @@ mod tests {
         // single-proxy mode; the exclusion that would empty the pool is
         // refused, not a process abort.
         let mut s = ProxySchedule::new(1, 3, 40);
-        s.exclude(PlayerId(0));
-        s.exclude(PlayerId(1));
+        s.try_exclude_from(PlayerId(0), 0).unwrap();
+        s.try_exclude_from(PlayerId(1), 0).unwrap();
         assert_eq!(s.eligible_count(), 1);
         assert!(s.is_degraded());
         // Everyone's proxy is the sole survivor…

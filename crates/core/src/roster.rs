@@ -104,7 +104,7 @@ impl Roster {
     pub fn new(directory: Vec<PublicKey>) -> Self {
         assert!(directory.len() >= 2, "need at least two players");
         let status = vec![MemberStatus::Active; directory.len()];
-        Roster::from_parts(directory, status, 0)
+        Roster { keys: directory.into_iter().map(VerifyingKey::new).collect(), status, epoch: 0 }
     }
 
     /// Total members ever admitted (ids are dense and never recycled).
@@ -188,21 +188,6 @@ impl Roster {
         self.keys.push(VerifyingKey::new(key));
         self.status.push(MemberStatus::Joining);
         id
-    }
-
-    /// Reassembles a roster snapshot from recorded parts — the lobby
-    /// uses this to hand a joiner its pre-admission view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vectors disagree in length or cover fewer than two
-    /// members.
-    #[must_use]
-    pub fn from_parts(keys: Vec<PublicKey>, status: Vec<MemberStatus>, epoch: u64) -> Self {
-        assert_eq!(keys.len(), status.len(), "keys and statuses must align");
-        assert!(keys.len() >= 2, "need at least two players");
-        let keys = keys.into_iter().map(VerifyingKey::new).collect();
-        Roster { keys, status, epoch }
     }
 
     /// Adopts a peer's epoch if it is ahead — a joiner syncing to its
@@ -407,8 +392,7 @@ mod tests {
         assert_in_step(&veteran, 5);
 
         // Joiner 3: lobby snapshot of the founders, then itself provisionally.
-        let status = vec![MemberStatus::Active; 3];
-        let mut joiner = Roster::from_parts((0..3).map(public).collect(), status, 0);
+        let mut joiner = Roster::new((0..3).map(public).collect());
         assert_in_step(&joiner, 3);
         assert_eq!(joiner.admit_provisional(public(3)), PlayerId(3));
         assert_in_step(&joiner, 4);

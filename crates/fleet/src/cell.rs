@@ -33,7 +33,7 @@ use watchmen_game::PlayerId;
 use watchmen_net::{latency, SimNetwork};
 use watchmen_sim::cluster::Cluster;
 use watchmen_sim::quality::{evaluate, DetectionQuality, GroundTruth, UNDETECTED};
-use watchmen_sim::workload::match_workload;
+use watchmen_sim::workload::{match_workload, speed_hack, FIRST_CHEAT_FRAME};
 
 use crate::pool::{Quantum, ShardContext, Task};
 
@@ -44,15 +44,6 @@ const RECORDER_CAPACITY: usize = 128;
 
 /// Simnet one-way latency for fleet matches, in milliseconds.
 const LATENCY_MS: f64 = 8.0;
-
-/// How far a cheater's scripted position jumps, in world units — far
-/// beyond any legal per-frame displacement, so the proxy's physics check
-/// flags it deterministically.
-const CHEAT_OFFSET: f64 = 30.0;
-
-/// The first frame the scripted speed-hack fires on (every fourth frame
-/// after 0), the anchor time-to-detect is measured from.
-const FIRST_CHEAT_FRAME: u64 = 4;
 
 /// Everything that defines one match. Two cells built from equal specs
 /// produce byte-identical [`MatchReport`]s regardless of which workers
@@ -301,10 +292,8 @@ impl MatchCell {
             f,
             |i| {
                 let mut state = trace.frames[f as usize].states[i];
-                if spec.cheaters.contains(&(i as u32)) && f > 0 && f.is_multiple_of(4) {
-                    // The scripted speed-hack: a sideways teleport no legal
-                    // movement allows; the proxy's physics check flags it.
-                    state.position.x += CHEAT_OFFSET;
+                if spec.cheaters.contains(&(i as u32)) {
+                    speed_hack(&mut state, f);
                 }
                 state
             },

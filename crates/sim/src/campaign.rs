@@ -365,8 +365,7 @@ fn run_sybil_flood(
     let mut refused = Vec::new();
     for retry_frame in (flood_frame..flood_frame + window).step_by(window as usize / 4) {
         for key in &sybils {
-            if refused.contains(&key_tag(key)) || lobby.snapshot_roster().len() >= config.max_roster
-            {
+            if refused.contains(&key_tag(key)) || lobby.players() >= config.max_roster {
                 continue;
             }
             match lobby.admit_midgame(*key, retry_frame) {

@@ -4,7 +4,7 @@
 //! in the q3dm17 map"; [`standard_workload`] is the equivalent synthetic
 //! trace, bundled with the map it was played on.
 
-use watchmen_game::trace::GameTrace;
+use watchmen_game::trace::{GameTrace, PlayerFrame};
 use watchmen_game::GameConfig;
 use watchmen_world::{maps, GameMap};
 
@@ -75,6 +75,24 @@ pub enum MapChoice {
         /// Tile edge length in world units.
         cell_size: f64,
     },
+}
+
+/// How far the scripted speed-hack teleports sideways, in world units —
+/// far beyond any legal per-frame displacement, so the proxy's physics
+/// check flags it deterministically.
+pub const CHEAT_OFFSET: f64 = 30.0;
+
+/// The first frame the scripted speed-hack fires on, and its period: it
+/// fires on every positive multiple. Time-to-detect is measured from it.
+pub const FIRST_CHEAT_FRAME: u64 = 4;
+
+/// The scripted speed-hack every soak gate uses: on every fourth frame
+/// after 0, `state` teleports [`CHEAT_OFFSET`] along x, which no legal
+/// movement allows. The caller decides who cheats, and until when.
+pub fn speed_hack(state: &mut PlayerFrame, frame: u64) {
+    if frame > 0 && frame.is_multiple_of(FIRST_CHEAT_FRAME) {
+        state.position.x += CHEAT_OFFSET;
+    }
 }
 
 /// A reusable per-match workload builder — what a multi-match

@@ -33,6 +33,7 @@ use watchmen::net::{latency, SimNetwork};
 use watchmen::sim::cluster::Cluster;
 use watchmen::sim::overlay::run_watchmen;
 use watchmen::sim::scenario;
+use watchmen::sim::workload::speed_hack;
 use watchmen::telemetry::{
     causal_chain, export, global, FlightDump, FlightRecorder, MetricValue, MetricsServer, TraceMode,
 };
@@ -261,8 +262,8 @@ fn run_secured_segment(
                 let mut state = trace.frames[frame as usize].states[i];
                 // The scripted cheater: p2 reports a teleported position
                 // every fourth frame, which its proxy's physics check flags.
-                if i == 2 && frame > 0 && frame % 4 == 0 {
-                    state.position.x += 30.0;
+                if i == 2 {
+                    speed_hack(&mut state, frame);
                 }
                 state
             },

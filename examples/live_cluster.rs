@@ -54,17 +54,13 @@ use watchmen::core::WatchmenConfig;
 use watchmen::crypto::schnorr::Keypair;
 use watchmen::game::PlayerId;
 use watchmen::net::live::LiveTransport;
-use watchmen::sim::workload::match_workload;
+use watchmen::sim::workload::{match_workload, speed_hack};
 use watchmen::telemetry::report::{self, Report};
 use watchmen::world::PhysicsConfig;
 
 /// Extra frames after the playable match: one proxy epoch, enough for
 /// the final epoch summaries and their verdicts to land.
 const DRAIN_FRAMES: u64 = 40;
-
-/// How far the scripted cheater teleports sideways, in world units —
-/// the same magnitude every soak gate in this repo scripts.
-const CHEAT_OFFSET: f64 = 30.0;
 
 /// What each child reports and the parent sums, in order.
 const NODE_FIGURES: [&str; 6] =
@@ -436,8 +432,8 @@ fn run_node(index: usize, knobs: Knobs) {
         // streams alive while late verdicts land.
         let mut state =
             workload.trace.frames[(f as usize).min(knobs.frames as usize - 1)].states[index];
-        if index as u32 == knobs.cheater && f > 0 && f % 4 == 0 && f < knobs.frames {
-            state.position.x += CHEAT_OFFSET;
+        if index as u32 == knobs.cheater && f < knobs.frames {
+            speed_hack(&mut state, f);
         }
         let out = core.tick(f, &state);
         tally(&out.events, &mut severe, &mut false_verdicts);

@@ -2,7 +2,7 @@
 //! freezes the roster into the shared seed + directory, every player runs
 //! a [`watchmen::core::node::WatchmenNode`], proxy-side verification
 //! reports flow back to the lobby's reputation system, and a speed-hacking
-//! player gets banned and ejected from the proxy pool mid-match.
+//! player gets banned mid-match.
 //!
 //! ```sh
 //! cargo run --release --example lobby_match
@@ -17,6 +17,7 @@ use watchmen::game::trace::standard_trace;
 use watchmen::game::PlayerId;
 use watchmen::net::{latency, SimNetwork};
 use watchmen::sim::cluster::Cluster;
+use watchmen::sim::workload::speed_hack;
 use watchmen::world::maps;
 
 const PLAYERS: usize = 10;
@@ -52,8 +53,8 @@ fn main() {
             |i| {
                 let mut state = trace.frames[frame as usize].states[i];
                 // The cheater falsifies some of its positions.
-                if i as u32 == CHEATER && frame % 5 == 0 && frame > 0 {
-                    state.position.x += 25.0;
+                if i as u32 == CHEATER {
+                    speed_hack(&mut state, frame);
                 }
                 state
             },
@@ -95,12 +96,14 @@ fn main() {
         }
     }
 
+    // Everyone heartbeats every frame, so only a ban ends good standing.
     println!("\nfinal standings:");
+    let active = lobby.active_players();
     for i in 0..PLAYERS {
         let pid = PlayerId(i as u32);
         println!(
             "  {pid:>3} {:<12} suspicion {:.3}{}",
-            format!("{:?}", lobby.status(pid)).to_lowercase(),
+            if active.contains(&pid) { "active" } else { "banned" },
             lobby.suspicion(pid),
             if pid.0 == CHEATER { "  ← the cheater" } else { "" }
         );

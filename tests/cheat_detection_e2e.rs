@@ -74,7 +74,7 @@ fn clean_game_bans_nobody() {
 #[test]
 fn banned_cheaters_leave_the_proxy_pool() {
     let mut schedule = ProxySchedule::new(3, 12, 40);
-    schedule.exclude(PlayerId(2));
+    schedule.try_exclude_from(PlayerId(2), 0).expect("eleven others stay eligible");
     for epoch in 0..100 {
         for p in 0..12 {
             assert_ne!(schedule.proxy_of(PlayerId(p), epoch * 40), PlayerId(2));

@@ -7,17 +7,22 @@
 //! within one epoch, and **zero** cheat verdicts are raised against the
 //! all-honest population.
 
-use watchmen::core::lobby::GameLobby;
+use watchmen::core::lobby::{GameLobby, LobbyEvent};
 use watchmen::core::msg::{BootstrapEntry, BootstrapSnapshot, Envelope, Payload, StateUpdate};
 use watchmen::core::node::WatchmenNode;
 use watchmen::core::proxy::ProxySchedule;
+use watchmen::core::rating::{CheatRating, Confidence};
 use watchmen::core::sans_io::{secured_cores, ProtocolCore};
+use watchmen::core::WatchmenConfig;
 use watchmen::crypto::schnorr::Keypair;
 use watchmen::game::trace::standard_trace;
 use watchmen::game::PlayerId;
+use watchmen::net::{latency, SimNetwork};
+use watchmen::sim::cluster::Cluster;
 use watchmen::sim::scenario::{
     churn_soak, soak_config, CHURN_CRASHED, CHURN_JOINERS, CHURN_LEAVES, CHURN_VETERANS,
 };
+use watchmen::sim::workload::standard_workload;
 use watchmen::world::{maps, PhysicsConfig};
 
 #[test]
@@ -90,7 +95,7 @@ fn churn_run_keeps_rosters_agreed_and_raises_no_false_verdicts() {
     assert!(stats.dropped > 100, "loss plan never engaged: {stats:?}");
 
     // --- (d) Minimum-pool robustness is a unit-test concern
-    // (`eviction_degrades_to_single_proxy_instead_of_aborting`); here the
+    // (`over_exclusion_degrades_instead_of_panicking`); here the
     // whole run completing under churn without a panic, with zero
     // abandoned control messages on surviving nodes, is the guarantee.
     for i in (0..cluster.cores.len()).filter(|&i| cluster.is_running(i)) {
@@ -181,4 +186,77 @@ fn bootstraps_seed_only_a_joiner_from_its_first_proxy() {
     assert_eq!(out.events.len(), 1, "{:?}", out.events);
     assert!(joiner.node().known_state(PlayerId(a as u32)).is_some());
     assert!(joiner.node().known_state(PlayerId(b as u32)).is_none(), "future-dated entry taken");
+}
+
+/// A lobby ban is the lobby's decision alone: no node applies it, so it
+/// must not reach a joiner's roster snapshot. Eight veterans play over a
+/// lossless 8 ms network; the lobby bans p3 at frame 50 and admits p8 at
+/// frame 60 (active from the frame-120 boundary). Every running active
+/// member, p3 included, must hold the same roster at every boundary.
+#[test]
+fn a_lobby_ban_before_a_join_keeps_rosters_agreed() {
+    const VETERANS: usize = 8;
+    const SEED: u64 = 77;
+    const FRAMES: u64 = 320;
+    let config = WatchmenConfig::default();
+    let period = config.proxy_period;
+    let workload = standard_workload(VETERANS + 1, SEED, FRAMES);
+    let mut lobby = GameLobby::new(SEED, config, config.membership_timeout_frames)
+        .with_keys(Keypair::generate(SEED ^ 0x10bb));
+    let keys: Vec<Keypair> = (0..=VETERANS).map(|i| Keypair::generate(SEED ^ i as u64)).collect();
+    for k in &keys[..VETERANS] {
+        lobby.register(k.public());
+    }
+    lobby.start();
+    let lobby_key = lobby.lobby_key().expect("lobby has keys");
+    let map = &workload.map;
+    let mut cluster = Cluster::new(
+        secured_cores(&keys[..VETERANS], lobby.directory(), Some(lobby_key), SEED, config, map),
+        SimNetwork::new(VETERANS + 1, latency::constant(8.0), 0.0, SEED),
+        config.frame_ms,
+    );
+
+    let mut boundaries = 0;
+    for f in 0..FRAMES {
+        if f == 50 {
+            let cheat = CheatRating::new(10, Confidence::Proxy, 0);
+            for _ in 0..40 {
+                lobby.report(PlayerId(0), PlayerId(3), &cheat);
+            }
+            assert_eq!(lobby.tick(f), [LobbyEvent::Banned(PlayerId(3))]);
+        }
+        if f == 60 {
+            let (id, ticket, roster) =
+                lobby.admit_midgame(keys[VETERANS].public(), f).expect("admission");
+            assert_eq!((id.index(), ticket.admit_frame), (VETERANS, 120));
+            cluster.cores[VETERANS] = Some(ProtocolCore::new(WatchmenNode::new_joining(
+                id,
+                keys[VETERANS].clone(),
+                roster,
+                ticket,
+                lobby_key,
+                SEED,
+                config,
+                map.clone(),
+                PhysicsConfig::default(),
+            )));
+        }
+        cluster.step(f, |i| workload.trace.frames[f as usize].states[i], |_, _| {});
+
+        if f > 0 && f % period == 0 {
+            let views: Vec<(usize, u64, [u8; 32])> = (0..=VETERANS)
+                .filter(|&i| cluster.is_running(i) && cluster.node(i).is_active_member())
+                .map(|i| (i, cluster.node(i).roster_epoch(), cluster.node(i).roster_digest()))
+                .collect();
+            let (_, e0, d0) = views[0];
+            assert!(
+                views.iter().all(|&(_, e, d)| (e, d) == (e0, d0)),
+                "boundary {f}: rosters split, (node, epoch) = {:?}",
+                views.iter().map(|&(i, e, _)| (i, e)).collect::<Vec<_>>()
+            );
+            boundaries += 1;
+        }
+    }
+    assert_eq!(boundaries, FRAMES.div_ceil(period) - 1);
+    assert!(cluster.node(VETERANS).is_active_member(), "the joiner never became active");
 }

@@ -17,6 +17,7 @@ use watchmen::core::WatchmenConfig;
 use watchmen::crypto::schnorr::{Keypair, PublicKey};
 use watchmen::game::trace::{standard_trace, GameTrace, PlayerFrame};
 use watchmen::game::PlayerId;
+use watchmen::sim::workload::speed_hack;
 use watchmen::world::maps;
 
 /// An in-memory cluster: N cores plus a FIFO bus.
@@ -259,8 +260,8 @@ fn replayed_bytes_are_flagged() {
 /// Player 2 lies: every 4th frame it reports a teleported position.
 fn speed_hack_at(frame: u64) -> impl FnMut(usize, &mut PlayerFrame) {
     move |i, state| {
-        if i == 2 && frame.is_multiple_of(4) && frame > 0 {
-            state.position.x += 30.0;
+        if i == 2 {
+            speed_hack(state, frame);
         }
     }
 }

@@ -7,6 +7,7 @@
 
 use watchmen::core::lobby::{key_tag, AdmitError, GameLobby};
 use watchmen::core::rating::{CheatRating, Confidence};
+use watchmen::core::reputation::{Reputation, ThresholdReputation};
 use watchmen::core::WatchmenConfig;
 use watchmen::crypto::schnorr::Keypair;
 use watchmen::game::PlayerId;
@@ -172,4 +173,44 @@ fn cross_match_ban_survives_restart_on_real_files() {
         "ban recovered from disk must block matchmaking",
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The ban rule has two copies: the lobby's `ThresholdReputation`, fed
+/// report by report, and the durable store's `StorePolicy::should_ban`,
+/// fed the counts. They must agree at every `(ok, failed)` point, under
+/// the default calibration and two others.
+#[test]
+fn lobby_and_store_ban_rules_agree_at_every_count() {
+    const MAX: u64 = 120;
+    let default = WatchmenConfig::default();
+    let clean = CheatRating::clean(Confidence::Proxy);
+    let failed_rating = CheatRating::new(10, Confidence::Proxy, 0);
+    for policy in [
+        policy_from(&default),
+        StorePolicy { ban_threshold: 0.5, min_reports: 1 },
+        StorePolicy { ban_threshold: 0.95, min_reports: 100 },
+    ] {
+        policy.validate();
+        // Subject `ok` holds `ok` acceptable reports; every round below
+        // adds one failed report to each subject.
+        let mut rep =
+            ThresholdReputation::new(MAX as usize + 1, policy.ban_threshold, policy.min_reports);
+        for ok in 0..=MAX {
+            for _ in 0..ok {
+                rep.report(PlayerId(0), PlayerId(ok as u32), &clean);
+            }
+        }
+        for failed in 0..=MAX {
+            for ok in 0..=MAX {
+                let subject = PlayerId(ok as u32);
+                assert_eq!(rep.counts(subject), (ok, failed));
+                assert_eq!(
+                    rep.is_banned(subject),
+                    policy.should_ban(ok, failed),
+                    "{policy:?} at ok={ok} failed={failed}"
+                );
+                rep.report(PlayerId(0), subject, &failed_rating);
+            }
+        }
+    }
 }

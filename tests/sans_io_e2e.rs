@@ -19,7 +19,7 @@ use watchmen::game::PlayerId;
 use watchmen::net::live::LiveTransport;
 use watchmen::net::{latency, SimNetwork};
 use watchmen::sim::cluster::Cluster;
-use watchmen::sim::workload::{match_workload, Workload};
+use watchmen::sim::workload::{match_workload, speed_hack, Workload};
 
 fn build_cores(players: usize, seed: u64, workload: &Workload) -> Vec<ProtocolCore> {
     let keys: Vec<Keypair> = (0..players).map(|i| Keypair::generate(seed ^ i as u64)).collect();
@@ -110,8 +110,8 @@ fn live_transports_carry_the_core_and_catch_a_cheater() {
                 }
             }
             let mut state = workload.trace.frames[(f as usize).min(FRAMES as usize - 1)].states[i];
-            if i as u32 == CHEATER && f > 0 && f % 4 == 0 && f < FRAMES {
-                state.position.x += 30.0;
+            if i as u32 == CHEATER && f < FRAMES {
+                speed_hack(&mut state, f);
             }
             let out = cores[i].tick(f, &state);
             count_verdicts(&out, Some(CHEATER), &mut severe, &mut false_v);
