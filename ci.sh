@@ -38,9 +38,9 @@ benchmark/run.sh --selfcheck
 # finishing; their shape gates are Rust assertions (DESIGN.md §7), so the
 # output is discarded.
 echo "==> paper-figure benches on real nodes (quick mode)"
-WATCHMEN_QUICK=1 cargo bench -p watchmen-bench --bench fig7_update_age \
-    --bench scalability_bandwidth --bench ablation_proxy_period \
-    --bench ablation_interest_size > /dev/null
+WATCHMEN_QUICK=1 cargo bench -p watchmen-bench --bench fig5_witnesses \
+    --bench fig7_update_age --bench scalability_bandwidth \
+    --bench ablation_proxy_period --bench ablation_interest_size > /dev/null
 
 # One run covers the trace smoke and both scripted soaks (control plane
 # under burst loss + duplication + reordering + a proxy crash; churn with
@@ -147,11 +147,6 @@ cargo test --release -q -p watchmen-net
 echo "==> live cluster smoke (6 OS processes over loopback UDP, scripted speed-hacker)"
 cargo run --release --example live_cluster | tail -n 1
 
-echo "==> coordinated-adversary campaigns (collusion, sybil-flood, eclipse at fixed seeds)"
-WATCHMEN_CAMPAIGN="runs=3,seed=2013,workers=2" \
-WATCHMEN_BENCH_OUT="$BENCH_DIR" \
-    cargo run --release --example campaign_run
-
 # The store's checksum has two kernels and its formats are pinned by golden
 # bytes: run its tests optimised too, so the CRC agreement tests and the
 # columns-vs-map differential check the code the benchmark and the drivers
@@ -161,8 +156,9 @@ WATCHMEN_BENCH_OUT="$BENCH_DIR" \
 # every driver reports through `telemetry::report::Report` (only a match's
 # pinned per-match line is hand-formatted); keep the node's components
 # (clippy.toml bounds their functions), the codec's and the lobby's files
-# small, and the lobby in its parts; and
-# keep State deltas out of the codec — a delta needs a baseline every
+# small, and the lobby in its parts; keep one runner per result (campaigns
+# run only through tests/campaign_e2e.rs, Fig. 5 only on the node, bans
+# only through the lobby); and keep State deltas out of the codec — a delta needs a baseline every
 # receiver holds, which IS subscribers that come and go every few dozen
 # frames do not (DESIGN.md, "The wire").
 echo "==> store unit + golden-bytes + recovery tests (release), unsafe audit"
@@ -176,6 +172,9 @@ long=$(wc -l crates/core/src/{node,msg,lobby}/*.rs | awk '$2 != "total" && $1 > 
 [ -z "$long" ] || { echo "node, codec or lobby files over 800 lines: $long" >&2; exit 1; }
 [ ! -e crates/core/src/delta.rs ] || { echo "core::delta is back: crates/core/src/delta.rs" >&2; exit 1; }
 [ ! -e crates/core/src/lobby.rs ] || { echo "the one-file lobby is back: crates/core/src/lobby.rs" >&2; exit 1; }
+for gone in crates/fleet/src/campaign.rs crates/sim/src/witness.rs examples/cheat_hunt.rs; do
+    [ ! -e "$gone" ] || { echo "a second runner is back: $gone" >&2; exit 1; }
+done
 
 echo "==> store crash loop (8 kill/abort cycles against the durable reputation store)"
 WATCHMEN_STORE_DIR=/tmp/watchmen-crashloop-store \

@@ -37,7 +37,7 @@ use crate::audit::{AuditKind, AuditLog, AuditRecord, LOBBY_NODE};
 use crate::membership::MembershipTracker;
 use crate::msg::JoinTicket;
 use crate::rating::CheatRating;
-use crate::reputation::{Reputation, ThresholdReputation};
+use crate::reputation::ThresholdReputation;
 use crate::roster::{Roster, RosterDelta};
 use crate::WatchmenConfig;
 
@@ -217,14 +217,15 @@ impl GameLobby {
         self.membership.as_mut().expect("lobby not started").observe(player, frame);
     }
 
-    /// Feeds one verification report into the reputation system.
+    /// Feeds one verification report into the reputation system. The
+    /// reporter is not weighed: the threshold rule counts reports.
     ///
     /// # Panics
     ///
     /// Panics if the match has not started.
-    pub fn report(&mut self, reporter: PlayerId, subject: PlayerId, rating: &CheatRating) {
+    pub fn report(&mut self, _reporter: PlayerId, subject: PlayerId, rating: &CheatRating) {
         assert!(self.roster.is_some(), "lobby not started");
-        self.reputation.report(reporter, subject, rating);
+        self.reputation.report(subject, rating);
     }
 
     /// The reputation system's current suspicion for a player.

@@ -9,29 +9,12 @@
 //! threshold. … The Watchmen detection algorithm can be plugged into any
 //! reputation system."
 //!
-//! The plug-in surface is the [`Reputation`] trait; [`ThresholdReputation`]
-//! is the paper's "simplest form", and [`WeightedReputation`] the "more
-//! elaborate" variant that modulates reports by the verifier's confidence
-//! and the reporter's own credibility.
+//! [`ThresholdReputation`] is the paper's "simplest form", and the one
+//! ban rule the lobby runs.
 
 use watchmen_game::PlayerId;
 
 use crate::rating::CheatRating;
-
-/// A pluggable reputation system consuming verification reports.
-pub trait Reputation {
-    /// Records that `reporter` rated one of `subject`'s actions.
-    fn report(&mut self, reporter: PlayerId, subject: PlayerId, rating: &CheatRating);
-
-    /// The current suspicion in `[0, 1]` that `subject` cheats.
-    fn suspicion(&self, subject: PlayerId) -> f64;
-
-    /// Returns `true` once the system has decided to ban `subject`.
-    fn is_banned(&self, subject: PlayerId) -> bool;
-
-    /// Players currently banned.
-    fn banned_players(&self) -> Vec<PlayerId>;
-}
 
 /// The paper's simplest form: ban when the proportion of acceptable
 /// interactions drops below a threshold, after a minimum number of
@@ -92,10 +75,14 @@ impl ThresholdReputation {
     pub fn admit_player(&mut self) {
         self.counts.push((0, 0));
     }
-}
 
-impl Reputation for ThresholdReputation {
-    fn report(&mut self, _reporter: PlayerId, subject: PlayerId, rating: &CheatRating) {
+    /// Records one rated interaction of `subject`'s: failed when the
+    /// rating is suspicious, acceptable otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    pub fn report(&mut self, subject: PlayerId, rating: &CheatRating) {
         let slot = &mut self.counts[subject.index()];
         if rating.is_suspicious() {
             slot.1 += 1;
@@ -104,7 +91,14 @@ impl Reputation for ThresholdReputation {
         }
     }
 
-    fn suspicion(&self, subject: PlayerId) -> f64 {
+    /// The fraction of `subject`'s reported interactions that failed, in
+    /// `[0, 1]` (0 with no reports).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    #[must_use]
+    pub fn suspicion(&self, subject: PlayerId) -> f64 {
         let (ok, fail) = self.counts[subject.index()];
         let total = ok + fail;
         if total == 0 {
@@ -114,80 +108,23 @@ impl Reputation for ThresholdReputation {
         }
     }
 
-    fn is_banned(&self, subject: PlayerId) -> bool {
+    /// Whether `subject` is banned: at least `min_reports` reports, and
+    /// the acceptable fraction below the threshold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    #[must_use]
+    pub fn is_banned(&self, subject: PlayerId) -> bool {
         let (ok, fail) = self.counts[subject.index()];
         let total = ok + fail;
         total >= self.min_reports && (ok as f64 / total as f64) < self.acceptable_threshold
     }
 
-    fn banned_players(&self) -> Vec<PlayerId> {
+    /// Players currently banned, in id order.
+    #[must_use]
+    pub fn banned_players(&self) -> Vec<PlayerId> {
         (0..self.counts.len()).map(|i| PlayerId(i as u32)).filter(|&p| self.is_banned(p)).collect()
-    }
-}
-
-/// The "more elaborate" variant: reports are weighted by the verifier's
-/// confidence/staleness ([`CheatRating::suspicion`]) and by the reporter's
-/// *credibility* — reporters who are themselves suspected have their
-/// reports discounted, which blunts bad-mouthing by colluding cheaters.
-#[derive(Debug, Clone)]
-pub struct WeightedReputation {
-    /// Per-player accumulated (weight, weighted suspicion).
-    scores: Vec<(f64, f64)>,
-    /// Ban when weighted suspicion exceeds this.
-    ban_threshold: f64,
-    /// Minimum accumulated weight before a ban can trigger.
-    min_weight: f64,
-}
-
-impl WeightedReputation {
-    /// Creates a system for `players` players.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ban_threshold` is outside `(0, 1)`.
-    #[must_use]
-    pub fn new(players: usize, ban_threshold: f64, min_weight: f64) -> Self {
-        assert!(
-            ban_threshold > 0.0 && ban_threshold < 1.0,
-            "threshold {ban_threshold} out of range"
-        );
-        WeightedReputation { scores: vec![(0.0, 0.0); players], ban_threshold, min_weight }
-    }
-
-    /// The reporter's credibility in `[0, 1]`: fades as the reporter's own
-    /// suspicion grows ("prevent bad mouthing … by analyzing relationships
-    /// between nodes").
-    #[must_use]
-    pub fn credibility(&self, reporter: PlayerId) -> f64 {
-        1.0 - self.suspicion(reporter).min(1.0) * 0.8
-    }
-}
-
-impl Reputation for WeightedReputation {
-    fn report(&mut self, reporter: PlayerId, subject: PlayerId, rating: &CheatRating) {
-        let credibility = self.credibility(reporter);
-        let weight = rating.confidence.weight() * credibility;
-        let slot = &mut self.scores[subject.index()];
-        slot.0 += weight;
-        slot.1 += rating.suspicion() * credibility;
-    }
-
-    fn suspicion(&self, subject: PlayerId) -> f64 {
-        let (weight, suspicion) = self.scores[subject.index()];
-        if weight <= 0.0 {
-            0.0
-        } else {
-            (suspicion / weight).min(1.0)
-        }
-    }
-
-    fn is_banned(&self, subject: PlayerId) -> bool {
-        let (weight, _) = self.scores[subject.index()];
-        weight >= self.min_weight && self.suspicion(subject) > self.ban_threshold
-    }
-
-    fn banned_players(&self) -> Vec<PlayerId> {
-        (0..self.scores.len()).map(|i| PlayerId(i as u32)).filter(|&p| self.is_banned(p)).collect()
     }
 }
 
@@ -209,8 +146,8 @@ mod tests {
         let mut rep = ThresholdReputation::new(4, 0.85, 20);
         let cheater = PlayerId(1);
         for _ in 0..15 {
-            rep.report(PlayerId(0), cheater, &dirty());
-            rep.report(PlayerId(0), cheater, &clean());
+            rep.report(cheater, &dirty());
+            rep.report(cheater, &clean());
         }
         assert!(rep.is_banned(cheater), "suspicion {}", rep.suspicion(cheater));
         assert_eq!(rep.banned_players(), vec![cheater]);
@@ -224,7 +161,7 @@ mod tests {
         // 5% false positive rate.
         for k in 0..200 {
             let rating = if k % 20 == 0 { dirty() } else { clean() };
-            rep.report(PlayerId(0), honest, &rating);
+            rep.report(honest, &rating);
         }
         assert!(!rep.is_banned(honest));
         assert!(rep.suspicion(honest) < 0.10);
@@ -234,7 +171,7 @@ mod tests {
     fn threshold_needs_min_reports() {
         let mut rep = ThresholdReputation::new(2, 0.85, 20);
         for _ in 0..5 {
-            rep.report(PlayerId(0), PlayerId(1), &dirty());
+            rep.report(PlayerId(1), &dirty());
         }
         // 100% failed but below min_reports: no ban yet.
         assert!(!rep.is_banned(PlayerId(1)));
@@ -247,57 +184,6 @@ mod tests {
         assert_eq!(rep.suspicion(PlayerId(0)), 0.0);
         assert!(!rep.is_banned(PlayerId(0)));
         assert!(rep.banned_players().is_empty());
-    }
-
-    #[test]
-    fn weighted_bans_cheater_and_weighs_confidence() {
-        let mut rep = WeightedReputation::new(4, 0.5, 5.0);
-        let cheater = PlayerId(1);
-        for _ in 0..20 {
-            rep.report(PlayerId(0), cheater, &CheatRating::new(10, Confidence::Proxy, 0));
-        }
-        assert!(rep.is_banned(cheater));
-
-        // The same reports at Other confidence accumulate weight slower.
-        let mut rep2 = WeightedReputation::new(4, 0.5, 5.0);
-        for _ in 0..20 {
-            rep2.report(PlayerId(0), PlayerId(2), &CheatRating::new(10, Confidence::Other, 0));
-        }
-        let (w_proxy, _) = (20.0 * Confidence::Proxy.weight(), ());
-        assert!(rep2.suspicion(PlayerId(2)) > 0.5);
-        // Weight from 20 c_O reports (20*0.2 = 4) is below min_weight 5.
-        assert!(!rep2.is_banned(PlayerId(2)));
-        let _ = w_proxy;
-    }
-
-    #[test]
-    fn weighted_discounts_suspected_reporters() {
-        let mut rep = WeightedReputation::new(4, 0.5, 2.0);
-        let bad_mouth = PlayerId(3);
-        // First, the bad-mouther gets itself flagged.
-        for _ in 0..20 {
-            rep.report(PlayerId(0), bad_mouth, &dirty());
-        }
-        assert!(rep.credibility(bad_mouth) < 0.5);
-        // Its smear campaign against an honest player carries less weight
-        // than the honest majority's clean reports.
-        let victim = PlayerId(1);
-        for _ in 0..10 {
-            rep.report(bad_mouth, victim, &CheatRating::new(10, Confidence::Other, 0));
-            rep.report(PlayerId(0), victim, &clean());
-            rep.report(PlayerId(2), victim, &clean());
-        }
-        assert!(!rep.is_banned(victim), "suspicion {}", rep.suspicion(victim));
-    }
-
-    #[test]
-    fn weighted_honest_stays_clean() {
-        let mut rep = WeightedReputation::new(2, 0.5, 2.0);
-        for _ in 0..100 {
-            rep.report(PlayerId(0), PlayerId(1), &clean());
-        }
-        assert_eq!(rep.suspicion(PlayerId(1)), 0.0);
-        assert!(!rep.is_banned(PlayerId(1)));
     }
 
     #[test]

@@ -404,31 +404,6 @@ impl Verifier {
             rate_deviation(ratio - 1.0, 0.20)
         }
     }
-
-    /// [`Verifier::check_rate`] for a duty held only part of an epoch
-    /// (fallback takeover, post-churn handoff): the expectation is
-    /// pro-rated to the observed window, and short windows are never
-    /// rated at all — with fewer than half the full window observed a
-    /// shortfall is indistinguishable from the takeover transient, so a
-    /// verdict would be guesswork.
-    ///
-    /// `expected_full` is the full-window expectation, `observed_frames`
-    /// how many frames of it this verifier actually supervised.
-    #[must_use]
-    pub fn check_rate_partial(
-        &self,
-        expected_full: u64,
-        full_window: u64,
-        observed_frames: u64,
-        received: u64,
-    ) -> u8 {
-        if full_window == 0 || observed_frames * 2 < full_window {
-            return 1;
-        }
-        let observed = observed_frames.min(full_window);
-        let expected = (expected_full as f64 * observed as f64 / full_window as f64).floor() as u64;
-        self.check_rate(expected, received)
-    }
 }
 
 #[cfg(test)]
@@ -686,19 +661,5 @@ mod tests {
         assert!(v.check_rate(40, 80) >= 9); // fast-rate cheat
         assert_eq!(v.check_rate(0, 0), 1);
         assert!(v.check_rate(0, 50) >= 9); // unsolicited flood
-    }
-
-    #[test]
-    fn partial_rate_check_pro_rates_and_withholds() {
-        let v = verifier();
-        // Full window observed: identical to the plain check.
-        assert_eq!(v.check_rate_partial(40, 40, 40, 40), 1);
-        assert!(v.check_rate_partial(40, 40, 40, 20) >= 9);
-        // Half-epoch takeover: expectation pro-rated to 20 updates.
-        assert_eq!(v.check_rate_partial(40, 40, 20, 20), 1);
-        assert!(v.check_rate_partial(40, 40, 20, 5) >= 9);
-        // Under half a window, a verdict is guesswork — withheld.
-        assert_eq!(v.check_rate_partial(40, 40, 19, 0), 1);
-        assert_eq!(v.check_rate_partial(40, 0, 0, 0), 1);
     }
 }

@@ -21,9 +21,6 @@
 //! * [`rollup`] — fold the shard-private telemetry registries into
 //!   per-shard and fleet-wide snapshots (bucket-level histogram merges,
 //!   never averaged percentiles);
-//! * [`campaign`] — the coordinated-adversary soak: every scripted
-//!   campaign ([`watchmen_sim::campaign`]) run across many seeds on the
-//!   same pool, graded per kind;
 //! * [`population`] — the long-horizon reputation soak: thousands of
 //!   statistical matches over one persistent identity population, with
 //!   every match outcome folded into the durable reputation store
@@ -36,14 +33,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod campaign;
 pub mod cell;
 pub mod fleet;
 pub mod pool;
 pub mod population;
 pub mod rollup;
 
-pub use campaign::{run_campaign_soak, CampaignCell, CampaignSoakConfig, CampaignSoakResult};
 pub use cell::{MatchCell, MatchReport, MatchSpec};
 pub use fleet::{
     run_fleet, run_fleet_on, run_fleet_specs, run_fleet_specs_on, FleetConfig, FleetResult,

@@ -117,14 +117,8 @@ impl CampaignKind {
         }
     }
 
-    /// Parses a knob value (`collusion`, `sybil-flood`, `eclipse`).
-    #[must_use]
-    pub fn parse(name: &str) -> Option<CampaignKind> {
-        CampaignKind::ALL.into_iter().find(|k| k.name() == name)
-    }
-
     /// The `campaign <name>:` SLO report over `quality` (one run's, or
-    /// a soak's merge). Its gate: every scripted adversary drew a severe
+    /// several runs' merge). Its gate: every scripted adversary drew a severe
     /// verdict, no honest actor did, and the p99 time-to-detect fits the
     /// campaign's budget.
     ///
@@ -151,33 +145,11 @@ impl std::fmt::Display for CampaignKind {
     }
 }
 
-/// One campaign's parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct CampaignSpec {
-    /// Which campaign to run.
-    pub kind: CampaignKind,
-    /// Deterministic seed (schedule, keys, injected actions).
-    pub seed: u64,
-    /// Roster size the campaign plays against.
-    pub players: usize,
-    /// Campaign length, in proxy epochs.
-    pub epochs: u64,
-}
+/// Roster size every campaign plays against.
+const PLAYERS: usize = 12;
 
-impl CampaignSpec {
-    /// The standard scenario for `kind` at `seed` — what the e2e tests,
-    /// the CI gate and the fleet soak all run.
-    #[must_use]
-    pub fn standard(kind: CampaignKind, seed: u64) -> Self {
-        CampaignSpec { kind, seed, players: 12, epochs: 30 }.validated()
-    }
-
-    fn validated(self) -> Self {
-        assert!(self.players >= 6, "campaigns need a populated roster");
-        assert!(self.epochs >= 8, "campaigns need room for cross-epoch evidence");
-        self
-    }
-}
+/// Campaign length, in proxy epochs: room for cross-epoch evidence.
+const EPOCHS: u64 = 30;
 
 /// The graded result of one campaign run.
 #[derive(Debug, Clone)]
@@ -203,18 +175,17 @@ impl CampaignOutcome {
     }
 }
 
-/// Runs one campaign under `config`, deterministically in
-/// `spec.seed`.
+/// Runs one campaign of `kind` under `config`, deterministically in
+/// `seed`.
 #[must_use]
-pub fn run_campaign(spec: &CampaignSpec, config: &WatchmenConfig) -> CampaignOutcome {
-    let spec = spec.validated();
-    let (truth, audit) = match spec.kind {
-        CampaignKind::Collusion => run_collusion(&spec, config),
-        CampaignKind::SybilFlood => run_sybil_flood(&spec, config),
-        CampaignKind::Eclipse => run_eclipse(&spec, config),
+pub fn run_campaign(kind: CampaignKind, seed: u64, config: &WatchmenConfig) -> CampaignOutcome {
+    let (truth, audit) = match kind {
+        CampaignKind::Collusion => run_collusion(seed, config),
+        CampaignKind::SybilFlood => run_sybil_flood(seed, config),
+        CampaignKind::Eclipse => run_eclipse(seed, config),
     };
     let quality = evaluate(&truth, &audit);
-    CampaignOutcome { kind: spec.kind, seed: spec.seed, truth, quality, audit }
+    CampaignOutcome { kind, seed, truth, quality, audit }
 }
 
 fn verdict(
@@ -243,11 +214,11 @@ fn verdict(
 /// with the most laundering opportunities) reports clean summaries
 /// whenever it serves, while honest proxies report what they see.
 /// Witnesses in `C`'s interest set verify independently throughout.
-fn run_collusion(spec: &CampaignSpec, config: &WatchmenConfig) -> (GroundTruth, Vec<AuditRecord>) {
+fn run_collusion(seed: u64, config: &WatchmenConfig) -> (GroundTruth, Vec<AuditRecord>) {
     let period = config.proxy_period;
-    let schedule = ProxySchedule::new(spec.seed, spec.players, period);
+    let schedule = ProxySchedule::new(seed, PLAYERS, period);
     let verifier = Verifier::new(*config, PhysicsConfig::default());
-    let mut injector = CheatInjector::new(spec.seed, 1.0);
+    let mut injector = CheatInjector::new(seed, 1.0);
     let mut corroborator = SummaryCorroborator::default();
     let mut audit = Vec::new();
 
@@ -256,22 +227,22 @@ fn run_collusion(spec: &CampaignSpec, config: &WatchmenConfig) -> (GroundTruth, 
     // often over the campaign (pigeonhole: ≥ ⌈epochs / (players−1)⌉ ≥ 3
     // epochs at the standard 30/12, comfortably past the corroborator's
     // two-contradiction threshold).
-    let mut counts = vec![0u32; spec.players];
-    for epoch in 0..spec.epochs {
+    let mut counts = [0u32; PLAYERS];
+    for epoch in 0..EPOCHS {
         counts[schedule.proxy_of(client, epoch * period).index()] += 1;
     }
     let colluder = PlayerId(
-        (0..spec.players as u32).max_by_key(|&p| counts[p as usize]).expect("players >= 6"),
+        (0..PLAYERS as u32).max_by_key(|&p| counts[p as usize]).expect("a populated roster"),
     );
     // Three honest witnesses from the client's interest set.
-    let witnesses: Vec<PlayerId> = (0..spec.players as u32)
+    let witnesses: Vec<PlayerId> = (0..PLAYERS as u32)
         .map(PlayerId)
         .filter(|&p| p != client && p != colluder)
         .take(3)
         .collect();
     let honest_control = *witnesses.first().expect("three witnesses");
 
-    for epoch in 0..spec.epochs {
+    for epoch in 0..EPOCHS {
         let frame = epoch * period;
         // The client snaps its aim onto a fresh target each epoch — a
         // genuine physics violation each witness scores independently.
@@ -337,21 +308,17 @@ fn run_collusion(spec: &CampaignSpec, config: &WatchmenConfig) -> (GroundTruth, 
 /// honest joiner after the flood subsides. Identities admitted within
 /// the allowance are indistinguishable from honest joins (and are not
 /// ground-truth adversaries); every over-rate attempt is.
-fn run_sybil_flood(
-    spec: &CampaignSpec,
-    config: &WatchmenConfig,
-) -> (GroundTruth, Vec<AuditRecord>) {
+fn run_sybil_flood(seed: u64, config: &WatchmenConfig) -> (GroundTruth, Vec<AuditRecord>) {
     let window = config.admission_window_frames;
     let allowance = config.max_joins_per_window as usize;
-    let mut lobby =
-        GameLobby::new(spec.seed, *config, 60).with_keys(Keypair::generate(spec.seed ^ 0xbee));
-    for i in 0..spec.players {
-        lobby.register(Keypair::generate(spec.seed * 100 + i as u64).public());
+    let mut lobby = GameLobby::new(seed, *config, 60).with_keys(Keypair::generate(seed ^ 0xbee));
+    for i in 0..PLAYERS {
+        lobby.register(Keypair::generate(seed * 100 + i as u64).public());
     }
     lobby.start();
 
     // An honest joiner well before the flood: admitted, no audit.
-    let honest_early = Keypair::generate(spec.seed ^ 0x40e5).public();
+    let honest_early = Keypair::generate(seed ^ 0x40e5).public();
     lobby.admit_midgame(honest_early, 10).expect("quiet lobby admits");
 
     // The flood: `allowance + 8` fresh identities burst at one frame and
@@ -360,7 +327,7 @@ fn run_sybil_flood(
     // gap); every attempt after that is refused and flagged.
     let flood_frame = 10 + window + 10;
     let sybils: Vec<_> = (0..allowance + 8)
-        .map(|i| Keypair::generate(spec.seed * 1_000 + 7_000 + i as u64).public())
+        .map(|i| Keypair::generate(seed * 1_000 + 7_000 + i as u64).public())
         .collect();
     let mut refused = Vec::new();
     for retry_frame in (flood_frame..flood_frame + window).step_by(window as usize / 4) {
@@ -387,7 +354,7 @@ fn run_sybil_flood(
 
     // After the flood's window slides out, a patient honest joiner gets
     // in cleanly — the throttle denies bursts, not the service.
-    let honest_late = Keypair::generate(spec.seed ^ 0x1a7e).public();
+    let honest_late = Keypair::generate(seed ^ 0x1a7e).public();
     lobby
         .admit_midgame(honest_late, flood_frame + 2 * window)
         .expect("admission recovers after the flood");
@@ -408,20 +375,19 @@ fn run_sybil_flood(
 /// clique, a member forges the assignment outright. An honest control
 /// victim with one genuine crash-fallback exercises the false-positive
 /// side.
-fn run_eclipse(spec: &CampaignSpec, config: &WatchmenConfig) -> (GroundTruth, Vec<AuditRecord>) {
+fn run_eclipse(seed: u64, config: &WatchmenConfig) -> (GroundTruth, Vec<AuditRecord>) {
     let period = config.proxy_period;
     let depth = config.proxy_fallback_depth as usize;
-    let schedule = ProxySchedule::new(spec.seed, spec.players, period);
+    let schedule = ProxySchedule::new(seed, PLAYERS, period);
     let mut detector = ScheduleBiasDetector::default();
     let mut audit = Vec::new();
 
     let victim = PlayerId(0);
     let control = PlayerId(1);
-    let clique: Vec<PlayerId> =
-        [spec.players as u32 - 2, spec.players as u32 - 1].map(PlayerId).to_vec();
+    let clique: Vec<PlayerId> = [PLAYERS as u32 - 2, PLAYERS as u32 - 1].map(PlayerId).to_vec();
     let mut forge_turn = 0usize;
 
-    for epoch in 0..spec.epochs {
+    for epoch in 0..EPOCHS {
         let frame = epoch * period;
         let scheduled = schedule.proxy_of(victim, frame);
         // The clique crash-frames the victim's honest proxies until the
@@ -471,7 +437,7 @@ fn run_eclipse(spec: &CampaignSpec, config: &WatchmenConfig) -> (GroundTruth, Ve
         // The control victim sees one honest crash mid-campaign; its
         // fallback beneficiary must never be flagged.
         let control_scheduled = schedule.proxy_of(control, frame);
-        let control_effective = if epoch == spec.epochs / 2 {
+        let control_effective = if epoch == EPOCHS / 2 {
             schedule.nth_proxy_of(control, frame, 1)
         } else {
             control_scheduled
@@ -502,7 +468,7 @@ mod tests {
     use super::*;
 
     fn outcome(kind: CampaignKind, seed: u64) -> CampaignOutcome {
-        run_campaign(&CampaignSpec::standard(kind, seed), &WatchmenConfig::default())
+        run_campaign(kind, seed, &WatchmenConfig::default())
     }
 
     #[test]
@@ -564,12 +530,10 @@ mod tests {
     }
 
     #[test]
-    fn kinds_map_to_catalog_and_knobs() {
+    fn kinds_map_to_the_catalog() {
         for kind in CampaignKind::ALL {
-            assert_eq!(CampaignKind::parse(kind.name()), Some(kind));
             assert_eq!(kind.cheat_kind().category().to_string(), "coordinated adversary");
             assert!(kind.ttd_budget_frames() > 0);
         }
-        assert_eq!(CampaignKind::parse("nope"), None);
     }
 }

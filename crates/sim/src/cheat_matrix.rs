@@ -3,7 +3,8 @@
 //! For every cheat in the paper's Table I, this module runs a small
 //! concrete scenario exercising the Watchmen mechanism that detects or
 //! prevents it, and reports whether the mechanism fired. Detection demos
-//! use the [`watchmen_core::verify`] sanity checks; prevention demos
+//! use the [`watchmen_core::verify`] sanity checks, and the replay row
+//! hands one signed datagram to a shipped node twice; prevention demos
 //! verify the structural property (signatures, single proxy path,
 //! minimized information exposure, hidden subscriptions). The
 //! coordinated-adversary kinds ([`CheatKind::CAMPAIGNS`]) are
@@ -11,16 +12,18 @@
 //! ([`crate::campaign`]) and grading it against injected ground truth.
 
 use watchmen_core::cheat::{CheatCategory, CheatInjector, CheatKind, WatchmenResponse};
-use watchmen_core::msg::{Envelope, Payload, PositionUpdate};
+use watchmen_core::msg::{Envelope, Payload, PositionUpdate, SignedEnvelope};
+use watchmen_core::node::NodeEvent;
+use watchmen_core::sans_io::{secured_cores, ProtocolCore};
 use watchmen_core::subscription::{compute_sets, NoRecency, SetKind};
 use watchmen_core::verify::Verifier;
 use watchmen_core::WatchmenConfig;
-use watchmen_crypto::schnorr::Keypair;
+use watchmen_crypto::schnorr::{Keypair, PublicKey};
 use watchmen_game::PlayerId;
 use watchmen_math::{Aim, Vec3};
 use watchmen_world::PhysicsConfig;
 
-use crate::campaign::{run_campaign, CampaignKind, CampaignSpec};
+use crate::campaign::{run_campaign, CampaignKind};
 use crate::disclosure::{run_disclosure, Architecture, InfoClass};
 use crate::report::render_table;
 use crate::workload::Workload;
@@ -120,29 +123,37 @@ pub fn run_cheat_matrix(workload: &Workload, config: &WatchmenConfig, seed: u64)
         );
     }
 
-    // --- Replay: sequence numbers make byte replays evident.
+    // --- Replay: the node's per-origin sequence window refuses a byte
+    // replay of a valid signed datagram.
     {
-        let keys = Keypair::generate(seed);
-        let env = Envelope {
-            from: PlayerId(1),
-            seq: 41,
-            frame: 410,
-            payload: Payload::Position(PositionUpdate { position: Vec3::ZERO }),
+        let n = workload.players();
+        let keys: Vec<Keypair> = (0..n).map(|i| Keypair::generate(seed ^ i as u64)).collect();
+        let directory: Vec<PublicKey> = keys.iter().map(Keypair::public).collect();
+        let mut cores: Vec<ProtocolCore> =
+            secured_cores(&keys, &directory, None, seed, *config, map).collect();
+        let publisher = PlayerId(1);
+        let state = workload.trace.frames[0].states[publisher.index()];
+        let sent = cores[publisher.index()].tick(0, &state).datagrams;
+        let msg = sent
+            .iter()
+            .find(|d| {
+                SignedEnvelope::decode(&d.bytes)
+                    .is_ok_and(|s| matches!(s.envelope.payload, Payload::State(_)))
+            })
+            .expect("every node publishes its state each frame");
+        let receiver = &mut cores[msg.to.index()];
+        let mut replayed = || {
+            receiver
+                .datagram(0, publisher, &msg.bytes)
+                .events
+                .iter()
+                .any(|e| matches!(e, NodeEvent::Replay { .. }))
         };
-        let signed = env.sign(&keys);
-        // Receiver logic: a second arrival with seq ≤ last seen is a replay.
-        let mut last_seq = 0u64;
-        let mut replay_flagged = false;
-        for _ in 0..2 {
-            if signed.envelope.seq <= last_seq {
-                replay_flagged = true;
-            }
-            last_seq = last_seq.max(signed.envelope.seq);
-        }
+        let (first, second) = (replayed(), replayed());
         push(
             CheatKind::ReplayCheat,
-            replay_flagged && signed.verify(&keys.public()),
-            "second delivery of a valid signed envelope tripped the sequence check".to_owned(),
+            !first && second,
+            "the proxy's node took a signed state once and flagged its byte replay".to_owned(),
         );
     }
 
@@ -288,7 +299,7 @@ pub fn run_cheat_matrix(workload: &Workload, config: &WatchmenConfig, seed: u64)
     // drew a severe verdict, no honest actor did, and time-to-detect
     // fit the campaign budget.
     for campaign in CampaignKind::ALL {
-        let report = run_campaign(&CampaignSpec::standard(campaign, seed), config).report();
+        let report = run_campaign(campaign, seed, config).report();
         push(campaign.cheat_kind(), report.check().is_ok(), report.to_string());
     }
 

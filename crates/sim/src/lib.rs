@@ -9,7 +9,7 @@
 //! | Figure 1 (presence heatmap) | [`heat`] |
 //! | Table I (cheat catalog & responses) | [`cheat_matrix`] |
 //! | Figure 4 (information disclosure under collusion) | [`disclosure`] |
-//! | Figure 5 (witness availability) | [`witness`] |
+//! | Figure 5 (witness availability) | [`overlay::run_witnesses`] |
 //! | Figure 6 (verification success rates) | [`detection`] |
 //! | Figure 7 (update-age PDF) | [`age`] |
 //! | §VI scalability / bandwidth claims | [`bandwidth_exp`] |
@@ -26,7 +26,7 @@
 //! advanced deliver-then-tick — [`scenario`] holds the scripted soaks
 //! (control plane under faults, churn) that run on it, and [`overlay`]
 //! replays a recorded game on it (and under the Donnybrook and
-//! Client/Server baselines) for [`age`] and [`bandwidth_exp`].
+//! Client/Server baselines) for [`age`], [`bandwidth_exp`] and Figure 5.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,5 +44,4 @@ pub mod overlay;
 pub mod quality;
 pub mod report;
 pub mod scenario;
-pub mod witness;
 pub mod workload;

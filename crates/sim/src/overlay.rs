@@ -24,24 +24,46 @@
 //! receiver's game loop consumes an update − the frame it was generated
 //! in**, and baseline messages weigh what [`Envelope::sign_encoded`]
 //! produces for the same payload.
+//!
+//! [`run_witnesses`] (Figure 5) reads the same node replay, under the
+//! King-like set with 1 % loss that Figure 7 uses, through a read-only
+//! observer of every slot's output. Cheaters are players `0..c`, honest
+//! players the rest, and at each sampled frame `f`, for each cheater `x`
+//! that published its state in `f`:
+//!
+//! * `x`'s **effective proxy** is the destination of `x`'s own first
+//!   `State` datagram in `f` (fallback draws under loss included); it is
+//!   an honest proxy when it is not a cheater.
+//! * An **IS witness** is an honest node other than that proxy whose
+//!   latest consumed `state` delivery about `x` was generated within
+//!   `loss_age_frames` of `f`.
+//! * A **VS witness** is, otherwise, such a node whose latest consumed
+//!   `guidance` delivery about `x` was generated within
+//!   `guidance_period + loss_age_frames` of `f`.
+//!
+//! Frames before `others_period + loss_age_frames` are not sampled:
+//! subscriptions and the first guidance round are still settling.
 
 use std::sync::Arc;
 
 use watchmen_core::dead_reckoning::Guidance;
-use watchmen_core::msg::{Envelope, Payload, StateUpdate};
+use watchmen_core::msg::{Envelope, Payload, SignedEnvelope, StateUpdate};
 use watchmen_core::node::NodeEvent;
-use watchmen_core::sans_io::secured_cores;
+use watchmen_core::sans_io::{secured_cores, CoreOutput};
 use watchmen_core::subscription::{compute_sets, NoRecency};
 use watchmen_core::WatchmenConfig;
 use watchmen_crypto::schnorr::{Keypair, PublicKey};
 use watchmen_game::trace::{GameTrace, PlayerFrame};
 use watchmen_game::PlayerId;
 use watchmen_math::stats::Histogram;
-use watchmen_net::{latency::LatencyModel, SimNetwork};
+use watchmen_net::latency::{self, LatencyModel};
+use watchmen_net::SimNetwork;
 use watchmen_telemetry as telemetry;
 use watchmen_world::{potentially_visible_set, GameMap};
 
 use crate::cluster::Cluster;
+use crate::report::render_table;
+use crate::workload::Workload;
 
 /// A baseline update on the simulated wire: about whom, generated when.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -202,7 +224,8 @@ pub fn run_watchmen(
     loss_rate: f64,
     seed: u64,
 ) -> OverlayReport {
-    let (cluster, metrics) = replay_watchmen(trace, map, config, latency, loss_rate, seed);
+    let (cluster, metrics) =
+        replay_watchmen(trace, map, config, latency, loss_rate, seed, |_, _, _| {});
     finish_report(
         "watchmen",
         &cluster.net,
@@ -215,7 +238,8 @@ pub fn run_watchmen(
 }
 
 /// Steps a cluster of secured nodes through the trace, recording the age
-/// of every update a node's frame consumes.
+/// of every update a node's frame consumes; `observe` sees every slot's
+/// output as `(frame, slot, output)` and changes nothing.
 fn replay_watchmen(
     trace: &GameTrace,
     map: &GameMap,
@@ -223,6 +247,7 @@ fn replay_watchmen(
     latency: Box<dyn LatencyModel>,
     loss_rate: f64,
     seed: u64,
+    mut observe: impl FnMut(u64, usize, &CoreOutput),
 ) -> (Cluster, Metrics) {
     assert!(trace.players >= 2 && !trace.is_empty());
     let n = trace.players;
@@ -238,16 +263,228 @@ fn replay_watchmen(
         cluster.step(
             frame,
             |i| recorded.states[i],
-            |_, output| {
+            |slot, output| {
                 for event in &output.events {
                     if let NodeEvent::Delivery { gen_frame, .. } = event {
                         metrics.record(*gen_frame, frame);
                     }
                 }
+                observe(frame, slot, output);
             },
         );
     }
     (cluster, metrics)
+}
+
+/// Figure 5's witness counts for one coalition size (see the module
+/// docs for the definitions).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WitnessRow {
+    /// Number of colluding cheaters.
+    pub coalition: usize,
+    /// Fraction of sampled (cheater, frame) pairs whose effective proxy
+    /// is honest (complete-information witness).
+    pub honest_proxy_rate: f64,
+    /// Average number of IS witnesses (frequent updates).
+    pub avg_is_witnesses: f64,
+    /// Average number of VS witnesses (dead reckoning only).
+    pub avg_vs_witnesses: f64,
+}
+
+impl WitnessRow {
+    /// Total average witnesses (proxy + IS + VS).
+    #[must_use]
+    pub fn total_witnesses(&self) -> f64 {
+        self.honest_proxy_rate + self.avg_is_witnesses + self.avg_vs_witnesses
+    }
+}
+
+/// Figure 5 from one replay of the shipped node.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WitnessReport {
+    /// One row per coalition size, in the order asked for.
+    pub rows: Vec<WitnessRow>,
+    /// `Subscribe`s the nodes originated.
+    pub subscribes: u64,
+    /// Those whose first hop is their own target: the subscriber's proxy
+    /// is the target, which so learns who watches it.
+    pub subscribes_to_target: u64,
+}
+
+/// Replays the workload through the shipped node under the King-like set
+/// with 1 % loss and reads Figure 5 off the traffic, for each coalition
+/// size (cheaters are players `0..c`).
+///
+/// # Panics
+///
+/// Panics if any coalition size is zero or not smaller than the player
+/// count.
+#[must_use]
+pub fn run_witnesses(
+    workload: &Workload,
+    coalitions: &[usize],
+    config: &WatchmenConfig,
+    seed: u64,
+) -> WitnessReport {
+    let n = workload.players();
+    for &c in coalitions {
+        assert!(c >= 1 && c < n, "coalition {c} out of range");
+    }
+    let mut tap = WitnessTap::new(n, coalitions, config);
+    let (trace, map) = (&workload.trace, &workload.map);
+    let _ =
+        replay_watchmen(trace, map, config, latency::king_like(n, seed), 0.01, seed, |f, i, o| {
+            tap.observe(f, i, o);
+        });
+    tap.finish()
+}
+
+/// Renders the Figure 5 series as a table.
+#[must_use]
+pub fn format_witness(rows: &[WitnessRow]) -> String {
+    let header = ["colluders", "honest-proxy rate", "avg IS witnesses", "avg VS witnesses"];
+    let body: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.coalition.to_string(),
+                format!("{:.3}", r.honest_proxy_rate),
+                format!("{:.2}", r.avg_is_witnesses),
+                format!("{:.2}", r.avg_vs_witnesses),
+            ]
+        })
+        .collect();
+    render_table(&header, &body)
+}
+
+/// Per-coalition sums over the sampled (cheater, frame) pairs.
+#[derive(Debug, Clone, Copy, Default)]
+struct WitnessTally {
+    samples: u64,
+    honest_proxy: u64,
+    is: u64,
+    vs: u64,
+}
+
+/// What [`run_witnesses`] reads off the replay, one frame at a time.
+struct WitnessTap {
+    players: usize,
+    coalitions: Vec<usize>,
+    warm_up: u64,
+    state_window: u64,
+    guidance_window: u64,
+    /// The frame whose outputs are being observed.
+    frame: u64,
+    /// Each player's effective proxy in `frame`.
+    proxy: Vec<Option<PlayerId>>,
+    /// `[holder * players + about]`: generation frame of the latest
+    /// consumed `state` / `guidance` delivery.
+    state: Vec<Option<u64>>,
+    guidance: Vec<Option<u64>>,
+    tallies: Vec<WitnessTally>,
+    subscribes: u64,
+    subscribes_to_target: u64,
+}
+
+impl WitnessTap {
+    fn new(players: usize, coalitions: &[usize], config: &WatchmenConfig) -> Self {
+        WitnessTap {
+            players,
+            coalitions: coalitions.to_vec(),
+            warm_up: config.others_period + config.loss_age_frames,
+            state_window: config.loss_age_frames,
+            guidance_window: config.guidance_period + config.loss_age_frames,
+            frame: 0,
+            proxy: vec![None; players],
+            state: vec![None; players * players],
+            guidance: vec![None; players * players],
+            tallies: vec![WitnessTally::default(); coalitions.len()],
+            subscribes: 0,
+            subscribes_to_target: 0,
+        }
+    }
+
+    fn observe(&mut self, frame: u64, slot: usize, output: &CoreOutput) {
+        if frame != self.frame {
+            self.sample();
+            self.frame = frame;
+            self.proxy.fill(None);
+        }
+        for event in &output.events {
+            if let NodeEvent::Delivery { about, class, gen_frame } = *event {
+                let cell = slot * self.players + about.index();
+                let latest = match class {
+                    "state" => &mut self.state[cell],
+                    "guidance" => &mut self.guidance[cell],
+                    _ => continue,
+                };
+                *latest = (*latest).max(Some(gen_frame));
+            }
+        }
+        for datagram in &output.datagrams {
+            let Ok(signed) = SignedEnvelope::decode(&datagram.bytes) else { continue };
+            if signed.envelope.from.index() != slot {
+                continue; // relayed, not originated here
+            }
+            match signed.envelope.payload {
+                Payload::State(_) => {
+                    self.proxy[slot].get_or_insert(datagram.to);
+                }
+                Payload::Subscribe { target, .. } => {
+                    self.subscribes += 1;
+                    self.subscribes_to_target += u64::from(datagram.to == target);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Tallies `self.frame`, whose outputs are all observed.
+    fn sample(&mut self) {
+        if self.frame < self.warm_up {
+            return;
+        }
+        let (n, f) = (self.players, self.frame);
+        let fresh = |latest: Option<u64>, window: u64| latest.is_some_and(|g| f < g + window);
+        for (&c, tally) in self.coalitions.iter().zip(&mut self.tallies) {
+            for cheater in 0..c {
+                let Some(proxy) = self.proxy[cheater] else { continue };
+                tally.samples += 1;
+                tally.honest_proxy += u64::from(proxy.index() >= c);
+                for holder in (c..n).filter(|&h| h != proxy.index()) {
+                    let cell = holder * n + cheater;
+                    if fresh(self.state[cell], self.state_window) {
+                        tally.is += 1;
+                    } else if fresh(self.guidance[cell], self.guidance_window) {
+                        tally.vs += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    fn finish(mut self) -> WitnessReport {
+        self.sample();
+        let rows = self
+            .coalitions
+            .iter()
+            .zip(&self.tallies)
+            .map(|(&coalition, t)| {
+                let samples = t.samples.max(1) as f64;
+                WitnessRow {
+                    coalition,
+                    honest_proxy_rate: t.honest_proxy as f64 / samples,
+                    avg_is_witnesses: t.is as f64 / samples,
+                    avg_vs_witnesses: t.vs as f64 / samples,
+                }
+            })
+            .collect();
+        WitnessReport {
+            rows,
+            subscribes: self.subscribes,
+            subscribes_to_target: self.subscribes_to_target,
+        }
+    }
 }
 
 /// Runs the Donnybrook baseline: frequent updates direct to interest-set
@@ -379,9 +616,11 @@ pub fn run_client_server(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
     use watchmen_game::trace::standard_trace;
-    use watchmen_net::latency;
     use watchmen_world::maps;
+
+    use crate::workload::standard_workload;
 
     fn small_inputs() -> (GameTrace, GameMap, WatchmenConfig) {
         (standard_trace(8, 3, 200), maps::q3dm17_like(), WatchmenConfig::default())
@@ -447,7 +686,7 @@ mod tests {
     fn wire_accounting_is_the_networks() {
         let (trace, map, config) = small_inputs();
         let (mut cluster, _) =
-            replay_watchmen(&trace, &map, &config, latency::constant(20.0), 0.0, 7);
+            replay_watchmen(&trace, &map, &config, latency::constant(20.0), 0.0, 7, |_, _, _| {});
         let end = trace.len() as u64;
         cluster.deliver_until(end, (end + 1) as f64 * config.frame_ms, |_, _| {});
         let meters = || (0..trace.players).map(|i| cluster.net.meter(i));
@@ -493,5 +732,69 @@ mod tests {
             report.mean_up_kbps,
             full_mesh_kbps
         );
+    }
+
+    /// One replay shared by the Figure 5 tests.
+    fn witness_report() -> &'static WitnessReport {
+        static REPORT: OnceLock<WitnessReport> = OnceLock::new();
+        REPORT.get_or_init(|| {
+            // 800 frames = 20 proxy epochs: enough independent draws for
+            // the honest-proxy rate to stabilize.
+            let w = standard_workload(16, 3, 800);
+            run_witnesses(&w, &[1, 2, 4, 8], &WatchmenConfig::default(), 9)
+        })
+    }
+
+    #[test]
+    fn honest_proxy_rate_matches_analytic() {
+        // With c cheaters out of n, an honest proxy is drawn with
+        // probability (n - c) / (n - 1).
+        let rows = &witness_report().rows;
+        let n = 16.0;
+        for r in rows {
+            let expected = (n - r.coalition as f64) / (n - 1.0);
+            assert!(
+                (r.honest_proxy_rate - expected).abs() < 0.15,
+                "c={} rate {} expected {expected}",
+                r.coalition,
+                r.honest_proxy_rate
+            );
+        }
+    }
+
+    #[test]
+    fn witnesses_shrink_with_coalition() {
+        let rows = &witness_report().rows;
+        let first = rows.first().unwrap();
+        let last = rows.last().unwrap();
+        assert!(last.honest_proxy_rate < first.honest_proxy_rate);
+        // Fewer honest observers → fewer witnesses on average.
+        assert!(last.total_witnesses() <= first.total_witnesses() + 1.0);
+    }
+
+    #[test]
+    fn there_are_witnesses_at_all() {
+        let report = witness_report();
+        let r = &report.rows[0];
+        assert!(r.avg_is_witnesses + r.avg_vs_witnesses > 0.5, "expected some witnesses: {r:?}");
+        // A subscription's first hop is the subscriber's proxy, which is
+        // the target itself in about 1 / (n − 1) of them: the known
+        // rate-analysis leak.
+        let share = report.subscribes_to_target as f64 / report.subscribes as f64;
+        assert!((0.5 / 15.0..2.0 / 15.0).contains(&share), "{report:?}");
+    }
+
+    #[test]
+    fn formatting_lists_all_rows() {
+        let s = format_witness(&witness_report().rows);
+        assert_eq!(s.lines().count(), 2 + 4);
+        assert!(s.contains("honest-proxy"));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn oversized_coalition_panics() {
+        let w = standard_workload(4, 1, 10);
+        let _ = run_witnesses(&w, &[4], &WatchmenConfig::default(), 1);
     }
 }

@@ -1,6 +1,6 @@
 //! The one `key=value,key=value` grammar behind every `WATCHMEN_*` spec
 //! variable (`WATCHMEN_FAULTS`, `WATCHMEN_STORE_FAULTS`, `WATCHMEN_FLEET`,
-//! `WATCHMEN_CAMPAIGN`, `WATCHMEN_POPULATION`, `WATCHMEN_CRASHLOOP`).
+//! `WATCHMEN_POPULATION`, `WATCHMEN_CRASHLOOP`).
 //! Entries are comma-separated, whitespace around them is ignored, empty
 //! entries are skipped, and each must be `key=value`. Numbers parse as
 //! the *target field's own type*, so an out-of-range value is an error

@@ -7,7 +7,7 @@
 
 use watchmen::core::lobby::{key_tag, AdmitError, GameLobby};
 use watchmen::core::rating::{CheatRating, Confidence};
-use watchmen::core::reputation::{Reputation, ThresholdReputation};
+use watchmen::core::reputation::ThresholdReputation;
 use watchmen::core::WatchmenConfig;
 use watchmen::crypto::schnorr::Keypair;
 use watchmen::game::PlayerId;
@@ -197,7 +197,7 @@ fn lobby_and_store_ban_rules_agree_at_every_count() {
             ThresholdReputation::new(MAX as usize + 1, policy.ban_threshold, policy.min_reports);
         for ok in 0..=MAX {
             for _ in 0..ok {
-                rep.report(PlayerId(0), PlayerId(ok as u32), &clean);
+                rep.report(PlayerId(ok as u32), &clean);
             }
         }
         for failed in 0..=MAX {
@@ -209,7 +209,7 @@ fn lobby_and_store_ban_rules_agree_at_every_count() {
                     policy.should_ban(ok, failed),
                     "{policy:?} at ok={ok} failed={failed}"
                 );
-                rep.report(PlayerId(0), subject, &failed_rating);
+                rep.report(subject, &failed_rating);
             }
         }
     }
