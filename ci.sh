@@ -158,7 +158,9 @@ cargo run --release --example live_cluster | tail -n 1
 # (clippy.toml bounds their functions), the codec's and the lobby's files
 # small, and the lobby in its parts; keep one runner per result (campaigns
 # run only through tests/campaign_e2e.rs, Fig. 5 only on the node, bans
-# only through the lobby); and keep State deltas out of the codec — a delta needs a baseline every
+# only through the lobby); keep one liveness table (the node's
+# `last_heard`) and at most six settable `WatchmenConfig` fields, the
+# rest being protocol constants; and keep State deltas out of the codec — a delta needs a baseline every
 # receiver holds, which IS subscribers that come and go every few dozen
 # frames do not (DESIGN.md, "The wire").
 echo "==> store unit + golden-bytes + recovery tests (release), unsafe audit"
@@ -175,6 +177,11 @@ long=$(wc -l crates/core/src/{node,msg,lobby}/*.rs | awk '$2 != "total" && $1 > 
 for gone in crates/fleet/src/campaign.rs crates/sim/src/witness.rs examples/cheat_hunt.rs; do
     [ ! -e "$gone" ] || { echo "a second runner is back: $gone" >&2; exit 1; }
 done
+[ ! -e crates/core/src/membership.rs ] ||
+    { echo "a second liveness table is back: crates/core/src/membership.rs" >&2; exit 1; }
+fields=$(awk '/^pub struct WatchmenConfig/,/^}/' crates/core/src/config.rs | grep -c '^    pub ' || true)
+[ "$fields" -le 6 ] ||
+    { echo "WatchmenConfig declares $fields pub fields; protocol constants are associated consts" >&2; exit 1; }
 
 echo "==> store crash loop (8 kill/abort cycles against the durable reputation store)"
 WATCHMEN_STORE_DIR=/tmp/watchmen-crashloop-store \

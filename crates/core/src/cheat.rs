@@ -375,13 +375,6 @@ impl CheatInjector {
     pub fn snap_aim(from: Vec3, target: Vec3) -> Aim {
         Aim::from_direction(target - from)
     }
-
-    /// Fast-rate: how many duplicate messages to send this opportunity
-    /// (2–4, versus the honest 1).
-    pub fn burst_size(&mut self) -> u64 {
-        self.note("fast-rate");
-        2 + self.rng.next_range(3)
-    }
 }
 
 #[cfg(test)]
@@ -488,25 +481,15 @@ mod tests {
     }
 
     #[test]
-    fn burst_size_range() {
-        let mut inj = CheatInjector::new(6, 1.0);
-        for _ in 0..100 {
-            let b = inj.burst_size();
-            assert!((2..=4).contains(&b));
-        }
-    }
-
-    #[test]
     fn attached_recorder_captures_ground_truth() {
         let rec = Arc::new(FlightRecorder::new(16));
         let mut inj = CheatInjector::new(7, 1.0);
         inj.attach_recorder(Arc::clone(&rec), 3);
         inj.speed_hack(Vec3::ZERO, Vec3::X, 2.0);
         inj.teleport(Vec3::ZERO, 50.0);
-        inj.burst_size();
         let events = rec.snapshot();
         let details: Vec<&str> = events.iter().map(|e| e.detail).collect();
-        assert_eq!(details, vec!["speed-hack", "teleport", "fast-rate"]);
+        assert_eq!(details, vec!["speed-hack", "teleport"]);
         assert!(events.iter().all(|e| e.kind == EventKind::Inject && e.subject == 3));
     }
 }

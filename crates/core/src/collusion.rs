@@ -160,13 +160,6 @@ impl SummaryCorroborator {
     pub fn contradictions(&self, proxy: u32) -> u32 {
         self.contradictions.get(&proxy).copied().unwrap_or(0)
     }
-
-    /// Drops witness evidence older than `epoch` (summaries arrive at
-    /// most one renewal after the evidence, so old entries are dead
-    /// weight in a long match).
-    pub fn forget_before(&mut self, epoch: u64) {
-        self.severe.retain(|&(e, _), _| e >= epoch);
-    }
 }
 
 #[cfg(test)]
@@ -244,15 +237,5 @@ mod tests {
         c.observe_witness(0, 1, 7, 5);
         c.observe_witness(0, 2, 7, 5);
         assert!(c.observe_summary(0, 4, 7, 1).is_none());
-    }
-
-    #[test]
-    fn forget_before_drops_stale_evidence() {
-        let mut c = SummaryCorroborator::new(2, 1);
-        seed_witnesses(&mut c, 0, 7, &[1, 2]);
-        c.forget_before(1);
-        assert!(c.observe_summary(0, 4, 7, 1).is_none(), "evidence was forgotten");
-        seed_witnesses(&mut c, 1, 7, &[1, 2]);
-        assert!(c.observe_summary(1, 4, 7, 1).is_some(), "fresh evidence still joins");
     }
 }

@@ -10,7 +10,7 @@
 
 use watchmen_game::trace::PlayerFrame;
 use watchmen_math::poly::{area_between, dead_reckon_path, Polyline};
-use watchmen_math::{wrap_angle, Aim, Vec3};
+use watchmen_math::{Aim, Vec3};
 
 /// The payload of a guidance (dead-reckoning) message.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,13 +39,6 @@ impl Guidance {
             predicted_position: state.position + state.velocity * (horizon_frames as f64 * dt),
             frame,
         }
-    }
-
-    /// Simulates the avatar `frames_ahead` frames past the guidance frame
-    /// under the constant-velocity model.
-    #[must_use]
-    pub fn extrapolate(&self, frames_ahead: u64, dt: f64) -> Vec3 {
-        self.position + self.velocity * (frames_ahead as f64 * dt)
     }
 
     /// The full predicted trajectory over `frames` frames, used by
@@ -93,78 +86,6 @@ pub fn guidance_deviation(guidance: &Guidance, actual: &Polyline, dt: f64) -> f6
     area_between(&predicted, actual, (frames as usize + 1).max(8))
 }
 
-/// A constant-turn-rate (arc) predictor: the accuracy improvement the
-/// paper cites from its companion work ("we have described how accuracy of
-/// such predictions can be greatly improved \[16\]").
-///
-/// Instead of extrapolating a straight line from the instantaneous
-/// velocity, the predictor estimates the avatar's angular velocity from
-/// two recent headings and sweeps the velocity vector along the arc. For
-/// straight movement it degrades exactly to constant-velocity dead
-/// reckoning; for strafing circles and turns it tracks the curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TurnAwarePredictor {
-    /// Position at the newer sample.
-    pub position: Vec3,
-    /// Velocity at the newer sample.
-    pub velocity: Vec3,
-    /// Estimated yaw rate in radians/s (positive = counter-clockwise).
-    pub yaw_rate: f64,
-}
-
-impl TurnAwarePredictor {
-    /// Builds a predictor from two velocity samples `dt_samples` seconds
-    /// apart (typically successive frequent updates).
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `dt_samples` is not positive.
-    #[must_use]
-    pub fn from_samples(
-        position: Vec3,
-        older_velocity: Vec3,
-        newer_velocity: Vec3,
-        dt_samples: f64,
-    ) -> Self {
-        debug_assert!(dt_samples > 0.0);
-        let yaw_rate = match (
-            older_velocity.horizontal().normalized(),
-            newer_velocity.horizontal().normalized(),
-        ) {
-            (Some(a), Some(b)) => {
-                let older = a.y.atan2(a.x);
-                let newer = b.y.atan2(b.x);
-                wrap_angle(newer - older) / dt_samples
-            }
-            _ => 0.0,
-        };
-        TurnAwarePredictor { position, velocity: newer_velocity, yaw_rate }
-    }
-
-    /// Predicts the position `t` seconds ahead by sweeping the velocity
-    /// along the constant-turn-rate arc.
-    #[must_use]
-    pub fn predict(&self, t: f64) -> Vec3 {
-        if self.yaw_rate.abs() < 1e-9 {
-            return self.position + self.velocity * t;
-        }
-        // Closed-form arc integration of a rotating planar velocity:
-        //   ∫₀ᵗ R(ωs)·v ds, with the vertical component kept linear.
-        let w = self.yaw_rate;
-        let (vx, vy) = (self.velocity.x, self.velocity.y);
-        let (sin_wt, cos_wt) = (w * t).sin_cos();
-        let dx = (vx * sin_wt - vy * (1.0 - cos_wt)) / w;
-        let dy = (vx * (1.0 - cos_wt) + vy * sin_wt) / w;
-        self.position + Vec3::new(dx, dy, self.velocity.z * t)
-    }
-
-    /// The predicted trajectory over `frames` frames of `dt` seconds.
-    #[must_use]
-    pub fn predicted_path(&self, frames: u64, dt: f64) -> Polyline {
-        (0..=frames).map(|k| self.predict(k as f64 * dt)).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,7 +110,6 @@ mod tests {
         assert_eq!(g.frame, 100);
         // 20 frames * 0.05 s * 20 u/s = 20 units ahead.
         assert!(g.predicted_position.approx_eq(Vec3::new(20.0, 0.0, 0.0), 1e-9));
-        assert!(g.extrapolate(10, 0.05).approx_eq(Vec3::new(10.0, 0.0, 0.0), 1e-9));
     }
 
     #[test]
@@ -231,80 +151,6 @@ mod tests {
         let s = moving_state(Vec3::ZERO, Vec3::X);
         let g = Guidance::from_state(&s, 0, 20, 0.05);
         assert_eq!(guidance_deviation(&g, &Polyline::new(), 0.05), 0.0);
-    }
-
-    #[test]
-    fn turn_aware_matches_linear_on_straight_motion() {
-        let v = Vec3::new(20.0, 0.0, 0.0);
-        let p = TurnAwarePredictor::from_samples(Vec3::ZERO, v, v, 0.05);
-        assert_eq!(p.yaw_rate, 0.0);
-        assert!(p.predict(1.0).approx_eq(Vec3::new(20.0, 0.0, 0.0), 1e-9));
-        assert_eq!(p.predicted_path(10, 0.05).len(), 11);
-    }
-
-    #[test]
-    fn turn_aware_tracks_circular_motion() {
-        // An avatar circling at radius r with angular rate ω: velocity is
-        // tangent, |v| = ωr. Sample two headings one frame apart.
-        let omega = 1.0f64; // rad/s
-        let r = 20.0;
-        let speed = omega * r;
-        let dt = 0.05;
-        let pos_at = |t: f64| Vec3::new(r * (omega * t).cos(), r * (omega * t).sin(), 0.0);
-        let vel_at = |t: f64| Vec3::new(-speed * (omega * t).sin(), speed * (omega * t).cos(), 0.0);
-        let predictor = TurnAwarePredictor::from_samples(pos_at(dt), vel_at(0.0), vel_at(dt), dt);
-        assert!((predictor.yaw_rate - omega).abs() < 1e-6);
-
-        // One second ahead: the arc predictor stays on the circle…
-        let horizon = 1.0;
-        let arc_err = predictor.predict(horizon).distance(pos_at(dt + horizon));
-        // …while linear extrapolation flies off the tangent.
-        let linear = pos_at(dt) + vel_at(dt) * horizon;
-        let linear_err = linear.distance(pos_at(dt + horizon));
-        assert!(arc_err < 0.01, "arc error {arc_err}");
-        assert!(linear_err > 5.0, "linear error only {linear_err}");
-    }
-
-    #[test]
-    fn turn_aware_beats_linear_on_turning_bots() {
-        // On real bot traces, the arc model should cut the prediction
-        // error on at least as many windows as it inflates.
-        use watchmen_game::trace::standard_trace;
-        let trace = standard_trace(8, 5, 400);
-        let dt = 0.05;
-        let horizon = 10usize;
-        let (mut arc_wins, mut comparisons) = (0u32, 0u32);
-        for f in (2..trace.len() - horizon).step_by(7) {
-            for p in 0..8 {
-                let s0 = &trace.frames[f - 1].states[p];
-                let s1 = &trace.frames[f].states[p];
-                if !s1.is_alive()
-                    || s1.velocity.horizontal().length() < 5.0
-                    || s0.velocity.horizontal().length() < 5.0
-                {
-                    continue;
-                }
-                let truth = trace.frames[f + horizon].states[p].position;
-                let arc =
-                    TurnAwarePredictor::from_samples(s1.position, s0.velocity, s1.velocity, dt);
-                let arc_err = arc.predict(horizon as f64 * dt).distance(truth);
-                let linear_err =
-                    (s1.position + s1.velocity * (horizon as f64 * dt)).distance(truth);
-                comparisons += 1;
-                if arc_err <= linear_err + 1e-9 {
-                    arc_wins += 1;
-                }
-            }
-        }
-        assert!(comparisons > 50, "too few comparisons: {comparisons}");
-        assert!(arc_wins * 2 >= comparisons, "arc won only {arc_wins}/{comparisons}");
-    }
-
-    #[test]
-    fn zero_velocity_samples_fall_back_to_linear() {
-        let p = TurnAwarePredictor::from_samples(Vec3::X, Vec3::ZERO, Vec3::ZERO, 0.05);
-        assert_eq!(p.yaw_rate, 0.0);
-        assert_eq!(p.predict(2.0), Vec3::X);
     }
 
     #[test]

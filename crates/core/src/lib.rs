@@ -52,7 +52,6 @@ pub mod collusion;
 mod config;
 pub mod dead_reckoning;
 pub mod lobby;
-pub mod membership;
 pub mod msg;
 pub mod node;
 pub mod proxy;

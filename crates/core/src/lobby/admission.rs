@@ -25,10 +25,10 @@ use crate::WatchmenConfig;
 /// leave `admission`-check records in the audit stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmitError {
-    /// The roster is at [`WatchmenConfig::max_roster`]. Ids are dense
+    /// The roster is at [`WatchmenConfig::MAX_ROSTER`]. Ids are dense
     /// and never recycled, so a full roster is permanent for the match.
     RosterFull {
-        /// The configured cap that was hit.
+        /// The cap that was hit ([`WatchmenConfig::MAX_ROSTER`]).
         max_roster: usize,
     },
     /// The sliding admission window's join allowance is exhausted.
@@ -91,7 +91,7 @@ pub(super) struct Admission {
     /// pre-match registration and mid-game admission refuse them.
     banned_keys: BTreeSet<u64>,
     /// Frames of recent *accepted* mid-game admissions, pruned to the
-    /// sliding [`WatchmenConfig::admission_window_frames`] window.
+    /// sliding [`WatchmenConfig::ADMISSION_WINDOW_FRAMES`] window.
     admit_times: VecDeque<u64>,
     /// Frames of recent throttle refusals (for score escalation), pruned
     /// to the same window. Refusals never consume the join allowance.
@@ -108,12 +108,6 @@ impl GameLobby {
     pub fn with_banned_keys(mut self, banned: impl IntoIterator<Item = u64>) -> Self {
         self.admission.banned_keys = banned.into_iter().collect();
         self
-    }
-
-    /// Whether `key`'s identity carries a durable cross-match ban.
-    #[must_use]
-    pub fn is_key_banned(&self, key: &PublicKey) -> bool {
-        self.admission.banned_keys.contains(&key.to_u64())
     }
 
     /// Gives the lobby a signing keypair, enabling mid-game admission —
@@ -181,11 +175,11 @@ impl Admission {
         let keys = self.keys.as_ref().expect("lobby has no signing keys");
         let detail = "mid-game admission refused: durable cross-match ban";
         self.refuse_banned(&key, frame, detail, audit)?;
-        if id.index() >= config.max_roster {
-            return Err(AdmitError::RosterFull { max_roster: config.max_roster });
+        if id.index() >= WatchmenConfig::MAX_ROSTER {
+            return Err(AdmitError::RosterFull { max_roster: WatchmenConfig::MAX_ROSTER });
         }
-        let window = config.admission_window_frames;
-        let max_joins = config.max_joins_per_window;
+        let window = WatchmenConfig::ADMISSION_WINDOW_FRAMES;
+        let max_joins = WatchmenConfig::MAX_JOINS_PER_WINDOW;
         while self.admit_times.front().is_some_and(|&t| t + window <= frame) {
             self.admit_times.pop_front();
         }
@@ -243,32 +237,24 @@ mod tests {
         // Regression: a full roster used to be an `assert!`, so a Sybil
         // flood against a full lobby crashed the match host. Now every
         // attempt gets a typed refusal and the lobby keeps running.
-        let config = WatchmenConfig {
-            max_roster: 6,
-            max_joins_per_window: 100,
-            ..WatchmenConfig::default()
-        };
-        let mut lobby = GameLobby::new(7, config, 60).with_keys(Keypair::generate(777));
-        for i in 0..4 {
-            lobby.register(Keypair::generate(i).public());
-        }
-        lobby.start();
+        let cap = WatchmenConfig::MAX_ROSTER;
+        let mut lobby = lobby_with_keys(cap - 2);
         for i in 0..2u64 {
             lobby
-                .admit_midgame(Keypair::generate(100 + i).public(), 10 + i)
+                .admit_midgame(Keypair::generate(10_000 + i).public(), 10 + i)
                 .expect("room for two more");
         }
-        assert_eq!(lobby.players(), 6);
+        assert_eq!(lobby.players(), cap);
         let epoch_at_cap = lobby.roster_epoch();
         for i in 0..50u64 {
             let err = lobby
-                .admit_midgame(Keypair::generate(500 + i).public(), 20 + i)
+                .admit_midgame(Keypair::generate(20_000 + i).public(), 20 + i)
                 .expect_err("roster is full");
-            assert_eq!(err, AdmitError::RosterFull { max_roster: 6 });
+            assert_eq!(err, AdmitError::RosterFull { max_roster: cap });
         }
         // Nothing changed, and full-roster refusals are not audited —
         // honest players hit full rosters too.
-        assert_eq!(lobby.players(), 6);
+        assert_eq!(lobby.players(), cap);
         assert_eq!(lobby.roster_epoch(), epoch_at_cap);
         assert!(lobby.drain_audit().is_empty());
     }
@@ -276,8 +262,8 @@ mod tests {
     #[test]
     fn admission_burst_is_throttled_with_escalating_audit() {
         let mut lobby = lobby_with_keys(4);
-        let window = WatchmenConfig::default().admission_window_frames;
-        let allowance = WatchmenConfig::default().max_joins_per_window;
+        let window = WatchmenConfig::ADMISSION_WINDOW_FRAMES;
+        let allowance = WatchmenConfig::MAX_JOINS_PER_WINDOW;
         assert_eq!((window, allowance), (40, 4));
 
         // A burst of ten fresh identities at one frame: the allowance
@@ -326,7 +312,6 @@ mod tests {
         let mut lobby = GameLobby::new(7, WatchmenConfig::default(), 60)
             .with_keys(Keypair::generate(777))
             .with_banned_keys([banned_key.to_u64()]);
-        assert!(lobby.is_key_banned(&banned_key));
 
         // Pre-match: the typed path refuses, the panicking path panics.
         let err = lobby.try_register(banned_key).expect_err("banned at registration");
@@ -367,7 +352,7 @@ mod tests {
     fn admission_interleavings_preserve_roster_invariants() {
         // Property (JoinTicket admission): across randomized interleavings
         // of joins, leaves, bans, timeouts and throttled floods —
-        //   * the roster never exceeds max_roster,
+        //   * the roster fills up to MAX_ROSTER and never beyond it,
         //   * every admitted id is the next dense index, never reused,
         //   * every ticket verifies against the lobby key,
         //   * a replica Roster applying the deltas every node applies
@@ -382,10 +367,11 @@ mod tests {
                 rng ^= rng << 17;
                 rng
             };
-            let config = WatchmenConfig { max_roster: 8, ..WatchmenConfig::default() };
-            let mut lobby =
-                GameLobby::new(seed, config, 60).with_keys(Keypair::generate(9_000 + seed));
-            let n = 4 + (next() % 3) as usize;
+            let mut lobby = GameLobby::new(seed, WatchmenConfig::default(), 60)
+                .with_keys(Keypair::generate(9_000 + seed));
+            // A few ids short of the cap, so every seed's joins run into
+            // it while leaves, bans and timeouts go on around them.
+            let n = WatchmenConfig::MAX_ROSTER - 4 - (next() % 3) as usize;
             let mut replica_keys = Vec::new();
             for i in 0..n {
                 let key = Keypair::generate(seed * 1_000 + i as u64).public();
@@ -397,7 +383,8 @@ mod tests {
             let lobby_key = lobby.lobby_key().expect("keys");
 
             let mut issued = std::collections::BTreeSet::new();
-            let mut fresh_key: u64 = 10_000;
+            let mut fresh_key: u64 = 1_000_000; // clear of every founder key
+            let mut refused_full = 0;
             for frame in (0..600u64).step_by(20) {
                 // Keep live members heartbeating unless the dice evict one.
                 for p in lobby.snapshot_roster().active_players() {
@@ -436,6 +423,7 @@ mod tests {
                         }
                         Err(AdmitError::RosterFull { max_roster }) => {
                             assert_eq!(before, max_roster, "seed {seed}");
+                            refused_full += 1;
                         }
                         Err(AdmitError::Throttled { retry_at, .. }) => {
                             assert!(retry_at > frame, "seed {seed}");
@@ -450,7 +438,7 @@ mod tests {
                     assert!(lobby.snapshot_roster().is_active(p), "seed {seed}: {p} had left");
                 }
 
-                assert!(lobby.players() <= 8, "seed {seed}: roster overflow");
+                assert!(lobby.players() <= WatchmenConfig::MAX_ROSTER, "seed {seed}: overflow");
                 assert_eq!(lobby.roster_epoch(), replica.epoch(), "seed {seed} frame {frame}");
                 assert_eq!(
                     lobby.snapshot_roster().digest(),
@@ -458,7 +446,8 @@ mod tests {
                     "seed {seed} frame {frame}: replica diverged"
                 );
             }
-            assert!(issued.len() + n <= 8, "seed {seed}: ids beyond the cap");
+            assert_eq!(issued.len() + n, WatchmenConfig::MAX_ROSTER, "seed {seed}: cap not filled");
+            assert!(refused_full > 0, "seed {seed}: never refused at the cap");
         }
     }
 }

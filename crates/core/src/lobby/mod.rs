@@ -34,7 +34,6 @@ use watchmen_game::PlayerId;
 use watchmen_telemetry::TraceId;
 
 use crate::audit::{AuditKind, AuditLog, AuditRecord, LOBBY_NODE};
-use crate::membership::MembershipTracker;
 use crate::msg::JoinTicket;
 use crate::rating::CheatRating;
 use crate::reputation::ThresholdReputation;
@@ -83,7 +82,9 @@ pub struct GameLobby {
     /// Players the lobby banned or timed out, which no roster holds.
     /// Each emitted its one [`LobbyEvent`] on entry.
     ejected: BTreeSet<PlayerId>,
-    membership: Option<MembershipTracker>,
+    /// The newest frame each member was heard from (a mid-game joiner
+    /// counts as heard from its admission frame).
+    last_heard: Vec<u64>,
     reputation: ThresholdReputation,
     heartbeat_timeout: u64,
     admission: Admission,
@@ -93,29 +94,36 @@ pub struct GameLobby {
     audit: AuditLog,
 }
 
+/// The paper's "simplest form" of reputation over `players` members, at
+/// the protocol's ban threshold and warm-up.
+fn reputation(players: usize) -> ThresholdReputation {
+    ThresholdReputation::new(
+        players,
+        WatchmenConfig::REPUTATION_THRESHOLD,
+        WatchmenConfig::REPUTATION_MIN_REPORTS,
+    )
+}
+
 impl GameLobby {
     /// Creates a lobby for a match derived from `seed`, with the given
     /// heartbeat timeout in frames.
     ///
     /// # Panics
     ///
-    /// Panics if `heartbeat_timeout == 0`.
+    /// Panics if `heartbeat_timeout == 0` or `config` fails
+    /// [`WatchmenConfig::validate`].
     #[must_use]
     pub fn new(seed: u64, config: WatchmenConfig, heartbeat_timeout: u64) -> Self {
+        config.validate();
         assert!(heartbeat_timeout > 0);
-        // The paper's "simplest form" of reputation, calibrated by the
-        // config knobs (defaults: ban below 85% acceptable after 30
-        // reports, tuned for a ≤5% false-positive detector).
-        let reputation =
-            ThresholdReputation::new(0, config.reputation_threshold, config.reputation_min_reports);
         GameLobby {
             seed,
             config,
             directory: Vec::new(),
             roster: None,
             ejected: BTreeSet::new(),
-            membership: None,
-            reputation,
+            last_heard: Vec::new(),
+            reputation: reputation(0),
             heartbeat_timeout,
             admission: Admission::default(),
             audit: AuditLog::default(),
@@ -176,12 +184,8 @@ impl GameLobby {
         assert!(self.roster.is_none(), "already started");
         let n = self.directory.len();
         self.roster = Some(Roster::new(self.directory.clone()));
-        self.membership = Some(MembershipTracker::new(n, self.heartbeat_timeout));
-        self.reputation = ThresholdReputation::new(
-            n,
-            self.config.reputation_threshold,
-            self.config.reputation_min_reports,
-        );
+        self.last_heard = vec![0; n];
+        self.reputation = reputation(n);
     }
 
     /// The frozen public-key directory (what every founding node
@@ -214,7 +218,9 @@ impl GameLobby {
     ///
     /// Panics if the match has not started.
     pub fn heartbeat(&mut self, player: PlayerId, frame: u64) {
-        self.membership.as_mut().expect("lobby not started").observe(player, frame);
+        assert!(self.roster.is_some(), "lobby not started");
+        let heard = &mut self.last_heard[player.index()];
+        *heard = (*heard).max(frame);
     }
 
     /// Feeds one verification report into the reputation system. The
@@ -256,15 +262,16 @@ impl GameLobby {
     }
 
     /// Advances lobby housekeeping to `frame`: reports each member the
-    /// reputation system newly bans, then each member newly silent
-    /// beyond the heartbeat timeout — one event per player, ever.
+    /// reputation system newly bans, then each member newly silent for
+    /// the heartbeat timeout (last heard at `s`, timeout `t`: live
+    /// through `s + t - 1`, disconnected at exactly `s + t`) — one event
+    /// per player, ever, and none for a player who left.
     ///
     /// # Panics
     ///
     /// Panics if the match has not started.
     pub fn tick(&mut self, frame: u64) -> Vec<LobbyEvent> {
         let roster = self.roster.as_ref().expect("lobby not started");
-        let membership = self.membership.as_mut().expect("started");
         let mut events = Vec::new();
 
         // Bans first: the lobby "manages access and logins and can thus
@@ -287,9 +294,12 @@ impl GameLobby {
             }
         }
 
-        for player in membership.suspects(frame) {
-            membership.remove_at(player, frame);
-            if roster.is_active(player) && self.ejected.insert(player) {
+        for (i, &heard) in self.last_heard.iter().enumerate() {
+            let player = PlayerId(i as u32);
+            if frame.saturating_sub(heard) >= self.heartbeat_timeout
+                && roster.is_active(player)
+                && self.ejected.insert(player)
+            {
                 events.push(LobbyEvent::Disconnected(player));
             }
         }
@@ -320,23 +330,18 @@ impl GameLobby {
         active
     }
 
-    /// Records a graceful mid-match departure announced at `frame`: the
-    /// roster applies the player's `Leave`, as every node does at the
-    /// first boundary a full period out, and the player drops out of the
-    /// heartbeat check from that boundary on. A no-op for players not
-    /// active in the roster.
+    /// Records a graceful mid-match departure announced at `_frame`: the
+    /// roster applies the player's `Leave` at once (every node applies it
+    /// at the first boundary a full period out), so the announcement
+    /// frame goes unused, and the player drops out of the heartbeat
+    /// check. A no-op for players not active in the roster.
     ///
     /// # Panics
     ///
     /// Panics if the match has not started.
-    pub fn leave(&mut self, player: PlayerId, frame: u64) {
+    pub fn leave(&mut self, player: PlayerId, _frame: u64) {
         let roster = self.roster.as_mut().expect("lobby not started");
-        if roster.apply(&[RosterDelta::Leave { player }]) == 0 {
-            return;
-        }
-        let period = self.config.proxy_period;
-        let effective = (frame.div_ceil(period) + 1) * period;
-        self.membership.as_mut().expect("started").remove_at(player, effective);
+        roster.apply(&[RosterDelta::Leave { player }]);
     }
 
     /// Admits a player mid-match: assigns the next dense id, issues a
@@ -352,11 +357,11 @@ impl GameLobby {
     ///
     /// [`AdmitError::Banned`] when the identity carries a durable
     /// cross-match ban (audited at score 10 against the key's
-    /// [`key_tag`]), [`AdmitError::RosterFull`] once [`WatchmenConfig::max_roster`]
+    /// [`key_tag`]), [`AdmitError::RosterFull`] once [`WatchmenConfig::MAX_ROSTER`]
     /// dense ids have been handed out (silent — honest players hit full
     /// rosters too), and [`AdmitError::Throttled`] when more than
-    /// [`WatchmenConfig::max_joins_per_window`] admissions land inside
-    /// one [`WatchmenConfig::admission_window_frames`] window — the
+    /// [`WatchmenConfig::MAX_JOINS_PER_WINDOW`] admissions land inside
+    /// one [`WatchmenConfig::ADMISSION_WINDOW_FRAMES`] window — the
     /// Sybil-flood backstop. Each throttled attempt emits a severe
     /// [`crate::verify::checks::ADMISSION`] audit verdict against the
     /// candidate key's [`key_tag`], escalating as the flood persists;
@@ -378,7 +383,7 @@ impl GameLobby {
         let mut snapshot = roster.clone();
         assert_eq!(snapshot.admit_provisional(key), id, "dense id");
         roster.apply(&[RosterDelta::Join { player: id, key }]);
-        self.membership.as_mut().expect("started").admit(ticket.admit_frame);
+        self.last_heard.push(ticket.admit_frame);
         self.reputation.admit_player();
         Ok((id, ticket, snapshot))
     }
@@ -653,32 +658,28 @@ mod tests {
     }
 
     #[test]
-    fn reputation_knobs_flow_from_config() {
-        // A stricter config bans on evidence the default would tolerate:
-        // 5 failed of 40 is 87.5% acceptable — banned under a 90%
-        // threshold, clean under the default 85%.
-        let strict = WatchmenConfig {
-            reputation_threshold: 0.90,
-            reputation_min_reports: 10,
-            ..WatchmenConfig::default()
-        };
-        for (config, expect_ban) in [(strict, true), (WatchmenConfig::default(), false)] {
-            let mut lobby = GameLobby::new(7, config, 60);
-            for i in 0..4 {
-                lobby.register(Keypair::generate(i).public());
-            }
-            lobby.start();
-            for k in 0..40 {
-                let rating = if k % 8 == 0 {
-                    CheatRating::new(10, Confidence::Proxy, 0)
-                } else {
-                    CheatRating::clean(Confidence::Proxy)
-                };
-                lobby.report(PlayerId(0), PlayerId(1), &rating);
-            }
-            let banned = !lobby.tick(10).is_empty();
-            assert_eq!(banned, expect_ban, "threshold {}", config.reputation_threshold);
+    fn heartbeat_timeout_boundaries() {
+        // Timeout 60: silence for 59 frames draws no event, silence for 60
+        // exactly one `Disconnected`; a left or banned player never draws
+        // one; a mid-game joiner counts as heard from its admit frame.
+        let mut lobby = lobby_with_keys(5);
+        for p in 0..5 {
+            lobby.heartbeat(PlayerId(p), 100);
         }
+        lobby.heartbeat(PlayerId(0), 50); // out-of-order arrival keeps the newest
+        lobby.leave(PlayerId(1), 100);
+        for _ in 0..40 {
+            lobby.report(PlayerId(0), PlayerId(2), &CheatRating::new(10, Confidence::Proxy, 0));
+        }
+        assert_eq!(lobby.tick(100), [LobbyEvent::Banned(PlayerId(2))]);
+        let (joiner, ticket, _) =
+            lobby.admit_midgame(Keypair::generate(99).public(), 100).expect("admission");
+        assert_eq!(ticket.admit_frame, 160);
+        assert!(lobby.tick(159).is_empty());
+        assert_eq!(lobby.tick(160), [0, 3, 4].map(|p| LobbyEvent::Disconnected(PlayerId(p))));
+        assert!(lobby.tick(219).is_empty());
+        assert_eq!(lobby.tick(220), [LobbyEvent::Disconnected(joiner)]);
+        assert!(lobby.tick(1_000).is_empty(), "one event per player, ever");
     }
 
     #[test]

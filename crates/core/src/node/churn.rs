@@ -1,6 +1,18 @@
 //! Membership churn: mid-game joins, graceful leaves and timeout
 //! evictions, each carrying its *effective boundary* so every replica
 //! applies it at the same renewal frame, and the joiner's bootstrap.
+//!
+//! "Most architectures have to deal with churn. In our case, updates sent
+//! between players also act as a heartbeat mechanism that easily
+//! identifies the players that have been disconnected or left. These
+//! nodes are removed in the next round, through an agreement protocol,
+//! from the proxy pool." (§VI)
+//!
+//! The heartbeat is the control plane's per-peer `last_heard`: a player
+//! silent for [`WatchmenConfig::membership_timeout_frames`] is announced
+//! as a signed eviction by its plausible proxies, and every node applies
+//! the eviction at the announced renewal boundary. The lobby reports its
+//! own timeouts as [`crate::lobby::LobbyEvent::Disconnected`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -12,8 +24,7 @@ use watchmen_world::{GameMap, PhysicsConfig};
 
 use super::instrument::Tally;
 use super::{Inbound, NodeEvent, ReplayWindow, WatchmenNode};
-use crate::membership::MembershipTracker;
-use crate::msg::{BootstrapSnapshot, JoinTicket, Payload, SignedEnvelope};
+use crate::msg::{BootstrapSnapshot, JoinTicket, Payload, SignedEnvelope, MAX_BOOTSTRAP_ENTRIES};
 use crate::proxy::ProxySchedule;
 use crate::roster::{MemberStatus, Roster, RosterDelta};
 use crate::sans_io::CoreOutput;
@@ -59,9 +70,6 @@ pub(super) struct Churn {
     pending_evicts: BTreeMap<PlayerId, u64>,
     /// Players this node has already announced an eviction for.
     announced_evictions: BTreeSet<PlayerId>,
-    /// Suspicion tracker feeding timeout evictions from liveness
-    /// evidence, on the (longer) membership timeout.
-    membership: MembershipTracker,
     joins_applied: Tally,
     leaves_applied: Tally,
     evictions_applied: Tally,
@@ -73,7 +81,7 @@ pub(super) struct Churn {
 }
 
 impl Churn {
-    pub(super) fn new(players: usize, membership_timeout: u64) -> Self {
+    pub(super) fn new() -> Self {
         Churn {
             lobby_key: None,
             ticket: None,
@@ -82,7 +90,6 @@ impl Churn {
             pending_leaves: BTreeMap::new(),
             pending_evicts: BTreeMap::new(),
             announced_evictions: BTreeSet::new(),
-            membership: MembershipTracker::new(players, membership_timeout),
             joins_applied: Tally::new("node_roster_joins_total"),
             leaves_applied: Tally::new("node_roster_leaves_total"),
             evictions_applied: Tally::new("node_roster_evictions_total"),
@@ -116,7 +123,8 @@ impl WatchmenNode {
     /// # Panics
     ///
     /// Panics if the roster does not carry this node as its provisional
-    /// last member, or the ticket does not match `id`/`keys`.
+    /// last member, the ticket does not match `id`/`keys`, or `config`
+    /// fails [`WatchmenConfig::validate`].
     #[must_use]
     #[allow(clippy::too_many_arguments)]
     pub fn new_joining(
@@ -130,6 +138,7 @@ impl WatchmenNode {
         map: GameMap,
         physics: PhysicsConfig,
     ) -> Self {
+        config.validate();
         assert_eq!(ticket.player, id, "ticket names a different player");
         assert_eq!(ticket.key, keys.public(), "ticket carries a different key");
         assert_eq!(
@@ -289,12 +298,11 @@ impl WatchmenNode {
         for &j in &joined {
             self.churn.pending_joins.remove(&j.0);
             // The joiner's first proxy reliably sends it the freshest known
-            // states of up to `join_bootstrap_depth` active players, so its
-            // interest/vision pipelines converge within its first epoch
+            // states of up to `MAX_BOOTSTRAP_ENTRIES` active players, so
+            // its interest/vision pipelines converge within its first epoch
             // instead of waiting out the 1 Hz trickle.
             if j != self.id && self.effective_proxy(j, frame, frame) == self.id {
-                let depth = self.config.join_bootstrap_depth;
-                let snapshot = self.knowledge.snapshot(&self.roster, j, depth);
+                let snapshot = self.knowledge.snapshot(&self.roster, j, MAX_BOOTSTRAP_ENTRIES);
                 self.sign_and_queue(out, j, frame, Payload::Bootstrap(snapshot));
                 self.churn.bootstraps_sent.inc();
             }
@@ -304,28 +312,21 @@ impl WatchmenNode {
         out.events.push(NodeEvent::RosterChanged { epoch: self.roster.epoch(), active });
     }
 
-    /// Feeds liveness evidence into the membership tracker and announces
-    /// evictions for players this node plausibly proxies whose silence
-    /// exceeded the membership timeout — only plausible proxies announce
-    /// (a bounded announcer set, no election traffic), and the signed
-    /// notice carries the effective boundary, which is what makes timeout
-    /// evictions deterministic across nodes with (slightly) different
-    /// evidence.
+    /// Announces evictions for players this node plausibly proxies whose
+    /// silence reached the membership timeout (last heard at `s`, timeout
+    /// `t`: live through `s + t - 1`, suspect at exactly `s + t`) — only
+    /// plausible proxies announce (a bounded announcer set, no election
+    /// traffic), and the signed notice carries the effective boundary,
+    /// which is what makes timeout evictions deterministic across nodes
+    /// with (slightly) different evidence.
     fn announce_evictions(&mut self, frame: u64, out: &mut CoreOutput) {
-        for i in 0..self.roster.len() {
-            let p = PlayerId(i as u32);
-            if p != self.id && self.roster.is_active(p) {
-                self.churn.membership.observe(p, self.control.last_heard[p.index()]);
-            }
-        }
-        let suspects: Vec<PlayerId> = self
-            .churn
-            .membership
-            .suspects(frame)
-            .into_iter()
+        let timeout = self.config.membership_timeout_frames;
+        let suspects: Vec<PlayerId> = (0..self.roster.len())
+            .map(|i| PlayerId(i as u32))
             .filter(|&p| {
                 p != self.id
                     && self.roster.is_active(p)
+                    && frame.saturating_sub(self.control.last_heard[p.index()]) >= timeout
                     && !self.churn.announced_evictions.contains(&p)
                     && self.plausibly_proxy_of(p, frame)
             })
@@ -368,7 +369,6 @@ impl WatchmenNode {
             let eff = churn.pending_evicts.get(&p).or_else(|| churn.pending_leaves.get(&p));
             let _ =
                 self.schedule.try_exclude_from(p, eff.copied().unwrap_or(frame).div_ceil(period));
-            self.churn.membership.remove_at(p, frame);
         }
         (deltas, departed)
     }
@@ -397,7 +397,6 @@ impl WatchmenNode {
             debug_assert_eq!(assigned, ticket.player, "schedule and roster must agree on ids");
             self.replay.push(ReplayWindow::default());
             self.control.last_heard.push(frame);
-            let _ = self.churn.membership.admit(frame);
             deltas.push(RosterDelta::Join { player: ticket.player, key: ticket.key });
             joined.push(ticket.player);
             next_id += 1;
@@ -427,7 +426,7 @@ impl WatchmenNode {
         };
         let admissible = ticket.player == origin
             && origin.index() >= self.roster.len()
-            && origin.index() < self.config.max_roster
+            && origin.index() < WatchmenConfig::MAX_ROSTER
             && ticket.verify(&lobby)
             && msg.verify(&ticket.key);
         if !admissible {
@@ -456,7 +455,7 @@ impl WatchmenNode {
         if player != self.id
             && self.roster.is_active(player)
             && rx.now.saturating_sub(self.control.last_heard[player.index()])
-                >= self.config.others_period
+                >= WatchmenConfig::OTHERS_PERIOD
         {
             queue_earliest(&mut self.churn.pending_evicts, player, effective);
         }
@@ -474,7 +473,7 @@ impl WatchmenNode {
     /// acked, to stop retransmits, and dropped.
     pub(super) fn on_bootstrap(&mut self, rx: &mut Inbound<'_>, snapshot: &BootstrapSnapshot) {
         let from_first_proxy = self.churn.ticket.is_some()
-            && self.plausible_proxies(self.id, rx.gen_frame).any(|p| p == rx.origin);
+            && self.schedule.plausible_proxies(self.id, rx.gen_frame).any(|p| p == rx.origin);
         if from_first_proxy {
             for e in snapshot.entries() {
                 if e.frame <= rx.gen_frame && self.roster.is_active(e.player) {

@@ -13,6 +13,7 @@ use super::{Inbound, Outgoing, WatchmenNode};
 use crate::msg::{Envelope, Payload};
 use crate::proxy::ProxySchedule;
 use crate::sans_io::CoreOutput;
+use crate::WatchmenConfig;
 
 /// Counters of the reliable control plane, per node. All monotonic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -209,41 +210,28 @@ impl WatchmenNode {
     }
 
     /// The proxy of `player` for the epoch containing frame `sched`, as
-    /// this node would address it at frame `now`: the scheduled draw, or —
-    /// when that pick is presumed crashed — the next distinct draw of the
-    /// shared schedule PRNG, up to `proxy_fallback_depth` levels deep. The
-    /// walk is deterministic given a liveness view, and bounded, so every
-    /// honest node lands within the same small plausible set without any
+    /// this node would address it at frame `now`: the first of the
+    /// plausible proxies ([`ProxySchedule::plausible_proxies`]) not
+    /// presumed crashed, or the deepest fallback when all are. The walk is
+    /// deterministic given a liveness view, and bounded, so every honest
+    /// node lands within the same small plausible set without any
     /// election traffic.
     pub(super) fn effective_proxy(&self, player: PlayerId, sched: u64, now: u64) -> PlayerId {
-        let depth = self.config.proxy_fallback_depth;
-        for n in 0..=depth {
-            let pick = self.schedule.nth_proxy_of(player, sched, n as usize);
-            if n == depth || !self.presumed_crashed(pick, now) {
+        let mut last = player;
+        for pick in self.schedule.plausible_proxies(player, sched) {
+            if !self.presumed_crashed(pick, now) {
                 return pick;
             }
+            last = pick;
         }
-        unreachable!("loop returns at n == depth");
-    }
-
-    /// The *plausible* proxies of `player` for the epoch containing
-    /// `sched_frame`: the scheduled pick and every fallback draw within
-    /// `proxy_fallback_depth`. Membership depends only on the shared
-    /// schedule, so a sender that fell back and the fallback proxy always
-    /// agree even if their liveness views differ.
-    pub(super) fn plausible_proxies(
-        &self,
-        player: PlayerId,
-        sched_frame: u64,
-    ) -> impl Iterator<Item = PlayerId> + '_ {
-        (0..=self.config.proxy_fallback_depth)
-            .map(move |n| self.schedule.nth_proxy_of(player, sched_frame, n as usize))
+        last
     }
 
     /// Whether this node is a plausible proxy of `player`: receivers
     /// accept duty for the whole plausible set.
     pub(super) fn plausibly_proxy_of(&self, player: PlayerId, sched_frame: u64) -> bool {
-        player != self.id && self.plausible_proxies(player, sched_frame).any(|p| p == self.id)
+        player != self.id
+            && self.schedule.plausible_proxies(player, sched_frame).any(|p| p == self.id)
     }
 
     /// This frame's publishing targets, `(scheduled, effective)`: the
@@ -305,7 +293,7 @@ impl WatchmenNode {
                 route_frame,
                 sent_frame: frame,
                 attempts: 0,
-                next_retry: frame + self.config.retransmit_timeout_frames,
+                next_retry: frame + WatchmenConfig::RETRANSMIT_TIMEOUT_FRAMES,
                 trace: env.trace_id(),
             };
             self.control.pending.insert(self.seq, pending);
@@ -350,7 +338,7 @@ impl WatchmenNode {
             .collect();
         for seq in due {
             let p = &self.control.pending[&seq];
-            if p.attempts >= self.config.retransmit_max_attempts {
+            if p.attempts >= WatchmenConfig::RETRANSMIT_MAX_ATTEMPTS {
                 let p = self.control.pending.remove(&seq).expect("listed");
                 self.control.abandoned.inc();
                 let mark = (p.phase, EventKind::Mark, "control-abandoned");
@@ -374,8 +362,8 @@ impl WatchmenNode {
             let p = self.control.pending.get_mut(&seq).expect("listed");
             p.attempts += 1;
             p.to = to;
-            let backoff = (self.config.retransmit_timeout_frames << p.attempts.min(32))
-                .min(self.config.retransmit_backoff_cap_frames);
+            let backoff = (WatchmenConfig::RETRANSMIT_TIMEOUT_FRAMES << p.attempts.min(32))
+                .min(WatchmenConfig::RETRANSMIT_BACKOFF_CAP_FRAMES);
             p.next_retry = frame + backoff;
             out.datagrams.push(Outgoing { to, bytes: p.bytes.clone() });
             self.control.retransmits.inc();

@@ -20,6 +20,7 @@ use crate::rating::{CheatRating, Confidence, SEVERE_SCORE};
 use crate::sans_io::CoreOutput;
 use crate::subscription::SetKind;
 use crate::verify::checks;
+use crate::WatchmenConfig;
 
 /// Per-supervised-player proxy state.
 #[derive(Debug, Clone, Default)]
@@ -310,8 +311,7 @@ impl WatchmenNode {
         // of that epoch's traffic: skip its summary once rather than rate
         // supervised players on a partial count.
         let slept = self.duty.resumed_epoch.take().is_some();
-        let (me, depth, period) =
-            (self.id, self.config.proxy_fallback_depth, self.config.proxy_period);
+        let (me, period) = (self.id, self.config.proxy_period);
         self.duty.duties.retain(|&player, duty| {
             // Only summarize epochs this node was *scheduled* to serve — a
             // successor holding a freshly handed-off duty has not seen the
@@ -325,7 +325,7 @@ impl WatchmenNode {
                 // problem. Withhold the rate verdict rather than convict
                 // an unreachable peer.
                 let silent = frame.saturating_sub(self.control.last_heard[player.index()])
-                    >= self.config.others_period;
+                    >= WatchmenConfig::OTHERS_PERIOD;
                 let rate = if silent {
                     1
                 } else {
@@ -352,7 +352,7 @@ impl WatchmenNode {
             // Keep every duty this node plausibly serves in the new epoch:
             // the scheduled pick *or* any fallback draw within depth, so a
             // fallback proxy retains the duty it may be asked to serve.
-            (0..=depth).any(|n| self.schedule.nth_proxy_of(player, frame, n as usize) == me)
+            self.schedule.plausible_proxies(player, frame).any(|p| p == me)
         });
         self.control.supersede_finished_epoch(&self.schedule, frame);
     }
@@ -467,7 +467,7 @@ impl WatchmenNode {
             let Some(sub_state) = check.sub_state else { continue };
             // Step 2: wait for target knowledge from at-or-after the
             // subscription frame, with a deadline so entries can't linger.
-            if gen_frame.saturating_sub(check.sub_gen) > 4 * self.config.guidance_period {
+            if gen_frame.saturating_sub(check.sub_gen) > 4 * WatchmenConfig::GUIDANCE_PERIOD {
                 self.duty.parked.remove(&(origin, target));
                 resolved(self, 0, "expired");
                 continue;
@@ -511,7 +511,7 @@ impl WatchmenNode {
         // period of target movement. Under loss our knowledge of either
         // party can be older than that — then the check has no honest
         // baseline and a verdict would be guesswork, so skip it.
-        let staleness_budget = self.config.guidance_period;
+        let staleness_budget = WatchmenConfig::GUIDANCE_PERIOD;
         if frame.saturating_sub(sub_frame_no) > staleness_budget
             || frame.saturating_sub(tgt_frame_no) > staleness_budget
         {

@@ -47,7 +47,7 @@ impl Knowledge {
             breaks: BTreeMap::new(),
             my_subs: BTreeMap::new(),
             frame_travel: physics.max_speed * config.frame_seconds(),
-            break_window: 2 * config.guidance_period,
+            break_window: 2 * WatchmenConfig::GUIDANCE_PERIOD,
             subscriptions_sent: watchmen_telemetry::global()
                 .counter("node_subscriptions_sent_total"),
         }

@@ -231,7 +231,7 @@ impl WatchmenNode {
     /// # Panics
     ///
     /// Panics if the directory has fewer than two entries or does not
-    /// cover `id`.
+    /// cover `id`, or if `config` fails [`WatchmenConfig::validate`].
     #[must_use]
     pub fn new(
         id: PlayerId,
@@ -242,6 +242,7 @@ impl WatchmenNode {
         map: GameMap,
         physics: PhysicsConfig,
     ) -> Self {
+        config.validate();
         assert!(directory.len() >= 2, "need at least two players");
         assert!(id.index() < directory.len(), "id outside directory");
         let players = directory.len();
@@ -271,7 +272,7 @@ impl WatchmenNode {
             seq: 0,
             replay: vec![ReplayWindow::default(); players],
             control: Control::new(players),
-            churn: Churn::new(players, config.membership_timeout_frames),
+            churn: Churn::new(),
             duty: Duty::new(),
             knowledge: Knowledge::new(&config, verifier.physics()),
             verifier,
@@ -382,7 +383,7 @@ impl WatchmenNode {
             self.sign_and_queue(out, scheduled_proxy, frame, state);
         }
         if self.config.is_guidance_frame(frame, self.id.index()) {
-            let (period, dt) = (self.config.guidance_period, self.config.frame_seconds());
+            let (period, dt) = (WatchmenConfig::GUIDANCE_PERIOD, self.config.frame_seconds());
             let g = Guidance::from_state(my_state, frame, period, dt);
             self.sign_and_queue(out, my_proxy, frame, Payload::Guidance(g));
         }
@@ -514,6 +515,26 @@ impl WatchmenNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "subscription_retention")]
+    fn zero_subscription_retention_is_refused() {
+        // Retention 0 installs every subscription already expired, so the
+        // interest-set relay would go silently dead: refuse the node.
+        let keys: Vec<Keypair> = (0..2).map(Keypair::generate).collect();
+        let directory = keys.iter().map(Keypair::public).collect();
+        let config = WatchmenConfig { subscription_retention: 0, ..WatchmenConfig::default() };
+        let map = watchmen_world::maps::arena(40, 10.0);
+        let _ = WatchmenNode::new(
+            PlayerId(0),
+            keys[0].clone(),
+            directory,
+            7,
+            config,
+            map,
+            PhysicsConfig::default(),
+        );
+    }
 
     #[test]
     fn replay_window_accepts_seq_zero_first() {

@@ -48,17 +48,6 @@ impl ThresholdReputation {
         ThresholdReputation { counts: vec![(0, 0); players], acceptable_threshold, min_reports }
     }
 
-    /// Total reports about `subject`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    #[must_use]
-    pub fn report_count(&self, subject: PlayerId) -> u64 {
-        let (ok, fail) = self.counts[subject.index()];
-        ok + fail
-    }
-
     /// The raw `(acceptable, failed)` counts for `subject` — the
     /// per-match aggregate a durable cross-match store persists.
     ///
@@ -151,7 +140,6 @@ mod tests {
         }
         assert!(rep.is_banned(cheater), "suspicion {}", rep.suspicion(cheater));
         assert_eq!(rep.banned_players(), vec![cheater]);
-        assert_eq!(rep.report_count(cheater), 30);
     }
 
     #[test]

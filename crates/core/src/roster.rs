@@ -125,12 +125,6 @@ impl Roster {
         self.epoch
     }
 
-    /// Whether `player` has ever been a member.
-    #[must_use]
-    pub fn is_member(&self, player: PlayerId) -> bool {
-        player.index() < self.keys.len()
-    }
-
     /// The member's public key, if a member.
     #[must_use]
     pub fn key(&self, player: PlayerId) -> Option<PublicKey> {
@@ -408,7 +402,6 @@ mod tests {
         b.apply(&[RosterDelta::Leave { player: PlayerId(2) }]);
         assert_ne!(a.digest(), b.digest());
         assert!(b.is_departed(PlayerId(2)));
-        assert!(!b.is_member(PlayerId(3)));
         assert_eq!(b.key(PlayerId(9)), None);
     }
 }

@@ -62,10 +62,10 @@ struct EpochObservation {
 /// let victim = PlayerId(0);
 /// let plausible = schedule.proxy_of(victim, 0);
 /// let forged = (0..8).map(PlayerId).find(|p| {
-///     *p != victim && (0..3).all(|n| schedule.nth_proxy_of(victim, 0, n) != *p)
+///     *p != victim && schedule.plausible_proxies(victim, 0).all(|q| q != *p)
 /// }).unwrap();
-/// assert_eq!(ScheduleBiasDetector::verify_claim(&schedule, victim, 0, forged, 2), Some(10));
-/// assert_eq!(ScheduleBiasDetector::verify_claim(&schedule, victim, 0, plausible, 2), None);
+/// assert_eq!(ScheduleBiasDetector::verify_claim(&schedule, victim, 0, forged), Some(10));
+/// assert_eq!(ScheduleBiasDetector::verify_claim(&schedule, victim, 0, plausible), None);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ScheduleBiasDetector {
@@ -112,20 +112,17 @@ impl ScheduleBiasDetector {
     }
 
     /// Checks a claimed proxy assignment against the shared schedule:
-    /// `None` when the claim is the scheduled proxy or within
-    /// `fallback_depth` deterministic succession draws, `Some(10)` when
-    /// the schedule cannot produce it (proven forgery).
+    /// `None` when the claim is one of the victim's
+    /// [`ProxySchedule::plausible_proxies`], `Some(10)` when the schedule
+    /// cannot produce it (proven forgery).
     #[must_use]
     pub fn verify_claim(
         schedule: &ProxySchedule,
         victim: PlayerId,
         frame: u64,
         claimed: PlayerId,
-        fallback_depth: u32,
     ) -> Option<u8> {
-        let plausible = (0..=fallback_depth as usize)
-            .any(|n| schedule.nth_proxy_of(victim, frame, n) == claimed);
-        if plausible {
+        if schedule.plausible_proxies(victim, frame).any(|p| p == claimed) {
             None
         } else {
             Some(10)
@@ -165,12 +162,6 @@ impl ScheduleBiasDetector {
             .map(|suspect| BiasVerdict { victim: victim.0, suspect, epoch, score, fallbacks })
             .collect()
     }
-
-    /// Fallback overrides currently inside the victim's window.
-    #[must_use]
-    pub fn window_fallbacks(&self, victim: PlayerId) -> u32 {
-        self.history.get(&victim.0).map_or(0, |h| h.iter().filter(|o| o.fallback).count() as u32)
-    }
 }
 
 #[cfg(test)]
@@ -189,7 +180,6 @@ mod tests {
             let scheduled = p(1 + (epoch as u32 % 5));
             assert!(d.observe_epoch(epoch, p(0), scheduled, scheduled).is_empty());
         }
-        assert_eq!(d.window_fallbacks(p(0)), 0);
     }
 
     #[test]
@@ -245,10 +235,9 @@ mod tests {
     fn verify_claim_accepts_the_whole_plausible_set() {
         let schedule = ProxySchedule::new(99, 10, 40);
         let victim = p(3);
-        for n in 0..=2usize {
-            let claimed = schedule.nth_proxy_of(victim, 400, n);
+        for (n, claimed) in schedule.plausible_proxies(victim, 400).enumerate() {
             assert_eq!(
-                ScheduleBiasDetector::verify_claim(&schedule, victim, 400, claimed, 2),
+                ScheduleBiasDetector::verify_claim(&schedule, victim, 400, claimed),
                 None,
                 "depth {n}"
             );
@@ -259,12 +248,11 @@ mod tests {
     fn verify_claim_rejects_out_of_set_forgeries() {
         let schedule = ProxySchedule::new(99, 10, 40);
         let victim = p(3);
-        let plausible: BTreeSet<PlayerId> =
-            (0..=2usize).map(|n| schedule.nth_proxy_of(victim, 400, n)).collect();
+        let plausible: BTreeSet<PlayerId> = schedule.plausible_proxies(victim, 400).collect();
         let forged = (0..10)
             .map(p)
             .find(|c| *c != victim && !plausible.contains(c))
             .expect("some id is outside the plausible set");
-        assert_eq!(ScheduleBiasDetector::verify_claim(&schedule, victim, 400, forged, 2), Some(10));
+        assert_eq!(ScheduleBiasDetector::verify_claim(&schedule, victim, 400, forged), Some(10));
     }
 }

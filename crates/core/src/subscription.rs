@@ -83,27 +83,23 @@ impl SetAssignment {
 /// above their position).
 const EYE_HEIGHT: f64 = 1.5;
 
-/// Builds the observer's vision cone per the configuration.
+/// Builds the observer's vision cone
+/// ([`WatchmenConfig::VISION_HALF_ANGLE`], [`WatchmenConfig::VISION_RADIUS`]).
 #[must_use]
-pub fn vision_cone(observer: &PlayerFrame, config: &WatchmenConfig) -> Cone {
+pub fn vision_cone(observer: &PlayerFrame) -> Cone {
     Cone::new(
         observer.position + Vec3::Z * EYE_HEIGHT,
         observer.aim.direction(),
-        config.vision_half_angle,
-        config.vision_radius,
+        WatchmenConfig::VISION_HALF_ANGLE,
+        WatchmenConfig::VISION_RADIUS,
     )
 }
 
 /// Returns `true` if `candidate` is inside `observer`'s vision set region:
 /// within the (slightly enlarged) cone *and* not behind a wall.
 #[must_use]
-pub fn in_vision(
-    observer: &PlayerFrame,
-    candidate: &PlayerFrame,
-    map: &GameMap,
-    config: &WatchmenConfig,
-) -> bool {
-    sees(&vision_cone(observer, config), candidate, map)
+pub fn in_vision(observer: &PlayerFrame, candidate: &PlayerFrame, map: &GameMap) -> bool {
+    sees(&vision_cone(observer), candidate, map)
 }
 
 /// [`in_vision`] with the observer's cone already built; the cone's apex
@@ -177,7 +173,7 @@ pub fn compute_sets(
     let observer = &states[observer_id.index()];
     let weights = AttentionWeights::default();
     // One cone per observer: building it costs two sin/cos pairs.
-    let cone = vision_cone(observer, config);
+    let cone = vision_cone(observer);
 
     // Visible candidates with their attention score.
     let mut visible: Vec<(PlayerId, f64)> = Vec::new();
@@ -304,7 +300,7 @@ mod tests {
         let (map, config) = open_setup();
         let states = vec![
             frame_at(Vec3::new(20.0, 200.0, 0.0)),
-            frame_at(Vec3::new(20.0 + config.vision_radius + 10.0, 200.0, 0.0)),
+            frame_at(Vec3::new(20.0 + WatchmenConfig::VISION_RADIUS + 10.0, 200.0, 0.0)),
         ];
         let sets = compute_sets(PlayerId(0), &states, &map, &config, &NoRecency);
         assert_eq!(sets.kind_of(PlayerId(1)), SetKind::Others);

@@ -271,7 +271,7 @@ impl Verifier {
         let observation_gap = claim.victim_position.distance(victim_observed.position);
         let gap_tolerance = self.physics.max_speed
             * self.config.frame_seconds()
-            * self.config.guidance_period as f64;
+            * WatchmenConfig::GUIDANCE_PERIOD as f64;
         worst = worst.max(rate_deviation(observation_gap, gap_tolerance));
 
         // Attention: kills on targets never attended to are suspicious
@@ -303,13 +303,13 @@ impl Verifier {
         target_position: Vec3,
         map: &GameMap,
     ) -> u8 {
-        let cone = vision_cone(subscriber, &self.config);
+        let cone = vision_cone(subscriber);
         let deviation = cone.deviation(target_position + Vec3::Z * 1.5);
         // Tolerance: one guidance period of target movement (the proxy's
         // information about q may be that stale).
         let tolerance = self.physics.max_speed
             * self.config.frame_seconds()
-            * self.config.guidance_period as f64;
+            * WatchmenConfig::GUIDANCE_PERIOD as f64;
         let mut score = rate_deviation(deviation, tolerance);
         // Subscribing through a wall leaks map-hack information even when
         // the cone geometry fits.
@@ -344,12 +344,12 @@ impl Verifier {
         // (slightly enlarged) vision region is invalid outright, rated by
         // how far outside it lies.
         let target_state = &states[target_id.index()];
-        if !crate::subscription::in_vision(observer, target_state, map, &self.config) {
-            let cone = vision_cone(observer, &self.config);
+        if !crate::subscription::in_vision(observer, target_state, map) {
+            let cone = vision_cone(observer);
             let deviation = cone.deviation(target_state.position + Vec3::Z * 1.5);
             let tolerance = self.physics.max_speed
                 * self.config.frame_seconds()
-                * self.config.guidance_period as f64;
+                * WatchmenConfig::GUIDANCE_PERIOD as f64;
             return rate_deviation(deviation, tolerance).max(6);
         }
         let weights = AttentionWeights::default();

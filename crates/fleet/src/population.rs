@@ -341,10 +341,9 @@ impl PopulationResult {
 /// panic leaking out of a match task.
 #[must_use]
 pub fn run_population(config: &PopulationConfig, dir: Box<dyn Dir>) -> PopulationResult {
-    let watchmen = WatchmenConfig::default();
     let policy = StorePolicy {
-        ban_threshold: watchmen.reputation_threshold,
-        min_reports: watchmen.reputation_min_reports,
+        ban_threshold: WatchmenConfig::REPUTATION_THRESHOLD,
+        min_reports: WatchmenConfig::REPUTATION_MIN_REPORTS,
     };
     let (mut store, _recovery) = ReputationStore::open(dir, policy).expect("open store");
 

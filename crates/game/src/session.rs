@@ -138,12 +138,6 @@ impl GameSession {
         self.frame
     }
 
-    /// The number of players.
-    #[must_use]
-    pub fn player_count(&self) -> usize {
-        self.avatars.len()
-    }
-
     /// All avatar states, indexed by player id.
     #[must_use]
     pub fn avatars(&self) -> &[AvatarState] {
@@ -445,7 +439,6 @@ mod tests {
             s.step();
         }
         assert_eq!(s.frame(), 10);
-        assert_eq!(s.player_count(), 4);
     }
 
     #[test]

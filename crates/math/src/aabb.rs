@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::{Segment, Vec3};
+use crate::Vec3;
 
 /// An axis-aligned box, used for map geometry (walls, platforms) and
 /// world bounds.
@@ -74,43 +74,6 @@ impl Aabb {
             && self.min.z <= other.max.z
             && self.max.z >= other.min.z
     }
-
-    /// Clamps a point onto or into the box.
-    #[must_use]
-    pub fn clamp_point(&self, p: Vec3) -> Vec3 {
-        p.max(self.min).min(self.max)
-    }
-
-    /// Returns the entry parameter `t ∈ [0, 1]` at which the segment first
-    /// intersects the box, or `None` if it misses entirely.
-    ///
-    /// A segment starting inside the box reports `t = 0`.
-    #[must_use]
-    pub fn segment_intersection(&self, seg: &Segment) -> Option<f64> {
-        let d = seg.end - seg.start;
-        let mut t_min: f64 = 0.0;
-        let mut t_max: f64 = 1.0;
-        for axis in 0..3 {
-            let (s, dv, lo, hi) = (seg.start[axis], d[axis], self.min[axis], self.max[axis]);
-            if dv.abs() < crate::EPSILON {
-                if s < lo || s > hi {
-                    return None;
-                }
-            } else {
-                let mut t1 = (lo - s) / dv;
-                let mut t2 = (hi - s) / dv;
-                if t1 > t2 {
-                    std::mem::swap(&mut t1, &mut t2);
-                }
-                t_min = t_min.max(t1);
-                t_max = t_max.min(t2);
-                if t_min > t_max {
-                    return None;
-                }
-            }
-        }
-        Some(t_min)
-    }
 }
 
 impl fmt::Display for Aabb {
@@ -152,49 +115,5 @@ mod tests {
         assert!(a.intersects(&b));
         assert!(b.intersects(&a));
         assert!(!a.intersects(&c));
-    }
-
-    #[test]
-    fn clamp_point_projects() {
-        let b = unit_box();
-        assert_eq!(b.clamp_point(Vec3::new(-5.0, 5.0, 20.0)), Vec3::new(0.0, 5.0, 10.0));
-        assert_eq!(b.clamp_point(Vec3::splat(5.0)), Vec3::splat(5.0));
-    }
-
-    #[test]
-    fn segment_hits_face() {
-        let b = unit_box();
-        let seg = Segment::new(Vec3::new(-5.0, 5.0, 5.0), Vec3::new(15.0, 5.0, 5.0));
-        let t = b.segment_intersection(&seg).unwrap();
-        assert!((t - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn segment_misses() {
-        let b = unit_box();
-        let seg = Segment::new(Vec3::new(-5.0, 20.0, 5.0), Vec3::new(15.0, 20.0, 5.0));
-        assert!(b.segment_intersection(&seg).is_none());
-    }
-
-    #[test]
-    fn segment_starting_inside() {
-        let b = unit_box();
-        let seg = Segment::new(Vec3::splat(5.0), Vec3::new(20.0, 5.0, 5.0));
-        assert_eq!(b.segment_intersection(&seg), Some(0.0));
-    }
-
-    #[test]
-    fn segment_parallel_outside_slab() {
-        let b = unit_box();
-        // Parallel to x-axis but outside the y slab: degenerate axis check.
-        let seg = Segment::new(Vec3::new(2.0, -1.0, 5.0), Vec3::new(8.0, -1.0, 5.0));
-        assert!(b.segment_intersection(&seg).is_none());
-    }
-
-    #[test]
-    fn segment_short_of_box() {
-        let b = unit_box();
-        let seg = Segment::new(Vec3::new(-10.0, 5.0, 5.0), Vec3::new(-5.0, 5.0, 5.0));
-        assert!(b.segment_intersection(&seg).is_none());
     }
 }

@@ -70,13 +70,6 @@ impl Aim {
         Aim::new(self.yaw + d_yaw, self.pitch + d_pitch)
     }
 
-    /// The angular distance (radians) between the two aim directions, in
-    /// `[0, π]`.
-    #[must_use]
-    pub fn angular_distance(self, other: Aim) -> f64 {
-        self.direction().angle_between(other.direction())
-    }
-
     /// Maximum per-axis angular change between the two aims; used by
     /// verification to bound angular speed.
     #[must_use]
@@ -139,7 +132,7 @@ mod tests {
         for &(yaw, pitch) in &[(0.5, 0.2), (-2.0, -0.7), (3.0, 1.2), (-3.1, 0.0)] {
             let aim = Aim::new(yaw, pitch);
             let back = Aim::from_direction(aim.direction());
-            assert!(back.angular_distance(aim) < 1e-9, "{aim} vs {back}");
+            assert!(back.direction().angle_between(aim.direction()) < 1e-9, "{aim} vs {back}");
         }
     }
 
@@ -161,14 +154,6 @@ mod tests {
         let mut aim = Aim::new(PI - 0.1, 0.0);
         aim = aim.rotated(0.2, 0.0);
         assert!((aim.yaw() - (-PI + 0.1)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn angular_distance_symmetric() {
-        let a = Aim::new(0.3, 0.1);
-        let b = Aim::new(-1.2, -0.4);
-        assert!((a.angular_distance(b) - b.angular_distance(a)).abs() < 1e-12);
-        assert_eq!(a.angular_distance(a), 0.0);
     }
 
     #[test]

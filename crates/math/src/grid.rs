@@ -36,17 +36,6 @@ impl Cell {
     pub fn manhattan(self, other: Cell) -> u32 {
         self.x.abs_diff(other.x) + self.y.abs_diff(other.y)
     }
-
-    /// The 4-neighborhood (up, down, left, right).
-    #[must_use]
-    pub fn neighbors4(self) -> [Cell; 4] {
-        [
-            Cell::new(self.x + 1, self.y),
-            Cell::new(self.x - 1, self.y),
-            Cell::new(self.x, self.y + 1),
-            Cell::new(self.x, self.y - 1),
-        ]
-    }
 }
 
 impl std::fmt::Display for Cell {
@@ -65,12 +54,6 @@ impl std::fmt::Display for Cell {
 pub fn cell_of(p: Vec3, cell_size: f64) -> Cell {
     debug_assert!(cell_size > 0.0);
     Cell::new((p.x / cell_size).floor() as i32, (p.y / cell_size).floor() as i32)
-}
-
-/// The world-space center of a cell (at `z = 0`).
-#[must_use]
-pub fn cell_center(c: Cell, cell_size: f64) -> Vec3 {
-    Vec3::new((c.x as f64 + 0.5) * cell_size, (c.y as f64 + 0.5) * cell_size, 0.0)
 }
 
 /// Walks every grid cell crossed by the 2-D projection of the segment
@@ -187,12 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn cell_center_roundtrip() {
-        let c = Cell::new(3, -2);
-        assert_eq!(cell_of(cell_center(c, 2.5), 2.5), c);
-    }
-
-    #[test]
     fn traverse_horizontal() {
         let cells = traverse(Vec3::new(0.5, 0.5, 0.0), Vec3::new(3.5, 0.5, 0.0), 1.0);
         assert_eq!(cells, vec![Cell::new(0, 0), Cell::new(1, 0), Cell::new(2, 0), Cell::new(3, 0)]);
@@ -228,10 +205,9 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_and_manhattan() {
+    fn manhattan_and_display() {
         let c = Cell::new(0, 0);
         assert_eq!(c.manhattan(Cell::new(3, -4)), 7);
-        assert_eq!(c.neighbors4().len(), 4);
         assert!(!format!("{c}").is_empty());
     }
 

@@ -6,7 +6,7 @@
 //! trajectory of the avatar as a metric of the deviation", and an update is
 //! acceptable when `a ≤ ā + σ_a` over honest players.
 
-use crate::{lerp, Vec3};
+use crate::Vec3;
 
 /// A polyline trajectory: an ordered list of sampled positions.
 ///
@@ -177,20 +177,6 @@ pub fn area_between(a: &Polyline, b: &Polyline, samples: usize) -> f64 {
     }
 }
 
-/// Maximum pointwise separation between two time-parameterized trajectories.
-///
-/// A cheaper companion to [`area_between`] used for quick sanity checks.
-#[must_use]
-pub fn max_separation(a: &Polyline, b: &Polyline, samples: usize) -> f64 {
-    let samples = samples.max(2);
-    (0..samples)
-        .map(|k| {
-            let u = k as f64 / (samples - 1) as f64;
-            a.sample_by_time(u).distance(b.sample_by_time(u))
-        })
-        .fold(0.0, f64::max)
-}
-
 /// Builds the straight-line trajectory predicted by dead reckoning: start at
 /// `pos`, move with constant `velocity` for `frames` steps of `dt` seconds.
 ///
@@ -207,18 +193,6 @@ pub fn max_separation(a: &Polyline, b: &Polyline, samples: usize) -> f64 {
 #[must_use]
 pub fn dead_reckon_path(pos: Vec3, velocity: Vec3, frames: usize, dt: f64) -> Polyline {
     (0..=frames).map(|k| pos + velocity * (k as f64 * dt)).collect()
-}
-
-/// Resamples a polyline to exactly `n` points, equally spaced in time.
-#[must_use]
-pub fn resample(line: &Polyline, n: usize) -> Polyline {
-    match n {
-        0 => Polyline::new(),
-        1 => Polyline::from_points(vec![line.sample_by_time(0.0)]),
-        _ => {
-            (0..n).map(|k| line.sample_by_time(lerp(0.0, 1.0, k as f64 / (n - 1) as f64))).collect()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -300,29 +274,10 @@ mod tests {
     }
 
     #[test]
-    fn max_separation_detects_divergence() {
-        let a = straight(0.0);
-        let diverging = Polyline::from_points(vec![Vec3::ZERO, Vec3::new(10.0, 6.0, 0.0)]);
-        let m = max_separation(&a, &diverging, 32);
-        assert!((m - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn dead_reckon_path_constant_velocity() {
         let p = dead_reckon_path(Vec3::ZERO, Vec3::new(2.0, 0.0, 0.0), 10, 0.05);
         assert_eq!(p.len(), 11);
         assert!(p.points()[5].approx_eq(Vec3::new(0.5, 0.0, 0.0), 1e-12));
-    }
-
-    #[test]
-    fn resample_preserves_endpoints() {
-        let line = straight(0.0);
-        let r = resample(&line, 7);
-        assert_eq!(r.len(), 7);
-        assert_eq!(r.points()[0], Vec3::ZERO);
-        assert_eq!(*r.points().last().unwrap(), Vec3::new(10.0, 0.0, 0.0));
-        assert_eq!(resample(&line, 0).len(), 0);
-        assert_eq!(resample(&line, 1).len(), 1);
     }
 
     #[test]

@@ -123,25 +123,6 @@ impl Ray {
     pub fn distance_to_point(&self, p: Vec3) -> f64 {
         self.point_at(self.closest_parameter(p)).distance(p)
     }
-
-    /// The distance `t` at which the ray enters a sphere of radius `r`
-    /// centered at `c`, or `None` if it misses.
-    ///
-    /// A ray starting inside the sphere reports `t = 0`.
-    #[must_use]
-    pub fn sphere_intersection(&self, c: Vec3, r: f64) -> Option<f64> {
-        let oc = self.origin - c;
-        if oc.length_squared() <= r * r {
-            return Some(0.0);
-        }
-        let b = oc.dot(self.dir);
-        let disc = b * b - (oc.length_squared() - r * r);
-        if disc < 0.0 {
-            return None;
-        }
-        let t = -b - disc.sqrt();
-        (t >= 0.0).then_some(t)
-    }
 }
 
 impl fmt::Display for Ray {
@@ -183,18 +164,6 @@ mod tests {
         assert_eq!(r.distance_to_point(Vec3::new(5.0, 3.0, 0.0)), 3.0);
         // Behind the origin: closest point is the origin itself.
         assert_eq!(r.distance_to_point(Vec3::new(-4.0, 3.0, 0.0)), 5.0);
-    }
-
-    #[test]
-    fn ray_sphere_hit_miss() {
-        let r = Ray::new(Vec3::ZERO, Vec3::X);
-        let t = r.sphere_intersection(Vec3::new(10.0, 0.0, 0.0), 2.0).unwrap();
-        assert!((t - 8.0).abs() < 1e-9);
-        assert!(r.sphere_intersection(Vec3::new(10.0, 5.0, 0.0), 2.0).is_none());
-        // Behind the ray.
-        assert!(r.sphere_intersection(Vec3::new(-10.0, 0.0, 0.0), 2.0).is_none());
-        // Starting inside.
-        assert_eq!(r.sphere_intersection(Vec3::new(0.5, 0.0, 0.0), 2.0), Some(0.0));
     }
 
     #[test]

@@ -19,8 +19,6 @@
 pub struct BandwidthMeter {
     up_bytes: u64,
     down_bytes: u64,
-    up_msgs: u64,
-    down_msgs: u64,
 }
 
 impl BandwidthMeter {
@@ -33,13 +31,11 @@ impl BandwidthMeter {
     /// Records an outgoing message of `bytes`.
     pub fn record_up(&mut self, bytes: usize) {
         self.up_bytes += bytes as u64;
-        self.up_msgs += 1;
     }
 
     /// Records an incoming message of `bytes`.
     pub fn record_down(&mut self, bytes: usize) {
         self.down_bytes += bytes as u64;
-        self.down_msgs += 1;
     }
 
     /// Total bytes sent.
@@ -52,18 +48,6 @@ impl BandwidthMeter {
     #[must_use]
     pub fn down_bytes(&self) -> u64 {
         self.down_bytes
-    }
-
-    /// Messages sent.
-    #[must_use]
-    pub fn up_messages(&self) -> u64 {
-        self.up_msgs
-    }
-
-    /// Messages received.
-    #[must_use]
-    pub fn down_messages(&self) -> u64 {
-        self.down_msgs
     }
 
     /// Average upload rate in kilobits/s over `elapsed_ms`.
@@ -84,8 +68,6 @@ impl BandwidthMeter {
     pub fn merge(&mut self, other: &BandwidthMeter) {
         self.up_bytes += other.up_bytes;
         self.down_bytes += other.down_bytes;
-        self.up_msgs += other.up_msgs;
-        self.down_msgs += other.down_msgs;
     }
 }
 
@@ -108,8 +90,6 @@ mod tests {
         // 8000 bits over 2 s = 4 kbps up.
         assert_eq!(m.up_kbps(2000.0), 4.0);
         assert_eq!(m.down_kbps(2000.0), 2.0);
-        assert_eq!(m.up_messages(), 1);
-        assert_eq!(m.down_messages(), 1);
     }
 
     #[test]
@@ -129,6 +109,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.up_bytes(), 30);
         assert_eq!(a.down_bytes(), 5);
-        assert_eq!(a.up_messages(), 2);
     }
 }

@@ -88,19 +88,6 @@ impl GilbertElliott {
         GilbertElliott::new(p_enter_bad, p_exit_bad, 0.0, loss_bad)
     }
 
-    /// The stationary (long-run) loss rate of the channel.
-    #[must_use]
-    pub fn mean_loss(&self) -> f64 {
-        let denom = self.p_enter_bad + self.p_exit_bad;
-        if denom == 0.0 {
-            // The chain never transitions: loss is whatever the start
-            // state (good) yields.
-            return self.loss_good;
-        }
-        let pi_bad = self.p_enter_bad / denom;
-        pi_bad * self.loss_bad + (1.0 - pi_bad) * self.loss_good
-    }
-
     /// Advances the chain one message and returns whether it is dropped.
     fn step(&mut self, rng: &mut Xoshiro256) -> bool {
         if self.in_bad {
@@ -475,8 +462,6 @@ mod tests {
     #[test]
     fn gilbert_elliott_mean_loss_matches_empirical_rate() {
         let mut ge = GilbertElliott::with_mean_loss(0.05);
-        let expected = ge.mean_loss();
-        assert!((expected - 0.05).abs() < 1e-12, "analytic mean {expected}");
         let mut rng = Xoshiro256::seed_from(1, 2);
         let trials = 200_000;
         let dropped = (0..trials).filter(|_| ge.step(&mut rng)).count();
@@ -526,7 +511,7 @@ mod tests {
             1,
         )
         .unwrap();
-        assert!((plan.burst.as_ref().unwrap().mean_loss() - 0.05).abs() < 1e-12);
+        assert_eq!(plan.burst, Some(GilbertElliott::with_mean_loss(0.05)));
         assert_eq!(plan.duplicate_rate, 0.01);
         assert_eq!(plan.reorder_rate, 0.25);
         assert_eq!(plan.reorder_extra_ms, 40.0);

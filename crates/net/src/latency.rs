@@ -141,12 +141,6 @@ impl Matrix {
         let idx = i * self.n - i * (i + 1) / 2 + (j - i - 1);
         self.base[idx]
     }
-
-    /// Mean of all pairwise base delays.
-    #[must_use]
-    pub fn mean_base_ms(&self) -> f64 {
-        self.base.iter().sum::<f64>() / self.base.len() as f64
-    }
 }
 
 impl LatencyModel for Matrix {
@@ -265,17 +259,12 @@ mod tests {
     }
 
     #[test]
-    fn king_like_mean_near_62() {
-        let m = Matrix::log_normal("king-like", 48, 62.0, 0.45, 0.1, 42);
-        let mean = m.mean_base_ms();
-        assert!((mean - 62.0).abs() < 8.0, "mean {mean}");
-    }
-
-    #[test]
-    fn peerwise_like_mean_near_68() {
-        let m = Matrix::log_normal("peerwise-like", 48, 68.0, 0.55, 0.1, 42);
-        let mean = m.mean_base_ms();
-        assert!((mean - 68.0).abs() < 10.0, "mean {mean}");
+    fn log_normal_means_match_their_calibration() {
+        for (median, sigma, slack) in [(62.0, 0.45, 8.0), (68.0, 0.55, 10.0)] {
+            let m = Matrix::log_normal("t", 48, median, sigma, 0.1, 42);
+            let mean = m.base.iter().sum::<f64>() / m.base.len() as f64;
+            assert!((mean - median).abs() < slack, "mean {mean} for {median}");
+        }
     }
 
     #[test]

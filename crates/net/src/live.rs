@@ -184,12 +184,6 @@ impl LiveTransport {
         });
     }
 
-    /// The current best-known address for a peer.
-    #[must_use]
-    pub fn peer_addr(&self, id: u32) -> Option<SocketAddr> {
-        self.peers.get(&id).map(|p| p.addr)
-    }
-
     /// Peers heard from (heartbeat or payload) within the last `within`
     /// ticks.
     #[must_use]
@@ -470,12 +464,13 @@ mod tests {
         b2.register_peer(0, a.local_addr().unwrap());
         b2.beat().unwrap();
         // a hears the heartbeat and re-learns 1's address…
+        let heard = a.stats().heartbeats_received;
         let deadline = Instant::now() + Duration::from_secs(2);
-        while a.peer_addr(1) != Some(b2.local_addr().unwrap()) && Instant::now() < deadline {
+        while a.stats().heartbeats_received == heard && Instant::now() < deadline {
             a.pump().unwrap();
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(a.peer_addr(1), Some(b2.local_addr().unwrap()), "reconnect not followed");
+        assert!(a.stats().heartbeats_received > heard, "the new incarnation's heartbeat was lost");
         // …and traffic flows to the new incarnation.
         a.queue(1, b"welcome back".to_vec());
         a.pump().unwrap();

@@ -484,14 +484,6 @@ impl<T> SimNetwork<T> {
     pub fn in_flight(&self) -> usize {
         self.queue.len()
     }
-
-    /// The virtual time of the next pending delivery, if any — lets
-    /// drivers advance event-by-event and react (e.g. forward) at the
-    /// exact delivery instant.
-    #[must_use]
-    pub fn next_delivery_ms(&self) -> Option<f64> {
-        self.queue.peek_time()
-    }
 }
 
 #[cfg(test)]

@@ -309,8 +309,8 @@ fn run_collusion(seed: u64, config: &WatchmenConfig) -> (GroundTruth, Vec<AuditR
 /// the allowance are indistinguishable from honest joins (and are not
 /// ground-truth adversaries); every over-rate attempt is.
 fn run_sybil_flood(seed: u64, config: &WatchmenConfig) -> (GroundTruth, Vec<AuditRecord>) {
-    let window = config.admission_window_frames;
-    let allowance = config.max_joins_per_window as usize;
+    let window = WatchmenConfig::ADMISSION_WINDOW_FRAMES;
+    let allowance = WatchmenConfig::MAX_JOINS_PER_WINDOW as usize;
     let mut lobby = GameLobby::new(seed, *config, 60).with_keys(Keypair::generate(seed ^ 0xbee));
     for i in 0..PLAYERS {
         lobby.register(Keypair::generate(seed * 100 + i as u64).public());
@@ -332,7 +332,7 @@ fn run_sybil_flood(seed: u64, config: &WatchmenConfig) -> (GroundTruth, Vec<Audi
     let mut refused = Vec::new();
     for retry_frame in (flood_frame..flood_frame + window).step_by(window as usize / 4) {
         for key in &sybils {
-            if refused.contains(&key_tag(key)) || lobby.players() >= config.max_roster {
+            if refused.contains(&key_tag(key)) || lobby.players() >= WatchmenConfig::MAX_ROSTER {
                 continue;
             }
             match lobby.admit_midgame(*key, retry_frame) {
@@ -377,7 +377,6 @@ fn run_sybil_flood(seed: u64, config: &WatchmenConfig) -> (GroundTruth, Vec<Audi
 /// side.
 fn run_eclipse(seed: u64, config: &WatchmenConfig) -> (GroundTruth, Vec<AuditRecord>) {
     let period = config.proxy_period;
-    let depth = config.proxy_fallback_depth as usize;
     let schedule = ProxySchedule::new(seed, PLAYERS, period);
     let mut detector = ScheduleBiasDetector::default();
     let mut audit = Vec::new();
@@ -393,9 +392,7 @@ fn run_eclipse(seed: u64, config: &WatchmenConfig) -> (GroundTruth, Vec<AuditRec
         // The clique crash-frames the victim's honest proxies until the
         // succession reaches one of its own (within the fallback depth
         // every honest node tolerates).
-        let landing = (0..=depth)
-            .map(|n| schedule.nth_proxy_of(victim, frame, n))
-            .find(|p| clique.contains(p));
+        let landing = schedule.plausible_proxies(victim, frame).find(|p| clique.contains(p));
         let effective = match landing {
             Some(member) => member,
             None => {
@@ -404,14 +401,8 @@ fn run_eclipse(seed: u64, config: &WatchmenConfig) -> (GroundTruth, Vec<AuditRec
                 // recomputing the schedule proves the forgery on sight.
                 let forger = clique[forge_turn % clique.len()];
                 forge_turn += 1;
-                let score = ScheduleBiasDetector::verify_claim(
-                    &schedule,
-                    victim,
-                    frame,
-                    forger,
-                    config.proxy_fallback_depth,
-                )
-                .expect("outside the plausible set by construction");
+                let score = ScheduleBiasDetector::verify_claim(&schedule, victim, frame, forger)
+                    .expect("outside the plausible set by construction");
                 audit.push(verdict(
                     frame,
                     victim.0,

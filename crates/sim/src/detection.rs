@@ -283,7 +283,7 @@ pub fn run_detection_traced(
     // ---------- Guidance checks ----------
     {
         let mut verifier = Verifier::new(*config, physics);
-        let horizon = config.guidance_period as usize;
+        let horizon = WatchmenConfig::GUIDANCE_PERIOD as usize;
         // Proxies compare guidance "against future frequent updates", so
         // the verification window is the first few frames after emission,
         // where honest dead reckoning is still accurate.
@@ -417,24 +417,6 @@ pub fn format_detection(rows: &[DetectionRow]) -> String {
     render_table(&header, &body)
 }
 
-/// Renders the Figure 6 series plus the audit trail a
-/// [`run_detection_traced`] run left behind: ground-truth injections,
-/// verdicts recorded, and how many verdicts were suspicious.
-#[must_use]
-pub fn format_detection_traced(rows: &[DetectionRow], recorder: &FlightRecorder) -> String {
-    let events = recorder.snapshot();
-    let injections = events.iter().filter(|e| e.kind == EventKind::Inject).count();
-    let verdicts = events.iter().filter(|e| e.kind == EventKind::Verdict).count();
-    let suspicious = events.iter().filter(|e| e.kind == EventKind::Verdict && e.value > 5).count();
-    format!(
-        "{}\naudit: {injections} injections ground-truthed, {verdicts} cheat verdicts \
-         recorded ({suspicious} suspicious), {} events total ({} overwritten)\n",
-        format_detection(rows),
-        recorder.total_recorded(),
-        recorder.total_recorded().saturating_sub(recorder.len() as u64),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,8 +492,5 @@ mod tests {
         let cheat_total: usize = rows.iter().map(|r| r.cheat_samples).sum();
         // VS and IS cheats are scored pairwise from one opportunity.
         assert!(verdicts <= cheat_total && verdicts > 0, "{verdicts} vs {cheat_total}");
-        let report = format_detection_traced(&rows, &recorder);
-        assert!(report.contains("audit:"), "{report}");
-        assert!(report.contains("injections ground-truthed"), "{report}");
     }
 }

@@ -195,8 +195,12 @@ pub fn run_disclosure(
         for (i, row) in knowledge.iter_mut().enumerate() {
             match architecture {
                 Architecture::ClientServer => {
-                    let pvs =
-                        potentially_visible_set(&workload.map, &positions, i, config.vision_radius);
+                    let pvs = potentially_visible_set(
+                        &workload.map,
+                        &positions,
+                        i,
+                        WatchmenConfig::VISION_RADIUS,
+                    );
                     for j in pvs {
                         row[j].freq = true;
                     }

@@ -36,12 +36,12 @@
 //!   an honest proxy when it is not a cheater.
 //! * An **IS witness** is an honest node other than that proxy whose
 //!   latest consumed `state` delivery about `x` was generated within
-//!   `loss_age_frames` of `f`.
+//!   `LOSS_AGE_FRAMES` of `f`.
 //! * A **VS witness** is, otherwise, such a node whose latest consumed
 //!   `guidance` delivery about `x` was generated within
-//!   `guidance_period + loss_age_frames` of `f`.
+//!   `GUIDANCE_PERIOD + LOSS_AGE_FRAMES` of `f`.
 //!
-//! Frames before `others_period + loss_age_frames` are not sampled:
+//! Frames before `OTHERS_PERIOD + LOSS_AGE_FRAMES` are not sampled:
 //! subscriptions and the first guidance round are still settling.
 
 use std::sync::Arc;
@@ -99,7 +99,7 @@ pub struct OverlayReport {
     pub players: usize,
     /// Histogram of delivered-update ages in frames (Figure 7's PDF).
     pub ages: Histogram,
-    /// Updates arriving `loss_age_frames` or older, plus network drops,
+    /// Updates arriving `LOSS_AGE_FRAMES` or older, plus network drops,
     /// as a fraction of all updates sent to final consumers.
     pub late_or_lost: f64,
     /// Mean per-player upload in kbps.
@@ -137,7 +137,7 @@ struct Metrics {
 }
 
 impl Metrics {
-    fn new(config: &WatchmenConfig, architecture: &'static str) -> Self {
+    fn new(architecture: &'static str) -> Self {
         let t = telemetry::global();
         t.describe("sim_updates_delivered_total", "Updates delivered to final consumers");
         t.describe("sim_updates_late_total", "Delivered updates at or past the loss-age bound");
@@ -147,7 +147,7 @@ impl Metrics {
             ages: Histogram::new(0.0, 10.0, 10),
             delivered: 0,
             late: 0,
-            loss_age: config.loss_age_frames,
+            loss_age: WatchmenConfig::LOSS_AGE_FRAMES,
             delivered_total: t.counter_with("sim_updates_delivered_total", arch),
             late_total: t.counter_with("sim_updates_late_total", arch),
             age_frames: t.histogram_with("sim_update_age_frames", arch),
@@ -258,7 +258,7 @@ fn replay_watchmen(
         SimNetwork::new(n, latency, loss_rate, seed),
         config.frame_ms,
     );
-    let mut metrics = Metrics::new(config, "watchmen");
+    let mut metrics = Metrics::new("watchmen");
     for (frame, recorded) in (0u64..).zip(&trace.frames) {
         cluster.step(
             frame,
@@ -289,14 +289,6 @@ pub struct WitnessRow {
     pub avg_is_witnesses: f64,
     /// Average number of VS witnesses (dead reckoning only).
     pub avg_vs_witnesses: f64,
-}
-
-impl WitnessRow {
-    /// Total average witnesses (proxy + IS + VS).
-    #[must_use]
-    pub fn total_witnesses(&self) -> f64 {
-        self.honest_proxy_rate + self.avg_is_witnesses + self.avg_vs_witnesses
-    }
 }
 
 /// Figure 5 from one replay of the shipped node.
@@ -330,7 +322,7 @@ pub fn run_witnesses(
     for &c in coalitions {
         assert!(c >= 1 && c < n, "coalition {c} out of range");
     }
-    let mut tap = WitnessTap::new(n, coalitions, config);
+    let mut tap = WitnessTap::new(n, coalitions);
     let (trace, map) = (&workload.trace, &workload.map);
     let _ =
         replay_watchmen(trace, map, config, latency::king_like(n, seed), 0.01, seed, |f, i, o| {
@@ -387,13 +379,13 @@ struct WitnessTap {
 }
 
 impl WitnessTap {
-    fn new(players: usize, coalitions: &[usize], config: &WatchmenConfig) -> Self {
+    fn new(players: usize, coalitions: &[usize]) -> Self {
         WitnessTap {
             players,
             coalitions: coalitions.to_vec(),
-            warm_up: config.others_period + config.loss_age_frames,
-            state_window: config.loss_age_frames,
-            guidance_window: config.guidance_period + config.loss_age_frames,
+            warm_up: WatchmenConfig::OTHERS_PERIOD + WatchmenConfig::LOSS_AGE_FRAMES,
+            state_window: WatchmenConfig::LOSS_AGE_FRAMES,
+            guidance_window: WatchmenConfig::GUIDANCE_PERIOD + WatchmenConfig::LOSS_AGE_FRAMES,
             frame: 0,
             proxy: vec![None; players],
             state: vec![None; players * players],
@@ -509,11 +501,11 @@ pub fn run_donnybrook(
     let guidance_bytes = signed_len(Payload::Guidance(Guidance::from_state(
         first,
         0,
-        config.guidance_period,
+        WatchmenConfig::GUIDANCE_PERIOD,
         config.frame_seconds(),
     )));
     let mut net: SimNetwork<Update> = SimNetwork::new(n, latency, loss_rate, seed);
-    let mut metrics = Metrics::new(config, "donnybrook");
+    let mut metrics = Metrics::new("donnybrook");
 
     for (frame, recorded) in (0u64..).zip(&trace.frames) {
         for d in net.advance_to(frame as f64 * config.frame_ms) {
@@ -568,7 +560,7 @@ pub fn run_client_server(
     let server = n; // extra node
     let state_bytes = state_len(&trace.frames[0].states[0]);
     let mut net: SimNetwork<Update> = SimNetwork::new(n + 1, latency, loss_rate, seed);
-    let mut metrics = Metrics::new(config, "client-server");
+    let mut metrics = Metrics::new("client-server");
 
     // Per-frame PVS cache: visibility is symmetric in open space but we
     // store the full per-observer sets; recomputed once per frame rather
@@ -580,7 +572,12 @@ pub fn run_client_server(
         let positions: Vec<_> = states.iter().map(|s| s.position).collect();
         pvs_cache.clear();
         for q in 0..n {
-            pvs_cache.push(potentially_visible_set(map, &positions, q, config.vision_radius));
+            pvs_cache.push(potentially_visible_set(
+                map,
+                &positions,
+                q,
+                WatchmenConfig::VISION_RADIUS,
+            ));
         }
 
         // The server runs a frame loop like everyone else: what reached
@@ -769,7 +766,10 @@ mod tests {
         let last = rows.last().unwrap();
         assert!(last.honest_proxy_rate < first.honest_proxy_rate);
         // Fewer honest observers → fewer witnesses on average.
-        assert!(last.total_witnesses() <= first.total_witnesses() + 1.0);
+        assert!(
+            last.honest_proxy_rate + last.avg_is_witnesses + last.avg_vs_witnesses
+                <= first.honest_proxy_rate + first.avg_is_witnesses + first.avg_vs_witnesses + 1.0
+        );
     }
 
     #[test]

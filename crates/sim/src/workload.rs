@@ -52,31 +52,6 @@ pub fn standard_workload(players: usize, seed: u64, frames: u64) -> Workload {
     Workload { trace: GameTrace::record(config, players, seed, frames), map }
 }
 
-/// A smaller, denser arena workload for quick tests.
-#[must_use]
-pub fn arena_workload(players: usize, seed: u64, frames: u64) -> Workload {
-    let map = maps::arena(16, 10.0);
-    let config = GameConfig { map: map.clone(), ..GameConfig::default() };
-    Workload { trace: GameTrace::record(config, players, seed, frames), map }
-}
-
-/// Which map a [`WorkloadBuilder`] records on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MapChoice {
-    /// The paper's q3dm17-like headline map.
-    Standard,
-    /// An open square arena of `cells`×`cells` tiles of `cell_size` world
-    /// units — the map of choice for population-scale runs: open geometry
-    /// keeps the position checker's wall corner cases out of play, so
-    /// honest traffic scores clean.
-    Arena {
-        /// Tiles per side (≥ 4).
-        cells: usize,
-        /// Tile edge length in world units.
-        cell_size: f64,
-    },
-}
-
 /// How far the scripted speed-hack teleports sideways, in world units —
 /// far beyond any legal per-frame displacement, so the proxy's physics
 /// check flags it deterministically.
@@ -95,88 +70,14 @@ pub fn speed_hack(state: &mut PlayerFrame, frame: u64) {
     }
 }
 
-/// A reusable per-match workload builder — what a multi-match
-/// orchestrator calls thousands of times with distinct seeds. Identical
-/// parameters always build identical workloads, so a match is fully
-/// reproducible from its spec alone.
-///
-/// # Examples
-///
-/// ```
-/// use watchmen_sim::workload::WorkloadBuilder;
-///
-/// let w = WorkloadBuilder::new(8).seed(7).frames(40).arena(16, 10.0).build();
-/// assert_eq!(w.players(), 8);
-/// assert_eq!(w.frames(), 40);
-/// assert_eq!(w.map.name(), "arena");
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkloadBuilder {
-    players: usize,
-    seed: u64,
-    frames: u64,
-    map: MapChoice,
-}
-
-impl WorkloadBuilder {
-    /// Starts a builder for a `players`-bot match (seed 0, 1200 frames,
-    /// 32-cell arena by default).
-    #[must_use]
-    pub fn new(players: usize) -> Self {
-        WorkloadBuilder {
-            players,
-            seed: 0,
-            frames: 1200,
-            map: MapChoice::Arena { cells: 32, cell_size: 10.0 },
-        }
-    }
-
-    /// Sets the workload seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the trace length in frames.
-    #[must_use]
-    pub fn frames(mut self, frames: u64) -> Self {
-        self.frames = frames;
-        self
-    }
-
-    /// Records on an open arena map.
-    #[must_use]
-    pub fn arena(mut self, cells: usize, cell_size: f64) -> Self {
-        self.map = MapChoice::Arena { cells, cell_size };
-        self
-    }
-
-    /// Records on the q3dm17-like headline map.
-    #[must_use]
-    pub fn standard_map(mut self) -> Self {
-        self.map = MapChoice::Standard;
-        self
-    }
-
-    /// Records the trace and bundles it with its map.
-    #[must_use]
-    pub fn build(&self) -> Workload {
-        let map = match self.map {
-            MapChoice::Standard => maps::q3dm17_like(),
-            MapChoice::Arena { cells, cell_size } => maps::arena(cells, cell_size),
-        };
-        let config = GameConfig { map: map.clone(), ..GameConfig::default() };
-        Workload { trace: GameTrace::record(config, self.players, self.seed, self.frames), map }
-    }
-}
-
 /// The per-match workload a fleet cell plays: an open 32-cell arena, the
 /// geometry the soak gates calibrate their zero-false-verdict assertion
 /// on.
 #[must_use]
 pub fn match_workload(players: usize, seed: u64, frames: u64) -> Workload {
-    WorkloadBuilder::new(players).seed(seed).frames(frames).build()
+    let map = maps::arena(32, 10.0);
+    let config = GameConfig { map: map.clone(), ..GameConfig::default() };
+    Workload { trace: GameTrace::record(config, players, seed, frames), map }
 }
 
 #[cfg(test)]
@@ -196,22 +97,6 @@ mod tests {
         let a = standard_workload(4, 9, 20);
         let b = standard_workload(4, 9, 20);
         assert_eq!(a.trace, b.trace);
-    }
-
-    #[test]
-    fn arena_workload_uses_arena() {
-        let w = arena_workload(4, 1, 10);
-        assert_eq!(w.map.name(), "arena");
-    }
-
-    #[test]
-    fn builder_matches_free_functions() {
-        let a = WorkloadBuilder::new(4).seed(9).frames(20).standard_map().build();
-        let b = standard_workload(4, 9, 20);
-        assert_eq!(a.trace, b.trace);
-        let c = WorkloadBuilder::new(4).seed(9).frames(20).arena(16, 10.0).build();
-        let d = arena_workload(4, 9, 20);
-        assert_eq!(c.trace, d.trace);
     }
 
     #[test]

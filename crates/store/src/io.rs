@@ -402,11 +402,6 @@ impl<D: Dir> FaultDir<D> {
         self.stats
     }
 
-    /// The wrapped backend.
-    pub fn inner_mut(&mut self) -> &mut D {
-        &mut self.inner
-    }
-
     fn roll(&mut self, permille: u32) -> bool {
         permille > 0 && self.rng.next_u64() % 1000 < u64::from(permille)
     }

@@ -265,12 +265,6 @@ impl ReputationStore {
         self.state.banned_identities()
     }
 
-    /// Records staged but not yet committed.
-    #[must_use]
-    pub fn staged_len(&self) -> usize {
-        self.staged.len()
-    }
-
     /// Approximate WAL size in bytes (exact when no faults tore writes).
     #[must_use]
     pub fn wal_bytes(&self) -> u64 {
@@ -655,7 +649,6 @@ mod tests {
             ReputationStore::open(Box::new(faulty), StorePolicy::default()).expect("open");
         store.note_outcome(3, 5, 5);
         assert!(store.commit().is_err(), "fsync always fails");
-        assert_eq!(store.staged_len(), 1, "batch stays staged");
         assert!(store.commit().is_err());
         assert_eq!(store.stats().commit_failures, 2);
 

@@ -170,12 +170,6 @@ impl FlightRecorder {
         out
     }
 
-    /// Retained events touching `id`, oldest first.
-    #[must_use]
-    pub fn events_for(&self, id: TraceId) -> Vec<TraceEvent> {
-        self.snapshot().into_iter().filter(|e| e.trace_id == id).collect()
-    }
-
     /// Snapshots the retained events touching `trace_id` and/or `subject`
     /// into a structured report. Pass [`TraceId::NONE`] to match on the
     /// subject alone (and vice versa with [`NO_SUBJECT`]); passing both
@@ -336,16 +330,6 @@ mod tests {
         assert_eq!(r.total_recorded(), 6);
         let frames: Vec<u64> = r.snapshot().iter().map(|e| e.frame).collect();
         assert_eq!(frames, vec![3, 4, 5, 6]);
-    }
-
-    #[test]
-    fn events_for_filters_by_trace() {
-        let r = FlightRecorder::new(8);
-        r.record(ev(1));
-        r.record(ev(2));
-        r.record(ev(1));
-        let id = TraceId::from_origin_seq(1, 1);
-        assert_eq!(r.events_for(id).len(), 2);
     }
 
     #[test]

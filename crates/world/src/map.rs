@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use watchmen_math::grid::{self, Cell};
+use watchmen_math::grid;
 use watchmen_math::{Aabb, Vec3};
 
 use crate::{ItemSpawner, Tile};
@@ -193,14 +193,6 @@ impl GameMap {
         grid::traverse_with(from, to, self.cell_size, |c| !self.tile(c.x, c.y).blocks_sight())
     }
 
-    /// Walks the sight line and returns the first wall cell hit, if any.
-    #[must_use]
-    pub fn first_obstruction(&self, from: Vec3, to: Vec3) -> Option<Cell> {
-        grid::traverse(from, to, self.cell_size)
-            .into_iter()
-            .find(|c| self.tile(c.x, c.y).blocks_sight())
-    }
-
     /// Renders the map as ASCII art (one character per tile, row 0 at the
     /// bottom); spawn points are drawn as `s`, item spawners as `i`.
     #[must_use]
@@ -302,8 +294,6 @@ mod tests {
         assert!(map.line_of_sight(a, b));
         map.set_tile(5, 5, Tile::Wall);
         assert!(!map.line_of_sight(a, b));
-        assert_eq!(map.first_obstruction(a, b), Some(Cell::new(5, 5)));
-        assert_eq!(map.first_obstruction(b, a), Some(Cell::new(5, 5)));
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn main() {
     println!(
         "at frame {frame}, p0's proxy is {} (next epoch: {})",
         schedule.proxy_of(PlayerId(0), frame),
-        schedule.next_proxy_of(PlayerId(0), frame)
+        schedule.proxy_of(PlayerId(0), schedule.next_renewal(frame))
     );
 
     // 4. Lightweight signatures on wire messages.

@@ -172,9 +172,8 @@ fn bootstraps_seed_only_a_joiner_from_its_first_proxy() {
     ));
     let mut schedule = ProxySchedule::new(SEED, N, period);
     assert_eq!(schedule.admit_at(ticket.admit_frame.div_ceil(period)), id);
-    let plausible: Vec<usize> = (0..=config.proxy_fallback_depth as usize)
-        .map(|n| schedule.nth_proxy_of(id, boundary, n).index())
-        .collect();
+    let plausible: Vec<usize> =
+        schedule.plausible_proxies(id, boundary).map(|p| p.index()).collect();
     let outsider = (0..N).find(|i| !plausible.contains(i)).expect("a non-proxy veteran");
     let (a, b) = (plausible[1], plausible[2]);
     let seed = bootstrap(&[(a, boundary - 1, state(a))]);

@@ -19,10 +19,10 @@ fn keys(n: usize) -> Vec<Keypair> {
     (0..n).map(|i| Keypair::generate(SEED ^ i as u64)).collect()
 }
 
-fn policy_from(config: &WatchmenConfig) -> StorePolicy {
+fn policy() -> StorePolicy {
     StorePolicy {
-        ban_threshold: config.reputation_threshold,
-        min_reports: config.reputation_min_reports,
+        ban_threshold: WatchmenConfig::REPUTATION_THRESHOLD,
+        min_reports: WatchmenConfig::REPUTATION_MIN_REPORTS,
     }
 }
 
@@ -59,13 +59,12 @@ fn play_match(
 fn ban_earned_in_one_match_blocks_matchmaking_in_the_next() {
     let players = keys(6);
     let cheater = 2;
-    let config = WatchmenConfig::default();
     let media = MemDir::new();
 
     // Match 1: nobody is banned yet; the cheater plays and the match's
     // aggregated outcome is persisted at match end.
-    let (mut store, _) = ReputationStore::open(Box::new(media.clone()), policy_from(&config))
-        .expect("open fresh store");
+    let (mut store, _) =
+        ReputationStore::open(Box::new(media.clone()), policy()).expect("open fresh store");
     let outcomes = play_match(&store.banned_identities(), &players, &[cheater], 40);
     for (identity, ok, failed) in outcomes {
         store.note_outcome(identity, ok as u32, failed as u32);
@@ -81,8 +80,8 @@ fn ban_earned_in_one_match_blocks_matchmaking_in_the_next() {
 
     // Service restart: a brand-new store instance recovers the ban
     // from the surviving files alone.
-    let (store, report) = ReputationStore::open(Box::new(media.clone()), policy_from(&config))
-        .expect("recover store");
+    let (store, report) =
+        ReputationStore::open(Box::new(media.clone()), policy()).expect("recover store");
     assert!(report.wal_records > 0, "recovery replayed the persisted match");
     assert_eq!(store.banned_identities(), vec![cheater_identity]);
 
@@ -121,9 +120,8 @@ fn ban_earned_in_one_match_blocks_matchmaking_in_the_next() {
 #[test]
 fn honest_population_never_trips_the_durable_ban() {
     let players = keys(6);
-    let config = WatchmenConfig::default();
-    let (mut store, _) = ReputationStore::open(Box::new(MemDir::new()), policy_from(&config))
-        .expect("open fresh store");
+    let (mut store, _) =
+        ReputationStore::open(Box::new(MemDir::new()), policy()).expect("open fresh store");
     // Three consecutive all-honest matches: plenty of reports, zero
     // suspicious ones — nobody may ever cross the threshold.
     for _ in 0..3 {
@@ -141,15 +139,14 @@ fn honest_population_never_trips_the_durable_ban() {
 fn cross_match_ban_survives_restart_on_real_files() {
     let players = keys(4);
     let cheater = 1;
-    let config = WatchmenConfig::default();
     let dir = std::env::temp_dir().join(format!("watchmen-reputation-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
     let cheater_identity = players[cheater].public().to_u64();
     {
         let fs = FsDir::open(&dir).expect("open store dir");
-        let (mut store, _) = ReputationStore::open(Box::new(fs), policy_from(&config))
-            .expect("open store on real files");
+        let (mut store, _) =
+            ReputationStore::open(Box::new(fs), policy()).expect("open store on real files");
         let outcomes = play_match(&[], &players, &[cheater], 40);
         for (identity, ok, failed) in outcomes {
             store.note_outcome(identity, ok as u32, failed as u32);
@@ -162,7 +159,7 @@ fn cross_match_ban_survives_restart_on_real_files() {
 
     let fs = FsDir::open(&dir).expect("reopen store dir");
     let (store, report) =
-        ReputationStore::open(Box::new(fs), policy_from(&config)).expect("recover from files");
+        ReputationStore::open(Box::new(fs), policy()).expect("recover from files");
     assert!(report.snapshot_loaded, "restart recovered through the snapshot");
     assert_eq!(store.banned_identities(), vec![cheater_identity]);
 
@@ -182,11 +179,10 @@ fn cross_match_ban_survives_restart_on_real_files() {
 #[test]
 fn lobby_and_store_ban_rules_agree_at_every_count() {
     const MAX: u64 = 120;
-    let default = WatchmenConfig::default();
     let clean = CheatRating::clean(Confidence::Proxy);
     let failed_rating = CheatRating::new(10, Confidence::Proxy, 0);
     for policy in [
-        policy_from(&default),
+        policy(),
         StorePolicy { ban_threshold: 0.5, min_reports: 1 },
         StorePolicy { ban_threshold: 0.95, min_reports: 100 },
     ] {
