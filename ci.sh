@@ -29,9 +29,12 @@ cargo test --workspace -q
 # the original implementation plus the full-size differential test (debug
 # builds run a short prefix), and the crate's unit tests optimised too, so
 # the scalar-vs-hardware SHA-256 agreement test runs on the code the
-# benchmark runs; then the ledger's exact counts twice over.
-echo "==> crypto unit tests, known answers + differential (release), ledger determinism"
+# benchmark runs; then the core's tests optimised too, so the proxy-draw
+# digests and the wire fuzz check the code the ledger runs; then the
+# ledger's exact counts twice over.
+echo "==> crypto + core tests, known answers + differential + draw digests (release), ledger determinism"
 cargo test --release -q -p watchmen-crypto
+cargo test --release -q -p watchmen-core
 benchmark/run.sh --selfcheck
 
 # The paper figures that run the shipped node must keep building and

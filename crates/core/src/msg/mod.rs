@@ -29,9 +29,11 @@
 //! decoder all read.
 //!
 //! Decoding is strict: bytes decode only if encoding the result gives them
-//! back. A signature is checked over that re-encoding, so anything the
-//! decoder skipped or normalised would verify under the origin's key
-//! without the origin ever having signed it.
+//! back. So a signature checked over the bytes received
+//! ([`SignedEnvelope::verify_received`], the node's path) and one checked
+//! over the re-encoded message ([`SignedEnvelope::verify`]) always agree:
+//! the message acted on is exactly the one the bytes carry, and a relay
+//! cannot pad or re-spell a datagram under the origin's signature.
 
 mod control;
 mod data;
@@ -354,9 +356,9 @@ impl Envelope {
     /// # Errors
     ///
     /// Returns [`DecodeError`] on truncated, malformed or non-canonical
-    /// input, and on input that goes on after the payload: a signature is
-    /// checked over the re-encoded envelope, so bytes the decoder skipped
-    /// would ride along under it unsigned.
+    /// input, and on input that goes on after the payload: a receiver
+    /// checks the signature over the bytes it received, so bytes the
+    /// decoder skipped would be signed without being part of the message.
     pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
         let mut buf = bytes;
         let env = Self::decode_from(&mut buf)?;
@@ -409,18 +411,25 @@ pub struct SignedEnvelope {
 }
 
 impl SignedEnvelope {
-    /// Verifies the signature against the claimed origin's public key,
-    /// preparing the key on the spot (tickets, one-off checks).
+    /// Verifies the signature over the re-encoded envelope against the
+    /// claimed origin's public key, preparing the key on the spot
+    /// (one-off checks of a message held as a value).
     #[must_use]
     pub fn verify(&self, origin_key: &PublicKey) -> bool {
-        self.verify_prepared(&VerifyingKey::new(*origin_key))
+        VerifyingKey::new(*origin_key).verify(&self.envelope.encode(), &self.signature)
     }
 
-    /// Verifies the signature against the claimed origin's prepared key —
-    /// the per-datagram path, fed from [`crate::roster::Roster::verifying_key`].
+    /// Verifies the signature over `bytes`, the datagram this message was
+    /// decoded from, against the claimed origin's prepared key — the
+    /// per-datagram path, fed from [`crate::roster::Roster::verifying_key`].
+    /// Decoding is strict, so the bytes ahead of the signature are exactly
+    /// the envelope's encoding: the signed bytes are the received ones,
+    /// and nothing is re-encoded.
     #[must_use]
-    pub fn verify_prepared(&self, origin_key: &VerifyingKey) -> bool {
-        origin_key.verify(&self.envelope.encode(), &self.signature)
+    pub fn verify_received(&self, bytes: &[u8], origin_key: &VerifyingKey) -> bool {
+        debug_assert_eq!(self.encode(), bytes, "a decoded datagram re-encodes to its own bytes");
+        let Some(signed) = bytes.len().checked_sub(SIGNATURE_LEN) else { return false };
+        origin_key.verify(&bytes[..signed], &self.signature)
     }
 
     /// The signed message's causal trace id (see [`Envelope::trace_id`]).

@@ -17,7 +17,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use watchmen_crypto::schnorr::{Keypair, PublicKey};
+use watchmen_crypto::schnorr::{Keypair, PublicKey, VerifyingKey};
 use watchmen_game::PlayerId;
 use watchmen_telemetry::Gauge;
 use watchmen_world::{GameMap, PhysicsConfig};
@@ -414,6 +414,7 @@ impl WatchmenNode {
         &mut self,
         frame: u64,
         msg: &SignedEnvelope,
+        bytes: &[u8],
         ticket: JoinTicket,
         out: &mut CoreOutput,
     ) {
@@ -428,7 +429,7 @@ impl WatchmenNode {
             && origin.index() >= self.roster.len()
             && origin.index() < WatchmenConfig::MAX_ROSTER
             && ticket.verify(&lobby)
-            && msg.verify(&ticket.key);
+            && msg.verify_received(bytes, &VerifyingKey::new(ticket.key));
         if !admissible {
             out.events.push(NodeEvent::BadSignature { claimed_from: origin });
             return;

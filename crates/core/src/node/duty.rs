@@ -41,17 +41,22 @@ pub(super) struct ProxyDuty {
 }
 
 impl ProxyDuty {
-    /// Drops expired subscribers and returns those of `kind` still being
-    /// served at `frame`. This is the *single* definition of the expiry
-    /// boundary: a subscription installed at frame `f` with retention `r`
-    /// carries expiry `f + r` and is served through frame `f + r - 1` — a
-    /// subscriber whose expiry equals the current frame is no longer
-    /// served (re-installing at the same frame re-arms it).
-    /// [`SetKind::Others`] has no explicit subscriber list.
-    fn live_subscribers(&mut self, kind: SetKind, frame: u64) -> Vec<PlayerId> {
+    /// Drops the subscribers no longer served at `frame`, leaving both
+    /// lists holding exactly the live ones. This is the *single*
+    /// definition of the expiry boundary: a subscription installed at
+    /// frame `f` with retention `r` carries expiry `f + r` and is served
+    /// through frame `f + r - 1` — a subscriber whose expiry equals the
+    /// current frame is no longer served (re-installing at the same frame
+    /// re-arms it).
+    fn expire(&mut self, frame: u64) -> &mut Self {
         self.is_subs.retain(|_, &mut e| e > frame);
         self.vs_subs.retain(|_, &mut e| e > frame);
-        self.subscribers_mut(kind).map_or_else(Vec::new, |subs| subs.keys().copied().collect())
+        self
+    }
+
+    /// Whether `player` holds an IS or VS subscription.
+    fn subscribed(&self, player: PlayerId) -> bool {
+        self.is_subs.contains_key(&player) || self.vs_subs.contains_key(&player)
     }
 
     /// The subscriber list of `kind` (none for [`SetKind::Others`]).
@@ -156,7 +161,8 @@ impl WatchmenNode {
     }
 
     pub(super) fn relay_to_subscribers(&mut self, rx: &mut Inbound<'_>, kind: SetKind) {
-        for t in self.duty.entry(rx.origin).live_subscribers(kind, rx.now) {
+        let live = self.duty.entry(rx.origin).expire(rx.now);
+        for &t in live.subscribers_mut(kind).into_iter().flat_map(|subs| subs.keys()) {
             if t != rx.origin && t != self.id {
                 rx.forward(t);
             }
@@ -186,11 +192,10 @@ impl WatchmenNode {
     /// explicit subscription.
     pub(super) fn on_position(&mut self, rx: &mut Inbound<'_>, position: Vec3) {
         if rx.from_origin {
-            let duty = self.duty.entry(rx.origin);
-            let mut explicit = duty.live_subscribers(SetKind::Interest, rx.now);
-            explicit.extend(duty.live_subscribers(SetKind::Vision, rx.now));
-            for t in self.roster.active_players() {
-                if t != rx.origin && t != self.id && !explicit.contains(&t) {
+            let live = self.duty.entry(rx.origin).expire(rx.now);
+            for t in (0..self.roster.len() as u32).map(PlayerId) {
+                if t != rx.origin && t != self.id && self.roster.is_active(t) && !live.subscribed(t)
+                {
                     rx.forward(t);
                 }
             }
@@ -572,6 +577,7 @@ mod tests {
     use watchmen_math::{Aim, Vec3};
     use watchmen_world::{maps, PhysicsConfig};
 
+    use crate::roster::RosterDelta;
     use crate::sans_io::CoreOutput;
     use crate::WatchmenConfig;
     use watchmen_telemetry::trace::TraceId;
@@ -579,14 +585,19 @@ mod tests {
     const SUB: PlayerId = PlayerId(1);
     const TARGET: PlayerId = PlayerId(2);
 
-    /// A node supervising `SUB` (last seen as `sub`) that knows `TARGET`
-    /// as `target`, each copy stamped with its frame.
-    fn node_with(sub: (u64, StateUpdate), target: (u64, StateUpdate)) -> WatchmenNode {
-        let keys: Vec<Keypair> = (0..3).map(|i| Keypair::generate(77 ^ i)).collect();
+    /// Player 0's node in a game of `players`.
+    fn node(players: u64) -> WatchmenNode {
+        let keys: Vec<Keypair> = (0..players).map(|i| Keypair::generate(77 ^ i)).collect();
         let directory = keys.iter().map(Keypair::public).collect();
         let (me, config) = (keys[0].clone(), WatchmenConfig::default());
         let (map, physics) = (maps::arena(40, 10.0), PhysicsConfig::default());
-        let mut node = WatchmenNode::new(PlayerId(0), me, directory, 77, config, map, physics);
+        WatchmenNode::new(PlayerId(0), me, directory, 77, config, map, physics)
+    }
+
+    /// A node supervising `SUB` (last seen as `sub`) that knows `TARGET`
+    /// as `target`, each copy stamped with its frame.
+    fn node_with(sub: (u64, StateUpdate), target: (u64, StateUpdate)) -> WatchmenNode {
+        let mut node = node(3);
         node.duty.entry(SUB).last_state = Some(sub);
         node.knowledge.learn(TARGET, target.0, target.1);
         node
@@ -609,9 +620,18 @@ mod tests {
     /// handled at `now`; returns the events it raised.
     fn from_sub(
         node: &mut WatchmenNode,
-        (now, gen_frame): (u64, u64),
+        frames: (u64, u64),
         check: impl FnOnce(&mut WatchmenNode, &mut Inbound<'_>),
     ) -> Vec<NodeEvent> {
+        handle_from_sub(node, frames, check).events
+    }
+
+    /// Like [`from_sub`], but returns the whole output, datagrams too.
+    fn handle_from_sub(
+        node: &mut WatchmenNode,
+        (now, gen_frame): (u64, u64),
+        check: impl FnOnce(&mut WatchmenNode, &mut Inbound<'_>),
+    ) -> CoreOutput {
         let mut out = CoreOutput::default();
         let mut rx = Inbound {
             now,
@@ -626,7 +646,7 @@ mod tests {
             out: &mut out,
         };
         check(node, &mut rx);
-        out.events
+        out
     }
 
     /// `SUB`'s subscription to `TARGET`, computed at frame 10, arriving
@@ -721,15 +741,33 @@ mod tests {
     #[test]
     fn subscription_expiry_boundary_is_exclusive() {
         // A subscriber with expiry f is served through f-1 and dropped at
-        // exactly f — the boundary live_subscribers defines for all call
-        // sites.
-        let mut duty = ProxyDuty::default();
-        duty.is_subs.insert(PlayerId(3), 50);
-        assert_eq!(duty.live_subscribers(SetKind::Interest, 49), vec![PlayerId(3)]);
-        assert!(duty.live_subscribers(SetKind::Interest, 50).is_empty());
-        assert!(duty.is_subs.is_empty(), "expired entry is removed, not just hidden");
+        // exactly f — the boundary `ProxyDuty::expire` defines for every
+        // relay. This node (0) supervises SUB (1); 3 holds an IS and 4 a
+        // VS subscription to it, both expiring at 50; 6 has departed.
+        let relayed = |kind: Option<SetKind>, now: u64| {
+            let mut node = node(8);
+            node.roster.apply(&[RosterDelta::Leave { player: PlayerId(6) }]);
+            let duty = node.duty.entry(SUB);
+            duty.is_subs.insert(PlayerId(3), 50);
+            duty.vs_subs.insert(PlayerId(4), 50);
+            let out = handle_from_sub(&mut node, (now, now), |node, rx| match kind {
+                Some(kind) => node.relay_to_subscribers(rx, kind),
+                None => node.on_position(rx, Vec3::ZERO),
+            });
+            let duty = &node.duty.duties[&SUB];
+            let live = (duty.is_subs.len(), duty.vs_subs.len());
+            (out.datagrams.iter().map(|d| d.to.0).collect::<Vec<_>>(), live)
+        };
+        // One frame before expiry both subscribers are served, and a
+        // position goes to exactly the active members holding neither.
+        assert_eq!(relayed(Some(SetKind::Interest), 49), (vec![3], (1, 1)));
+        assert_eq!(relayed(Some(SetKind::Vision), 49), (vec![4], (1, 1)));
+        assert_eq!(relayed(None, 49), (vec![2, 5, 7], (1, 1)));
+        // At the expiry frame the entries are removed, not just hidden,
+        // and the position relay reaches the former subscribers too.
+        assert_eq!(relayed(Some(SetKind::Interest), 50), (vec![], (0, 0)));
+        assert_eq!(relayed(None, 50), (vec![2, 3, 4, 5, 7], (0, 0)));
         // Others has no subscriber list regardless of contents.
-        duty.vs_subs.insert(PlayerId(4), 100);
-        assert!(duty.live_subscribers(SetKind::Others, 0).is_empty());
+        assert_eq!(relayed(Some(SetKind::Others), 0), (vec![], (1, 1)));
     }
 }

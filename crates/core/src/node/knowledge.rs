@@ -20,15 +20,17 @@ use crate::WatchmenConfig;
 /// Learned knowledge and this node's outgoing subscriptions.
 #[derive(Debug)]
 pub(super) struct Knowledge {
-    /// Best known state of every player, learned from received messages.
-    known: BTreeMap<PlayerId, (u64, StateUpdate)>,
+    /// Best known state of every player, learned from received messages,
+    /// indexed by id; grown when a joiner past the table is learned.
+    known: Vec<Option<(u64, StateUpdate)>>,
     /// Generation frame of the last *information discontinuity* seen in
     /// each player's knowledge stream: a death, a respawn, or a
     /// faster-than-physics jump (a respawn whose dead interval fell
     /// between two sightings). Near a discontinuity different observers
     /// legitimately hold wildly divergent copies of the player, so
-    /// staleness-tolerance-based checks have no honest baseline.
-    breaks: BTreeMap<PlayerId, u64>,
+    /// staleness-tolerance-based checks have no honest baseline. Indexed
+    /// like `known`.
+    breaks: Vec<Option<u64>>,
     /// This node's outgoing subscriptions with last-refresh frames.
     my_subs: BTreeMap<(PlayerId, SetKind), u64>,
     /// Legal travel in one frame at maximum speed.
@@ -41,10 +43,11 @@ pub(super) struct Knowledge {
 }
 
 impl Knowledge {
-    pub(super) fn new(config: &WatchmenConfig, physics: &PhysicsConfig) -> Self {
+    /// An empty table for a roster of `players`.
+    pub(super) fn new(players: usize, config: &WatchmenConfig, physics: &PhysicsConfig) -> Self {
         Knowledge {
-            known: BTreeMap::new(),
-            breaks: BTreeMap::new(),
+            known: vec![None; players],
+            breaks: vec![None; players],
             my_subs: BTreeMap::new(),
             frame_travel: physics.max_speed * config.frame_seconds(),
             break_window: 2 * WatchmenConfig::GUIDANCE_PERIOD,
@@ -54,7 +57,7 @@ impl Knowledge {
     }
 
     pub(super) fn get(&self, player: PlayerId) -> Option<(u64, StateUpdate)> {
-        self.known.get(&player).copied()
+        self.known.get(player.index()).copied().flatten()
     }
 
     /// Records `update` as `player`'s state at `frame` unless a newer
@@ -63,7 +66,12 @@ impl Knowledge {
     /// physics allows — the signature of a respawn whose dead interval
     /// fell between two sightings.
     pub(super) fn learn(&mut self, player: PlayerId, frame: u64, update: StateUpdate) {
-        if let Some(&(prev_frame, prev)) = self.known.get(&player) {
+        let i = player.index();
+        if i >= self.known.len() {
+            self.known.resize(i + 1, None);
+            self.breaks.resize(i + 1, None);
+        }
+        if let Some((prev_frame, prev)) = self.known[i] {
             if frame < prev_frame {
                 return;
             }
@@ -73,16 +81,16 @@ impl Knowledge {
                 || update.health == 0
                 || prev.position.distance(update.position) > max_travel
             {
-                self.breaks.insert(player, frame);
+                self.breaks[i] = Some(frame);
             }
         }
-        self.known.insert(player, (frame, update));
+        self.known[i] = Some((frame, update));
     }
 
     /// Records a position-only sighting (guidance, others updates): the
     /// rest of the state stays as last known, or minimal when unknown.
     pub(super) fn learn_position(&mut self, player: PlayerId, frame: u64, position: Vec3) {
-        let known = self.known.get(&player).map(|&(_, s)| s);
+        let known = self.get(player).map(|(_, s)| s);
         let base = known.unwrap_or(StateUpdate {
             position,
             velocity: Vec3::ZERO,
@@ -99,12 +107,15 @@ impl Knowledge {
     /// enough (relative to `frame`) that other observers may still hold
     /// pre-discontinuity copies.
     pub(super) fn recent_break(&self, player: PlayerId, frame: u64) -> bool {
-        self.breaks.get(&player).is_some_and(|&b| frame.saturating_sub(b) <= self.break_window)
+        let last = self.breaks.get(player.index()).copied().flatten();
+        last.is_some_and(|b| frame.saturating_sub(b) <= self.break_window)
     }
 
     pub(super) fn forget(&mut self, departed: PlayerId) {
-        self.known.remove(&departed);
-        self.breaks.remove(&departed);
+        if let Some(slot) = self.known.get_mut(departed.index()) {
+            *slot = None;
+            self.breaks[departed.index()] = None;
+        }
         self.my_subs.retain(|&(target, _), _| target != departed);
     }
 
@@ -119,8 +130,9 @@ impl Knowledge {
         let mut entries: Vec<(u64, PlayerId, StateUpdate)> = self
             .known
             .iter()
-            .filter(|&(&p, _)| p != joiner && roster.is_active(p))
-            .map(|(&p, &(f, s))| (f, p, s))
+            .enumerate()
+            .filter_map(|(i, k)| k.map(|(f, s)| (f, PlayerId(i as u32), s)))
+            .filter(|&(_, p, _)| p != joiner && roster.is_active(p))
             .collect();
         entries.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         let mut snapshot = BootstrapSnapshot::new(roster.epoch());
@@ -135,7 +147,7 @@ impl WatchmenNode {
     /// Best known state of `player`, if any update has been received.
     #[must_use]
     pub fn known_state(&self, player: PlayerId) -> Option<&StateUpdate> {
-        self.knowledge.known.get(&player).map(|(_, s)| s)
+        self.knowledge.known.get(player.index()).and_then(Option::as_ref).map(|(_, s)| s)
     }
 
     /// The (target, kind) subscription list derived from learned state.
@@ -143,6 +155,7 @@ impl WatchmenNode {
         // Build a dense state table from knowledge; unknown players stay
         // at an unreachable position so they classify as others.
         let far = PlayerFrame { position: Vec3::new(-1e6, -1e6, 0.0), ..*my_state };
+        let known = &self.knowledge.known;
         let states: Vec<PlayerFrame> = (0..self.roster.len())
             .map(|i| {
                 let id = PlayerId(i as u32);
@@ -154,7 +167,7 @@ impl WatchmenNode {
                 if !self.roster.is_active(id) {
                     return far;
                 }
-                self.knowledge.known.get(&id).map_or(far, |(_, s)| PlayerFrame::from(s))
+                known.get(i).and_then(Option::as_ref).map_or(far, |(_, s)| PlayerFrame::from(s))
             })
             .collect();
         let sets = compute_sets(self.id, &states, &self.map, &self.config, &NoRecency);
@@ -185,5 +198,56 @@ impl WatchmenNode {
             }
         }
         self.knowledge.my_subs.retain(|_, &mut last| frame < last + 4 * retention);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use watchmen_crypto::schnorr::Keypair;
+    use watchmen_game::WeaponKind;
+    use watchmen_math::Aim;
+
+    use super::*;
+
+    fn at(x: f64) -> StateUpdate {
+        StateUpdate {
+            position: Vec3::new(x, 0.0, 0.0),
+            velocity: Vec3::ZERO,
+            aim: Aim::default(),
+            health: 100,
+            armor: 0,
+            weapon: WeaponKind::MachineGun,
+            ammo: 10,
+        }
+    }
+
+    #[test]
+    fn a_joiner_past_the_table_is_learned_then_forgotten() {
+        // The table holds the three founders; the roster has since
+        // admitted 3 and 4 mid-game.
+        let mut k = Knowledge::new(3, &WatchmenConfig::default(), &PhysicsConfig::default());
+        let roster = Roster::new((0..5).map(|i| Keypair::generate(i).public()).collect());
+        let (veteran, joiner) = (PlayerId(1), PlayerId(4));
+        let players = |s: BootstrapSnapshot| s.entries().iter().map(|e| e.player).collect();
+        k.learn(veteran, 10, at(0.0));
+        k.learn(joiner, 10, at(100.0));
+        assert_eq!(k.get(joiner), Some((10, at(100.0))));
+        assert!(!k.recent_break(joiner, 10));
+        // Further in two frames than physics allows: a break.
+        k.learn(joiner, 12, at(900.0));
+        assert!(k.recent_break(joiner, 12));
+        let snapshot: Vec<PlayerId> = players(k.snapshot(&roster, PlayerId(0), 8));
+        assert_eq!(snapshot, [joiner, veteran], "newest first");
+        let snapshot: Vec<PlayerId> = players(k.snapshot(&roster, joiner, 8));
+        assert_eq!(snapshot, [veteran], "never the joiner its own state");
+        // Its departure clears both tables, and the snapshot leaves it out.
+        k.forget(joiner);
+        assert_eq!(k.get(joiner), None);
+        assert!(!k.recent_break(joiner, 12));
+        let snapshot: Vec<PlayerId> = players(k.snapshot(&roster, PlayerId(0), 8));
+        assert_eq!(snapshot, [veteran]);
+        // An id never learned is past the table, and forgetting it is a no-op.
+        k.forget(PlayerId(9));
+        assert_eq!(k.get(PlayerId(9)), None);
     }
 }

@@ -274,7 +274,7 @@ impl WatchmenNode {
             control: Control::new(players),
             churn: Churn::new(),
             duty: Duty::new(),
-            knowledge: Knowledge::new(&config, verifier.physics()),
+            knowledge: Knowledge::new(players, &config, verifier.physics()),
             verifier,
         }
     }
@@ -446,12 +446,12 @@ impl WatchmenNode {
             // churn-superseded traffic (e.g. a joiner's stream outrunning
             // its admission boundary here), dropped without scoring.
             match env.payload {
-                Payload::Join(ticket) => self.consider_join(frame, &msg, ticket, out),
+                Payload::Join(ticket) => self.consider_join(frame, &msg, bytes, ticket, out),
                 _ => self.churn.stale_drops.inc(),
             }
             return trace;
         };
-        if !msg.verify_prepared(origin_key) {
+        if !msg.verify_received(bytes, origin_key) {
             out.events.push(NodeEvent::BadSignature { claimed_from: env.from });
             return trace;
         }

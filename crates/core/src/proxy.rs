@@ -209,7 +209,9 @@ impl ProxySchedule {
     /// Panics if the id is out of range.
     #[must_use]
     pub fn proxy_of(&self, player: PlayerId, frame: u64) -> PlayerId {
-        self.nth_proxy_of(player, frame, 0)
+        let mut pick = [player];
+        self.draw(player, frame, &mut pick);
+        pick[0]
     }
 
     /// The `n`-th *distinct* proxy drawn for `player` in the epoch
@@ -233,8 +235,33 @@ impl ProxySchedule {
     /// Panics if the id is out of range.
     #[must_use]
     pub fn nth_proxy_of(&self, player: PlayerId, frame: u64, n: usize) -> PlayerId {
+        // No level past the candidate count is distinct, so drawing past
+        // the roster size cannot change the clamped pick.
+        let mut picks = vec![player; n.min(self.players) + 1];
+        self.draw(player, frame, &mut picks);
+        picks[picks.len() - 1]
+    }
+
+    /// Fills `picks` with the first distinct draws of `player`'s stream
+    /// for the epoch containing `frame`: level `n` lands in `picks[n]`,
+    /// levels past the candidate count repeat the last distinct pick, and
+    /// a player with no candidate at all is its own pick at every level.
+    ///
+    /// One call counts the eligible pool once and draws every level from
+    /// one stream. Each draw `x = r · total` picks candidate `⌈x⌉ − 1` in
+    /// id order (the first when `x = 0`); rejection of repeats keeps the
+    /// levels distinct and uniform.
+    fn draw(&self, player: PlayerId, frame: u64, picks: &mut [PlayerId]) {
         assert!(player.index() < self.players, "player {player} out of range");
         let epoch = self.epoch_of(frame);
+        let candidates = || {
+            (0..self.players).filter(move |&i| i != player.index() && self.eligible_at(i, epoch))
+        };
+        let total = candidates().count();
+        if total == 0 {
+            picks.fill(player);
+            return;
+        }
         // Per-player stream keyed by (seed, player id), advanced to the
         // epoch: this is the "PRNG per player initialized with the
         // player's id and a common seed" construction. Seeding with the
@@ -242,47 +269,20 @@ impl ProxySchedule {
         // random access O(1).
         let mut rng =
             Xoshiro256::seed_from(self.seed ^ 0x7077_0000, (u64::from(player.0) << 32) ^ epoch);
-        let candidates = (0..self.players)
-            .filter(|&i| i != player.index() && self.eligible_at(i, epoch))
-            .count();
-        if candidates == 0 {
-            return player;
-        }
-        let n = n.min(candidates - 1);
-        let mut seen: Vec<PlayerId> = Vec::with_capacity(n);
-        loop {
-            let pick = self.draw_one(&mut rng, player, epoch);
-            if seen.contains(&pick) {
-                continue;
+        let distinct = picks.len().min(total);
+        let mut drawn = 0;
+        while drawn < distinct {
+            // With `r < 1`, `x` rounds to at most `total`: the rank is in range.
+            let x = rng.next_f64() * total as f64;
+            let rank = (x.ceil() as usize).max(1) - 1;
+            let pick = PlayerId(candidates().nth(rank).expect("rank below the pool size") as u32);
+            if !picks[..drawn].contains(&pick) {
+                picks[drawn] = pick;
+                drawn += 1;
             }
-            if seen.len() == n {
-                return pick;
-            }
-            seen.push(pick);
         }
-    }
-
-    /// One uniform draw over the pool eligible at `epoch`, walking the
-    /// candidates in id order with unit steps. Rejection keeps the
-    /// self-exclusion unbiased.
-    fn draw_one(&self, rng: &mut Xoshiro256, player: PlayerId, epoch: u64) -> PlayerId {
-        let total = (0..self.players)
-            .filter(|&i| i != player.index() && self.eligible_at(i, epoch))
-            .count() as f64;
-        debug_assert!(total > 0.0, "empty proxy pool");
-        loop {
-            let mut pick = rng.next_f64() * total;
-            for i in 0..self.players {
-                if i == player.index() || !self.eligible_at(i, epoch) {
-                    continue;
-                }
-                pick -= 1.0;
-                if pick <= 0.0 {
-                    return PlayerId(i as u32);
-                }
-            }
-            // Float round-off fell off the end: redraw.
-        }
+        let last = picks[distinct - 1];
+        picks[distinct..].fill(last);
     }
 
     /// All players whose proxy is `proxy` during the epoch containing
@@ -314,8 +314,10 @@ impl ProxySchedule {
         &self,
         player: PlayerId,
         frame: u64,
-    ) -> impl Iterator<Item = PlayerId> + '_ {
-        (0..=WatchmenConfig::PROXY_FALLBACK_DEPTH).map(move |n| self.nth_proxy_of(player, frame, n))
+    ) -> impl Iterator<Item = PlayerId> {
+        let mut picks = [player; WatchmenConfig::PROXY_FALLBACK_DEPTH + 1];
+        self.draw(player, frame, &mut picks);
+        picks.into_iter()
     }
 }
 
@@ -342,6 +344,47 @@ mod tests {
         }
         let hex: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(hex, "e596bca3a0a84b9dc6e1c3b33d050b209df8cd1275a9e94083ef999cd3f9843e");
+    }
+
+    /// SHA-256 over the draws at the pool's edges, for 60 epochs: pools
+    /// of 2, 3 and 4 players at fallback levels up to and past the
+    /// candidate count (the clamp), a 3-player pool whose candidates are
+    /// all excluded from epoch 10 (player 2's self-proxy), and a 4-player
+    /// pool with a joiner admitted at epoch 20 — each level through
+    /// `nth_proxy_of` and the plausible set through `plausible_proxies`.
+    /// Captured from the walk-per-level implementation; a mismatch means
+    /// a proxy pick moved.
+    #[test]
+    fn edge_draws_match_the_golden_digest() {
+        let mut starved = ProxySchedule::new(4177, 3, 40);
+        starved.try_exclude_from(PlayerId(0), 10).unwrap();
+        starved.try_exclude_from(PlayerId(1), 10).unwrap();
+        let mut joined = ProxySchedule::new(4177, 4, 40);
+        assert_eq!(joined.admit_at(20), PlayerId(4));
+        let pools = [
+            ProxySchedule::new(2013, 2, 40),
+            ProxySchedule::new(2013, 3, 40),
+            ProxySchedule::new(2013, 4, 40),
+            starved,
+            joined,
+        ];
+        let mut h = watchmen_crypto::Sha256::new();
+        for s in &pools {
+            for epoch in 0..60u64 {
+                for p in 0..s.players() as u32 {
+                    let (id, frame) = (PlayerId(p), epoch * 40 + 7);
+                    for n in 0..=5 {
+                        h.update(&s.nth_proxy_of(id, frame, n).0.to_le_bytes());
+                    }
+                    for pick in s.plausible_proxies(id, frame) {
+                        h.update(&pick.0.to_le_bytes());
+                    }
+                }
+            }
+        }
+        assert_eq!(pools[3].proxy_of(PlayerId(2), 400), PlayerId(2), "no candidate: self-proxy");
+        let hex: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "7eb790a10a2734a3e5f89e2a075ffc533710d73ed8a6f847ee09db4474da5670");
     }
 
     #[test]

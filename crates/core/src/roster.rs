@@ -344,7 +344,7 @@ mod tests {
     /// must leave a prepared key that verifies that member's traffic.
     #[test]
     fn prepared_keys_follow_every_admission_path() {
-        use crate::msg::{Envelope, Payload};
+        use crate::msg::{Envelope, Payload, SignedEnvelope};
 
         let pairs: Vec<Keypair> = (0..5).map(Keypair::generate).collect();
         let public = |i: usize| pairs[i].public();
@@ -355,7 +355,10 @@ mod tests {
                 frame: 40,
                 payload: Payload::Ack { ack_seq: 0 },
             }
-            .sign(&pairs[i])
+            .sign_encoded(&pairs[i])
+        };
+        let verifies = |bytes: &[u8], key: &VerifyingKey| {
+            SignedEnvelope::decode(bytes).expect("decodes").verify_received(bytes, key)
         };
         let assert_in_step = |roster: &Roster, members: usize| {
             assert_eq!(roster.len(), members);
@@ -364,8 +367,8 @@ mod tests {
                 let prepared = roster.verifying_key(id).expect("member");
                 assert_eq!(Some(prepared.public()), roster.key(id));
                 assert_eq!(prepared.public(), public(i));
-                assert!(signed_by(i).verify_prepared(prepared), "member {i}'s own traffic");
-                assert!(!signed_by((i + 1) % members).verify_prepared(prepared));
+                assert!(verifies(&signed_by(i), prepared), "member {i}'s own traffic");
+                assert!(!verifies(&signed_by((i + 1) % members), prepared));
             }
             assert!(roster.verifying_key(PlayerId(members as u32)).is_none());
         };

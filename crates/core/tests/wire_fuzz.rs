@@ -2,10 +2,12 @@
 //!
 //! The receive path's contract: whatever bytes arrive, decoding never
 //! panics and either succeeds or names exactly one `DecodeError`; and
-//! whatever decodes re-encodes to exactly the bytes received. The
-//! signature is checked over that re-encoding, so a datagram that decoded
-//! to something encoding differently would verify bytes its origin never
-//! signed. Each kind's valid datagram is mutated where its structure is:
+//! whatever decodes re-encodes to exactly the bytes received. A node
+//! checks the signature over the bytes received, so a datagram that
+//! decoded to something encoding differently would act on a message its
+//! origin never signed; on every input that decodes, verifying the
+//! received bytes and verifying the re-encoding give the same answer.
+//! Each kind's valid datagram is mutated where its structure is:
 //! every truncation, bytes grown or shrunk around the signature, swapped
 //! tags, out-of-range enum bytes, bootstrap counts, join keys, signature
 //! scalars and non-canonical aims — then havoc on top.
@@ -19,7 +21,7 @@ use watchmen_core::msg::{
 };
 use watchmen_core::subscription::SetKind;
 use watchmen_crypto::rng::Xoshiro256;
-use watchmen_crypto::schnorr::{Keypair, SIGNATURE_LEN};
+use watchmen_crypto::schnorr::{Keypair, VerifyingKey, SIGNATURE_LEN};
 use watchmen_game::{PlayerId, WeaponKind};
 use watchmen_math::{Aim, Vec3};
 
@@ -188,11 +190,19 @@ fn bucket(r: &Result<SignedEnvelope, DecodeError>) -> usize {
     }
 }
 
-/// Decodes `bytes`, checks the contract, and counts the outcome.
-fn classify(bytes: &[u8], seen: &mut [u64; 8]) -> Result<SignedEnvelope, DecodeError> {
+/// Decodes `bytes`, checks the contract — including that `keys` verify
+/// the received bytes exactly when they verify the re-encoding — and
+/// counts the outcome.
+fn classify(
+    bytes: &[u8],
+    keys: &Keypair,
+    seen: &mut [u64; 8],
+) -> Result<SignedEnvelope, DecodeError> {
     let r = SignedEnvelope::decode(bytes);
     if let Ok(msg) = &r {
         assert_eq!(msg.encode(), bytes, "a decoded datagram must re-encode to its own bytes");
+        let received = msg.verify_received(bytes, &VerifyingKey::new(keys.public()));
+        assert_eq!(received, msg.verify(&keys.public()), "received vs re-encoded verify");
     }
     seen[bucket(&r)] += 1;
     r
@@ -286,11 +296,11 @@ fn every_kind_survives_structured_mutation() {
     for round in 0..24 {
         for tag in 0..12 {
             let (payload, wire, keys) = datagram(&mut rng, tag);
-            let decoded = classify(&wire, &mut seen).expect("a signed datagram decodes");
+            let decoded = classify(&wire, &keys, &mut seen).expect("a signed datagram decodes");
             assert_eq!(decoded.envelope.payload, payload);
             assert!(decoded.verify(&keys.public()), "{} does not verify", payload.label());
             for (mutant, want) in targeted(&mut rng, &payload, &wire) {
-                let got = classify(&mutant, &mut seen);
+                let got = classify(&mutant, &keys, &mut seen);
                 if let Some(want) = want {
                     assert_eq!(got.err(), Some(want), "round {round}, {}", payload.label());
                 }
@@ -308,7 +318,7 @@ fn havoc_never_panics_and_decodes_only_what_it_re_encodes() {
     let mut seen = [0u64; 8];
     for _ in 0..4000 {
         let tag = rng.next_range(12);
-        let (_, mut bytes, _) = datagram(&mut rng, tag);
+        let (_, mut bytes, keys) = datagram(&mut rng, tag);
         for _ in 0..rng.next_range(4) {
             match rng.next_range(4) {
                 0 => {
@@ -323,7 +333,7 @@ fn havoc_never_panics_and_decodes_only_what_it_re_encodes() {
                 break;
             }
         }
-        let _ = classify(&bytes, &mut seen);
+        let _ = classify(&bytes, &keys, &mut seen);
     }
     assert_eq!(seen.iter().sum::<u64>(), 4000, "every input lands in exactly one bucket");
 }
