@@ -191,7 +191,11 @@ WATCHMEN_STORE_DIR=/tmp/watchmen-crashloop-store \
 WATCHMEN_CRASHLOOP="cycles=8,ops=3000,seed=2013" \
     cargo run --release --example store_crashloop 2>/dev/null | tail -n 1
 
-echo "==> reputation population soak (2000 matches, repeat offenders banned across matches)"
+# The soak plays real fleet matches, so its bans come from the nodes' own
+# verdicts; the seeded detector model it replaced must not come back.
+echo "==> reputation population soak (2000 real 8x160 fleet matches, repeat offenders banned across matches)"
+model=$(grep -rnE 'honest_failed_permille|cheat_failed_permille|WATCHMEN_POPULATION' crates examples || true)
+[ -z "$model" ] || { echo "the population detector model is back: $model" >&2; exit 1; }
 POP_STORE=/tmp/watchmen-population-store
 rm -rf "$POP_STORE"
 WATCHMEN_STORE_DIR="$POP_STORE" \

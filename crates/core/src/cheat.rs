@@ -16,12 +16,9 @@
 //! detection of each.
 
 use std::fmt;
-use std::sync::Arc;
 
 use watchmen_crypto::rng::Xoshiro256;
 use watchmen_math::{Aim, Vec3};
-use watchmen_telemetry::trace::{EventKind, Phase, TraceEvent, TraceId};
-use watchmen_telemetry::FlightRecorder;
 
 /// The three cheat categories of Section III, plus the coordinated
 /// multi-actor category the campaign harness adds on top.
@@ -283,13 +280,6 @@ impl fmt::Display for CheatKind {
 pub struct CheatInjector {
     rng: Xoshiro256,
     cheat_probability: f64,
-    /// Optional ground-truth recorder: each perturbation is logged as an
-    /// [`EventKind::Inject`] event so detection traces can be compared
-    /// against what was actually injected.
-    recorder: Option<Arc<FlightRecorder>>,
-    /// The cheating player's id, used as both `node` and `subject` of the
-    /// ground-truth events.
-    cheater: u32,
 }
 
 impl CheatInjector {
@@ -302,36 +292,7 @@ impl CheatInjector {
     #[must_use]
     pub fn new(seed: u64, cheat_probability: f64) -> Self {
         assert!((0.0..=1.0).contains(&cheat_probability));
-        CheatInjector {
-            rng: Xoshiro256::seed_from(seed, 0xc4ea7),
-            cheat_probability,
-            recorder: None,
-            cheater: 0,
-        }
-    }
-
-    /// Attaches a flight recorder capturing ground-truth `Inject` events
-    /// for cheating player `cheater`.
-    pub fn attach_recorder(&mut self, recorder: Arc<FlightRecorder>, cheater: u32) {
-        self.recorder = Some(recorder);
-        self.cheater = cheater;
-    }
-
-    /// Records one ground-truth injection event, if a recorder is
-    /// attached.
-    fn note(&self, detail: &'static str) {
-        if let Some(rec) = &self.recorder {
-            rec.record(TraceEvent::point(
-                TraceId::NONE,
-                self.cheater,
-                self.cheater,
-                0,
-                Phase::Inject,
-                EventKind::Inject,
-                detail,
-                0,
-            ));
-        }
+        CheatInjector { rng: Xoshiro256::seed_from(seed, 0xc4ea7), cheat_probability }
     }
 
     /// Decides whether this opportunity is taken.
@@ -344,7 +305,6 @@ impl CheatInjector {
     /// at 1.5–3 times the acceptable speed"). Returns the dishonest
     /// position.
     pub fn speed_hack(&mut self, prev: Vec3, honest_next: Vec3, max_step: f64) -> Vec3 {
-        self.note("speed-hack");
         let factor = 1.5 + 1.5 * self.rng.next_f64();
         let dir = (honest_next - prev).normalized_or(Vec3::X);
         prev + dir * (max_step * factor)
@@ -352,7 +312,6 @@ impl CheatInjector {
 
     /// Teleport hack: jumps to a random offset up to `radius` away.
     pub fn teleport(&mut self, honest: Vec3, radius: f64) -> Vec3 {
-        self.note("teleport");
         let angle = self.rng.next_f64() * std::f64::consts::TAU;
         let r = radius * (0.5 + 0.5 * self.rng.next_f64());
         honest + Vec3::new(r * angle.cos(), r * angle.sin(), 0.0)
@@ -361,7 +320,6 @@ impl CheatInjector {
     /// Bogus guidance: claims a velocity rotated and scaled away from the
     /// truth so the predicted trajectory diverges from actual play.
     pub fn bogus_velocity(&mut self, honest: Vec3, max_speed: f64) -> Vec3 {
-        self.note("bogus-velocity");
         let angle = std::f64::consts::FRAC_PI_2 + self.rng.next_f64() * std::f64::consts::PI;
         let (s, c) = angle.sin_cos();
         let rotated = Vec3::new(honest.x * c - honest.y * s, honest.x * s + honest.y * c, 0.0);
@@ -478,18 +436,5 @@ mod tests {
     fn snap_aim_points_at_target() {
         let aim = CheatInjector::snap_aim(Vec3::ZERO, Vec3::new(10.0, 10.0, 0.0));
         assert!(aim.direction().angle_between(Vec3::new(1.0, 1.0, 0.0)) < 1e-6);
-    }
-
-    #[test]
-    fn attached_recorder_captures_ground_truth() {
-        let rec = Arc::new(FlightRecorder::new(16));
-        let mut inj = CheatInjector::new(7, 1.0);
-        inj.attach_recorder(Arc::clone(&rec), 3);
-        inj.speed_hack(Vec3::ZERO, Vec3::X, 2.0);
-        inj.teleport(Vec3::ZERO, 50.0);
-        let events = rec.snapshot();
-        let details: Vec<&str> = events.iter().map(|e| e.detail).collect();
-        assert_eq!(details, vec!["speed-hack", "teleport"]);
-        assert!(events.iter().all(|e| e.kind == EventKind::Inject && e.subject == 3));
     }
 }

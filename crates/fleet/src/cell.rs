@@ -52,11 +52,12 @@ const LATENCY_MS: f64 = 8.0;
 pub struct MatchSpec {
     /// Fleet-assigned match id (also the report sort key).
     pub match_id: u64,
-    /// Bots in the match (≥ 2).
-    pub players: usize,
+    /// One keypair seed per seat, in seat order: the match's identities,
+    /// and its player count (≥ 3, since proxies supervise third parties).
+    pub key_seeds: Vec<u64>,
     /// Playable frames; the cell drives these plus a short drain sweep.
     pub frames: u64,
-    /// The match seed: workload, keys, simnet and proxy schedule all
+    /// The match seed: workload, lobby key, simnet and proxy schedule all
     /// derive from it.
     pub seed: u64,
     /// Frames advanced per scheduler quantum (≥ 1).
@@ -76,12 +77,13 @@ pub struct MatchSpec {
 }
 
 impl MatchSpec {
-    /// An honest `players`-bot match of `frames` frames.
+    /// An honest `players`-bot match of `frames` frames, seat `i` keyed
+    /// by `seed ^ i`.
     #[must_use]
     pub fn new(match_id: u64, players: usize, frames: u64, seed: u64) -> Self {
         MatchSpec {
             match_id,
-            players,
+            key_seeds: (0..players as u64).map(|i| seed ^ i).collect(),
             frames,
             seed,
             tick_quantum: 16,
@@ -90,6 +92,12 @@ impl MatchSpec {
             observe: true,
             audit: false,
         }
+    }
+
+    /// Players in the match.
+    #[must_use]
+    pub fn players(&self) -> usize {
+        self.key_seeds.len()
     }
 
     /// Scripts `player` as a speed-hacker.
@@ -151,6 +159,10 @@ pub struct MatchReport {
     pub bad_signatures: u64,
     /// Players the lobby's reputation system banned.
     pub banned: u64,
+    /// The lobby's `(identity, acceptable, failed)` interaction outcomes,
+    /// one per seat in seat order — what the durable reputation store
+    /// folds in at match end.
+    pub outcomes: Vec<(u64, u64, u64)>,
     /// Messages the cell's simnet delivered.
     pub messages: u64,
     /// Audit records the match emitted (0 when observability is off).
@@ -236,10 +248,10 @@ impl MatchCell {
     fn build(&self) -> Box<Running> {
         let spec = &self.spec;
         let config = WatchmenConfig::default();
-        let workload = match_workload(spec.players, spec.seed, spec.frames);
+        let players = spec.players();
+        let workload = match_workload(players, spec.seed, spec.frames);
 
-        let keys: Vec<Keypair> =
-            (0..spec.players).map(|i| Keypair::generate(spec.seed ^ i as u64)).collect();
+        let keys: Vec<Keypair> = spec.key_seeds.iter().map(|&s| Keypair::generate(s)).collect();
         // Heartbeats are implicit in a bot match (every player reports
         // every frame), so the timeout only needs to outlast the match.
         let mut lobby = GameLobby::new(spec.seed, config, spec.frames + 1)
@@ -263,7 +275,7 @@ impl MatchCell {
             node.set_audit_enabled(spec.observe);
             ProtocolCore::new(node)
         });
-        let net = SimNetwork::new(spec.players, latency::constant(LATENCY_MS), 0.0, spec.seed);
+        let net = SimNetwork::new(players, latency::constant(LATENCY_MS), 0.0, spec.seed);
         let cluster = Cluster::new(cores, net, config.frame_ms);
         lobby.set_audit_enabled(spec.observe);
 
@@ -299,7 +311,7 @@ impl MatchCell {
             },
             |i, output| tally.note(lobby, spec, PlayerId(i as u32), &output.events),
         );
-        for i in 0..spec.players {
+        for i in 0..spec.players() {
             lobby.heartbeat(PlayerId(i as u32), f);
         }
 
@@ -374,7 +386,7 @@ impl MatchCell {
         let detected = !spec.cheaters.is_empty() && tally.per_cheater.iter().all(|&n| n > 0);
         MatchReport {
             match_id: spec.match_id,
-            players: spec.players,
+            players: spec.players(),
             frames: spec.frames,
             cheaters: spec.cheaters.len(),
             detected,
@@ -382,6 +394,7 @@ impl MatchCell {
             false_verdicts: tally.false_verdicts,
             bad_signatures: tally.bad_signatures,
             banned: run.banned,
+            outcomes: run.lobby.match_outcomes(),
             messages: net.delivered,
             audit_records: run.audit.len() as u64,
             quality,
@@ -493,6 +506,24 @@ mod tests {
         assert!(report.detected, "speed-hacker must draw a severe verdict: {report:?}");
         assert!(report.severe_verdicts > 0);
         assert_eq!(report.false_verdicts, 0, "honest players must stay clean: {report:?}");
+    }
+
+    /// The population soak keys each seat from its own identity pool and
+    /// folds `outcomes` back by identity, so they must follow the spec's
+    /// seeds seat by seat — with the failed interactions on the cheater.
+    #[test]
+    fn outcomes_follow_the_spec_identities_in_seat_order() {
+        let mut spec = MatchSpec::new(5, 6, 120, 907).with_cheater(4);
+        spec.key_seeds = vec![41, 7, 1009, 3, 77, 12];
+        let report = drive(spec.clone());
+        let identities: Vec<u64> = report.outcomes.iter().map(|&(id, _, _)| id).collect();
+        let expected: Vec<u64> =
+            spec.key_seeds.iter().map(|&s| Keypair::generate(s).public().to_u64()).collect();
+        assert_eq!(identities, expected);
+        for (seat, &(_, ok, failed)) in report.outcomes.iter().enumerate() {
+            assert!(ok + failed > 0, "seat {seat} was never rated: {:?}", report.outcomes);
+            assert_eq!(failed > 0, seat == 4, "seat {seat}: {:?}", report.outcomes);
+        }
     }
 
     #[test]

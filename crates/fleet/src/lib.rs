@@ -22,10 +22,11 @@
 //!   per-shard and fleet-wide snapshots (bucket-level histogram merges,
 //!   never averaged percentiles);
 //! * [`population`] — the long-horizon reputation soak: thousands of
-//!   statistical matches over one persistent identity population, with
-//!   every match outcome folded into the durable reputation store
-//!   (`watchmen-store`) so bans earned in one match block matchmaking
-//!   in the next — measured as time-to-ban and false bans.
+//!   real [`cell::MatchCell`] matches over one persistent identity
+//!   population, with every match's outcomes folded into the durable
+//!   reputation store (`watchmen-store`) so bans earned in one match
+//!   block matchmaking in the next — measured as time-to-ban and false
+//!   bans.
 //!
 //! The `fleet_soak` example drives all of it and exits non-zero unless
 //! both reports of [`FleetResult::report`] pass.

@@ -4,19 +4,18 @@
 //! The paper's reputation system only pays off if a ban *persists*: "a
 //! centralized game lobby that manages access and logins … can thus ban
 //! the players". This module drives that loop at population scale — a
-//! pool of identities plays match after match on the work-stealing
-//! scheduler, each match's aggregated interaction outcomes feed the
-//! durable [`ReputationStore`], and every subsequent match's lobby
-//! loads the store's ban list, so a cheater banned in match *k* is
-//! refused admission in match *k+1* onward.
+//! pool of identities plays match after match, each match's interaction
+//! outcomes feed the durable [`ReputationStore`], and every later match's
+//! matchmaking loads the store's ban list, so a cheater banned in match
+//! *k* is refused admission in match *k+1* onward.
 //!
-//! Matches here are *statistical*: each runs a real [`GameLobby`] (the
-//! same registration, admission-refusal and reputation paths production
-//! uses) but replaces the full protocol simulation with a seeded
-//! detector model — cheaters draw failed interaction tags at the
-//! detector's true-positive rate, honest players at its false-positive
-//! rate. That keeps a 2 000-match horizon inside a CI budget while
-//! exercising every store-facing surface for real.
+//! Every match is real. Matchmaking admits candidates through a
+//! [`GameLobby`] loaded with the store's bans; the admitted identities
+//! then play a fleet [`MatchCell`](crate::cell::MatchCell) — secured
+//! nodes on a simnet, each admitted cheater running the fleet's scripted
+//! speed-hack — whose lobby turns the nodes' own verdicts into the
+//! per-identity outcomes the store folds in. A round of matches is one
+//! [`run_fleet_specs`] batch on the work-stealing pool.
 //!
 //! The soak measures the two quantities the store exists for:
 //! **time-to-ban** (matches a repeat cheater plays before their ban
@@ -24,24 +23,26 @@
 //! banned — the SLO is zero).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use watchmen_core::lobby::{AdmitError, GameLobby};
-use watchmen_core::rating::{CheatRating, Confidence};
 use watchmen_core::WatchmenConfig;
 use watchmen_crypto::rng::Xoshiro256;
-use watchmen_crypto::schnorr::Keypair;
-use watchmen_game::PlayerId;
+use watchmen_crypto::schnorr::{Keypair, PublicKey};
 use watchmen_sim::quality::percentile;
 use watchmen_store::{Dir, ReputationStore, StorePolicy, StoreTimings};
 use watchmen_telemetry::report::Report;
-use watchmen_telemetry::spec;
 
-use crate::pool::{default_workers, run_tasks, PoolConfig, Quantum, ShardContext, Task};
+use crate::cell::MatchSpec;
+use crate::fleet::run_fleet_specs;
+use crate::pool::{default_workers, PoolConfig};
 
 /// The time-to-ban budget: a repeat cheater's ban must be durable
 /// within this many of its own matches (p99).
 pub const TTB_BUDGET_MATCHES: u64 = 20;
+
+/// The fewest admitted players a match starts with: proxies supervise
+/// third parties, the fleet's own floor.
+const MIN_MATCH_PLAYERS: usize = 3;
 
 /// Shape of one population soak.
 #[derive(Debug, Clone, Copy)]
@@ -59,14 +60,8 @@ pub struct PopulationConfig {
     /// Matches dispatched per scheduler round (the store folds between
     /// rounds, so this is also the ban-feedback latency in matches).
     pub round_matches: u64,
-    /// Interaction reports each admitted player receives per match.
-    pub reports_per_player: u32,
-    /// Detector true-positive rate: P(report = failed | cheater),
-    /// permille.
-    pub cheat_failed_permille: u32,
-    /// Detector false-positive rate: P(report = failed | honest),
-    /// permille.
-    pub honest_failed_permille: u32,
+    /// Playable frames per match: how much evidence one match yields.
+    pub match_frames: u64,
     /// Worker threads.
     pub workers: usize,
     /// Per-worker in-flight cap.
@@ -85,15 +80,8 @@ impl Default for PopulationConfig {
             matches: 2_000,
             match_size: 8,
             round_matches: 64,
-            // 10 reports/match at a 30-report ban warm-up: a cheater
-            // needs ≥3 matches before the policy can trip — time-to-ban
-            // is a real distribution, not a constant 1.
-            reports_per_player: 10,
-            // 30% failed tags for cheaters (70% acceptable, under the
-            // 85% threshold), 2% for honest (98% acceptable, safely
-            // above it).
-            cheat_failed_permille: 300,
-            honest_failed_permille: 20,
+            // The fleet's match length.
+            match_frames: 160,
             workers: default_workers(),
             max_local: 8,
             compact_wal_bytes: 64 * 1024,
@@ -101,172 +89,38 @@ impl Default for PopulationConfig {
     }
 }
 
-impl PopulationConfig {
-    /// Reads `WATCHMEN_POPULATION` — a bare switch (`1`, `on`,
-    /// `defaults`) for the default soak, or a comma-separated spec (see
-    /// [`PopulationConfig::from_spec`]). Returns `None` when unset or
-    /// empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variable is set but does not parse — a misspelled
-    /// gate should fail loudly, not silently soak the wrong population.
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        spec::from_env_or_default("WATCHMEN_POPULATION", Self::from_spec)
-    }
-
-    /// Parses a comma-separated spec over the defaults:
-    /// `matches=2000,players=256,cheaters=100,seed=7,workers=4`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed or unknown entry.
-    pub fn from_spec(spec: &str) -> Result<Self, String> {
-        let mut config = PopulationConfig::default();
-        for pair in spec::pairs(spec) {
-            let (key, value) = pair?;
-            match key {
-                "seed" => config.seed = spec::num(key, value)?,
-                "players" => config.players = spec::num(key, value)?,
-                "cheaters" => config.cheater_permille = spec::num(key, value)?,
-                "matches" => config.matches = spec::num(key, value)?,
-                "match_size" => config.match_size = spec::num(key, value)?,
-                "round_matches" => config.round_matches = spec::num(key, value)?,
-                "reports" => config.reports_per_player = spec::num(key, value)?,
-                "cheat_failed" => config.cheat_failed_permille = spec::num(key, value)?,
-                "honest_failed" => config.honest_failed_permille = spec::num(key, value)?,
-                "workers" => config.workers = spec::num(key, value)?,
-                "max_local" => config.max_local = spec::num(key, value)?,
-                "compact_bytes" => config.compact_wal_bytes = spec::num(key, value)?,
-                other => return Err(format!("unknown population knob {other:?}")),
-            }
-        }
-        if config.players < config.match_size || config.match_size < 2 {
-            return Err("need players ≥ match_size ≥ 2".into());
-        }
-        if config.matches == 0 || config.round_matches == 0 {
-            return Err("matches and round_matches must be ≥ 1".into());
-        }
-        if config.reports_per_player == 0 {
-            return Err("reports must be ≥ 1".into());
-        }
-        if config.cheater_permille > 1000
-            || config.cheat_failed_permille > 1000
-            || config.honest_failed_permille > 1000
-        {
-            return Err("permille knobs must be ≤ 1000".into());
-        }
-        if config.workers == 0 || config.max_local == 0 {
-            return Err("workers and max_local must be ≥ 1".into());
-        }
-        Ok(config)
-    }
-}
-
-/// One candidate offered to a match's lobby.
-#[derive(Debug, Clone, Copy)]
-struct Candidate {
-    /// Population index (ground truth lives at this index).
-    index: usize,
-    /// The identity's keypair seed (keys are re-derived in the task; a
-    /// `Keypair` is cheaper to re-generate than to send).
-    key_seed: u64,
-    /// Ground truth: does this identity cheat?
-    cheater: bool,
-}
-
-/// What one statistical match produced.
-#[derive(Debug, Clone)]
-struct MatchOutput {
-    /// Aggregated `(population index, ok, failed)` per admitted player.
-    outcomes: Vec<(usize, u32, u32)>,
-    /// Candidates refused for carrying a durable ban.
-    refused_banned: u64,
-    /// Whether the match aborted for lack of two admissible players.
-    aborted: bool,
-}
-
-/// One statistical match scheduled on the pool: real lobby, modeled
-/// detector.
-struct MatchTask {
+/// Matchmaking for one match: offers `candidates` (population indices,
+/// banned identities included) to a lobby loaded with the durable ban
+/// list and seats the first `match_size` it admits. Returns the seated
+/// indices and the count refused with [`AdmitError::Banned`].
+fn matchmake(
     seed: u64,
-    config: PopulationConfig,
-    candidates: Vec<Candidate>,
-    banned: Arc<Vec<u64>>,
-}
-
-impl Task for MatchTask {
-    type Output = MatchOutput;
-
-    fn run_quantum(&mut self, cx: &ShardContext) -> Quantum<MatchOutput> {
-        cx.registry.describe("fleet_population_matches_total", "population matches on this shard");
-        cx.registry.counter("fleet_population_matches_total").inc();
-        let output = run_match(self.seed, &self.config, &self.candidates, &self.banned);
-        Quantum::Complete { ticks: u64::from(self.config.reports_per_player), output }
-    }
-}
-
-/// Runs one match: admit candidates through the real lobby (banned
-/// identities bounce off [`AdmitError::Banned`]), then draw each
-/// admitted player's interaction tags from the detector model.
-fn run_match(
-    seed: u64,
-    config: &PopulationConfig,
-    candidates: &[Candidate],
+    match_size: usize,
+    candidates: &[usize],
+    keys: &[PublicKey],
     banned: &[u64],
-) -> MatchOutput {
-    let mut lobby = GameLobby::new(seed, WatchmenConfig::default(), 60)
-        .with_banned_keys(banned.iter().copied());
-    let mut admitted: Vec<Candidate> = Vec::with_capacity(config.match_size);
-    let mut refused_banned = 0u64;
-    for candidate in candidates {
-        if admitted.len() == config.match_size {
+) -> (Vec<usize>, u64) {
+    let mut lobby =
+        GameLobby::new(seed, WatchmenConfig::default(), 1).with_banned_keys(banned.iter().copied());
+    let mut seated = Vec::with_capacity(match_size);
+    let mut refused = 0;
+    for &index in candidates {
+        if seated.len() == match_size {
             break;
         }
-        match lobby.try_register(Keypair::generate(candidate.key_seed).public()) {
-            Ok(_) => admitted.push(*candidate),
-            Err(AdmitError::Banned { .. }) => refused_banned += 1,
+        match lobby.try_register(keys[index]) {
+            Ok(_) => seated.push(index),
+            Err(AdmitError::Banned { .. }) => refused += 1,
             Err(other) => unreachable!("pre-start registration cannot {other}"),
         }
     }
-    if admitted.len() < 2 {
-        return MatchOutput { outcomes: Vec::new(), refused_banned, aborted: true };
-    }
-    lobby.start();
-
-    let mut rng = Xoshiro256::seed_from(seed, 0xF0F0);
-    for (i, candidate) in admitted.iter().enumerate() {
-        let failed_permille = if candidate.cheater {
-            config.cheat_failed_permille
-        } else {
-            config.honest_failed_permille
-        };
-        for _ in 0..config.reports_per_player {
-            let failed = rng.next_range(1000) < u64::from(failed_permille);
-            let rating = if failed {
-                CheatRating::new(10, Confidence::Proxy, 0)
-            } else {
-                CheatRating::clean(Confidence::Proxy)
-            };
-            let reporter = PlayerId(((i + 1) % admitted.len()) as u32);
-            lobby.report(reporter, PlayerId(i as u32), &rating);
-        }
-    }
-
-    let outcomes = lobby
-        .match_outcomes()
-        .into_iter()
-        .zip(&admitted)
-        .map(|((_identity, ok, failed), candidate)| (candidate.index, ok as u32, failed as u32))
-        .collect();
-    MatchOutput { outcomes, refused_banned, aborted: false }
+    (seated, refused)
 }
 
 /// What a population soak produced.
 #[derive(Debug, Clone)]
 pub struct PopulationResult {
-    /// Matches that ran (admitted ≥ 2 players).
+    /// Matches that ran (admitted ≥ 3 players).
     pub matches_run: u64,
     /// Matches aborted for lack of admissible players.
     pub matches_aborted: u64,
@@ -337,15 +191,22 @@ impl PopulationResult {
 /// # Panics
 ///
 /// Panics on an invalid config, on store I/O errors (the soak owns its
-/// directory; an error there is a harness bug), and on a scheduler
-/// panic leaking out of a match task.
+/// directory; an error there is a harness bug), and on a match that
+/// panics.
 #[must_use]
 pub fn run_population(config: &PopulationConfig, dir: Box<dyn Dir>) -> PopulationResult {
+    assert!(
+        config.players >= config.match_size && config.match_size >= MIN_MATCH_PLAYERS,
+        "need players ≥ match_size ≥ {MIN_MATCH_PLAYERS}"
+    );
+    assert!(config.cheater_permille <= 1000, "cheater_permille is at most 1000");
+    assert!(config.round_matches > 0 && config.match_frames > 0);
     let policy = StorePolicy {
         ban_threshold: WatchmenConfig::REPUTATION_THRESHOLD,
         min_reports: WatchmenConfig::REPUTATION_MIN_REPORTS,
     };
     let (mut store, _recovery) = ReputationStore::open(dir, policy).expect("open store");
+    let pool = PoolConfig { workers: config.workers, max_local: config.max_local };
 
     // The population: identity i has key seed base+i; ground truth picks
     // cheaters by shuffle so they are spread over the index space.
@@ -361,11 +222,10 @@ pub fn run_population(config: &PopulationConfig, dir: Box<dyn Dir>) -> Populatio
         }
         flags
     };
-    let identity_of: Vec<u64> = (0..config.players)
-        .map(|i| Keypair::generate(key_base + i as u64).public().to_u64())
-        .collect();
+    let keys: Vec<PublicKey> =
+        (0..config.players).map(|i| Keypair::generate(key_base + i as u64).public()).collect();
     let index_of: BTreeMap<u64, usize> =
-        identity_of.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+        keys.iter().enumerate().map(|(i, key)| (key.to_u64(), i)).collect();
 
     let mut matches_played = vec![0u64; config.players];
     let mut matches_to_ban = Vec::new();
@@ -383,49 +243,43 @@ pub fn run_population(config: &PopulationConfig, dir: Box<dyn Dir>) -> Populatio
         let in_round = remaining.min(config.round_matches);
         remaining -= in_round;
 
-        // Matchmaking: sample twice the roster from the whole population
-        // (banned identities included — the lobby must refuse them) and
-        // let each match's lobby admit the first match_size admissible.
-        let banned = Arc::new(store.banned_identities());
-        let tasks: Vec<MatchTask> = (0..in_round)
-            .map(|_| {
-                match_seq += 1;
-                let mut pool: Vec<usize> = (0..config.players).collect();
-                rng.shuffle(&mut pool);
-                let candidates = pool
-                    .into_iter()
-                    .take(config.match_size * 2)
-                    .map(|index| Candidate {
-                        index,
-                        key_seed: key_base + index as u64,
-                        cheater: cheater_flags[index],
-                    })
-                    .collect();
-                MatchTask {
-                    seed: config.seed ^ match_seq.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    config: *config,
-                    candidates,
-                    banned: Arc::clone(&banned),
-                }
-            })
-            .collect();
-
-        let run =
-            run_tasks(&PoolConfig { workers: config.workers, max_local: config.max_local }, tasks);
-        for outcome in run.outcomes {
-            let output = match outcome {
-                crate::pool::TaskOutcome::Completed(o) => o,
-                crate::pool::TaskOutcome::Panicked(msg) => panic!("match task panicked: {msg}"),
-            };
-            refused_admissions += output.refused_banned;
-            if output.aborted {
+        // Matchmaking: offer each match twice its roster, sampled from
+        // the whole population (banned identities included — the lobby
+        // must refuse them), and seat the admitted as a fleet match with
+        // every seated cheater scripted.
+        let banned = store.banned_identities();
+        let mut specs = Vec::with_capacity(in_round as usize);
+        for _ in 0..in_round {
+            match_seq += 1;
+            let seed = config.seed ^ match_seq.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut candidates: Vec<usize> = (0..config.players).collect();
+            rng.shuffle(&mut candidates);
+            candidates.truncate(config.match_size * 2);
+            let (seated, refused) = matchmake(seed, config.match_size, &candidates, &keys, &banned);
+            refused_admissions += refused;
+            if seated.len() < MIN_MATCH_PLAYERS {
                 matches_aborted += 1;
                 continue;
             }
+            let mut spec = MatchSpec::new(match_seq, seated.len(), config.match_frames, seed);
+            spec.key_seeds = seated.iter().map(|&i| key_base + i as u64).collect();
+            for (seat, &index) in seated.iter().enumerate() {
+                if cheater_flags[index] {
+                    spec = spec.with_cheater(seat as u32);
+                }
+            }
+            specs.push(spec);
+        }
+
+        let fleet = run_fleet_specs(specs, &pool);
+        if let Some((id, msg)) = fleet.panics.first() {
+            panic!("population match {id} panicked: {msg}");
+        }
+        for report in fleet.reports {
             matches_run += 1;
-            for (index, ok, failed) in output.outcomes {
-                matches_played[index] += 1;
-                store.note_outcome(identity_of[index], ok, failed);
+            for (identity, ok, failed) in report.outcomes {
+                matches_played[index_of[&identity]] += 1;
+                store.note_outcome(identity, ok as u32, failed as u32);
             }
         }
 
@@ -467,27 +321,28 @@ mod tests {
     use super::*;
     use watchmen_store::MemDir;
 
+    /// Short real matches, so the unit tests stay quick in debug builds.
     fn small() -> PopulationConfig {
         PopulationConfig {
             seed: 7,
-            players: 32,
-            cheater_permille: 125, // 4 cheaters
-            matches: 200,
-            match_size: 6,
-            round_matches: 25,
+            players: 16,
+            cheater_permille: 125, // 2 cheaters
+            matches: 16,
+            match_size: 4,
+            round_matches: 4,
+            match_frames: 64,
             workers: 2,
             max_local: 4,
             // Small enough that the soak's gate sees the store compact.
-            compact_wal_bytes: 4 * 1024,
-            ..PopulationConfig::default()
+            compact_wal_bytes: 512,
         }
     }
 
     #[test]
     fn soak_bans_every_cheater_and_no_honest_player() {
         let result = run_population(&small(), Box::new(MemDir::new()));
-        assert_eq!(result.cheaters, 4);
-        assert_eq!(result.cheaters_banned, 4, "{}", result.report());
+        assert_eq!(result.cheaters, 2);
+        assert_eq!(result.cheaters_banned, 2, "{}", result.report());
         assert_eq!(result.false_bans, 0, "{}", result.report());
         assert!(result.refused_admissions > 0, "bans never blocked matchmaking");
         assert_eq!(result.report().check(), Ok(()));
@@ -496,9 +351,23 @@ mod tests {
         let slow =
             PopulationResult { matches_to_ban: vec![TTB_BUDGET_MATCHES + 1], ..result.clone() };
         assert_eq!(slow.report().failing(), Some("ttb_p99"));
-        assert!(result.ttb_percentile(50.0).expect("bans exist") >= 3, "warm-up needs ≥3 matches");
-        assert_eq!(result.matches_run + result.matches_aborted, 200);
+        assert_eq!(result.matches_run + result.matches_aborted, 16);
         assert!(result.store_commits > 0);
+    }
+
+    /// The nodes' own verdicts over real matches: with nobody cheating,
+    /// every identity's outcomes stay clean and nobody is banned.
+    #[test]
+    fn honest_population_bans_nobody() {
+        let result = run_population(
+            &PopulationConfig { cheater_permille: 0, ..small() },
+            Box::new(MemDir::new()),
+        );
+        assert_eq!(result.cheaters, 0);
+        assert_eq!(result.matches_run, 16, "{}", result.report());
+        assert_eq!(result.false_bans, 0, "{}", result.report());
+        assert_eq!(result.refused_admissions, 0);
+        assert_eq!(result.report().check(), Ok(()));
     }
 
     #[test]
@@ -516,7 +385,7 @@ mod tests {
         // Run half the matches, reopen the same media, run the rest: the
         // second soak inherits the first's bans (refusals from round 1).
         let dir = MemDir::new();
-        let half = PopulationConfig { matches: 100, ..small() };
+        let half = PopulationConfig { matches: 8, ..small() };
         let first = run_population(&half, Box::new(dir.clone()));
         let second = run_population(&half, Box::new(dir.clone()));
         assert!(first.cheaters_banned > 0, "{}", first.report());
@@ -531,7 +400,7 @@ mod tests {
     #[test]
     fn ttb_percentile_is_nearest_rank() {
         let result =
-            run_population(&PopulationConfig { matches: 1, ..small() }, Box::new(MemDir::new()));
+            run_population(&PopulationConfig { matches: 0, ..small() }, Box::new(MemDir::new()));
         let result = PopulationResult { matches_to_ban: vec![1, 2, 3, 4], ..result };
         assert_eq!(result.ttb_percentile(50.0), Some(2));
         assert_eq!(result.ttb_percentile(99.0), Some(4));
@@ -539,23 +408,5 @@ mod tests {
             PopulationResult { matches_to_ban: Vec::new(), ..result }.ttb_percentile(50.0),
             None
         );
-    }
-
-    #[test]
-    fn spec_parsing_overrides_defaults_and_rejects_junk() {
-        let c = PopulationConfig::from_spec("matches=500,players=64,cheaters=200,seed=9,workers=2")
-            .expect("valid spec");
-        assert_eq!(c.matches, 500);
-        assert_eq!(c.players, 64);
-        assert_eq!(c.cheater_permille, 200);
-        assert_eq!(c.seed, 9);
-        assert_eq!(c.workers, 2);
-        assert_eq!(c.match_size, PopulationConfig::default().match_size);
-        assert!(PopulationConfig::from_spec("bogus=1").is_err());
-        assert!(PopulationConfig::from_spec("matches=0").is_err());
-        assert!(PopulationConfig::from_spec("players=4,match_size=8").is_err());
-        assert!(PopulationConfig::from_spec("cheaters=2000").is_err());
-        // 2^32 + 100: a u64 parse cast to u32 wrapped this to a valid 100‰.
-        assert!(PopulationConfig::from_spec("cheaters=4294967396").is_err());
     }
 }

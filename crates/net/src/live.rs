@@ -41,10 +41,9 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use watchmen_telemetry::{FlightRecorder, Registry};
+use watchmen_telemetry::Registry;
 
 use crate::udp::{Recv, UdpEndpoint};
 
@@ -152,11 +151,6 @@ impl LiveTransport {
     pub fn with_config(mut self, config: LiveConfig) -> Self {
         self.config = config;
         self
-    }
-
-    /// Attaches a flight recorder to the underlying endpoint.
-    pub fn attach_recorder(&mut self, recorder: Arc<FlightRecorder>) {
-        self.endpoint.attach_recorder(recorder);
     }
 
     /// This transport's logical node id.

@@ -3,8 +3,7 @@
 use std::sync::Arc;
 
 use watchmen_crypto::rng::Xoshiro256;
-use watchmen_telemetry::trace::{EventKind, Phase, TraceEvent, TraceId};
-use watchmen_telemetry::{Counter, FlightRecorder, Gauge, Histogram};
+use watchmen_telemetry::{Counter, Gauge, Histogram};
 
 use crate::fault::FaultPlan;
 use crate::latency::LatencyModel;
@@ -28,9 +27,6 @@ pub struct Delivery<T> {
     pub payload: T,
     /// Wire size used for bandwidth accounting.
     pub bytes: usize,
-    /// Causal trace id supplied via [`SimNetwork::send_traced`]
-    /// ([`TraceId::NONE`] for untraced sends).
-    pub trace: TraceId,
 }
 
 /// Aggregate traffic counters.
@@ -170,8 +166,6 @@ pub struct SimNetwork<T> {
     meters: Vec<BandwidthMeter>,
     stats: NetStats,
     metrics: SimNetMetrics,
-    /// Optional flight recorder for per-message delivery events.
-    recorder: Option<Arc<FlightRecorder>>,
     /// Optional fault plan layered on top of the Bernoulli loss model.
     faults: Option<FaultPlan>,
 }
@@ -196,7 +190,6 @@ impl<T> SimNetwork<T> {
             meters: vec![BandwidthMeter::new(); n],
             stats: NetStats::default(),
             metrics: SimNetMetrics::new(),
-            recorder: None,
             faults: None,
         }
     }
@@ -230,36 +223,6 @@ impl<T> SimNetwork<T> {
     #[must_use]
     pub fn is_offline(&self, node: NodeId) -> bool {
         self.faults.as_ref().is_some_and(|f| f.is_offline(node, self.now_ms))
-    }
-
-    /// Attaches a flight recorder: every submit, drop and delivery is
-    /// recorded as a [`Phase::NetFlush`] event (the event's `frame` field
-    /// carries the virtual millisecond, rounded down).
-    pub fn attach_recorder(&mut self, recorder: Arc<FlightRecorder>) {
-        self.recorder = Some(recorder);
-    }
-
-    fn record_net_event(
-        &self,
-        kind: EventKind,
-        label: &'static str,
-        trace: TraceId,
-        node: u32,
-        peer: u32,
-        bytes: i64,
-    ) {
-        if let Some(rec) = &self.recorder {
-            rec.record(TraceEvent::point(
-                trace,
-                node,
-                peer,
-                self.now_ms as u64,
-                Phase::NetFlush,
-                kind,
-                label,
-                bytes,
-            ));
-        }
     }
 
     /// Number of nodes.
@@ -300,20 +263,6 @@ impl<T> SimNetwork<T> {
     /// virtual time. Upload bandwidth is charged even if the loss model
     /// later drops the packet (the bits still left the uplink).
     ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range or `from == to`.
-    pub fn send(&mut self, from: NodeId, to: NodeId, payload: T, bytes: usize)
-    where
-        T: Clone,
-    {
-        self.send_traced(from, to, payload, bytes, TraceId::NONE);
-    }
-
-    /// Like [`SimNetwork::send`], carrying a causal trace id that travels
-    /// with the delivery and tags the attached flight recorder's submit /
-    /// drop / deliver events.
-    ///
     /// The attached [`FaultPlan`], if any, runs after the base Bernoulli
     /// loss check: a crashed endpoint or open partition silences the
     /// message, the burst channel may drop it, the reorder fault may add
@@ -323,14 +272,8 @@ impl<T> SimNetwork<T> {
     /// # Panics
     ///
     /// Panics if either node is out of range or `from == to`.
-    pub fn send_traced(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        payload: T,
-        bytes: usize,
-        trace: TraceId,
-    ) where
+    pub fn send(&mut self, from: NodeId, to: NodeId, payload: T, bytes: usize)
+    where
         T: Clone,
     {
         assert!(from < self.n && to < self.n, "node out of range");
@@ -338,14 +281,6 @@ impl<T> SimNetwork<T> {
         self.stats.sent += 1;
         self.metrics.sent.inc();
         self.meters[from].record_up(bytes);
-        self.record_net_event(
-            EventKind::Send,
-            "simnet",
-            trace,
-            from as u32,
-            to as u32,
-            bytes as i64,
-        );
         let now = self.now_ms;
         let fault_drop = match self.faults.as_mut() {
             Some(plan) => {
@@ -362,27 +297,11 @@ impl<T> SimNetwork<T> {
             self.stats.dropped += 1;
             self.metrics.dropped.inc();
             self.metrics.fault_dropped.inc();
-            self.record_net_event(
-                EventKind::Drop,
-                "simnet-fault",
-                trace,
-                from as u32,
-                to as u32,
-                bytes as i64,
-            );
             return;
         }
         if self.rng.next_bool(self.loss_rate) {
             self.stats.dropped += 1;
             self.metrics.dropped.inc();
-            self.record_net_event(
-                EventKind::Drop,
-                "simnet",
-                trace,
-                from as u32,
-                to as u32,
-                bytes as i64,
-            );
             return;
         }
         let mut copies = 1u32;
@@ -393,7 +312,7 @@ impl<T> SimNetwork<T> {
                 self.metrics.duplicated.inc();
             }
         }
-        for copy in 0..copies {
+        for _ in 0..copies {
             let mut delay = self.latency.sample_ms(from, to);
             if let Some(plan) = self.faults.as_mut() {
                 delay += plan.reorder_extra();
@@ -401,26 +320,8 @@ impl<T> SimNetwork<T> {
             let deliver_ms = now + delay;
             self.queue.push(
                 deliver_ms,
-                Delivery {
-                    from,
-                    to,
-                    sent_ms: now,
-                    deliver_ms,
-                    payload: payload.clone(),
-                    bytes,
-                    trace,
-                },
+                Delivery { from, to, sent_ms: now, deliver_ms, payload: payload.clone(), bytes },
             );
-            if copy > 0 {
-                self.record_net_event(
-                    EventKind::Send,
-                    "simnet-dup",
-                    trace,
-                    from as u32,
-                    to as u32,
-                    bytes as i64,
-                );
-            }
         }
         self.metrics.in_flight.set(self.queue.len() as i64);
     }
@@ -447,28 +348,12 @@ impl<T> SimNetwork<T> {
                 self.stats.dropped += 1;
                 self.metrics.dropped.inc();
                 self.metrics.fault_dropped.inc();
-                self.record_net_event(
-                    EventKind::Drop,
-                    "simnet-crashed-receiver",
-                    d.trace,
-                    d.to as u32,
-                    d.from as u32,
-                    d.bytes as i64,
-                );
                 continue;
             }
             self.meters[d.to].record_down(d.bytes);
             self.stats.delivered += 1;
             self.metrics.delivered.inc();
             self.metrics.latency_ms.record(d.deliver_ms - d.sent_ms);
-            self.record_net_event(
-                EventKind::Deliver,
-                "simnet",
-                d.trace,
-                d.to as u32,
-                d.from as u32,
-                d.bytes as i64,
-            );
             out.push(d);
         }
         self.metrics.in_flight.set(self.queue.len() as i64);
@@ -648,27 +533,6 @@ mod tests {
     fn assert_invariant_panics_with_counts() {
         NetStats { sent: 5, delivered: 1, dropped: 1, in_flight: 1, duplicated: 0 }
             .assert_invariant("unit test");
-    }
-
-    #[test]
-    fn attached_recorder_sees_send_drop_and_deliver() {
-        use watchmen_telemetry::trace::{EventKind, TraceId};
-        use watchmen_telemetry::FlightRecorder;
-        let rec = Arc::new(FlightRecorder::new(256));
-        let mut net: SimNetwork<u8> = SimNetwork::new(2, latency::constant(1.0), 0.5, 77);
-        net.attach_recorder(Arc::clone(&rec));
-        let id = TraceId::from_origin_seq(0, 1);
-        for _ in 0..40 {
-            net.send_traced(0, 1, 7, 90, id);
-        }
-        net.advance_to(100.0);
-        let events = rec.snapshot();
-        let count = |k: EventKind| events.iter().filter(|e| e.kind == k).count();
-        assert_eq!(count(EventKind::Send), 40);
-        assert!(count(EventKind::Drop) > 0, "50% loss produced no drops");
-        assert!(count(EventKind::Deliver) > 0, "nothing delivered");
-        assert_eq!(count(EventKind::Drop) + count(EventKind::Deliver), 40);
-        assert!(events.iter().all(|e| e.trace_id == id));
     }
 
     #[test]

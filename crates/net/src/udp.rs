@@ -30,8 +30,7 @@ use std::net::{SocketAddr, UdpSocket};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use watchmen_telemetry::trace::{EventKind, Phase, TraceEvent, TraceId, NO_SUBJECT};
-use watchmen_telemetry::{Counter, FlightRecorder};
+use watchmen_telemetry::Counter;
 
 use crate::wire::{GetBytes, PutBytes};
 
@@ -105,8 +104,6 @@ pub enum Recv {
 pub struct UdpEndpoint {
     node_id: u32,
     socket: UdpSocket,
-    /// Optional flight recorder for per-frame send/receive events.
-    recorder: Option<Arc<FlightRecorder>>,
     counters: Counters,
     /// The outgoing frame is assembled here; it grows to the largest frame
     /// sent and keeps that capacity.
@@ -152,33 +149,10 @@ impl UdpEndpoint {
         Ok(UdpEndpoint {
             node_id,
             socket,
-            recorder: None,
             counters: Counters::resolve(),
             send_buf: RefCell::new(Vec::new()),
             recv_buf: RefCell::new(Box::new([0u8; RECV_BUF])),
         })
-    }
-
-    /// Attaches a flight recorder: every frame sent or received is
-    /// recorded as a [`Phase::NetFlush`] event tagged `"udp"` (`value`
-    /// carries the payload size; `subject` the peer's logical id).
-    pub fn attach_recorder(&mut self, recorder: Arc<FlightRecorder>) {
-        self.recorder = Some(recorder);
-    }
-
-    fn record_frame_event(&self, kind: EventKind, peer: u32, bytes: i64) {
-        if let Some(rec) = &self.recorder {
-            rec.record(TraceEvent::point(
-                TraceId::NONE,
-                self.node_id,
-                peer,
-                0,
-                Phase::NetFlush,
-                kind,
-                "udp",
-                bytes,
-            ));
-        }
     }
 
     /// The bound local address.
@@ -215,7 +189,6 @@ impl UdpEndpoint {
         self.socket.send_to(&frame, dest)?;
         self.counters.frames_sent.inc();
         self.counters.bytes_sent.add(frame.len() as u64);
-        self.record_frame_event(EventKind::Send, NO_SUBJECT, payload.len() as i64);
         Ok(())
     }
 
@@ -242,11 +215,6 @@ impl UdpEndpoint {
                     match split_frame(&buf[..len]) {
                         Some((sender, payload)) => {
                             self.counters.frames_received.inc();
-                            self.record_frame_event(
-                                EventKind::Deliver,
-                                sender,
-                                payload.len() as i64,
-                            );
                             Ok(Recv::Frame { sender, from, payload: payload.to_vec() })
                         }
                         None => {
@@ -412,26 +380,6 @@ mod tests {
         f.put_u16(10); // claims 10 bytes, provides 2
         f.put_slice(b"xy");
         assert!(parse_frame(&f).is_none());
-    }
-
-    #[test]
-    fn recorder_sees_frames_both_ways() {
-        let rec_a = Arc::new(FlightRecorder::new(16));
-        let rec_b = Arc::new(FlightRecorder::new(16));
-        let mut a = UdpEndpoint::bind(7, "127.0.0.1:0").unwrap();
-        let mut b = UdpEndpoint::bind(9, "127.0.0.1:0").unwrap();
-        a.attach_recorder(Arc::clone(&rec_a));
-        b.attach_recorder(Arc::clone(&rec_b));
-        a.send_to(b.local_addr().unwrap(), b"ping").unwrap();
-        let _ = b.recv_timeout(Duration::from_secs(2)).unwrap().expect("frame");
-        let sends = rec_a.snapshot();
-        assert_eq!(sends.len(), 1);
-        assert_eq!(sends[0].kind, EventKind::Send);
-        assert_eq!(sends[0].value, 4);
-        let recvs = rec_b.snapshot();
-        assert_eq!(recvs.len(), 1);
-        assert_eq!(recvs[0].kind, EventKind::Deliver);
-        assert_eq!(recvs[0].subject, 7, "peer id recorded");
     }
 
     #[test]

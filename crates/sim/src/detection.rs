@@ -11,20 +11,16 @@
 //! lowest 1–10 threshold keeping honest flags ≤ 5 %, then (3) measures the
 //! fraction of injected cheat messages at or above the threshold.
 
-use std::sync::Arc;
-
 use watchmen_core::cheat::CheatInjector;
 use watchmen_core::dead_reckoning::Guidance;
 use watchmen_core::msg::KillClaim;
 use watchmen_core::subscription::{compute_sets, NoRecency};
-use watchmen_core::verify::{checks, Verifier};
+use watchmen_core::verify::Verifier;
 use watchmen_core::WatchmenConfig;
 use watchmen_crypto::rng::Xoshiro256;
 use watchmen_game::{GameEvent, PlayerId};
 use watchmen_math::poly::Polyline;
 use watchmen_math::Vec3;
-use watchmen_telemetry::trace::{EventKind, Phase, TraceEvent, TraceId};
-use watchmen_telemetry::FlightRecorder;
 use watchmen_world::PhysicsConfig;
 
 use crate::report::{pct, render_table};
@@ -123,36 +119,6 @@ pub fn run_detection(
     fp_budget: f64,
     seed: u64,
 ) -> Vec<DetectionRow> {
-    let recorder = Arc::new(FlightRecorder::new(watchmen_telemetry::DEFAULT_CAPACITY));
-    run_detection_traced(workload, config, cheat_fraction, fp_budget, seed, &recorder)
-}
-
-/// As [`run_detection`], but audits the run through `recorder`: every
-/// injected perturbation leaves a ground-truth [`EventKind::Inject`]
-/// event and every cheat sample scored leaves an [`EventKind::Verdict`]
-/// event, so a detection figure can be traced back to the individual
-/// decisions behind it.
-#[must_use]
-pub fn run_detection_traced(
-    workload: &Workload,
-    config: &WatchmenConfig,
-    cheat_fraction: f64,
-    fp_budget: f64,
-    seed: u64,
-    recorder: &Arc<FlightRecorder>,
-) -> Vec<DetectionRow> {
-    let verdict = |subject: usize, check: &'static str, score: u8, frame: usize| {
-        recorder.record(TraceEvent::point(
-            TraceId::NONE,
-            0,
-            subject as u32,
-            frame as u64,
-            Phase::Verify,
-            EventKind::Verdict,
-            check,
-            i64::from(score),
-        ));
-    };
     let physics = PhysicsConfig::default();
     let trace = &workload.trace;
     let map = &workload.map;
@@ -160,10 +126,6 @@ pub fn run_detection_traced(
     let dt = config.frame_seconds();
     let mut rng = Xoshiro256::seed_from(seed, 0xde7ec7);
     let mut injector = CheatInjector::new(seed, 1.0);
-    // Ground truth: each perturbation the injector produces is recorded,
-    // so missed detections can be audited against what was injected. The
-    // experiment rotates cheaters, so no single id is attributed.
-    injector.attach_recorder(Arc::clone(recorder), watchmen_telemetry::trace::NO_SUBJECT);
     let mut rows = Vec::new();
 
     // Frames where each player respawned/teleported (skip those pairs).
@@ -198,7 +160,6 @@ pub fn run_detection_traced(
                     let max_step = physics.max_step(dt);
                     let hacked = injector.speed_hack(prev.position, next.position, max_step);
                     let score = verifier.check_position(prev.position, hacked, 1, map);
-                    verdict(p, checks::POSITION, score, f);
                     cheats.push(score);
                 }
             }
@@ -273,7 +234,6 @@ pub fn run_detection_traced(
                     },
                 };
                 let score = verifier.check_kill(&claim, v, map, 0);
-                verdict(attacker, checks::KILL, score, f);
                 cheats.push(score);
             }
         }
@@ -321,7 +281,6 @@ pub fn run_detection_traced(
                     bogus.predicted_position =
                         bogus.position + bogus.velocity * (horizon as f64 * dt);
                     let score = verifier.check_guidance(&bogus, &actual);
-                    verdict(p, checks::GUIDANCE, score, f);
                     cheats.push(score);
                 }
             }
@@ -382,7 +341,6 @@ pub fn run_detection_traced(
                         states[target.index()].position,
                         map,
                     );
-                    verdict(p, checks::SUBSCRIPTION, is_score.max(vs_score), f);
                     cheat_is.push(is_score);
                     cheat_vs.push(vs_score);
                 }
@@ -475,22 +433,5 @@ mod tests {
         for kind in CheckKind::ALL {
             assert!(s.contains(kind.label()), "missing {}", kind.label());
         }
-    }
-
-    #[test]
-    fn traced_run_audits_injections_and_verdicts() {
-        let w = standard_workload(16, 11, 600);
-        let recorder = Arc::new(FlightRecorder::new(1 << 16));
-        let rows = run_detection_traced(&w, &WatchmenConfig::default(), 0.10, 0.05, 21, &recorder);
-        let events = recorder.snapshot();
-        let injections = events.iter().filter(|e| e.kind == EventKind::Inject).count();
-        let verdicts = events.iter().filter(|e| e.kind == EventKind::Verdict).count();
-        assert!(injections > 0, "no ground-truth injection events");
-        // Every position/guidance cheat sample came from one injector
-        // call, so verdicts can't outnumber injections plus fabricated
-        // kills and subscriptions (which don't use the injector).
-        let cheat_total: usize = rows.iter().map(|r| r.cheat_samples).sum();
-        // VS and IS cheats are scored pairwise from one opportunity.
-        assert!(verdicts <= cheat_total && verdicts > 0, "{verdicts} vs {cheat_total}");
     }
 }

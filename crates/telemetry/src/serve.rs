@@ -20,10 +20,9 @@
 //!   poller that cannot keep state.
 //! * `GET /healthz` — `ok`, for liveness probes.
 //!
-//! The snapshot source is a closure, so the endpoint can serve the
-//! [`crate::global`] registry ([`MetricsServer::serve_global`]) or a
-//! merged per-shard view rebuilt on every scrape (what `watchmen-fleet`
-//! does). Drivers enable it with the `WATCHMEN_METRICS_ADDR` env knob
+//! The snapshot source is a closure, so the endpoint can serve one
+//! registry or a merged per-shard view rebuilt on every scrape (what
+//! `watchmen-fleet` does). Drivers enable it with the `WATCHMEN_METRICS_ADDR` env knob
 //! ([`MetricsServer::from_env`], e.g. `127.0.0.1:9464`, port `0` for an
 //! ephemeral port).
 //!
@@ -105,19 +104,6 @@ impl MetricsServer {
             .spawn(move || accept_loop(&listener, &stop_flag, &source, &help))
             .expect("spawn metrics thread");
         Ok(MetricsServer { addr: local, stop, handle: Some(handle) })
-    }
-
-    /// Binds `addr` serving the process-wide [`crate::global`] registry.
-    ///
-    /// # Errors
-    ///
-    /// Returns the bind error verbatim.
-    pub fn serve_global(addr: &str) -> io::Result<Self> {
-        Self::bind(
-            addr,
-            Arc::new(|| crate::global().snapshot()),
-            Arc::new(|name| crate::global().help_for(name)),
-        )
     }
 
     /// Starts a server on `WATCHMEN_METRICS_ADDR` when the knob is set

@@ -89,10 +89,6 @@ pub enum Phase {
     Verify,
     /// Epoch-boundary handoff.
     Handoff,
-    /// Network submit/deliver/drop (simnet or UDP).
-    NetFlush,
-    /// Cheat injection (experiment ground truth).
-    Inject,
 }
 
 impl Phase {
@@ -107,8 +103,6 @@ impl Phase {
             Phase::ProxyRelay => "proxy-relay",
             Phase::Verify => "verify",
             Phase::Handoff => "handoff",
-            Phase::NetFlush => "net-flush",
-            Phase::Inject => "inject",
         }
     }
 }
@@ -128,10 +122,6 @@ pub enum EventKind {
     Verdict,
     /// A check or invariant flagged a violation (`value` = score).
     Violation,
-    /// A cheat injector perturbed an honest message (ground truth).
-    Inject,
-    /// The network dropped a message (loss model).
-    Drop,
     /// A timed span (`dur_us` > 0), e.g. one tick phase.
     Span,
     /// A free-form point annotation.
@@ -149,8 +139,6 @@ impl EventKind {
             EventKind::Reject => "reject",
             EventKind::Verdict => "verdict",
             EventKind::Violation => "violation",
-            EventKind::Inject => "inject",
-            EventKind::Drop => "drop",
             EventKind::Span => "span",
             EventKind::Mark => "mark",
         }

@@ -119,108 +119,6 @@ pub fn q3dm17_like() -> GameMap {
     map
 }
 
-/// A corridor-heavy indoor map with long sight lines broken by walls;
-/// exercises occlusion much more than the open arena.
-///
-/// # Examples
-///
-/// ```
-/// let map = watchmen_world::maps::corridors();
-/// assert!(map.spawn_points().len() >= 4);
-/// ```
-#[must_use]
-pub fn corridors() -> GameMap {
-    let cell = 10.0;
-    let n = 20usize;
-    let mut map = GameMap::filled("corridors", n, n, cell, Tile::default());
-    // Border walls.
-    map.fill_rect(0, 0, n - 1, 0, Tile::Wall);
-    map.fill_rect(0, n - 1, n - 1, n - 1, Tile::Wall);
-    map.fill_rect(0, 0, 0, n - 1, Tile::Wall);
-    map.fill_rect(n - 1, 0, n - 1, n - 1, Tile::Wall);
-    // Inner wall lattice with door gaps.
-    for k in [5usize, 10, 15] {
-        map.fill_rect(k, 1, k, n - 2, Tile::Wall);
-        map.set_tile(k, 4, Tile::default());
-        map.set_tile(k, 9, Tile::default());
-        map.set_tile(k, 14, Tile::default());
-        map.fill_rect(1, k, n - 2, k, Tile::Wall);
-        map.set_tile(3, k, Tile::default());
-        map.set_tile(8, k, Tile::default());
-        map.set_tile(13, k, Tile::default());
-        map.set_tile(17, k, Tile::default());
-    }
-    for pos in [
-        Vec3::new(25.0, 25.0, 0.0),
-        Vec3::new(175.0, 25.0, 0.0),
-        Vec3::new(25.0, 175.0, 0.0),
-        Vec3::new(175.0, 175.0, 0.0),
-    ] {
-        map.add_spawn_point(pos);
-    }
-    for (kind, x, y) in [
-        (ItemKind::MegaHealth, 85.0, 85.0),
-        (ItemKind::Weapon, 25.0, 85.0),
-        (ItemKind::Armor, 135.0, 135.0),
-        (ItemKind::HealthPack, 85.0, 25.0),
-        (ItemKind::Ammo, 135.0, 25.0),
-    ] {
-        map.add_item_spawner(ItemSpawner::new(kind, Vec3::new(x, y, 0.0), ITEM_RESPAWN));
-    }
-    map
-}
-
-/// A vertical "tower" map: three stacked rings of floor at increasing
-/// heights connected by jump pads, with the best items at the top —
-/// stresses the 2.5-D height handling (falls, pads, raised floors) far
-/// more than the mostly-flat arena.
-///
-/// # Examples
-///
-/// ```
-/// let map = watchmen_world::maps::tower();
-/// assert!(map.spawn_points().len() >= 4);
-/// ```
-#[must_use]
-pub fn tower() -> GameMap {
-    let cell = 10.0;
-    let n = 20usize;
-    let mut map = GameMap::filled("tower", n, n, cell, Tile::Pit);
-    // Ground ring (height 0).
-    map.fill_rect(2, 2, 17, 17, Tile::Floor { height: 0.0 });
-    // Middle ring (height 25) occupies a band.
-    map.fill_rect(5, 5, 14, 14, Tile::Floor { height: 25.0 });
-    // Top platform (height 50).
-    map.fill_rect(8, 8, 11, 11, Tile::Floor { height: 50.0 });
-    // Occluding pillars on the ground ring.
-    map.fill_rect(4, 10, 4, 11, Tile::Wall);
-    map.fill_rect(15, 8, 15, 9, Tile::Wall);
-    // Jump pads up the tower.
-    map.set_tile(5, 10, Tile::JumpPad { height: 0.0, boost: 55.0 });
-    map.set_tile(14, 9, Tile::JumpPad { height: 0.0, boost: 55.0 });
-    map.set_tile(8, 8, Tile::JumpPad { height: 25.0, boost: 55.0 });
-
-    for pos in [
-        Vec3::new(30.0, 30.0, 0.0),
-        Vec3::new(170.0, 30.0, 0.0),
-        Vec3::new(30.0, 170.0, 0.0),
-        Vec3::new(170.0, 170.0, 0.0),
-    ] {
-        map.add_spawn_point(pos);
-    }
-    for (kind, x, y, z) in [
-        (ItemKind::MegaHealth, 95.0, 95.0, 50.0), // the prize at the top
-        (ItemKind::Weapon, 105.0, 105.0, 50.0),
-        (ItemKind::Armor, 75.0, 75.0, 25.0),
-        (ItemKind::HealthPack, 125.0, 75.0, 25.0),
-        (ItemKind::Ammo, 35.0, 95.0, 0.0),
-        (ItemKind::HealthPack, 165.0, 95.0, 0.0),
-    ] {
-        map.add_item_spawner(ItemSpawner::new(kind, Vec3::new(x, y, z), ITEM_RESPAWN));
-    }
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,54 +178,6 @@ mod tests {
             .expect("mega health present");
         let center = map.bounds().center().horizontal();
         assert!(mega.position.horizontal_distance(center) < 60.0);
-    }
-
-    #[test]
-    fn corridors_has_occlusion() {
-        let map = corridors();
-        let a = Vec3::new(25.0, 25.0, 0.0);
-        let b = Vec3::new(175.0, 25.0, 0.0);
-        assert!(!map.line_of_sight(a, b));
-    }
-
-    #[test]
-    fn corridors_rooms_are_connected_enough() {
-        // Door gaps exist: a straight line through a door succeeds.
-        let map = corridors();
-        assert!(map.line_of_sight(Vec3::new(45.0, 45.0, 0.0), Vec3::new(55.0, 45.0, 0.0)));
-    }
-
-    #[test]
-    fn tower_heights_stack() {
-        let map = tower();
-        assert_eq!(map.tile_at(Vec3::new(30.0, 30.0, 0.0)).floor_height(), Some(0.0));
-        assert_eq!(map.tile_at(Vec3::new(75.0, 75.0, 0.0)).floor_height(), Some(25.0));
-        assert_eq!(map.tile_at(Vec3::new(95.0, 95.0, 0.0)).floor_height(), Some(50.0));
-        for p in map.spawn_points() {
-            assert!(map.is_walkable_pos(*p));
-        }
-        for s in map.item_spawners() {
-            assert!(map.is_walkable_pos(s.position));
-        }
-    }
-
-    #[test]
-    fn tower_supports_play() {
-        // A session on the tower runs and produces pickups despite the
-        // vertical layout.
-        use crate::PhysicsConfig;
-        let map = tower();
-        let cfg = PhysicsConfig::default();
-        let mut pos = Vec3::new(55.0, 105.0, 0.0); // on a ground jump pad
-        let mut vel = Vec3::ZERO;
-        let mut max_z: f64 = 0.0;
-        for _ in 0..60 {
-            let out = crate::step_movement(&map, &cfg, pos, vel, 0.05);
-            pos = out.position;
-            vel = out.velocity;
-            max_z = max_z.max(pos.z);
-        }
-        assert!(max_z > 10.0, "jump pad never lifted the avatar: {max_z}");
     }
 
     #[test]

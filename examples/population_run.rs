@@ -6,17 +6,10 @@
 //! cargo run --release --example population_run
 //! ```
 //!
-//! Defaults to 2 000 matches over 256 identities (~10% repeat
-//! cheaters). Override with `WATCHMEN_POPULATION`, e.g.:
-//!
-//! ```sh
-//! WATCHMEN_POPULATION="matches=5000,players=512,cheaters=150,seed=7" \
-//!     cargo run --release --example population_run
-//! ```
-//!
-//! Knobs: `matches`, `players`, `cheaters` (permille), `seed`,
-//! `match_size`, `round_matches`, `reports`, `cheat_failed`,
-//! `honest_failed`, `workers`, `max_local`, `compact_bytes`.
+//! Runs 2 000 real matches (8 players × 160 frames each, the fleet's
+//! `MatchCell`) over 256 identities, ~10% of them repeat cheaters
+//! running the fleet's scripted speed-hack. Bans come from the nodes'
+//! own verdicts through each match's lobby.
 //!
 //! The store persists to `WATCHMEN_STORE_DIR` (default: a fresh
 //! directory under the system temp dir — re-run with the same dir and
@@ -34,7 +27,7 @@ use watchmen::store::FsDir;
 use watchmen::telemetry::report;
 
 fn main() {
-    let config = PopulationConfig::from_env().unwrap_or_default();
+    let config = PopulationConfig::default();
     let store_dir = std::env::var("WATCHMEN_STORE_DIR").unwrap_or_else(|_| {
         std::env::temp_dir()
             .join(format!("watchmen-population-{}", std::process::id()))

@@ -4,18 +4,14 @@
 //! signed envelopes.
 
 use watchmen::core::cheat::CheatKind;
-use watchmen::core::lobby::{GameLobby, LobbyEvent};
 use watchmen::core::msg::{Envelope, Payload, PositionUpdate, SignedEnvelope, StateUpdate};
-use watchmen::core::node::NodeEvent;
 use watchmen::core::proxy::ProxySchedule;
-use watchmen::core::sans_io::secured_cores;
 use watchmen::core::WatchmenConfig;
 use watchmen::crypto::schnorr::Keypair;
+use watchmen::fleet::{run_fleet_specs, MatchReport, MatchSpec, PoolConfig};
 use watchmen::game::PlayerId;
 use watchmen::math::Vec3;
-use watchmen::net::{latency, SimNetwork};
-use watchmen::sim::cluster::Cluster;
-use watchmen::sim::workload::{match_workload, speed_hack, standard_workload};
+use watchmen::sim::workload::standard_workload;
 
 /// The fleet's match shape: 16 bots on the open arena over an 8 ms
 /// simnet, here played long enough for reputation to reach a verdict.
@@ -23,65 +19,36 @@ const PLAYERS: usize = 16;
 const FRAMES: u64 = 400;
 const SEED: u64 = 7;
 
-/// Plays one match with `cheaters` speed-hacking, every node's
-/// suspicion reports fed to the lobby as `lobby_match` does, and returns
-/// the players the lobby banned.
-fn play(cheaters: &[u32]) -> Vec<PlayerId> {
-    let config = WatchmenConfig::default();
-    let w = match_workload(PLAYERS, SEED, FRAMES);
-    let keys: Vec<Keypair> = (0..PLAYERS).map(|i| Keypair::generate(SEED ^ i as u64)).collect();
-    let mut lobby = GameLobby::new(SEED, config, FRAMES + 1);
-    for k in &keys {
-        lobby.register(k.public());
-    }
-    lobby.start();
-    let mut cluster = Cluster::new(
-        secured_cores(&keys, lobby.directory(), None, SEED, config, &w.map),
-        SimNetwork::new(PLAYERS, latency::constant(8.0), 0.0, SEED),
-        config.frame_ms,
-    );
-    let mut banned = Vec::new();
-    for frame in 0..FRAMES {
-        cluster.step(
-            frame,
-            |i| {
-                let mut state = w.trace.frames[frame as usize].states[i];
-                if cheaters.contains(&(i as u32)) {
-                    speed_hack(&mut state, frame);
-                }
-                state
-            },
-            |i, output| {
-                for e in &output.events {
-                    if let NodeEvent::Suspicion { subject, rating, .. } = e {
-                        lobby.report(PlayerId(i as u32), *subject, rating);
-                    }
-                }
-            },
-        );
-        for i in 0..PLAYERS {
-            lobby.heartbeat(PlayerId(i as u32), frame);
-        }
-        for event in lobby.tick(frame) {
-            if let LobbyEvent::Banned(p) = event {
-                banned.push(p);
-            }
-        }
-    }
-    banned
+/// Plays one fleet match with `cheaters` speed-hacking: every node's
+/// suspicion reports feed the match lobby, which bans.
+fn play(cheaters: &[u32]) -> MatchReport {
+    let spec = cheaters
+        .iter()
+        .fold(MatchSpec::new(0, PLAYERS, FRAMES, SEED), |spec, &c| spec.with_cheater(c));
+    let mut fleet = run_fleet_specs(vec![spec], &PoolConfig { workers: 1, max_local: 1 });
+    fleet.reports.pop().expect("the match completed")
+}
+
+/// The seats whose interactions the nodes rated failed at least once.
+fn failed_seats(report: &MatchReport) -> Vec<u32> {
+    (0..)
+        .zip(&report.outcomes)
+        .filter_map(|(seat, &(_, _, failed))| (failed > 0).then_some(seat))
+        .collect()
 }
 
 #[test]
 fn threshold_reputation_bans_cheaters_not_honest() {
-    let mut banned = play(&[2, 5]);
-    banned.sort_unstable();
-    assert_eq!(banned, [PlayerId(2), PlayerId(5)], "banned: {banned:?}");
+    let report = play(&[2, 5]);
+    assert_eq!(report.banned, 2, "{}", report.summary_line());
+    assert_eq!(failed_seats(&report), [2, 5], "{:?}", report.outcomes);
 }
 
 #[test]
 fn clean_game_bans_nobody() {
-    let banned = play(&[]);
-    assert!(banned.is_empty(), "banned in a clean game: {banned:?}");
+    let report = play(&[]);
+    assert_eq!(report.banned, 0, "{}", report.summary_line());
+    assert_eq!(failed_seats(&report), [], "{:?}", report.outcomes);
 }
 
 #[test]

@@ -10,10 +10,13 @@ use watchmen::core::rating::{CheatRating, Confidence};
 use watchmen::core::reputation::ThresholdReputation;
 use watchmen::core::WatchmenConfig;
 use watchmen::crypto::schnorr::Keypair;
+use watchmen::fleet::{run_fleet_specs, MatchReport, MatchSpec, PoolConfig};
 use watchmen::game::PlayerId;
 use watchmen::store::{FsDir, MemDir, ReputationStore, StorePolicy};
 
 const SEED: u64 = 2013;
+/// Long enough for a speed-hacker to cross the ban warm-up in one match.
+const FRAMES: u64 = 120;
 
 fn keys(n: usize) -> Vec<Keypair> {
     (0..n).map(|i| Keypair::generate(SEED ^ i as u64)).collect()
@@ -26,33 +29,28 @@ fn policy() -> StorePolicy {
     }
 }
 
-/// Plays one match: everyone earns `reports` verification reports, and
-/// players listed in `cheaters` get suspicious ratings on most of them.
-/// Returns the `(identity, acceptable, failed)` outcomes to persist.
-fn play_match(
-    banned: &[u64],
-    players: &[Keypair],
-    cheaters: &[usize],
-    reports: u64,
-) -> Vec<(u64, u64, u64)> {
-    let mut lobby = GameLobby::new(SEED, WatchmenConfig::default(), 32)
-        .with_banned_keys(banned.iter().copied());
-    for key in players {
-        lobby.try_register(key.public()).expect("honest roster admissible");
+/// Plays one fleet match on `match_seed` between the identities of
+/// [`keys`], seat `i` keyed `SEED ^ i`, with `cheaters` speed-hacking.
+/// Asserts that the nodes' verdicts failed exactly the cheaters and that
+/// the match lobby banned each of them.
+fn play_match(players: usize, cheaters: &[u32], match_seed: u64) -> MatchReport {
+    let mut spec = MatchSpec::new(0, players, FRAMES, match_seed);
+    spec.key_seeds = (0..players as u64).map(|i| SEED ^ i).collect();
+    let spec = cheaters.iter().fold(spec, |spec, &c| spec.with_cheater(c));
+    let mut fleet = run_fleet_specs(vec![spec], &PoolConfig { workers: 1, max_local: 1 });
+    let report = fleet.reports.pop().expect("the match completed");
+    assert_eq!(report.banned, cheaters.len() as u64, "{}", report.summary_line());
+    for (seat, &(_, _, failed)) in (0..).zip(&report.outcomes) {
+        assert_eq!(failed > 0, cheaters.contains(&seat), "seat {seat}: {:?}", report.outcomes);
     }
-    lobby.start();
-    let clean = CheatRating::new(1, Confidence::Proxy, 0);
-    let severe = CheatRating::new(9, Confidence::Proxy, 0);
-    for (i, _) in players.iter().enumerate() {
-        let subject = PlayerId(i as u32);
-        let reporter = PlayerId(((i + 1) % players.len()) as u32);
-        for r in 0..reports {
-            // Cheaters fail 9 of 10 interactions; honest players none.
-            let rating = if cheaters.contains(&i) && r % 10 != 0 { &severe } else { &clean };
-            lobby.report(reporter, subject, rating);
-        }
+    report
+}
+
+/// Folds a match's outcomes into the store, as the population soak does.
+fn persist(store: &mut ReputationStore, report: &MatchReport) {
+    for &(identity, ok, failed) in &report.outcomes {
+        store.note_outcome(identity, ok as u32, failed as u32);
     }
-    lobby.match_outcomes()
 }
 
 #[test]
@@ -65,10 +63,7 @@ fn ban_earned_in_one_match_blocks_matchmaking_in_the_next() {
     // aggregated outcome is persisted at match end.
     let (mut store, _) =
         ReputationStore::open(Box::new(media.clone()), policy()).expect("open fresh store");
-    let outcomes = play_match(&store.banned_identities(), &players, &[cheater], 40);
-    for (identity, ok, failed) in outcomes {
-        store.note_outcome(identity, ok as u32, failed as u32);
-    }
+    persist(&mut store, &play_match(players.len(), &[cheater as u32], SEED));
     let receipt = store.commit().expect("persist match 1");
     let cheater_identity = players[cheater].public().to_u64();
     assert_eq!(
@@ -119,16 +114,13 @@ fn ban_earned_in_one_match_blocks_matchmaking_in_the_next() {
 
 #[test]
 fn honest_population_never_trips_the_durable_ban() {
-    let players = keys(6);
     let (mut store, _) =
         ReputationStore::open(Box::new(MemDir::new()), policy()).expect("open fresh store");
-    // Three consecutive all-honest matches: plenty of reports, zero
-    // suspicious ones — nobody may ever cross the threshold.
-    for _ in 0..3 {
-        let outcomes = play_match(&store.banned_identities(), &players, &[], 40);
-        for (identity, ok, failed) in outcomes {
-            store.note_outcome(identity, ok as u32, failed as u32);
-        }
+    // Three consecutive all-honest matches between the same identities:
+    // the nodes fail no interaction, so nobody may ever cross the
+    // threshold.
+    for round in 0..3 {
+        persist(&mut store, &play_match(6, &[], SEED + round));
         let receipt = store.commit().expect("persist match");
         assert!(receipt.new_bans.is_empty(), "an honest match must not produce bans");
     }
@@ -147,10 +139,7 @@ fn cross_match_ban_survives_restart_on_real_files() {
         let fs = FsDir::open(&dir).expect("open store dir");
         let (mut store, _) =
             ReputationStore::open(Box::new(fs), policy()).expect("open store on real files");
-        let outcomes = play_match(&[], &players, &[cheater], 40);
-        for (identity, ok, failed) in outcomes {
-            store.note_outcome(identity, ok as u32, failed as u32);
-        }
+        persist(&mut store, &play_match(players.len(), &[cheater as u32], SEED));
         let receipt = store.commit().expect("persist match");
         assert_eq!(receipt.new_bans.len(), 1);
         // Compact so the restart exercises the snapshot path as well.
