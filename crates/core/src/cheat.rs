@@ -5,8 +5,9 @@
 //! multi-player games" in three categories — disruption of information
 //! flow, invalid updates, and unauthorized access — and states how
 //! Watchmen handles each. [`CheatKind`] encodes the catalog;
-//! [`CheatInjector`] perturbs honest message streams so the detection
-//! experiments (Figure 6, Table I) can measure the responses.
+//! [`CheatInjector`] perturbs honest values for Table I's scalar demos
+//! and the campaign scripts; Figure 6's cheats are scripted on the node
+//! replay (`watchmen-sim`'s `detection`).
 //!
 //! Beyond the paper's single-cheater rows, [`CheatKind::CAMPAIGNS`]
 //! extends the taxonomy with the coordinated multi-actor campaigns real
@@ -270,9 +271,8 @@ impl fmt::Display for CheatKind {
     }
 }
 
-/// Perturbs honest values into cheating ones for the detection
-/// experiments ("we set up an experiment where a cheater sends up to 10%
-/// invalid cheat messages").
+/// Perturbs honest values into cheating ones for Table I's demos and the
+/// campaign scripts.
 ///
 /// Each injector is deterministic for a seed; `cheat_probability` controls
 /// what fraction of opportunities are taken.
@@ -300,31 +300,11 @@ impl CheatInjector {
         self.rng.next_bool(self.cheat_probability)
     }
 
-    /// Speed hack: moves the claimed position 1.5–3× the *maximum legal
-    /// step* along the actual movement direction ("cheaters move randomly
-    /// at 1.5–3 times the acceptable speed"). Returns the dishonest
-    /// position.
-    pub fn speed_hack(&mut self, prev: Vec3, honest_next: Vec3, max_step: f64) -> Vec3 {
-        let factor = 1.5 + 1.5 * self.rng.next_f64();
-        let dir = (honest_next - prev).normalized_or(Vec3::X);
-        prev + dir * (max_step * factor)
-    }
-
     /// Teleport hack: jumps to a random offset up to `radius` away.
     pub fn teleport(&mut self, honest: Vec3, radius: f64) -> Vec3 {
         let angle = self.rng.next_f64() * std::f64::consts::TAU;
         let r = radius * (0.5 + 0.5 * self.rng.next_f64());
         honest + Vec3::new(r * angle.cos(), r * angle.sin(), 0.0)
-    }
-
-    /// Bogus guidance: claims a velocity rotated and scaled away from the
-    /// truth so the predicted trajectory diverges from actual play.
-    pub fn bogus_velocity(&mut self, honest: Vec3, max_speed: f64) -> Vec3 {
-        let angle = std::f64::consts::FRAC_PI_2 + self.rng.next_f64() * std::f64::consts::PI;
-        let (s, c) = angle.sin_cos();
-        let rotated = Vec3::new(honest.x * c - honest.y * s, honest.x * s + honest.y * c, 0.0);
-
-        rotated.normalized_or(Vec3::X) * max_speed
     }
 
     /// Aimbot: a perfectly snapped aim at the target regardless of the
@@ -402,18 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn speed_hack_exceeds_legal_step() {
-        let mut inj = CheatInjector::new(3, 1.0);
-        let prev = Vec3::ZERO;
-        let honest = Vec3::new(1.0, 0.0, 0.0);
-        for _ in 0..50 {
-            let hacked = inj.speed_hack(prev, honest, 2.0);
-            let ratio = prev.distance(hacked) / 2.0;
-            assert!((1.5..=3.0 + 1e-9).contains(&ratio), "ratio {ratio}");
-        }
-    }
-
-    #[test]
     fn teleport_lands_within_radius() {
         let mut inj = CheatInjector::new(4, 1.0);
         for _ in 0..50 {
@@ -421,15 +389,6 @@ mod tests {
             let d = t.length();
             assert!((50.0..=100.0 + 1e-9).contains(&d), "distance {d}");
         }
-    }
-
-    #[test]
-    fn bogus_velocity_diverges() {
-        let mut inj = CheatInjector::new(5, 1.0);
-        let honest = Vec3::new(10.0, 0.0, 0.0);
-        let bogus = inj.bogus_velocity(honest, 40.0);
-        assert!(honest.angle_between(bogus) > 0.7);
-        assert!((bogus.length() - 40.0).abs() < 1e-9);
     }
 
     #[test]

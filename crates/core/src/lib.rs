@@ -18,12 +18,12 @@
 //!    handoff; all traffic flows player → proxy → subscribers, and
 //!    subscriptions flow subscriber → subscriber's proxy → target's proxy.
 //! 3. **Mutual verification** ([`verify`], [`rating`], [`reputation`]) —
-//!    proxies and witnesses run sanity checks on positions, guidance,
+//!    proxies and witnesses run sanity checks on positions, aim rates,
 //!    kills, subscriptions and dissemination rates; each check produces a
 //!    1–10 cheat rating modulated by a confidence factor
 //!    (`c_P > c_IS > c_VS > c_O`) and feeds a pluggable reputation system.
 //!
-//! [`cheat`] provides the Table I cheat injectors used by the evaluation.
+//! [`cheat`] holds the Table I taxonomy and the injectors its demos use.
 //! The replay drivers that put these nodes (and the Donnybrook and
 //! Client/Server baselines) on a simulated network live in
 //! `watchmen-sim::overlay`.

@@ -556,7 +556,8 @@ impl WatchmenNode {
             self.relay_to_subscribers(rx, SetKind::Interest);
         }
         let Some((seen_frame, victim)) = self.knowledge.get(claim.victim) else { return };
-        let score = self.verifier.check_kill(claim, &PlayerFrame::from(&victim), &self.map, 5);
+        let dead = self.knowledge.dead_before(claim.victim, rx.gen_frame);
+        let score = self.verifier.check_kill(claim, victim.position, dead, &self.map, 5);
         if score > 1 {
             let confidence = if rx.from_origin { Confidence::Proxy } else { Confidence::Vision };
             let staleness = rx.gen_frame.saturating_sub(seen_frame);
@@ -570,7 +571,7 @@ impl WatchmenNode {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use watchmen_crypto::schnorr::Keypair;
     use watchmen_game::WeaponKind;
@@ -583,10 +584,10 @@ mod tests {
     use watchmen_telemetry::trace::TraceId;
 
     const SUB: PlayerId = PlayerId(1);
-    const TARGET: PlayerId = PlayerId(2);
+    pub(crate) const TARGET: PlayerId = PlayerId(2);
 
     /// Player 0's node in a game of `players`.
-    fn node(players: u64) -> WatchmenNode {
+    pub(crate) fn node(players: u64) -> WatchmenNode {
         let keys: Vec<Keypair> = (0..players).map(|i| Keypair::generate(77 ^ i)).collect();
         let directory = keys.iter().map(Keypair::public).collect();
         let (me, config) = (keys[0].clone(), WatchmenConfig::default());
@@ -604,7 +605,7 @@ mod tests {
     }
 
     /// A live player at `(x, y)` looking along +x.
-    fn at(x: f64, y: f64) -> StateUpdate {
+    pub(crate) fn at(x: f64, y: f64) -> StateUpdate {
         StateUpdate {
             position: Vec3::new(x, y, 0.0),
             velocity: Vec3::ZERO,
@@ -618,7 +619,7 @@ mod tests {
 
     /// Runs `check` on a datagram from `SUB` generated at `gen_frame` and
     /// handled at `now`; returns the events it raised.
-    fn from_sub(
+    pub(crate) fn from_sub(
         node: &mut WatchmenNode,
         frames: (u64, u64),
         check: impl FnOnce(&mut WatchmenNode, &mut Inbound<'_>),

@@ -23,6 +23,10 @@ pub(super) struct Knowledge {
     /// Best known state of every player, learned from received messages,
     /// indexed by id; grown when a joiner past the table is learned.
     known: Vec<Option<(u64, StateUpdate)>>,
+    /// Whether each `known` entry came from a full state. A position-only
+    /// sighting carries the rest of the last state forward, health
+    /// included, so its health says nothing. Indexed like `known`.
+    full: Vec<bool>,
     /// Generation frame of the last *information discontinuity* seen in
     /// each player's knowledge stream: a death, a respawn, or a
     /// faster-than-physics jump (a respawn whose dead interval fell
@@ -47,6 +51,7 @@ impl Knowledge {
     pub(super) fn new(players: usize, config: &WatchmenConfig, physics: &PhysicsConfig) -> Self {
         Knowledge {
             known: vec![None; players],
+            full: vec![false; players],
             breaks: vec![None; players],
             my_subs: BTreeMap::new(),
             frame_travel: physics.max_speed * config.frame_seconds(),
@@ -60,15 +65,22 @@ impl Knowledge {
         self.known.get(player.index()).copied().flatten()
     }
 
+    /// Records the full state `update` as `player`'s state at `frame`
+    /// unless a newer copy is already held (see [`Self::record`]).
+    pub(super) fn learn(&mut self, player: PlayerId, frame: u64, update: StateUpdate) {
+        self.record(player, frame, update, true);
+    }
+
     /// Records `update` as `player`'s state at `frame` unless a newer
     /// copy is already held, noting a discontinuity in the stream if the
     /// step crosses a death (health edge) or covers more ground than
     /// physics allows — the signature of a respawn whose dead interval
     /// fell between two sightings.
-    pub(super) fn learn(&mut self, player: PlayerId, frame: u64, update: StateUpdate) {
+    fn record(&mut self, player: PlayerId, frame: u64, update: StateUpdate, full: bool) {
         let i = player.index();
         if i >= self.known.len() {
             self.known.resize(i + 1, None);
+            self.full.resize(i + 1, false);
             self.breaks.resize(i + 1, None);
         }
         if let Some((prev_frame, prev)) = self.known[i] {
@@ -85,6 +97,18 @@ impl Knowledge {
             }
         }
         self.known[i] = Some((frame, update));
+        self.full[i] = full;
+    }
+
+    /// Whether `player` is known dead before `frame`: the freshest
+    /// sighting is a full state generated before `frame` that shows it
+    /// dead. A state from `frame` on may show the very death a kill
+    /// claim of `frame` reports, and a position-only sighting may follow
+    /// a respawn it cannot show, so neither counts.
+    pub(super) fn dead_before(&self, player: PlayerId, frame: u64) -> bool {
+        let i = player.index();
+        self.full.get(i).is_some_and(|&full| full)
+            && self.known[i].is_some_and(|(seen, s)| seen < frame && s.health == 0)
     }
 
     /// Records a position-only sighting (guidance, others updates): the
@@ -100,7 +124,7 @@ impl Knowledge {
             weapon: watchmen_game::WeaponKind::MachineGun,
             ammo: 0,
         });
-        self.learn(player, frame, StateUpdate { position, ..base });
+        self.record(player, frame, StateUpdate { position, ..base }, false);
     }
 
     /// Whether `player`'s knowledge stream showed a discontinuity recently
@@ -114,6 +138,7 @@ impl Knowledge {
     pub(super) fn forget(&mut self, departed: PlayerId) {
         if let Some(slot) = self.known.get_mut(departed.index()) {
             *slot = None;
+            self.full[departed.index()] = false;
             self.breaks[departed.index()] = None;
         }
         self.my_subs.retain(|&(target, _), _| target != departed);
@@ -208,6 +233,9 @@ mod tests {
     use watchmen_math::Aim;
 
     use super::*;
+    use crate::msg::KillClaim;
+    use crate::node::duty::tests::{at as state_at, from_sub, node, TARGET};
+    use crate::node::NodeEvent;
 
     fn at(x: f64) -> StateUpdate {
         StateUpdate {
@@ -249,5 +277,41 @@ mod tests {
         // An id never learned is past the table, and forgetting it is a no-op.
         k.forget(PlayerId(9));
         assert_eq!(k.get(PlayerId(9)), None);
+    }
+
+    /// The severe verdicts `SUB`'s railgun claim of frame `claim`, handled
+    /// two frames later, draws for killing `TARGET` at (100, 200).
+    fn severe_kills(node: &mut WatchmenNode, claim: u64) -> usize {
+        let (victim, weapon) = (TARGET, WeaponKind::Railgun);
+        let attacker_position = Vec3::new(50.0, 200.0, 0.0);
+        let victim_position = Vec3::new(100.0, 200.0, 0.0);
+        let kill = KillClaim { victim, weapon, attacker_position, victim_position };
+        let events = from_sub(node, (claim + 2, claim), |node, rx| node.on_kill(rx, &kill));
+        let ratings = events.iter().filter_map(|e| match e {
+            NodeEvent::Suspicion { rating, .. } => Some(rating),
+            _ => None,
+        });
+        ratings.filter(|r| r.is_suspicious()).count()
+    }
+
+    #[test]
+    fn a_death_known_from_the_claim_frame_on_is_not_a_prior_death() {
+        // The victim's state of the claim frame shows the very death
+        // claimed: an honest kill, not a kill of the dead.
+        let mut node = node(3);
+        node.knowledge.learn(TARGET, 9, state_at(100.0, 200.0));
+        node.knowledge.learn(TARGET, 10, StateUpdate { health: 0, ..state_at(100.0, 200.0) });
+        assert_eq!(severe_kills(&mut node, 10), 0);
+        assert_eq!(severe_kills(&mut node, 11), 1, "dead before the claim");
+    }
+
+    #[test]
+    fn a_position_sighting_after_a_death_is_not_a_prior_death() {
+        // Seen dead, then only by position after the respawn: the
+        // sighting carries the dead state's health, which says nothing.
+        let mut node = node(3);
+        node.knowledge.learn(TARGET, 5, StateUpdate { health: 0, ..state_at(300.0, 300.0) });
+        node.knowledge.learn_position(TARGET, 60, Vec3::new(100.0, 200.0, 0.0));
+        assert_eq!(severe_kills(&mut node, 62), 0);
     }
 }

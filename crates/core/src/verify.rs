@@ -3,26 +3,22 @@
 //! "Each player can perform verifications of each other player. The types
 //! of verifications and their accuracy depend on whether he is the other
 //! player's proxy and/or whether he has the other player in his IS or VS."
-//! The suite covers the five families evaluated in Figure 6 — position
-//! updates, kill claims, guidance messages, IS subscriptions and VS
-//! subscriptions — plus the dissemination-frequency checks proxies run.
+//! The suite holds the checks the node runs: position updates, aim rate,
+//! kill claims and subscriptions (the vision-cone check, for IS and VS
+//! subscriptions alike), plus the dissemination-frequency check proxies
+//! run at every epoch summary. Figure 6's guidance and IS attention-rank
+//! checks have no node caller, so they are not here.
 //!
-//! Checks are *sanity checks*: approximate, cheap, and calibrated against
-//! honest behaviour (`a ≤ ā + σ_a`), returning 1–10 scores via
-//! [`crate::rating::rate_deviation`].
+//! Checks are *sanity checks*: approximate and cheap, returning 1–10
+//! scores via [`crate::rating::rate_deviation`].
 
 use watchmen_game::trace::PlayerFrame;
-use watchmen_game::PlayerId;
-use watchmen_math::poly::Polyline;
-use watchmen_math::stats::Running;
 use watchmen_math::{Aim, Vec3};
 use watchmen_world::{GameMap, PhysicsConfig};
 
-use crate::attention::{score as attention_score, AttentionInput, AttentionWeights};
-use crate::dead_reckoning::{guidance_deviation, Guidance};
 use crate::msg::KillClaim;
 use crate::rating::rate_deviation;
-use crate::subscription::{vision_cone, RecencySource};
+use crate::subscription::vision_cone;
 use crate::WatchmenConfig;
 
 /// Canonical names for the verification checks.
@@ -35,12 +31,9 @@ pub mod checks {
     pub const POSITION: &str = "position";
     /// [`super::Verifier::check_aim`] — angular-rate sanity.
     pub const AIM: &str = "aim";
-    /// [`super::Verifier::check_guidance`] — dead-reckoning envelope.
-    pub const GUIDANCE: &str = "guidance";
     /// [`super::Verifier::check_kill`] — kill-claim plausibility.
     pub const KILL: &str = "kill";
-    /// [`super::Verifier::check_vs_subscription`] /
-    /// [`super::Verifier::check_is_subscription`] — subscription validity.
+    /// [`super::Verifier::check_vs_subscription`] — subscription validity.
     pub const SUBSCRIPTION: &str = "subscription";
     /// [`super::Verifier::check_rate`] — dissemination frequency.
     pub const RATE: &str = "rate";
@@ -58,18 +51,8 @@ pub mod checks {
     pub const SCHEDULE: &str = "schedule";
 
     /// Every check name, for exhaustive reports.
-    pub const ALL: [&str; 10] = [
-        POSITION,
-        AIM,
-        GUIDANCE,
-        KILL,
-        SUBSCRIPTION,
-        RATE,
-        EPOCH_SUMMARY,
-        COLLUSION,
-        ADMISSION,
-        SCHEDULE,
-    ];
+    pub const ALL: [&str; 9] =
+        [POSITION, AIM, KILL, SUBSCRIPTION, RATE, EPOCH_SUMMARY, COLLUSION, ADMISSION, SCHEDULE];
 }
 
 /// Slack multiplier on hard physics limits before an action is rated
@@ -81,42 +64,33 @@ const PHYSICS_SLACK: f64 = 1.15;
 /// in the IS for less than 2 out of 5 frames").
 const MIN_IS_FRAMES_FOR_KILL: u64 = 2;
 
-/// The stateful verifier a player runs against peers.
-///
-/// Holds the honest-behaviour baseline for guidance deviations, which the
-/// paper calibrates from observed players ("the average value ā observed
-/// for honest players plus … the observed standard deviation σ_a").
+/// The verifier a player runs against peers: the frame rate and the
+/// physics limits every check measures against.
 ///
 /// # Examples
 ///
 /// ```
 /// use watchmen_core::verify::Verifier;
 /// use watchmen_core::WatchmenConfig;
-/// use watchmen_world::PhysicsConfig;
+/// use watchmen_world::{maps, PhysicsConfig};
+/// use watchmen_math::Vec3;
 ///
 /// let v = Verifier::new(WatchmenConfig::default(), PhysicsConfig::default());
-/// assert_eq!(v.guidance_tolerance(), Verifier::DEFAULT_GUIDANCE_TOLERANCE);
+/// let map = maps::arena(40, 10.0);
+/// let (a, b) = (Vec3::new(50.0, 50.0, 0.0), Vec3::new(51.0, 50.0, 0.0));
+/// assert_eq!(v.check_position(a, b, 1, &map), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Verifier {
     config: WatchmenConfig,
     physics: PhysicsConfig,
-    guidance_baseline: Running,
 }
 
 impl Verifier {
-    /// Guidance-area tolerance used until enough honest observations have
-    /// been collected.
-    pub const DEFAULT_GUIDANCE_TOLERANCE: f64 = 60.0;
-
-    /// Observations required before the calibrated baseline replaces the
-    /// default tolerance.
-    const MIN_BASELINE_SAMPLES: u64 = 20;
-
-    /// Creates a verifier with an empty baseline.
+    /// Creates a verifier.
     #[must_use]
     pub fn new(config: WatchmenConfig, physics: PhysicsConfig) -> Self {
-        Verifier { config, physics, guidance_baseline: Running::new() }
+        Verifier { config, physics }
     }
 
     /// The architecture configuration in use.
@@ -129,23 +103,6 @@ impl Verifier {
     #[must_use]
     pub fn physics(&self) -> &PhysicsConfig {
         &self.physics
-    }
-
-    /// Feeds one honest guidance-deviation observation into the baseline.
-    pub fn observe_honest_guidance(&mut self, area: f64) {
-        self.guidance_baseline.push(area);
-    }
-
-    /// The current guidance acceptance threshold `ā + σ_a`.
-    #[must_use]
-    pub fn guidance_tolerance(&self) -> f64 {
-        if self.guidance_baseline.count() < Self::MIN_BASELINE_SAMPLES {
-            Self::DEFAULT_GUIDANCE_TOLERANCE
-        } else {
-            // Never collapse below a floor: honest play with near-zero
-            // variance would otherwise flag every wiggle.
-            self.guidance_baseline.tolerance(1.0).max(1.0)
-        }
     }
 
     /// **Position check**: are two successive position updates consistent
@@ -191,51 +148,19 @@ impl Verifier {
         rate_deviation(prev.max_component_delta(next), max_turn.min(std::f64::consts::PI))
     }
 
-    /// **Guidance check**: does the trajectory the avatar actually followed
-    /// stay within the honest envelope of its dead-reckoning prediction?
-    /// (`(a − (ā + σ_a)) < 0` accepts.)
-    ///
-    /// Two signals are combined, both available to proxies ("guidance
-    /// messages are compared against future frequent updates by the
-    /// proxies as well as dead reckoning computed by proxies"):
-    ///
-    /// * the *area* between the predicted and actual trajectory, rated
-    ///   against the calibrated honest envelope;
-    /// * the claimed velocity against the instantaneous displacement in
-    ///   the first following frame, rated against the maximum legal
-    ///   acceleration (a fabricated velocity diverges immediately, while
-    ///   honest claims match the very next frequent update).
-    #[must_use]
-    pub fn check_guidance(&self, guidance: &Guidance, actual: &Polyline) -> u8 {
-        let dt = self.config.frame_seconds();
-        let area = guidance_deviation(guidance, actual, dt);
-        let area_score = rate_deviation(area, self.guidance_tolerance());
-
-        let velocity_score = if actual.len() >= 2 {
-            let observed = (actual.points()[1] - actual.points()[0]) / dt;
-            let dev = (guidance.velocity - observed).horizontal().length();
-            // One frame of maximum acceleration (the game enforces it),
-            // plus a small absolute slack for collision response.
-            let tolerance = self.physics.max_accel * dt * PHYSICS_SLACK + 2.0;
-            rate_deviation(dev, tolerance)
-        } else {
-            1
-        };
-
-        area_score.max(velocity_score)
-    }
-
     /// **Kill check**: "verifying the type of weapon, the distance, the
     /// visibility, and how long the attacker had the target in his IS".
     ///
-    /// `victim_observed` is the verifier's best knowledge of the victim at
-    /// claim time; `frames_victim_in_attacker_is` how long the victim had
-    /// been in the attacker's interest set.
+    /// `victim_seen` is the verifier's freshest sighting of the victim;
+    /// `victim_dead` whether it knew the victim dead before the claim
+    /// frame; `frames_victim_in_attacker_is` how long the victim had been
+    /// in the attacker's interest set.
     #[must_use]
     pub fn check_kill(
         &self,
         claim: &KillClaim,
-        victim_observed: &PlayerFrame,
+        victim_seen: Vec3,
+        victim_dead: bool,
         map: &GameMap,
         frames_victim_in_attacker_is: u64,
     ) -> u8 {
@@ -268,7 +193,7 @@ impl Verifier {
         // Claimed victim position vs what the verifier observed ("the
         // distance between the position of the rocket and that of the
         // target is used as a metric of the deviation").
-        let observation_gap = claim.victim_position.distance(victim_observed.position);
+        let observation_gap = claim.victim_position.distance(victim_seen);
         let gap_tolerance = self.physics.max_speed
             * self.config.frame_seconds()
             * WatchmenConfig::GUIDANCE_PERIOD as f64;
@@ -282,7 +207,7 @@ impl Verifier {
         }
 
         // A dead victim cannot be killed again.
-        if !victim_observed.is_alive() {
+        if victim_dead {
             worst = worst.max(8);
         }
 
@@ -320,72 +245,6 @@ impl Verifier {
         score
     }
 
-    /// **IS-subscription check**: "for IS-subscriptions, a proxy computes
-    /// interest with sufficient accuracy based on the attention metric."
-    ///
-    /// The target's attention *rank* among all candidates is compared to
-    /// the interest-set size (with slack for information staleness).
-    ///
-    /// # Panics
-    ///
-    /// Panics if ids are out of range for `states`.
-    #[must_use]
-    pub fn check_is_subscription(
-        &self,
-        subscriber_id: PlayerId,
-        target_id: PlayerId,
-        states: &[PlayerFrame],
-        map: &GameMap,
-        recency: &dyn RecencySource,
-    ) -> u8 {
-        let observer = &states[subscriber_id.index()];
-        // "Only avatars in a player's vision set are considered as
-        // candidates" — an IS subscription to an avatar outside the
-        // (slightly enlarged) vision region is invalid outright, rated by
-        // how far outside it lies.
-        let target_state = &states[target_id.index()];
-        if !crate::subscription::in_vision(observer, target_state, map) {
-            let cone = vision_cone(observer);
-            let deviation = cone.deviation(target_state.position + Vec3::Z * 1.5);
-            let tolerance = self.physics.max_speed
-                * self.config.frame_seconds()
-                * WatchmenConfig::GUIDANCE_PERIOD as f64;
-            return rate_deviation(deviation, tolerance).max(6);
-        }
-        let weights = AttentionWeights::default();
-        let mut scores: Vec<(PlayerId, f64)> = states
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != subscriber_id.index())
-            .map(|(j, candidate)| {
-                let id = PlayerId(j as u32);
-                let s = attention_score(
-                    &AttentionInput {
-                        observer,
-                        candidate,
-                        frames_since_interaction: recency
-                            .frames_since_interaction(subscriber_id, id),
-                    },
-                    &weights,
-                );
-                (id, s)
-            })
-            .collect();
-        scores.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1).expect("finite attention").then_with(|| a.0.cmp(&b.0))
-        });
-        let rank = scores.iter().position(|&(id, _)| id == target_id).unwrap_or(scores.len());
-        // Rank within interest_size + slack is justified; beyond that the
-        // excess rank scales the score.
-        let slack = 2;
-        let limit = self.config.interest_size + slack;
-        if rank < limit {
-            1
-        } else {
-            rate_deviation(rank as f64, limit as f64)
-        }
-    }
-
     /// **Dissemination-frequency check**: "proxies can control whether a
     /// player sends timely updates". Under-sending (suppress-correct,
     /// blind-opponent, escaping) and over-sending (fast-rate) both raise
@@ -409,7 +268,7 @@ impl Verifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use watchmen_game::WeaponKind;
+    use watchmen_game::{PlayerId, WeaponKind};
     use watchmen_world::maps;
 
     fn verifier() -> Verifier {
@@ -491,58 +350,31 @@ mod tests {
     }
 
     #[test]
-    fn guidance_calibration_and_check() {
-        let mut v = verifier();
-        for _ in 0..30 {
-            v.observe_honest_guidance(10.0);
-        }
-        for _ in 0..30 {
-            v.observe_honest_guidance(20.0);
-        }
-        // ā = 15, σ = 5 → tolerance 20.
-        assert!((v.guidance_tolerance() - 20.0).abs() < 1e-9);
-
-        let g = Guidance {
-            position: Vec3::ZERO,
-            velocity: Vec3::new(10.0, 0.0, 0.0),
-            aim: Aim::default(),
-            predicted_position: Vec3::new(10.0, 0.0, 0.0),
-            frame: 0,
-        };
-        // Honest path: zero area.
-        let honest: Polyline = (0..=20).map(|k| Vec3::new(k as f64 * 0.5, 0.0, 0.0)).collect();
-        assert_eq!(v.check_guidance(&g, &honest), 1);
-        // Teleporting path: large area.
-        let bogus: Polyline = (0..=20).map(|k| Vec3::new(k as f64 * 0.5, 200.0, 0.0)).collect();
-        assert!(v.check_guidance(&g, &bogus) >= 9);
-    }
-
-    #[test]
     fn kill_in_range_visible_passes() {
         let v = verifier();
         let map = maps::arena(40, 10.0);
-        let victim = frame_at(Vec3::new(100.0, 50.0, 0.0));
+        let victim = Vec3::new(100.0, 50.0, 0.0);
         let claim = KillClaim {
             victim: PlayerId(1),
             weapon: WeaponKind::Railgun,
             attacker_position: Vec3::new(50.0, 50.0, 0.0),
             victim_position: Vec3::new(100.0, 50.0, 0.0),
         };
-        assert_eq!(v.check_kill(&claim, &victim, &map, 10), 1);
+        assert_eq!(v.check_kill(&claim, victim, false, &map, 10), 1);
     }
 
     #[test]
     fn kill_beyond_range_flagged() {
         let v = verifier();
         let map = maps::arena(100, 10.0);
-        let victim = frame_at(Vec3::new(500.0, 50.0, 0.0));
+        let victim = Vec3::new(500.0, 50.0, 0.0);
         let claim = KillClaim {
             victim: PlayerId(1),
             weapon: WeaponKind::Shotgun, // 40 u range
             attacker_position: Vec3::new(50.0, 50.0, 0.0),
             victim_position: Vec3::new(500.0, 50.0, 0.0),
         };
-        assert_eq!(v.check_kill(&claim, &victim, &map, 10), 10);
+        assert_eq!(v.check_kill(&claim, victim, false, &map, 10), 10);
     }
 
     #[test]
@@ -550,14 +382,14 @@ mod tests {
         let v = verifier();
         let mut map = maps::arena(40, 10.0);
         map.fill_rect(10, 1, 10, 38, watchmen_world::Tile::Wall);
-        let victim = frame_at(Vec3::new(150.0, 50.0, 0.0));
+        let victim = Vec3::new(150.0, 50.0, 0.0);
         let claim = KillClaim {
             victim: PlayerId(1),
             weapon: WeaponKind::Railgun,
             attacker_position: Vec3::new(50.0, 50.0, 0.0),
             victim_position: Vec3::new(150.0, 50.0, 0.0),
         };
-        assert!(v.check_kill(&claim, &victim, &map, 10) >= 9);
+        assert!(v.check_kill(&claim, victim, false, &map, 10) >= 9);
     }
 
     #[test]
@@ -565,28 +397,28 @@ mod tests {
         let v = verifier();
         let map = maps::arena(100, 10.0);
         // Verifier knows the victim is 400 units from the claimed spot.
-        let victim = frame_at(Vec3::new(500.0, 500.0, 0.0));
+        let victim = Vec3::new(500.0, 500.0, 0.0);
         let claim = KillClaim {
             victim: PlayerId(1),
             weapon: WeaponKind::Railgun,
             attacker_position: Vec3::new(50.0, 50.0, 0.0),
             victim_position: Vec3::new(100.0, 50.0, 0.0),
         };
-        assert!(v.check_kill(&claim, &victim, &map, 10) >= 8);
+        assert!(v.check_kill(&claim, victim, false, &map, 10) >= 8);
     }
 
     #[test]
     fn kill_unattended_target_mildly_flagged() {
         let v = verifier();
         let map = maps::arena(40, 10.0);
-        let victim = frame_at(Vec3::new(100.0, 50.0, 0.0));
+        let victim = Vec3::new(100.0, 50.0, 0.0);
         let claim = KillClaim {
             victim: PlayerId(1),
             weapon: WeaponKind::Railgun,
             attacker_position: Vec3::new(50.0, 50.0, 0.0),
             victim_position: Vec3::new(100.0, 50.0, 0.0),
         };
-        let s = v.check_kill(&claim, &victim, &map, 0);
+        let s = v.check_kill(&claim, victim, false, &map, 0);
         assert_eq!(s, 4); // a hint, below the flag threshold on its own
     }
 
@@ -594,15 +426,15 @@ mod tests {
     fn kill_on_dead_victim_flagged() {
         let v = verifier();
         let map = maps::arena(40, 10.0);
-        let mut victim = frame_at(Vec3::new(100.0, 50.0, 0.0));
-        victim.health = 0;
+        let victim = Vec3::new(100.0, 50.0, 0.0);
         let claim = KillClaim {
             victim: PlayerId(1),
             weapon: WeaponKind::Railgun,
             attacker_position: Vec3::new(50.0, 50.0, 0.0),
             victim_position: Vec3::new(100.0, 50.0, 0.0),
         };
-        assert!(v.check_kill(&claim, &victim, &map, 10) >= 8);
+        assert_eq!(v.check_kill(&claim, victim, false, &map, 10), 1);
+        assert!(v.check_kill(&claim, victim, true, &map, 10) >= 8);
     }
 
     #[test]
@@ -621,35 +453,6 @@ mod tests {
         let sub = frame_at(Vec3::new(200.0, 200.0, 0.0)); // looking +x
         let s = v.check_vs_subscription(&sub, Vec3::new(80.0, 200.0, 0.0), &map);
         assert!(s >= 5, "behind-cone score {s}");
-    }
-
-    #[test]
-    fn is_subscription_near_target_passes_far_target_flagged() {
-        let v = verifier();
-        // Subscriber at origin looking +x; 10 candidates ahead at rising
-        // distance. Subscribing to the nearest is fine; to the farthest is
-        // not.
-        let mut states = vec![frame_at(Vec3::new(20.0, 500.0, 0.0))];
-        for k in 1..=10 {
-            states.push(frame_at(Vec3::new(20.0 + k as f64 * 12.0, 500.0 + 0.1 * k as f64, 0.0)));
-        }
-        let map = maps::arena(100, 10.0);
-        let ok = v.check_is_subscription(
-            PlayerId(0),
-            PlayerId(1),
-            &states,
-            &map,
-            &crate::subscription::NoRecency,
-        );
-        assert_eq!(ok, 1);
-        let bad = v.check_is_subscription(
-            PlayerId(0),
-            PlayerId(10),
-            &states,
-            &map,
-            &crate::subscription::NoRecency,
-        );
-        assert!(bad > 1, "far-target IS-sub score {bad}");
     }
 
     #[test]

@@ -11,13 +11,10 @@
 //!   verification.
 //! * [`Segment`] and [`Ray`] — closest-point and intersection queries.
 //! * [`Aabb`] — axis-aligned boxes for map geometry.
-//! * [`poly`] — polyline trajectories and the *area between trajectories*
-//!   deviation metric used by dead-reckoning verification.
 //! * [`grid`] — 2-D cell indexing and DDA traversal used by occlusion
 //!   raycasts.
-//! * [`stats`] — running means, standard deviations, histograms and
-//!   percentiles used by the verification thresholds (`a ≤ ā + σ_a`) and the
-//!   experiment harness.
+//! * [`stats`] — histograms and percentiles used by the experiment
+//!   harness.
 //!
 //! # Examples
 //!
@@ -38,7 +35,6 @@ mod aabb;
 mod aim;
 mod cone;
 pub mod grid;
-pub mod poly;
 mod segment;
 pub mod stats;
 mod vec3;

@@ -1,146 +1,7 @@
-//! Running statistics, histograms and percentiles.
+//! Histograms and percentiles.
 //!
-//! Verification thresholds in the paper are calibrated from honest-player
-//! behaviour: an action is acceptable when its deviation `a` satisfies
-//! `a ≤ ā + σ_a` where `ā`/`σ_a` are the observed mean and standard
-//! deviation. [`Running`] provides those online; [`Histogram`] backs the
-//! experiment harness (Figure 7's PDF of update ages, Figure 4's stacked
-//! bars).
-
-use std::fmt;
-
-/// Online mean / variance accumulator (Welford's algorithm).
-///
-/// # Examples
-///
-/// ```
-/// use watchmen_math::stats::Running;
-///
-/// let mut r = Running::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     r.push(x);
-/// }
-/// assert_eq!(r.mean(), 5.0);
-/// assert_eq!(r.std_dev(), 2.0); // population standard deviation
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Running {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Running {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Running { n: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (`0.0` when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (`0.0` with fewer than two samples).
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample seen (`+∞` when empty).
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest sample seen (`-∞` when empty).
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// The paper's acceptance threshold `ā + k·σ_a`.
-    #[must_use]
-    pub fn tolerance(&self, k: f64) -> f64 {
-        self.mean() + k * self.std_dev()
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Running) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n;
-        let m2 = self.m2 + other.m2 + delta * delta * self.n as f64 * other.n as f64 / n;
-        self.n += other.n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl fmt::Display for Running {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "n={} mean={:.4} sd={:.4}", self.n, self.mean(), self.std_dev())
-    }
-}
-
-impl Extend<f64> for Running {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for x in iter {
-            self.push(x);
-        }
-    }
-}
-
-impl FromIterator<f64> for Running {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut r = Running::new();
-        r.extend(iter);
-        r
-    }
-}
+//! [`Histogram`] backs the experiment harness (Figure 7's PDF of update
+//! ages, Figure 4's stacked bars).
 
 /// A fixed-width histogram over `[lo, hi)` with an overflow bucket.
 ///
@@ -284,57 +145,6 @@ pub fn percentile(data: &[f64], q: f64) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn running_basic() {
-        let r: Running = [1.0, 2.0, 3.0, 4.0].into_iter().collect();
-        assert_eq!(r.count(), 4);
-        assert_eq!(r.mean(), 2.5);
-        assert!((r.variance() - 1.25).abs() < 1e-12);
-        assert_eq!(r.min(), 1.0);
-        assert_eq!(r.max(), 4.0);
-    }
-
-    #[test]
-    fn running_empty() {
-        let r = Running::new();
-        assert_eq!(r.mean(), 0.0);
-        assert_eq!(r.variance(), 0.0);
-        assert_eq!(r.count(), 0);
-    }
-
-    #[test]
-    fn running_tolerance() {
-        let r: Running = [0.0, 2.0].into_iter().collect();
-        assert_eq!(r.mean(), 1.0);
-        assert_eq!(r.std_dev(), 1.0);
-        assert_eq!(r.tolerance(1.0), 2.0);
-        assert_eq!(r.tolerance(2.0), 3.0);
-    }
-
-    #[test]
-    fn running_merge_matches_sequential() {
-        let mut a: Running = [1.0, 2.0, 3.0].into_iter().collect();
-        let b: Running = [10.0, 20.0].into_iter().collect();
-        let all: Running = [1.0, 2.0, 3.0, 10.0, 20.0].into_iter().collect();
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), 1.0);
-        assert_eq!(a.max(), 20.0);
-    }
-
-    #[test]
-    fn running_merge_empty_cases() {
-        let mut a = Running::new();
-        let b: Running = [5.0].into_iter().collect();
-        a.merge(&b);
-        assert_eq!(a.mean(), 5.0);
-        let mut c: Running = [5.0].into_iter().collect();
-        c.merge(&Running::new());
-        assert_eq!(c.count(), 1);
-    }
 
     #[test]
     fn histogram_bucketing() {

@@ -2,8 +2,7 @@
 //! the workspace's own deterministic [`Xoshiro256`] generator.
 
 use watchmen_crypto::rng::Xoshiro256;
-use watchmen_math::poly::{area_between, dead_reckon_path, Polyline};
-use watchmen_math::stats::{percentile, Running};
+use watchmen_math::stats::percentile;
 use watchmen_math::{grid, wrap_angle, Aim, Cone, Segment, Vec3};
 
 const CASES: usize = 256;
@@ -14,11 +13,6 @@ fn f64_in(rng: &mut Xoshiro256, lo: f64, hi: f64) -> f64 {
 
 fn small_vec3(rng: &mut Xoshiro256) -> Vec3 {
     Vec3::new(f64_in(rng, -1e3, 1e3), f64_in(rng, -1e3, 1e3), f64_in(rng, -1e3, 1e3))
-}
-
-fn vec_of_vec3(rng: &mut Xoshiro256, min: u64, max: u64) -> Vec<Vec3> {
-    let n = min + rng.next_range(max - min);
-    (0..n).map(|_| small_vec3(rng)).collect()
 }
 
 #[test]
@@ -141,58 +135,6 @@ fn dda_traversal_is_4_connected() {
 }
 
 #[test]
-fn area_between_nonnegative_and_symmetric() {
-    let mut rng = Xoshiro256::new(11);
-    for _ in 0..64 {
-        let a = Polyline::from_points(vec_of_vec3(&mut rng, 2, 10));
-        let b = Polyline::from_points(vec_of_vec3(&mut rng, 2, 10));
-        let ab = area_between(&a, &b, 16);
-        let ba = area_between(&b, &a, 16);
-        assert!(ab >= 0.0);
-        assert!((ab - ba).abs() < 1e-6 * (1.0 + ab.abs()));
-    }
-}
-
-#[test]
-fn area_between_self_is_zero() {
-    let mut rng = Xoshiro256::new(12);
-    for _ in 0..64 {
-        let line = Polyline::from_points(vec_of_vec3(&mut rng, 2, 10));
-        assert_eq!(area_between(&line, &line, 16), 0.0);
-    }
-}
-
-#[test]
-fn dead_reckoning_path_is_straight() {
-    let mut rng = Xoshiro256::new(13);
-    for _ in 0..CASES {
-        let pos = small_vec3(&mut rng);
-        let vel = small_vec3(&mut rng);
-        let frames = 1 + rng.next_range(39) as usize;
-        let path = dead_reckon_path(pos, vel, frames, 0.05);
-        assert_eq!(path.len(), frames + 1);
-        // Constant velocity: equal spacing between consecutive samples.
-        let step = vel.length() * 0.05;
-        for w in path.points().windows(2) {
-            assert!((w[0].distance(w[1]) - step).abs() < 1e-6);
-        }
-    }
-}
-
-#[test]
-fn running_mean_within_minmax() {
-    let mut rng = Xoshiro256::new(14);
-    for _ in 0..CASES {
-        let n = 1 + rng.next_range(99);
-        let xs: Vec<f64> = (0..n).map(|_| f64_in(&mut rng, -1e6, 1e6)).collect();
-        let r: Running = xs.iter().copied().collect();
-        assert!(r.mean() >= r.min() - 1e-9);
-        assert!(r.mean() <= r.max() + 1e-9);
-        assert!(r.variance() >= 0.0);
-    }
-}
-
-#[test]
 fn percentile_is_monotone() {
     let mut rng = Xoshiro256::new(15);
     for _ in 0..CASES {
@@ -202,21 +144,5 @@ fn percentile_is_monotone() {
         let p50 = percentile(&xs, 0.50).unwrap();
         let p75 = percentile(&xs, 0.75).unwrap();
         assert!(p25 <= p50 && p50 <= p75);
-    }
-}
-
-#[test]
-fn polyline_sample_stays_on_hull_bounds() {
-    let mut rng = Xoshiro256::new(16);
-    for _ in 0..CASES {
-        let pts = vec_of_vec3(&mut rng, 2, 10);
-        let u = rng.next_f64();
-        let line = Polyline::from_points(pts.clone());
-        let s = line.sample_by_time(u);
-        let min = pts.iter().copied().reduce(Vec3::min).unwrap();
-        let max = pts.iter().copied().reduce(Vec3::max).unwrap();
-        assert!(s.x >= min.x - 1e-9 && s.x <= max.x + 1e-9);
-        assert!(s.y >= min.y - 1e-9 && s.y <= max.y + 1e-9);
-        assert!(s.z >= min.z - 1e-9 && s.z <= max.z + 1e-9);
     }
 }

@@ -2,12 +2,14 @@
 //!
 //! For every cheat in the paper's Table I, this module runs a small
 //! concrete scenario exercising the Watchmen mechanism that detects or
-//! prevents it, and reports whether the mechanism fired. Detection demos
-//! use the [`watchmen_core::verify`] sanity checks, and the replay row
-//! hands one signed datagram to a shipped node twice; prevention demos
-//! verify the structural property (signatures, single proxy path,
-//! minimized information exposure, hidden subscriptions). The
-//! coordinated-adversary kinds ([`CheatKind::CAMPAIGNS`]) are
+//! prevents it, and reports whether the mechanism fired. The
+//! client-code-tampering and aimbot rows read Figure 6's speed-hack and
+//! aim-snap replays of the shipped node ([`crate::detection`]), the
+//! replay row hands one signed datagram to a shipped node twice, and the
+//! other detection demos use the [`watchmen_core::verify`] sanity checks.
+//! Prevention demos verify the structural property (signatures, single
+//! proxy path, minimized information exposure, hidden subscriptions).
+//! The coordinated-adversary kinds ([`CheatKind::CAMPAIGNS`]) are
 //! demonstrated by running their full scripted campaign
 //! ([`crate::campaign`]) and grading it against injected ground truth.
 
@@ -24,6 +26,7 @@ use watchmen_math::{Aim, Vec3};
 use watchmen_world::PhysicsConfig;
 
 use crate::campaign::{run_campaign, CampaignKind};
+use crate::detection::{run_script, Cheat, MIN_SUCCESS};
 use crate::disclosure::{run_disclosure, Architecture, InfoClass};
 use crate::report::render_table;
 use crate::workload::Workload;
@@ -168,30 +171,16 @@ pub fn run_cheat_matrix(workload: &Workload, config: &WatchmenConfig, seed: u64)
         );
     }
 
-    // --- Client-side code tampering: a speed hack is a physics violation.
+    // --- Client-side code tampering and aimbots: Figure 6's scripted
+    // speed-hack and aim snap on the node replay, judged by the nodes.
+    for (kind, cheat) in
+        [(CheatKind::ClientCodeTampering, Cheat::SpeedHack), (CheatKind::Aimbot, Cheat::AimSnap)]
     {
-        let prev = Vec3::new(100.0, 100.0, 0.0);
-        let honest_next = Vec3::new(101.8, 100.0, 0.0);
-        // 4× the legal step: even the injector's mildest factor (1.5)
-        // lands well past the physics-slack band at any seed.
-        let hacked = injector.speed_hack(prev, honest_next, physics.max_step(0.05) * 4.0);
-        let score = verifier.check_position(prev, hacked, 1, map);
+        let caught = run_script(workload, config, seed, cheat).caught;
         push(
-            CheatKind::ClientCodeTampering,
-            score >= FLAG,
-            format!("uncapped-speed movement scored {score}/10 against game physics"),
-        );
-    }
-
-    // --- Aimbot: instantaneous 180° snaps exceed angular speed limits.
-    {
-        let before = Aim::new(0.0, 0.0);
-        let snapped = CheatInjector::snap_aim(Vec3::ZERO, Vec3::new(-50.0, -1.0, 0.0));
-        let score = verifier.check_aim(before, snapped, 1);
-        push(
-            CheatKind::Aimbot,
-            score >= FLAG,
-            format!("180° single-frame snap scored {score}/10 (statistical aim analysis)"),
+            kind,
+            caught.of > 0 && caught.rate() >= MIN_SUCCESS,
+            format!("{} check caught {caught} of the scripted {}s", cheat.check(), cheat.label()),
         );
     }
 

@@ -10,7 +10,7 @@
 //! | Table I (cheat catalog & responses) | [`cheat_matrix`] |
 //! | Figure 4 (information disclosure under collusion) | [`disclosure`] |
 //! | Figure 5 (witness availability) | [`overlay::run_witnesses`] |
-//! | Figure 6 (verification success rates) | [`detection`] |
+//! | Figure 6 (verification success rates, on the node replay) | [`detection`] |
 //! | Figure 7 (update-age PDF) | [`age`] |
 //! | §VI scalability / bandwidth claims | [`bandwidth_exp`] |
 //! | §VI subscriber-retention statistics | [`is_churn`] |
@@ -26,7 +26,8 @@
 //! advanced deliver-then-tick — [`scenario`] holds the scripted soaks
 //! (control plane under faults, churn) that run on it, and [`overlay`]
 //! replays a recorded game on it (and under the Donnybrook and
-//! Client/Server baselines) for [`age`], [`bandwidth_exp`] and Figure 5.
+//! Client/Server baselines) for [`age`], [`bandwidth_exp`], Figure 5 and,
+//! with a cheater scripted, Figure 6 and Table I's physics-cheat rows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -43,6 +43,10 @@
 //!
 //! Frames before `OTHERS_PERIOD + LOSS_AGE_FRAMES` are not sampled:
 //! subscriptions and the first guidance round are still settling.
+//!
+//! Figure 6 ([`crate::detection`]) plays the same replay with a cheater
+//! scripted through the replay's one hook, the crate-private `Script`,
+//! which `()` leaves as recorded.
 
 use std::sync::Arc;
 
@@ -126,7 +130,7 @@ impl OverlayReport {
 
 /// Shared age/accounting state, mirrored into the global telemetry
 /// registry labelled by driver architecture.
-struct Metrics {
+pub(crate) struct Metrics {
     ages: Histogram,
     delivered: u64,
     late: u64,
@@ -224,8 +228,7 @@ pub fn run_watchmen(
     loss_rate: f64,
     seed: u64,
 ) -> OverlayReport {
-    let (cluster, metrics) =
-        replay_watchmen(trace, map, config, latency, loss_rate, seed, |_, _, _| {});
+    let (cluster, metrics) = replay_watchmen(trace, map, config, latency, loss_rate, seed, &mut ());
     finish_report(
         "watchmen",
         &cluster.net,
@@ -237,17 +240,31 @@ pub fn run_watchmen(
     )
 }
 
-/// Steps a cluster of secured nodes through the trace, recording the age
-/// of every update a node's frame consumes; `observe` sees every slot's
-/// output as `(frame, slot, output)` and changes nothing.
-fn replay_watchmen(
+/// What a node replay does beside playing the recorded trace. Every
+/// method defaults to nothing, so `()` replays the trace as recorded.
+pub(crate) trait Script {
+    /// Rewrites `slot`'s recorded `state` right before its tick in `frame`.
+    fn state(&mut self, _frame: u64, _slot: usize, _state: &mut PlayerFrame) {}
+
+    /// Runs once `frame`'s step is over; may put datagrams on the wire.
+    fn after_step(&mut self, _frame: u64, _cluster: &mut Cluster) {}
+
+    /// Sees every slot's output in `frame` and changes nothing.
+    fn observe(&mut self, _frame: u64, _slot: usize, _output: &CoreOutput) {}
+}
+
+impl Script for () {}
+
+/// Steps a cluster of secured nodes through the trace under `script`,
+/// recording the age of every update a node's frame consumes.
+pub(crate) fn replay_watchmen(
     trace: &GameTrace,
     map: &GameMap,
     config: &WatchmenConfig,
     latency: Box<dyn LatencyModel>,
     loss_rate: f64,
     seed: u64,
-    mut observe: impl FnMut(u64, usize, &CoreOutput),
+    script: &mut impl Script,
 ) -> (Cluster, Metrics) {
     assert!(trace.players >= 2 && !trace.is_empty());
     let n = trace.players;
@@ -260,18 +277,26 @@ fn replay_watchmen(
     );
     let mut metrics = Metrics::new("watchmen");
     for (frame, recorded) in (0u64..).zip(&trace.frames) {
+        // Both closures need the script: the state hook runs right before
+        // each tick, the observer after every handled output.
+        let script = std::cell::RefCell::new(&mut *script);
         cluster.step(
             frame,
-            |i| recorded.states[i],
+            |i| {
+                let mut state = recorded.states[i];
+                script.borrow_mut().state(frame, i, &mut state);
+                state
+            },
             |slot, output| {
                 for event in &output.events {
                     if let NodeEvent::Delivery { gen_frame, .. } = event {
                         metrics.record(*gen_frame, frame);
                     }
                 }
-                observe(frame, slot, output);
+                script.borrow_mut().observe(frame, slot, output);
             },
         );
+        script.into_inner().after_step(frame, &mut cluster);
     }
     (cluster, metrics)
 }
@@ -324,10 +349,7 @@ pub fn run_witnesses(
     }
     let mut tap = WitnessTap::new(n, coalitions);
     let (trace, map) = (&workload.trace, &workload.map);
-    let _ =
-        replay_watchmen(trace, map, config, latency::king_like(n, seed), 0.01, seed, |f, i, o| {
-            tap.observe(f, i, o);
-        });
+    let _ = replay_watchmen(trace, map, config, latency::king_like(n, seed), 0.01, seed, &mut tap);
     tap.finish()
 }
 
@@ -378,24 +400,7 @@ struct WitnessTap {
     subscribes_to_target: u64,
 }
 
-impl WitnessTap {
-    fn new(players: usize, coalitions: &[usize]) -> Self {
-        WitnessTap {
-            players,
-            coalitions: coalitions.to_vec(),
-            warm_up: WatchmenConfig::OTHERS_PERIOD + WatchmenConfig::LOSS_AGE_FRAMES,
-            state_window: WatchmenConfig::LOSS_AGE_FRAMES,
-            guidance_window: WatchmenConfig::GUIDANCE_PERIOD + WatchmenConfig::LOSS_AGE_FRAMES,
-            frame: 0,
-            proxy: vec![None; players],
-            state: vec![None; players * players],
-            guidance: vec![None; players * players],
-            tallies: vec![WitnessTally::default(); coalitions.len()],
-            subscribes: 0,
-            subscribes_to_target: 0,
-        }
-    }
-
+impl Script for WitnessTap {
     fn observe(&mut self, frame: u64, slot: usize, output: &CoreOutput) {
         if frame != self.frame {
             self.sample();
@@ -428,6 +433,25 @@ impl WitnessTap {
                 }
                 _ => {}
             }
+        }
+    }
+}
+
+impl WitnessTap {
+    fn new(players: usize, coalitions: &[usize]) -> Self {
+        WitnessTap {
+            players,
+            coalitions: coalitions.to_vec(),
+            warm_up: WatchmenConfig::OTHERS_PERIOD + WatchmenConfig::LOSS_AGE_FRAMES,
+            state_window: WatchmenConfig::LOSS_AGE_FRAMES,
+            guidance_window: WatchmenConfig::GUIDANCE_PERIOD + WatchmenConfig::LOSS_AGE_FRAMES,
+            frame: 0,
+            proxy: vec![None; players],
+            state: vec![None; players * players],
+            guidance: vec![None; players * players],
+            tallies: vec![WitnessTally::default(); coalitions.len()],
+            subscribes: 0,
+            subscribes_to_target: 0,
         }
     }
 
@@ -683,7 +707,7 @@ mod tests {
     fn wire_accounting_is_the_networks() {
         let (trace, map, config) = small_inputs();
         let (mut cluster, _) =
-            replay_watchmen(&trace, &map, &config, latency::constant(20.0), 0.0, 7, |_, _, _| {});
+            replay_watchmen(&trace, &map, &config, latency::constant(20.0), 0.0, 7, &mut ());
         let end = trace.len() as u64;
         cluster.deliver_until(end, (end + 1) as f64 * config.frame_ms, |_, _| {});
         let meters = || (0..trace.players).map(|i| cluster.net.meter(i));

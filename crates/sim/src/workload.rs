@@ -61,12 +61,28 @@ pub const CHEAT_OFFSET: f64 = 30.0;
 /// fires on every positive multiple. Time-to-detect is measured from it.
 pub const FIRST_CHEAT_FRAME: u64 = 4;
 
+/// Whether a scripted cheat fires in `frame`: every positive multiple of
+/// [`FIRST_CHEAT_FRAME`].
+#[must_use]
+pub fn cheat_fires(frame: u64) -> bool {
+    frame > 0 && frame.is_multiple_of(FIRST_CHEAT_FRAME)
+}
+
 /// The scripted speed-hack every soak gate uses: on every fourth frame
 /// after 0, `state` teleports [`CHEAT_OFFSET`] along x, which no legal
 /// movement allows. The caller decides who cheats, and until when.
 pub fn speed_hack(state: &mut PlayerFrame, frame: u64) {
-    if frame > 0 && frame.is_multiple_of(FIRST_CHEAT_FRAME) {
+    if cheat_fires(frame) {
         state.position.x += CHEAT_OFFSET;
+    }
+}
+
+/// The scripted aimbot snap: on the frames [`speed_hack`] fires on, the
+/// aim turns half a circle in yaw, which no legal rotation allows within
+/// one frame.
+pub fn aim_snap(state: &mut PlayerFrame, frame: u64) {
+    if cheat_fires(frame) {
+        state.aim = state.aim.rotated(std::f64::consts::PI, 0.0);
     }
 }
 
