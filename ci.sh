@@ -39,17 +39,26 @@ benchmark/run.sh --selfcheck
 
 # The paper figures that run the shipped node must keep building and
 # finishing; their shape gates are Rust assertions (DESIGN.md §7), so the
-# output is discarded. Fig. 6 is graded on the node replay too, so the
-# hand-driven detection model and the checks only it ran must not come
-# back.
+# output is discarded. Fig. 6 and Table I are graded on the node replay
+# too, so the hand-driven models, the detectors no node runs and the
+# checks only they ran must not come back, and the rate check is called
+# only by the node.
 echo "==> paper-figure benches on real nodes (quick mode)"
 WATCHMEN_QUICK=1 cargo bench -p watchmen-bench --bench fig5_witnesses \
-    --bench fig6_detection --bench fig7_update_age --bench scalability_bandwidth \
-    --bench ablation_proxy_period --bench ablation_interest_size > /dev/null
+    --bench fig6_detection --bench fig7_update_age --bench tab1_cheat_matrix \
+    --bench scalability_bandwidth --bench ablation_proxy_period \
+    --bench ablation_interest_size > /dev/null
 model=$(grep -rnE 'check_guidance|check_is_subscription|observe_honest_guidance|bogus_velocity|guidance_deviation' crates src examples tests || true)
 [ -z "$model" ] || { echo "the Fig. 6 detection model is back: $model" >&2; exit 1; }
-[ ! -e crates/math/src/poly.rs ] ||
-    { echo "the model's trajectory maths is back: crates/math/src/poly.rs" >&2; exit 1; }
+model=$(grep -rnE 'SummaryCorroborator|ScheduleBiasDetector|CheatInjector|run_campaign|CampaignKind' crates src examples tests || true)
+[ -z "$model" ] || { echo "the Table I campaign models are back: $model" >&2; exit 1; }
+for gone in crates/math/src/poly.rs crates/sim/src/campaign.rs crates/core/src/collusion.rs \
+    crates/core/src/schedule_guard.rs; do
+    [ ! -e "$gone" ] || { echo "a model no node runs is back: $gone" >&2; exit 1; }
+done
+rate=$(grep -rlF 'check_rate(' crates src examples tests | sort | tr '\n' ' ' || true)
+[ "$rate" = "crates/core/src/node/duty.rs crates/core/src/verify.rs " ] ||
+    { echo "check_rate called outside the node: $rate" >&2; exit 1; }
 
 # One run covers the trace smoke and both scripted soaks (control plane
 # under burst loss + duplication + reordering + a proxy crash; churn with
@@ -165,13 +174,14 @@ cargo run --release --example live_cluster | tail -n 1
 # every driver reports through `telemetry::report::Report` (only a match's
 # pinned per-match line is hand-formatted); keep the node's components
 # (clippy.toml bounds their functions), the codec's and the lobby's files
-# small, and the lobby in its parts; keep one runner per result (campaigns
-# run only through tests/campaign_e2e.rs, Fig. 5 only on the node, bans
-# only through the lobby); keep one liveness table (the node's
-# `last_heard`) and at most six settable `WatchmenConfig` fields, the
-# rest being protocol constants; and keep State deltas out of the codec — a delta needs a baseline every
-# receiver holds, which IS subscribers that come and go every few dozen
-# frames do not (DESIGN.md, "The wire").
+# small, and the lobby in its parts; keep one runner per result (Table I
+# and Figs. 5 and 6 only on the node replay, the Sybil flood only through
+# the lobby's admission, bans only through the lobby); keep one liveness
+# table (the node's `last_heard`) and at most six settable
+# `WatchmenConfig` fields, the rest being protocol constants; and keep
+# State deltas out of the codec — a delta needs a baseline every receiver
+# holds, which IS subscribers that come and go every few dozen frames do
+# not (DESIGN.md, "The wire").
 echo "==> store unit + golden-bytes + recovery tests (release), unsafe audit"
 cargo test --release -q -p watchmen-store
 unsafe_in=$(grep -rlE 'unsafe[[:space:]]*(\{|fn|impl)' crates src examples tests | sort | tr '\n' ' ' || true)

@@ -1,28 +1,20 @@
-//! The cheat taxonomy of Table I and the injectors used by the
-//! evaluation.
+//! The cheat taxonomy of Table I.
 //!
 //! Table I catalogs fourteen "popular cheating mechanisms in distributed
 //! multi-player games" in three categories — disruption of information
 //! flow, invalid updates, and unauthorized access — and states how
-//! Watchmen handles each. [`CheatKind`] encodes the catalog;
-//! [`CheatInjector`] perturbs honest values for Table I's scalar demos
-//! and the campaign scripts; Figure 6's cheats are scripted on the node
-//! replay (`watchmen-sim`'s `detection`).
+//! Watchmen handles each. [`CheatKind`] encodes the catalog; every row is
+//! graded on the shipped node (`watchmen-sim`'s `cheat_matrix`).
 //!
 //! Beyond the paper's single-cheater rows, [`CheatKind::CAMPAIGNS`]
-//! extends the taxonomy with the coordinated multi-actor campaigns real
-//! deployments face (proxy–player collusion, Sybil floods through the
-//! mid-game join path, eclipse attacks on the proxy schedule); see
-//! DESIGN.md §13 and the `watchmen-sim` campaign harness that grades
-//! detection of each.
+//! extends the taxonomy with the coordinated multi-actor campaign the
+//! lobby answers: a Sybil flood through the mid-game join path (DESIGN.md
+//! §13).
 
 use std::fmt;
 
-use watchmen_crypto::rng::Xoshiro256;
-use watchmen_math::{Aim, Vec3};
-
 /// The three cheat categories of Section III, plus the coordinated
-/// multi-actor category the campaign harness adds on top.
+/// multi-actor category the Sybil flood adds on top.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CheatCategory {
     /// "Actions that stop or change the normal pace of information flow."
@@ -32,9 +24,9 @@ pub enum CheatCategory {
     InvalidUpdates,
     /// "Any action that enables access to unauthorized information."
     UnauthorizedAccess,
-    /// Multi-actor campaigns: several identities (or a player plus its
-    /// proxy) acting in concert, where no single message is invalid but
-    /// the joint behaviour subverts the architecture.
+    /// Multi-actor campaigns: several identities acting in concert, where
+    /// no single message is invalid but the joint behaviour subverts the
+    /// architecture.
     CoordinatedAdversary,
 }
 
@@ -70,7 +62,7 @@ impl fmt::Display for WatchmenResponse {
     }
 }
 
-/// The fourteen cheats of Table I, plus the coordinated campaigns.
+/// The fourteen cheats of Table I, plus the coordinated campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CheatKind {
     /// Terminating the connection to escape imminent loss.
@@ -101,15 +93,9 @@ pub enum CheatKind {
     Maphack,
     /// Analyzing update rates to detect players' attention.
     RateAnalysis,
-    /// A proxy colluding with its client: the proxy launders the client's
-    /// invalid updates by publishing clean epoch summaries.
-    ProxyCollusion,
     /// A burst of fresh identities hammering mid-game admission to pack
     /// the roster and proxy pool.
     SybilFlood,
-    /// A clique isolating a victim behind colluding proxies by forcing
-    /// and biasing the proxy-schedule fallback draws.
-    Eclipse,
 }
 
 impl CheatKind {
@@ -132,11 +118,10 @@ impl CheatKind {
     ];
 
     /// The coordinated multi-actor campaigns beyond Table I.
-    pub const CAMPAIGNS: [CheatKind; 3] =
-        [CheatKind::ProxyCollusion, CheatKind::SybilFlood, CheatKind::Eclipse];
+    pub const CAMPAIGNS: [CheatKind; 1] = [CheatKind::SybilFlood];
 
     /// Every catalogued cheat: Table I followed by the campaigns.
-    pub const ALL: [CheatKind; 17] = [
+    pub const ALL: [CheatKind; 15] = [
         CheatKind::Escaping,
         CheatKind::TimeCheat,
         CheatKind::NetworkFlooding,
@@ -151,9 +136,7 @@ impl CheatKind {
         CheatKind::Sniffing,
         CheatKind::Maphack,
         CheatKind::RateAnalysis,
-        CheatKind::ProxyCollusion,
         CheatKind::SybilFlood,
-        CheatKind::Eclipse,
     ];
 
     /// The cheat's category (first column of Table I).
@@ -174,9 +157,7 @@ impl CheatKind {
             CheatKind::Sniffing | CheatKind::Maphack | CheatKind::RateAnalysis => {
                 CheatCategory::UnauthorizedAccess
             }
-            CheatKind::ProxyCollusion | CheatKind::SybilFlood | CheatKind::Eclipse => {
-                CheatCategory::CoordinatedAdversary
-            }
+            CheatKind::SybilFlood => CheatCategory::CoordinatedAdversary,
         }
     }
 
@@ -206,17 +187,9 @@ impl CheatKind {
             CheatKind::Sniffing | CheatKind::Maphack => WatchmenResponse::Prevented,
             // "Prevented by proxy and subscription model".
             CheatKind::RateAnalysis => WatchmenResponse::Prevented,
-            // Detected by cross-corroborating the proxy's epoch summary
-            // against independent witness verdicts (the schedule keeps
-            // any proxy term short, so witnesses always accumulate).
-            CheatKind::ProxyCollusion => WatchmenResponse::Detected,
             // The admission throttle refuses over-rate joins outright;
             // every refused burst is also flagged in the audit stream.
             CheatKind::SybilFlood => WatchmenResponse::PreventedOrDetected,
-            // Forged assignments are detected instantly (the schedule is
-            // a pure function every node recomputes); fallback-forcing is
-            // detected statistically from draw-bias concentration.
-            CheatKind::Eclipse => WatchmenResponse::Detected,
         }
     }
 
@@ -238,11 +211,7 @@ impl CheatKind {
             CheatKind::Sniffing => "logging information sent across the network",
             CheatKind::Maphack => "seeing through walls and obstacles",
             CheatKind::RateAnalysis => "analyzing update rates to infer attention",
-            CheatKind::ProxyCollusion => {
-                "a proxy laundering its client's invalid updates via clean summaries"
-            }
             CheatKind::SybilFlood => "flooding mid-game admission with fresh identities",
-            CheatKind::Eclipse => "a clique capturing a victim's proxies by biasing the schedule",
         }
     }
 }
@@ -264,54 +233,8 @@ impl fmt::Display for CheatKind {
             CheatKind::Sniffing => "sniffing",
             CheatKind::Maphack => "maphack",
             CheatKind::RateAnalysis => "rate analysis",
-            CheatKind::ProxyCollusion => "proxy collusion",
             CheatKind::SybilFlood => "sybil flood",
-            CheatKind::Eclipse => "eclipse",
         })
-    }
-}
-
-/// Perturbs honest values into cheating ones for Table I's demos and the
-/// campaign scripts.
-///
-/// Each injector is deterministic for a seed; `cheat_probability` controls
-/// what fraction of opportunities are taken.
-#[derive(Debug, Clone)]
-pub struct CheatInjector {
-    rng: Xoshiro256,
-    cheat_probability: f64,
-}
-
-impl CheatInjector {
-    /// Creates an injector cheating on `cheat_probability` of
-    /// opportunities.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the probability is outside `[0, 1]`.
-    #[must_use]
-    pub fn new(seed: u64, cheat_probability: f64) -> Self {
-        assert!((0.0..=1.0).contains(&cheat_probability));
-        CheatInjector { rng: Xoshiro256::seed_from(seed, 0xc4ea7), cheat_probability }
-    }
-
-    /// Decides whether this opportunity is taken.
-    pub fn roll(&mut self) -> bool {
-        self.rng.next_bool(self.cheat_probability)
-    }
-
-    /// Teleport hack: jumps to a random offset up to `radius` away.
-    pub fn teleport(&mut self, honest: Vec3, radius: f64) -> Vec3 {
-        let angle = self.rng.next_f64() * std::f64::consts::TAU;
-        let r = radius * (0.5 + 0.5 * self.rng.next_f64());
-        honest + Vec3::new(r * angle.cos(), r * angle.sin(), 0.0)
-    }
-
-    /// Aimbot: a perfectly snapped aim at the target regardless of the
-    /// legal rotation rate.
-    #[must_use]
-    pub fn snap_aim(from: Vec3, target: Vec3) -> Aim {
-        Aim::from_direction(target - from)
     }
 }
 
@@ -344,7 +267,7 @@ mod tests {
 
     #[test]
     fn catalog_is_table_one_plus_campaigns() {
-        assert_eq!(CheatKind::ALL.len(), 17);
+        assert_eq!(CheatKind::ALL.len(), 15);
         let rebuilt: Vec<CheatKind> =
             CheatKind::TABLE_ONE.iter().chain(CheatKind::CAMPAIGNS.iter()).copied().collect();
         assert_eq!(CheatKind::ALL.to_vec(), rebuilt);
@@ -368,32 +291,5 @@ mod tests {
         for kind in [CheatKind::Sniffing, CheatKind::Maphack, CheatKind::RateAnalysis] {
             assert_eq!(kind.watchmen_response(), WatchmenResponse::Prevented);
         }
-    }
-
-    #[test]
-    fn injector_probability_respected() {
-        let mut all = CheatInjector::new(1, 1.0);
-        let mut none = CheatInjector::new(1, 0.0);
-        assert!((0..100).all(|_| all.roll()));
-        assert!((0..100).all(|_| !none.roll()));
-        let mut tenth = CheatInjector::new(2, 0.1);
-        let taken = (0..10_000).filter(|_| tenth.roll()).count();
-        assert!((800..1200).contains(&taken), "taken {taken}");
-    }
-
-    #[test]
-    fn teleport_lands_within_radius() {
-        let mut inj = CheatInjector::new(4, 1.0);
-        for _ in 0..50 {
-            let t = inj.teleport(Vec3::ZERO, 100.0);
-            let d = t.length();
-            assert!((50.0..=100.0 + 1e-9).contains(&d), "distance {d}");
-        }
-    }
-
-    #[test]
-    fn snap_aim_points_at_target() {
-        let aim = CheatInjector::snap_aim(Vec3::ZERO, Vec3::new(10.0, 10.0, 0.0));
-        assert!(aim.direction().angle_between(Vec3::new(1.0, 1.0, 0.0)) < 1e-6);
     }
 }

@@ -23,7 +23,7 @@
 //!    1–10 cheat rating modulated by a confidence factor
 //!    (`c_P > c_IS > c_VS > c_O`) and feeds a pluggable reputation system.
 //!
-//! [`cheat`] holds the Table I taxonomy and the injectors its demos use.
+//! [`cheat`] holds the Table I taxonomy.
 //! The replay drivers that put these nodes (and the Donnybrook and
 //! Client/Server baselines) on a simulated network live in
 //! `watchmen-sim::overlay`.
@@ -48,7 +48,6 @@
 pub mod attention;
 pub mod audit;
 pub mod cheat;
-pub mod collusion;
 mod config;
 pub mod dead_reckoning;
 pub mod lobby;
@@ -59,7 +58,6 @@ pub mod rating;
 pub mod reputation;
 pub mod roster;
 pub mod sans_io;
-pub mod schedule_guard;
 pub mod subscription;
 pub mod verify;
 

@@ -39,20 +39,12 @@ pub mod checks {
     pub const RATE: &str = "rate";
     /// The per-epoch aggregate the proxy publishes at schedule renewal.
     pub const EPOCH_SUMMARY: &str = "epoch-summary";
-    /// [`crate::collusion::SummaryCorroborator`] — a proxy's epoch
-    /// summary contradicted by independent witness evidence.
-    pub const COLLUSION: &str = "collusion";
     /// [`crate::lobby::GameLobby::admit_midgame`] — mid-game join
     /// attempts beyond the admission-rate window.
     pub const ADMISSION: &str = "admission";
-    /// [`crate::schedule_guard::ScheduleBiasDetector`] — a claimed proxy
-    /// assignment the shared schedule cannot produce, or fallback draws
-    /// concentrating into a clique.
-    pub const SCHEDULE: &str = "schedule";
 
     /// Every check name, for exhaustive reports.
-    pub const ALL: [&str; 9] =
-        [POSITION, AIM, KILL, SUBSCRIPTION, RATE, EPOCH_SUMMARY, COLLUSION, ADMISSION, SCHEDULE];
+    pub const ALL: [&str; 7] = [POSITION, AIM, KILL, SUBSCRIPTION, RATE, EPOCH_SUMMARY, ADMISSION];
 }
 
 /// Slack multiplier on hard physics limits before an action is rated
@@ -247,13 +239,11 @@ impl Verifier {
 
     /// **Dissemination-frequency check**: "proxies can control whether a
     /// player sends timely updates". Under-sending (suppress-correct,
-    /// blind-opponent, escaping) and over-sending (fast-rate) both raise
-    /// the score.
+    /// blind-opponent, a look-ahead hold) and over-sending (fast-rate,
+    /// flooding) both raise the score. `expected` is the proxy period,
+    /// which [`WatchmenConfig::validate`] keeps positive.
     #[must_use]
     pub fn check_rate(&self, expected: u64, received: u64) -> u8 {
-        if expected == 0 {
-            return if received > 2 { rate_deviation(received as f64, 2.0) } else { 1 };
-        }
         let ratio = received as f64 / expected as f64;
         if ratio < 1.0 {
             // 10% missing tolerated (network loss); rate the shortfall.
@@ -462,7 +452,5 @@ mod tests {
         assert_eq!(v.check_rate(40, 38), 1); // 5% loss fine
         assert!(v.check_rate(40, 20) >= 9); // half missing
         assert!(v.check_rate(40, 80) >= 9); // fast-rate cheat
-        assert_eq!(v.check_rate(0, 0), 1);
-        assert!(v.check_rate(0, 50) >= 9); // unsolicited flood
     }
 }

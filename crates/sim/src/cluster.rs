@@ -84,7 +84,7 @@ impl Cluster {
         &mut self,
         frame: u64,
         t_ms: f64,
-        on_output: &mut impl FnMut(usize, &CoreOutput),
+        on_output: &mut impl FnMut(usize, &mut CoreOutput),
         forward: bool,
     ) {
         for d in self.net.advance_to(t_ms) {
@@ -92,8 +92,8 @@ impl Cluster {
                 continue;
             }
             let core = self.cores[d.to].as_mut().expect("running slot is seated");
-            let output = core.datagram(frame, PlayerId(d.from as u32), &d.payload);
-            on_output(d.to, &output);
+            let mut output = core.datagram(frame, PlayerId(d.from as u32), &d.payload);
+            on_output(d.to, &mut output);
             if forward {
                 self.send(d.to, output.datagrams);
             }
@@ -103,12 +103,13 @@ impl Cluster {
     /// One frame: deliver everything due by `frame × frame_ms`, then tick
     /// every running slot in index order with the state `state_of` gives
     /// it. `on_output(slot, output)` sees every output — deliveries'
-    /// and ticks' — before its datagrams go on the wire.
+    /// and ticks' — before its datagrams go on the wire, and what it
+    /// leaves in `output.datagrams` is what is sent.
     pub fn step(
         &mut self,
         frame: u64,
         mut state_of: impl FnMut(usize) -> PlayerFrame,
-        mut on_output: impl FnMut(usize, &CoreOutput),
+        mut on_output: impl FnMut(usize, &mut CoreOutput),
     ) {
         self.deliver(frame, frame as f64 * self.frame_ms, &mut on_output, true);
         for i in 0..self.cores.len() {
@@ -116,9 +117,9 @@ impl Cluster {
                 continue;
             }
             let state = state_of(i);
-            let output =
+            let mut output =
                 self.cores[i].as_mut().expect("running slot is seated").tick(frame, &state);
-            on_output(i, &output);
+            on_output(i, &mut output);
             self.send(i, output.datagrams);
         }
     }
@@ -130,7 +131,7 @@ impl Cluster {
         &mut self,
         frame: u64,
         horizon_ms: f64,
-        mut on_output: impl FnMut(usize, &CoreOutput),
+        mut on_output: impl FnMut(usize, &mut CoreOutput),
     ) {
         self.deliver(frame, horizon_ms, &mut on_output, false);
     }

@@ -31,12 +31,20 @@
 //! judges IS and VS subscriptions alike with the vision cone), so their
 //! rows say so.
 //!
+//! Table I ([`crate::cheat_matrix`]) plays the rate cheats on the same
+//! replay: extra ticks, withheld, held-back and suppressed output, and an
+//! escape. Each acts in every other proxy epoch from the second whose
+//! closing epoch summary the replay covers, and an epoch counts as caught
+//! when a severe verdict of the check about the cheater lands between its
+//! first frame and that summary, inclusive.
+//!
 //! [`SEVERE_SCORE`]: watchmen_core::rating::SEVERE_SCORE
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use watchmen_core::msg::{KillClaim, Payload, SignedEnvelope};
-use watchmen_core::node::NodeEvent;
+use watchmen_core::node::{NodeEvent, Outgoing};
 use watchmen_core::sans_io::CoreOutput;
 use watchmen_core::verify::checks;
 use watchmen_core::WatchmenConfig;
@@ -70,6 +78,32 @@ pub const ROWS: [(&str, Option<&str>); 6] = [
     ("IS/VS-sub (cone)", Some(checks::SUBSCRIPTION)),
 ];
 
+/// Extra ticks per frame the flood script plays.
+const FLOOD_TICKS: usize = 8;
+
+/// Frames into its epoch the suppress-correct cheater falls silent.
+const SUPPRESS_FROM: u64 = 10;
+
+/// Silent frames before the suppress-correct jump.
+const SUPPRESS_FRAMES: u64 = 10;
+
+/// How far the suppress-correct update jumps along x, in world units.
+const SUPPRESS_JUMP: f64 = 60.0;
+
+/// The last frame the escaper's node runs; it is gone for good after.
+const ESCAPE_FRAME: u64 = 20;
+
+/// Frames a replay needs for every honest node to evict the escaper: its
+/// silence, counted from a relay period after [`ESCAPE_FRAME`] to allow
+/// for latency, reaches the membership timeout at a renewal boundary, and
+/// the eviction applies one epoch later.
+#[must_use]
+pub(crate) fn escape_frames(config: &WatchmenConfig) -> u64 {
+    let period = config.proxy_period;
+    let silent = ESCAPE_FRAME + WatchmenConfig::OTHERS_PERIOD + config.membership_timeout_frames;
+    silent.next_multiple_of(period) + period + 1
+}
+
 /// A scripted cheat; each is one node replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cheat {
@@ -81,10 +115,27 @@ pub enum Cheat {
     /// puts the victim 10 units from the cheater, and the truth about both
     /// positions, which the weapon's reach or line of sight cannot support.
     FalseKill,
+    /// A second tick in every non-boundary frame of a scripted epoch:
+    /// updates at twice the game's rate.
+    FastRate,
+    /// Eight extra ticks in every non-boundary frame of a scripted epoch.
+    Flood,
+    /// Nothing the cheater emits in the odd frames of a scripted epoch
+    /// goes out: half its updates never reach the proxy or anyone else.
+    Withhold,
+    /// Ten silent frames from the tenth frame of a scripted epoch, then an
+    /// update 60 units off.
+    SuppressCorrect,
+    /// Everything the cheater emits in a scripted epoch goes out this many
+    /// frames late: a look-ahead hold. `Hold(0)` holds nothing, so it is
+    /// the unscripted replay, with the seat's epochs still graded.
+    Hold(u64),
+    /// The cheater's node stops for good after frame 20, without a leave.
+    Escape,
 }
 
 impl Cheat {
-    /// Every scripted cheat, in figure order.
+    /// Every Figure 6 cheat, in figure order.
     pub const ALL: [Cheat; 3] = [Cheat::SpeedHack, Cheat::AimSnap, Cheat::FalseKill];
 
     /// Display label.
@@ -94,17 +145,35 @@ impl Cheat {
             Cheat::SpeedHack => "speed-hack",
             Cheat::AimSnap => "aim-snap",
             Cheat::FalseKill => "false-kill",
+            Cheat::FastRate => "fast-rate",
+            Cheat::Flood => "flood",
+            Cheat::Withhold => "withhold",
+            Cheat::SuppressCorrect => "suppress-correct",
+            Cheat::Hold(_) => "hold",
+            Cheat::Escape => "escape",
         }
     }
 
-    /// The node check expected to catch it.
+    /// The node check expected to catch it (`"eviction"` for the escape:
+    /// the roster eviction after the membership timeout).
     #[must_use]
     pub fn check(self) -> &'static str {
         match self {
             Cheat::SpeedHack => checks::POSITION,
             Cheat::AimSnap => checks::AIM,
             Cheat::FalseKill => checks::KILL,
+            Cheat::FastRate
+            | Cheat::Flood
+            | Cheat::Withhold
+            | Cheat::SuppressCorrect
+            | Cheat::Hold(_) => checks::EPOCH_SUMMARY,
+            Cheat::Escape => "eviction",
         }
+    }
+
+    /// Whether it acts per proxy epoch (see the module docs).
+    fn per_epoch(self) -> bool {
+        !matches!(self, Cheat::SpeedHack | Cheat::AimSnap | Cheat::FalseKill | Cheat::Escape)
     }
 }
 
@@ -138,8 +207,13 @@ impl std::fmt::Display for Count {
 /// What one scripted replay measured.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Replay {
-    /// Scripted actions caught by the expected check.
+    /// Scripted actions caught by the expected check; for the escape,
+    /// honest nodes that evicted the escaper out of those running at the
+    /// end.
     pub caught: Count,
+    /// Scripted actions caught, per check that fired on the cheater within
+    /// an action's window.
+    pub(crate) caught_by: BTreeMap<&'static str, Count>,
     /// Severe verdicts on honest players, per check.
     honest_verdicts: BTreeMap<&'static str, u64>,
     /// Alive honest player-frames.
@@ -148,9 +222,24 @@ pub struct Replay {
     honest_claims: u64,
     /// `Subscribe`s honest nodes sent.
     honest_subscribes: u64,
+    /// Of those, the ones whose first hop was their own target.
+    subscribes_to_target: u64,
 }
 
 impl Replay {
+    /// Severe verdicts on honest players, over every check.
+    #[must_use]
+    pub(crate) fn honest_severe(&self) -> u64 {
+        self.honest_verdicts.values().sum()
+    }
+
+    /// Honest `Subscribe`s whose first hop was their own target (the
+    /// subscriber's proxy was the target), out of all honest `Subscribe`s.
+    #[must_use]
+    pub(crate) fn subscribes_to_target(&self) -> Count {
+        Count { hits: self.subscribes_to_target, of: self.honest_subscribes }
+    }
+
     /// Severe verdicts of `check` on honest players, out of the honest
     /// opportunities for it (none for a check the node does not run).
     #[must_use]
@@ -177,8 +266,10 @@ pub fn run_script(workload: &Workload, config: &WatchmenConfig, seed: u64, cheat
     let mut tap = Tap {
         cheat,
         trace,
-        convicted: vec![false; trace.len()],
+        period: config.proxy_period,
+        convictions: Vec::new(),
         actions: Vec::new(),
+        held: Vec::new(),
         replay: Replay::default(),
     };
     let net = latency::king_like(trace.players, seed);
@@ -191,11 +282,14 @@ pub fn run_script(workload: &Workload, config: &WatchmenConfig, seed: u64, cheat
 struct Tap<'a> {
     cheat: Cheat,
     trace: &'a GameTrace,
-    /// Frames in which a severe verdict of the expected check about the
-    /// cheater was raised.
-    convicted: Vec<bool>,
-    /// Frames the cheat acted in.
-    actions: Vec<u64>,
+    /// Frames per proxy epoch.
+    period: u64,
+    /// Severe verdicts about the cheater: frame and check.
+    convictions: Vec<(u64, &'static str)>,
+    /// The frames each scripted action is graded over.
+    actions: Vec<Range<u64>>,
+    /// Datagrams a hold keeps back, with the frame they go out in.
+    held: Vec<(u64, Outgoing)>,
     replay: Replay,
 }
 
@@ -258,12 +352,114 @@ impl Tap<'_> {
             .collect()
     }
 
+    /// Whether `frame` lies in an epoch a per-epoch cheat plays: every
+    /// other epoch from the second whose closing summary the replay covers.
+    fn scripted_epoch(&self, frame: u64) -> bool {
+        let epoch = frame / self.period;
+        epoch % 2 == 1 && (epoch + 1) * self.period < self.trace.len() as u64
+    }
+
+    /// Takes the cheater's `output` off the wire as the cheat says.
+    fn intercept(&mut self, frame: u64, output: &mut CoreOutput) {
+        if !self.scripted_epoch(frame) {
+            return;
+        }
+        let offset = frame % self.period;
+        match self.cheat {
+            Cheat::Withhold if frame % 2 == 1 => output.datagrams.clear(),
+            Cheat::SuppressCorrect
+                if (SUPPRESS_FROM..SUPPRESS_FROM + SUPPRESS_FRAMES).contains(&offset) =>
+            {
+                output.datagrams.clear();
+            }
+            Cheat::Hold(k) if k > 0 => {
+                self.held.extend(output.datagrams.drain(..).map(|d| (frame + k, d)));
+            }
+            _ => {}
+        }
+    }
+
+    /// The false-kill replay's claims in `frame`: the cheater's, and every
+    /// honest kill the trace records.
+    fn claim_kills(&mut self, frame: u64, cluster: &mut Cluster) {
+        if let Some(claim) = self.acts(frame).then(|| self.false_claim(frame)).flatten() {
+            self.actions.push(frame..frame + FIRST_CHEAT_FRAME);
+            send_claim(cluster, CHEATER, frame, claim);
+        }
+        for (attacker, claim) in self.honest_claims(frame) {
+            self.replay.honest_claims += 1;
+            send_claim(cluster, attacker, frame, claim);
+        }
+    }
+
+    /// Puts the held datagrams due by `frame` on the wire.
+    fn release(&mut self, frame: u64, cluster: &mut Cluster) {
+        let (due, later): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut self.held).into_iter().partition(|&(at, _)| at <= frame);
+        self.held = later;
+        cluster.send(CHEATER, due.into_iter().map(|(_, d)| d).collect());
+    }
+
+    /// The extra ticks of the fast-rate and flood scripts in `frame`.
+    fn extra_ticks(&mut self, frame: u64, cluster: &mut Cluster) {
+        let extra = match self.cheat {
+            Cheat::FastRate => 1,
+            Cheat::Flood => FLOOD_TICKS,
+            _ => return,
+        };
+        // A boundary frame's second tick would turn the epoch again.
+        if !self.scripted_epoch(frame)
+            || frame.is_multiple_of(self.period)
+            || !cluster.is_running(CHEATER)
+        {
+            return;
+        }
+        let state = self.states(frame)[CHEATER];
+        for _ in 0..extra {
+            let core = cluster.cores[CHEATER].as_mut().expect("running slot is seated");
+            let mut output = core.tick(frame, &state);
+            self.observe(frame, CHEATER, &mut output);
+            cluster.send(CHEATER, output.datagrams);
+        }
+    }
+
+    /// The escaper's exit after [`ESCAPE_FRAME`], and on the last frame,
+    /// who evicted it.
+    fn escape(&mut self, frame: u64, cluster: &mut Cluster) {
+        if frame == ESCAPE_FRAME {
+            self.actions.push(frame..self.trace.len() as u64);
+            cluster.cores[CHEATER] = None;
+        }
+        if frame + 1 == self.trace.len() as u64 {
+            let honest: Vec<usize> = (0..cluster.cores.len())
+                .filter(|&s| s != CHEATER && cluster.is_running(s))
+                .collect();
+            let escaper = PlayerId(CHEATER as u32);
+            let evicted =
+                honest.iter().filter(|&&s| !cluster.node(s).roster().is_active(escaper)).count();
+            self.replay.caught = Count { hits: evicted as u64, of: honest.len() as u64 };
+        }
+    }
+
     fn finish(mut self) -> Replay {
-        let caught = self.actions.iter().filter(|&&f| {
-            let window = f as usize..(f + FIRST_CHEAT_FRAME) as usize;
-            self.convicted[window].contains(&true)
-        });
-        self.replay.caught = Count { hits: caught.count() as u64, of: self.actions.len() as u64 };
+        let of = self.actions.len() as u64;
+        for window in &self.actions {
+            let mut fired: Vec<&'static str> = self
+                .convictions
+                .iter()
+                .filter(|(frame, _)| window.contains(frame))
+                .map(|&(_, check)| check)
+                .collect();
+            fired.sort_unstable();
+            fired.dedup();
+            for check in fired {
+                self.replay.caught_by.entry(check).or_insert(Count { hits: 0, of }).hits += 1;
+            }
+        }
+        if self.cheat != Cheat::Escape {
+            let caught = self.replay.caught_by.get(self.cheat.check()).copied();
+            self.replay.caught = caught.unwrap_or(Count { hits: 0, of });
+        }
         let players = self.trace.frames.iter().flat_map(|f| f.states.iter().enumerate());
         let honest = players.filter(|&(p, s)| p != CHEATER && s.is_alive());
         self.replay.honest_frames = honest.count() as u64;
@@ -283,32 +479,42 @@ fn send_claim(cluster: &mut Cluster, slot: usize, frame: u64, claim: KillClaim) 
 
 impl Script for Tap<'_> {
     fn state(&mut self, frame: u64, slot: usize, state: &mut PlayerFrame) {
+        if slot != CHEATER {
+            return;
+        }
         let hack = match self.cheat {
             Cheat::SpeedHack => speed_hack,
             Cheat::AimSnap => aim_snap,
-            Cheat::FalseKill => return,
+            Cheat::SuppressCorrect => {
+                let jump = frame % self.period == SUPPRESS_FROM + SUPPRESS_FRAMES;
+                if jump && self.scripted_epoch(frame) {
+                    state.position.x += SUPPRESS_JUMP;
+                }
+                return;
+            }
+            _ => return,
         };
-        if slot == CHEATER && self.acts(frame) {
-            self.actions.push(frame);
+        if self.acts(frame) {
+            self.actions.push(frame..frame + FIRST_CHEAT_FRAME);
             hack(state, frame);
         }
     }
 
     fn after_step(&mut self, frame: u64, cluster: &mut Cluster) {
-        if self.cheat != Cheat::FalseKill {
-            return;
+        if self.cheat.per_epoch() && frame.is_multiple_of(self.period) && self.scripted_epoch(frame)
+        {
+            self.actions.push(frame..frame + self.period + 1);
         }
-        if let Some(claim) = self.acts(frame).then(|| self.false_claim(frame)).flatten() {
-            self.actions.push(frame);
-            send_claim(cluster, CHEATER, frame, claim);
-        }
-        for (attacker, claim) in self.honest_claims(frame) {
-            self.replay.honest_claims += 1;
-            send_claim(cluster, attacker, frame, claim);
+        match self.cheat {
+            Cheat::FalseKill => self.claim_kills(frame, cluster),
+            Cheat::FastRate | Cheat::Flood => self.extra_ticks(frame, cluster),
+            Cheat::Hold(_) => self.release(frame, cluster),
+            Cheat::Escape => self.escape(frame, cluster),
+            _ => {}
         }
     }
 
-    fn observe(&mut self, frame: u64, slot: usize, output: &CoreOutput) {
+    fn observe(&mut self, frame: u64, slot: usize, output: &mut CoreOutput) {
         for event in &output.events {
             let NodeEvent::Suspicion { subject, rating, check } = event else { continue };
             if !rating.is_suspicious() {
@@ -316,18 +522,19 @@ impl Script for Tap<'_> {
             }
             if subject.index() != CHEATER {
                 *self.replay.honest_verdicts.entry(check).or_default() += 1;
-            } else if *check == self.cheat.check() {
-                self.convicted[frame as usize] = true;
+            } else {
+                self.convictions.push((frame, check));
             }
         }
         if slot == CHEATER {
-            return;
+            return self.intercept(frame, output);
         }
         for datagram in &output.datagrams {
             let Ok(signed) = SignedEnvelope::decode(&datagram.bytes) else { continue };
-            let subscribe = matches!(signed.envelope.payload, Payload::Subscribe { .. });
-            if subscribe && signed.envelope.from.index() == slot {
+            let Payload::Subscribe { target, .. } = signed.envelope.payload else { continue };
+            if signed.envelope.from.index() == slot {
                 self.replay.honest_subscribes += 1;
+                self.replay.subscribes_to_target += u64::from(datagram.to == target);
             }
         }
     }

@@ -7,14 +7,13 @@
 //! | Paper artifact | Module |
 //! |---|---|
 //! | Figure 1 (presence heatmap) | [`heat`] |
-//! | Table I (cheat catalog & responses) | [`cheat_matrix`] |
+//! | Table I (cheat catalog & responses, on the node replay) | [`cheat_matrix`] |
 //! | Figure 4 (information disclosure under collusion) | [`disclosure`] |
 //! | Figure 5 (witness availability) | [`overlay::run_witnesses`] |
 //! | Figure 6 (verification success rates, on the node replay) | [`detection`] |
 //! | Figure 7 (update-age PDF) | [`age`] |
 //! | §VI scalability / bandwidth claims | [`bandwidth_exp`] |
 //! | §VI subscriber-retention statistics | [`is_churn`] |
-//! | DESIGN.md §13 coordinated-adversary campaigns | [`campaign`] |
 //!
 //! [`workload`] builds the shared trace inputs (the 48-player
 //! q3dm17-like deathmatch standing in for the paper's Quake III traces),
@@ -27,14 +26,13 @@
 //! (control plane under faults, churn) that run on it, and [`overlay`]
 //! replays a recorded game on it (and under the Donnybrook and
 //! Client/Server baselines) for [`age`], [`bandwidth_exp`], Figure 5 and,
-//! with a cheater scripted, Figure 6 and Table I's physics-cheat rows.
+//! with a cheater scripted, Figure 6 and Table I's detection rows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod age;
 pub mod bandwidth_exp;
-pub mod campaign;
 pub mod cheat_matrix;
 pub mod cluster;
 pub mod detection;

@@ -44,9 +44,9 @@
 //! Frames before `OTHERS_PERIOD + LOSS_AGE_FRAMES` are not sampled:
 //! subscriptions and the first guidance round are still settling.
 //!
-//! Figure 6 ([`crate::detection`]) plays the same replay with a cheater
-//! scripted through the replay's one hook, the crate-private `Script`,
-//! which `()` leaves as recorded.
+//! Figure 6 and Table I ([`crate::detection`]) play the same replay with
+//! a cheater scripted through the replay's one hook, the crate-private
+//! `Script`, which `()` leaves as recorded.
 
 use std::sync::Arc;
 
@@ -249,8 +249,9 @@ pub(crate) trait Script {
     /// Runs once `frame`'s step is over; may put datagrams on the wire.
     fn after_step(&mut self, _frame: u64, _cluster: &mut Cluster) {}
 
-    /// Sees every slot's output in `frame` and changes nothing.
-    fn observe(&mut self, _frame: u64, _slot: usize, _output: &CoreOutput) {}
+    /// Sees every slot's output in `frame`; the datagrams it leaves in
+    /// `output` are the ones that go on the wire.
+    fn observe(&mut self, _frame: u64, _slot: usize, _output: &mut CoreOutput) {}
 }
 
 impl Script for () {}
@@ -401,7 +402,7 @@ struct WitnessTap {
 }
 
 impl Script for WitnessTap {
-    fn observe(&mut self, frame: u64, slot: usize, output: &CoreOutput) {
+    fn observe(&mut self, frame: u64, slot: usize, output: &mut CoreOutput) {
         if frame != self.frame {
             self.sample();
             self.frame = frame;

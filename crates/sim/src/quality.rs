@@ -45,8 +45,8 @@ pub struct GroundTruth {
     /// are attributed here), e.g. `checks::POSITION` for a speed hack.
     pub expected_check: &'static str,
     /// Per-cheater overrides of [`Self::expected_check`], for
-    /// multi-actor campaigns whose adversaries play different roles — a
-    /// colluding proxy trips `collusion` while its client trips `aim`.
+    /// multi-actor scripts whose adversaries play different roles — one
+    /// trips `epoch-summary` while another trips `aim`.
     pub expected_overrides: Vec<(u32, &'static str)>,
 }
 
@@ -255,17 +255,17 @@ mod tests {
 
     #[test]
     fn per_cheater_overrides_redirect_false_negatives() {
-        // Cheater 2 (the client) is caught by AIM; cheater 5 (its proxy)
-        // is expected at COLLUSION and never caught there.
+        // Cheater 2 is caught by AIM; cheater 5 is expected at
+        // EPOCH_SUMMARY and never caught there.
         let mut t = truth(&[2, 5]);
         t.expected_check = checks::AIM;
-        t.expected_overrides = vec![(5, checks::COLLUSION)];
+        t.expected_overrides = vec![(5, checks::EPOCH_SUMMARY)];
         assert_eq!(t.expected_for(2), checks::AIM);
-        assert_eq!(t.expected_for(5), checks::COLLUSION);
+        assert_eq!(t.expected_for(5), checks::EPOCH_SUMMARY);
         let q = evaluate(&t, &[verdict(8, 2, checks::AIM, 9)]);
         assert_eq!(q.detected, 1);
         assert_eq!(q.per_check[checks::AIM].false_neg, 0);
-        assert_eq!(q.per_check[checks::COLLUSION].false_neg, 1);
+        assert_eq!(q.per_check[checks::EPOCH_SUMMARY].false_neg, 1);
     }
 
     #[test]
