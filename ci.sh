@@ -39,15 +39,17 @@ benchmark/run.sh --selfcheck
 
 # The paper figures that run the shipped node must keep building and
 # finishing; their shape gates are Rust assertions (DESIGN.md §7), so the
-# output is discarded. Fig. 6 and Table I are graded on the node replay
-# too, so the hand-driven models, the detectors no node runs and the
-# checks only they ran must not come back, and the rate check is called
-# only by the node.
+# output is discarded. Figs. 4 and 6 and Table I are graded on the node
+# replay too, so the hand-driven models, the detectors no node runs and
+# the checks only they ran must not come back, and the rate check is
+# called only by the node.
 echo "==> paper-figure benches on real nodes (quick mode)"
-WATCHMEN_QUICK=1 cargo bench -p watchmen-bench --bench fig5_witnesses \
-    --bench fig6_detection --bench fig7_update_age --bench tab1_cheat_matrix \
-    --bench scalability_bandwidth --bench ablation_proxy_period \
-    --bench ablation_interest_size > /dev/null
+WATCHMEN_QUICK=1 cargo bench -p watchmen-bench --bench fig4_info_disclosure \
+    --bench fig5_witnesses --bench fig6_detection --bench fig7_update_age \
+    --bench tab1_cheat_matrix --bench scalability_bandwidth \
+    --bench ablation_proxy_period --bench ablation_interest_size > /dev/null
+model=$(grep -nE 'clients_of|ProxySchedule|frame_stride' crates/sim/src/disclosure.rs || true)
+[ -z "$model" ] || { echo "the Fig. 4 proxy-schedule model is back: $model" >&2; exit 1; }
 model=$(grep -rnE 'check_guidance|check_is_subscription|observe_honest_guidance|bogus_velocity|guidance_deviation' crates src examples tests || true)
 [ -z "$model" ] || { echo "the Fig. 6 detection model is back: $model" >&2; exit 1; }
 model=$(grep -rnE 'SummaryCorroborator|ScheduleBiasDetector|CheatInjector|run_campaign|CampaignKind' crates src examples tests || true)
@@ -175,7 +177,7 @@ cargo run --release --example live_cluster | tail -n 1
 # pinned per-match line is hand-formatted); keep the node's components
 # (clippy.toml bounds their functions), the codec's and the lobby's files
 # small, and the lobby in its parts; keep one runner per result (Table I
-# and Figs. 5 and 6 only on the node replay, the Sybil flood only through
+# and Figs. 4, 5 and 6 only on the node replay, the Sybil flood only through
 # the lobby's admission, bans only through the lobby); keep one liveness
 # table (the node's `last_heard`) and at most six settable
 # `WatchmenConfig` fields, the rest being protocol constants; and keep

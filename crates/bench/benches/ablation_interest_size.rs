@@ -26,14 +26,8 @@ fn main() {
                 0.01,
                 params.seed,
             );
-            let disclosure = run_disclosure(
-                &workload,
-                Architecture::Watchmen,
-                &[4],
-                &config,
-                params.seed,
-                params.stride,
-            );
+            let disclosure =
+                run_disclosure(&workload, Architecture::Watchmen, &[4], &config, params.seed);
             let detailed = disclosure.fraction(4, InfoClass::Complete)
                 + disclosure.fraction(4, InfoClass::FreqAndDr)
                 + disclosure.fraction(4, InfoClass::FreqOnly);

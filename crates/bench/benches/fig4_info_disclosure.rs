@@ -16,14 +16,7 @@ fn main() {
             let coalitions = [1usize, 2, 3, 4, 6, 8];
             let mut out = Vec::new();
             for arch in Architecture::ALL {
-                let report = run_disclosure(
-                    &workload,
-                    arch,
-                    &coalitions,
-                    &config,
-                    params.seed,
-                    params.stride,
-                );
+                let report = run_disclosure(&workload, arch, &coalitions, &config, params.seed);
                 out.push(format_disclosure(&report));
             }
             out.join("\n\n")

@@ -3,6 +3,7 @@
 
 use watchmen_bench::{run_experiment, BenchParams};
 use watchmen_core::WatchmenConfig;
+use watchmen_sim::detection::Count;
 use watchmen_sim::overlay::{format_witness, run_witnesses};
 use watchmen_sim::report::pct;
 
@@ -12,11 +13,9 @@ fn main() {
         let workload = params.workload();
         let coalitions = [1usize, 2, 3, 4, 6, 8];
         let report = run_witnesses(&workload, &coalitions, &WatchmenConfig::default(), params.seed);
-        let (to_target, all) = (report.subscribes_to_target, report.subscribes);
-        format!(
-            "{}\nsubscribes whose first hop is their target: {to_target} of {all} ({})",
-            format_witness(&report.rows),
-            pct(to_target as f64 / all.max(1) as f64)
-        )
+        let Count { hits, of } = report.subscribes;
+        let share = pct(report.subscribes.rate());
+        let rows = format_witness(&report.rows);
+        format!("{rows}\nsubscribes whose first hop is their target: {hits} of {of} ({share})")
     });
 }

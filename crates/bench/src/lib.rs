@@ -20,8 +20,6 @@ pub struct BenchParams {
     pub players: usize,
     /// Trace length in frames (1200 = one minute of play).
     pub frames: u64,
-    /// Frame subsampling stride for per-frame set computations.
-    pub stride: usize,
     /// Workload seed.
     pub seed: u64,
 }
@@ -32,9 +30,9 @@ impl BenchParams {
     #[must_use]
     pub fn from_env() -> Self {
         if std::env::var_os("WATCHMEN_QUICK").is_some() {
-            BenchParams { players: 16, frames: 400, stride: 8, seed: 42 }
+            BenchParams { players: 16, frames: 400, seed: 42 }
         } else {
-            BenchParams { players: 48, frames: 1200, stride: 10, seed: 42 }
+            BenchParams { players: 48, frames: 1200, seed: 42 }
         }
     }
 

@@ -14,10 +14,12 @@
 //! The replay, spoofing and consistency rows hand one signed datagram, a
 //! copy of it signed by another member, and a forked copy to a shipped
 //! node and read its events. The Sybil-flood row drives the lobby's
-//! admission throttle. The prevention rows check the structural property:
-//! a coarse view of most players (sniffing), occluded avatars kept out of
-//! the vision set (maphack), and — measured over every replay above — how
-//! many `Subscribe`s reach their own target (rate analysis).
+//! admission throttle. The sniffing and maphack rows read one Figure 4
+//! replay of the node with a lone eavesdropper ([`crate::disclosure`]):
+//! the share of players it knows only coarsely, against Donnybrook's,
+//! and how many of the fresh `State`s it held outside proxy duty were
+//! about a player outside its PVS. Rate analysis counts, over every
+//! replay above, how many `Subscribe`s reach their own target.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -29,16 +31,14 @@ use watchmen_core::msg::{Payload, SignedEnvelope};
 use watchmen_core::node::NodeEvent;
 use watchmen_core::rating::SEVERE_SCORE;
 use watchmen_core::sans_io::{secured_cores, ProtocolCore};
-use watchmen_core::subscription::{compute_sets, NoRecency, SetKind};
 use watchmen_core::verify::checks;
 use watchmen_core::WatchmenConfig;
 use watchmen_crypto::schnorr::{Keypair, PublicKey};
 use watchmen_game::trace::GameTrace;
 use watchmen_game::{GameConfig, PlayerId};
-use watchmen_math::{Aim, Vec3};
 
 use crate::detection::{escape_frames, run_script, Cheat, Count, Replay, MIN_SUCCESS};
-use crate::disclosure::{run_disclosure, Architecture, InfoClass};
+use crate::disclosure::{run_disclosure, Architecture, DisclosureReport, InfoClass};
 use crate::report::render_table;
 use crate::workload::Workload;
 
@@ -54,8 +54,9 @@ pub struct MatrixRow {
     /// Whether the demo confirmed the response.
     pub demonstrated: bool,
     /// What the row measured on the node, where it counts something:
-    /// scripted actions caught, or for rate analysis the `Subscribe`s
-    /// whose first hop was their own target.
+    /// scripted actions caught, for rate analysis the `Subscribe`s whose
+    /// first hop was their own target, or for maphack the fresh `State`s
+    /// about a player outside the holder's PVS.
     pub count: Option<Count>,
     /// What the demo did.
     pub note: String,
@@ -124,12 +125,13 @@ pub fn run_cheat_matrix(workload: &Workload, config: &WatchmenConfig, seed: u64)
     let scripted: Vec<(CheatKind, Cheat, Replay)> =
         SCRIPTED.into_iter().map(|(kind, cheat)| (kind, cheat, script(cheat))).collect();
     let wire = wire_checks(workload, config, seed);
+    let exposure = run_disclosure(workload, Architecture::Watchmen, &[1], config, seed);
     let replays = [&unscripted, &escape]
         .into_iter()
         .chain(holds.iter().map(|(_, r)| r))
         .chain(scripted.iter().map(|(.., r)| r));
     let leak = replays.fold(Count::default(), |sum, r| {
-        let c = r.subscribes_to_target();
+        let c = r.subscribes;
         Count { hits: sum.hits + c.hits, of: sum.of + c.of }
     });
 
@@ -153,12 +155,11 @@ pub fn run_cheat_matrix(workload: &Workload, config: &WatchmenConfig, seed: u64)
                 None,
                 "a forked copy drew BadSignature; the original then delivered".into(),
             ),
-            CheatKind::Sniffing => sniffing_row(workload, config, seed),
-            CheatKind::Maphack => (
-                occluded_is_others(config),
-                None,
-                "avatar behind a wall is classified `others`: only 1 Hz positions leak".into(),
+            CheatKind::Sniffing => sniffing_row(
+                &exposure,
+                &run_disclosure(workload, Architecture::Donnybrook, &[1], config, seed),
             ),
+            CheatKind::Maphack => maphack_row(&exposure),
             // A subscription should end at proxies, so a player never
             // learns who watches it; but a `Subscribe`'s first hop is the
             // subscriber's proxy, sometimes the target itself (ROADMAP
@@ -223,17 +224,28 @@ fn time_row(holds: &[(u64, Replay)], unscripted: &Replay) -> Outcome {
 /// Sniffing: exposure is minimized — a lone Watchmen eavesdropper holds
 /// only coarse information about most players, far less than under
 /// Donnybrook.
-fn sniffing_row(workload: &Workload, config: &WatchmenConfig, seed: u64) -> Outcome {
-    let wm = run_disclosure(workload, Architecture::Watchmen, &[1], config, seed, 8);
-    let db = run_disclosure(workload, Architecture::Donnybrook, &[1], config, seed, 8);
-    let wm_coarse = wm.fraction(1, InfoClass::Infrequent);
-    let db_coarse = db.fraction(1, InfoClass::Infrequent) + db.fraction(1, InfoClass::Nothing);
+fn sniffing_row(watchmen: &DisclosureReport, donnybrook: &DisclosureReport) -> Outcome {
+    let coarse = |r: &DisclosureReport| {
+        r.fraction(1, InfoClass::Infrequent) + r.fraction(1, InfoClass::Nothing)
+    };
+    let (wm, db) = (coarse(watchmen), coarse(donnybrook));
     let note = format!(
         "share of players known only coarsely: watchmen {:.0}% vs donnybrook {:.0}%",
-        wm_coarse * 100.0,
-        db_coarse * 100.0
+        wm * 100.0,
+        db * 100.0
     );
-    (wm_coarse > db_coarse, None, note)
+    (wm > db, None, note)
+}
+
+/// Maphack: prevented only while a lone eavesdropper holds no fresh
+/// `State` about a player outside its PVS that it does not proxy.
+fn maphack_row(watchmen: &DisclosureReport) -> Outcome {
+    let leak = watchmen.pvs_leak.expect("the Watchmen report measures the PVS leak");
+    let note = format!(
+        "fresh States a lone member held outside proxy duty about a player outside its PVS: \
+         {leak}"
+    );
+    (leak.states.of > 0 && leak.states.hits == 0, Some(leak.states), note)
 }
 
 /// Sybil flood: the admission throttle, on the real lobby.
@@ -331,26 +343,6 @@ fn wire_checks(workload: &Workload, config: &WatchmenConfig, seed: u64) -> WireC
         spoof_rejected: bad(&spoof),
         fork_rejected: bad(&fork) && !bad(&first) && !replayed(&first),
     }
-}
-
-/// Whether an avatar behind a wall lands in the `others` class.
-fn occluded_is_others(config: &WatchmenConfig) -> bool {
-    use watchmen_game::trace::PlayerFrame;
-    use watchmen_game::WeaponKind;
-    let mut map = watchmen_world::maps::arena(40, 10.0);
-    map.fill_rect(20, 15, 20, 25, watchmen_world::Tile::Wall);
-    let mk = |pos| PlayerFrame {
-        position: pos,
-        velocity: Vec3::ZERO,
-        aim: Aim::default(),
-        health: 100,
-        armor: 0,
-        weapon: WeaponKind::MachineGun,
-        ammo: 10,
-    };
-    let states = vec![mk(Vec3::new(150.0, 200.0, 0.0)), mk(Vec3::new(250.0, 200.0, 0.0))];
-    let sets = compute_sets(PlayerId(0), &states, &map, config, &NoRecency);
-    sets.kind_of(PlayerId(1)) == SetKind::Others
 }
 
 /// Roster size the Sybil flood plays against.
@@ -494,11 +486,13 @@ mod tests {
                 .iter()
                 .find(|r| r.kind == kind)
                 .unwrap_or_else(|| panic!("{kind} has no matrix row"));
-            if kind == CheatKind::RateAnalysis {
+            if matches!(kind, CheatKind::RateAnalysis | CheatKind::Maphack) {
                 // ROADMAP 5(d): a Subscribe's first hop is the subscriber's
                 // proxy, which is its target in about 1 / (n − 1) of them.
-                // Fixing that leak flips this assertion.
-                let leak = row.count.expect("rate analysis is measured");
+                // ROADMAP 5(f): the node never unsubscribes, so a lone
+                // member keeps getting fresh States about players who left
+                // its PVS. Fixing a leak flips its assertion.
+                let leak = row.count.expect("the leak is measured");
                 assert!(leak.hits > 0 && !row.demonstrated, "{}", row.note);
             } else {
                 assert!(row.demonstrated, "{kind} response not demonstrated: {}", row.note);
@@ -532,8 +526,9 @@ mod tests {
         let s = format_cheat_matrix(rows());
         assert!(s.contains("aimbot"));
         assert!(s.contains("maphack"));
-        // Only the rate-analysis row is undemonstrated (ROADMAP 5(d)).
-        assert_eq!(s.matches(" NO ").count(), 1, "{s}");
+        // Only the rate-analysis and maphack rows are undemonstrated
+        // (ROADMAP 5(d) and 5(f)).
+        assert_eq!(s.matches(" NO ").count(), 2, "{s}");
     }
 
     #[test]

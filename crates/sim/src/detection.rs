@@ -43,7 +43,7 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use watchmen_core::msg::{KillClaim, Payload, SignedEnvelope};
+use watchmen_core::msg::KillClaim;
 use watchmen_core::node::{NodeEvent, Outgoing};
 use watchmen_core::sans_io::CoreOutput;
 use watchmen_core::verify::checks;
@@ -54,7 +54,7 @@ use watchmen_math::Vec3;
 use watchmen_net::latency;
 
 use crate::cluster::Cluster;
-use crate::overlay::{replay_watchmen, Script};
+use crate::overlay::{replay_watchmen, Holdings, Script};
 use crate::report::{pct, render_table};
 use crate::workload::{aim_snap, cheat_fires, speed_hack, Workload, FIRST_CHEAT_FRAME};
 
@@ -220,10 +220,9 @@ pub struct Replay {
     honest_frames: u64,
     /// Kill claims honest attackers sent.
     honest_claims: u64,
-    /// `Subscribe`s honest nodes sent.
-    honest_subscribes: u64,
-    /// Of those, the ones whose first hop was their own target.
-    subscribes_to_target: u64,
+    /// `Subscribe`s honest nodes sent; hits are those whose first hop was
+    /// their own target (the subscriber's proxy was the target).
+    pub(crate) subscribes: Count,
 }
 
 impl Replay {
@@ -233,13 +232,6 @@ impl Replay {
         self.honest_verdicts.values().sum()
     }
 
-    /// Honest `Subscribe`s whose first hop was their own target (the
-    /// subscriber's proxy was the target), out of all honest `Subscribe`s.
-    #[must_use]
-    pub(crate) fn subscribes_to_target(&self) -> Count {
-        Count { hits: self.subscribes_to_target, of: self.honest_subscribes }
-    }
-
     /// Severe verdicts of `check` on honest players, out of the honest
     /// opportunities for it (none for a check the node does not run).
     #[must_use]
@@ -247,7 +239,7 @@ impl Replay {
         let of = match check {
             checks::POSITION | checks::AIM => self.honest_frames,
             checks::KILL => self.honest_claims,
-            checks::SUBSCRIPTION => self.honest_subscribes,
+            checks::SUBSCRIPTION => self.subscribes.of,
             _ => 0,
         };
         Count { hits: self.honest_verdicts.get(check).copied().unwrap_or(0), of }
@@ -270,6 +262,7 @@ pub fn run_script(workload: &Workload, config: &WatchmenConfig, seed: u64, cheat
         convictions: Vec::new(),
         actions: Vec::new(),
         held: Vec::new(),
+        holdings: Holdings::new(trace.players),
         replay: Replay::default(),
     };
     let net = latency::king_like(trace.players, seed);
@@ -290,6 +283,8 @@ struct Tap<'a> {
     actions: Vec<Range<u64>>,
     /// Datagrams a hold keeps back, with the frame they go out in.
     held: Vec<(u64, Outgoing)>,
+    /// What the honest nodes hold and originate.
+    holdings: Holdings,
     replay: Replay,
 }
 
@@ -442,6 +437,7 @@ impl Tap<'_> {
     }
 
     fn finish(mut self) -> Replay {
+        self.replay.subscribes = self.holdings.subscribes;
         let of = self.actions.len() as u64;
         for window in &self.actions {
             let mut fired: Vec<&'static str> = self
@@ -529,14 +525,7 @@ impl Script for Tap<'_> {
         if slot == CHEATER {
             return self.intercept(frame, output);
         }
-        for datagram in &output.datagrams {
-            let Ok(signed) = SignedEnvelope::decode(&datagram.bytes) else { continue };
-            let Payload::Subscribe { target, .. } = signed.envelope.payload else { continue };
-            if signed.envelope.from.index() == slot {
-                self.replay.honest_subscribes += 1;
-                self.replay.subscribes_to_target += u64::from(datagram.to == target);
-            }
-        }
+        self.holdings.observe(frame, slot, output);
     }
 }
 

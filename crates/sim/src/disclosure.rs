@@ -11,13 +11,25 @@
 //! them: complete (proxy), frequent update + dead reckoning, frequent
 //! update only, dead reckoning only, infrequent position update, or
 //! nothing.
+//!
+//! Watchmen's column is read off a replay of the shipped node with no loss
+//! (loss only hides information), through Figure 5's holdings table
+//! ([`crate::overlay`]), at the frames Figure 5 samples: a member holds
+//! complete information as a player's effective proxy, frequent updates
+//! with a `state` under `LOSS_AGE_FRAMES` old, dead reckoning with a
+//! `guidance` under `GUIDANCE_PERIOD + LOSS_AGE_FRAMES` old, and
+//! infrequent updates with *any* update under `OTHERS_PERIOD +
+//! LOSS_AGE_FRAMES` old. The same replay measures Table I's maphack row
+//! ([`PvsLeak`]). Client/server and Donnybrook have no node: each member
+//! holds what the architecture sends it, every frame.
 
-use watchmen_core::proxy::ProxySchedule;
 use watchmen_core::subscription::{compute_sets, NoRecency};
 use watchmen_core::WatchmenConfig;
 use watchmen_game::PlayerId;
 use watchmen_world::potentially_visible_set;
 
+use crate::detection::Count;
+use crate::overlay::{replay_holdings, COMPLETE, DR, FREQ, INFREQ};
 use crate::report::{bar, pct, render_table};
 use crate::workload::Workload;
 
@@ -73,7 +85,7 @@ pub enum Architecture {
     /// Donnybrook: frequent updates for the IS, dead reckoning for all
     /// others.
     Donnybrook,
-    /// Watchmen (Section III).
+    /// Watchmen (Section III): the shipped node.
     Watchmen,
 }
 
@@ -93,6 +105,30 @@ impl Architecture {
     }
 }
 
+/// Table I's maphack measurement: of the fresh `State`s (under
+/// `LOSS_AGE_FRAMES` old) the members of the largest coalition held about
+/// honest players they did not proxy, those about a player outside the
+/// member's PVS (vision radius and line of sight).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PvsLeak {
+    /// Outside the PVS, out of all held, over sampled frames.
+    pub states: Count,
+    /// `states.hits` by frames since the player left the PVS: 1–3, 4–20,
+    /// 21–60, more, and never inside.
+    pub since_left: [u64; 5],
+}
+
+impl std::fmt::Display for PvsLeak {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let [a, b, c, d, never] = self.since_left;
+        let states = self.states;
+        write!(
+            f,
+            "{states} (frames since it left: 1-3 {a}, 4-20 {b}, 21-60 {c}, >60 {d}, never {never})"
+        )
+    }
+}
+
 /// The per-coalition-size class distribution for one architecture.
 #[derive(Debug, Clone)]
 pub struct DisclosureReport {
@@ -100,171 +136,149 @@ pub struct DisclosureReport {
     pub architecture: Architecture,
     /// The coalition sizes evaluated.
     pub coalition_sizes: Vec<usize>,
-    /// `fractions[k][class_index]`: fraction of honest players in each
-    /// [`InfoClass`] for `coalition_sizes[k]`, averaged over frames.
-    pub fractions: Vec<[f64; 6]>,
+    /// `counts[k][class_index]`: sampled honest player-frames in each
+    /// [`InfoClass`] for `coalition_sizes[k]`.
+    pub counts: Vec<[u64; 6]>,
+    /// Watchmen only: the maphack measurement.
+    pub pvs_leak: Option<PvsLeak>,
 }
 
 impl DisclosureReport {
-    /// The fraction for a class at a coalition size.
+    /// The sampled honest player-frames in a class at a coalition size.
     ///
     /// # Panics
     ///
     /// Panics if the coalition size was not evaluated.
     #[must_use]
+    pub fn count(&self, coalition: usize, class: InfoClass) -> Count {
+        let k = self.coalition_sizes.iter().position(|&c| c == coalition).expect("evaluated");
+        Count { hits: self.counts[k][class as usize], of: self.counts[k].iter().sum() }
+    }
+
+    /// [`Self::count`] as a fraction.
+    #[must_use]
     pub fn fraction(&self, coalition: usize, class: InfoClass) -> f64 {
-        let k = self
-            .coalition_sizes
-            .iter()
-            .position(|&c| c == coalition)
-            .expect("coalition size not evaluated");
-        let idx = InfoClass::ALL.iter().position(|&c| c == class).expect("class");
-        self.fractions[k][idx]
+        self.count(coalition, class).rate()
     }
 }
 
-/// What one observer knows about one subject under an architecture.
-#[derive(Debug, Clone, Copy, Default)]
-struct Knowledge {
-    complete: bool,
-    freq: bool,
-    dr: bool,
-    infreq: bool,
+/// The class of what an observer, or a coalition, holds about a player.
+fn classify(held: u8) -> InfoClass {
+    match held {
+        h if h & COMPLETE != 0 => InfoClass::Complete,
+        h if h & (FREQ | DR) == FREQ | DR => InfoClass::FreqAndDr,
+        h if h & FREQ != 0 => InfoClass::FreqOnly,
+        h if h & DR != 0 => InfoClass::DrOnly,
+        h if h & INFREQ != 0 => InfoClass::Infrequent,
+        _ => InfoClass::Nothing,
+    }
 }
 
-impl Knowledge {
-    fn merge(&mut self, other: Knowledge) {
-        self.complete |= other.complete;
-        self.freq |= other.freq;
-        self.dr |= other.dr;
-        self.infreq |= other.infreq;
-    }
+/// The players in `member`'s PVS at `frame` of the trace.
+fn pvs(workload: &Workload, frame: usize, member: usize) -> Vec<usize> {
+    let positions: Vec<_> =
+        workload.trace.frames[frame].states.iter().map(|s| s.position).collect();
+    potentially_visible_set(&workload.map, &positions, member, WatchmenConfig::VISION_RADIUS)
+}
 
-    fn classify(&self) -> InfoClass {
-        if self.complete {
-            InfoClass::Complete
-        } else if self.freq && self.dr {
-            InfoClass::FreqAndDr
-        } else if self.freq {
-            InfoClass::FreqOnly
-        } else if self.dr {
-            InfoClass::DrOnly
-        } else if self.infreq {
-            InfoClass::Infrequent
-        } else {
-            InfoClass::Nothing
+/// What a baseline sends `member` about each player in `frame`.
+fn sent(
+    workload: &Workload,
+    arch: Architecture,
+    config: &WatchmenConfig,
+    frame: usize,
+    member: usize,
+) -> Vec<u8> {
+    if arch == Architecture::ClientServer {
+        let mut row = vec![0; workload.players()];
+        for j in pvs(workload, frame, member) {
+            row[j] = FREQ;
         }
+        return row;
     }
+    // Donnybrook: dead reckoning broadcast to everyone else, frequent
+    // updates instead from the interest set.
+    let mut row = vec![DR; workload.players()];
+    row[member] = 0;
+    let (states, me) = (&workload.trace.frames[frame].states, PlayerId(member as u32));
+    for t in compute_sets(me, states, &workload.map, config, &NoRecency).interest {
+        row[t.index()] = FREQ;
+    }
+    row
 }
 
-/// Runs the disclosure measurement for one architecture.
-///
-/// The coalition of size `c` is players `0..c`; honest players are the
-/// rest. `frame_stride` subsamples frames to bound cost (the statistics
-/// are stationary).
+/// Runs the disclosure measurement for one architecture (see the module
+/// docs). The coalition of size `c` is players `0..c`; honest players
+/// are the rest.
 ///
 /// # Panics
 ///
 /// Panics if the largest coalition is not smaller than the player count.
 #[must_use]
-#[allow(clippy::needless_range_loop)] // knowledge rows are parallel per-player arrays
 pub fn run_disclosure(
     workload: &Workload,
     architecture: Architecture,
     coalition_sizes: &[usize],
     config: &WatchmenConfig,
     seed: u64,
-    frame_stride: usize,
 ) -> DisclosureReport {
     let n = workload.players();
-    let max_coalition = coalition_sizes.iter().copied().max().unwrap_or(0);
-    assert!(max_coalition < n, "coalition must leave honest players");
-    let schedule = ProxySchedule::new(seed, n, config.proxy_period);
-    let stride = frame_stride.max(1);
-
-    let mut totals = vec![[0.0f64; 6]; coalition_sizes.len()];
-    let mut frames_counted = 0usize;
-
-    for frame in (0..workload.trace.len()).step_by(stride) {
-        let states = &workload.trace.frames[frame].states;
-        let positions: Vec<_> = states.iter().map(|s| s.position).collect();
-
-        // Knowledge of each potential cheater (0..max_coalition) about
-        // each player.
-        let mut knowledge = vec![vec![Knowledge::default(); n]; max_coalition];
-        for (i, row) in knowledge.iter_mut().enumerate() {
-            match architecture {
-                Architecture::ClientServer => {
-                    let pvs = potentially_visible_set(
-                        &workload.map,
-                        &positions,
-                        i,
-                        WatchmenConfig::VISION_RADIUS,
-                    );
-                    for j in pvs {
-                        row[j].freq = true;
-                    }
-                }
-                Architecture::Donnybrook => {
-                    let sets =
-                        compute_sets(PlayerId(i as u32), states, &workload.map, config, &NoRecency);
-                    for j in 0..n {
-                        if j != i {
-                            row[j].dr = true; // DR broadcast to everyone
-                        }
-                    }
-                    for t in &sets.interest {
-                        row[t.index()].freq = true;
-                        row[t.index()].dr = false; // IS members send frequent instead
-                    }
-                }
-                Architecture::Watchmen => {
-                    let sets =
-                        compute_sets(PlayerId(i as u32), states, &workload.map, config, &NoRecency);
-                    for j in 0..n {
-                        if j != i {
-                            row[j].infreq = true; // implicit position updates
-                        }
-                    }
-                    for t in &sets.interest {
-                        row[t.index()].freq = true;
-                    }
-                    for t in &sets.vision {
-                        row[t.index()].dr = true;
-                    }
-                    // Proxy duty grants complete information.
-                    for client in schedule.clients_of(PlayerId(i as u32), frame as u64) {
-                        row[client.index()].complete = true;
-                    }
-                }
-            }
-        }
-
-        for (k, &c) in coalition_sizes.iter().enumerate() {
+    let members = coalition_sizes.iter().copied().max().unwrap_or(0);
+    assert!(members < n, "coalition must leave honest players");
+    let mut counts = vec![[0u64; 6]; coalition_sizes.len()];
+    // Adds one frame: each honest player `j`'s class under each coalition.
+    let mut tally = |held: &dyn Fn(usize, usize) -> u8| {
+        for (&c, row) in coalition_sizes.iter().zip(&mut counts) {
             for j in c..n {
-                let mut joint = Knowledge::default();
-                for row in knowledge.iter().take(c) {
-                    joint.merge(row[j]);
-                }
-                let class = joint.classify();
-                let idx = InfoClass::ALL.iter().position(|&x| x == class).expect("class");
-                totals[k][idx] += 1.0 / (n - c) as f64;
+                row[classify((0..c).fold(0, |joint, m| joint | held(m, j))) as usize] += 1;
             }
         }
-        frames_counted += 1;
-    }
+    };
 
-    for row in &mut totals {
-        for v in row.iter_mut() {
-            *v /= frames_counted.max(1) as f64;
+    let pvs_leak = (architecture == Architecture::Watchmen).then(|| {
+        let mut leak = PvsLeak::default();
+        // `[member * n + j]`: the last frame `j` was in `member`'s PVS.
+        let mut last_seen = vec![None; members * n];
+        let _ = replay_holdings(workload, config, 0.0, seed, |h| {
+            let f = h.frame;
+            for m in 0..members {
+                for j in pvs(workload, f as usize, m) {
+                    last_seen[m * n + j] = Some(f);
+                }
+            }
+            if !h.sampled() {
+                return;
+            }
+            tally(&|m, j| h.held(m, j));
+            for (m, j) in (0..members).flat_map(|m| (members..n).map(move |j| (m, j))) {
+                if h.held(m, j) & (COMPLETE | FREQ) != FREQ {
+                    continue;
+                }
+                leak.states.of += 1;
+                let since = last_seen[m * n + j].map(|seen| f - seen);
+                if since != Some(0) {
+                    leak.states.hits += 1;
+                    let bucket =
+                        since.map_or(4, |s| [3, 20, 60].iter().filter(|&&b| s > b).count());
+                    leak.since_left[bucket] += 1;
+                }
+            }
+        });
+        leak
+    });
+    if pvs_leak.is_none() {
+        for frame in 0..workload.frames() {
+            let sent: Vec<Vec<u8>> =
+                (0..members).map(|m| sent(workload, architecture, config, frame, m)).collect();
+            tally(&|m, j| sent[m][j]);
         }
     }
-
-    DisclosureReport { architecture, coalition_sizes: coalition_sizes.to_vec(), fractions: totals }
+    DisclosureReport { architecture, coalition_sizes: coalition_sizes.to_vec(), counts, pvs_leak }
 }
 
 /// Renders the stacked-histogram data as a table (one row per coalition
-/// size, one column per info class) plus text bars.
+/// size, one column per info class) plus text bars; for the node, the
+/// count behind each Nothing share and the maphack measurement follow.
 #[must_use]
 pub fn format_disclosure(report: &DisclosureReport) -> String {
     let mut header = vec!["coalition"];
@@ -272,36 +286,57 @@ pub fn format_disclosure(report: &DisclosureReport) -> String {
     let rows: Vec<Vec<String>> = report
         .coalition_sizes
         .iter()
-        .zip(&report.fractions)
-        .map(|(&c, f)| {
+        .map(|&c| {
             let mut row = vec![c.to_string()];
-            row.extend(f.iter().map(|&v| format!("{} {}", pct(v), bar(v, 10))));
+            for class in InfoClass::ALL {
+                let v = report.fraction(c, class);
+                row.push(format!("{} {}", pct(v), bar(v, 10)));
+            }
             row
         })
         .collect();
-    format!("[{}]\n{}", report.architecture.name(), render_table(&header, &rows))
+    let mut out = format!("[{}]\n{}", report.architecture.name(), render_table(&header, &rows));
+    if let Some(leak) = report.pvs_leak {
+        let nothing = |&c: &usize| format!("c={c} {}", report.count(c, InfoClass::Nothing));
+        let nothing: Vec<String> = report.coalition_sizes.iter().map(nothing).collect();
+        out += &format!("\nnothing held: {}", nothing.join(", "));
+        out += &format!(
+            "\nfresh States held outside proxy duty about a player outside the holder's PVS: {leak}"
+        );
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    use watchmen_core::msg::{Envelope, Payload, StateUpdate};
+    use watchmen_core::node::{NodeEvent, Outgoing};
+    use watchmen_core::sans_io::CoreOutput;
+    use watchmen_crypto::schnorr::Keypair;
+
+    use crate::overlay::Holdings;
     use crate::workload::standard_workload;
 
-    fn small_report(arch: Architecture) -> DisclosureReport {
-        let w = standard_workload(12, 5, 80);
-        run_disclosure(&w, arch, &[1, 2, 4], &WatchmenConfig::default(), 7, 4)
-    }
-
-    fn total(report: &DisclosureReport, k: usize) -> f64 {
-        report.fractions[k].iter().sum()
+    /// One report per architecture, shared by the tests: the Watchmen
+    /// one is a node replay.
+    fn report(arch: Architecture) -> &'static DisclosureReport {
+        static REPORTS: OnceLock<[DisclosureReport; 3]> = OnceLock::new();
+        let reports = REPORTS.get_or_init(|| {
+            let (w, config) = (standard_workload(12, 5, 80), WatchmenConfig::default());
+            Architecture::ALL.map(|a| run_disclosure(&w, a, &[1, 2, 4], &config, 7))
+        });
+        &reports[arch as usize]
     }
 
     #[test]
     fn fractions_sum_to_one() {
         for arch in Architecture::ALL {
-            let r = small_report(arch);
-            for k in 0..r.coalition_sizes.len() {
-                let t = total(&r, k);
+            let r = report(arch);
+            for &c in &r.coalition_sizes {
+                let t: f64 = InfoClass::ALL.iter().map(|&class| r.fraction(c, class)).sum();
                 assert!((t - 1.0).abs() < 1e-9, "{}: sum {t}", arch.name());
             }
         }
@@ -309,12 +344,12 @@ mod tests {
 
     #[test]
     fn client_server_has_no_dr_or_proxy_info() {
-        let r = small_report(Architecture::ClientServer);
-        for k in 0..r.coalition_sizes.len() {
-            assert_eq!(r.fraction(r.coalition_sizes[k], InfoClass::Complete), 0.0);
-            assert_eq!(r.fraction(r.coalition_sizes[k], InfoClass::FreqAndDr), 0.0);
-            assert_eq!(r.fraction(r.coalition_sizes[k], InfoClass::DrOnly), 0.0);
-            assert_eq!(r.fraction(r.coalition_sizes[k], InfoClass::Infrequent), 0.0);
+        let r = report(Architecture::ClientServer);
+        for &c in &r.coalition_sizes {
+            assert_eq!(r.fraction(c, InfoClass::Complete), 0.0);
+            assert_eq!(r.fraction(c, InfoClass::FreqAndDr), 0.0);
+            assert_eq!(r.fraction(c, InfoClass::DrOnly), 0.0);
+            assert_eq!(r.fraction(c, InfoClass::Infrequent), 0.0);
         }
         // Some players are mutually invisible on q3dm17: Nothing > 0.
         assert!(r.fraction(1, InfoClass::Nothing) > 0.0);
@@ -322,9 +357,9 @@ mod tests {
 
     #[test]
     fn donnybrook_never_below_dead_reckoning() {
-        let r = small_report(Architecture::Donnybrook);
-        for (k, &c) in r.coalition_sizes.iter().enumerate() {
-            assert_eq!(r.fraction(c, InfoClass::Infrequent), 0.0, "k={k}");
+        let r = report(Architecture::Donnybrook);
+        for &c in &r.coalition_sizes {
+            assert_eq!(r.fraction(c, InfoClass::Infrequent), 0.0, "c={c}");
             assert_eq!(r.fraction(c, InfoClass::Nothing), 0.0);
             assert_eq!(r.fraction(c, InfoClass::Complete), 0.0);
         }
@@ -334,9 +369,18 @@ mod tests {
 
     #[test]
     fn watchmen_floor_is_infrequent_and_has_proxies() {
-        let r = small_report(Architecture::Watchmen);
+        let r = report(Architecture::Watchmen);
         for &c in &r.coalition_sizes {
-            assert_eq!(r.fraction(c, InfoClass::Nothing), 0.0);
+            let nothing = r.count(c, InfoClass::Nothing);
+            if c == 1 {
+                // ROADMAP 5(c): a lone member holds nothing about a few
+                // honest player-frames, mostly just after an epoch
+                // turnover, when the new proxy's subscriber lists are
+                // empty. Closing that gap flips this assertion.
+                assert!(nothing.hits > 0, "c={c}: {nothing}");
+            } else {
+                assert_eq!(nothing.hits, 0, "c={c}: {nothing}");
+            }
         }
         // Proxy duty exposes complete info about ~c/n of honest players.
         assert!(r.fraction(4, InfoClass::Complete) > 0.0);
@@ -348,27 +392,45 @@ mod tests {
     fn watchmen_discloses_less_than_donnybrook() {
         // The paper's headline: Watchmen significantly reduces disclosure
         // vs Donnybrook. Compare the share with at-most-infrequent info.
-        let wm = small_report(Architecture::Watchmen);
-        let db = small_report(Architecture::Donnybrook);
-        let coarse_wm = wm.fraction(4, InfoClass::Infrequent);
-        let coarse_db = db.fraction(4, InfoClass::Infrequent);
+        let coarse_wm = report(Architecture::Watchmen).fraction(4, InfoClass::Infrequent);
+        let coarse_db = report(Architecture::Donnybrook).fraction(4, InfoClass::Infrequent);
         assert!(coarse_wm > coarse_db + 0.05, "wm {coarse_wm} vs db {coarse_db}");
     }
 
     #[test]
     fn disclosure_grows_with_coalition() {
-        let r = small_report(Architecture::Watchmen);
+        let r = report(Architecture::Watchmen);
         let coarse_1 = r.fraction(1, InfoClass::Infrequent);
         let coarse_4 = r.fraction(4, InfoClass::Infrequent);
         assert!(coarse_4 <= coarse_1 + 1e-9, "more cheaters → less privacy");
     }
 
     #[test]
+    fn a_stale_state_is_infrequent_and_the_proxy_complete() {
+        // Player 0 consumed a state about player 2 generated 10 frames
+        // ago; player 2 then publishes its state to player 1, its proxy.
+        let state = StateUpdate::from(&standard_workload(3, 1, 1).trace.frames[0].states[2]);
+        let envelope =
+            Envelope { from: PlayerId(2), seq: 1, frame: 40, payload: Payload::State(state) };
+        let publish =
+            Outgoing { to: PlayerId(1), bytes: envelope.sign_encoded(&Keypair::generate(2)) };
+        let delivery = NodeEvent::Delivery { about: PlayerId(2), class: "state", gen_frame: 30 };
+        let mut h = Holdings::new(3);
+        h.observe(30, 0, &CoreOutput { datagrams: Vec::new(), events: vec![delivery] });
+        h.observe(40, 2, &CoreOutput { datagrams: vec![publish], events: Vec::new() });
+        assert_eq!(classify(h.held(0, 2)), InfoClass::Infrequent);
+        assert_eq!(classify(h.held(1, 2)), InfoClass::Complete);
+        assert_eq!(classify(h.held(1, 0)), InfoClass::Nothing);
+    }
+
+    #[test]
     fn formatting_contains_labels() {
-        let r = small_report(Architecture::Watchmen);
-        let s = format_disclosure(&r);
+        let s = format_disclosure(report(Architecture::Watchmen));
         assert!(s.contains("watchmen"));
         assert!(s.contains("Complete"));
         assert!(s.contains("Infreq"));
+        assert!(s.contains("nothing held: c=1 "), "{s}");
+        assert!(s.contains("outside the holder's PVS: "), "{s}");
+        assert!(s.contains("(frames since it left: 1-3 "), "{s}");
     }
 }

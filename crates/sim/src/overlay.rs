@@ -25,28 +25,30 @@
 //! in**, and baseline messages weigh what [`Envelope::sign_encoded`]
 //! produces for the same payload.
 //!
-//! [`run_witnesses`] (Figure 5) reads the same node replay, under the
-//! King-like set with 1 % loss that Figure 7 uses, through a read-only
-//! observer of every slot's output. Cheaters are players `0..c`, honest
-//! players the rest, and at each sampled frame `f`, for each cheater `x`
-//! that published its state in `f`:
+//! [`run_witnesses`] (Figure 5) and Figure 4 ([`crate::disclosure`])
+//! read the same node replay, under the King-like set, through one
+//! read-only tap, the holdings table: per (holder, subject), the
+//! generation frame of the latest consumed `state`, `guidance` and
+//! `position` delivery, and each player's **effective proxy** per frame
+//! — the destination of its own first `State` datagram that frame
+//! (fallback draws under loss included). Figure 5 plays it with 1 %
+//! loss, as Figure 7 does. Cheaters are players `0..c`, honest players
+//! the rest, and at each sampled frame `f`, for each cheater `x` that
+//! published its state in `f`:
 //!
-//! * `x`'s **effective proxy** is the destination of `x`'s own first
-//!   `State` datagram in `f` (fallback draws under loss included); it is
-//!   an honest proxy when it is not a cheater.
+//! * `x`'s proxy is an honest proxy when it is not a cheater.
 //! * An **IS witness** is an honest node other than that proxy whose
-//!   latest consumed `state` delivery about `x` was generated within
-//!   `LOSS_AGE_FRAMES` of `f`.
-//! * A **VS witness** is, otherwise, such a node whose latest consumed
-//!   `guidance` delivery about `x` was generated within
-//!   `GUIDANCE_PERIOD + LOSS_AGE_FRAMES` of `f`.
+//!   latest `state` about `x` is under `LOSS_AGE_FRAMES` old.
+//! * A **VS witness** is, otherwise, such a node whose latest `guidance`
+//!   about `x` is under `GUIDANCE_PERIOD + LOSS_AGE_FRAMES` old.
 //!
 //! Frames before `OTHERS_PERIOD + LOSS_AGE_FRAMES` are not sampled:
 //! subscriptions and the first guidance round are still settling.
 //!
 //! Figure 6 and Table I ([`crate::detection`]) play the same replay with
 //! a cheater scripted through the replay's one hook, the crate-private
-//! `Script`, which `()` leaves as recorded.
+//! `Script`, which `()` leaves as recorded, and read the honest nodes'
+//! `Subscribe`s off the same holdings table.
 
 use std::sync::Arc;
 
@@ -66,6 +68,7 @@ use watchmen_telemetry as telemetry;
 use watchmen_world::{potentially_visible_set, GameMap};
 
 use crate::cluster::Cluster;
+use crate::detection::Count;
 use crate::report::render_table;
 use crate::workload::Workload;
 
@@ -322,11 +325,10 @@ pub struct WitnessRow {
 pub struct WitnessReport {
     /// One row per coalition size, in the order asked for.
     pub rows: Vec<WitnessRow>,
-    /// `Subscribe`s the nodes originated.
-    pub subscribes: u64,
-    /// Those whose first hop is their own target: the subscriber's proxy
-    /// is the target, which so learns who watches it.
-    pub subscribes_to_target: u64,
+    /// `Subscribe`s the nodes originated; hits are those whose first hop
+    /// is their own target: the subscriber's proxy is the target, which
+    /// so learns who watches it.
+    pub subscribes: Count,
 }
 
 /// Replays the workload through the shipped node under the King-like set
@@ -348,10 +350,26 @@ pub fn run_witnesses(
     for &c in coalitions {
         assert!(c >= 1 && c < n, "coalition {c} out of range");
     }
-    let mut tap = WitnessTap::new(n, coalitions);
-    let (trace, map) = (&workload.trace, &workload.map);
-    let _ = replay_watchmen(trace, map, config, latency::king_like(n, seed), 0.01, seed, &mut tap);
-    tap.finish()
+    let mut tallies = vec![WitnessTally::default(); coalitions.len()];
+    let holdings = replay_holdings(workload, config, 0.01, seed, |h| {
+        for (&c, tally) in coalitions.iter().zip(&mut tallies) {
+            tally.sample(h, c);
+        }
+    });
+    let rows = coalitions
+        .iter()
+        .zip(&tallies)
+        .map(|(&coalition, t)| {
+            let samples = t.samples.max(1) as f64;
+            WitnessRow {
+                coalition,
+                honest_proxy_rate: t.honest_proxy as f64 / samples,
+                avg_is_witnesses: t.is as f64 / samples,
+                avg_vs_witnesses: t.vs as f64 / samples,
+            }
+        })
+        .collect();
+    WitnessReport { rows, subscribes: holdings.subscribes }
 }
 
 /// Renders the Figure 5 series as a table.
@@ -381,43 +399,96 @@ struct WitnessTally {
     vs: u64,
 }
 
-/// What [`run_witnesses`] reads off the replay, one frame at a time.
-struct WitnessTap {
-    players: usize,
-    coalitions: Vec<usize>,
-    warm_up: u64,
-    state_window: u64,
-    guidance_window: u64,
-    /// The frame whose outputs are being observed.
-    frame: u64,
-    /// Each player's effective proxy in `frame`.
-    proxy: Vec<Option<PlayerId>>,
-    /// `[holder * players + about]`: generation frame of the latest
-    /// consumed `state` / `guidance` delivery.
-    state: Vec<Option<u64>>,
-    guidance: Vec<Option<u64>>,
-    tallies: Vec<WitnessTally>,
-    subscribes: u64,
-    subscribes_to_target: u64,
+impl WitnessTally {
+    /// Tallies the frame `h` holds, with cheaters `0..c`.
+    fn sample(&mut self, h: &Holdings, c: usize) {
+        for cheater in (0..c).filter(|_| h.sampled()) {
+            let Some(proxy) = h.proxy[cheater].map(PlayerId::index) else { continue };
+            self.samples += 1;
+            self.honest_proxy += u64::from(proxy >= c);
+            for holder in (c..h.players).filter(|&holder| holder != proxy) {
+                let held = h.held(holder, cheater);
+                if held & FREQ != 0 {
+                    self.is += 1;
+                } else if held & DR != 0 {
+                    self.vs += 1;
+                }
+            }
+        }
+    }
 }
 
-impl Script for WitnessTap {
-    fn observe(&mut self, frame: u64, slot: usize, output: &mut CoreOutput) {
+/// What a node holds about a player, as [`Holdings::held`] reads it: a
+/// union of these bits.
+pub(crate) const COMPLETE: u8 = 1;
+pub(crate) const FREQ: u8 = 2;
+pub(crate) const DR: u8 = 4;
+pub(crate) const INFREQ: u8 = 8;
+
+/// The one tap on the node replay (see the module docs): what every node
+/// holds about every player in one frame, read off the nodes' outputs.
+pub(crate) struct Holdings {
+    players: usize,
+    /// The frame whose outputs are being observed.
+    pub(crate) frame: u64,
+    /// Each player's effective proxy in `frame`.
+    pub(crate) proxy: Vec<Option<PlayerId>>,
+    /// `[holder * players + about]`: generation frame of the latest
+    /// consumed `state`, `guidance` and `position` delivery.
+    latest: Vec<[Option<u64>; 3]>,
+    /// As [`WitnessReport::subscribes`].
+    pub(crate) subscribes: Count,
+}
+
+impl Holdings {
+    pub(crate) fn new(players: usize) -> Self {
+        Holdings {
+            players,
+            frame: 0,
+            proxy: vec![None; players],
+            latest: vec![[None; 3]; players * players],
+            subscribes: Count::default(),
+        }
+    }
+
+    /// Whether the frame is sampled: past `OTHERS_PERIOD +
+    /// LOSS_AGE_FRAMES`, when subscriptions and the first guidance round
+    /// have settled.
+    pub(crate) fn sampled(&self) -> bool {
+        self.frame >= WatchmenConfig::OTHERS_PERIOD + WatchmenConfig::LOSS_AGE_FRAMES
+    }
+
+    /// What `holder` holds about `about` in the frame: [`COMPLETE`] as
+    /// its effective proxy; [`FREQ`] with a `state` under
+    /// `LOSS_AGE_FRAMES` old; [`DR`] with a `guidance` under
+    /// `GUIDANCE_PERIOD + LOSS_AGE_FRAMES` old; [`INFREQ`] with any
+    /// update, each carrying a position, under `OTHERS_PERIOD +
+    /// LOSS_AGE_FRAMES` old.
+    pub(crate) fn held(&self, holder: usize, about: usize) -> u8 {
+        let latest = self.latest[holder * self.players + about];
+        let fresh = |k: usize, window: u64| latest[k].is_some_and(|g| self.frame < g + window);
+        let bit = |on: bool, bit: u8| if on { bit } else { 0 };
+        let loss = WatchmenConfig::LOSS_AGE_FRAMES;
+        let others = WatchmenConfig::OTHERS_PERIOD + loss;
+        bit(self.proxy[about] == Some(PlayerId(holder as u32)), COMPLETE)
+            | bit(fresh(0, loss), FREQ)
+            | bit(fresh(1, WatchmenConfig::GUIDANCE_PERIOD + loss), DR)
+            | bit((0..3).any(|k| fresh(k, others)), INFREQ)
+    }
+
+    /// Records what `slot`'s output in `frame` consumed and originated.
+    pub(crate) fn observe(&mut self, frame: u64, slot: usize, output: &CoreOutput) {
         if frame != self.frame {
-            self.sample();
             self.frame = frame;
             self.proxy.fill(None);
         }
         for event in &output.events {
-            if let NodeEvent::Delivery { about, class, gen_frame } = *event {
-                let cell = slot * self.players + about.index();
-                let latest = match class {
-                    "state" => &mut self.state[cell],
-                    "guidance" => &mut self.guidance[cell],
-                    _ => continue,
-                };
-                *latest = (*latest).max(Some(gen_frame));
-            }
+            let NodeEvent::Delivery { about, class, gen_frame } = *event else { continue };
+            let Some(k) = ["state", "guidance", "position"].iter().position(|&c| c == class) else {
+                continue;
+            };
+            let latest = &mut self.latest[slot * self.players + about.index()][k];
+            *latest = (*latest).max(Some(gen_frame));
         }
         for datagram in &output.datagrams {
             let Ok(signed) = SignedEnvelope::decode(&datagram.bytes) else { continue };
@@ -429,8 +500,8 @@ impl Script for WitnessTap {
                     self.proxy[slot].get_or_insert(datagram.to);
                 }
                 Payload::Subscribe { target, .. } => {
-                    self.subscribes += 1;
-                    self.subscribes_to_target += u64::from(datagram.to == target);
+                    self.subscribes.of += 1;
+                    self.subscribes.hits += u64::from(datagram.to == target);
                 }
                 _ => {}
             }
@@ -438,70 +509,31 @@ impl Script for WitnessTap {
     }
 }
 
-impl WitnessTap {
-    fn new(players: usize, coalitions: &[usize]) -> Self {
-        WitnessTap {
-            players,
-            coalitions: coalitions.to_vec(),
-            warm_up: WatchmenConfig::OTHERS_PERIOD + WatchmenConfig::LOSS_AGE_FRAMES,
-            state_window: WatchmenConfig::LOSS_AGE_FRAMES,
-            guidance_window: WatchmenConfig::GUIDANCE_PERIOD + WatchmenConfig::LOSS_AGE_FRAMES,
-            frame: 0,
-            proxy: vec![None; players],
-            state: vec![None; players * players],
-            guidance: vec![None; players * players],
-            tallies: vec![WitnessTally::default(); coalitions.len()],
-            subscribes: 0,
-            subscribes_to_target: 0,
-        }
-    }
-
-    /// Tallies `self.frame`, whose outputs are all observed.
-    fn sample(&mut self) {
-        if self.frame < self.warm_up {
-            return;
-        }
-        let (n, f) = (self.players, self.frame);
-        let fresh = |latest: Option<u64>, window: u64| latest.is_some_and(|g| f < g + window);
-        for (&c, tally) in self.coalitions.iter().zip(&mut self.tallies) {
-            for cheater in 0..c {
-                let Some(proxy) = self.proxy[cheater] else { continue };
-                tally.samples += 1;
-                tally.honest_proxy += u64::from(proxy.index() >= c);
-                for holder in (c..n).filter(|&h| h != proxy.index()) {
-                    let cell = holder * n + cheater;
-                    if fresh(self.state[cell], self.state_window) {
-                        tally.is += 1;
-                    } else if fresh(self.guidance[cell], self.guidance_window) {
-                        tally.vs += 1;
-                    }
-                }
+/// Replays the workload through the shipped node under the King-like set
+/// with `loss_rate`, handing the holdings to `sample` once each frame's
+/// outputs are all observed.
+pub(crate) fn replay_holdings(
+    workload: &Workload,
+    config: &WatchmenConfig,
+    loss_rate: f64,
+    seed: u64,
+    sample: impl FnMut(&Holdings),
+) -> Holdings {
+    struct Tap<F>(Holdings, F);
+    impl<F: FnMut(&Holdings)> Script for Tap<F> {
+        fn observe(&mut self, frame: u64, slot: usize, output: &mut CoreOutput) {
+            if frame != self.0.frame {
+                (self.1)(&self.0);
             }
+            self.0.observe(frame, slot, output);
         }
     }
-
-    fn finish(mut self) -> WitnessReport {
-        self.sample();
-        let rows = self
-            .coalitions
-            .iter()
-            .zip(&self.tallies)
-            .map(|(&coalition, t)| {
-                let samples = t.samples.max(1) as f64;
-                WitnessRow {
-                    coalition,
-                    honest_proxy_rate: t.honest_proxy as f64 / samples,
-                    avg_is_witnesses: t.is as f64 / samples,
-                    avg_vs_witnesses: t.vs as f64 / samples,
-                }
-            })
-            .collect();
-        WitnessReport {
-            rows,
-            subscribes: self.subscribes,
-            subscribes_to_target: self.subscribes_to_target,
-        }
-    }
+    let (trace, map, n) = (&workload.trace, &workload.map, workload.players());
+    let mut tap = Tap(Holdings::new(n), sample);
+    let _ =
+        replay_watchmen(trace, map, config, latency::king_like(n, seed), loss_rate, seed, &mut tap);
+    (tap.1)(&tap.0);
+    tap.0
 }
 
 /// Runs the Donnybrook baseline: frequent updates direct to interest-set
@@ -805,7 +837,7 @@ mod tests {
         // A subscription's first hop is the subscriber's proxy, which is
         // the target itself in about 1 / (n − 1) of them: the known
         // rate-analysis leak.
-        let share = report.subscribes_to_target as f64 / report.subscribes as f64;
+        let share = report.subscribes.rate();
         assert!((0.5 / 15.0..2.0 / 15.0).contains(&share), "{report:?}");
     }
 

@@ -51,9 +51,9 @@ fn information_exposure_ordering_matches_figure_4() {
     let config = WatchmenConfig::default();
     let coalition = [4usize];
 
-    let cs = run_disclosure(&w, Architecture::ClientServer, &coalition, &config, 9, 5);
-    let wm = run_disclosure(&w, Architecture::Watchmen, &coalition, &config, 9, 5);
-    let db = run_disclosure(&w, Architecture::Donnybrook, &coalition, &config, 9, 5);
+    let cs = run_disclosure(&w, Architecture::ClientServer, &coalition, &config, 9);
+    let wm = run_disclosure(&w, Architecture::Watchmen, &coalition, &config, 9);
+    let db = run_disclosure(&w, Architecture::Donnybrook, &coalition, &config, 9);
 
     // Frequent-grade information (complete / frequent state updates): the
     // IS cap means Watchmen's coalition gets detail about far fewer
@@ -87,7 +87,7 @@ fn paper_headline_numbers_are_in_band() {
     // Our synthetic workload should land in the same regime (±20 points).
     let w = standard_workload(24, 4, 300);
     let config = WatchmenConfig::default();
-    let wm = run_disclosure(&w, Architecture::Watchmen, &[4], &config, 11, 5);
+    let wm = run_disclosure(&w, Architecture::Watchmen, &[4], &config, 11);
     let minimum = wm.fraction(4, InfoClass::Infrequent);
     let partial = wm.fraction(4, InfoClass::FreqAndDr)
         + wm.fraction(4, InfoClass::FreqOnly)
