@@ -13,6 +13,17 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Every `WATCHMEN_*` environment variable is a cost (ROADMAP): the set
+# the code names, doc comments included, must be exactly this list.
+echo "==> knob list"
+knobs="WATCHMEN_AUDIT WATCHMEN_BENCH_OUT WATCHMEN_CRASHLOOP WATCHMEN_CRASHLOOP_ROLE \
+WATCHMEN_FLEET WATCHMEN_LIVE_CHEATER WATCHMEN_LIVE_DIE WATCHMEN_LIVE_PACE_MS WATCHMEN_LIVE_SEED \
+WATCHMEN_METRICS_ADDR WATCHMEN_METRICS_HOLD_MS WATCHMEN_QUICK WATCHMEN_STORE_DIR \
+WATCHMEN_STORE_FAULTS WATCHMEN_TELEMETRY WATCHMEN_TRACE"
+named=$(grep -rhoE 'WATCHMEN_[A-Z_]+' crates src examples | LC_ALL=C sort -u | xargs)
+[ "$named" = "$knobs" ] ||
+    { echo "the code names other knobs than ci.sh lists: $named" >&2; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -55,7 +66,7 @@ model=$(grep -rnE 'check_guidance|check_is_subscription|observe_honest_guidance|
 model=$(grep -rnE 'SummaryCorroborator|ScheduleBiasDetector|CheatInjector|run_campaign|CampaignKind' crates src examples tests || true)
 [ -z "$model" ] || { echo "the Table I campaign models are back: $model" >&2; exit 1; }
 for gone in crates/math/src/poly.rs crates/sim/src/campaign.rs crates/core/src/collusion.rs \
-    crates/core/src/schedule_guard.rs; do
+    crates/core/src/schedule_guard.rs crates/game/src/replay.rs; do
     [ ! -e "$gone" ] || { echo "a model no node runs is back: $gone" >&2; exit 1; }
 done
 rate=$(grep -rlF 'check_rate(' crates src examples tests | sort | tr '\n' ' ' || true)
@@ -166,6 +177,16 @@ cargo test --release -q -p watchmen-net
 
 echo "==> live cluster smoke (6 OS processes over loopback UDP, scripted speed-hacker)"
 cargo run --release --example live_cluster | tail -n 1
+
+# The die hook: node 3 exits with status 7 right after ADDR. The parent
+# must abort at once, exit 1, and name the node and its status.
+echo "==> live cluster die hook (node 3 exits mid-rendezvous)"
+die_rc=0
+die_err=$(WATCHMEN_LIVE_DIE=3 cargo run -q --release --example live_cluster 2>&1 >/dev/null) ||
+    die_rc=$?
+[ "$die_rc" = 1 ] || { echo "die hook exited $die_rc, not 1: $die_err" >&2; exit 1; }
+grep -E '^live cluster aborted: .*node 3 .*exit status: 7' <<<"$die_err" ||
+    { echo "die hook abort does not name node 3 and its status: $die_err" >&2; exit 1; }
 
 # The store's checksum has two kernels and its formats are pinned by golden
 # bytes: run its tests optimised too, so the CRC agreement tests and the

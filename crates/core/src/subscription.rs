@@ -109,8 +109,9 @@ fn sees(cone: &Cone, candidate: &PlayerFrame, map: &GameMap) -> bool {
     cone.contains(target) && map.line_of_sight(cone.apex(), target)
 }
 
-/// A source of pairwise interaction recency, typically
-/// [`watchmen_game::replay::Replay::frames_since_interaction`].
+/// A source of pairwise interaction recency, the third input of the
+/// attention metric. No node keeps one yet: every caller passes
+/// [`NoRecency`] (DESIGN §13, "Known gaps").
 pub trait RecencySource {
     /// Frames since `a` and `b` last interacted, `None` if never.
     fn frames_since_interaction(&self, a: PlayerId, b: PlayerId) -> Option<u64>;
@@ -124,12 +125,6 @@ pub struct NoRecency;
 impl RecencySource for NoRecency {
     fn frames_since_interaction(&self, _a: PlayerId, _b: PlayerId) -> Option<u64> {
         None
-    }
-}
-
-impl<'a> RecencySource for watchmen_game::replay::Replay<'a> {
-    fn frames_since_interaction(&self, a: PlayerId, b: PlayerId) -> Option<u64> {
-        watchmen_game::replay::Replay::frames_since_interaction(self, a, b)
     }
 }
 

@@ -74,22 +74,6 @@ pub enum GameEvent {
     },
 }
 
-impl GameEvent {
-    /// The pair of players interacting in this event, if it is a combat
-    /// interaction (used for the attention metric's interaction recency).
-    #[must_use]
-    pub fn interaction_pair(&self) -> Option<(PlayerId, PlayerId)> {
-        match self {
-            GameEvent::Hit { attacker, target, .. } => Some((*attacker, *target)),
-            GameEvent::Kill { attacker, victim, .. } => Some((*attacker, *victim)),
-            GameEvent::Shot { .. }
-            | GameEvent::Fall { .. }
-            | GameEvent::Pickup { .. }
-            | GameEvent::Respawn { .. } => None,
-        }
-    }
-}
-
 impl fmt::Display for GameEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -112,27 +96,6 @@ impl fmt::Display for GameEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn interaction_pairs() {
-        let hit = GameEvent::Hit {
-            attacker: PlayerId(1),
-            target: PlayerId(2),
-            weapon: WeaponKind::Railgun,
-            damage: 10,
-            distance: 50.0,
-        };
-        assert_eq!(hit.interaction_pair(), Some((PlayerId(1), PlayerId(2))));
-        let fall = GameEvent::Fall { victim: PlayerId(3) };
-        assert_eq!(fall.interaction_pair(), None);
-        let shot = GameEvent::Shot {
-            attacker: PlayerId(1),
-            weapon: WeaponKind::MachineGun,
-            origin: Vec3::ZERO,
-            direction: Vec3::X,
-        };
-        assert_eq!(shot.interaction_pair(), None);
-    }
 
     #[test]
     fn display_is_informative() {

@@ -14,8 +14,6 @@
 //!   traces (the substitution for human play; bots chase high-value items,
 //!   reproducing Figure 1's presence hotspots).
 //! * [`trace`] — the trace recorder and the [`trace::GameTrace`] format.
-//! * [`replay`] — frame-by-frame replay of recorded traces, the input to
-//!   every experiment in the evaluation.
 //! * [`heatmap`] — presence heatmaps over the map grid (Figure 1).
 //!
 //! # Examples
@@ -37,7 +35,6 @@ mod avatar;
 pub mod bot;
 mod events;
 pub mod heatmap;
-pub mod replay;
 mod session;
 pub mod trace;
 mod weapon;

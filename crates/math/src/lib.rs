@@ -13,7 +13,7 @@
 //! * [`Aabb`] — axis-aligned boxes for map geometry.
 //! * [`grid`] — 2-D cell indexing and DDA traversal used by occlusion
 //!   raycasts.
-//! * [`stats`] — histograms and percentiles used by the experiment
+//! * [`stats`] — histograms used by the experiment
 //!   harness.
 //!
 //! # Examples

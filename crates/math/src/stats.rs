@@ -1,4 +1,4 @@
-//! Histograms and percentiles.
+//! Histograms.
 //!
 //! [`Histogram`] backs the experiment harness (Figure 7's PDF of update
 //! ages, Figure 4's stacked bars).
@@ -113,35 +113,6 @@ impl Histogram {
     }
 }
 
-/// The `q`-quantile (`0 ≤ q ≤ 1`) of a sample set, by linear interpolation.
-///
-/// Returns `None` for an empty slice. The input need not be sorted.
-///
-/// # Examples
-///
-/// ```
-/// use watchmen_math::stats::percentile;
-/// let data = vec![4.0, 1.0, 3.0, 2.0];
-/// assert_eq!(percentile(&data, 0.5), Some(2.5));
-/// ```
-#[must_use]
-pub fn percentile(data: &[f64], q: f64) -> Option<f64> {
-    if data.is_empty() {
-        return None;
-    }
-    let mut sorted = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
-    let q = crate::clamp(q, 0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
-    let i = pos.floor() as usize;
-    let frac = pos - i as f64;
-    Some(if i + 1 < sorted.len() {
-        sorted[i] * (1.0 - frac) + sorted[i + 1] * frac
-    } else {
-        sorted[i]
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,15 +155,5 @@ mod tests {
     #[should_panic(expected = "lo")]
     fn histogram_bad_range_panics() {
         let _ = Histogram::new(1.0, 1.0, 4);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let data = vec![1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&data, 0.0), Some(1.0));
-        assert_eq!(percentile(&data, 1.0), Some(4.0));
-        assert_eq!(percentile(&data, 0.5), Some(2.5));
-        assert_eq!(percentile(&[], 0.5), None);
-        assert_eq!(percentile(&[7.0], 0.3), Some(7.0));
     }
 }

@@ -2,7 +2,6 @@
 //! the workspace's own deterministic [`Xoshiro256`] generator.
 
 use watchmen_crypto::rng::Xoshiro256;
-use watchmen_math::stats::percentile;
 use watchmen_math::{grid, wrap_angle, Aim, Cone, Segment, Vec3};
 
 const CASES: usize = 256;
@@ -131,18 +130,5 @@ fn dda_traversal_is_4_connected() {
         for w in cells.windows(2) {
             assert_eq!(w[0].manhattan(w[1]), 1);
         }
-    }
-}
-
-#[test]
-fn percentile_is_monotone() {
-    let mut rng = Xoshiro256::new(15);
-    for _ in 0..CASES {
-        let n = 1 + rng.next_range(99);
-        let xs: Vec<f64> = (0..n).map(|_| f64_in(&mut rng, -1e6, 1e6)).collect();
-        let p25 = percentile(&xs, 0.25).unwrap();
-        let p50 = percentile(&xs, 0.50).unwrap();
-        let p75 = percentile(&xs, 0.75).unwrap();
-        assert!(p25 <= p50 && p50 <= p75);
     }
 }

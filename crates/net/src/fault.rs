@@ -15,18 +15,15 @@
 //! * **Crash windows** — a node is silent for `[from_ms, to_ms)`: its
 //!   sends are dropped at submit time and messages addressed to it are
 //!   dropped at delivery time.
-//! * **Partition windows** — messages crossing between an island of nodes
-//!   and the rest are dropped while the window is open.
-//! * **Churn events** — a mid-match joiner's slot is offline before its
+//! * **Churn gates** — a mid-match joiner's slot is offline before its
 //!   join instant and a leaver's from its unplug instant; the protocol
-//!   side (lobby tickets, `Join`/`Leave` announcements) is driven by the
-//!   harness reading [`FaultPlan::churn`].
+//!   side (lobby tickets, `Join`/`Leave` announcements) is scripted by
+//!   the harness that built the plan.
 //!
-//! All state is deterministic for a fixed seed, like the rest of the
-//! simulator.
+//! Plans are built in code with the `with_*` builder. All state is
+//! deterministic for a fixed seed, like the rest of the simulator.
 
 use watchmen_crypto::rng::Xoshiro256;
-use watchmen_telemetry::spec;
 
 use crate::NodeId;
 
@@ -103,7 +100,7 @@ impl GilbertElliott {
 
 /// The direction of a scripted churn event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChurnKind {
+enum ChurnKind {
     /// The node joins mid-match: offline before `at_ms`, online after.
     Join,
     /// The node departs: online before `at_ms`, offline from `at_ms` on.
@@ -112,20 +109,20 @@ pub enum ChurnKind {
 
 /// A scripted mid-match membership change. The network layer only *gates
 /// delivery* — a joiner's slot drops all traffic before its join instant,
-/// a leaver's from its unplug instant — while the driver (deathmatch,
-/// e2e harness) reads [`FaultPlan::churn`] to run the protocol side:
-/// lobby admission + `Join` announcement at a join, and a `Leave`
-/// announcement far enough *before* a leave's `at_ms` that the departure
-/// is roster-applied by the time the node unplugs.
+/// a leaver's from its unplug instant. The harness that scripts the event
+/// runs the protocol side itself: lobby admission + `Join` announcement at
+/// a join, and a `Leave` announcement far enough *before* a leave's
+/// `at_ms` that the departure is roster-applied by the time the node
+/// unplugs.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChurnEvent {
+struct ChurnEvent {
     /// The joining or leaving node.
-    pub node: NodeId,
+    node: NodeId,
     /// Join or leave.
-    pub kind: ChurnKind,
+    kind: ChurnKind,
     /// The virtual millisecond the node appears (join) or unplugs
     /// (leave).
-    pub at_ms: f64,
+    at_ms: f64,
 }
 
 /// A node-silence window: the node neither sends nor receives during
@@ -138,27 +135,6 @@ pub struct CrashWindow {
     pub from_ms: f64,
     /// End of the window (exclusive).
     pub to_ms: f64,
-}
-
-/// A network split: while open, messages between `island` members and
-/// everyone else are dropped (traffic within either side still flows).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartitionWindow {
-    /// First virtual millisecond of the split (inclusive).
-    pub from_ms: f64,
-    /// End of the split (exclusive).
-    pub to_ms: f64,
-    /// One side of the split; all other nodes form the other side.
-    pub island: Vec<NodeId>,
-}
-
-impl PartitionWindow {
-    fn severs(&self, a: NodeId, b: NodeId, now_ms: f64) -> bool {
-        if now_ms < self.from_ms || now_ms >= self.to_ms {
-            return false;
-        }
-        self.island.contains(&a) != self.island.contains(&b)
-    }
 }
 
 /// A deterministic bundle of network faults, attached to a
@@ -188,7 +164,6 @@ pub struct FaultPlan {
     reorder_rate: f64,
     reorder_extra_ms: f64,
     crashes: Vec<CrashWindow>,
-    partitions: Vec<PartitionWindow>,
     churn: Vec<ChurnEvent>,
     rng: Xoshiro256,
 }
@@ -203,7 +178,6 @@ impl FaultPlan {
             reorder_rate: 0.0,
             reorder_extra_ms: 0.0,
             crashes: Vec::new(),
-            partitions: Vec::new(),
             churn: Vec::new(),
             rng: Xoshiro256::seed_from(seed, 0xfau64 << 32),
         }
@@ -256,18 +230,6 @@ impl FaultPlan {
         self
     }
 
-    /// Splits `island` from the rest of the network for `[from_ms, to_ms)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is inverted.
-    #[must_use]
-    pub fn with_partition(mut self, from_ms: f64, to_ms: f64, island: Vec<NodeId>) -> Self {
-        assert!(from_ms <= to_ms, "partition window inverted");
-        self.partitions.push(PartitionWindow { from_ms, to_ms, island });
-        self
-    }
-
     /// Scripts a mid-match join: `node`'s slot is offline (all traffic
     /// gated) before `at_ms` and live from `at_ms` on.
     #[must_use]
@@ -283,12 +245,6 @@ impl FaultPlan {
     pub fn with_leave(mut self, node: NodeId, at_ms: f64) -> Self {
         self.churn.push(ChurnEvent { node, kind: ChurnKind::Leave, at_ms });
         self
-    }
-
-    /// The scripted churn events, in insertion order.
-    #[must_use]
-    pub fn churn(&self) -> &[ChurnEvent] {
-        &self.churn
     }
 
     /// Returns `true` if a churn event gates `node` at `now_ms`: before
@@ -318,12 +274,6 @@ impl FaultPlan {
         self.crashes.iter().any(|c| c.node == node && now_ms >= c.from_ms && now_ms < c.to_ms)
     }
 
-    /// Returns `true` if an open partition separates `a` from `b`.
-    #[must_use]
-    pub fn severs(&self, a: NodeId, b: NodeId, now_ms: f64) -> bool {
-        self.partitions.iter().any(|p| p.severs(a, b, now_ms))
-    }
-
     /// Advances the burst channel one message; `true` means drop.
     pub(crate) fn burst_drop(&mut self) -> bool {
         match self.burst.as_mut() {
@@ -346,113 +296,6 @@ impl FaultPlan {
             0.0
         }
     }
-
-    /// Builds a plan from the `WATCHMEN_FAULTS` environment variable, or
-    /// `None` when it is unset or empty. See [`FaultPlan::from_spec`] for
-    /// the format; a malformed spec panics with the parse error (a typo'd
-    /// fault experiment should fail loudly, not run clean).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variable is set but does not parse.
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        spec::from_env("WATCHMEN_FAULTS", |s| Self::from_spec(s, 0xfa017))
-    }
-
-    /// Parses a comma-separated fault spec:
-    ///
-    /// * `loss=0.05` — Gilbert–Elliott burst loss with 5% mean.
-    /// * `dup=0.01` — 1% duplication.
-    /// * `reorder=0.25` — 25% of messages get extra delay (default 20 ms;
-    ///   override with `reorder_ms=40`).
-    /// * `crash=3@1000..2000` — node 3 silent from t=1000 ms to 2000 ms
-    ///   (repeatable).
-    /// * `partition=0+1+2@500..900` — nodes {0,1,2} split from the rest.
-    /// * `join=5@2000` — node 5 joins mid-match at t=2000 ms: its slot is
-    ///   offline before that instant (repeatable).
-    /// * `leave=3@4000` — node 3 unplugs at t=4000 ms; its traffic is
-    ///   gated from then on (repeatable).
-    /// * `seed=7` — reseed the fault RNG.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed or out-of-range
-    /// entry: `loss` must lie in `(0, 0.4)`, `dup` and `reorder` in
-    /// `[0, 1]`, `reorder_ms` must not be negative.
-    pub fn from_spec(spec: &str, seed: u64) -> Result<Self, String> {
-        let mut plan = FaultPlan::new(seed);
-        let mut reorder_rate = 0.0;
-        let mut reorder_ms = 20.0;
-        for pair in spec::pairs(spec) {
-            let (key, value) = pair?;
-            // Range checks are written so that NaN fails them.
-            let in_range = |ok: fn(f64) -> bool, range: &str| {
-                spec::num::<f64>(key, value).and_then(|v| {
-                    if ok(v) {
-                        Ok(v)
-                    } else {
-                        Err(format!("{key}={value} outside {range}"))
-                    }
-                })
-            };
-            match key {
-                "loss" => {
-                    let mean = in_range(|v| v > 0.0 && v < 0.4, "(0, 0.4)")?;
-                    plan.burst = Some(GilbertElliott::with_mean_loss(mean));
-                }
-                "dup" => plan.duplicate_rate = in_range(|v| (0.0..=1.0).contains(&v), "[0, 1]")?,
-                "reorder" => reorder_rate = in_range(|v| (0.0..=1.0).contains(&v), "[0, 1]")?,
-                "reorder_ms" => reorder_ms = in_range(|v| v >= 0.0, "[0, ∞)")?,
-                "seed" => plan.rng = Xoshiro256::seed_from(spec::num(key, value)?, 0xfau64 << 32),
-                "crash" => {
-                    let (node, window) = parse_at(value)?;
-                    let (from, to) = parse_range(window)?;
-                    plan.crashes.push(CrashWindow {
-                        node: node.parse().map_err(|_| format!("bad crash node {node:?}"))?,
-                        from_ms: from,
-                        to_ms: to,
-                    });
-                }
-                "join" | "leave" => {
-                    let (node, at) = parse_at(value)?;
-                    let node = node.parse().map_err(|_| format!("bad {key} node {node:?}"))?;
-                    let at_ms: f64 = spec::num(key, at)?;
-                    let kind = if key == "join" { ChurnKind::Join } else { ChurnKind::Leave };
-                    plan.churn.push(ChurnEvent { node, kind, at_ms });
-                }
-                "partition" => {
-                    let (nodes, window) = parse_at(value)?;
-                    let (from, to) = parse_range(window)?;
-                    let island = nodes
-                        .split('+')
-                        .map(|n| n.parse().map_err(|_| format!("bad partition node {n:?}")))
-                        .collect::<Result<Vec<NodeId>, String>>()?;
-                    plan.partitions.push(PartitionWindow { from_ms: from, to_ms: to, island });
-                }
-                other => return Err(format!("unknown fault key {other:?}")),
-            }
-        }
-        if reorder_rate > 0.0 {
-            plan = plan.with_reordering(reorder_rate, reorder_ms);
-        }
-        Ok(plan)
-    }
-}
-
-fn parse_at(value: &str) -> Result<(&str, &str), String> {
-    value.split_once('@').ok_or_else(|| format!("expected who@from..to, got {value:?}"))
-}
-
-fn parse_range(window: &str) -> Result<(f64, f64), String> {
-    let (from, to) =
-        window.split_once("..").ok_or_else(|| format!("expected from..to, got {window:?}"))?;
-    let from = from.parse::<f64>().map_err(|_| format!("bad window start {from:?}"))?;
-    let to = to.parse::<f64>().map_err(|_| format!("bad window end {to:?}"))?;
-    if from > to {
-        return Err(format!("inverted window {window:?}"));
-    }
-    Ok((from, to))
 }
 
 #[cfg(test)]
@@ -488,79 +331,13 @@ mod tests {
     }
 
     #[test]
-    fn crash_and_partition_windows_are_half_open() {
-        let plan =
-            FaultPlan::new(1).with_crash(2, 100.0, 200.0).with_partition(50.0, 60.0, vec![0, 1]);
+    fn crash_windows_are_half_open() {
+        let plan = FaultPlan::new(1).with_crash(2, 100.0, 200.0);
         assert!(!plan.is_crashed(2, 99.9));
         assert!(plan.is_crashed(2, 100.0));
         assert!(plan.is_crashed(2, 199.9));
         assert!(!plan.is_crashed(2, 200.0));
         assert!(!plan.is_crashed(3, 150.0));
-        assert!(plan.severs(0, 2, 55.0));
-        assert!(plan.severs(2, 1, 55.0));
-        assert!(!plan.severs(0, 1, 55.0), "island-internal traffic flows");
-        assert!(!plan.severs(2, 3, 55.0), "mainland-internal traffic flows");
-        assert!(!plan.severs(0, 2, 60.0), "window closed");
-    }
-
-    #[test]
-    fn spec_parses_every_knob() {
-        let plan = FaultPlan::from_spec(
-            "loss=0.05, dup=0.01, reorder=0.25, reorder_ms=40, crash=3@1000..2000, \
-             partition=0+1@500..900, join=5@2000, leave=4@4000, seed=9",
-            1,
-        )
-        .unwrap();
-        assert_eq!(plan.burst, Some(GilbertElliott::with_mean_loss(0.05)));
-        assert_eq!(plan.duplicate_rate, 0.01);
-        assert_eq!(plan.reorder_rate, 0.25);
-        assert_eq!(plan.reorder_extra_ms, 40.0);
-        assert_eq!(plan.crashes, vec![CrashWindow { node: 3, from_ms: 1000.0, to_ms: 2000.0 }]);
-        assert!(plan.severs(0, 2, 600.0));
-        assert_eq!(
-            plan.churn(),
-            &[
-                ChurnEvent { node: 5, kind: ChurnKind::Join, at_ms: 2000.0 },
-                ChurnEvent { node: 4, kind: ChurnKind::Leave, at_ms: 4000.0 },
-            ]
-        );
-    }
-
-    #[test]
-    fn spec_rejects_malformed_entries() {
-        for bad in [
-            "nonsense",
-            "loss=abc",
-            "crash=3",
-            "crash=x@1..2",
-            "crash=1@5..2",
-            "zap=1",
-            "join=5",
-            "join=x@10",
-            "leave=3@soon",
-        ] {
-            assert!(FaultPlan::from_spec(bad, 1).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    /// `from_spec` documents `# Errors`, so out-of-range rates must come
-    /// back as `Err` — not panic inside `with_mean_loss`, and not slip
-    /// past `with_duplication`'s range assert.
-    #[test]
-    fn spec_rejects_out_of_range_rates_without_panicking() {
-        for bad in [
-            "loss=0.7",
-            "loss=0.45",
-            "loss=0",
-            "loss=NaN",
-            "dup=1.5",
-            "dup=NaN",
-            "reorder=1.5",
-            "reorder=0.2,reorder_ms=-1",
-        ] {
-            assert!(FaultPlan::from_spec(bad, 1).is_err(), "accepted {bad:?}");
-        }
-        assert!(FaultPlan::from_spec("loss=0.39,dup=1,reorder=0,reorder_ms=0", 1).is_ok());
     }
 
     #[test]
@@ -574,8 +351,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_spec_is_a_clean_plan() {
-        let mut plan = FaultPlan::from_spec("", 1).unwrap();
+    fn new_plan_is_clean() {
+        let mut plan = FaultPlan::new(1);
         assert!(!plan.burst_drop());
         assert!(!plan.duplicate());
         assert_eq!(plan.reorder_extra(), 0.0);

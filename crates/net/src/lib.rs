@@ -11,9 +11,9 @@
 //! * [`SimNetwork`] — an in-process, virtual-time network with pluggable
 //!   [`latency`] models (including King-like and PeerWise-like synthetic
 //!   matrices), Bernoulli loss, per-node [`BandwidthMeter`]s and
-//!   deterministic delivery ordering. A [`fault::FaultPlan`] can be
-//!   layered on top for burst loss, duplication, reordering, and crash /
-//!   partition windows.
+//!   deterministic delivery ordering. A [`fault::FaultPlan`], built in
+//!   code, can be layered on top for burst loss, duplication, reordering,
+//!   crash windows and churn gates.
 //! * [`udp`] — a small framed transport over real `UdpSocket`s for live
 //!   overlay demos.
 //! * [`live`] — a nonblocking batched-UDP driver shell (drain-all-per-tick

@@ -121,7 +121,7 @@ impl SimNetMetrics {
         );
         t.describe(
             "net_fault_drops_total",
-            "messages dropped specifically by the fault plan (burst loss, crash, partition)",
+            "messages dropped specifically by the fault plan (burst loss, crash, churn gate)",
         );
         t.describe("net_messages_in_flight", "messages queued but not yet delivered");
         t.describe("net_delivery_latency_ms", "virtual send-to-deliver latency");
@@ -195,16 +195,10 @@ impl<T> SimNetwork<T> {
     }
 
     /// Attaches a [`FaultPlan`] layered on top of the base Bernoulli loss:
-    /// burst loss, duplication, reordering, crash and partition windows
+    /// burst loss, duplication, reordering, crash windows and churn gates
     /// all draw from the plan's own deterministic RNG stream.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = Some(plan);
-    }
-
-    /// The attached fault plan, if any.
-    #[must_use]
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
     }
 
     /// Returns `true` if the fault plan declares `node` crashed at the
@@ -263,8 +257,8 @@ impl<T> SimNetwork<T> {
     /// virtual time. Upload bandwidth is charged even if the loss model
     /// later drops the packet (the bits still left the uplink).
     ///
-    /// The attached [`FaultPlan`], if any, runs after the base Bernoulli
-    /// loss check: a crashed endpoint or open partition silences the
+    /// The attached [`FaultPlan`], if any, runs before the base Bernoulli
+    /// loss check: a crashed or churn-gated endpoint silences the
     /// message, the burst channel may drop it, the reorder fault may add
     /// extra delay, and the duplication fault may enqueue a second copy
     /// with its own latency sample (hence the `T: Clone` bound).
@@ -288,7 +282,6 @@ impl<T> SimNetwork<T> {
                     || plan.is_crashed(to, now)
                     || plan.is_offline(from, now)
                     || plan.is_offline(to, now)
-                    || plan.severs(from, to, now)
                     || plan.burst_drop()
             }
             None => false,
@@ -598,24 +591,6 @@ mod tests {
         let s = net.stats();
         assert_eq!((s.dropped, s.delivered, s.in_flight), (3, 1, 0));
         s.assert_invariant("crash window");
-    }
-
-    #[test]
-    fn partition_drops_only_cross_island_traffic() {
-        use crate::fault::FaultPlan;
-        let mut net: SimNetwork<u8> = SimNetwork::new(4, latency::constant(1.0), 0.0, 33);
-        net.set_fault_plan(FaultPlan::new(33).with_partition(0.0, 100.0, vec![0, 1]));
-        net.send(0, 1, 1, 10); // island-internal: flows
-        net.send(2, 3, 2, 10); // mainland-internal: flows
-        net.send(0, 2, 3, 10); // cross: dropped
-        net.send(3, 1, 4, 10); // cross: dropped
-        let got = net.advance_to(50.0);
-        assert_eq!(got.iter().map(|d| d.payload).collect::<Vec<_>>(), vec![1, 2]);
-        // After the window heals, cross traffic flows again.
-        net.advance_to(100.0);
-        net.send(0, 2, 5, 10);
-        assert_eq!(net.advance_to(150.0).len(), 1);
-        net.stats().assert_invariant("partition");
     }
 
     #[test]

@@ -439,6 +439,46 @@ pub fn sybil_flood(seed: u64, config: &WatchmenConfig) -> SybilFlood {
     SybilFlood { refused, audit: lobby.drain_audit() }
 }
 
+/// The Table I rows the node is known to leak: each is measured above
+/// zero and never demonstrated. Rate analysis is ROADMAP 5(d): a
+/// `Subscribe`'s first hop is the subscriber's proxy, which is its target
+/// in about 1 / (n − 1) of them. Maphack is ROADMAP 5(f): the node never
+/// unsubscribes, so a lone member keeps getting fresh `State`s about
+/// players who left its PVS. Fixing a leak drops it from this list, and
+/// [`check_rows`] then demands its row be demonstrated.
+pub const KNOWN_LEAKS: [CheatKind; 2] = [CheatKind::RateAnalysis, CheatKind::Maphack];
+
+/// Table I's gate: every catalog kind has exactly one row, every row is
+/// demonstrated except the [`KNOWN_LEAKS`], and each known leak is
+/// undemonstrated with a measured count above zero.
+///
+/// # Errors
+///
+/// Names the first row that fails, with its note.
+pub fn check_rows(rows: &[MatrixRow]) -> Result<(), String> {
+    if let Some(kind) =
+        CheatKind::ALL.into_iter().find(|&k| rows.iter().filter(|r| r.kind == k).count() != 1)
+    {
+        return Err(format!("{kind}: not exactly one row"));
+    }
+    if rows.len() != CheatKind::ALL.len() {
+        return Err(format!("{} rows for {} catalog kinds", rows.len(), CheatKind::ALL.len()));
+    }
+    for row in rows {
+        let (kind, note) = (row.kind, &row.note);
+        if !KNOWN_LEAKS.contains(&kind) {
+            if !row.demonstrated {
+                return Err(format!("{kind}: not demonstrated — {note}"));
+            }
+        } else if row.demonstrated {
+            return Err(format!("{kind}: a known leak now demonstrated; drop it from KNOWN_LEAKS"));
+        } else if row.count.is_none_or(|leak| leak.hits == 0) {
+            return Err(format!("{kind}: a known leak not measured above zero — {note}"));
+        }
+    }
+    Ok(())
+}
+
 /// Renders Table I with demo outcomes.
 #[must_use]
 pub fn format_cheat_matrix(rows: &[MatrixRow]) -> String {
@@ -477,27 +517,29 @@ mod tests {
     #[test]
     fn every_catalog_kind_has_a_demonstrated_row() {
         // Completeness: the matrix covers the full catalog, each row with
-        // a demonstrated response, so a new `CheatKind` cannot ship
-        // un-evaluated (this test fails until it gets a demo).
-        let rows = rows();
-        assert_eq!(rows.len(), CheatKind::ALL.len());
-        for kind in CheatKind::ALL {
-            let row = rows
-                .iter()
-                .find(|r| r.kind == kind)
-                .unwrap_or_else(|| panic!("{kind} has no matrix row"));
-            if matches!(kind, CheatKind::RateAnalysis | CheatKind::Maphack) {
-                // ROADMAP 5(d): a Subscribe's first hop is the subscriber's
-                // proxy, which is its target in about 1 / (n − 1) of them.
-                // ROADMAP 5(f): the node never unsubscribes, so a lone
-                // member keeps getting fresh States about players who left
-                // its PVS. Fixing a leak flips its assertion.
-                let leak = row.count.expect("the leak is measured");
-                assert!(leak.hits > 0 && !row.demonstrated, "{}", row.note);
-            } else {
-                assert!(row.demonstrated, "{kind} response not demonstrated: {}", row.note);
-            }
+        // a demonstrated response but the known leaks, so a new
+        // `CheatKind` cannot ship un-evaluated (this test fails until it
+        // gets a demo).
+        check_rows(rows()).unwrap_or_else(|e| panic!("{e}\n{}", format_cheat_matrix(rows())));
+    }
+
+    #[test]
+    fn gate_names_the_row_that_broke() {
+        let with = |kind: CheatKind, edit: fn(&mut MatrixRow)| {
+            let mut rows = rows().to_vec();
+            rows.iter_mut().filter(|r| r.kind == kind).for_each(edit);
+            check_rows(&rows).unwrap_err()
+        };
+        let flipped = with(CheatKind::Aimbot, |r| r.demonstrated = false);
+        assert!(flipped.starts_with("aimbot: not demonstrated"), "{flipped}");
+        for leak in KNOWN_LEAKS {
+            let zeroed = with(leak, |r| r.count = r.count.map(|c| Count { hits: 0, ..c }));
+            assert!(zeroed.starts_with(&format!("{leak}: a known leak not measured")), "{zeroed}");
+            let fixed = with(leak, |r| r.demonstrated = true);
+            assert!(fixed.contains("drop it from KNOWN_LEAKS"), "{fixed}");
         }
+        let missing = check_rows(&rows()[1..]).unwrap_err();
+        assert!(missing.contains("not exactly one row"), "{missing}");
     }
 
     #[test]
@@ -526,9 +568,8 @@ mod tests {
         let s = format_cheat_matrix(rows());
         assert!(s.contains("aimbot"));
         assert!(s.contains("maphack"));
-        // Only the rate-analysis and maphack rows are undemonstrated
-        // (ROADMAP 5(d) and 5(f)).
-        assert_eq!(s.matches(" NO ").count(), 2, "{s}");
+        // Only the known leaks are undemonstrated.
+        assert_eq!(s.matches(" NO ").count(), KNOWN_LEAKS.len(), "{s}");
     }
 
     #[test]

@@ -102,16 +102,16 @@ impl WireDigest {
 // Control plane under faults
 // ---------------------------------------------------------------------
 
-/// The fault spec `deathmatch` soaks under unless `WATCHMEN_FAULTS`
-/// overrides it: 5% burst loss, 1% duplication, a quarter of messages
-/// delayed by up to 40 ms (under one frame, so reordering produces
-/// single-frame swaps, not multi-frame time travel).
-pub const DEFAULT_FAULT_SPEC: &str = "loss=0.05,dup=0.01,reorder=0.25,reorder_ms=40,seed=9";
-
-/// [`DEFAULT_FAULT_SPEC`], parsed.
+/// The fault plan `deathmatch` soaks under: 5% burst loss, 1%
+/// duplication, a quarter of messages delayed by up to 40 ms (under one
+/// frame, so reordering produces single-frame swaps, not multi-frame time
+/// travel).
 #[must_use]
 pub fn default_fault_plan() -> FaultPlan {
-    FaultPlan::from_spec(DEFAULT_FAULT_SPEC, 0).expect("the default fault spec parses")
+    FaultPlan::new(9)
+        .with_burst_loss(GilbertElliott::with_mean_loss(0.05))
+        .with_duplication(0.01)
+        .with_reordering(0.25, 40.0)
 }
 
 /// What [`control_plane_soak`] observed.
@@ -474,7 +474,9 @@ mod tests {
     /// assertion. Recovery is not expected at 39 % loss, only survival.
     #[test]
     fn no_node_addresses_itself_under_heavy_loss() {
-        let plan = FaultPlan::from_spec("loss=0.39,dup=0.2", 0).expect("spec parses");
+        let plan = FaultPlan::new(0)
+            .with_burst_loss(GilbertElliott::with_mean_loss(0.39))
+            .with_duplication(0.2);
         let (_, outcome) = control_plane_soak(plan);
         assert!(outcome.net.dropped > 0 && outcome.control.retransmits > 0, "{}", outcome.report());
     }

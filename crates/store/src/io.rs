@@ -272,8 +272,7 @@ impl Dir for MemDir {
 // ---------------------------------------------------------------------
 
 /// Deterministic fault plan for a [`FaultDir`], parsed from the
-/// `WATCHMEN_STORE_FAULTS` spec (mirroring the simnet's
-/// `WATCHMEN_FAULTS` style): comma-separated `key=value` entries.
+/// `WATCHMEN_STORE_FAULTS` spec: comma-separated `key=value` entries.
 ///
 /// * `seed=<u64>` — RNG stream for every probabilistic draw;
 /// * `short=<permille>` — probability an append writes only a random

@@ -1,6 +1,7 @@
 //! The one `key=value,key=value` grammar behind every `WATCHMEN_*` spec
-//! variable (`WATCHMEN_FAULTS`, `WATCHMEN_STORE_FAULTS`, `WATCHMEN_FLEET`,
-//! `WATCHMEN_CRASHLOOP`).
+//! variable (`WATCHMEN_STORE_FAULTS`, `WATCHMEN_FLEET`,
+//! `WATCHMEN_CRASHLOOP`). The simnet's `FaultPlan` has no spec: it is
+//! built in code.
 //! Entries are comma-separated, whitespace around them is ignored, empty
 //! entries are skipped, and each must be `key=value`. Numbers parse as
 //! the *target field's own type*, so an out-of-range value is an error

@@ -17,8 +17,8 @@
 //! `chrome://tracing`). Set `WATCHMEN_METRICS_ADDR=127.0.0.1:9464` to
 //! serve the global registry live on `/metrics` while the match runs
 //! (`WATCHMEN_METRICS_HOLD_MS=<ms>` keeps it up after the final
-//! snapshot). `WATCHMEN_FAULTS=loss=0.1,dup=0.02,…` replaces the fault
-//! plan the control-plane soak runs under.
+//! snapshot). The control-plane soak runs under
+//! `sim::scenario::default_fault_plan`.
 
 use std::sync::Arc;
 
@@ -28,7 +28,6 @@ use watchmen::crypto::schnorr::{Keypair, PublicKey};
 use watchmen::game::heatmap::Heatmap;
 use watchmen::game::trace::GameTrace;
 use watchmen::game::{GameConfig, GameEvent};
-use watchmen::net::fault::FaultPlan;
 use watchmen::net::{latency, SimNetwork};
 use watchmen::sim::cluster::Cluster;
 use watchmen::sim::overlay::run_watchmen;
@@ -171,9 +170,8 @@ fn main() {
     // simnet, first under burst loss, duplication, reordering and a proxy
     // crash, then through joins, leaves and crash-evictions. Each gates
     // itself.
-    let plan = FaultPlan::from_env().unwrap_or_else(scenario::default_fault_plan);
     println!("\ncontrol-plane soak: 16 secured nodes under faults plus a scripted proxy crash…");
-    let faulted = scenario::control_plane_soak(plan).1.report();
+    let faulted = scenario::control_plane_soak(scenario::default_fault_plan()).1.report();
     println!("{faulted}");
     println!("\nchurn soak: 16 veterans, 4 mid-game joins, 2 leaves, 2 crash-evictions…");
     let churn = scenario::churn_soak().1.report();

@@ -37,14 +37,17 @@
 //! line and exits. The parent reads that line back strictly: a missing
 //! or non-numeric count fails the node.
 //!
-//! Every rendezvous step runs against a deadline: a child that crashes
-//! (or wedges) fails the run immediately with a per-node diagnostic —
-//! including its exit status — instead of hanging the parent on a pipe
-//! read forever. `WATCHMEN_LIVE_DIE=<index>` makes that node exit right
-//! after `ADDR` (a fault hook for exercising the failure path by hand).
+//! Every rendezvous step waits on all children at once against a
+//! deadline: a child that exits during a step aborts the run at once,
+//! and a child that wedges aborts it at the deadline, instead of hanging
+//! the parent on a pipe read forever. Every abort line first names each
+//! child that has already exited, with its exit status.
+//! `WATCHMEN_LIVE_DIE=<index>` makes that node exit with status 7 right
+//! after `ADDR`; ci.sh runs it and requires the abort to name that node
+//! and status.
 
 use std::io::{BufRead, BufReader, Write};
-use std::process::{Child, ChildStdout, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -140,6 +143,29 @@ struct Node {
 }
 
 impl Node {
+    /// The node's exit status, polling up to `grace` for a node on its
+    /// way out: its pipes close a moment before its status is waitable.
+    fn exited(&mut self, grace: Duration) -> Option<ExitStatus> {
+        let until = Instant::now() + grace;
+        loop {
+            match self.child.try_wait() {
+                Ok(Some(status)) => return Some(status),
+                Ok(None) if Instant::now() < until => std::thread::sleep(Duration::from_millis(1)),
+                _ => return None,
+            }
+        }
+    }
+
+    /// Why the node's stdout reached EOF before it sent `what`.
+    fn lost(&mut self, index: usize, what: &str) -> String {
+        match self.exited(Duration::from_secs(1)) {
+            Some(_) => format!("node {index} exited before sending {what}"),
+            None => {
+                format!("node {index} closed stdout but is still running before sending {what}")
+            }
+        }
+    }
+
     /// The next stdout line, or a diagnostic when the node crashed
     /// (channel disconnected — the reader thread saw EOF) or wedged
     /// past the deadline.
@@ -150,26 +176,59 @@ impl Node {
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 Err(format!("node {index}: no {what} line within {:.1}s", wait.as_secs_f64()))
             }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                let status = match self.child.try_wait() {
-                    Ok(Some(status)) => format!("exited with {status}"),
-                    Ok(None) => "closed stdout but is still running".to_owned(),
-                    Err(e) => format!("is unwaitable: {e}"),
-                };
-                Err(format!("node {index}: {status} before sending {what}"))
-            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err(self.lost(index, what)),
         }
     }
 
     /// Writes a rendezvous line to the node's stdin, diagnosing a
     /// crashed node (broken pipe) instead of panicking.
     fn send(&mut self, index: usize, line: &str) -> Result<(), String> {
-        self.child
-            .stdin
-            .as_mut()
-            .expect("child stdin piped")
-            .write_all(line.as_bytes())
-            .map_err(|e| format!("node {index}: stdin write failed ({e}) — did it crash?"))
+        let written =
+            self.child.stdin.as_mut().expect("child stdin piped").write_all(line.as_bytes());
+        written.map_err(|e| {
+            // A broken pipe means the node is on its way out: reap its
+            // status so the abort can name it.
+            self.exited(Duration::from_secs(1));
+            format!("node {index}: stdin write failed ({e})")
+        })
+    }
+}
+
+/// One rendezvous step: one line from every node, checked by `parse`.
+/// All nodes are watched at once, so a node that exits while another is
+/// still pending aborts the step at once rather than at the deadline.
+fn gather<T>(
+    children: &mut [Node],
+    what: &str,
+    deadline: Instant,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Vec<T>, String> {
+    let mut got: Vec<Option<T>> = children.iter().map(|_| None).collect();
+    loop {
+        for (i, node) in children.iter_mut().enumerate() {
+            if got[i].is_none() {
+                match node.lines.try_recv() {
+                    Ok(line) => {
+                        let parsed = parse(&line);
+                        got[i] =
+                            Some(parsed.ok_or(format!("node {i}: expected {what}, got {line:?}"))?);
+                    }
+                    Err(mpsc::TryRecvError::Empty) => {}
+                    Err(mpsc::TryRecvError::Disconnected) => return Err(node.lost(i, what)),
+                }
+            }
+            if node.exited(Duration::ZERO).is_some() {
+                return Err(format!("node {i} exited during the {what} step"));
+            }
+        }
+        if got.iter().all(Option::is_some) {
+            return Ok(got.into_iter().flatten().collect());
+        }
+        if let Some(i) = got.iter().position(Option::is_none).filter(|_| Instant::now() >= deadline)
+        {
+            return Err(format!("node {i}: no {what} line by the deadline"));
+        }
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -215,63 +274,26 @@ fn run_parent(knobs: &Knobs) {
     // Rendezvous 1: collect every child's ephemeral address. Binding a
     // loopback socket is fast; 10s is generous even under load.
     let deadline = Instant::now() + Duration::from_secs(10);
-    let mut addrs: Vec<String> = Vec::with_capacity(knobs.players);
-    let mut abort: Option<String> = None;
-    for (i, node) in children.iter_mut().enumerate() {
-        match node.next_line(i, "ADDR", deadline) {
-            Ok(line) => match line.strip_prefix("ADDR ") {
-                Some(addr) => addrs.push(addr.to_owned()),
-                None => {
-                    abort = Some(format!("node {i}: expected ADDR, got {line:?}"));
-                    break;
-                }
-            },
-            Err(reason) => {
-                abort = Some(reason);
-                break;
-            }
-        }
-    }
-    if let Some(reason) = abort {
-        fail(&mut children, &reason);
-    }
+    let addrs = gather(&mut children, "ADDR", deadline, |line| {
+        line.strip_prefix("ADDR ").map(str::to_owned)
+    })
+    .unwrap_or_else(|reason| fail(&mut children, &reason));
 
     // Rendezvous 2: everyone learns everyone, then confirms liveness.
     // Children give up after 10s themselves; the parent allows a little
     // extra so the child's own diagnostic wins when peers are down.
     let peers_line = format!("PEERS {}\n", addrs.join(" "));
     let deadline = Instant::now() + Duration::from_secs(15);
-    for (i, node) in children.iter_mut().enumerate() {
-        if let Err(reason) = node.send(i, &peers_line) {
-            abort = Some(reason);
-            break;
-        }
-    }
-    for (i, node) in children.iter_mut().enumerate() {
-        if abort.is_some() {
-            break;
-        }
-        match node.next_line(i, "UP", deadline) {
-            Ok(line) if line == "UP" => {}
-            Ok(line) => abort = Some(format!("node {i}: expected UP, got {line:?}")),
-            Err(reason) => abort = Some(reason),
-        }
-    }
-    if let Some(reason) = abort {
-        fail(&mut children, &reason);
-    }
+    let sent: Result<(), String> =
+        children.iter_mut().enumerate().try_for_each(|(i, node)| node.send(i, &peers_line));
+    sent.and_then(|()| gather(&mut children, "UP", deadline, |line| (line == "UP").then_some(())))
+        .unwrap_or_else(|reason| fail(&mut children, &reason));
 
     // Rendezvous 3: start everyone as close to simultaneously as N pipe
     // writes allow.
-    for (i, node) in children.iter_mut().enumerate() {
-        if let Err(reason) = node.send(i, "GO\n") {
-            abort = Some(reason);
-            break;
-        }
-    }
-    if let Some(reason) = abort {
-        fail(&mut children, &reason);
-    }
+    let sent: Result<(), String> =
+        children.iter_mut().enumerate().try_for_each(|(i, node)| node.send(i, "GO\n"));
+    sent.unwrap_or_else(|reason| fail(&mut children, &reason));
     let started = Instant::now();
 
     // Collect results. The match length is known exactly, so a node
@@ -326,12 +348,22 @@ fn run_parent(knobs: &Knobs) {
     }
 }
 
+/// Aborts the run: names every child that has already exited, with its
+/// status, ahead of `reason`, then kills the rest.
 fn fail(children: &mut [Node], reason: &str) -> ! {
+    let mut causes: Vec<String> = children
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(i, node)| {
+            node.exited(Duration::ZERO).map(|s| format!("node {i} exited with {s}"))
+        })
+        .collect();
+    causes.push(reason.to_owned());
     for node in children.iter_mut() {
         let _ = node.child.kill();
         let _ = node.child.wait();
     }
-    eprintln!("live cluster aborted: {reason}");
+    eprintln!("live cluster aborted: {}", causes.join("; "));
     std::process::exit(1);
 }
 

@@ -8,7 +8,6 @@
 //! ```
 
 use watchmen::game::heatmap::Heatmap;
-use watchmen::game::replay::Replay;
 use watchmen::game::trace::GameTrace;
 use watchmen::game::{GameConfig, GameEvent};
 use watchmen::world::maps;
@@ -45,17 +44,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(restored, trace, "trace roundtrip mismatch");
     println!("reloaded and verified byte-exact roundtrip");
 
-    // Analyze: replay for interaction stats, heatmap for presence.
-    let mut replay = Replay::new(&restored);
+    // Analyze: event counts off the frames, heatmap for presence.
     let (mut kills, mut shots, mut pickups) = (0u64, 0u64, 0u64);
-    while replay.advance().is_some() {
-        for e in replay.current_events() {
-            match e {
-                GameEvent::Kill { .. } => kills += 1,
-                GameEvent::Shot { .. } => shots += 1,
-                GameEvent::Pickup { .. } => pickups += 1,
-                _ => {}
-            }
+    for e in restored.frames.iter().flat_map(|f| &f.events) {
+        match e {
+            GameEvent::Kill { .. } => kills += 1,
+            GameEvent::Shot { .. } => shots += 1,
+            GameEvent::Pickup { .. } => pickups += 1,
+            _ => {}
         }
     }
     println!("replay: {shots} shots, {kills} kills, {pickups} pickups");

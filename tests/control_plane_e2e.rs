@@ -19,7 +19,7 @@ fn handoff_chains_survive_loss_duplication_and_a_proxy_crash() {
         .with_reordering(0.25, 40.0);
     // Both plans that have gated the build: this test's own, and the one
     // `deathmatch` soaks under in ci.sh.
-    for (name, plan) in [("builder", builder_plan), ("default spec", default_fault_plan())] {
+    for (name, plan) in [("builder", builder_plan), ("default plan", default_fault_plan())] {
         let (cluster, outcome) = control_plane_soak(plan);
 
         // --- No false cheat verdicts, ever.

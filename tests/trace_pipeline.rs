@@ -1,12 +1,9 @@
 //! The trace pipeline end-to-end: record → serialize → deserialize →
-//! replay → analyze, as the paper's tracing module + replay engine do.
+//! analyze, as the paper's tracing module + replay engine do.
 
-use watchmen::core::subscription::compute_sets;
-use watchmen::core::WatchmenConfig;
 use watchmen::game::heatmap::Heatmap;
-use watchmen::game::replay::Replay;
 use watchmen::game::trace::{standard_trace, GameTrace};
-use watchmen::game::{GameConfig, PlayerId};
+use watchmen::game::GameConfig;
 use watchmen::world::maps;
 
 #[test]
@@ -30,32 +27,6 @@ fn same_seed_same_trace_different_seed_different_trace() {
     let c = standard_trace(6, 2, 150);
     assert_eq!(a, b);
     assert_ne!(a, c);
-}
-
-#[test]
-fn replay_recency_feeds_subscriptions() {
-    // Run a long enough game that combat happens, then verify that the
-    // replay's recency source is consumable by compute_sets.
-    let trace = standard_trace(12, 9, 900);
-    let map = maps::q3dm17_like();
-    let config = WatchmenConfig::default();
-    let mut replay = Replay::new(&trace);
-    let mut any_recency = false;
-    while replay.advance().is_some() {
-        if replay.frame() % 100 == 0 {
-            let states = replay.current_states();
-            let sets = compute_sets(PlayerId(0), states, &map, &config, &replay);
-            assert_eq!(sets.len(), 11);
-        }
-        for a in 0..12u32 {
-            for b in (a + 1)..12u32 {
-                if replay.frames_since_interaction(PlayerId(a), PlayerId(b)) == Some(0) {
-                    any_recency = true;
-                }
-            }
-        }
-    }
-    assert!(any_recency, "no interactions recorded in 900 frames");
 }
 
 #[test]
