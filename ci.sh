@@ -17,7 +17,7 @@ cd "$(dirname "$0")"
 # the code names, doc comments included, must be exactly this list.
 echo "==> knob list"
 knobs="WATCHMEN_AUDIT WATCHMEN_BENCH_OUT WATCHMEN_CRASHLOOP WATCHMEN_CRASHLOOP_ROLE \
-WATCHMEN_FLEET WATCHMEN_LIVE_CHEATER WATCHMEN_LIVE_DIE WATCHMEN_LIVE_PACE_MS WATCHMEN_LIVE_SEED \
+WATCHMEN_LIVE_CHEATER WATCHMEN_LIVE_DIE WATCHMEN_LIVE_PACE_MS WATCHMEN_LIVE_SEED \
 WATCHMEN_METRICS_ADDR WATCHMEN_METRICS_HOLD_MS WATCHMEN_QUICK WATCHMEN_STORE_DIR \
 WATCHMEN_STORE_FAULTS WATCHMEN_TELEMETRY WATCHMEN_TRACE"
 named=$(grep -rhoE 'WATCHMEN_[A-Z_]+' crates src examples | LC_ALL=C sort -u | xargs)
@@ -103,7 +103,6 @@ rm -f "$FLEET_OUT"
 # Background run with the metrics endpoint up and a short post-run hold,
 # so the scrape below finds a live server whether it lands mid-soak or
 # just after. The soak gates itself; `wait` collects its exit code.
-WATCHMEN_FLEET="${WATCHMEN_FLEET:-matches=256,players=16,frames=160,workers=4,cheat_every=8,audit=1}" \
 WATCHMEN_BENCH_OUT="$BENCH_DIR" \
 WATCHMEN_METRICS_ADDR=127.0.0.1:0 \
 WATCHMEN_METRICS_HOLD_MS=2000 \
@@ -112,7 +111,7 @@ WATCHMEN_AUDIT=/tmp/watchmen-fleet-audit.jsonl \
 FLEET_PID=$!
 trap 'kill "$FLEET_PID" 2>/dev/null || true' EXIT
 python3 - "$FLEET_OUT" <<'PY'
-import json, os, re, sys, time, urllib.request
+import os, re, sys, time, urllib.request
 # Wait for the endpoint to announce itself, then scrape it live.
 addr = None
 for _ in range(600):
@@ -127,10 +126,16 @@ assert addr, "fleet_soak never announced its metrics endpoint"
 health = urllib.request.urlopen(f"http://{addr}/healthz", timeout=5).read().decode()
 assert health.strip() == "ok", f"healthz said {health!r}"
 
-resp = urllib.request.urlopen(f"http://{addr}/metrics", timeout=5)
-ctype = resp.headers.get("Content-Type", "")
-assert ctype.startswith("text/plain; version=0.0.4"), f"bad content type {ctype!r}"
-body = resp.read().decode()
+# The first match builds its nodes in its first quantum: rescrape until
+# their metrics show, for up to five seconds.
+for _ in range(50):
+    resp = urllib.request.urlopen(f"http://{addr}/metrics", timeout=5)
+    ctype = resp.headers.get("Content-Type", "")
+    assert ctype.startswith("text/plain; version=0.0.4"), f"bad content type {ctype!r}"
+    body = resp.read().decode()
+    if "\n# TYPE node_" in body:
+        break
+    time.sleep(0.1)
 
 # Prometheus exposition conformance: every family has a TYPE line before
 # its samples, sample lines parse, and no internal `_ms` names leak out
@@ -158,9 +163,7 @@ assert samples > 0, "scrape returned no samples"
 assert 'fleet_quanta_total{shard="0"}' in body, "per-shard rollup labels missing"
 assert "fleet_matches{state=" in body, "match lifecycle gauges missing"
 assert "_seconds_bucket{" in body, "no seconds-unit histograms in scrape"
-
-jbody = json.load(urllib.request.urlopen(f"http://{addr}/metrics.json", timeout=5))
-assert isinstance(jbody, dict) and jbody, "metrics.json is not a non-empty object"
+assert any(t.startswith("node_") for t in typed), "the matches' node metrics are missing"
 
 print(f"scrape OK: {samples} samples, {len(typed)} typed families, live at {addr}")
 PY

@@ -20,7 +20,7 @@ use watchmen_core::verify::checks;
 use watchmen_crypto::rng::SplitMix64;
 use watchmen_sim::quality::DetectionQuality;
 use watchmen_telemetry::report::Report;
-use watchmen_telemetry::{spec, Registry, Snapshot};
+use watchmen_telemetry::{global, Registry, Snapshot};
 
 use crate::cell::{MatchCell, MatchReport, MatchSpec};
 use crate::pool::{default_workers, run_tasks_on, PoolConfig, TaskOutcome, WorkerStats};
@@ -57,8 +57,8 @@ pub struct FleetConfig {
     /// Script a cheater into every Nth match (0 = all-honest fleet).
     pub cheat_every: u64,
     /// Run the observability plane: audit collection plus the
-    /// detection-quality join (default on; `observe=0` is the
-    /// plane-overhead probe mode).
+    /// detection-quality join (default on; off is the plane-overhead
+    /// probe mode).
     pub observe: bool,
     /// Retain each match's audit stream as JSONL in its report (default
     /// off — memory-heavy at population scale).
@@ -83,62 +83,6 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// Reads `WATCHMEN_FLEET` — either a bare switch (`1`, `on`,
-    /// `defaults`) for the default fleet, or a comma-separated spec (see
-    /// [`FleetConfig::from_spec`]). Returns `None` when unset or empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variable is set but does not parse — a misspelled
-    /// gate should fail loudly, not silently soak the wrong fleet.
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        spec::from_env_or_default("WATCHMEN_FLEET", Self::from_spec)
-    }
-
-    /// Parses a comma-separated fleet spec over the default config:
-    /// `matches=256,players=16,frames=160,workers=4,cheat_every=8`, plus
-    /// `seed=…`, `tick_quantum=…`, `max_local=…`, and the observability
-    /// switches `observe=0|1` and `audit=0|1`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed or unknown entry.
-    pub fn from_spec(spec: &str) -> Result<Self, String> {
-        let mut config = FleetConfig::default();
-        for pair in spec::pairs(spec) {
-            let (key, value) = pair?;
-            match key {
-                "matches" => config.matches = spec::num(key, value)?,
-                "players" => config.players = spec::num(key, value)?,
-                "frames" => config.frames = spec::num(key, value)?,
-                "workers" => config.workers = spec::num(key, value)?,
-                "max_local" => config.max_local = spec::num(key, value)?,
-                "tick_quantum" => config.tick_quantum = spec::num(key, value)?,
-                "seed" => config.seed = spec::num(key, value)?,
-                "cheat_every" => config.cheat_every = spec::num(key, value)?,
-                "observe" => config.observe = spec::num::<u64>(key, value)? != 0,
-                "audit" => config.audit = spec::num::<u64>(key, value)? != 0,
-                other => return Err(format!("unknown fleet knob {other:?}")),
-            }
-        }
-        config.validate()?;
-        Ok(config)
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        if self.players < 3 {
-            return Err("players must be ≥ 3 (proxies supervise third parties)".into());
-        }
-        if self.frames == 0 {
-            return Err("frames must be ≥ 1".into());
-        }
-        if self.workers == 0 || self.max_local == 0 {
-            return Err("workers and max_local must be ≥ 1".into());
-        }
-        Ok(())
-    }
-
     /// Expands the config into one spec per match: seeds drawn from a
     /// [`SplitMix64`] over the fleet seed, a scripted cheater in every
     /// `cheat_every`-th match.
@@ -166,9 +110,11 @@ impl FleetConfig {
 /// Created *before* the run and handed to [`run_fleet_on`], the view
 /// holds the shard registries the pool workers record into, so a metrics
 /// endpoint on another thread can [`FleetView::snapshot`] mid-soak: each
-/// call re-merges every shard under a `shard=<i>` label and derives
-/// `fleet_matches{state=…}` lifecycle gauges from the scheduler
-/// counters. Cloning the view shares the same registries.
+/// call re-merges every shard under a `shard=<i>` label, adds the
+/// process-wide [`global`] registry the matches' nodes record into
+/// (unlabelled), and derives `fleet_matches{state=…}` lifecycle gauges
+/// from the scheduler counters. Cloning the view shares the same
+/// registries.
 #[derive(Debug, Clone)]
 pub struct FleetView {
     shards: Vec<Arc<Registry>>,
@@ -198,10 +144,10 @@ impl FleetView {
         &self.shards
     }
 
-    /// A point-in-time merge of every shard: all metrics re-labelled
-    /// `shard=<i>`, plus `fleet_matches{state="pending"|"completed"|
-    /// "panicked"}` gauges. Safe to call at any time, including while
-    /// the fleet runs.
+    /// A point-in-time merge of every shard, re-labelled `shard=<i>`, and
+    /// of the [`global`] registry's node metrics, plus
+    /// `fleet_matches{state="pending"|"completed"|"panicked"}` gauges.
+    /// Safe to call at any time, including while the fleet runs.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
         let merged = Registry::new();
@@ -209,6 +155,7 @@ impl FleetView {
             let label = i.to_string();
             merged.merge_labeled(shard, &[("shard", &label)]);
         }
+        merged.merge_labeled(global(), &[]);
         let snap = merged.snapshot();
         let completed = snap.counter_sum("fleet_tasks_completed_total");
         let panicked = snap.counter_sum("fleet_tasks_panicked_total");
@@ -219,14 +166,14 @@ impl FleetView {
         merged.snapshot()
     }
 
-    /// Help text for `name`, from whichever shard described it (plus the
-    /// view's own derived gauges).
+    /// Help text for `name`, from whichever shard or the [`global`]
+    /// registry described it (plus the view's own derived gauges).
     #[must_use]
     pub fn help_for(&self, name: &str) -> Option<&'static str> {
         if name == "fleet_matches" {
             return Some("matches by lifecycle state across the fleet");
         }
-        self.shards.iter().find_map(|s| s.help_for(name))
+        self.shards.iter().find_map(|s| s.help_for(name)).or_else(|| global().help_for(name))
     }
 }
 
@@ -241,7 +188,7 @@ pub struct FleetResult {
     pub panics: Vec<(u64, String)>,
     /// Per-worker scheduler counters.
     pub workers: Vec<WorkerStats>,
-    /// Shard registries folded into per-shard and fleet-wide snapshots.
+    /// Per-shard and fleet-wide tick latency.
     pub rollup: FleetRollup,
 }
 
@@ -453,9 +400,7 @@ pub fn run_fleet_specs_on(
     }
     reports.sort_by_key(|r| r.match_id);
     panics.sort_by_key(|(id, _)| *id);
-
-    let shards: Vec<Arc<Registry>> = run.shards;
-    FleetResult { reports, panics, workers: run.workers, rollup: roll_up(&shards) }
+    FleetResult { reports, panics, workers: run.workers, rollup: roll_up(&run.shards) }
 }
 
 #[cfg(test)]
@@ -482,34 +427,13 @@ mod tests {
     }
 
     #[test]
-    fn spec_parsing_overrides_defaults_and_rejects_junk() {
-        let c = FleetConfig::from_spec("matches=64,players=8,frames=90,workers=2,cheat_every=4")
-            .expect("valid spec");
-        assert_eq!(c.matches, 64);
-        assert_eq!(c.players, 8);
-        assert_eq!(c.frames, 90);
-        assert_eq!(c.workers, 2);
-        assert_eq!(c.cheat_every, 4);
-        assert_eq!(c.seed, FleetConfig::default().seed, "unset knobs keep defaults");
-
-        assert!(FleetConfig::from_spec("matches").is_err(), "missing value");
-        assert!(FleetConfig::from_spec("bogus=1").is_err(), "unknown knob");
-        assert!(FleetConfig::from_spec("matches=abc").is_err(), "bad number");
-        assert!(FleetConfig::from_spec("players=2").is_err(), "too few players");
-        assert!(FleetConfig::from_spec("workers=0").is_err(), "zero workers");
-    }
-
-    #[test]
     fn cheat_every_zero_means_all_honest() {
         let config = FleetConfig { matches: 12, cheat_every: 0, ..FleetConfig::default() };
         assert!(config.specs().iter().all(|s| s.cheaters.is_empty()));
     }
 
     #[test]
-    fn observability_knobs_parse_and_propagate() {
-        let c = FleetConfig::from_spec("observe=0,audit=1").expect("valid spec");
-        assert!(!c.observe);
-        assert!(c.audit);
+    fn observability_knobs_propagate() {
         let specs =
             FleetConfig { matches: 3, observe: false, audit: true, ..FleetConfig::default() }
                 .specs();

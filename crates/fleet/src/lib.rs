@@ -7,20 +7,20 @@
 //! simultaneous matches, not one. This crate is that hosting layer —
 //! everything above a single match and below the process boundary:
 //!
-//! * [`pool`] — a std-only, hand-rolled work-stealing thread pool
-//!   (per-worker deques, a global injector, parked idle workers) that
-//!   schedules resumable tasks in bounded tick quanta, so long matches
-//!   interleave with short ones instead of starving them, and isolates
-//!   task panics with `catch_unwind`;
+//! * [`pool`] — a std-only, hand-rolled work-stealing thread pool (one
+//!   lock and one condvar over the fresh tasks and per-worker ready
+//!   deques) that schedules resumable tasks in bounded tick quanta, so
+//!   long matches interleave with short ones instead of starving them,
+//!   and isolates task panics with `catch_unwind`;
 //! * [`cell`] — [`cell::MatchCell`], one complete shared-nothing match:
 //!   its own simnet, lobby, secured node set and seed, with scripted
 //!   cheat injection and a deterministic per-match report;
 //! * [`fleet`] — lifecycle: expand a [`fleet::FleetConfig`] into seeded
 //!   specs, run them, and fold the outcomes into a fleet report whose
 //!   per-match lines are byte-identical across worker counts;
-//! * [`rollup`] — fold the shard-private telemetry registries into
-//!   per-shard and fleet-wide snapshots (bucket-level histogram merges,
-//!   never averaged percentiles);
+//! * [`rollup`] — per-shard and fleet-wide tick latency from the
+//!   shard-private registries (a bucket-level histogram merge, never
+//!   averaged percentiles);
 //! * [`population`] — the long-horizon reputation soak: thousands of
 //!   real [`cell::MatchCell`] matches over one persistent identity
 //!   population, with every match's outcomes folded into the durable

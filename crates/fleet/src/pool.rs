@@ -1,33 +1,35 @@
 //! A hand-rolled work-stealing scheduler for resumable tasks.
 //!
-//! The workspace is std-only, so this is the classic deque scheduler
-//! built from scratch: one worker thread per shard, each with its own
-//! local deque, a global FIFO injector seeded with every task, and
-//! back-of-deque stealing when a worker runs dry. Tasks are *resumable*:
-//! a call to [`Task::run_quantum`] advances the task by one bounded
-//! quantum and either yields ([`Quantum::Pending`], re-enqueued at the
-//! back of the worker's local deque) or finishes
-//! ([`Quantum::Complete`]). Round-robining the local deque front while
+//! The workspace is std-only, so this is a small deque scheduler built
+//! from scratch: one worker thread per shard, one `Mutex` over the whole
+//! queue and one `Condvar` idle workers wait on. The queue holds the
+//! fresh tasks in submission order, one ready deque per worker, the
+//! count of started-but-unfinished tasks and the outcome slots. Tasks
+//! are *resumable*: a call to [`Task::run_quantum`] advances the task by
+//! one bounded quantum and either yields ([`Quantum::Pending`], put back
+//! at the back of the worker's own ready deque) or finishes
+//! ([`Quantum::Complete`]). Round-robining the ready deque front while
 //! re-enqueueing at the back interleaves every in-flight task, so a
-//! long-running task cannot starve short ones; idle workers steal from
-//! the back — the slot the owner would reach last.
+//! long-running task cannot starve short ones; a worker with nothing of
+//! its own steals from the back of another's deque — the slot the owner
+//! would reach last. A match stays on the worker that started it unless
+//! it is stolen, so its state stays in that core's caches.
 //!
-//! **In-flight bound.** A worker prefers the injector only while its
-//! local deque holds fewer than `max_local` tasks, so at most
-//! `workers × max_local` tasks are materialised at once — the knob that
-//! keeps a 10k-match fleet from building 10k simulations up front.
+//! **Picking the next task.** A worker takes a fresh task while fewer
+//! than `workers × max_local` tasks are in flight, otherwise the front
+//! of its own ready deque, otherwise the back of another worker's
+//! (scanning from the next worker), and otherwise waits on the condvar.
+//! The in-flight bound keeps a 10k-match fleet from building 10k
+//! simulations up front. Every check and every wait happens under the
+//! one lock, so no wakeup is lost and the wait needs no timeout: a
+//! finish frees a slot and wakes everyone, and a pending task goes back
+//! to the worker that will take it next anyway.
 //!
 //! **Failure isolation.** Each quantum runs under
 //! [`std::panic::catch_unwind`]: a panicking task is dropped, recorded as
 //! [`TaskOutcome::Panicked`] with the panic message, and the worker moves
-//! on. No lock is ever held across user code, so a panic cannot poison
+//! on. The lock is never held across user code, so a panic cannot poison
 //! the scheduler.
-//!
-//! **Parking.** Workers with nothing to run park on a condvar with a
-//! short timeout. Producers notify on every push; the timeout is the
-//! backstop for the benign lost-wakeup race between a failed scan and
-//! the wait, trading at most a millisecond of latency for a scheme with
-//! no per-push locking.
 //!
 //! **Determinism.** The scheduler itself promises nothing about
 //! execution order — determinism is a property of the *tasks*: outcomes
@@ -37,15 +39,11 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use watchmen_telemetry::Registry;
-
-/// How long a parked worker waits before rescanning the queues.
-const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// The result of advancing a task by one quantum.
 #[derive(Debug)]
@@ -79,9 +77,9 @@ pub trait Task: Send {
 pub struct ShardContext {
     /// The worker index, stable for the lifetime of the pool run.
     pub shard: usize,
-    /// The shard-private telemetry registry; tasks record here with zero
-    /// cross-shard contention, and the fleet layer rolls every shard up
-    /// into one snapshot (see [`crate::rollup`]).
+    /// The shard-private registry the pool's and the match's `fleet_*`
+    /// metrics go to (the nodes' own metrics go to the process-wide
+    /// `watchmen_telemetry::global()`; see [`crate::rollup`]).
     pub registry: Arc<Registry>,
 }
 
@@ -138,8 +136,8 @@ pub struct PoolRun<T> {
 pub struct PoolConfig {
     /// Worker threads (≥ 1).
     pub workers: usize,
-    /// Maximum tasks a worker keeps in flight before it stops pulling
-    /// fresh work from the injector (≥ 1).
+    /// In-flight tasks per worker (≥ 1): fresh work starts only while
+    /// fewer than `workers × max_local` tasks are started but unfinished.
     pub max_local: usize,
 }
 
@@ -162,35 +160,51 @@ struct Unit<T> {
     task: T,
 }
 
-/// State shared by every worker.
-struct Shared<T> {
-    /// Global FIFO of not-yet-started tasks.
-    injector: Mutex<VecDeque<Unit<T>>>,
-    /// Per-worker deques of in-flight tasks.
-    locals: Vec<Mutex<VecDeque<Unit<T>>>>,
-    /// Tasks not yet completed or panicked; 0 means shutdown.
-    remaining: AtomicUsize,
-    /// Parking lot for idle workers.
-    park: Mutex<()>,
-    unpark: Condvar,
+/// Everything the workers share, behind the pool's one lock.
+struct Queue<T: Task> {
+    /// Not-yet-started tasks, in submission order.
+    fresh: VecDeque<Unit<T>>,
+    /// Per-worker deques of started tasks waiting for their next quantum.
+    ready: Vec<VecDeque<Unit<T>>>,
+    /// Tasks started but not yet completed or panicked, including the
+    /// ones a worker holds mid-quantum.
+    in_flight: usize,
+    /// One slot per submitted task, filled when it ends.
+    outcomes: Vec<Option<TaskOutcome<T::Output>>>,
 }
 
-impl<T> Shared<T> {
-    fn lock_local(&self, w: usize) -> std::sync::MutexGuard<'_, VecDeque<Unit<T>>> {
-        self.locals[w].lock().expect("fleet pool local deque lock")
-    }
-
-    fn lock_injector(&self) -> std::sync::MutexGuard<'_, VecDeque<Unit<T>>> {
-        self.injector.lock().expect("fleet pool injector lock")
-    }
-
-    /// Whether any queue currently holds runnable work.
-    fn has_visible_work(&self) -> bool {
-        if !self.lock_injector().is_empty() {
-            return true;
+impl<T: Task> Queue<T> {
+    /// The next unit for worker `me` (see the module docs for the order).
+    fn next(
+        &mut self,
+        me: usize,
+        cap: usize,
+        steals: &watchmen_telemetry::Counter,
+    ) -> Option<Unit<T>> {
+        if self.in_flight < cap {
+            if let Some(unit) = self.fresh.pop_front() {
+                self.in_flight += 1;
+                return Some(unit);
+            }
         }
-        self.locals.iter().any(|l| !l.lock().expect("fleet pool local deque lock").is_empty())
+        if let Some(unit) = self.ready[me].pop_front() {
+            return Some(unit);
+        }
+        let workers = self.ready.len();
+        let unit =
+            (1..workers).find_map(|offset| self.ready[(me + offset) % workers].pop_back())?;
+        steals.inc();
+        Some(unit)
     }
+
+    /// Whether every task has ended.
+    fn done(&self) -> bool {
+        self.fresh.is_empty() && self.in_flight == 0
+    }
+}
+
+fn lock<T: Task>(queue: &Mutex<Queue<T>>) -> MutexGuard<'_, Queue<T>> {
+    queue.lock().expect("fleet pool queue lock")
 }
 
 /// Cached per-worker metric handles into the shard registry.
@@ -254,32 +268,27 @@ pub fn run_tasks_on<T: Task>(
     assert!(config.workers >= 1, "need at least one worker");
     assert!(config.max_local >= 1, "need a positive in-flight bound");
     assert_eq!(shards.len(), config.workers, "one shard registry per worker");
-    let n = tasks.len();
-    let shared = Shared {
-        injector: Mutex::new(
-            tasks.into_iter().enumerate().map(|(id, task)| Unit { id, task }).collect(),
-        ),
-        locals: (0..config.workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-        remaining: AtomicUsize::new(n),
-        park: Mutex::new(()),
-        unpark: Condvar::new(),
-    };
-    let outcomes: Mutex<Vec<Option<TaskOutcome<T::Output>>>> =
-        Mutex::new((0..n).map(|_| None).collect());
+    let queue = Mutex::new(Queue {
+        outcomes: (0..tasks.len()).map(|_| None).collect(),
+        fresh: tasks.into_iter().enumerate().map(|(id, task)| Unit { id, task }).collect(),
+        ready: (0..config.workers).map(|_| VecDeque::new()).collect(),
+        in_flight: 0,
+    });
+    let wake = Condvar::new();
+    let cap = config.workers * config.max_local;
 
     thread::scope(|s| {
         for (w, registry) in shards.iter().enumerate() {
-            let shared = &shared;
-            let outcomes = &outcomes;
+            let (queue, wake) = (&queue, &wake);
             let cx = ShardContext { shard: w, registry: Arc::clone(registry) };
-            let max_local = config.max_local;
-            s.spawn(move || worker_loop(&cx, shared, outcomes, max_local));
+            s.spawn(move || worker_loop(&cx, queue, wake, cap));
         }
     });
 
-    let outcomes = outcomes
+    let outcomes = queue
         .into_inner()
-        .expect("fleet pool outcomes lock")
+        .expect("fleet pool queue lock")
+        .outcomes
         .into_iter()
         .map(|o| o.expect("every task reaches an outcome"))
         .collect();
@@ -301,110 +310,50 @@ pub fn run_tasks_on<T: Task>(
     PoolRun { outcomes, workers, shards }
 }
 
-fn worker_loop<T: Task>(
-    cx: &ShardContext,
-    shared: &Shared<T>,
-    outcomes: &Mutex<Vec<Option<TaskOutcome<T::Output>>>>,
-    max_local: usize,
-) {
+fn worker_loop<T: Task>(cx: &ShardContext, queue: &Mutex<Queue<T>>, wake: &Condvar, cap: usize) {
     let metrics = WorkerMetrics::new(&cx.registry);
     let me = cx.shard;
+    let mut q = lock(queue);
     loop {
-        if shared.remaining.load(Ordering::Acquire) == 0 {
-            shared.unpark.notify_all();
-            return;
-        }
-        let unit = acquire(me, shared, max_local, &metrics);
-        let Some(mut unit) = unit else {
-            park(shared);
+        let Some(mut unit) = q.next(me, cap, &metrics.steals) else {
+            if q.done() {
+                return;
+            }
+            q = wake.wait(q).expect("fleet pool queue lock");
             continue;
         };
+        drop(q);
 
         let started = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| unit.task.run_quantum(cx)));
         metrics.quantum_ms.record(started.elapsed().as_secs_f64() * 1000.0);
         metrics.quanta.inc();
-        match result {
+        let outcome = match result {
             Ok(Quantum::Pending { ticks }) => {
                 metrics.ticks.add(ticks);
-                shared.lock_local(me).push_back(unit);
-                // Someone may have parked after failing to find this work.
-                shared.unpark.notify_one();
+                q = lock(queue);
+                q.ready[me].push_back(unit);
+                continue;
             }
             Ok(Quantum::Complete { ticks, output }) => {
                 metrics.ticks.add(ticks);
                 metrics.completed.inc();
-                finish(unit.id, TaskOutcome::Completed(output), shared, outcomes);
+                TaskOutcome::Completed(output)
             }
             Err(payload) => {
                 metrics.panicked.inc();
-                finish(
-                    unit.id,
-                    TaskOutcome::Panicked(panic_message(payload.as_ref())),
-                    shared,
-                    outcomes,
-                );
-                // The poisoned task (and its panic payload) are dropped
-                // here; the worker itself carries on with the next unit.
-                drop(payload);
+                TaskOutcome::Panicked(panic_message(payload.as_ref()))
             }
-        }
+        };
+        // The finished (or poisoned) task is dropped outside the lock; the
+        // worker itself carries on with the next unit.
+        let id = unit.id;
+        drop(unit);
+        q = lock(queue);
+        q.outcomes[id] = Some(outcome);
+        q.in_flight -= 1;
+        wake.notify_all();
     }
-}
-
-/// Picks the next unit: the local deque front once the in-flight cap is
-/// reached, fresh injector work below it, and a steal from the back of
-/// another worker's deque as the last resort.
-fn acquire<T>(
-    me: usize,
-    shared: &Shared<T>,
-    max_local: usize,
-    metrics: &WorkerMetrics,
-) -> Option<Unit<T>> {
-    let in_flight = shared.lock_local(me).len();
-    if in_flight < max_local {
-        if let Some(unit) = shared.lock_injector().pop_front() {
-            return Some(unit);
-        }
-    }
-    if let Some(unit) = shared.lock_local(me).pop_front() {
-        return Some(unit);
-    }
-    // Drain the injector even at cap-0 edge cases before stealing.
-    if let Some(unit) = shared.lock_injector().pop_front() {
-        return Some(unit);
-    }
-    for offset in 1..shared.locals.len() {
-        let victim = (me + offset) % shared.locals.len();
-        if let Some(unit) = shared.lock_local(victim).pop_back() {
-            metrics.steals.inc();
-            return Some(unit);
-        }
-    }
-    None
-}
-
-/// Records an outcome and wakes everyone if it was the last task.
-fn finish<T>(
-    id: usize,
-    outcome: TaskOutcome<T>,
-    shared: &Shared<impl Sized>,
-    outcomes: &Mutex<Vec<Option<TaskOutcome<T>>>>,
-) {
-    outcomes.lock().expect("fleet pool outcomes lock")[id] = Some(outcome);
-    if shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        shared.unpark.notify_all();
-    }
-}
-
-/// Parks until notified or the timeout backstop fires, rechecking for
-/// visible work under the park lock first.
-fn park<T>(shared: &Shared<T>) {
-    let guard = shared.park.lock().expect("fleet pool park lock");
-    if shared.remaining.load(Ordering::Acquire) == 0 || shared.has_visible_work() {
-        return;
-    }
-    let _ = shared.unpark.wait_timeout(guard, PARK_TIMEOUT).expect("fleet pool park lock");
 }
 
 /// Renders a panic payload as text.
@@ -504,48 +453,75 @@ mod tests {
 
     #[test]
     fn in_flight_cap_bounds_concurrent_tasks() {
-        // With one worker and max_local 2, at most 2 tasks may be started
-        // before the first completes. Track the high-water mark of started
-        // tasks via a shared atomic.
-        use std::sync::atomic::AtomicUsize;
+        // With max_local 2, at most 2 tasks per worker may be started but
+        // unfinished at once, and no task may run two quanta at once.
+        // Track the high-water mark of started tasks and each task's busy
+        // flag via shared atomics.
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
         struct Tracking<'a> {
+            label: usize,
             started: bool,
             quanta_left: u64,
             live: &'a AtomicUsize,
             high: &'a AtomicUsize,
+            busy: &'a [AtomicBool],
+            overlapped: &'a AtomicBool,
         }
         impl Task for Tracking<'_> {
             type Output = ();
             fn run_quantum(&mut self, _cx: &ShardContext) -> Quantum<()> {
+                if self.busy[self.label].swap(true, Ordering::SeqCst) {
+                    self.overlapped.store(true, Ordering::SeqCst);
+                }
                 if !self.started {
                     self.started = true;
                     let live = self.live.fetch_add(1, Ordering::SeqCst) + 1;
                     self.high.fetch_max(live, Ordering::SeqCst);
                 }
+                thread::sleep(std::time::Duration::from_micros(100));
                 self.quanta_left -= 1;
-                if self.quanta_left == 0 {
+                let done = self.quanta_left == 0;
+                if done {
                     self.live.fetch_sub(1, Ordering::SeqCst);
+                }
+                self.busy[self.label].store(false, Ordering::SeqCst);
+                if done {
                     Quantum::Complete { ticks: 1, output: () }
                 } else {
                     Quantum::Pending { ticks: 1 }
                 }
             }
         }
-        let live = AtomicUsize::new(0);
-        let high = AtomicUsize::new(0);
-        let tasks: Vec<Tracking> = (0..12)
-            .map(|_| Tracking { started: false, quanta_left: 3, live: &live, high: &high })
-            .collect();
-        let run = run_tasks(&PoolConfig { workers: 1, max_local: 2 }, tasks);
-        assert!(run.outcomes.iter().all(|o| o.completed().is_some()));
-        // One in-hand plus up to max_local in the deque.
-        assert!(high.load(Ordering::SeqCst) <= 3, "in-flight exceeded cap: {high:?}");
+        for workers in [1, 3] {
+            let (live, high, overlapped) =
+                (AtomicUsize::new(0), AtomicUsize::new(0), AtomicBool::new(false));
+            let busy: Vec<AtomicBool> = (0..24).map(|_| AtomicBool::new(false)).collect();
+            let tasks: Vec<Tracking> = (0..24)
+                .map(|label| Tracking {
+                    label,
+                    started: false,
+                    quanta_left: 4,
+                    live: &live,
+                    high: &high,
+                    busy: &busy,
+                    overlapped: &overlapped,
+                })
+                .collect();
+            let run = run_tasks(&PoolConfig { workers, max_local: 2 }, tasks);
+            assert!(run.outcomes.iter().all(|o| o.completed().is_some()));
+            let high = high.load(Ordering::SeqCst);
+            assert!(high <= workers * 2, "{workers} workers: {high} tasks in flight");
+            assert!(
+                !overlapped.load(Ordering::SeqCst),
+                "{workers} workers ran a task twice at once"
+            );
+        }
     }
 
     #[test]
     fn steals_rebalance_a_seeded_backlog() {
-        // Worker 1 starts with no work of its own once the injector is
-        // drained; with long-running tasks it must steal to contribute.
+        // A worker that finds no fresh task and an empty ready deque
+        // must steal to contribute.
         let run = run_tasks(&PoolConfig { workers: 4, max_local: 16 }, countdowns(32, 30));
         assert!(run.outcomes.iter().all(|o| o.completed().is_some()));
         // Stealing is opportunistic: all we assert is the counters are

@@ -1,19 +1,20 @@
-//! Folding shard registries into one fleet snapshot.
+//! Reading the fleet's tick latency out of the shard registries.
 //!
 //! Every pool worker records into a shard-private
-//! [`watchmen_telemetry::Registry`] — zero cross-shard contention on the
-//! hot path. After the run, [`roll_up`] folds those registries two ways:
+//! [`watchmen_telemetry::Registry`]. After the run, [`roll_up`] reads the
+//! one histogram the fleet reports, `fleet_tick_ms`, two ways:
 //!
-//! * **by shard** — every metric re-labelled with `shard=<i>`, so the
-//!   per-worker view survives (per-shard tick p99 comes from here);
-//! * **aggregate** — label-free bucket-level merges, so fleet-wide
-//!   percentiles are computed over the union of observations rather than
-//!   averaged across shards (averaging percentiles is the classic
-//!   telemetry mistake this split exists to avoid).
+//! * **per shard** — from each shard's own snapshot, so one overloaded
+//!   worker shows up even when the fleet-wide figure looks healthy;
+//! * **fleet-wide** — from one bucket-level merge of every shard's
+//!   histogram, so fleet percentiles are computed over the union of
+//!   observations rather than averaged across shards (averaging
+//!   percentiles is the classic telemetry mistake this split exists to
+//!   avoid).
 
 use std::sync::Arc;
 
-use watchmen_telemetry::{MetricValue, Registry};
+use watchmen_telemetry::{Histogram, MetricValue, Registry};
 
 /// Summary of one tick-duration histogram.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,13 +42,9 @@ impl TickStats {
     }
 }
 
-/// The folded telemetry of one fleet run.
+/// The tick latency of one fleet run.
 #[derive(Debug)]
 pub struct FleetRollup {
-    /// Every shard's metrics, re-labelled with `shard=<i>`.
-    pub by_shard: Registry,
-    /// Label-free bucket-level merge across all shards.
-    pub aggregate: Registry,
     /// Tick-duration summaries per shard (index = shard; `None` when the
     /// shard recorded no frames).
     pub shard_ticks: Vec<Option<TickStats>>,
@@ -71,28 +68,28 @@ impl FleetRollup {
     }
 }
 
-/// Folds the shard registries of one pool run (see module docs).
+/// Reads the tick latency of one pool run's shards (see module docs).
 #[must_use]
 pub fn roll_up(shards: &[Arc<Registry>]) -> FleetRollup {
-    let by_shard = Registry::new();
-    let aggregate = Registry::new();
-    for (i, shard) in shards.iter().enumerate() {
-        let label = i.to_string();
-        by_shard.merge_labeled(shard, &[("shard", &label)]);
-        aggregate.merge_labeled(shard, &[]);
-    }
-
-    let by_shard_snap = by_shard.snapshot();
-    let shard_ticks = (0..shards.len())
-        .map(|i| {
-            TickStats::from_metric(
-                by_shard_snap.get_with("fleet_tick_ms", &[("shard", &i.to_string())]),
-            )
+    let fleet = Histogram::new();
+    let shard_ticks = shards
+        .iter()
+        .map(|shard| {
+            let ticks = TickStats::from_metric(shard.snapshot().get("fleet_tick_ms"));
+            if ticks.is_some() {
+                fleet.merge_from(&shard.histogram("fleet_tick_ms"));
+            }
+            ticks
         })
         .collect();
-    let fleet_ticks = TickStats::from_metric(aggregate.snapshot().get("fleet_tick_ms"));
-
-    FleetRollup { by_shard, aggregate, shard_ticks, fleet_ticks }
+    let fleet_ticks = (fleet.count() > 0).then(|| TickStats {
+        count: fleet.count(),
+        p50: fleet.quantile(0.5),
+        p90: fleet.quantile(0.9),
+        p99: fleet.quantile(0.99),
+        max: fleet.max(),
+    });
+    FleetRollup { shard_ticks, fleet_ticks }
 }
 
 #[cfg(test)]
@@ -105,12 +102,11 @@ mod tests {
         for &t in ticks {
             h.record(t);
         }
-        r.counter("fleet_worker_ticks_total").add(ticks.len() as u64);
         Arc::new(r)
     }
 
     #[test]
-    fn rollup_keeps_shard_views_and_merges_the_aggregate() {
+    fn rollup_keeps_shard_views_and_merges_the_fleet() {
         let shards = vec![shard_with_ticks(&[1.0, 1.0, 1.0]), shard_with_ticks(&[100.0, 100.0])];
         let rollup = roll_up(&shards);
 
@@ -121,15 +117,11 @@ mod tests {
         assert!(s0.p99 < s1.p99, "slow shard must dominate its own p99");
 
         let fleet = rollup.fleet_ticks.expect("fleet merged");
-        assert_eq!(fleet.count, 5, "aggregate must union all observations");
+        assert_eq!(fleet.count, 5, "the fleet figure must union all observations");
         assert!(fleet.max >= 100.0);
 
         // The slow shard is visible via the headline knob.
         assert!((rollup.worst_shard_tick_p99() - s1.p99).abs() < f64::EPSILON);
-
-        // Counters sum label-free in the aggregate.
-        let agg = rollup.aggregate.snapshot();
-        assert_eq!(agg.counter_sum("fleet_worker_ticks_total"), 5);
     }
 
     #[test]

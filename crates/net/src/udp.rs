@@ -28,7 +28,6 @@ use std::cell::RefCell;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use watchmen_telemetry::Counter;
 
@@ -251,46 +250,6 @@ impl UdpEndpoint {
             }
         }
     }
-
-    /// Blocks up to `timeout` for one well-formed frame, skipping garbage
-    /// datagrams within the deadline.
-    ///
-    /// The socket is always restored to its bound-time state (nonblocking,
-    /// no read timeout) before returning, so later users never inherit a
-    /// stale timeout.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors; `Ok(None)` on timeout.
-    pub fn recv_timeout(
-        &self,
-        timeout: Duration,
-    ) -> io::Result<Option<(u32, SocketAddr, Vec<u8>)>> {
-        self.socket.set_nonblocking(false)?;
-        let deadline = Instant::now() + timeout;
-        let mut remaining = timeout;
-        let result = loop {
-            // A zero read timeout is invalid; round up to keep the final
-            // sliver of the deadline blocking rather than erroring.
-            self.socket.set_read_timeout(Some(remaining.max(Duration::from_millis(1))))?;
-            match self.poll_recv() {
-                Ok(Recv::Frame { sender, from, payload }) => {
-                    break Ok(Some((sender, from, payload)));
-                }
-                Ok(Recv::Malformed { .. } | Recv::Truncated { .. }) => {
-                    remaining = deadline.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        break Ok(None);
-                    }
-                }
-                Ok(Recv::Empty) => break Ok(None),
-                Err(e) => break Err(e),
-            }
-        };
-        self.socket.set_read_timeout(None)?;
-        self.socket.set_nonblocking(true)?;
-        result
-    }
 }
 
 /// Encodes a frame: magic, sender id, payload length, payload. The exact
@@ -342,14 +301,27 @@ fn split_frame(mut data: &[u8]) -> Option<(u32, &[u8])> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
+
+    /// Waits up to two seconds for one well-formed frame: loopback
+    /// delivery is fast but not synchronous with `send_to`.
+    fn recv_soon(endpoint: &UdpEndpoint) -> (u32, SocketAddr, Vec<u8>) {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        loop {
+            if let Some(frame) = endpoint.try_recv().unwrap() {
+                return frame;
+            }
+            assert!(Instant::now() < deadline, "no frame within two seconds");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
 
     #[test]
     fn roundtrip_over_loopback() {
         let a = UdpEndpoint::bind(7, "127.0.0.1:0").unwrap();
         let b = UdpEndpoint::bind(9, "127.0.0.1:0").unwrap();
         a.send_to(b.local_addr().unwrap(), b"state update").unwrap();
-        let (id, _from, payload) =
-            b.recv_timeout(Duration::from_secs(2)).unwrap().expect("frame arrives");
+        let (id, _from, payload) = recv_soon(&b);
         assert_eq!(id, 7);
         assert_eq!(&payload[..], b"state update");
         assert_eq!(b.node_id(), 9);
@@ -387,7 +359,7 @@ mod tests {
         let a = UdpEndpoint::bind(2, "127.0.0.1:0").unwrap();
         let b = UdpEndpoint::bind(3, "127.0.0.1:0").unwrap();
         a.send_to(b.local_addr().unwrap(), b"").unwrap();
-        let got = b.recv_timeout(Duration::from_secs(2)).unwrap().expect("frame");
+        let got = recv_soon(&b);
         assert!(got.2.is_empty());
     }
 
@@ -420,36 +392,6 @@ mod tests {
         assert!(payloads.contains(&b"second".as_slice()));
     }
 
-    /// `recv_timeout` must restore the socket fully: nonblocking on, read
-    /// timeout cleared. A leaked timeout silently changed the behavior of
-    /// any later blocking user of the socket.
-    #[test]
-    fn recv_timeout_restores_socket_state() {
-        let a = UdpEndpoint::bind(6, "127.0.0.1:0").unwrap();
-        assert!(a.recv_timeout(Duration::from_millis(20)).unwrap().is_none());
-        assert_eq!(a.socket.read_timeout().unwrap(), None, "stale read timeout leaked");
-        // Nonblocking restored too: an immediate receive must not block.
-        let started = Instant::now();
-        assert!(a.try_recv().unwrap().is_none());
-        assert!(started.elapsed() < Duration::from_millis(500));
-    }
-
-    /// `recv_timeout` skips garbage within its deadline instead of
-    /// reporting it as a timeout.
-    #[test]
-    fn recv_timeout_skips_garbage() {
-        let a = UdpEndpoint::bind(8, "127.0.0.1:0").unwrap();
-        let b = UdpEndpoint::bind(9, "127.0.0.1:0").unwrap();
-        let dest = b.local_addr().unwrap();
-        let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
-        raw.send_to(b"not a frame", dest).unwrap();
-        a.send_to(dest, b"real").unwrap();
-        let (id, _from, payload) =
-            b.recv_timeout(Duration::from_secs(2)).unwrap().expect("the valid frame");
-        assert_eq!(id, 8);
-        assert_eq!(&payload[..], b"real");
-    }
-
     /// Datagrams longer than any legal frame are classified as truncated,
     /// not malformed: the kernel cut them to the buffer, so their framing
     /// was never inspectable.
@@ -476,8 +418,7 @@ mod tests {
         let a = UdpEndpoint::bind(11, "127.0.0.1:0").unwrap();
         let max = vec![0x7u8; MAX_PAYLOAD];
         a.send_to(dest, &max).unwrap();
-        let (id, _from, payload) =
-            b.recv_timeout(Duration::from_secs(2)).unwrap().expect("max-size frame");
+        let (id, _from, payload) = recv_soon(&b);
         assert_eq!(id, 11);
         assert_eq!(payload.len(), MAX_PAYLOAD);
     }

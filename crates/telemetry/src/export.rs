@@ -1,5 +1,6 @@
-//! Snapshot exporters: Prometheus text exposition format, JSON, and the
-//! Chrome `trace_event` format for flight-recorder events.
+//! Snapshot exporters: the Prometheus text exposition format for
+//! metrics, and the Chrome `trace_event` format for flight-recorder
+//! events.
 
 use std::fmt::Write as _;
 
@@ -14,8 +15,7 @@ use crate::trace::{EventKind, TraceEvent, NO_SUBJECT};
 /// metric name, label values and help text are escaped per the
 /// exposition format, and metrics named with the workspace's internal
 /// `_ms` suffix are exported under the Prometheus base unit as
-/// `_seconds` with values scaled accordingly (the JSON exporter keeps
-/// the internal names and millisecond values).
+/// `_seconds` with values scaled accordingly.
 ///
 /// # Examples
 ///
@@ -111,66 +111,6 @@ fn exposition_name(name: &str) -> (std::borrow::Cow<'_, str>, f64) {
 /// format).
 fn escape_help(v: &str) -> String {
     v.replace('\\', "\\\\").replace('\n', "\\n")
-}
-
-/// Renders a snapshot as a JSON document: an object mapping each metric
-/// (name plus `{labels}` suffix when labelled) to its value — scalars
-/// for counters/gauges, `{count, sum, min, max, p50, p90, p99}` objects
-/// for histograms.
-///
-/// # Examples
-///
-/// ```
-/// use watchmen_telemetry::Registry;
-///
-/// let r = Registry::new();
-/// r.gauge("depth").set(3);
-/// let json = watchmen_telemetry::export::json(&r.snapshot());
-/// assert_eq!(json, "{\n  \"depth\": 3\n}");
-/// ```
-#[must_use]
-pub fn json(snapshot: &Snapshot) -> String {
-    let mut out = String::from("{");
-    for (i, entry) in snapshot.entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let mut key = entry.name.to_owned();
-        if !entry.labels.is_empty() {
-            key.push('{');
-            for (j, (k, v)) in entry.labels.iter().enumerate() {
-                if j > 0 {
-                    key.push(',');
-                }
-                let _ = write!(key, "{k}={v}");
-            }
-            key.push('}');
-        }
-        let _ = write!(out, "\n  {}: ", json_string(&key));
-        match &entry.value {
-            MetricValue::Counter(v) => {
-                let _ = write!(out, "{v}");
-            }
-            MetricValue::Gauge(v) => {
-                let _ = write!(out, "{v}");
-            }
-            MetricValue::Histogram { count, sum, min, max, p50, p90, p99, .. } => {
-                let _ = write!(
-                    out,
-                    "{{\"count\": {count}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                     \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-                    fmt_f64(*sum),
-                    fmt_f64(*min),
-                    fmt_f64(*max),
-                    fmt_f64(*p50),
-                    fmt_f64(*p90),
-                    fmt_f64(*p99),
-                );
-            }
-        }
-    }
-    out.push_str("\n}");
-    out
 }
 
 /// Renders flight-recorder events in the Chrome `trace_event` JSON
@@ -277,7 +217,8 @@ fn fmt_f64(v: f64) -> String {
 }
 
 /// JSON-escapes a string and wraps it in quotes — the workspace's one
-/// escaper (exporters, [`crate::report`], the verdict audit stream).
+/// escaper ([`chrome_trace`], [`crate::report`], the verdict audit
+/// stream).
 ///
 /// # Examples
 ///
@@ -353,9 +294,6 @@ mod tests {
         assert!(text.contains("# HELP quantum_seconds scheduler quantum"), "{text}");
         assert!(text.contains("# TYPE quantum_seconds gauge"), "{text}");
         assert!(text.contains("quantum_seconds 0.25"), "{text}");
-        // The JSON exporter keeps internal names and millisecond values.
-        let json = json(&r.snapshot());
-        assert!(json.contains("\"quantum_ms\": 250"), "{json}");
     }
 
     #[test]
@@ -376,21 +314,8 @@ mod tests {
     }
 
     #[test]
-    fn json_shapes() {
-        let r = Registry::new();
-        r.counter_with("m_total", &[("k", "v")]).add(2);
-        r.histogram("h_ms").record(10.0);
-        let out = json(&r.snapshot());
-        assert!(out.contains("\"h_ms\": {\"count\": 1"), "{out}");
-        assert!(out.contains("\"m_total{k=v}\": 2"), "{out}");
-        assert!(out.starts_with('{') && out.ends_with('}'));
-    }
-
-    #[test]
-    fn empty_snapshot_renders_empty_documents() {
-        let r = Registry::new();
-        assert_eq!(prometheus_text(&r.snapshot()), "");
-        assert_eq!(json(&r.snapshot()), "{\n}");
+    fn empty_snapshot_renders_an_empty_document() {
+        assert_eq!(prometheus_text(&Registry::new().snapshot()), "");
     }
 
     #[test]

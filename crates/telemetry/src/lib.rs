@@ -37,22 +37,20 @@
 //! # Exporters
 //!
 //! [`export::prometheus_text`] renders a [`Snapshot`] in the Prometheus
-//! text exposition format; [`export::json`] renders the same snapshot as
-//! a JSON document with precomputed quantiles — what the experiment
-//! drivers write next to their reports so figure reproductions can be
-//! compared across runs. [`export::chrome_trace`] renders flight-recorder
-//! events as a Chrome `trace_event` JSON document loadable in
-//! `chrome://tracing` or Perfetto. [`dump_from_env`] is the shared
-//! end-of-run hook every example and bench calls to honor the
-//! `WATCHMEN_TELEMETRY=prom|json` knob uniformly, and [`spec`] is the
-//! one `key=value,…` grammar every other `WATCHMEN_*` spec variable
-//! parses with. [`report::Report`] is the one run report every driver
-//! prints, records (`BENCH_<name>.json`) and gates through.
+//! text exposition format — the workspace's one metrics format.
+//! [`export::chrome_trace`] renders flight-recorder events as a Chrome
+//! `trace_event` JSON document loadable in `chrome://tracing` or
+//! Perfetto. [`dump_from_env`] is the shared end-of-run hook every
+//! example and bench calls to honor the `WATCHMEN_TELEMETRY` knob
+//! uniformly, and [`spec`] is the one `key=value,…` grammar the
+//! `WATCHMEN_*` spec variables parse with. [`report::Report`] is the one
+//! run report every driver prints, records (`BENCH_<name>.json`) and
+//! gates through.
 //!
 //! For *live* visibility — watching a fleet mid-run rather than reading
 //! a dump after it exits — [`serve::MetricsServer`] is a `std`-only HTTP
-//! scrape endpoint (`/metrics`, `/metrics.json`, `/healthz`) on a
-//! background thread, enabled by the `WATCHMEN_METRICS_ADDR` knob.
+//! scrape endpoint (`/metrics`, `/healthz`) on a background thread,
+//! enabled by the `WATCHMEN_METRICS_ADDR` knob.
 //!
 //! # Examples
 //!
@@ -83,11 +81,10 @@
 //! counters and a unit suffix (`_ms`, `_bytes`, `_kbps`) for histograms.
 //! The Prometheus exporter renames `_ms` metrics to the base-unit
 //! `_seconds` form (values scaled) so scrapes conform to Prometheus
-//! conventions; the internal names and the JSON exporter keep
-//! milliseconds. Label keys are `&'static str`; label values are small
-//! closed sets (message class, check name, architecture) — never player
-//! ids or other unbounded values. See DESIGN.md § "Telemetry &
-//! observability".
+//! conventions; the internal names keep milliseconds. Label keys are
+//! `&'static str`; label values are small closed sets (message class,
+//! check name, architecture) — never player ids or other unbounded
+//! values. See DESIGN.md § "Telemetry & observability".
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -131,10 +128,9 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
-/// Dumps the [`global`] registry to stdout when the `WATCHMEN_TELEMETRY`
-/// env knob is set: `json` selects the JSON exporter, any other
-/// non-empty value (conventionally `prom`) the Prometheus text
-/// exposition. Returns whether a dump was printed.
+/// Dumps the [`global`] registry to stdout as Prometheus text exposition
+/// when the `WATCHMEN_TELEMETRY` env knob is set to any non-empty value
+/// (conventionally `prom`). Returns whether a dump was printed.
 ///
 /// This is the one shared final-snapshot hook: every example and bench
 /// driver calls it at exit, so the knob behaves identically across the
@@ -152,16 +148,11 @@ pub fn dump_from_env(label: &str) -> bool {
     match std::env::var("WATCHMEN_TELEMETRY") {
         Ok(mode) if !mode.trim().is_empty() => {
             let registry = global();
-            let snapshot = registry.snapshot();
             println!("--- telemetry ({label}) ---");
-            if mode.trim() == "json" {
-                println!("{}", export::json(&snapshot));
-            } else {
-                print!(
-                    "{}",
-                    export::prometheus_text_with_help(&snapshot, &|n| registry.help_for(n))
-                );
-            }
+            print!(
+                "{}",
+                export::prometheus_text_with_help(&registry.snapshot(), &|n| registry.help_for(n))
+            );
             true
         }
         _ => false,

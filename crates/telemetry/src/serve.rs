@@ -13,11 +13,8 @@
 //!
 //! * `GET /metrics` — Prometheus text exposition
 //!   (`text/plain; version=0.0.4`), via
-//!   [`export::prometheus_text_with_help`].
-//! * `GET /metrics.json` — the JSON exporter; append `?delta=1` to get
-//!   counter values as deltas since the previous delta scrape (gauges
-//!   and histograms stay cumulative), for cheap rate computation by a
-//!   poller that cannot keep state.
+//!   [`export::prometheus_text_with_help`]. A rate is the scraper's to
+//!   compute from two cumulative scrapes, so the server keeps no state.
 //! * `GET /healthz` — `ok`, for liveness probes.
 //!
 //! The snapshot source is a closure, so the endpoint can serve one
@@ -47,7 +44,6 @@
 //! // `curl http://{addr}/metrics` would now return `demo_total 3`.
 //! ```
 
-use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -56,7 +52,7 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use crate::export;
-use crate::registry::{MetricValue, Snapshot};
+use crate::registry::Snapshot;
 
 /// Produces a fresh [`Snapshot`] per scrape.
 pub type SnapshotSource = Arc<dyn Fn() -> Snapshot + Send + Sync>;
@@ -143,17 +139,13 @@ fn accept_loop(
     source: &SnapshotSource,
     help: &HelpSource,
 ) {
-    // Counter values as of the last `?delta=1` scrape, keyed by the
-    // rendered `name{labels}` identity. The accept loop is the only
-    // reader/writer, so plain mutable state suffices.
-    let mut deltas: BTreeMap<String, u64> = BTreeMap::new();
     while !stop.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _)) => {
                 // One connection at a time, fully handled inline: a
                 // scrape is a single short GET and the poll cadence is
                 // seconds — no need for a connection pool.
-                let _ = handle_connection(stream, source, help, &mut deltas);
+                let _ = handle_connection(stream, source, help);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
             Err(_) => thread::sleep(ACCEPT_POLL),
@@ -165,7 +157,6 @@ fn handle_connection(
     stream: TcpStream,
     source: &SnapshotSource,
     help: &HelpSource,
-    prev_counters: &mut BTreeMap<String, u64>,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
@@ -186,11 +177,7 @@ fn handle_connection(
 
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
-    let target = parts.next().unwrap_or("");
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
+    let path = parts.next().unwrap_or("").split('?').next().unwrap_or("");
 
     let mut stream = reader.into_inner();
     if method != "GET" {
@@ -206,35 +193,8 @@ fn handle_connection(
             let body = export::prometheus_text_with_help(&(source)(), &|n| (help)(n));
             respond(&mut stream, "200 OK", "text/plain; version=0.0.4; charset=utf-8", &body)
         }
-        "/metrics.json" => {
-            let mut snapshot = (source)();
-            if query.split('&').any(|kv| kv == "delta=1" || kv == "delta=true") {
-                apply_counter_deltas(&mut snapshot, prev_counters);
-            }
-            let body = export::json(&snapshot);
-            respond(&mut stream, "200 OK", "application/json", &body)
-        }
         "/healthz" => respond(&mut stream, "200 OK", "text/plain", "ok\n"),
         _ => respond(&mut stream, "404 Not Found", "text/plain", "not found\n"),
-    }
-}
-
-/// Rewrites counter entries in place to their delta since the previous
-/// delta scrape, updating the stored floor. Gauges and histograms pass
-/// through cumulative.
-fn apply_counter_deltas(snapshot: &mut Snapshot, prev: &mut BTreeMap<String, u64>) {
-    for entry in &mut snapshot.entries {
-        if let MetricValue::Counter(v) = entry.value {
-            let mut key = entry.name.to_owned();
-            for (k, val) in &entry.labels {
-                key.push('|');
-                key.push_str(k);
-                key.push('=');
-                key.push_str(val);
-            }
-            let floor = prev.insert(key, v).unwrap_or(0);
-            entry.value = MetricValue::Counter(v.saturating_sub(floor));
-        }
     }
 }
 
@@ -298,23 +258,6 @@ mod tests {
 
         assert!(get(addr, "/healthz").contains("ok"));
         assert!(get(addr, "/nope").starts_with("HTTP/1.1 404"));
-    }
-
-    #[test]
-    fn json_delta_scrapes_subtract_the_previous_floor() {
-        let registry = Arc::new(Registry::new());
-        registry.counter("work_total").add(10);
-        let server = server_for(Arc::clone(&registry));
-        let addr = server.local_addr();
-
-        assert!(get(addr, "/metrics.json").contains("\"work_total\": 10"));
-        // First delta scrape sees the full value, and sets the floor.
-        assert!(get(addr, "/metrics.json?delta=1").contains("\"work_total\": 10"));
-        registry.counter("work_total").add(4);
-        // Second delta scrape sees only what happened since.
-        assert!(get(addr, "/metrics.json?delta=1").contains("\"work_total\": 4"));
-        // Cumulative scrapes are unaffected by the delta floor.
-        assert!(get(addr, "/metrics.json").contains("\"work_total\": 14"));
     }
 
     #[test]

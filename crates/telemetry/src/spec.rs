@@ -1,7 +1,7 @@
-//! The one `key=value,key=value` grammar behind every `WATCHMEN_*` spec
-//! variable (`WATCHMEN_STORE_FAULTS`, `WATCHMEN_FLEET`,
-//! `WATCHMEN_CRASHLOOP`). The simnet's `FaultPlan` has no spec: it is
-//! built in code.
+//! The one `key=value,key=value` grammar behind the `WATCHMEN_*` spec
+//! variables (`WATCHMEN_STORE_FAULTS`, `WATCHMEN_CRASHLOOP`). The
+//! simnet's `FaultPlan` and the fleet soak's shape have no spec: they
+//! are built in code.
 //! Entries are comma-separated, whitespace around them is ignored, empty
 //! entries are skipped, and each must be `key=value`. Numbers parse as
 //! the *target field's own type*, so an out-of-range value is an error
@@ -20,18 +20,6 @@ pub fn from_env<T>(var: &str, parse: impl FnOnce(&str) -> Result<T, String>) -> 
     let spec = std::env::var(var).ok()?;
     let spec = spec.trim();
     (!spec.is_empty()).then(|| parse(spec).unwrap_or_else(|e| panic!("{var}: {e}")))
-}
-
-/// [`from_env`] for a config with defaults: a bare `1`, `on` or `defaults`
-/// selects `T::default()`.
-pub fn from_env_or_default<T: Default>(
-    var: &str,
-    parse: impl FnOnce(&str) -> Result<T, String>,
-) -> Option<T> {
-    from_env(var, |spec| match spec {
-        "1" | "on" | "defaults" => Ok(T::default()),
-        _ => parse(spec),
-    })
 }
 
 /// Splits a spec into its `(key, value)` entries.

@@ -156,17 +156,6 @@ queue_depth -2
     assert_eq!(text, expected);
 }
 
-/// Golden test for the JSON exporter on the same fixture.
-#[test]
-fn json_exporter_golden() {
-    let r = Registry::new();
-    r.counter_with("frames_total", &[("arch", "watchmen")]).add(3);
-    r.gauge("queue_depth").set(-2);
-    let json = export::json(&r.snapshot());
-    let expected = "{\n  \"frames_total{arch=watchmen}\": 3,\n  \"queue_depth\": -2\n}";
-    assert_eq!(json, expected);
-}
-
 /// A counter survives a snapshot (snapshots are copies, not drains) and
 /// `reset_all` really zeroes live handles.
 #[test]

@@ -7,30 +7,21 @@
 //! cargo run --release --example fleet_soak
 //! ```
 //!
-//! Defaults to 512 matches × 16 bots × 160 frames with a scripted
-//! speed-hacker in every 8th match. Override any knob with
-//! `WATCHMEN_FLEET`, e.g.:
-//!
-//! ```sh
-//! WATCHMEN_FLEET="matches=256,players=16,frames=160,workers=4,cheat_every=8" \
-//!     cargo run --release --example fleet_soak
-//! ```
-//!
-//! Knobs: `matches`, `players`, `frames`, `workers`, `max_local` (per-
-//! worker in-flight cap), `tick_quantum` (frames per scheduler quantum),
-//! `seed`, `cheat_every` (0 = all honest), `observe` (0 disables the
-//! observability plane), `audit` (1 retains per-match JSONL).
+//! Soaks one shape: [`MATCHES`] matches × 16 bots × 160 frames on
+//! [`WORKERS`] workers, with a scripted speed-hacker in every 8th match
+//! (the rest of `FleetConfig::default()`).
 //!
 //! Observability:
 //!
 //! * `WATCHMEN_METRICS_ADDR=127.0.0.1:9464` (port `0` for ephemeral)
-//!   serves `/metrics`, `/metrics.json` and `/healthz` live while the
-//!   fleet runs — the soak prints `metrics endpoint listening on <addr>`
-//!   so scripts can find the bound port. `WATCHMEN_METRICS_HOLD_MS=<ms>`
-//!   keeps the endpoint up that long after the summary, for scrapers
-//!   that want a settled final snapshot.
-//! * `WATCHMEN_AUDIT=<path>` writes the fleet's verdict audit stream as
-//!   JSONL (forces `audit=1`); the stream is byte-identical across
+//!   serves `/metrics` and `/healthz` live while the fleet runs — the
+//!   soak prints `metrics endpoint listening on <addr>` so scripts can
+//!   find the bound port. `WATCHMEN_METRICS_HOLD_MS=<ms>` keeps the
+//!   endpoint up that long after the summary, for scrapers that want a
+//!   settled final snapshot. The scrape carries the pool's per-shard
+//!   `fleet_*` metrics and the matches' `node_*` metrics.
+//! * `WATCHMEN_AUDIT=<path>` retains each match's verdict audit stream
+//!   and writes the fleet's as JSONL; the stream is byte-identical across
 //!   worker counts for a fixed seed.
 //!
 //! The run gates itself through the two reports of
@@ -54,28 +45,32 @@ use watchmen::telemetry::{report, MetricsServer};
 /// The most the observability plane may slow the tick loop, in percent.
 const PLANE_OVERHEAD_LIMIT_PCT: f64 = 5.0;
 
+/// Matches the soak runs.
+const MATCHES: u64 = 256;
+
+/// Pool workers the soak runs them on.
+const WORKERS: usize = 4;
+
 fn main() {
-    let mut config = FleetConfig::from_env().unwrap_or_default();
     let audit_path =
         std::env::var("WATCHMEN_AUDIT").ok().map(|p| p.trim().to_owned()).filter(|p| !p.is_empty());
-    if audit_path.is_some() {
-        config.audit = true;
-    }
+    let config = FleetConfig {
+        matches: MATCHES,
+        workers: WORKERS,
+        audit: audit_path.is_some(),
+        ..FleetConfig::default()
+    };
 
     println!(
         "fleet soak: {} matches x {} bots x {} frames on {} workers \
-         (quantum {} frames, cap {} in flight/worker, cheater in every {})…",
+         (quantum {} frames, cap {} in flight/worker, cheater in every {}th match)…",
         config.matches,
         config.players,
         config.frames,
         config.workers,
         config.tick_quantum,
         config.max_local,
-        if config.cheat_every > 0 {
-            format!("{}th match", config.cheat_every)
-        } else {
-            "no match".to_owned()
-        },
+        config.cheat_every,
     );
 
     // The live plane: the view owns the shard registries the workers
@@ -169,7 +164,7 @@ fn main() {
     // figure a report carries, because it is gated.
     let [fleet, mut detection] = result.report(&config);
     let recording = std::env::var("WATCHMEN_BENCH_OUT").is_ok_and(|v| !v.trim().is_empty());
-    if recording && config.observe {
+    if recording {
         let pct = measure_plane_overhead(&config);
         detection = detection.figure("plane_overhead_pct", pct, pct < PLANE_OVERHEAD_LIMIT_PCT);
     }

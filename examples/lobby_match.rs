@@ -113,6 +113,6 @@ fn main() {
         None => println!("\ncheater escaped detection (unexpected!)"),
     }
 
-    // WATCHMEN_TELEMETRY=prom|json dumps everything the run recorded.
+    // WATCHMEN_TELEMETRY=prom dumps everything the run recorded.
     watchmen::telemetry::dump_from_env("lobby_match");
 }

@@ -69,6 +69,6 @@ fn main() {
     let score = verifier.check_position(prev, teleport, 1, &map);
     println!("teleporting 20 units in one frame rates {score}/10 (10 = certainly cheating)");
 
-    // WATCHMEN_TELEMETRY=prom|json dumps everything the run recorded.
+    // WATCHMEN_TELEMETRY=prom dumps everything the run recorded.
     watchmen::telemetry::dump_from_env("quickstart");
 }
