@@ -14,15 +14,21 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # Every `WATCHMEN_*` environment variable is a cost (ROADMAP): the set
-# the code names, doc comments included, must be exactly this list.
+# the code names, doc comments included, must be exactly this list. The
+# library crates read the environment only in the metrics endpoint, the
+# report recorder and the benches' quick switch; a child process gets
+# its inputs as arguments; and the last `key=value` grammar stays gone.
 echo "==> knob list"
-knobs="WATCHMEN_AUDIT WATCHMEN_BENCH_OUT WATCHMEN_CRASHLOOP WATCHMEN_CRASHLOOP_ROLE \
-WATCHMEN_LIVE_CHEATER WATCHMEN_LIVE_DIE WATCHMEN_LIVE_PACE_MS WATCHMEN_LIVE_SEED \
-WATCHMEN_METRICS_ADDR WATCHMEN_METRICS_HOLD_MS WATCHMEN_QUICK WATCHMEN_STORE_DIR \
-WATCHMEN_STORE_FAULTS WATCHMEN_TELEMETRY WATCHMEN_TRACE"
+knobs="WATCHMEN_AUDIT WATCHMEN_BENCH_OUT WATCHMEN_LIVE_DIE WATCHMEN_METRICS_ADDR \
+WATCHMEN_METRICS_HOLD_MS WATCHMEN_QUICK WATCHMEN_STORE_DIR WATCHMEN_TRACE"
 named=$(grep -rhoE 'WATCHMEN_[A-Z_]+' crates src examples | LC_ALL=C sort -u | xargs)
 [ "$named" = "$knobs" ] ||
     { echo "the code names other knobs than ci.sh lists: $named" >&2; exit 1; }
+readers=$(grep -rlF 'std::env::var' crates/*/src | LC_ALL=C sort | xargs)
+[ "$readers" = "crates/bench/src/lib.rs crates/telemetry/src/report.rs crates/telemetry/src/serve.rs" ] ||
+    { echo "a library crate reads the environment elsewhere: $readers" >&2; exit 1; }
+[ ! -e crates/telemetry/src/spec.rs ] ||
+    { echo "the key=value spec grammar is back: crates/telemetry/src/spec.rs" >&2; exit 1; }
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -76,7 +82,14 @@ rate=$(grep -rlF 'check_rate(' crates src examples tests | sort | tr '\n' ' ' ||
 # One run covers the trace smoke and both scripted soaks (control plane
 # under burst loss + duplication + reordering + a proxy crash; churn with
 # joins, leaves and evictions): deathmatch exits non-zero if either fails.
+# A misspelt WATCHMEN_TRACE exits 2 before any work instead of quietly
+# turning tracing off.
 echo "==> deathmatch (8 players, 200 frames): chrome trace, faulted soak, churn soak"
+trace_rc=0
+trace_err=$(WATCHMEN_TRACE=chrom:/tmp/x cargo run -q --release --example deathmatch 8 200 2>&1 >/dev/null) ||
+    trace_rc=$?
+[ "$trace_rc" = 2 ] && grep -q WATCHMEN_TRACE <<<"$trace_err" ||
+    { echo "WATCHMEN_TRACE=chrom:/tmp/x exited $trace_rc, not 2 naming it: $trace_err" >&2; exit 1; }
 TRACE_OUT=/tmp/watchmen-trace.json
 rm -f "$TRACE_OUT"
 WATCHMEN_TRACE="chrome:$TRACE_OUT" \
@@ -182,7 +195,9 @@ echo "==> live cluster smoke (6 OS processes over loopback UDP, scripted speed-h
 cargo run --release --example live_cluster | tail -n 1
 
 # The die hook: node 3 exits with status 7 right after ADDR. The parent
-# must abort at once, exit 1, and name the node and its status.
+# must abort at once, exit 1, and name the node and its status. A value
+# that is not a player index exits 2, naming the variable, before any
+# node starts.
 echo "==> live cluster die hook (node 3 exits mid-rendezvous)"
 die_rc=0
 die_err=$(WATCHMEN_LIVE_DIE=3 cargo run -q --release --example live_cluster 2>&1 >/dev/null) ||
@@ -190,6 +205,12 @@ die_err=$(WATCHMEN_LIVE_DIE=3 cargo run -q --release --example live_cluster 2>&1
 [ "$die_rc" = 1 ] || { echo "die hook exited $die_rc, not 1: $die_err" >&2; exit 1; }
 grep -E '^live cluster aborted: .*node 3 .*exit status: 7' <<<"$die_err" ||
     { echo "die hook abort does not name node 3 and its status: $die_err" >&2; exit 1; }
+die_rc=0
+die_err=$(WATCHMEN_LIVE_DIE=x cargo run -q --release --example live_cluster 2>&1 >/dev/null) ||
+    die_rc=$?
+[ "$die_rc" = 2 ] || { echo "WATCHMEN_LIVE_DIE=x exited $die_rc, not 2: $die_err" >&2; exit 1; }
+grep -q WATCHMEN_LIVE_DIE <<<"$die_err" ||
+    { echo "WATCHMEN_LIVE_DIE=x does not name the variable: $die_err" >&2; exit 1; }
 
 # The store's checksum has two kernels and its formats are pinned by golden
 # bytes: run its tests optimised too, so the CRC agreement tests and the
@@ -230,7 +251,6 @@ fields=$(awk '/^pub struct WatchmenConfig/,/^}/' crates/core/src/config.rs | gre
 
 echo "==> store crash loop (8 kill/abort cycles against the durable reputation store)"
 WATCHMEN_STORE_DIR=/tmp/watchmen-crashloop-store \
-WATCHMEN_CRASHLOOP="cycles=8,ops=3000,seed=2013" \
     cargo run --release --example store_crashloop 2>/dev/null | tail -n 1
 
 # The soak plays real fleet matches, so its bans come from the nodes' own

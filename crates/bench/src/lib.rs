@@ -45,10 +45,6 @@ impl BenchParams {
 
 /// Prints a standard experiment banner and runs the body, reporting wall
 /// time — so `cargo bench` output reads as a lab notebook.
-///
-/// Set `WATCHMEN_TELEMETRY=prom` in the environment to also dump the
-/// global telemetry registry after the body runs — every counter, gauge,
-/// and histogram the experiment touched.
 pub fn run_experiment(name: &str, paper_ref: &str, body: impl FnOnce() -> String) {
     let params = BenchParams::from_env();
     println!("=== {name} ===");
@@ -60,5 +56,4 @@ pub fn run_experiment(name: &str, paper_ref: &str, body: impl FnOnce() -> String
     let output = body();
     println!("{output}");
     println!("[{name} completed in {:.2?}]\n", start.elapsed());
-    watchmen_telemetry::dump_from_env(name);
 }

@@ -111,10 +111,12 @@ impl FleetConfig {
 /// holds the shard registries the pool workers record into, so a metrics
 /// endpoint on another thread can [`FleetView::snapshot`] mid-soak: each
 /// call re-merges every shard under a `shard=<i>` label, adds the
-/// process-wide [`global`] registry the matches' nodes record into
-/// (unlabelled), and derives `fleet_matches{state=…}` lifecycle gauges
-/// from the scheduler counters. Cloning the view shares the same
-/// registries.
+/// process-wide [`global`] registry the matches' nodes and simnets
+/// record into (unlabelled, and counted since the process started: its
+/// `node_*` and `net_*` series include every fleet and match the process
+/// has run, not only this one), and derives `fleet_matches{state=…}`
+/// lifecycle gauges from the scheduler counters. Cloning the view shares
+/// the same registries.
 #[derive(Debug, Clone)]
 pub struct FleetView {
     shards: Vec<Arc<Registry>>,
@@ -145,7 +147,7 @@ impl FleetView {
     }
 
     /// A point-in-time merge of every shard, re-labelled `shard=<i>`, and
-    /// of the [`global`] registry's node metrics, plus
+    /// of the [`global`] registry (process-wide since start), plus
     /// `fleet_matches{state="pending"|"completed"|"panicked"}` gauges.
     /// Safe to call at any time, including while the fleet runs.
     #[must_use]

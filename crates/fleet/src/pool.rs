@@ -79,7 +79,8 @@ pub struct ShardContext {
     pub shard: usize,
     /// The shard-private registry the pool's and the match's `fleet_*`
     /// metrics go to (the nodes' own metrics go to the process-wide
-    /// `watchmen_telemetry::global()`; see [`crate::rollup`]).
+    /// `watchmen_telemetry::global()`, which counts every match the
+    /// process has run since start; see [`crate::rollup`]).
     pub registry: Arc<Registry>,
 }
 

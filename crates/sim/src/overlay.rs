@@ -50,8 +50,6 @@
 //! `Script`, which `()` leaves as recorded, and read the honest nodes'
 //! `Subscribe`s off the same holdings table.
 
-use std::sync::Arc;
-
 use watchmen_core::dead_reckoning::Guidance;
 use watchmen_core::msg::{Envelope, Payload, SignedEnvelope, StateUpdate};
 use watchmen_core::node::NodeEvent;
@@ -64,7 +62,6 @@ use watchmen_game::PlayerId;
 use watchmen_math::stats::Histogram;
 use watchmen_net::latency::{self, LatencyModel};
 use watchmen_net::SimNetwork;
-use watchmen_telemetry as telemetry;
 use watchmen_world::{potentially_visible_set, GameMap};
 
 use crate::cluster::Cluster;
@@ -131,33 +128,21 @@ impl OverlayReport {
     }
 }
 
-/// Shared age/accounting state, mirrored into the global telemetry
-/// registry labelled by driver architecture.
+/// Shared age/accounting state.
 pub(crate) struct Metrics {
     ages: Histogram,
     delivered: u64,
     late: u64,
     loss_age: u64,
-    delivered_total: Arc<telemetry::Counter>,
-    late_total: Arc<telemetry::Counter>,
-    age_frames: Arc<telemetry::Histogram>,
 }
 
 impl Metrics {
-    fn new(architecture: &'static str) -> Self {
-        let t = telemetry::global();
-        t.describe("sim_updates_delivered_total", "Updates delivered to final consumers");
-        t.describe("sim_updates_late_total", "Delivered updates at or past the loss-age bound");
-        t.describe("sim_update_age_frames", "Age of delivered updates in frames");
-        let arch = &[("arch", architecture)];
+    fn new() -> Self {
         Metrics {
             ages: Histogram::new(0.0, 10.0, 10),
             delivered: 0,
             late: 0,
             loss_age: WatchmenConfig::LOSS_AGE_FRAMES,
-            delivered_total: t.counter_with("sim_updates_delivered_total", arch),
-            late_total: t.counter_with("sim_updates_late_total", arch),
-            age_frames: t.histogram_with("sim_update_age_frames", arch),
         }
     }
 
@@ -166,12 +151,9 @@ impl Metrics {
     fn record(&mut self, gen_frame: u64, consume_frame: u64) {
         let age = consume_frame.saturating_sub(gen_frame) as f64;
         self.ages.push(age);
-        self.age_frames.record(age);
         self.delivered += 1;
-        self.delivered_total.inc();
         if age >= self.loss_age as f64 {
             self.late += 1;
-            self.late_total.inc();
         }
     }
 }
@@ -188,16 +170,6 @@ fn finish_report<T>(
     let elapsed_ms = frames as f64 * config.frame_ms;
     let ups: Vec<f64> = (0..players).map(|i| net.meter(i).up_kbps(elapsed_ms)).collect();
     let downs: Vec<f64> = (0..players).map(|i| net.meter(i).down_kbps(elapsed_ms)).collect();
-    let t = telemetry::global();
-    t.describe("sim_player_up_kbps", "Per-player upstream bandwidth over a full run");
-    t.describe("sim_player_down_kbps", "Per-player downstream bandwidth over a full run");
-    let arch = &[("arch", architecture)];
-    let up_hist = t.histogram_with("sim_player_up_kbps", arch);
-    let down_hist = t.histogram_with("sim_player_down_kbps", arch);
-    for (&up, &down) in ups.iter().zip(&downs) {
-        up_hist.record(up);
-        down_hist.record(down);
-    }
     let dropped = net.stats().dropped;
     let denominator = (metrics.delivered + dropped).max(1);
     OverlayReport {
@@ -279,7 +251,7 @@ pub(crate) fn replay_watchmen(
         SimNetwork::new(n, latency, loss_rate, seed),
         config.frame_ms,
     );
-    let mut metrics = Metrics::new("watchmen");
+    let mut metrics = Metrics::new();
     for (frame, recorded) in (0u64..).zip(&trace.frames) {
         // Both closures need the script: the state hook runs right before
         // each tick, the observer after every handled output.
@@ -562,7 +534,7 @@ pub fn run_donnybrook(
         config.frame_seconds(),
     )));
     let mut net: SimNetwork<Update> = SimNetwork::new(n, latency, loss_rate, seed);
-    let mut metrics = Metrics::new("donnybrook");
+    let mut metrics = Metrics::new();
 
     for (frame, recorded) in (0u64..).zip(&trace.frames) {
         for d in net.advance_to(frame as f64 * config.frame_ms) {
@@ -617,7 +589,7 @@ pub fn run_client_server(
     let server = n; // extra node
     let state_bytes = state_len(&trace.frames[0].states[0]);
     let mut net: SimNetwork<Update> = SimNetwork::new(n + 1, latency, loss_rate, seed);
-    let mut metrics = Metrics::new("client-server");
+    let mut metrics = Metrics::new();
 
     // Per-frame PVS cache: visibility is symmetric in open space but we
     // store the full per-observer sets; recomputed once per frame rather

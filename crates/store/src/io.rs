@@ -11,8 +11,8 @@
 //!   live in the page cache and die in a crash), shared between handles
 //!   so a test can "reboot" a store against the same media;
 //! * [`FaultDir`] — a wrapper over either that injects deterministic
-//!   faults from a [`FaultSpec`] (`WATCHMEN_STORE_FAULTS`): short
-//!   writes, failed fsyncs, torn replaces, and scripted crash points.
+//!   faults from a [`FaultSpec`]: short writes, failed fsyncs, torn
+//!   replaces, and scripted crash points.
 //!
 //! A crash point in a [`MemDir`] truncates every file's volatile tail to
 //! a pseudo-random surviving prefix (optionally flipping a bit in it —
@@ -41,7 +41,6 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use watchmen_crypto::rng::SplitMix64;
-use watchmen_telemetry::spec;
 
 /// A directory of named, append-oriented files — the store's entire
 /// view of stable storage.
@@ -271,30 +270,22 @@ impl Dir for MemDir {
 // FaultSpec + FaultDir
 // ---------------------------------------------------------------------
 
-/// Deterministic fault plan for a [`FaultDir`], parsed from the
-/// `WATCHMEN_STORE_FAULTS` spec: comma-separated `key=value` entries.
-///
-/// * `seed=<u64>` — RNG stream for every probabilistic draw;
-/// * `short=<permille>` — probability an append writes only a random
-///   prefix of the buffer (the caller sees the short count and loops);
-/// * `fsync_fail=<permille>` — probability a sync returns an error
-///   without making anything durable;
-/// * `torn_replace=<permille>` — probability an atomic replace writes
-///   only a durable *prefix* of the new contents (a broken rename);
-/// * `crash_at=<n>` — crash on the `n`-th I/O operation (1-based,
-///   counting appends, syncs and replaces);
-/// * `flip=0|1` — whether a crash may flip one bit in the torn tail.
+/// Deterministic fault plan for a [`FaultDir`]. A short write hands the
+/// caller a random prefix count (it loops); a failed fsync makes nothing
+/// durable; a torn replace leaves only a durable *prefix* of the new
+/// contents (a broken rename).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
     /// RNG seed for every probabilistic draw.
     pub seed: u64,
-    /// Short-write probability, in permille.
+    /// Short-write probability, in permille (1000 = always).
     pub short_permille: u32,
     /// Failed-fsync probability, in permille.
     pub fsync_fail_permille: u32,
     /// Torn-replace probability, in permille.
     pub torn_replace_permille: u32,
-    /// Crash on this I/O operation (0 = never).
+    /// Crash on this I/O operation (1-based, counting appends, syncs
+    /// and replaces; 0 = never).
     pub crash_at_op: u64,
     /// Whether crashes may flip a bit in the surviving torn tail.
     pub flip_bits: bool,
@@ -310,50 +301,6 @@ impl Default for FaultSpec {
             crash_at_op: 0,
             flip_bits: false,
         }
-    }
-}
-
-impl FaultSpec {
-    /// Parses a comma-separated spec (see the type docs for keys).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed or unknown entry.
-    pub fn from_spec(spec: &str) -> Result<Self, String> {
-        let mut out = FaultSpec::default();
-        for pair in spec::pairs(spec) {
-            let (key, value) = pair?;
-            match key {
-                "seed" => out.seed = spec::num(key, value)?,
-                "short" => out.short_permille = spec::num(key, value)?,
-                "fsync_fail" => out.fsync_fail_permille = spec::num(key, value)?,
-                "torn_replace" => out.torn_replace_permille = spec::num(key, value)?,
-                "crash_at" => out.crash_at_op = spec::num(key, value)?,
-                "flip" => out.flip_bits = spec::num::<u64>(key, value)? != 0,
-                other => return Err(format!("unknown store fault knob {other:?}")),
-            }
-        }
-        for (name, p) in [
-            ("short", out.short_permille),
-            ("fsync_fail", out.fsync_fail_permille),
-            ("torn_replace", out.torn_replace_permille),
-        ] {
-            if p > 1000 {
-                return Err(format!("{name} permille {p} exceeds 1000"));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Reads `WATCHMEN_STORE_FAULTS`; `None` when unset or empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variable is set but malformed — a misspelled fault
-    /// plan must fail loudly, not silently run an un-faulted store.
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        spec::from_env("WATCHMEN_STORE_FAULTS", Self::from_spec)
     }
 }
 
@@ -513,24 +460,6 @@ mod tests {
         let mut b = dir.clone();
         a.append("wal", b"xy").expect("append");
         assert_eq!(b.read("wal").expect("read").expect("exists"), b"xy");
-    }
-
-    #[test]
-    fn fault_spec_parses_and_rejects_junk() {
-        let spec = FaultSpec::from_spec("seed=9,short=50,fsync_fail=10,crash_at=7,flip=1")
-            .expect("valid spec");
-        assert_eq!(spec.seed, 9);
-        assert_eq!(spec.short_permille, 50);
-        assert_eq!(spec.fsync_fail_permille, 10);
-        assert_eq!(spec.crash_at_op, 7);
-        assert!(spec.flip_bits);
-        assert!(FaultSpec::from_spec("short").is_err(), "missing value");
-        assert!(FaultSpec::from_spec("bogus=1").is_err(), "unknown knob");
-        assert!(FaultSpec::from_spec("short=abc").is_err(), "bad number");
-        assert!(FaultSpec::from_spec("short=1001").is_err(), "permille out of range");
-        // 2^32 + 1000: a u64 parse cast to u32 wrapped this to a valid 1000.
-        assert!(FaultSpec::from_spec("short=4294968296").is_err(), "must not wrap into range");
-        assert_eq!(FaultSpec::from_spec("").expect("empty is defaults"), FaultSpec::default());
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   ([`StorePolicy`]);
 //! * [`io`] — the [`Dir`] storage abstraction: a real directory
 //!   ([`FsDir`]), an in-memory crash-simulating one ([`MemDir`]), and a
-//!   deterministic fault-injection shim ([`FaultDir`]) driven by
-//!   `WATCHMEN_STORE_FAULTS`;
+//!   deterministic fault-injection shim ([`FaultDir`]) scripted by a
+//!   [`FaultSpec`];
 //! * [`store`] — the [`ReputationStore`] facade: stage, commit
 //!   (append + fsync, *then* ack), compact, recover.
 //!

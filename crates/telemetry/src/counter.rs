@@ -97,11 +97,6 @@ impl Gauge {
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    /// Resets to zero.
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]

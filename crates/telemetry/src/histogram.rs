@@ -217,17 +217,6 @@ impl Histogram {
         self.min.fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
         self.max.fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
     }
-
-    /// Clears all recorded data.
-    pub fn reset(&self) {
-        for b in self.buckets.iter() {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Maps a scaled value to its bucket: identity below `SUB`, then 32
@@ -408,14 +397,5 @@ mod tests {
         assert_eq!(b.count(), 1);
         assert!((b.min() - 7.0).abs() < 1e-9);
         assert!((b.max() - 7.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let h = Histogram::new();
-        h.record(5.0);
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert!(h.nonzero_buckets().is_empty());
     }
 }

@@ -31,8 +31,7 @@
 //! fires, [`FlightRecorder::dump`] snapshots the events touching the
 //! offending trace or player into a [`FlightDump`] report, and
 //! [`causal_chain`] stitches one message's origin → proxy → subscriber
-//! journey across several nodes' recorders. [`TraceMode::from_env`]
-//! parses the `WATCHMEN_TRACE` toggle (`dump` or `chrome:<path>`).
+//! journey across several nodes' recorders.
 //!
 //! # Exporters
 //!
@@ -40,17 +39,14 @@
 //! text exposition format — the workspace's one metrics format.
 //! [`export::chrome_trace`] renders flight-recorder events as a Chrome
 //! `trace_event` JSON document loadable in `chrome://tracing` or
-//! Perfetto. [`dump_from_env`] is the shared end-of-run hook every
-//! example and bench calls to honor the `WATCHMEN_TELEMETRY` knob
-//! uniformly, and [`spec`] is the one `key=value,…` grammar the
-//! `WATCHMEN_*` spec variables parse with. [`report::Report`] is the one
-//! run report every driver prints, records (`BENCH_<name>.json`) and
-//! gates through.
+//! Perfetto. [`report::Report`] is the one run report every driver
+//! prints, records (`BENCH_<name>.json`) and gates through.
 //!
 //! For *live* visibility — watching a fleet mid-run rather than reading
 //! a dump after it exits — [`serve::MetricsServer`] is a `std`-only HTTP
 //! scrape endpoint (`/metrics`, `/healthz`) on a background thread,
-//! enabled by the `WATCHMEN_METRICS_ADDR` knob.
+//! enabled by the `WATCHMEN_METRICS_ADDR` knob (and held up after the
+//! run for `WATCHMEN_METRICS_HOLD_MS`).
 //!
 //! # Examples
 //!
@@ -77,7 +73,7 @@
 //! # Conventions
 //!
 //! Metric names are `snake_case`, prefixed by the owning layer
-//! (`node_`, `proxy_`, `net_`, `udp_`, `sim_`), with `_total` for
+//! (`node_`, `proxy_`, `net_`, `udp_`), with `_total` for
 //! counters and a unit suffix (`_ms`, `_bytes`, `_kbps`) for histograms.
 //! The Prometheus exporter renames `_ms` metrics to the base-unit
 //! `_seconds` form (values scaled) so scrapes conform to Prometheus
@@ -96,7 +92,6 @@ mod recorder;
 mod registry;
 pub mod report;
 pub mod serve;
-pub mod spec;
 mod timer;
 pub mod trace;
 
@@ -106,7 +101,7 @@ pub use recorder::{FlightDump, FlightRecorder, SpanGuard, DEFAULT_CAPACITY};
 pub use registry::{MetricValue, Registry, Snapshot, SnapshotEntry};
 pub use serve::MetricsServer;
 pub use timer::{time, FrameTimer};
-pub use trace::{causal_chain, EventKind, Phase, TraceEvent, TraceId, TraceMode};
+pub use trace::{causal_chain, EventKind, Phase, TraceEvent, TraceId};
 
 use std::sync::OnceLock;
 
@@ -126,35 +121,4 @@ use std::sync::OnceLock;
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
-}
-
-/// Dumps the [`global`] registry to stdout as Prometheus text exposition
-/// when the `WATCHMEN_TELEMETRY` env knob is set to any non-empty value
-/// (conventionally `prom`). Returns whether a dump was printed.
-///
-/// This is the one shared final-snapshot hook: every example and bench
-/// driver calls it at exit, so the knob behaves identically across the
-/// workspace instead of each driver hand-rolling (or forgetting) it.
-///
-/// # Examples
-///
-/// ```
-/// // Nothing is printed when the knob is unset.
-/// if std::env::var("WATCHMEN_TELEMETRY").is_err() {
-///     assert!(!watchmen_telemetry::dump_from_env("doc"));
-/// }
-/// ```
-pub fn dump_from_env(label: &str) -> bool {
-    match std::env::var("WATCHMEN_TELEMETRY") {
-        Ok(mode) if !mode.trim().is_empty() => {
-            let registry = global();
-            println!("--- telemetry ({label}) ---");
-            print!(
-                "{}",
-                export::prometheus_text_with_help(&registry.snapshot(), &|n| registry.help_for(n))
-            );
-            true
-        }
-        _ => false,
-    }
 }

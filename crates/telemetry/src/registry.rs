@@ -322,18 +322,6 @@ impl Registry {
             self.describe(name, text);
         }
     }
-
-    /// Zeroes every registered metric (between experiment runs).
-    pub fn reset_all(&self) {
-        let map = self.metrics.read().expect("telemetry lock");
-        for entry in map.values() {
-            match entry {
-                Entry::Counter(c) => c.reset(),
-                Entry::Gauge(g) => g.reset(),
-                Entry::Histogram(h) => h.reset(),
-            }
-        }
-    }
 }
 
 fn kind_name(e: &Entry) -> &'static str {
@@ -457,18 +445,5 @@ mod tests {
             snap.get_with("verdicts_total", &[("check", "position"), ("shard", "7")]),
             Some(&MetricValue::Counter(5))
         );
-    }
-
-    #[test]
-    fn reset_all_zeroes_everything() {
-        let r = Registry::new();
-        r.counter("c_total").add(5);
-        r.histogram("h_ms").record(1.0);
-        r.reset_all();
-        assert_eq!(r.snapshot().counter_sum("c_total"), 0);
-        match r.snapshot().get("h_ms") {
-            Some(MetricValue::Histogram { count, .. }) => assert_eq!(*count, 0),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 }

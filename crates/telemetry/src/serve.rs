@@ -21,7 +21,8 @@
 //! registry or a merged per-shard view rebuilt on every scrape (what
 //! `watchmen-fleet` does). Drivers enable it with the `WATCHMEN_METRICS_ADDR` env knob
 //! ([`MetricsServer::from_env`], e.g. `127.0.0.1:9464`, port `0` for an
-//! ephemeral port).
+//! ephemeral port); `WATCHMEN_METRICS_HOLD_MS` keeps it up that long
+//! after the run ([`MetricsServer::hold_then_stop`]).
 //!
 //! # Examples
 //!
@@ -72,6 +73,7 @@ const IO_TIMEOUT: Duration = Duration::from_secs(2);
 /// and joins the background thread.
 pub struct MetricsServer {
     addr: SocketAddr,
+    hold: Duration,
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
 }
@@ -99,22 +101,37 @@ impl MetricsServer {
             .name("watchmen-metrics".into())
             .spawn(move || accept_loop(&listener, &stop_flag, &source, &help))
             .expect("spawn metrics thread");
-        Ok(MetricsServer { addr: local, stop, handle: Some(handle) })
+        Ok(MetricsServer { addr: local, hold: Duration::ZERO, stop, handle: Some(handle) })
     }
 
     /// Starts a server on `WATCHMEN_METRICS_ADDR` when the knob is set
-    /// and non-empty; `Ok(None)` when unset.
+    /// and non-empty, to be held up for `WATCHMEN_METRICS_HOLD_MS`
+    /// (default 0) by [`MetricsServer::hold_then_stop`]; `Ok(None)` when
+    /// the address is unset.
     ///
     /// # Errors
     ///
-    /// Returns the bind error when the knob names an unusable address —
-    /// an explicitly requested endpoint that cannot come up should fail
-    /// the run, not silently vanish.
+    /// Names the knob when the address is unusable or the hold is not a
+    /// whole number of milliseconds — an explicitly requested endpoint
+    /// that cannot come up as asked should fail the run, not silently
+    /// vanish.
     pub fn from_env(source: SnapshotSource, help: HelpSource) -> io::Result<Option<Self>> {
-        match std::env::var("WATCHMEN_METRICS_ADDR") {
-            Ok(addr) if !addr.trim().is_empty() => Self::bind(addr.trim(), source, help).map(Some),
-            _ => Ok(None),
-        }
+        let addr = match std::env::var("WATCHMEN_METRICS_ADDR") {
+            Ok(addr) if !addr.trim().is_empty() => addr,
+            _ => return Ok(None),
+        };
+        let hold = parse_hold(std::env::var("WATCHMEN_METRICS_HOLD_MS").ok().as_deref())?;
+        let mut server = Self::bind(addr.trim(), source, help).map_err(|e| {
+            io::Error::new(e.kind(), format!("WATCHMEN_METRICS_ADDR={addr:?}: {e}"))
+        })?;
+        server.hold = hold;
+        Ok(Some(server))
+    }
+
+    /// Keeps serving for the hold [`MetricsServer::from_env`] read, for
+    /// scrapers that want the settled final snapshot, then stops.
+    pub fn hold_then_stop(self) {
+        thread::sleep(self.hold);
     }
 
     /// The bound address — the real port when the knob asked for `:0`.
@@ -130,6 +147,19 @@ impl Drop for MetricsServer {
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
+    }
+}
+
+/// A `WATCHMEN_METRICS_HOLD_MS` value: unset or blank is no hold.
+fn parse_hold(value: Option<&str>) -> io::Result<Duration> {
+    match value.map(str::trim) {
+        None | Some("") => Ok(Duration::ZERO),
+        Some(ms) => ms.parse().map(Duration::from_millis).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("WATCHMEN_METRICS_HOLD_MS={ms:?} is not a whole number of milliseconds"),
+            )
+        }),
     }
 }
 
@@ -265,6 +295,18 @@ mod tests {
         let server = server_for(Arc::new(Registry::new()));
         let out = scrape(server.local_addr(), "POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(out.starts_with("HTTP/1.1 405"), "{out}");
+    }
+
+    #[test]
+    fn hold_is_whole_milliseconds_or_an_error() {
+        assert_eq!(parse_hold(None).expect("unset"), Duration::ZERO);
+        assert_eq!(parse_hold(Some(" ")).expect("blank"), Duration::ZERO);
+        assert_eq!(parse_hold(Some("2000")).expect("ms"), Duration::from_millis(2000));
+        for junk in ["2s", "-5", "1.5", "lots"] {
+            let e = parse_hold(Some(junk)).expect_err(junk);
+            assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+            assert!(e.to_string().contains("WATCHMEN_METRICS_HOLD_MS"), "{e}");
+        }
     }
 
     #[test]

@@ -260,47 +260,6 @@ pub fn causal_chain(recorders: &[&crate::FlightRecorder], id: TraceId) -> Vec<Tr
     events
 }
 
-/// How tracing output was requested via the `WATCHMEN_TRACE` environment
-/// variable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceMode {
-    /// Variable unset or unrecognized: no trace output.
-    Off,
-    /// `WATCHMEN_TRACE=dump` — print flight-recorder dumps on violations.
-    Dump,
-    /// `WATCHMEN_TRACE=chrome:<path>` — write a Chrome `trace_event` JSON
-    /// file (loadable in `chrome://tracing` / Perfetto) to `path`.
-    Chrome(String),
-}
-
-impl TraceMode {
-    /// Parses `WATCHMEN_TRACE` from the environment.
-    #[must_use]
-    pub fn from_env() -> TraceMode {
-        match std::env::var("WATCHMEN_TRACE") {
-            Ok(v) => TraceMode::parse(&v),
-            Err(_) => TraceMode::Off,
-        }
-    }
-
-    /// Parses a `WATCHMEN_TRACE` value (`dump` or `chrome:<path>`).
-    #[must_use]
-    pub fn parse(value: &str) -> TraceMode {
-        let v = value.trim();
-        if v.eq_ignore_ascii_case("dump") {
-            TraceMode::Dump
-        } else if let Some(path) = v.strip_prefix("chrome:") {
-            if path.is_empty() {
-                TraceMode::Off
-            } else {
-                TraceMode::Chrome(path.to_owned())
-            }
-        } else {
-            TraceMode::Off
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,16 +283,6 @@ mod tests {
     fn display_is_16_hex_digits() {
         assert_eq!(format!("{}", TraceId::NONE).len(), 16);
         assert_eq!(format!("{}", TraceId::from_origin_seq(1, 1)).len(), 16);
-    }
-
-    #[test]
-    fn trace_mode_parsing() {
-        assert_eq!(TraceMode::parse("dump"), TraceMode::Dump);
-        assert_eq!(TraceMode::parse("DUMP"), TraceMode::Dump);
-        assert_eq!(TraceMode::parse("chrome:/tmp/t.json"), TraceMode::Chrome("/tmp/t.json".into()));
-        assert_eq!(TraceMode::parse("chrome:"), TraceMode::Off);
-        assert_eq!(TraceMode::parse(""), TraceMode::Off);
-        assert_eq!(TraceMode::parse("bogus"), TraceMode::Off);
     }
 
     #[test]

@@ -156,10 +156,9 @@ queue_depth -2
     assert_eq!(text, expected);
 }
 
-/// A counter survives a snapshot (snapshots are copies, not drains) and
-/// `reset_all` really zeroes live handles.
+/// A counter survives a snapshot: snapshots are copies, not drains.
 #[test]
-fn snapshots_copy_and_reset_zeroes() {
+fn snapshots_copy() {
     let r = Registry::new();
     let c = r.counter("events_total");
     c.add(5);
@@ -168,9 +167,4 @@ fn snapshots_copy_and_reset_zeroes() {
     let snap2 = r.snapshot();
     assert_eq!(snap1.counter_sum("events_total"), 5);
     assert_eq!(snap2.counter_sum("events_total"), 10);
-    r.reset_all();
-    assert_eq!(r.snapshot().counter_sum("events_total"), 0);
-    // The live handle still works after reset.
-    c.inc();
-    assert_eq!(r.snapshot().counter_sum("events_total"), 1);
 }

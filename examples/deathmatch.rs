@@ -14,8 +14,9 @@
 //! Set `WATCHMEN_TRACE=dump` to print the violation dumps in full, or
 //! `WATCHMEN_TRACE=chrome:<path>` to additionally write a merged Chrome
 //! `trace_event` JSON (load it at `ui.perfetto.dev` or
-//! `chrome://tracing`). Set `WATCHMEN_METRICS_ADDR=127.0.0.1:9464` to
-//! serve the global registry live on `/metrics` while the match runs
+//! `chrome://tracing`); any other value but `off` exits 2. Set
+//! `WATCHMEN_METRICS_ADDR=127.0.0.1:9464` to serve the global registry
+//! live on `/metrics` while the match runs
 //! (`WATCHMEN_METRICS_HOLD_MS=<ms>` keeps it up after the final
 //! snapshot). The control-plane soak runs under
 //! `sim::scenario::default_fault_plan`.
@@ -34,7 +35,7 @@ use watchmen::sim::overlay::run_watchmen;
 use watchmen::sim::scenario;
 use watchmen::sim::workload::speed_hack;
 use watchmen::telemetry::{
-    causal_chain, export, global, FlightDump, FlightRecorder, MetricValue, MetricsServer, TraceMode,
+    causal_chain, export, global, FlightDump, FlightRecorder, MetricValue, MetricsServer,
 };
 use watchmen::world::{maps, GameMap};
 
@@ -54,6 +55,10 @@ fn main() {
     if players < 2 {
         usage_error("players must be >= 2");
     }
+    let trace_mode = match std::env::var("WATCHMEN_TRACE") {
+        Err(_) => TraceMode::Off,
+        Ok(v) => TraceMode::parse(&v).unwrap_or_else(|e| usage_error(&e)),
+    };
 
     // The live scrape endpoint over the process-wide registry, when
     // WATCHMEN_METRICS_ADDR asks for one.
@@ -63,7 +68,7 @@ fn main() {
     ) {
         Ok(server) => server,
         Err(e) => {
-            eprintln!("failed to bind WATCHMEN_METRICS_ADDR: {e}");
+            eprintln!("metrics endpoint failed: {e}");
             std::process::exit(1);
         }
     };
@@ -164,7 +169,7 @@ fn main() {
          (signatures, proxies, handoffs; p2 speed-hacks, p1 replays)…"
     );
     let (recorders, dumps) = run_secured_segment(&trace, &map, cluster_size, cluster_frames);
-    report_violations(&recorders, &dumps);
+    report_violations(&recorders, &dumps, &trace_mode);
 
     // --- The scripted soaks: 16 honest secured nodes over a faulted
     // simnet, first under burst loss, duplication, reordering and a proxy
@@ -186,15 +191,6 @@ fn main() {
     println!("\ntelemetry highlights:");
     println!("  proxy handoffs sent:       {}", snap.counter_sum("proxy_handoffs_total"));
     println!("  network messages dropped:  {}", snap.counter_sum("net_messages_dropped_total"));
-    println!("  updates delivered:         {}", snap.counter_sum("sim_updates_delivered_total"));
-    if let Some(MetricValue::Histogram { count, p50, p90, p99, max, .. }) =
-        snap.get_with("sim_player_up_kbps", &[("arch", "watchmen")])
-    {
-        println!(
-            "  per-player upload kbps:    p50 {p50:.1}  p90 {p90:.1}  p99 {p99:.1}  \
-             max {max:.1}  ({count} players)"
-        );
-    }
     if let Some(MetricValue::Histogram { count, p50, p99, .. }) = snap.get("node_tick_duration_ms")
     {
         println!("  node tick ms:              p50 {p50:.3}  p99 {p99:.3}  ({count} ticks)");
@@ -203,15 +199,39 @@ fn main() {
     println!("\nfull snapshot (Prometheus text format):");
     print!("{}", export::prometheus_text_with_help(&snap, &|n| global().help_for(n)));
 
-    // Keep the endpoint up for scrapers that want the settled snapshot.
-    if metrics_server.is_some() {
-        if let Ok(ms) = std::env::var("WATCHMEN_METRICS_HOLD_MS") {
-            if let Ok(ms) = ms.trim().parse::<u64>() {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-            }
+    if let Some(server) = metrics_server {
+        server.hold_then_stop();
+    }
+}
+
+/// What `WATCHMEN_TRACE` asks the secured segment to write.
+#[derive(Debug, PartialEq, Eq)]
+enum TraceMode {
+    /// Unset, blank or `off`: the dumps' one-line summaries only.
+    Off,
+    /// `dump`: every flight-recorder dump in full.
+    Dump,
+    /// `chrome:<path>`: also every node's events as one Chrome
+    /// `trace_event` JSON file at `path`.
+    Chrome(String),
+}
+
+impl TraceMode {
+    /// Parses a `WATCHMEN_TRACE` value; anything else is an error that
+    /// names the variable, so a typo cannot quietly turn tracing off.
+    fn parse(value: &str) -> Result<TraceMode, String> {
+        let v = value.trim();
+        if v.is_empty() || v.eq_ignore_ascii_case("off") {
+            return Ok(TraceMode::Off);
+        }
+        if v.eq_ignore_ascii_case("dump") {
+            return Ok(TraceMode::Dump);
+        }
+        match v.strip_prefix("chrome:") {
+            Some(path) if !path.is_empty() => Ok(TraceMode::Chrome(path.to_owned())),
+            _ => Err(format!("WATCHMEN_TRACE={value:?} is not off, dump or chrome:<path>")),
         }
     }
-    drop(metrics_server);
 }
 
 /// Rejects malformed CLI input loudly: silently soaking the default
@@ -288,7 +308,7 @@ fn run_secured_segment(
 /// violations: a summary per dump, the cross-node causal chain of the
 /// first position violation, and — per `WATCHMEN_TRACE` — either the full
 /// dumps (`dump`) or a merged Chrome trace file (`chrome:<path>`).
-fn report_violations(recorders: &[Arc<FlightRecorder>], dumps: &[FlightDump]) {
+fn report_violations(recorders: &[Arc<FlightRecorder>], dumps: &[FlightDump], mode: &TraceMode) {
     println!("\nflight-recorder violations captured: {}", dumps.len());
     for d in dumps.iter().take(6) {
         println!(
@@ -314,7 +334,7 @@ fn report_violations(recorders: &[Arc<FlightRecorder>], dumps: &[FlightDump]) {
         }
     }
 
-    match TraceMode::from_env() {
+    match mode {
         TraceMode::Off => {
             println!("\n(set WATCHMEN_TRACE=dump or chrome:<path> for full trace output)");
         }
@@ -330,13 +350,34 @@ fn report_violations(recorders: &[Arc<FlightRecorder>], dumps: &[FlightDump]) {
             }
             events.sort_by_key(|e| e.at_us);
             let json = export::chrome_trace(&events);
-            match std::fs::write(&path, &json) {
+            match std::fs::write(path, &json) {
                 Ok(()) => println!(
                     "\nwrote {} trace events to {path} (load at ui.perfetto.dev)",
                     events.len()
                 ),
                 Err(e) => eprintln!("\nfailed to write chrome trace to {path}: {e}"),
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::TraceMode;
+
+    #[test]
+    fn trace_mode_parsing() {
+        assert_eq!(TraceMode::parse("dump"), Ok(TraceMode::Dump));
+        assert_eq!(TraceMode::parse("DUMP"), Ok(TraceMode::Dump));
+        assert_eq!(
+            TraceMode::parse("chrome:/tmp/t.json"),
+            Ok(TraceMode::Chrome("/tmp/t.json".into()))
+        );
+        assert_eq!(TraceMode::parse(""), Ok(TraceMode::Off));
+        assert_eq!(TraceMode::parse("off"), Ok(TraceMode::Off));
+        for junk in ["bogus", "chrome:", "chrom:/x"] {
+            let e = TraceMode::parse(junk).expect_err(junk);
+            assert!(e.contains("WATCHMEN_TRACE"), "{e}");
         }
     }
 }

@@ -19,7 +19,10 @@
 //!   find the bound port. `WATCHMEN_METRICS_HOLD_MS=<ms>` keeps the
 //!   endpoint up that long after the summary, for scrapers that want a
 //!   settled final snapshot. The scrape carries the pool's per-shard
-//!   `fleet_*` metrics and the matches' `node_*` metrics.
+//!   `fleet_*` metrics and the process-wide `node_*` and `net_*`
+//!   metrics, counted since the process started — with
+//!   `WATCHMEN_BENCH_OUT` set they include the plane-overhead probe's
+//!   extra fleets.
 //! * `WATCHMEN_AUDIT=<path>` retains each match's verdict audit stream
 //!   and writes the fleet's as JSONL; the stream is byte-identical across
 //!   worker counts for a fixed seed.
@@ -88,7 +91,7 @@ fn main() {
     let server = match server {
         Ok(server) => server,
         Err(e) => {
-            eprintln!("failed to bind WATCHMEN_METRICS_ADDR: {e}");
+            eprintln!("metrics endpoint failed: {e}");
             std::process::exit(1);
         }
     };
@@ -173,15 +176,9 @@ fn main() {
         .and_then(|()| report::save("detection", std::slice::from_ref(&detection)));
     failure = fleet.check().and(detection.check()).and(saved).err().or(failure);
 
-    // Keep the endpoint up for scrapers that want the settled snapshot.
-    if server.is_some() {
-        if let Ok(ms) = std::env::var("WATCHMEN_METRICS_HOLD_MS") {
-            if let Ok(ms) = ms.trim().parse::<u64>() {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-            }
-        }
+    if let Some(server) = server {
+        server.hold_then_stop();
     }
-    drop(server);
 
     if let Some(why) = failure {
         eprintln!("fleet soak FAILED: {why}");

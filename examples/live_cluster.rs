@@ -10,14 +10,10 @@
 //! cargo run --release --example live_cluster [players] [frames]
 //! ```
 //!
-//! Defaults: 6 players, 240 frames. Knobs:
-//!
-//! * `WATCHMEN_LIVE_SEED` — workload/key/schedule seed (default 2013)
-//! * `WATCHMEN_LIVE_PACE_MS` — real milliseconds per protocol frame
-//!   (default 10; the protocol's own constants stay in frames, so pacing
-//!   only scales wall clock)
-//! * `WATCHMEN_LIVE_CHEATER` — player index scripted to speed-hack
-//!   (default 2)
+//! Defaults: 6 players, 240 frames. The workload, keys and schedule
+//! come from seed [`SEED`], each protocol frame takes [`PACE_MS`] real
+//! milliseconds (the protocol's own constants stay in frames, so pacing
+//! only scales wall clock), and player [`CHEATER`] speed-hacks.
 //!
 //! The parent prints one `live summary:` report and exits non-zero
 //! unless its gate holds: every process completed, the cheater (and
@@ -44,7 +40,8 @@
 //! child that has already exited, with its exit status.
 //! `WATCHMEN_LIVE_DIE=<index>` makes that node exit with status 7 right
 //! after `ADDR`; ci.sh runs it and requires the abort to name that node
-//! and status.
+//! and status. A value that is not a player index exits 2 before any
+//! node starts.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
@@ -73,36 +70,30 @@ fn node_title(index: usize) -> String {
     format!("node {index} result")
 }
 
-struct Knobs {
+/// Seeds the workload trace, the keys and the proxy schedule.
+const SEED: u64 = 2013;
+
+/// Real milliseconds per protocol frame.
+const PACE_MS: u64 = 10;
+
+/// The player scripted to speed-hack.
+const CHEATER: u32 = 2;
+
+/// The match every process plays.
+struct Shape {
     players: usize,
     frames: u64,
-    seed: u64,
-    cheater: u32,
-    pace_ms: u64,
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
-}
-
-fn knobs_from_env(players: usize, frames: u64) -> Knobs {
-    Knobs {
-        players,
-        frames,
-        seed: env_u64("WATCHMEN_LIVE_SEED", 2013),
-        cheater: env_u64("WATCHMEN_LIVE_CHEATER", 2) as u32,
-        pace_ms: env_u64("WATCHMEN_LIVE_PACE_MS", 10),
-    }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("__node") {
-        // Child mode: `__node <index> <players> <frames>`.
+        // Child mode: `__node <index> <players> <frames> [die]`.
         let index: usize = args[1].parse().expect("child index");
         let players: usize = args[2].parse().expect("child players");
         let frames: u64 = args[3].parse().expect("child frames");
-        run_node(index, knobs_from_env(players, frames));
+        let die = args.get(4).is_some_and(|a| a == "die");
+        run_node(index, Shape { players, frames }, die);
         return;
     }
 
@@ -120,11 +111,14 @@ fn main() {
     if players < 3 {
         usage_error("players must be >= 3 (a cheater needs an honest proxy and witnesses)");
     }
-    let knobs = knobs_from_env(players, frames);
-    if knobs.cheater as usize >= players {
-        usage_error("WATCHMEN_LIVE_CHEATER must be a player index");
-    }
-    run_parent(&knobs);
+    let die = match std::env::var("WATCHMEN_LIVE_DIE") {
+        Err(_) => None,
+        Ok(v) => match v.trim().parse::<usize>() {
+            Ok(index) if index < players => Some(index),
+            _ => usage_error(&format!("WATCHMEN_LIVE_DIE={v:?} is not a player index")),
+        },
+    };
+    run_parent(Shape { players, frames }, die);
 }
 
 fn usage_error(reason: &str) -> ! {
@@ -245,23 +239,25 @@ fn spawn_reader(stdout: ChildStdout) -> mpsc::Receiver<String> {
     rx
 }
 
-/// Spawns the child fleet, runs the rendezvous, aggregates the results
-/// and prints the `live summary:` gate line.
-fn run_parent(knobs: &Knobs) {
+/// Spawns the child fleet (node `die`, if any, told to crash after
+/// `ADDR`), runs the rendezvous, aggregates the results and prints the
+/// `live summary:` gate line.
+fn run_parent(shape: Shape, die: Option<usize>) {
     let exe = std::env::current_exe().expect("own executable path");
     println!(
         "spawning {} node processes on loopback ({} frames + {DRAIN_FRAMES} drain, \
-         {}ms/frame, p{} speed-hacks)…",
-        knobs.players, knobs.frames, knobs.pace_ms, knobs.cheater
+         {PACE_MS}ms/frame, p{CHEATER} speed-hacks)…",
+        shape.players, shape.frames
     );
 
-    let mut children: Vec<Node> = (0..knobs.players)
+    let mut children: Vec<Node> = (0..shape.players)
         .map(|i| {
             let mut child = Command::new(&exe)
                 .arg("__node")
                 .arg(i.to_string())
-                .arg(knobs.players.to_string())
-                .arg(knobs.frames.to_string())
+                .arg(shape.players.to_string())
+                .arg(shape.frames.to_string())
+                .args((die == Some(i)).then_some("die"))
                 .stdin(Stdio::piped())
                 .stdout(Stdio::piped())
                 .spawn()
@@ -298,7 +294,7 @@ fn run_parent(knobs: &Knobs) {
 
     // Collect results. The match length is known exactly, so a node
     // that overruns its own runtime by 30s is wedged, not slow.
-    let match_time = Duration::from_millis(knobs.pace_ms * (knobs.frames + DRAIN_FRAMES));
+    let match_time = Duration::from_millis(PACE_MS * (shape.frames + DRAIN_FRAMES));
     let deadline = started + match_time + Duration::from_secs(30);
     let mut totals = [0u64; NODE_FIGURES.len()];
     let mut completed = 0usize;
@@ -326,14 +322,14 @@ fn run_parent(knobs: &Knobs) {
     println!(
         "match wall clock: {:.2}s across {} processes",
         started.elapsed().as_secs_f64(),
-        knobs.players
+        shape.players
     );
     let [severe, false_verdicts, heartbeats, malformed, truncated, queue_dropped] = totals;
     let summary = Report::new("live summary")
-        .figure("players", knobs.players, true)
-        .figure("frames", knobs.frames, true)
-        .figure("cheater", u64::from(knobs.cheater), true)
-        .figure("completed", completed, completed == knobs.players)
+        .figure("players", shape.players, true)
+        .figure("frames", shape.frames, true)
+        .figure("cheater", u64::from(CHEATER), true)
+        .figure("completed", completed, completed == shape.players)
         .figure("severe", severe, true)
         .figure("detected", severe > 0, severe > 0)
         .figure("false_verdicts", false_verdicts, false_verdicts == 0)
@@ -368,8 +364,9 @@ fn fail(children: &mut [Node], reason: &str) -> ! {
 }
 
 /// One player process: bind, rendezvous, then drive the sans-io core
-/// over real UDP at a fixed frame cadence.
-fn run_node(index: usize, knobs: Knobs) {
+/// over real UDP at a fixed frame cadence — or, when `die`, exit 7
+/// right after `ADDR`.
+fn run_node(index: usize, shape: Shape, die: bool) {
     let stdout = std::io::stdout();
     let stdin = std::io::stdin();
 
@@ -380,7 +377,7 @@ fn run_node(index: usize, knobs: Knobs) {
         writeln!(out, "ADDR {}", transport.local_addr().expect("local addr")).unwrap();
         out.flush().unwrap();
     }
-    if env_u64("WATCHMEN_LIVE_DIE", u64::MAX) == index as u64 {
+    if die {
         // Scripted crash for exercising the parent's rendezvous
         // deadline: die right after ADDR, before ever heartbeating.
         eprintln!("node {index}: WATCHMEN_LIVE_DIE — crashing now");
@@ -392,7 +389,7 @@ fn run_node(index: usize, knobs: Knobs) {
     stdin.lock().read_line(&mut peers_line).expect("PEERS line");
     let addrs: Vec<&str> =
         peers_line.trim().strip_prefix("PEERS ").expect("PEERS prefix").split(' ').collect();
-    assert_eq!(addrs.len(), knobs.players, "address book covers every player");
+    assert_eq!(addrs.len(), shape.players, "address book covers every player");
     for (id, addr) in addrs.iter().enumerate() {
         if id != index {
             transport.register_peer(id as u32, addr.parse().expect("peer addr"));
@@ -401,7 +398,7 @@ fn run_node(index: usize, knobs: Knobs) {
 
     // Confirm mutual reachability: heartbeat until every peer was heard.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while transport.live_peers(u64::MAX) < knobs.players - 1 {
+    while transport.live_peers(u64::MAX) < shape.players - 1 {
         assert!(Instant::now() < deadline, "node {index}: peers never came up");
         transport.beat().expect("heartbeat");
         transport.pump().expect("pump during rendezvous");
@@ -418,15 +415,15 @@ fn run_node(index: usize, knobs: Knobs) {
 
     // Everyone rebuilds the identical deterministic world from the seed:
     // same workload trace, same keys, same proxy schedule.
-    let workload = match_workload(knobs.players, knobs.seed, knobs.frames);
+    let workload = match_workload(shape.players, SEED, shape.frames);
     let keys: Vec<Keypair> =
-        (0..knobs.players).map(|i| Keypair::generate(knobs.seed ^ i as u64)).collect();
+        (0..shape.players).map(|i| Keypair::generate(SEED ^ i as u64)).collect();
     let directory: Vec<_> = keys.iter().map(Keypair::public).collect();
     let mut core = ProtocolCore::new(WatchmenNode::new(
         PlayerId(index as u32),
         keys[index].clone(),
         directory,
-        knobs.seed,
+        SEED,
         WatchmenConfig::default(),
         workload.map.clone(),
         PhysicsConfig::default(),
@@ -437,7 +434,7 @@ fn run_node(index: usize, knobs: Knobs) {
         for e in events {
             if let NodeEvent::Suspicion { subject, rating, .. } = e {
                 if rating.is_suspicious() {
-                    if subject.0 == knobs.cheater {
+                    if subject.0 == CHEATER {
                         *severe += 1;
                     } else {
                         *false_verdicts += 1;
@@ -447,9 +444,9 @@ fn run_node(index: usize, knobs: Knobs) {
         }
     };
 
-    let pace = Duration::from_millis(knobs.pace_ms);
+    let pace = Duration::from_millis(PACE_MS);
     let start = Instant::now();
-    let total = knobs.frames + DRAIN_FRAMES;
+    let total = shape.frames + DRAIN_FRAMES;
     for f in 0..total {
         // Deliver everything the wire brought since the last tick…
         for (sender, bytes) in transport.pump().expect("pump") {
@@ -463,8 +460,8 @@ fn run_node(index: usize, knobs: Knobs) {
         // recorded state (standing still is legal), keeping the proxy
         // streams alive while late verdicts land.
         let mut state =
-            workload.trace.frames[(f as usize).min(knobs.frames as usize - 1)].states[index];
-        if index as u32 == knobs.cheater && f < knobs.frames {
+            workload.trace.frames[(f as usize).min(shape.frames as usize - 1)].states[index];
+        if index as u32 == CHEATER && f < shape.frames {
             speed_hack(&mut state, f);
         }
         let out = core.tick(f, &state);

@@ -112,7 +112,4 @@ fn main() {
         Some(f) => println!("\ncheater banned after {f} frames ({:.1} s of play)", f as f64 * 0.05),
         None => println!("\ncheater escaped detection (unexpected!)"),
     }
-
-    // WATCHMEN_TELEMETRY=prom dumps everything the run recorded.
-    watchmen::telemetry::dump_from_env("lobby_match");
 }

@@ -68,7 +68,4 @@ fn main() {
     let teleport = prev + watchmen::math::Vec3::new(20.0, 0.0, 0.0);
     let score = verifier.check_position(prev, teleport, 1, &map);
     println!("teleporting 20 units in one frame rates {score}/10 (10 = certainly cheating)");
-
-    // WATCHMEN_TELEMETRY=prom dumps everything the run recorded.
-    watchmen::telemetry::dump_from_env("quickstart");
 }

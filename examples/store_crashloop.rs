@@ -4,8 +4,8 @@
 //! cargo run --release --example store_crashloop
 //! ```
 //!
-//! The parent process spawns itself as a child (role selected by
-//! `WATCHMEN_CRASHLOOP_ROLE=child`) working through a deterministic
+//! The parent process spawns itself as a child
+//! (`__child <dir> [<seed> <crash_at>]`) working through a deterministic
 //! stream of report-outcome operations against a [`ReputationStore`]
 //! on a real directory, committing (fsync) after every operation and
 //! logging each *acknowledged* ban to `acked.txt` only after the
@@ -13,11 +13,11 @@
 //!
 //! * **SIGKILL cycles** — the parent kills the child after a random
 //!   few milliseconds, mid-run, with no warning;
-//! * **scripted cycles** — the child runs under
-//!   `WATCHMEN_STORE_FAULTS=crash_at=<n>`, and the fault shim aborts
-//!   the process on exactly the n-th I/O operation (an append, fsync
-//!   or snapshot replace — so crash points land *inside* commit and
-//!   compaction paths deterministically).
+//! * **scripted cycles** — the child runs its store through a
+//!   [`FaultDir`] whose [`FaultSpec`] crashes on the `crash_at`-th I/O
+//!   operation, and the fault shim aborts the process there (an append,
+//!   fsync or snapshot replace — so crash points land *inside* commit
+//!   and compaction paths deterministically).
 //!
 //! After every crash the parent re-opens the store and checks the
 //! contract the store promises:
@@ -36,9 +36,10 @@
 //! fails: any divergence, a stream that did not finish, no ban ever
 //! acknowledged, or no crash ever injected.
 //!
-//! Knobs via `WATCHMEN_CRASHLOOP` (comma-separated `key=value`):
-//! `cycles` (crash cycles before the clean finish, default 8), `ops`
-//! (total operations in the stream, default 3000), `seed`.
+//! The run has one shape: [`CYCLES`] crash cycles before the clean
+//! finish, [`OPS`] operations in the stream, seed [`SEED`]. The store
+//! lives in `WATCHMEN_STORE_DIR` (default: a fresh temporary directory),
+//! emptied at the start.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -48,7 +49,6 @@ use std::time::Duration;
 
 use watchmen::store::{Dir, FaultDir, FaultSpec, FsDir, RepState, ReputationStore, StorePolicy};
 use watchmen::telemetry::report::Report;
-use watchmen::telemetry::spec;
 
 /// Identities in the deterministic stream (first `CHEATERS` cheat).
 const POPULATION: u64 = 32;
@@ -60,33 +60,17 @@ const REPORTS_PER_OP: u64 = 10;
 /// WAL size that triggers compaction inside the child's commit loop.
 const COMPACT_WAL_BYTES: u64 = 8 * 1024;
 
-/// Harness configuration, from `WATCHMEN_CRASHLOOP`.
-#[derive(Clone, Copy)]
-struct Config {
-    cycles: u64,
-    ops: u64,
-    seed: u64,
-}
-
-impl Config {
-    fn from_env() -> Self {
-        let mut out = Config { cycles: 8, ops: 3000, seed: 2013 };
-        let Ok(spec) = std::env::var("WATCHMEN_CRASHLOOP") else { return out };
-        for pair in spec::pairs(&spec) {
-            let (key, value) = pair
-                .and_then(|(key, value)| Ok((key, spec::num::<u64>(key, value)?)))
-                .unwrap_or_else(|e| panic!("WATCHMEN_CRASHLOOP: {e}"));
-            match key {
-                "cycles" => out.cycles = value,
-                "ops" => out.ops = value,
-                "seed" => out.seed = value,
-                other => panic!("WATCHMEN_CRASHLOOP: unknown knob {other:?}"),
-            }
-        }
-        assert!(out.ops > 0, "WATCHMEN_CRASHLOOP: ops must be positive");
-        out
-    }
-}
+/// Crash cycles before the clean final cycle.
+const CYCLES: u64 = 8;
+/// Operations in the deterministic stream.
+const OPS: u64 = 3000;
+/// Seeds the stream, the crash points and the kill delays.
+const SEED: u64 = 2013;
+/// Short-write probability of a scripted cycle, in permille: short
+/// writes let the crash strand a *partial* frame on the real
+/// filesystem (abort alone never tears a completed write), which
+/// recovery must then skip.
+const SHORT_PERMILLE: u32 = 150;
 
 /// SplitMix64-style finalizer — one deterministic draw per operation,
 /// independent of where in the stream a restarted child resumes.
@@ -158,12 +142,16 @@ fn read_acked(dir: &Path) -> Vec<u64> {
 // Child: apply the stream until done or dead
 // ---------------------------------------------------------------------
 
-fn run_child(config: Config) -> ! {
-    let dir_path = std::env::var("WATCHMEN_STORE_DIR").expect("child requires WATCHMEN_STORE_DIR");
-    let fs = FsDir::open(&dir_path).expect("open store dir");
-    let dir: Box<dyn Dir> = match FaultSpec::from_env() {
-        Some(spec) => Box::new(FaultDir::new(fs, spec)),
-        None => Box::new(fs),
+/// The child's arguments after `__child`: `<dir> [<seed> <crash_at>]`,
+/// the fault shim's seed and crash point on a scripted cycle.
+fn run_child(args: &[String]) -> ! {
+    let num = |i: usize| -> u64 { args[i].parse().expect("child fault argument") };
+    let dir_path = &args[0];
+    let fs = FsDir::open(dir_path).expect("open store dir");
+    let dir: Box<dyn Dir> = match args.len() {
+        1 => Box::new(fs),
+        3 => Box::new(FaultDir::new(fs, fault_spec(num(1), num(2)))),
+        n => panic!("child takes a directory and optionally a seed and crash point, got {n} args"),
     };
     let (mut store, report) = match ReputationStore::open(dir, StorePolicy::default()) {
         Ok(opened) => opened,
@@ -174,18 +162,18 @@ fn run_child(config: Config) -> ! {
     };
     let start = ops_applied(store.state());
     eprintln!(
-        "child: recovered {start}/{} ops (snapshot={}, wal_records={}, restaged_bans={})",
-        config.ops, report.snapshot_loaded, report.wal_records, report.restaged_bans,
+        "child: recovered {start}/{OPS} ops (snapshot={}, wal_records={}, restaged_bans={})",
+        report.snapshot_loaded, report.wal_records, report.restaged_bans,
     );
 
     let mut acks = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
-        .open(Path::new(&dir_path).join("acked.txt"))
+        .open(Path::new(dir_path).join("acked.txt"))
         .expect("open ack log");
 
-    for i in start..config.ops {
-        let (identity, ok, failed) = op_record(config.seed, i);
+    for i in start..OPS {
+        let (identity, ok, failed) = op_record(SEED, i);
         store.note_outcome(identity, ok, failed);
         match store.commit_and_maybe_compact(COMPACT_WAL_BYTES) {
             Ok(receipt) => {
@@ -203,7 +191,7 @@ fn run_child(config: Config) -> ! {
             }
         }
     }
-    eprintln!("child: stream complete at op {}", config.ops);
+    eprintln!("child: stream complete at op {OPS}");
     std::process::exit(0);
 }
 
@@ -224,7 +212,7 @@ struct Audit {
 }
 
 /// One recovery audit after a crash (or after the clean finish).
-fn verify(store_dir: &Path, config: Config, acked: &[u64]) -> Audit {
+fn verify(store_dir: &Path, acked: &[u64]) -> Audit {
     let mut divergences = 0u64;
     let mut fail = |what: String| {
         eprintln!("DIVERGENCE: {what}");
@@ -240,7 +228,7 @@ fn verify(store_dir: &Path, config: Config, acked: &[u64]) -> Audit {
         }
     };
     let ops = ops_applied(store.state());
-    let reference = reference_store(config.seed, ops);
+    let reference = reference_store(SEED, ops);
 
     // (1) Counts: the recovered prefix is exactly the replayed prefix.
     if store.state().counts_digest() != reference.state().counts_digest() {
@@ -275,28 +263,33 @@ fn verify(store_dir: &Path, config: Config, acked: &[u64]) -> Audit {
     Audit { ops, divergences, restaged: report.restaged_bans, banned: store.banned_identities() }
 }
 
-fn spawn_child(store_dir: &Path, config: Config, faults: Option<&str>) -> std::process::Child {
+/// The fault plan of a scripted cycle: crash on I/O op `crash_at`,
+/// with short writes drawn from `seed`.
+fn fault_spec(seed: u64, crash_at: u64) -> FaultSpec {
+    FaultSpec {
+        seed,
+        crash_at_op: crash_at,
+        short_permille: SHORT_PERMILLE,
+        ..FaultSpec::default()
+    }
+}
+
+/// Starts a child on `store_dir`, under the fault shim when `faults`
+/// names a `(seed, crash_at)`.
+fn spawn_child(store_dir: &Path, faults: Option<(u64, u64)>) -> std::process::Child {
     let exe = std::env::current_exe().expect("current exe");
     let mut command = Command::new(exe);
-    command
-        .env("WATCHMEN_CRASHLOOP_ROLE", "child")
-        .env("WATCHMEN_STORE_DIR", store_dir)
-        .env(
-            "WATCHMEN_CRASHLOOP",
-            format!("cycles={},ops={},seed={}", config.cycles, config.ops, config.seed),
-        )
-        .stderr(std::process::Stdio::inherit());
-    match faults {
-        Some(spec) => command.env("WATCHMEN_STORE_FAULTS", spec),
-        None => command.env_remove("WATCHMEN_STORE_FAULTS"),
-    };
+    command.arg("__child").arg(store_dir).stderr(std::process::Stdio::inherit());
+    if let Some((seed, crash_at)) = faults {
+        command.arg(seed.to_string()).arg(crash_at.to_string());
+    }
     command.spawn().expect("spawn crashloop child")
 }
 
 fn main() {
-    let config = Config::from_env();
-    if std::env::var("WATCHMEN_CRASHLOOP_ROLE").as_deref() == Ok("child") {
-        run_child(config);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some("__child") {
+        run_child(&args[1..]);
     }
 
     let store_dir: PathBuf =
@@ -308,10 +301,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&store_dir);
     std::fs::create_dir_all(&store_dir).expect("create store dir");
     println!(
-        "crashloop: {} ops over {} identities, {} crash cycles, store at {}…",
-        config.ops,
-        POPULATION,
-        config.cycles,
+        "crashloop: {OPS} ops over {POPULATION} identities, {CYCLES} crash cycles, store at {}…",
         store_dir.display(),
     );
 
@@ -322,23 +312,17 @@ fn main() {
     let mut restaged_total = 0u64;
     let mut progress = String::new();
 
-    for cycle in 0..config.cycles {
+    for cycle in 0..CYCLES {
         let scripted = cycle % 2 == 1;
-        let fault_spec = scripted.then(|| {
-            // Land crash points across the whole commit + compaction
-            // I/O range: ops 10..~500 cover first-commit appends,
-            // fsyncs mid-stream, and snapshot replaces. Short writes
-            // make the crash able to strand a *partial* frame on the
-            // real filesystem (abort alone never tears a completed
-            // write) — recovery must then skip the torn tail.
-            let crash_at = 10 + mix(config.seed ^ cycle) % 490;
-            format!("seed={},crash_at={crash_at},short=150", config.seed ^ cycle)
-        });
-        let mut child = spawn_child(&store_dir, config, fault_spec.as_deref());
+        // Land crash points across the whole commit + compaction I/O
+        // range: ops 10..~500 cover first-commit appends, fsyncs
+        // mid-stream, and snapshot replaces.
+        let faults = scripted.then(|| (SEED ^ cycle, 10 + mix(SEED ^ cycle) % 490));
+        let mut child = spawn_child(&store_dir, faults);
         if !scripted {
             // Random few milliseconds of progress, then SIGKILL with
             // no warning — whatever write was in flight stays torn.
-            let delay = 3 + mix(config.seed ^ (cycle << 32)) % 60;
+            let delay = 3 + mix(SEED ^ (cycle << 32)) % 60;
             std::thread::sleep(Duration::from_millis(delay));
             let _ = child.kill();
         }
@@ -359,15 +343,14 @@ fn main() {
         };
 
         let acked = read_acked(&store_dir);
-        let audit = verify(&store_dir, config, &acked);
+        let audit = verify(&store_dir, &acked);
         divergences += audit.divergences;
         restaged_total += audit.restaged;
         let _ = writeln!(
             progress,
-            "cycle {cycle}: child {outcome} at {}/{} ops, {} acked bans, \
+            "cycle {cycle}: child {outcome} at {}/{OPS} ops, {} acked bans, \
              {} re-staged, {} divergences",
             audit.ops,
-            config.ops,
             acked.len(),
             audit.restaged,
             audit.divergences,
@@ -376,17 +359,17 @@ fn main() {
     print!("{progress}");
 
     // Clean final cycle: no faults, no kill — the stream must finish.
-    let status = spawn_child(&store_dir, config, None).wait().expect("wait for final child");
+    let status = spawn_child(&store_dir, None).wait().expect("wait for final child");
     let completed = status.code() == Some(0);
     if !completed {
         eprintln!("DIVERGENCE: fault-free final cycle did not complete: {status}");
         divergences += 1;
     }
     let acked = read_acked(&store_dir);
-    let audit = verify(&store_dir, config, &acked);
+    let audit = verify(&store_dir, &acked);
     divergences += audit.divergences;
-    if completed && audit.ops != config.ops {
-        eprintln!("DIVERGENCE: final recovery sees {} ops, expected {}", audit.ops, config.ops);
+    if completed && audit.ops != OPS {
+        eprintln!("DIVERGENCE: final recovery sees {} ops, expected {OPS}", audit.ops);
         divergences += 1;
     }
     // Every cheater must end up banned, every honest identity clean.
@@ -406,12 +389,12 @@ fn main() {
     // A final cycle that did not complete already counts as a divergence.
     let crashes = sigkills + aborts;
     let summary = Report::new("crashloop summary")
-        .figure("cycles", config.cycles, true)
+        .figure("cycles", CYCLES, true)
         .figure("sigkills", sigkills, true)
         .figure("aborts", aborts, true)
         .figure("crashes", crashes, crashes > 0)
         .figure("finished_early", clean_exits, true)
-        .figure("ops", audit.ops, audit.ops == config.ops)
+        .figure("ops", audit.ops, audit.ops == OPS)
         .figure("acked_bans", acked.len(), !acked.is_empty())
         .figure("restaged", restaged_total, true)
         .figure("divergences", divergences, divergences == 0);
