@@ -216,8 +216,7 @@ grep -q WATCHMEN_LIVE_DIE <<<"$die_err" ||
 # bytes: run its tests optimised too, so the CRC agreement tests and the
 # columns-vs-map differential check the code the benchmark and the drivers
 # below run. Then hold the docs to their claim: `unsafe` is said in exactly
-# the two modules that call a `#[target_feature]` kernel after detection,
-# and in the one test that counts allocations with a `#[global_allocator]`;
+# the two modules that call a `#[target_feature]` kernel after detection;
 # every driver reports through `telemetry::report::Report` (only a match's
 # pinned per-match line is hand-formatted); keep the node's components
 # (clippy.toml bounds their functions), the codec's and the lobby's files
@@ -232,7 +231,7 @@ grep -q WATCHMEN_LIVE_DIE <<<"$die_err" ||
 echo "==> store unit + golden-bytes + recovery tests (release), unsafe audit"
 cargo test --release -q -p watchmen-store
 unsafe_in=$(grep -rlE 'unsafe[[:space:]]*(\{|fn|impl)' crates src examples tests | sort | tr '\n' ' ' || true)
-[ "$unsafe_in" = "crates/crypto/src/sha256/sha_ni.rs crates/game/tests/trace_decode_alloc.rs crates/store/src/record/clmul.rs " ] ||
+[ "$unsafe_in" = "crates/crypto/src/sha256/sha_ni.rs crates/store/src/record/clmul.rs " ] ||
     { echo "unsafe outside the audited files: $unsafe_in" >&2; exit 1; }
 formats=$(grep -rl 'BenchRecord\|fn summary_line' crates examples tests src | tr '\n' ' ' || true)
 [ "$formats" = "crates/fleet/src/cell.rs " ] || { echo "a second report format: $formats" >&2; exit 1; }

@@ -8,7 +8,6 @@
 //! the required primitives from scratch:
 //!
 //! * [`Sha256`] — FIPS 180-4 SHA-256 (verified against NIST test vectors).
-//! * [`hmac_sha256`] — RFC 2104 HMAC (verified against RFC 4231 vectors).
 //! * [`schnorr`] — Schnorr signatures over a 63-bit safe-prime group,
 //!   yielding 16-byte signatures: the same *size class* as the paper's
 //!   100-bit scheme, with sign/verify costs far below the 50 ms frame
@@ -71,12 +70,10 @@
 #![warn(missing_docs)]
 
 pub mod field;
-mod hmac;
 pub mod rng;
 pub mod schnorr;
 mod sha256;
 
-pub use hmac::hmac_sha256;
 #[doc(hidden)]
 pub use sha256::{compress as sha256_compress, compress_scalar as sha256_compress_scalar};
 pub use sha256::{sha256, Sha256};

@@ -201,8 +201,7 @@ mod tests {
     #[test]
     fn empty_heatmap_degenerate_stats() {
         let map = maps::arena(8, 10.0);
-        let trace =
-            crate::trace::GameTrace { map_name: "x".into(), players: 0, seed: 0, frames: vec![] };
+        let trace = crate::trace::GameTrace { players: 0, frames: vec![] };
         let heat = Heatmap::from_trace(&map, &trace);
         assert_eq!(heat.total(), 0);
         assert_eq!(heat.top_share(0.1), 0.0);

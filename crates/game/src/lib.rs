@@ -13,7 +13,8 @@
 //! * [`bot`] — waypoint/item-seeking bot AI that *generates* the synthetic
 //!   traces (the substitution for human play; bots chase high-value items,
 //!   reproducing Figure 1's presence hotspots).
-//! * [`trace`] — the trace recorder and the [`trace::GameTrace`] format.
+//! * [`trace`] — the trace recorder: a [`trace::GameTrace`] is re-derived
+//!   from its seed, never stored.
 //! * [`heatmap`] — presence heatmaps over the map grid (Figure 1).
 //!
 //! # Examples

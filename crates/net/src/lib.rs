@@ -47,7 +47,6 @@ pub mod latency;
 pub mod live;
 mod simnet;
 pub mod udp;
-pub mod wire;
 
 pub use bandwidth::BandwidthMeter;
 pub use event_queue::EventQueue;

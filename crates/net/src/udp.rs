@@ -31,8 +31,6 @@ use std::sync::Arc;
 
 use watchmen_telemetry::Counter;
 
-use crate::wire::{GetBytes, PutBytes};
-
 /// Maximum payload accepted per frame (fits comfortably in one datagram).
 pub const MAX_PAYLOAD: usize = 1400;
 
@@ -264,10 +262,10 @@ pub fn encode_frame(node_id: u32, payload: &[u8]) -> Vec<u8> {
 /// Appends one frame to `frame`: the layout, written once for
 /// [`encode_frame`] and [`UdpEndpoint::send_to`].
 fn write_frame(frame: &mut Vec<u8>, node_id: u32, payload: &[u8]) {
-    frame.put_u16(MAGIC);
-    frame.put_u32(node_id);
-    frame.put_u16(payload.len() as u16);
-    frame.put_slice(payload);
+    frame.extend_from_slice(&MAGIC.to_be_bytes());
+    frame.extend_from_slice(&node_id.to_be_bytes());
+    frame.extend_from_slice(&(payload.len() as u16).to_be_bytes());
+    frame.extend_from_slice(payload);
 }
 
 /// Parses a frame, returning the sender id and payload, or `None` if
@@ -289,13 +287,13 @@ pub fn parse_frame(data: &[u8]) -> Option<(u32, Vec<u8>)> {
 
 /// The framing check itself, borrowing the payload out of `data`: what
 /// [`parse_frame`] and [`UdpEndpoint::poll_recv`] both classify with.
-fn split_frame(mut data: &[u8]) -> Option<(u32, &[u8])> {
-    if data.len() < HEADER_LEN || data.get_u16() != MAGIC {
+fn split_frame(data: &[u8]) -> Option<(u32, &[u8])> {
+    let ([m0, m1, i0, i1, i2, i3, l0, l1], payload) = data.split_first_chunk::<HEADER_LEN>()?;
+    if u16::from_be_bytes([*m0, *m1]) != MAGIC {
         return None;
     }
-    let id = data.get_u32();
-    let len = data.get_u16() as usize;
-    (data.len() == len).then_some((id, data))
+    let len = u16::from_be_bytes([*l0, *l1]) as usize;
+    (payload.len() == len).then_some((u32::from_be_bytes([*i0, *i1, *i2, *i3]), payload))
 }
 
 #[cfg(test)]
@@ -345,13 +343,9 @@ mod tests {
     fn malformed_frames_discarded() {
         assert!(parse_frame(b"junk").is_none());
         assert!(parse_frame(&[0u8; 8]).is_none());
-        // Correct magic but wrong length field.
-        let mut f = Vec::new();
-        f.put_u16(MAGIC);
-        f.put_u32(1);
-        f.put_u16(10); // claims 10 bytes, provides 2
-        f.put_slice(b"xy");
-        assert!(parse_frame(&f).is_none());
+        // Correct magic and id 1, but the length field claims 10 bytes
+        // and the frame provides 2.
+        assert!(parse_frame(&[0x57, 0x4d, 0, 0, 0, 1, 0, 10, b'x', b'y']).is_none());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Property/fuzz-style coverage for the UDP framing and the wire codec.
+//! Property/fuzz-style coverage for the UDP framing.
 //!
 //! The receive path's contract: whatever bytes arrive, classification
 //! never panics and lands each datagram in exactly one of
@@ -11,7 +11,6 @@ use std::time::{Duration, Instant};
 
 use watchmen_crypto::rng::Xoshiro256;
 use watchmen_net::udp::{encode_frame, parse_frame, Recv, UdpEndpoint, HEADER_LEN, MAX_PAYLOAD};
-use watchmen_net::wire::{GetBytes, PutBytes};
 
 /// The header layout, pinned byte for byte: magic "WM", big-endian node
 /// id, big-endian payload length, then the payload.
@@ -27,41 +26,6 @@ fn golden_header_layout() {
     let (id, payload) = parse_frame(&frame).expect("golden frame parses");
     assert_eq!(id, 0x0102_0304);
     assert_eq!(payload, b"abc");
-}
-
-#[test]
-fn golden_wire_primitives_are_big_endian() {
-    let mut buf = Vec::new();
-    buf.put_u16(0x1234);
-    buf.put_u32(0xdead_beef);
-    buf.put_slice(b"x");
-    assert_eq!(buf, vec![0x12, 0x34, 0xde, 0xad, 0xbe, 0xef, b'x']);
-}
-
-/// Round-trips randomized sequences of every put/get primitive.
-#[test]
-fn wire_codec_roundtrips_random_sequences() {
-    let mut rng = Xoshiro256::new(0xc0dec);
-    for _ in 0..500 {
-        let values: Vec<u64> = (0..rng.next_range(12) + 1).map(|_| rng.next_u64()).collect();
-        let mut buf = Vec::new();
-        for &v in &values {
-            if v % 2 == 0 {
-                buf.put_u16(v as u16);
-            } else {
-                buf.put_u32(v as u32);
-            }
-        }
-        let mut cursor: &[u8] = &buf;
-        for &v in &values {
-            if v % 2 == 0 {
-                assert_eq!(cursor.get_u16(), v as u16);
-            } else {
-                assert_eq!(cursor.get_u32(), v as u32);
-            }
-        }
-        assert!(cursor.is_empty(), "codec must consume exactly what it wrote");
-    }
 }
 
 /// Arbitrary mutations of valid frames never panic the parser and always

@@ -125,14 +125,19 @@ mod tests {
         assert_ne!(a.trace, c.trace, "distinct seeds must diverge");
     }
 
+    /// SHA-256 of the frames' `Debug` text: every field, floats in their
+    /// exact shortest round-trip form.
     fn trace_digest(w: &Workload) -> String {
-        watchmen_crypto::sha256(&w.trace.to_bytes()).iter().map(|b| format!("{b:02x}")).collect()
+        let text = format!("{:?}", w.trace.frames);
+        watchmen_crypto::sha256(text.as_bytes()).iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// Every byte the bots record, at the ledger's shapes: `match48` at
+    /// Everything the bots record, at the ledger's shapes: `match48` at
     /// both seeds, `match16`, `hostile16` and a fleet cell. Captured
-    /// before bot targeting was reordered; never regenerate these: a
-    /// mismatch means a bot decision, a state or an event moved.
+    /// before bot targeting was reordered, and carried over to this digest
+    /// from traces that still matched the original capture; never
+    /// regenerate these: a mismatch means a bot decision, a state or an
+    /// event moved.
     #[test]
     fn traces_match_the_capture() {
         let digests = [
@@ -145,11 +150,11 @@ mod tests {
         assert_eq!(
             digests,
             [
-                "18685ad031e75f50df12337960fa6127df537e4cde35e2abd780ef003a57c9ec",
-                "f0f275f2600d9d0673c89c084229a4ce63363128fcbb2aeaa3a7165dbf0218cf",
-                "ca7b11115bef77c2d1455ca8a22b4a8cc731700088f3c6353db19f24b7961a92",
-                "25f9bad468989956888e1b0d31bbe3cb24296e70a11849a63974c0859481a230",
-                "2c8d5f793dd92222856bfde66a6f5a472473ccdaf63b1dd34425ba863ff7f860",
+                "9eb76d207dcc18659703eb94b9b22eeb44dba42be119b0082580615bf5be6d8b",
+                "7e0696565bb50eb6e61f2c400fad98c8c3ca950f19727dae1988d7973b508d0c",
+                "639ca76d967fa2318c6f8452329cd0766d8f71587901c094172a90dddcfd73bb",
+                "c8c5ae1dc1f670b9c76bb3a420a0d46ada5fdf9f71ed75f71cc39d746fb256be",
+                "63fec8512da323deb302601e783097d23735effee40c1dc232f019a275d627a8",
             ]
         );
     }

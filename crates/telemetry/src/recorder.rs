@@ -200,14 +200,6 @@ impl FlightRecorder {
             events,
         }
     }
-
-    /// Drops every retained event (lifetime total is preserved).
-    pub fn clear(&self) {
-        let mut ring = self.inner.lock().expect("recorder lock");
-        ring.buf.clear();
-        ring.head = 0;
-        ring.len = 0;
-    }
 }
 
 /// Scope guard recording a [`EventKind::Span`] event on drop.
@@ -265,17 +257,6 @@ pub struct FlightDump {
     pub overwritten: u64,
     /// Matching events, oldest first.
     pub events: Vec<TraceEvent>,
-}
-
-impl FlightDump {
-    /// Merges another dump's events (e.g. from a different node's
-    /// recorder) into this one, keeping `(frame, at_us)` order — frames
-    /// are the protocol's causal clock across nodes.
-    pub fn merge(&mut self, other: &FlightDump) {
-        self.events.extend(other.events.iter().copied());
-        self.events.sort_by_key(|e| (e.frame, e.at_us));
-        self.overwritten += other.overwritten;
-    }
 }
 
 impl std::fmt::Display for FlightDump {
@@ -383,15 +364,6 @@ mod tests {
         let r = FlightRecorder::new(8);
         r.span(0, 1, Phase::Tick, "tick").discard();
         assert!(r.is_empty());
-    }
-
-    #[test]
-    fn clear_keeps_lifetime_total() {
-        let r = FlightRecorder::new(4);
-        r.record(ev(1));
-        r.clear();
-        assert!(r.is_empty());
-        assert_eq!(r.total_recorded(), 1);
     }
 
     #[test]

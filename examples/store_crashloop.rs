@@ -11,8 +11,9 @@
 //! logging each *acknowledged* ban to `acked.txt` only after the
 //! commit returns. Then it crashes the child, two ways:
 //!
-//! * **SIGKILL cycles** — the parent kills the child after a random
-//!   few milliseconds, mid-run, with no warning;
+//! * **SIGKILL cycles** — the parent kills the child after a seeded
+//!   few milliseconds of wall-clock time, mid-run, with no warning (the
+//!   delay is seeded, the stream position it lands on is not);
 //! * **scripted cycles** — the child runs its store through a
 //!   [`FaultDir`] whose [`FaultSpec`] crashes on the `crash_at`-th I/O
 //!   operation, and the fault shim aborts the process there (an append,
@@ -296,8 +297,10 @@ fn main() {
         std::env::var("WATCHMEN_STORE_DIR").map(PathBuf::from).unwrap_or_else(|_| {
             std::env::temp_dir().join(format!("watchmen-crashloop-{}", std::process::id()))
         });
-    // Each run starts from empty media so the op stream and crash
-    // points are reproducible.
+    // Each run starts from empty media. The op stream, the scripted
+    // crash ops and the kill delays are seeded; where a SIGKILL lands is
+    // not (the delay races the child's progress), so cycles stop at
+    // different stream positions run to run.
     let _ = std::fs::remove_dir_all(&store_dir);
     std::fs::create_dir_all(&store_dir).expect("create store dir");
     println!(

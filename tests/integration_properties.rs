@@ -63,19 +63,6 @@ fn proxy_schedule_total_never_self() {
 }
 
 #[test]
-fn trace_codec_roundtrips_any_game() {
-    let mut rng = Xoshiro256::new(53);
-    for _ in 0..CASES {
-        let players = 2 + rng.next_range(6) as usize;
-        let seed = rng.next_range(500);
-        let frames = 1 + rng.next_range(59);
-        let trace = small_trace(players, seed, frames);
-        let restored = GameTrace::from_bytes(&trace.to_bytes()).unwrap();
-        assert_eq!(trace, restored);
-    }
-}
-
-#[test]
 fn overlay_conserves_messages() {
     let mut rng = Xoshiro256::new(54);
     for _ in 0..CASES {
