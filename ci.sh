@@ -82,14 +82,20 @@ rate=$(grep -rlF 'check_rate(' crates src examples tests | sort | tr '\n' ' ' ||
 # One run covers the trace smoke and both scripted soaks (control plane
 # under burst loss + duplication + reordering + a proxy crash; churn with
 # joins, leaves and evictions): deathmatch exits non-zero if either fails.
-# A misspelt WATCHMEN_TRACE exits 2 before any work instead of quietly
-# turning tracing off.
+# A misspelt WATCHMEN_TRACE, or the retired `dump` value, exits 2 before
+# any work instead of quietly turning tracing off. A verdict is recorded
+# once, in the audit stream, and a span is timed by one guard: the flight
+# dumps and the second span guard must not come back.
 echo "==> deathmatch (8 players, 200 frames): chrome trace, faulted soak, churn soak"
-trace_rc=0
-trace_err=$(WATCHMEN_TRACE=chrom:/tmp/x cargo run -q --release --example deathmatch 8 200 2>&1 >/dev/null) ||
-    trace_rc=$?
-[ "$trace_rc" = 2 ] && grep -q WATCHMEN_TRACE <<<"$trace_err" ||
-    { echo "WATCHMEN_TRACE=chrom:/tmp/x exited $trace_rc, not 2 naming it: $trace_err" >&2; exit 1; }
+for bad in chrom:/tmp/x dump; do
+    trace_rc=0
+    trace_err=$(WATCHMEN_TRACE=$bad cargo run -q --release --example deathmatch 8 200 2>&1 >/dev/null) ||
+        trace_rc=$?
+    [ "$trace_rc" = 2 ] && grep -q WATCHMEN_TRACE <<<"$trace_err" ||
+        { echo "WATCHMEN_TRACE=$bad exited $trace_rc, not 2 naming it: $trace_err" >&2; exit 1; }
+done
+dumps=$(grep -rnE 'SpanGuard|FlightDump|take_flight_dumps' crates src examples tests || true)
+[ -z "$dumps" ] || { echo "the flight dumps or the second span guard are back: $dumps" >&2; exit 1; }
 TRACE_OUT=/tmp/watchmen-trace.json
 rm -f "$TRACE_OUT"
 WATCHMEN_TRACE="chrome:$TRACE_OUT" \

@@ -1,18 +1,14 @@
 //! Instrumentation: timing histograms, counters, the flight recorder and
-//! its violation dumps, and the verdict audit stream. Each protocol entry
-//! point reports its events here exactly once ([`Instrument::observe`]).
+//! the verdict audit stream. Each protocol entry point reports its events
+//! here exactly once ([`Instrument::observe`]).
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use watchmen_telemetry::trace::{EventKind, Phase, TraceEvent, TraceId};
-use watchmen_telemetry::{Counter, FlightDump, FlightRecorder, Histogram, DEFAULT_CAPACITY};
+use watchmen_telemetry::{Counter, FlightRecorder, FrameTimer, Histogram, DEFAULT_CAPACITY};
 
 use super::{Inbound, NodeEvent, WatchmenNode};
 use crate::audit::{AuditKind, AuditLog, AuditRecord};
-
-/// Violation dumps retained per node before the oldest is discarded.
-const MAX_FLIGHT_DUMPS: usize = 8;
 
 /// What a recorder event is: its phase, kind and detail label.
 pub(super) type Point = (Phase, EventKind, &'static str);
@@ -82,10 +78,8 @@ pub(super) struct Instrument {
     bad_signatures: Arc<Counter>,
     replays: Arc<Counter>,
     /// Per-node flight recorder of trace events (sends, relays,
-    /// deliveries, rejections, verdicts).
+    /// deliveries, rejections, verdicts, tick-phase spans).
     recorder: Arc<FlightRecorder>,
-    /// Violation dumps captured by [`Self::observe`], oldest first.
-    flight_dumps: VecDeque<FlightDump>,
     /// The verdict audit stream: one structured record per detection
     /// decision, drained by the embedding driver.
     audit: AuditLog,
@@ -110,9 +104,20 @@ impl Instrument {
             bad_signatures: t.counter("node_bad_signatures_total"),
             replays: t.counter("node_replays_total"),
             recorder: Arc::new(FlightRecorder::new(DEFAULT_CAPACITY)),
-            flight_dumps: VecDeque::new(),
             audit: AuditLog::default(),
         }
+    }
+
+    /// Times one tick phase into `hist` and, as this node's span, into
+    /// the recorder: one clock reading at each edge.
+    pub(super) fn span(
+        &self,
+        hist: &Arc<Histogram>,
+        frame: u64,
+        phase: Phase,
+        detail: &'static str,
+    ) -> FrameTimer {
+        FrameTimer::traced(hist, &self.recorder, self.node, frame, phase, detail)
     }
 
     pub(super) fn point(&self, trace: TraceId, subject: u32, frame: u64, what: Point, value: i64) {
@@ -148,9 +153,10 @@ impl Instrument {
 
     /// The single instrumentation point of a protocol entry: mirrors
     /// `events` into the flight recorder, audits every decision among
-    /// them, captures a violation dump for each suspicious verdict,
-    /// signature failure or replay (so the trace around every detection
-    /// decision survives the ring), and bumps the security counters.
+    /// them (each record names its trace id, from which
+    /// [`watchmen_telemetry::causal_chain`] rebuilds the message's path),
+    /// marks each suspicious verdict with a violation event, and bumps
+    /// the security counters.
     pub(super) fn observe(&mut self, frame: u64, trace: TraceId, events: &[NodeEvent]) {
         for e in events {
             let (subject, at, what, value) = point_of(e, self.node, frame);
@@ -165,7 +171,6 @@ impl Instrument {
                         AuditKind::BadSignature
                     };
                     self.audit(frame, subject, trace, (kind, "", 0, ""), String::new);
-                    self.capture_dump(what.2, trace, subject);
                 }
                 NodeEvent::Suspicion { rating, check, .. } => {
                     watchmen_telemetry::global()
@@ -177,7 +182,6 @@ impl Instrument {
                     if rating.is_suspicious() {
                         let violation = (Phase::Verify, EventKind::Violation, check);
                         self.point(trace, subject, frame, violation, value);
-                        self.capture_dump(check, trace, subject);
                     }
                 }
                 NodeEvent::HandoffReceived { .. } => self.handoffs_received.inc(),
@@ -197,15 +201,6 @@ impl Instrument {
             self.point(rx.trace, rx.origin.0, rx.gen_frame, relay, fan_out as i64);
         }
         self.messages_forwarded.add(fan_out as u64);
-    }
-
-    /// Snapshots the recorder around a violation into the bounded dump
-    /// store (oldest dump evicted once [`MAX_FLIGHT_DUMPS`] are held).
-    fn capture_dump(&mut self, reason: &str, trace: TraceId, subject: u32) {
-        if self.flight_dumps.len() >= MAX_FLIGHT_DUMPS {
-            self.flight_dumps.pop_front();
-        }
-        self.flight_dumps.push_back(self.recorder.dump(reason, trace, subject));
     }
 }
 
@@ -264,13 +259,6 @@ impl WatchmenNode {
     #[must_use]
     pub fn recorder(&self) -> Arc<FlightRecorder> {
         Arc::clone(&self.instrument.recorder)
-    }
-
-    /// Drains the violation dumps captured so far, oldest first. A dump is
-    /// captured whenever a suspicious verdict, signature failure or replay
-    /// fires; at most `MAX_FLIGHT_DUMPS` (8) are retained between drains.
-    pub fn take_flight_dumps(&mut self) -> Vec<FlightDump> {
-        self.instrument.flight_dumps.drain(..).collect()
     }
 
     /// Drains this node's verdict audit stream, oldest record first. The

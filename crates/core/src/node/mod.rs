@@ -29,13 +29,11 @@ mod duty;
 mod instrument;
 mod knowledge;
 
-use std::sync::Arc;
-
 use watchmen_crypto::schnorr::{Keypair, PublicKey};
 use watchmen_game::trace::PlayerFrame;
 use watchmen_game::PlayerId;
 use watchmen_telemetry::trace::{Phase, TraceId};
-use watchmen_telemetry::{FrameTimer, Histogram};
+use watchmen_telemetry::FrameTimer;
 use watchmen_world::{GameMap, PhysicsConfig};
 
 pub use churn::ChurnStats;
@@ -293,9 +291,7 @@ impl WatchmenNode {
 
     /// Runs one frame for the local avatar in `my_state` (see [`Self::tick`]).
     pub(crate) fn begin_frame(&mut self, frame: u64, my_state: &PlayerFrame) -> CoreOutput {
-        let _tick = FrameTimer::start(&self.instrument.tick_ms);
-        let rec = self.recorder();
-        let _tick_trace = rec.span(self.id.0, frame, Phase::Tick, "tick");
+        let _tick = self.instrument.span(&self.instrument.tick_ms, frame, Phase::Tick, "tick");
         let mut out = CoreOutput::default();
         self.tick(frame, my_state, &mut out);
         self.instrument.observe(frame, TraceId::NONE, &out.events);
@@ -340,19 +336,19 @@ impl WatchmenNode {
         // targets itself.
         self.knowledge.learn(self.id, frame, StateUpdate::from(my_state));
 
-        // Each phase is timed into its histogram and its flight span.
-        let (rec, me) = (self.recorder(), self.id.0);
-        let timed = |hist: &Arc<Histogram>, phase: Phase, name: &'static str| {
-            (FrameTimer::start(hist), rec.span(me, frame, phase, name))
-        };
+        // Each phase is one guard: its histogram and its flight span read
+        // the same two clock readings.
+        let ins = &self.instrument;
         let span =
-            timed(&self.instrument.subscription_phase_ms, Phase::Subscription, "subscriptions");
+            ins.span(&ins.subscription_phase_ms, frame, Phase::Subscription, "subscriptions");
         self.refresh_subscriptions(frame, my_state, my_proxy, out);
         drop(span);
-        let span = timed(&self.instrument.publish_phase_ms, Phase::Publish, "publish");
+        let ins = &self.instrument;
+        let span = ins.span(&ins.publish_phase_ms, frame, Phase::Publish, "publish");
         self.publish(frame, my_state, scheduled_proxy, my_proxy, out);
         drop(span);
-        let span = timed(&self.instrument.handoff_phase_ms, Phase::Handoff, "handoff");
+        let ins = &self.instrument;
+        let span = ins.span(&ins.handoff_phase_ms, frame, Phase::Handoff, "handoff");
         self.send_handoffs(frame, out);
         drop(span);
 

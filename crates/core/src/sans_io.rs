@@ -204,12 +204,6 @@ impl ProtocolCore {
         &self.node
     }
 
-    /// Mutable access for driver-side configuration (audit toggles,
-    /// flight-dump draining) — not for protocol input.
-    pub fn node_mut(&mut self) -> &mut WatchmenNode {
-        &mut self.node
-    }
-
     /// Unwraps the node.
     #[must_use]
     pub fn into_node(self) -> WatchmenNode {

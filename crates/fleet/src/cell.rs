@@ -38,8 +38,8 @@ use watchmen_sim::workload::{match_workload, speed_hack, FIRST_CHEAT_FRAME};
 use crate::pool::{Quantum, ShardContext, Task};
 
 /// Flight recorders are trimmed for population scale: the default 1024
-/// events/node costs over a megabyte per match at 16 players; 128 still holds
-/// several proxy epochs of context around a violation.
+/// events/node costs over a megabyte per match at 16 players, and a fleet
+/// reads its verdicts from the audit stream, not from the rings.
 const RECORDER_CAPACITY: usize = 128;
 
 /// Simnet one-way latency for fleet matches, in milliseconds.

@@ -17,8 +17,10 @@
 //! * [`Registry`] — interns metrics by static name plus a label set and
 //!   hands out [`std::sync::Arc`] handles; the [`global`] registry is what
 //!   the node, proxy, net and sim layers record into.
-//! * [`FrameTimer`] — a span-style scope guard that records elapsed
-//!   wall-clock milliseconds into a histogram on drop.
+//! * [`FrameTimer`] — the one scope timer: it records elapsed wall-clock
+//!   milliseconds into a histogram on drop and, in its
+//!   [`FrameTimer::traced`] form, the same interval as a span event in a
+//!   [`FlightRecorder`] — two clock readings either way.
 //!
 //! # Tracing
 //!
@@ -27,10 +29,9 @@
 //! identity derived from its `(origin, seq)` pair — recomputable at each
 //! hop with no extra wire bytes — and [`FlightRecorder`] is the per-node
 //! fixed-capacity ring of [`trace::TraceEvent`]s (overwrite-oldest, zero
-//! allocation after startup). When a verification check or invariant
-//! fires, [`FlightRecorder::dump`] snapshots the events touching the
-//! offending trace or player into a [`FlightDump`] report, and
-//! [`causal_chain`] stitches one message's origin → proxy → subscriber
+//! allocation after startup). A verdict's record in the node's audit
+//! stream carries the trace id of the message it judged, and
+//! [`causal_chain`] stitches that message's origin → proxy → subscriber
 //! journey across several nodes' recorders.
 //!
 //! # Exporters
@@ -43,7 +44,7 @@
 //! prints, records (`BENCH_<name>.json`) and gates through.
 //!
 //! For *live* visibility — watching a fleet mid-run rather than reading
-//! a dump after it exits — [`serve::MetricsServer`] is a `std`-only HTTP
+//! a report after it exits — [`serve::MetricsServer`] is a `std`-only HTTP
 //! scrape endpoint (`/metrics`, `/healthz`) on a background thread,
 //! enabled by the `WATCHMEN_METRICS_ADDR` knob (and held up after the
 //! run for `WATCHMEN_METRICS_HOLD_MS`).
@@ -97,10 +98,10 @@ pub mod trace;
 
 pub use counter::{Counter, Gauge};
 pub use histogram::Histogram;
-pub use recorder::{FlightDump, FlightRecorder, SpanGuard, DEFAULT_CAPACITY};
+pub use recorder::{FlightRecorder, DEFAULT_CAPACITY};
 pub use registry::{MetricValue, Registry, Snapshot, SnapshotEntry};
 pub use serve::MetricsServer;
-pub use timer::{time, FrameTimer};
+pub use timer::FrameTimer;
 pub use trace::{causal_chain, EventKind, Phase, TraceEvent, TraceId};
 
 use std::sync::OnceLock;

@@ -79,8 +79,6 @@ pub enum Phase {
     Tick,
     /// Subscription maintenance (IS/VS set computation + subscribe msgs).
     Subscription,
-    /// Attention / interest evaluation.
-    Attention,
     /// Publishing the local avatar's updates.
     Publish,
     /// Proxy-side relay of a supervised player's stream.
@@ -98,7 +96,6 @@ impl Phase {
         match self {
             Phase::Tick => "tick",
             Phase::Subscription => "subscription",
-            Phase::Attention => "attention",
             Phase::Publish => "publish",
             Phase::ProxyRelay => "proxy-relay",
             Phase::Verify => "verify",

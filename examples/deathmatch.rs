@@ -2,7 +2,8 @@
 //! headline workload, with a live scoreboard, the Figure 1 presence
 //! heatmap, a replay through one secured node per player over the
 //! simnet, a small secured segment with a scripted cheater (whose
-//! violations trigger flight-recorder dumps), the two scripted soaks of
+//! verdicts the audit stream reports, one traced back across the
+//! flight recorders), the two scripted soaks of
 //! `sim::scenario` (control plane under faults, churn — the run exits
 //! non-zero if either fails its gate), and a final telemetry snapshot in
 //! Prometheus text format.
@@ -11,9 +12,8 @@
 //! cargo run --release --example deathmatch [players] [frames]
 //! ```
 //!
-//! Set `WATCHMEN_TRACE=dump` to print the violation dumps in full, or
-//! `WATCHMEN_TRACE=chrome:<path>` to additionally write a merged Chrome
-//! `trace_event` JSON (load it at `ui.perfetto.dev` or
+//! Set `WATCHMEN_TRACE=chrome:<path>` to also write the segment's merged
+//! Chrome `trace_event` JSON (load it at `ui.perfetto.dev` or
 //! `chrome://tracing`); any other value but `off` exits 2. Set
 //! `WATCHMEN_METRICS_ADDR=127.0.0.1:9464` to serve the global registry
 //! live on `/metrics` while the match runs
@@ -23,6 +23,8 @@
 
 use std::sync::Arc;
 
+use watchmen::core::audit::{AuditKind, AuditRecord};
+use watchmen::core::rating::SEVERE_SCORE;
 use watchmen::core::sans_io::secured_cores;
 use watchmen::core::WatchmenConfig;
 use watchmen::crypto::schnorr::{Keypair, PublicKey};
@@ -34,8 +36,9 @@ use watchmen::sim::cluster::Cluster;
 use watchmen::sim::overlay::run_watchmen;
 use watchmen::sim::scenario;
 use watchmen::sim::workload::speed_hack;
+use watchmen::telemetry::trace::EventKind;
 use watchmen::telemetry::{
-    causal_chain, export, global, FlightDump, FlightRecorder, MetricValue, MetricsServer,
+    causal_chain, export, global, FlightRecorder, MetricValue, MetricsServer,
 };
 use watchmen::world::{maps, GameMap};
 
@@ -168,8 +171,8 @@ fn main() {
         "\nrunning {cluster_size} secured nodes for {cluster_frames} frames \
          (signatures, proxies, handoffs; p2 speed-hacks, p1 replays)…"
     );
-    let (recorders, dumps) = run_secured_segment(&trace, &map, cluster_size, cluster_frames);
-    report_violations(&recorders, &dumps, &trace_mode);
+    let (recorders, audit) = run_secured_segment(&trace, &map, cluster_size, cluster_frames);
+    report_violations(&recorders, &audit, &trace_mode);
 
     // --- The scripted soaks: 16 honest secured nodes over a faulted
     // simnet, first under burst loss, duplication, reordering and a proxy
@@ -207,10 +210,8 @@ fn main() {
 /// What `WATCHMEN_TRACE` asks the secured segment to write.
 #[derive(Debug, PartialEq, Eq)]
 enum TraceMode {
-    /// Unset, blank or `off`: the dumps' one-line summaries only.
+    /// Unset, blank or `off`: the printed report only.
     Off,
-    /// `dump`: every flight-recorder dump in full.
-    Dump,
     /// `chrome:<path>`: also every node's events as one Chrome
     /// `trace_event` JSON file at `path`.
     Chrome(String),
@@ -224,12 +225,9 @@ impl TraceMode {
         if v.is_empty() || v.eq_ignore_ascii_case("off") {
             return Ok(TraceMode::Off);
         }
-        if v.eq_ignore_ascii_case("dump") {
-            return Ok(TraceMode::Dump);
-        }
         match v.strip_prefix("chrome:") {
             Some(path) if !path.is_empty() => Ok(TraceMode::Chrome(path.to_owned())),
-            _ => Err(format!("WATCHMEN_TRACE={value:?} is not off, dump or chrome:<path>")),
+            _ => Err(format!("WATCHMEN_TRACE={value:?} is not off or chrome:<path>")),
         }
     }
 }
@@ -247,13 +245,13 @@ fn usage_error(reason: &str) -> ! {
 /// first `cluster_size` players' recorded states — except player 2, who
 /// speed-hacks every fourth frame, and player 1, whose first state update
 /// is replayed verbatim once. Returns every node's flight recorder and
-/// the violation dumps they captured.
+/// the audit records drained from every node after each frame.
 fn run_secured_segment(
     trace: &GameTrace,
     map: &GameMap,
     cluster_size: usize,
     frames: u64,
-) -> (Vec<Arc<FlightRecorder>>, Vec<FlightDump>) {
+) -> (Vec<Arc<FlightRecorder>>, Vec<AuditRecord>) {
     let seed = 2013u64;
     let config = WatchmenConfig::default();
     let keys: Vec<Keypair> =
@@ -265,9 +263,10 @@ fn run_secured_segment(
         config.frame_ms,
     );
     let mut replayed: Option<(usize, Vec<u8>)> = None;
+    let mut audit = Vec::new();
     for frame in 0..frames {
         // Half-way through, re-send p1's captured bytes: a replay cheat
-        // the anti-replay window rejects and dumps.
+        // the anti-replay window rejects and audits.
         if frame == frames / 2 {
             if let Some((to, bytes)) = replayed.take() {
                 let size = bytes.len();
@@ -297,51 +296,64 @@ fn run_secured_segment(
                 }
             },
         );
+        audit.extend(cluster.cores.iter_mut().flatten().flat_map(|c| c.drain_audit()));
     }
     let recorders = cluster.cores.iter().flatten().map(|c| c.node().recorder()).collect();
-    let dumps =
-        cluster.cores.iter_mut().flatten().flat_map(|c| c.node_mut().take_flight_dumps()).collect();
-    (recorders, dumps)
+    (recorders, audit)
 }
 
-/// Prints what the flight recorders captured around the scripted
-/// violations: a summary per dump, the cross-node causal chain of the
-/// first position violation, and — per `WATCHMEN_TRACE` — either the full
-/// dumps (`dump`) or a merged Chrome trace file (`chrome:<path>`).
-fn report_violations(recorders: &[Arc<FlightRecorder>], dumps: &[FlightDump], mode: &TraceMode) {
-    println!("\nflight-recorder violations captured: {}", dumps.len());
-    for d in dumps.iter().take(6) {
-        println!(
-            "  {} on p{} ({} events retained, trace {})",
-            d.reason,
-            d.subject,
-            d.events.len(),
-            d.trace_id,
-        );
+/// Prints what the audit stream recorded in the secured segment: the
+/// record count per kind, the first records, the cross-node causal chain
+/// of the first severe position verdict on the cheater p2 that the
+/// flight recorders still hold, and — per
+/// `WATCHMEN_TRACE` — a merged Chrome trace file (`chrome:<path>`).
+fn report_violations(recorders: &[Arc<FlightRecorder>], audit: &[AuditRecord], mode: &TraceMode) {
+    let mut kinds: Vec<(&str, usize)> = Vec::new();
+    for r in audit {
+        match kinds.iter_mut().find(|(k, _)| *k == r.kind.label()) {
+            Some((_, n)) => *n += 1,
+            None => kinds.push((r.kind.label(), 1)),
+        }
+    }
+    let by_kind: Vec<String> = kinds.iter().map(|(k, n)| format!("{k}={n}")).collect();
+    println!("\naudit records: {} ({})", audit.len(), by_kind.join(" "));
+    for r in audit.iter().take(6) {
+        println!("  {}", r.to_jsonl());
     }
 
     // Reconstruct the causal chain of one offending message across every
-    // node: origin send → proxy relay → verifier's verdict.
+    // node: origin send → proxy relay → verifier's verdict. The rings
+    // keep only recent events, so this is the first verdict whose
+    // origin send and violation mark are both still retained.
     let refs: Vec<&FlightRecorder> = recorders.iter().map(Arc::as_ref).collect();
-    if let Some(dump) = dumps.iter().find(|d| d.trace_id.is_some()) {
-        let chain = causal_chain(&refs, dump.trace_id);
+    let first = audit
+        .iter()
+        .filter(|r| {
+            r.kind == AuditKind::Verdict
+                && r.check == "position"
+                && r.subject == 2
+                && r.score >= SEVERE_SCORE
+                && r.trace.is_some()
+        })
+        .map(|r| (r, causal_chain(&refs, r.trace)))
+        .find(|(_, chain)| {
+            [EventKind::Send, EventKind::Violation]
+                .iter()
+                .all(|k| chain.iter().any(|e| e.kind == *k))
+        });
+    if let Some((verdict, chain)) = first {
         println!(
-            "\ncausal chain of the offending message (trace {}, \"{}\"):",
-            dump.trace_id, dump.reason
+            "\ncausal chain of the offending message (trace {}, \"{}\" on p{} by n{}):",
+            verdict.trace, verdict.check, verdict.subject, verdict.node
         );
-        for e in &chain {
+        for e in chain {
             println!("  {e}");
         }
     }
 
     match mode {
         TraceMode::Off => {
-            println!("\n(set WATCHMEN_TRACE=dump or chrome:<path> for full trace output)");
-        }
-        TraceMode::Dump => {
-            for d in dumps {
-                println!("\n{d}");
-            }
+            println!("\n(set WATCHMEN_TRACE=chrome:<path> for the merged trace file)");
         }
         TraceMode::Chrome(path) => {
             let mut events = Vec::new();
@@ -367,15 +379,13 @@ mod tests {
 
     #[test]
     fn trace_mode_parsing() {
-        assert_eq!(TraceMode::parse("dump"), Ok(TraceMode::Dump));
-        assert_eq!(TraceMode::parse("DUMP"), Ok(TraceMode::Dump));
         assert_eq!(
             TraceMode::parse("chrome:/tmp/t.json"),
             Ok(TraceMode::Chrome("/tmp/t.json".into()))
         );
         assert_eq!(TraceMode::parse(""), Ok(TraceMode::Off));
         assert_eq!(TraceMode::parse("off"), Ok(TraceMode::Off));
-        for junk in ["bogus", "chrome:", "chrom:/x"] {
+        for junk in ["bogus", "dump", "chrome:", "chrom:/x"] {
             let e = TraceMode::parse(junk).expect_err(junk);
             assert!(e.contains("WATCHMEN_TRACE"), "{e}");
         }

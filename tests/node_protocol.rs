@@ -299,45 +299,52 @@ fn speed_hacking_node_draws_proxy_suspicion() {
 }
 
 #[test]
-fn violations_capture_flight_dumps_with_the_causal_chain() {
+fn violations_are_audited_with_their_causal_chain() {
+    use watchmen::core::audit::AuditKind;
+    use watchmen::core::rating::SEVERE_SCORE;
     use watchmen::telemetry::causal_chain;
     use watchmen::telemetry::trace::EventKind;
 
     let trace = standard_trace(5, 23, 120);
     let mut cluster = Cluster::new(5, 23);
-    // Same speed-hack scenario as above: player 2 teleports.
+    // Same speed-hack scenario as above: player 2 teleports. The audit
+    // streams are drained every frame, as an embedding driver does.
+    let mut audit = Vec::new();
     for f in 0..120 {
         cluster.run_frame_with(f, &trace, speed_hack_at(f));
+        audit.extend(cluster.cores.iter_mut().flat_map(ProtocolCore::drain_audit));
     }
 
-    // Some proxy of player 2 must have captured position-violation dumps.
-    let dumps: Vec<_> = cluster
-        .cores
-        .iter_mut()
-        .flat_map(|c| c.node_mut().take_flight_dumps())
-        .filter(|d| d.reason == "position" && d.subject == 2)
+    // Some proxy of player 2 must have audited severe position verdicts.
+    let verdicts: Vec<_> = audit
+        .iter()
+        .filter(|r| {
+            r.kind == AuditKind::Verdict
+                && r.check == "position"
+                && r.subject == 2
+                && r.score >= SEVERE_SCORE
+        })
         .collect();
-    assert!(!dumps.is_empty(), "no position-violation dump captured");
+    assert!(!verdicts.is_empty(), "no severe position verdict audited");
 
-    // Each dump names the offending message; assembling the causal chain
-    // across every node's recorder must show the origin's send and the
-    // verifying proxy's verdict, in causal order.
+    // Each verdict names the offending message; assembling the causal
+    // chain across every node's recorder must show the origin's send and
+    // the verifying proxy's violation mark, in causal order.
     let recorders: Vec<_> = cluster.cores.iter().map(|c| c.node().recorder()).collect();
     let recorder_refs: Vec<&watchmen::telemetry::FlightRecorder> =
         recorders.iter().map(std::sync::Arc::as_ref).collect();
     let mut chains_with_full_story = 0;
-    for dump in &dumps {
-        assert!(dump.trace_id.is_some(), "dump lost its trace filter");
-        assert!(!dump.events.is_empty(), "dump carries no events");
-        let chain = causal_chain(&recorder_refs, dump.trace_id);
+    for verdict in &verdicts {
+        assert!(verdict.trace.is_some(), "verdict lost its trace id: {verdict:?}");
+        let chain = causal_chain(&recorder_refs, verdict.trace);
         let send = chain.iter().position(|e| e.kind == EventKind::Send && e.node == 2);
-        let verdict = chain.iter().position(|e| e.kind == EventKind::Violation);
-        if let (Some(s), Some(v)) = (send, verdict) {
+        let violation = chain.iter().position(|e| e.kind == EventKind::Violation);
+        if let (Some(s), Some(v)) = (send, violation) {
             assert!(s < v, "send after its own verdict in {chain:?}");
             chains_with_full_story += 1;
         }
     }
-    // The ring holds thousands of events, so recent violations still have
+    // The rings keep the recent past, so recent violations still have
     // their origin send retained.
     assert!(chains_with_full_story > 0, "no chain shows send → verdict");
 
