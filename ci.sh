@@ -79,6 +79,20 @@ rate=$(grep -rlF 'check_rate(' crates src examples tests | sort | tr '\n' ' ' ||
 [ "$rate" = "crates/core/src/node/duty.rs crates/core/src/verify.rs " ] ||
     { echo "check_rate called outside the node: $rate" >&2; exit 1; }
 
+# One frame loop: outside `sim::cluster` a core is ticked only by a
+# crafted single tick (`cheat_matrix`, `detection`) or by
+# `node_protocol`'s same-frame instant bus; every other driver, the live
+# ones included, calls `Cluster::step`. And one verdict classifier,
+# `sim::cluster::Verdicts`: the node's `Tally` is a counter handle, not a
+# verdict tally.
+echo "==> one frame loop, one verdict classifier"
+loops=$(grep -rlE '\.tick\([^)]*,' examples tests crates/sim/src crates/fleet/src | LC_ALL=C sort | xargs)
+[ "$loops" = "crates/sim/src/cheat_matrix.rs crates/sim/src/cluster.rs crates/sim/src/detection.rs tests/node_protocol.rs" ] ||
+    { echo "a frame loop outside Cluster::step: $loops" >&2; exit 1; }
+tallies=$(grep -rlE 'count_verdicts|struct Tally' crates examples tests | xargs)
+[ "$tallies" = "crates/core/src/node/instrument.rs" ] ||
+    { echo "a second verdict tally: $tallies" >&2; exit 1; }
+
 # One run covers the trace smoke and both scripted soaks (control plane
 # under burst loss + duplication + reordering + a proxy crash; churn with
 # joins, leaves and evictions): deathmatch exits non-zero if either fails.

@@ -15,28 +15,29 @@
 //!
 //! No sockets, no clocks, no sleeps: time is the `now_frame` the driver
 //! passes in, and retransmits/heartbeats/epoch boundaries all fall out of
-//! the tick input. That makes the identical core exact under both
-//! drivers in the repo:
+//! the tick input. That makes the identical core exact under the one
+//! driver in the repo, `watchmen-sim::cluster::Cluster`, over either
+//! `watchmen_net::Transport`:
 //!
-//! | driver | where | transport | time source |
-//! |---|---|---|---|
-//! | `Cluster` | `watchmen-sim::cluster` | [`watchmen_net::SimNetwork`] | virtual ms |
-//! | live | `examples/live_cluster.rs`, `tests/sans_io_e2e.rs` | `watchmen_net::live::LiveTransport` (real UDP) | wall-clock paced ticks |
+//! | transport | callers | time source |
+//! |---|---|---|
+//! | [`watchmen_net::SimNetwork`] | soaks, fleet cells, figures, deathmatch, lobby | virtual ms |
+//! | `watchmen_net::live::LiveTransport` (real UDP) | `examples/live_cluster.rs`, `tests/sans_io_e2e.rs` | wall-clock paced ticks |
 //!
-//! Every simnet match — the scripted soaks of `watchmen-sim::scenario`,
-//! the fleet's match cell, the deathmatch and lobby examples — is a
-//! caller of `Cluster::step`. Three loops stay separate on purpose: the
-//! unit tests below (which cannot depend on `watchmen-sim`),
-//! `tests/node_protocol.rs` (a same-frame instant bus whose assertions
-//! are about intra-frame ordering), and the perf ledger under
-//! `benchmark/` (it times each call into the core from outside).
+//! Every match loop is a caller of `Cluster::step`. Three loops stay
+//! separate on purpose: the unit tests below (which cannot depend on
+//! `watchmen-sim`), `tests/node_protocol.rs` (a same-frame instant bus
+//! whose assertions are about intra-frame ordering), and the perf
+//! ledger's private copy under `benchmark/` (it times each call into
+//! the core from outside, and moves onto `Cluster` only with a change
+//! to the benchmark).
 //!
 //! A worked tick, as every driver performs it:
 //!
 //! ```text
 //!        ┌───────────────────────── driver ─────────────────────────┐
 //!        │  1. collect datagrams the transport delivered since the  │
-//!        │     last tick (simnet advance_to / UDP drain-all)        │
+//!        │     last tick (Transport::deliver_until)                 │
 //!        └──────────────────────────────────────────────────────────┘
 //!   for each:  core.handle(now, Datagram { wire_sender, bytes })
 //!                │                                   │

@@ -12,9 +12,9 @@
 //! Cheating is scripted the same way the deathmatch example scripts it:
 //! a cheater's reported position teleports sideways every fourth frame,
 //! which the player's proxy flags as a severe physics violation. The
-//! cell tallies severe verdicts (`CheatRating::is_suspicious`, the bar
-//! every soak gate in this repo uses) against the spec's cheater set: a severe verdict
-//! on a cheater is a detection, on an honest player a **false verdict**.
+//! cell classifies the nodes' events with [`Verdicts`] against the
+//! spec's cheater set: a severe verdict on a cheater is a detection, on
+//! an honest player a **false verdict**.
 //! Every suspicion report is also forwarded to the cell's lobby, whose
 //! threshold reputation bans players that accumulate enough failed
 //! interactions — long matches end with their cheaters banned.
@@ -31,7 +31,7 @@ use watchmen_crypto::schnorr::Keypair;
 use watchmen_game::trace::GameTrace;
 use watchmen_game::PlayerId;
 use watchmen_net::{latency, SimNetwork};
-use watchmen_sim::cluster::Cluster;
+use watchmen_sim::cluster::{Cluster, Verdicts};
 use watchmen_sim::quality::{evaluate, DetectionQuality, GroundTruth, UNDETECTED};
 use watchmen_sim::workload::{match_workload, speed_hack, FIRST_CHEAT_FRAME};
 
@@ -216,7 +216,7 @@ struct Running {
     lobby: GameLobby,
     trace: GameTrace,
     frame: u64,
-    tally: Tally,
+    verdicts: Verdicts,
     banned: u64,
     /// The match's audit stream, drained from every emitter each frame
     /// in a deterministic order (nodes by index, then the lobby).
@@ -284,7 +284,7 @@ impl MatchCell {
             lobby,
             trace: workload.trace,
             frame: 0,
-            tally: Tally { per_cheater: vec![0; spec.cheaters.len()], ..Tally::default() },
+            verdicts: Verdicts::new(&spec.cheaters),
             banned: 0,
             audit: Vec::new(),
         })
@@ -299,7 +299,7 @@ impl MatchCell {
             panic!("scripted poison in match {} at frame {f}", spec.match_id);
         }
 
-        let Running { cluster, trace, tally, lobby, .. } = run;
+        let Running { cluster, trace, verdicts, lobby, .. } = run;
         cluster.step(
             f,
             |i| {
@@ -309,7 +309,7 @@ impl MatchCell {
                 }
                 state
             },
-            |i, output| tally.note(lobby, spec, PlayerId(i as u32), &output.events),
+            |i, output| note(verdicts, lobby, PlayerId(i as u32), &output.events),
         );
         for i in 0..spec.players() {
             lobby.heartbeat(PlayerId(i as u32), f);
@@ -343,15 +343,15 @@ impl MatchCell {
     /// catches it all), count verdicts, but send nothing new — the match
     /// is over.
     fn drain(run: &mut Running, spec: &MatchSpec) -> MatchReport {
-        let Running { cluster, tally, lobby, .. } = run;
+        let Running { cluster, verdicts, lobby, .. } = run;
         let horizon = (spec.frames as f64 + 2.0) * cluster.frame_ms + 10.0 * LATENCY_MS;
         cluster.deliver_until(spec.frames, horizon, |i, output| {
-            tally.note(lobby, spec, PlayerId(i as u32), &output.events);
+            note(verdicts, lobby, PlayerId(i as u32), &output.events);
         });
         let net = cluster.net.stats();
         net.assert_invariant("fleet match cell");
         Self::collect_audit(run, spec);
-        let tally = &run.tally;
+        let verdicts = &run.verdicts;
 
         let quality = if spec.observe {
             let truth = GroundTruth {
@@ -361,12 +361,12 @@ impl MatchCell {
                 expected_overrides: Vec::new(),
             };
             let quality = evaluate(&truth, &run.audit);
-            // The join re-derives the cell's inline tallies from the
+            // The join re-derives the cell's inline counts from the
             // audit stream — the two accountings must agree.
-            debug_assert_eq!(quality.false_verdicts, tally.false_verdicts);
+            debug_assert_eq!(quality.false_verdicts, verdicts.false_verdicts);
             debug_assert_eq!(
                 quality.per_check.values().map(|c| c.true_pos).sum::<u64>(),
-                tally.per_cheater.iter().sum::<u64>(),
+                verdicts.severe(),
             );
             quality
         } else {
@@ -383,16 +383,15 @@ impl MatchCell {
             Vec::new()
         };
 
-        let detected = !spec.cheaters.is_empty() && tally.per_cheater.iter().all(|&n| n > 0);
         MatchReport {
             match_id: spec.match_id,
             players: spec.players(),
             frames: spec.frames,
             cheaters: spec.cheaters.len(),
-            detected,
-            severe_verdicts: tally.per_cheater.iter().sum(),
-            false_verdicts: tally.false_verdicts,
-            bad_signatures: tally.bad_signatures,
+            detected: verdicts.detected(),
+            severe_verdicts: verdicts.severe(),
+            false_verdicts: verdicts.false_verdicts,
+            bad_signatures: verdicts.bad_signatures,
             banned: run.banned,
             outcomes: run.lobby.match_outcomes(),
             messages: net.delivered,
@@ -403,42 +402,14 @@ impl MatchCell {
     }
 }
 
-/// The cell's inline verdict accounting.
-#[derive(Default)]
-struct Tally {
-    /// Per-cheater severe-verdict tallies, indexed like `spec.cheaters`.
-    per_cheater: Vec<u64>,
-    false_verdicts: u64,
-    bad_signatures: u64,
-}
-
-impl Tally {
-    /// Classifies node events: severe suspicions split into detections
-    /// (subject is a scripted cheater) and false verdicts; every
-    /// suspicion — including the clean per-epoch summaries — is forwarded
-    /// to the lobby's reputation system under the observing player's
-    /// name.
-    fn note(
-        &mut self,
-        lobby: &mut GameLobby,
-        spec: &MatchSpec,
-        observer: PlayerId,
-        events: &[NodeEvent],
-    ) {
-        for e in events {
-            match e {
-                NodeEvent::Suspicion { subject, rating, .. } => {
-                    lobby.report(observer, *subject, rating);
-                    if rating.is_suspicious() {
-                        match spec.cheaters.iter().position(|&c| c == subject.0) {
-                            Some(slot) => self.per_cheater[slot] += 1,
-                            None => self.false_verdicts += 1,
-                        }
-                    }
-                }
-                NodeEvent::BadSignature { .. } => self.bad_signatures += 1,
-                _ => {}
-            }
+/// Classifies one node's events, and forwards every suspicion — the
+/// clean per-epoch summaries included — to the lobby's reputation system
+/// under the observing player's name.
+fn note(verdicts: &mut Verdicts, lobby: &mut GameLobby, observer: PlayerId, events: &[NodeEvent]) {
+    verdicts.note(events);
+    for e in events {
+        if let NodeEvent::Suspicion { subject, rating, .. } = e {
+            lobby.report(observer, *subject, rating);
         }
     }
 }

@@ -20,6 +20,9 @@
 //!   receive, bounded send queue, heartbeat/address-relearning) for
 //!   running a sans-io protocol core over real sockets.
 //!
+//! Both carry bytes behind one [`Transport`] trait, the seam a frame
+//! driver steps over whichever wire it runs on.
+//!
 //! # Examples
 //!
 //! ```
@@ -46,8 +49,10 @@ pub mod fault;
 pub mod latency;
 pub mod live;
 mod simnet;
+mod transport;
 pub mod udp;
 
 pub use bandwidth::BandwidthMeter;
 pub use event_queue::EventQueue;
 pub use simnet::{Delivery, NetStats, NodeId, SimNetwork};
+pub use transport::Transport;

@@ -37,6 +37,11 @@
 //! Reconnect is implicit: every incoming frame refreshes the sender's
 //! socket address, so a peer that rebinds (new NAT mapping, process
 //! restart behind the same logical id) is followed as soon as it speaks.
+//!
+//! As a [`Transport`] it is one slot, its own id, and a step pumps twice:
+//! `deliver_until` to receive and `flush` to send. The flush's pump
+//! drains the socket too; the next `deliver_until` hands those frames
+//! over first, so none is lost between steps.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
@@ -45,7 +50,9 @@ use std::time::{Duration, Instant};
 
 use watchmen_telemetry::Registry;
 
+use crate::simnet::{Delivery, NodeId};
 use crate::udp::{Recv, UdpEndpoint};
+use crate::Transport;
 
 /// Tuning knobs for a [`LiveTransport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,6 +132,8 @@ pub struct LiveTransport {
     ticks: u64,
     stats: LiveStats,
     timings: LiveTimings,
+    /// Payload frames the last `flush` drained, not yet handed over.
+    carried: Inbound,
 }
 
 impl LiveTransport {
@@ -143,6 +152,7 @@ impl LiveTransport {
             ticks: 0,
             stats: LiveStats::default(),
             timings: LiveTimings::default(),
+            carried: Inbound::new(),
         })
     }
 
@@ -257,7 +267,7 @@ impl LiveTransport {
         if every == 1 || (every > 1 && self.ticks % every == 1) {
             self.heartbeat(every)?;
         }
-        self.flush()?;
+        self.flush_queue()?;
         self.timings.pumps += 1;
         self.timings.drain_total += drained - started;
         self.timings.flush_total += drained.elapsed();
@@ -332,7 +342,7 @@ impl LiveTransport {
 
     /// Flushes the send queue until it is empty or the socket pushes
     /// back; what remains stays queued for the next tick.
-    fn flush(&mut self) -> io::Result<()> {
+    fn flush_queue(&mut self) -> io::Result<()> {
         while let Some((to, bytes)) = self.queue.front() {
             // The address is re-resolved at send time: the peer may have
             // rebound since the payload was queued.
@@ -352,6 +362,44 @@ impl LiveTransport {
             }
         }
         Ok(())
+    }
+}
+
+/// Slot `node_id` is the only one up (`slots()` is `node_id + 1`). `t_ms`
+/// only stamps deliveries. `send` panics unless `from` is `node_id`, and
+/// a pump that fails panics.
+impl Transport for LiveTransport {
+    fn slots(&self) -> usize {
+        self.node_id() as usize + 1
+    }
+
+    fn is_up(&self, slot: NodeId) -> bool {
+        slot == self.node_id() as usize
+    }
+
+    fn send(&mut self, from: NodeId, to: NodeId, bytes: Vec<u8>) {
+        assert_eq!(from, self.node_id() as usize, "a live transport sends as its own id only");
+        self.queue(u32::try_from(to).expect("peer ids are u32"), bytes);
+    }
+
+    fn deliver_until(&mut self, t_ms: f64) -> Vec<Delivery<Vec<u8>>> {
+        self.flush(); // one pump; its frames queue behind the carried ones
+        let to = self.node_id() as usize;
+        let frames = std::mem::take(&mut self.carried).into_iter();
+        let delivery = |(from, payload): (u32, Vec<u8>)| Delivery {
+            from: from as usize,
+            to,
+            sent_ms: t_ms,
+            deliver_ms: t_ms,
+            bytes: payload.len(),
+            payload,
+        };
+        frames.map(delivery).collect()
+    }
+
+    fn flush(&mut self) {
+        let mut drained = self.pump().expect("live transport pump");
+        self.carried.append(&mut drained);
     }
 }
 
@@ -392,6 +440,25 @@ mod tests {
         assert_eq!(got[1], (0, b"world".to_vec()));
         assert_eq!(a.stats().frames_out, 2);
         assert_eq!(b.stats().frames_in, 2);
+    }
+
+    /// The end-of-step flush drains the socket as well: what it drained
+    /// is handed over by the next delivery, ahead of what came after.
+    /// Loopback delivery is synchronous, so the run is deterministic.
+    #[test]
+    fn flush_carries_what_it_drains_to_the_next_delivery() {
+        let (mut a, mut b) = pair();
+        assert!(b.deliver_until(0.0).is_empty());
+        a.send(0, 1, b"early".to_vec());
+        a.flush();
+        b.flush();
+        assert_eq!(b.stats().frames_in, 1, "the flush's pump drained the datagram");
+        a.send(0, 1, b"late".to_vec());
+        a.flush();
+        let got: Vec<_> =
+            b.deliver_until(10.0).into_iter().map(|d| (d.from, d.to, d.payload)).collect();
+        assert_eq!(got, [(0, 1, b"early".to_vec()), (0, 1, b"late".to_vec())]);
+        assert!(b.deliver_until(20.0).is_empty(), "each frame is handed over once");
     }
 
     #[test]

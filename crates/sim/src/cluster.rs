@@ -1,55 +1,54 @@
-//! The one simnet match driver: N [`ProtocolCore`]s on a
-//! [`SimNetwork`], advanced frame by frame under the deliver-then-tick
-//! contract of [`watchmen_core::sans_io`]. Every in-process match — the
-//! soaks in [`crate::scenario`], the fleet's match cell, the deathmatch
-//! and lobby examples — calls [`Cluster::step`]; none of them touches
-//! `SimNetwork::advance_to`. What a frame means is decided here, once:
+//! The one match driver: N [`ProtocolCore`]s in the slots of a
+//! [`Transport`], advanced frame by frame under the deliver-then-tick
+//! contract of [`watchmen_core::sans_io`]. Every match loop calls
+//! [`Cluster::step`] — over a [`SimNetwork`] (the default) the soaks in
+//! [`crate::scenario`], the fleet's match cell, the figures, the
+//! deathmatch and lobby examples; over a `LiveTransport` the live
+//! example and the live e2e test, one seated slot each. What a frame
+//! means is decided here, once:
 //!
-//! 1. virtual time moves to `frame × frame_ms` and everything the
-//!    network delivers on the way is handled, in delivery order, with
-//!    `now_frame = frame`; whatever a handler emits (relays, acks) goes
-//!    on the wire at that instant and arrives in a later frame;
-//! 2. then every slot ticks, in index order.
+//! 1. everything the transport delivers by `frame × frame_ms` is
+//!    handled, in arrival order, with `now_frame = frame`; whatever a
+//!    handler emits (relays, acks) goes on the wire at that instant and
+//!    arrives in a later frame;
+//! 2. then every slot ticks, in index order, and the transport flushes.
 //!
 //! A slot is skipped — neither handles nor ticks — while it is empty
-//! (a joiner not yet admitted), crashed, or offline under the network's
-//! fault plan. The network independently eats traffic to and from such
-//! slots; the skip models the dead process not running.
+//! (a joiner not yet admitted, a live peer in another process), crashed,
+//! or offline under the network's fault plan. The network independently
+//! eats traffic to and from such slots; the skip models the dead process
+//! not running. [`Verdicts`] classifies what the cores conclude.
 
-use watchmen_core::node::{Outgoing, WatchmenNode};
+use watchmen_core::node::{NodeEvent, Outgoing, WatchmenNode};
 use watchmen_core::sans_io::{CoreOutput, ProtocolCore};
 use watchmen_game::trace::PlayerFrame;
 use watchmen_game::PlayerId;
-use watchmen_net::SimNetwork;
+use watchmen_net::{SimNetwork, Transport};
 
-/// N protocol cores on one simulated network. See the module docs.
+/// N protocol cores on one transport. See the module docs.
 /// Fields are public: scenarios seat joiners and send out-of-band
 /// datagrams, tests inspect nodes and network counters after a run.
-pub struct Cluster {
-    /// One slot per network node; `None` until a joiner is admitted.
+pub struct Cluster<T: Transport = SimNetwork<Vec<u8>>> {
+    /// One entry per transport slot; `None` until a core is seated.
     pub cores: Vec<Option<ProtocolCore>>,
     /// The network between them.
-    pub net: SimNetwork<Vec<u8>>,
-    /// Virtual milliseconds per protocol frame.
+    pub net: T,
+    /// Milliseconds per protocol frame.
     pub frame_ms: f64,
 }
 
-impl Cluster {
-    /// Seats `cores` in slots `0..`, leaving the rest of `net`'s nodes
+impl<T: Transport> Cluster<T> {
+    /// Seats `cores` in slots `0..`, leaving the rest of `net`'s slots
     /// empty.
     ///
     /// # Panics
     ///
-    /// Panics if there are more cores than network nodes.
+    /// Panics if there are more cores than transport slots.
     #[must_use]
-    pub fn new(
-        cores: impl IntoIterator<Item = ProtocolCore>,
-        net: SimNetwork<Vec<u8>>,
-        frame_ms: f64,
-    ) -> Self {
+    pub fn new(cores: impl IntoIterator<Item = ProtocolCore>, net: T, frame_ms: f64) -> Self {
         let mut cores: Vec<Option<ProtocolCore>> = cores.into_iter().map(Some).collect();
-        assert!(cores.len() <= net.node_count(), "more cores than network nodes");
-        cores.resize_with(net.node_count(), || None);
+        assert!(cores.len() <= net.slots(), "more cores than transport slots");
+        cores.resize_with(net.slots(), || None);
         Cluster { cores, net, frame_ms }
     }
 
@@ -63,55 +62,58 @@ impl Cluster {
         self.cores[slot].as_ref().expect("slot is seated").node()
     }
 
-    /// Whether `slot` currently runs: seated, not crashed, not offline.
+    /// Whether `slot` currently runs: seated and up.
     #[must_use]
     pub fn is_running(&self, slot: usize) -> bool {
-        self.cores[slot].is_some() && !self.net.is_crashed(slot) && !self.net.is_offline(slot)
+        self.cores[slot].is_some() && self.net.is_up(slot)
     }
 
     /// Puts `datagrams` from `from` on the wire at the current instant.
     pub fn send(&mut self, from: usize, datagrams: Vec<Outgoing>) {
         for o in datagrams {
-            let size = o.bytes.len();
-            self.net.send(from, o.to.index(), o.bytes, size);
+            self.net.send(from, o.to.index(), o.bytes);
         }
     }
 
-    /// Advances virtual time to `t_ms`, handing each delivery to its
-    /// running receiver at `frame`; `forward` decides whether what the
-    /// handlers emit goes back on the wire.
+    /// Hands everything delivered by `t_ms` to its running receiver at
+    /// `frame`; `forward` decides whether what the handlers emit goes
+    /// back on the wire. Returns how many deliveries were handed over.
     fn deliver(
         &mut self,
         frame: u64,
         t_ms: f64,
         on_output: &mut impl FnMut(usize, &mut CoreOutput),
         forward: bool,
-    ) {
-        for d in self.net.advance_to(t_ms) {
+    ) -> usize {
+        let mut handed = 0;
+        for d in self.net.deliver_until(t_ms) {
             if !self.is_running(d.to) {
                 continue;
             }
             let core = self.cores[d.to].as_mut().expect("running slot is seated");
             let mut output = core.datagram(frame, PlayerId(d.from as u32), &d.payload);
+            handed += 1;
             on_output(d.to, &mut output);
             if forward {
                 self.send(d.to, output.datagrams);
             }
         }
+        handed
     }
 
-    /// One frame: deliver everything due by `frame × frame_ms`, then tick
+    /// One frame: deliver everything due by `frame × frame_ms`, tick
     /// every running slot in index order with the state `state_of` gives
-    /// it. `on_output(slot, output)` sees every output — deliveries'
-    /// and ticks' — before its datagrams go on the wire, and what it
-    /// leaves in `output.datagrams` is what is sent.
+    /// it, then flush the transport. `on_output(slot, output)` sees every
+    /// output — deliveries' and ticks' — before its datagrams go on the
+    /// wire, and what it leaves in `output.datagrams` is what is sent.
+    /// Returns how many deliveries were handed to a core.
     pub fn step(
         &mut self,
         frame: u64,
         mut state_of: impl FnMut(usize) -> PlayerFrame,
         mut on_output: impl FnMut(usize, &mut CoreOutput),
-    ) {
-        self.deliver(frame, frame as f64 * self.frame_ms, &mut on_output, true);
+    ) -> usize {
+        let handed = self.deliver(frame, frame as f64 * self.frame_ms, &mut on_output, true);
         for i in 0..self.cores.len() {
             if !self.is_running(i) {
                 continue;
@@ -122,18 +124,70 @@ impl Cluster {
             on_output(i, &mut output);
             self.send(i, output.datagrams);
         }
+        self.net.flush();
+        handed
     }
 
     /// The end-of-match drain: deliver everything due by `horizon_ms`
     /// to its receiver at `frame`, reporting outputs but sending
-    /// nothing — the match is over.
+    /// nothing — the match is over. Returns how many deliveries were
+    /// handed to a core.
     pub fn deliver_until(
         &mut self,
         frame: u64,
         horizon_ms: f64,
         mut on_output: impl FnMut(usize, &mut CoreOutput),
-    ) {
-        self.deliver(frame, horizon_ms, &mut on_output, false);
+    ) -> usize {
+        self.deliver(frame, horizon_ms, &mut on_output, false)
+    }
+}
+
+/// The one verdict classifier: a severe rating
+/// (`CheatRating::is_suspicious`, every gate's bar) on a scripted cheater
+/// detects it, on anyone else it is a false verdict.
+#[derive(Debug, Clone, Default)]
+pub struct Verdicts {
+    /// Each scripted cheater's id and the severe ratings it drew.
+    per_cheater: Vec<(u32, u64)>,
+    /// Severe ratings on players nobody scripted to cheat.
+    pub false_verdicts: u64,
+    /// Datagrams rejected for a bad signature.
+    pub bad_signatures: u64,
+}
+
+impl Verdicts {
+    /// Nothing counted yet, for a match whose cheaters are `cheaters`.
+    #[must_use]
+    pub fn new(cheaters: &[u32]) -> Self {
+        Verdicts { per_cheater: cheaters.iter().map(|&c| (c, 0)).collect(), ..Self::default() }
+    }
+
+    /// Counts the severe ratings and bad signatures among `events`.
+    pub fn note(&mut self, events: &[NodeEvent]) {
+        for e in events {
+            match e {
+                NodeEvent::Suspicion { subject, rating, .. } if rating.is_suspicious() => {
+                    match self.per_cheater.iter_mut().find(|(c, _)| *c == subject.0) {
+                        Some((_, n)) => *n += 1,
+                        None => self.false_verdicts += 1,
+                    }
+                }
+                NodeEvent::BadSignature { .. } => self.bad_signatures += 1,
+                _ => {}
+            }
+        }
+    }
+
+    /// Severe ratings on all the cheaters together.
+    #[must_use]
+    pub fn severe(&self) -> u64 {
+        self.per_cheater.iter().map(|&(_, n)| n).sum()
+    }
+
+    /// Whether there were cheaters and each drew a severe rating.
+    #[must_use]
+    pub fn detected(&self) -> bool {
+        !self.per_cheater.is_empty() && self.per_cheater.iter().all(|&(_, n)| n > 0)
     }
 }
 
@@ -141,8 +195,9 @@ impl Cluster {
 mod tests {
     use super::*;
     use std::cell::RefCell;
-    use watchmen_core::node::NodeEvent;
+    use watchmen_core::rating::{CheatRating, Confidence};
     use watchmen_core::sans_io::secured_cores;
+    use watchmen_core::verify::checks;
     use watchmen_core::WatchmenConfig;
     use watchmen_crypto::schnorr::{Keypair, PublicKey};
     use watchmen_net::fault::{FaultPlan, GilbertElliott};
@@ -255,5 +310,24 @@ mod tests {
         let stats = c.net.stats();
         stats.assert_invariant("faulted cluster run");
         assert!(stats.dropped > 0 && stats.duplicated > 0, "the plan never engaged: {stats:?}");
+    }
+
+    #[test]
+    fn verdicts_classify_severe_ratings_by_subject() {
+        let suspicion = |subject, score, check| NodeEvent::Suspicion {
+            subject: PlayerId(subject),
+            rating: CheatRating::new(score, Confidence::Proxy, 0),
+            check,
+        };
+        let mut v = Verdicts::new(&[4, 2]);
+        v.note(&[suspicion(2, 10, checks::POSITION)]);
+        assert_eq!((v.per_cheater.clone(), v.false_verdicts), (vec![(4, 0), (2, 1)], 0), "cheater");
+        v.note(&[suspicion(1, 10, checks::POSITION)]);
+        assert_eq!((v.severe(), v.false_verdicts), (1, 1), "honest player");
+        v.note(&[suspicion(4, 1, checks::EPOCH_SUMMARY), suspicion(3, 1, checks::EPOCH_SUMMARY)]);
+        assert_eq!((v.severe(), v.false_verdicts), (1, 1), "clean epoch summaries");
+        assert!(!v.detected(), "cheater 4 drew no severe rating");
+        v.note(&[NodeEvent::BadSignature { claimed_from: PlayerId(1) }]);
+        assert_eq!((v.bad_signatures, v.severe(), v.false_verdicts), (1, 1, 1), "bad signature");
     }
 }

@@ -1,10 +1,12 @@
 //! A live Watchmen deathmatch across real OS processes.
 //!
 //! The parent process spawns one child process per player; each child
-//! binds a `LiveTransport` (nonblocking batched UDP) on loopback, wraps
+//! binds a `LiveTransport` (nonblocking batched UDP) on loopback, seats
 //! the identical sans-io `ProtocolCore` the simnet and fleet drivers
-//! run, and plays a recorded deathmatch in real time — with one injected
-//! speed-hacker whose proxy (a *different OS process*) must flag it.
+//! run at its player index in a `Cluster` over that transport, and
+//! plays a recorded deathmatch in real time, one `Cluster::step` per
+//! frame — with one injected speed-hacker whose proxy (a *different OS
+//! process*) must flag it.
 //!
 //! ```sh
 //! cargo run --release --example live_cluster [players] [frames]
@@ -17,12 +19,14 @@
 //!
 //! The parent prints one `live summary:` report and exits non-zero
 //! unless its gate holds: every process completed, the cheater (and
-//! nobody else) drew severe verdicts, transport heartbeats flowed and no
-//! datagram arrived malformed or truncated:
+//! nobody else) drew severe verdicts, transport heartbeats flowed, no
+//! datagram arrived malformed or truncated, and every payload frame a
+//! node's transport received was handed to its core (`unhanded`):
 //!
 //! ```text
 //! live summary: players=6 frames=240 cheater=2 completed=6 severe=120 \
-//!   detected=1 false_verdicts=0 heartbeats=458 malformed=0 truncated=0 queue_dropped=0
+//!   detected=1 false_verdicts=0 heartbeats=458 malformed=0 truncated=0 queue_dropped=0 \
+//!   unhanded=0
 //! ```
 //!
 //! Rendezvous protocol (stdin/stdout lines, parent ↔ child):
@@ -48,23 +52,28 @@ use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use watchmen::core::node::{NodeEvent, WatchmenNode};
-use watchmen::core::sans_io::ProtocolCore;
+use watchmen::core::sans_io::secured_cores;
 use watchmen::core::WatchmenConfig;
 use watchmen::crypto::schnorr::Keypair;
-use watchmen::game::PlayerId;
 use watchmen::net::live::LiveTransport;
+use watchmen::sim::cluster::{Cluster, Verdicts};
 use watchmen::sim::workload::{match_workload, speed_hack};
 use watchmen::telemetry::report::{self, Report};
-use watchmen::world::PhysicsConfig;
 
 /// Extra frames after the playable match: one proxy epoch, enough for
 /// the final epoch summaries and their verdicts to land.
 const DRAIN_FRAMES: u64 = 40;
 
 /// What each child reports and the parent sums, in order.
-const NODE_FIGURES: [&str; 6] =
-    ["severe", "false_verdicts", "heartbeats", "malformed", "truncated", "queue_dropped"];
+const NODE_FIGURES: [&str; 7] = [
+    "severe",
+    "false_verdicts",
+    "heartbeats",
+    "malformed",
+    "truncated",
+    "queue_dropped",
+    "unhanded",
+];
 
 fn node_title(index: usize) -> String {
     format!("node {index} result")
@@ -324,7 +333,8 @@ fn run_parent(shape: Shape, die: Option<usize>) {
         started.elapsed().as_secs_f64(),
         shape.players
     );
-    let [severe, false_verdicts, heartbeats, malformed, truncated, queue_dropped] = totals;
+    let [severe, false_verdicts, heartbeats, malformed, truncated, queue_dropped, unhanded] =
+        totals;
     let summary = Report::new("live summary")
         .figure("players", shape.players, true)
         .figure("frames", shape.frames, true)
@@ -336,7 +346,8 @@ fn run_parent(shape: Shape, die: Option<usize>) {
         .figure("heartbeats", heartbeats, heartbeats > 0)
         .figure("malformed", malformed, malformed == 0)
         .figure("truncated", truncated, truncated == 0)
-        .figure("queue_dropped", queue_dropped, true);
+        .figure("queue_dropped", queue_dropped, true)
+        .figure("unhanded", unhanded, unhanded == 0);
     println!("{summary}");
     if let Err(e) = summary.check() {
         eprintln!("live cluster FAILED: {e}");
@@ -363,20 +374,14 @@ fn fail(children: &mut [Node], reason: &str) -> ! {
     std::process::exit(1);
 }
 
-/// One player process: bind, rendezvous, then drive the sans-io core
+/// One player process: bind, rendezvous, then step its one-seat cluster
 /// over real UDP at a fixed frame cadence — or, when `die`, exit 7
 /// right after `ADDR`.
 fn run_node(index: usize, shape: Shape, die: bool) {
-    let stdout = std::io::stdout();
     let stdin = std::io::stdin();
-
     let mut transport =
         LiveTransport::bind(index as u32, "127.0.0.1:0").expect("bind loopback socket");
-    {
-        let mut out = stdout.lock();
-        writeln!(out, "ADDR {}", transport.local_addr().expect("local addr")).unwrap();
-        out.flush().unwrap();
-    }
+    say(format_args!("ADDR {}", transport.local_addr().expect("local addr")));
     if die {
         // Scripted crash for exercising the parent's rendezvous
         // deadline: die right after ADDR, before ever heartbeating.
@@ -404,11 +409,7 @@ fn run_node(index: usize, shape: Shape, die: bool) {
         transport.pump().expect("pump during rendezvous");
         std::thread::sleep(Duration::from_millis(2));
     }
-    {
-        let mut out = stdout.lock();
-        writeln!(out, "UP").unwrap();
-        out.flush().unwrap();
-    }
+    say("UP");
     let mut go_line = String::new();
     stdin.lock().read_line(&mut go_line).expect("GO line");
     assert_eq!(go_line.trim(), "GO");
@@ -419,57 +420,33 @@ fn run_node(index: usize, shape: Shape, die: bool) {
     let keys: Vec<Keypair> =
         (0..shape.players).map(|i| Keypair::generate(SEED ^ i as u64)).collect();
     let directory: Vec<_> = keys.iter().map(Keypair::public).collect();
-    let mut core = ProtocolCore::new(WatchmenNode::new(
-        PlayerId(index as u32),
-        keys[index].clone(),
-        directory,
-        SEED,
-        WatchmenConfig::default(),
-        workload.map.clone(),
-        PhysicsConfig::default(),
-    ));
+    let mut cores =
+        secured_cores(&keys, &directory, None, SEED, WatchmenConfig::default(), &workload.map);
 
-    let (mut severe, mut false_verdicts) = (0u64, 0u64);
-    let tally = |events: &[NodeEvent], severe: &mut u64, false_verdicts: &mut u64| {
-        for e in events {
-            if let NodeEvent::Suspicion { subject, rating, .. } = e {
-                if rating.is_suspicious() {
-                    if subject.0 == CHEATER {
-                        *severe += 1;
-                    } else {
-                        *false_verdicts += 1;
-                    }
-                }
-            }
-        }
-    };
+    let mut cluster = Cluster::new([], transport, PACE_MS as f64);
+    cluster.cores[index] = cores.nth(index);
 
+    let mut verdicts = Verdicts::new(&[CHEATER]);
+    let mut handed = 0;
     let pace = Duration::from_millis(PACE_MS);
     let start = Instant::now();
     let total = shape.frames + DRAIN_FRAMES;
     for f in 0..total {
-        // Deliver everything the wire brought since the last tick…
-        for (sender, bytes) in transport.pump().expect("pump") {
-            let out = core.datagram(f, PlayerId(sender), &bytes);
-            tally(&out.events, &mut severe, &mut false_verdicts);
-            for o in out.datagrams {
-                transport.queue(o.to.0, o.bytes);
-            }
-        }
-        // …then tick. During the drain the avatar holds its final
-        // recorded state (standing still is legal), keeping the proxy
-        // streams alive while late verdicts land.
-        let mut state =
-            workload.trace.frames[(f as usize).min(shape.frames as usize - 1)].states[index];
-        if index as u32 == CHEATER && f < shape.frames {
-            speed_hack(&mut state, f);
-        }
-        let out = core.tick(f, &state);
-        tally(&out.events, &mut severe, &mut false_verdicts);
-        for o in out.datagrams {
-            transport.queue(o.to.0, o.bytes);
-        }
-        transport.pump().expect("flush");
+        // During the drain the avatar holds its final recorded state
+        // (standing still is legal), keeping the proxy streams alive
+        // while late verdicts land.
+        handed += cluster.step(
+            f,
+            |i| {
+                let mut state =
+                    workload.trace.frames[(f as usize).min(shape.frames as usize - 1)].states[i];
+                if i as u32 == CHEATER && f < shape.frames {
+                    speed_hack(&mut state, f);
+                }
+                state
+            },
+            |_, out| verdicts.note(&out.events),
+        );
 
         // Absolute deadlines: sleep jitter must not accumulate into
         // cross-process frame skew.
@@ -478,21 +455,31 @@ fn run_node(index: usize, shape: Shape, die: bool) {
             std::thread::sleep(wait);
         }
     }
+    // The last step's flush drained frames too: hand them over, send
+    // nothing.
+    let end_ms = total as f64 * PACE_MS as f64;
+    handed += cluster.deliver_until(total, end_ms, |_, out| verdicts.note(&out.events));
 
-    let stats = transport.stats();
+    let stats = cluster.net.stats();
     let counts = [
-        severe,
-        false_verdicts,
+        verdicts.severe(),
+        verdicts.false_verdicts,
         stats.heartbeats_received,
         stats.malformed,
         stats.truncated,
         stats.queue_dropped,
+        stats.frames_in - handed as u64,
     ];
     let result = NODE_FIGURES
         .into_iter()
         .zip(counts)
         .fold(Report::new(node_title(index)), |r, (label, n)| r.figure(label, n, true));
-    let mut out = stdout.lock();
-    writeln!(out, "{result}").unwrap();
-    out.flush().unwrap();
+    say(result);
+}
+
+/// Writes one line to the parent, flushed at once: the parent is waiting
+/// on it.
+fn say(line: impl std::fmt::Display) {
+    println!("{line}");
+    std::io::stdout().flush().expect("stdout");
 }
