@@ -83,15 +83,27 @@ rate=$(grep -rlF 'check_rate(' crates src examples tests | sort | tr '\n' ' ' ||
 # crafted single tick (`cheat_matrix`, `detection`) or by
 # `node_protocol`'s same-frame instant bus; every other driver, the live
 # ones included, calls `Cluster::step`. And one verdict classifier,
-# `sim::cluster::Verdicts`: the node's `Tally` is a counter handle, not a
-# verdict tally.
+# `sim::cluster::Verdicts`, which also counts the events the nodes emit.
 echo "==> one frame loop, one verdict classifier"
 loops=$(grep -rlE '\.tick\([^)]*,' examples tests crates/sim/src crates/fleet/src | LC_ALL=C sort | xargs)
 [ "$loops" = "crates/sim/src/cheat_matrix.rs crates/sim/src/cluster.rs crates/sim/src/detection.rs tests/node_protocol.rs" ] ||
     { echo "a frame loop outside Cluster::step: $loops" >&2; exit 1; }
-tallies=$(grep -rlE 'count_verdicts|struct Tally' crates examples tests | xargs)
-[ "$tallies" = "crates/core/src/node/instrument.rs" ] ||
-    { echo "a second verdict tally: $tallies" >&2; exit 1; }
+tallies=$(grep -rlE 'count_verdicts|struct Tally' crates examples tests || true)
+[ -z "$tallies" ] || { echo "a second verdict tally: $tallies" >&2; exit 1; }
+
+# One count per event: the node, the simnet and the UDP endpoint count in
+# their own stats and publish a finished run's totals into the registry
+# their driver names. The process-wide registry is reached from the core
+# only for the node's timing histograms, and never from the net crate;
+# and a node keeps a flight recorder only when its driver asks for one.
+echo "==> one count per event, recorders opt-in"
+globals=$(grep -rn 'global()' crates/core/src | sed -E 's/:[0-9]+: */: /')
+[ "$globals" = "crates/core/src/node/instrument.rs: let t = watchmen_telemetry::global();" ] ||
+    { echo "global() in the core beyond Instrument::new: $globals" >&2; exit 1; }
+globals=$(grep -rn 'global()' crates/net/src || true)
+[ -z "$globals" ] || { echo "global() in the net crate: $globals" >&2; exit 1; }
+trimmed=$(grep -rn 'RECORDER_CAPACITY' crates/fleet || true)
+[ -z "$trimmed" ] || { echo "fleet nodes carry a recorder again: $trimmed" >&2; exit 1; }
 
 # One run covers the trace smoke and both scripted soaks (control plane
 # under burst loss + duplication + reordering + a proxy crash; churn with
@@ -204,11 +216,10 @@ wait "$FLEET_PID"
 trap - EXIT
 tail -n 4 "$FLEET_OUT"
 
-# The live transport frames into reused buffers and counts through cached
-# handles: run the net tests optimised too, so the frame fuzz, the socket
-# classification and the counter-delta tests check the code the ledger's
-# live16 and the cluster below run.
-echo "==> net unit + frame-fuzz + counter tests (release)"
+# The live transport frames into reused buffers: run the net tests
+# optimised too, so the frame fuzz and the socket classification tests
+# check the code the ledger's live16 and the cluster below run.
+echo "==> net unit + frame-fuzz + classification tests (release)"
 cargo test --release -q -p watchmen-net
 
 echo "==> live cluster smoke (6 OS processes over loopback UDP, scripted speed-hacker)"

@@ -15,14 +15,11 @@
 //! own timeouts as [`crate::lobby::LobbyEvent::Disconnected`].
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use watchmen_crypto::schnorr::{Keypair, PublicKey, VerifyingKey};
 use watchmen_game::PlayerId;
-use watchmen_telemetry::Gauge;
 use watchmen_world::{GameMap, PhysicsConfig};
 
-use super::instrument::Tally;
 use super::{Inbound, NodeEvent, ReplayWindow, WatchmenNode};
 use crate::msg::{BootstrapSnapshot, JoinTicket, Payload, SignedEnvelope, MAX_BOOTSTRAP_ENTRIES};
 use crate::proxy::ProxySchedule;
@@ -70,14 +67,7 @@ pub(super) struct Churn {
     pending_evicts: BTreeMap<PlayerId, u64>,
     /// Players this node has already announced an eviction for.
     announced_evictions: BTreeSet<PlayerId>,
-    joins_applied: Tally,
-    leaves_applied: Tally,
-    evictions_applied: Tally,
-    bootstraps_sent: Tally,
-    bootstraps_received: Tally,
-    pub(super) stale_drops: Tally,
-    evictions_announced: u64,
-    roster_active: Arc<Gauge>,
+    pub(super) stats: ChurnStats,
 }
 
 impl Churn {
@@ -90,14 +80,7 @@ impl Churn {
             pending_leaves: BTreeMap::new(),
             pending_evicts: BTreeMap::new(),
             announced_evictions: BTreeSet::new(),
-            joins_applied: Tally::new("node_roster_joins_total"),
-            leaves_applied: Tally::new("node_roster_leaves_total"),
-            evictions_applied: Tally::new("node_roster_evictions_total"),
-            bootstraps_sent: Tally::new("node_bootstraps_sent_total"),
-            bootstraps_received: Tally::new("node_bootstraps_received_total"),
-            stale_drops: Tally::new("node_stale_drops_total"),
-            evictions_announced: 0,
-            roster_active: watchmen_telemetry::global().gauge("node_roster_active"),
+            stats: ChurnStats::default(),
         }
     }
 }
@@ -180,16 +163,7 @@ impl WatchmenNode {
     /// Churn counters (joins, leaves, evictions, bootstraps, stale drops).
     #[must_use]
     pub fn churn_stats(&self) -> ChurnStats {
-        let c = &self.churn;
-        ChurnStats {
-            joins_applied: c.joins_applied.count,
-            leaves_applied: c.leaves_applied.count,
-            evictions_applied: c.evictions_applied.count,
-            evictions_announced: c.evictions_announced,
-            bootstraps_sent: c.bootstraps_sent.count,
-            bootstraps_received: c.bootstraps_received.count,
-            stale_drops: c.stale_drops.count,
-        }
+        self.churn.stats
     }
 
     /// The node's current membership view.
@@ -285,7 +259,7 @@ impl WatchmenNode {
         debug_assert_eq!(applied, deltas.len(), "pre-filtered deltas must all apply");
         for &j in &joined {
             if j != self.id {
-                self.churn.joins_applied.inc();
+                self.churn.stats.joins_applied += 1;
             }
         }
         for &d in &departed {
@@ -304,11 +278,10 @@ impl WatchmenNode {
             if j != self.id && self.effective_proxy(j, frame, frame) == self.id {
                 let snapshot = self.knowledge.snapshot(&self.roster, j, MAX_BOOTSTRAP_ENTRIES);
                 self.sign_and_queue(out, j, frame, Payload::Bootstrap(snapshot));
-                self.churn.bootstraps_sent.inc();
+                self.churn.stats.bootstraps_sent += 1;
             }
         }
         let active = self.roster.active_count();
-        self.churn.roster_active.set(active as i64);
         out.events.push(NodeEvent::RosterChanged { epoch: self.roster.epoch(), active });
     }
 
@@ -335,7 +308,7 @@ impl WatchmenNode {
             let effective = frame + self.config.proxy_period;
             self.churn.announced_evictions.insert(p);
             queue_earliest(&mut self.churn.pending_evicts, p, effective);
-            self.churn.evictions_announced += 1;
+            self.churn.stats.evictions_announced += 1;
             self.broadcast(frame, Payload::Evict { player: p, effective_frame: effective }, p, out);
         }
     }
@@ -353,14 +326,14 @@ impl WatchmenNode {
             if eff <= frame && self.roster.is_active(p) {
                 deltas.push(RosterDelta::Evict { player: p });
                 departed.push(p);
-                self.churn.evictions_applied.inc();
+                self.churn.stats.evictions_applied += 1;
             }
         }
         for (&p, &eff) in &self.churn.pending_leaves {
             if eff <= frame && self.roster.is_active(p) && !departed.contains(&p) {
                 deltas.push(RosterDelta::Leave { player: p });
                 departed.push(p);
-                self.churn.leaves_applied.inc();
+                self.churn.stats.leaves_applied += 1;
             }
         }
         let period = self.config.proxy_period;
@@ -422,7 +395,7 @@ impl WatchmenNode {
         let Some(lobby) = self.churn.lobby_key else {
             // No lobby key, no admission authority: superseded, not scored
             // (this node simply cannot judge the ticket).
-            self.churn.stale_drops.inc();
+            self.churn.stats.stale_drops += 1;
             return;
         };
         let admissible = ticket.player == origin
@@ -486,7 +459,7 @@ impl WatchmenNode {
             // converge (content already agrees at boundaries).
             self.roster.sync_epoch(snapshot.roster_epoch);
             if rx.fresh {
-                self.churn.bootstraps_received.inc();
+                self.churn.stats.bootstraps_received += 1;
                 let (from, entries) = (rx.origin, snapshot.entries().len() as u8);
                 rx.out.events.push(NodeEvent::BootstrapReceived { from, entries });
             }

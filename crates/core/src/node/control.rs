@@ -8,7 +8,6 @@ use std::collections::BTreeMap;
 use watchmen_game::PlayerId;
 use watchmen_telemetry::trace::{EventKind, Phase, TraceId};
 
-use super::instrument::Tally;
 use super::{Inbound, Outgoing, WatchmenNode};
 use crate::msg::{Envelope, Payload};
 use crate::proxy::ProxySchedule;
@@ -77,12 +76,7 @@ struct PendingControl {
 pub(super) struct Control {
     /// Unacked control messages keyed by envelope sequence number.
     pending: BTreeMap<u64, PendingControl>,
-    retransmits: Tally,
-    acks_sent: Tally,
-    acks_received: Tally,
-    abandoned: Tally,
-    proxy_fallbacks: Tally,
-    superseded: u64,
+    stats: ControlPlaneStats,
     /// Per-peer liveness: the newest frame each peer produced evidence of
     /// life for (wire receipt or a verified signed envelope).
     pub(super) last_heard: Vec<u64>,
@@ -98,12 +92,7 @@ impl Control {
     pub(super) fn new(players: usize) -> Self {
         Control {
             pending: BTreeMap::new(),
-            retransmits: Tally::new("node_control_retransmits_total"),
-            acks_sent: Tally::new("node_control_acks_sent_total"),
-            acks_received: Tally::new("node_control_acks_received_total"),
-            abandoned: Tally::new("node_control_abandoned_total"),
-            proxy_fallbacks: Tally::new("node_proxy_fallbacks_total"),
-            superseded: 0,
+            stats: ControlPlaneStats::default(),
             last_heard: vec![0; players],
             last_tick: None,
             fallback_active: false,
@@ -140,7 +129,7 @@ impl Control {
     /// §9 for the caveat).
     pub(super) fn on_ack(&mut self, ack_seq: u64) {
         if self.pending.remove(&ack_seq).is_some() {
-            self.acks_received.inc();
+            self.stats.acks_received += 1;
         }
     }
 
@@ -165,7 +154,7 @@ impl Control {
     fn supersede(&mut self, keep: impl Fn(&PendingControl) -> bool) {
         let before = self.pending.len();
         self.pending.retain(|_, p| keep(p));
-        self.superseded += (before - self.pending.len()) as u64;
+        self.stats.superseded += (before - self.pending.len()) as u64;
     }
 }
 
@@ -173,15 +162,7 @@ impl WatchmenNode {
     /// Reliable-control-plane counters (retransmits, acks, fallbacks…).
     #[must_use]
     pub fn control_stats(&self) -> ControlPlaneStats {
-        let c = &self.control;
-        ControlPlaneStats {
-            retransmits: c.retransmits.count,
-            acks_sent: c.acks_sent.count,
-            acks_received: c.acks_received.count,
-            abandoned: c.abandoned.count,
-            superseded: c.superseded,
-            proxy_fallbacks: c.proxy_fallbacks.count,
-        }
+        self.control.stats
     }
 
     /// Handoff notices still awaiting acknowledgement — the "unrecovered
@@ -245,7 +226,7 @@ impl WatchmenNode {
             self.control.fallback_active = false;
         } else if !self.control.fallback_active {
             self.control.fallback_active = true;
-            self.control.proxy_fallbacks.inc();
+            self.control.stats.proxy_fallbacks += 1;
             let mark = (Phase::Publish, EventKind::Mark, "proxy-fallback");
             self.instrument.point(TraceId::NONE, effective.0, frame, mark, i64::from(scheduled.0));
         }
@@ -319,7 +300,7 @@ impl WatchmenNode {
             return;
         }
         self.sign_and_queue(out, to, frame, Payload::Ack { ack_seq });
-        self.control.acks_sent.inc();
+        self.control.stats.acks_sent += 1;
     }
 
     /// Retransmits unacked control messages whose ack timeout expired,
@@ -340,7 +321,7 @@ impl WatchmenNode {
             let p = &self.control.pending[&seq];
             if p.attempts >= WatchmenConfig::RETRANSMIT_MAX_ATTEMPTS {
                 let p = self.control.pending.remove(&seq).expect("listed");
-                self.control.abandoned.inc();
+                self.control.stats.abandoned += 1;
                 let mark = (p.phase, EventKind::Mark, "control-abandoned");
                 self.instrument.point(p.trace, p.to.0, frame, mark, i64::from(p.attempts));
                 continue;
@@ -356,7 +337,7 @@ impl WatchmenNode {
                 // over, so the chain is complete. Nothing is ever addressed
                 // to oneself (the first send skips the same case).
                 self.control.pending.remove(&seq);
-                self.control.superseded += 1;
+                self.control.stats.superseded += 1;
                 continue;
             }
             let p = self.control.pending.get_mut(&seq).expect("listed");
@@ -366,7 +347,7 @@ impl WatchmenNode {
                 .min(WatchmenConfig::RETRANSMIT_BACKOFF_CAP_FRAMES);
             p.next_retry = frame + backoff;
             out.datagrams.push(Outgoing { to, bytes: p.bytes.clone() });
-            self.control.retransmits.inc();
+            self.control.stats.retransmits += 1;
             let send = (p.phase, EventKind::Send, "retransmit");
             self.instrument.point(p.trace, to.0, frame, send, p.bytes.len() as i64);
         }

@@ -4,13 +4,11 @@
 //! epoch's proxy, and summarizing every epoch.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use watchmen_game::trace::PlayerFrame;
 use watchmen_game::PlayerId;
 use watchmen_math::Vec3;
 use watchmen_telemetry::trace::TraceId;
-use watchmen_telemetry::Counter;
 
 use super::{Inbound, NodeEvent, WatchmenNode};
 use crate::audit::AuditKind;
@@ -95,7 +93,8 @@ pub(super) struct Duty {
     /// evidence from both sides of the subscription frame is in hand (see
     /// [`WatchmenNode::confirm_sub_offenses`]).
     parked: BTreeMap<(PlayerId, PlayerId), PendingSubCheck>,
-    handoffs_sent: Arc<Counter>,
+    /// Handoff notices sent at epoch boundaries.
+    pub(super) handoffs_sent: u64,
 }
 
 impl Duty {
@@ -104,7 +103,7 @@ impl Duty {
             duties: BTreeMap::new(),
             resumed_epoch: None,
             parked: BTreeMap::new(),
-            handoffs_sent: watchmen_telemetry::global().counter("proxy_handoffs_total"),
+            handoffs_sent: 0,
         }
     }
 
@@ -301,7 +300,7 @@ impl WatchmenNode {
             }
             let Some(notice) = self.duty.notice(&self.schedule, player, epoch) else { continue };
             self.sign_and_queue(out, successor, frame, Payload::Handoff(notice));
-            self.duty.handoffs_sent.inc();
+            self.duty.handoffs_sent += 1;
         }
     }
 

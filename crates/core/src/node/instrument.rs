@@ -1,11 +1,12 @@
-//! Instrumentation: timing histograms, counters, the flight recorder and
-//! the verdict audit stream. Each protocol entry point reports its events
-//! here exactly once ([`Instrument::observe`]).
+//! Instrumentation: timing histograms, the node's own counts, the
+//! optional flight recorder and the verdict audit stream. Each protocol
+//! entry point reports its events here exactly once
+//! ([`Instrument::observe`]).
 
 use std::sync::Arc;
 
 use watchmen_telemetry::trace::{EventKind, Phase, TraceEvent, TraceId};
-use watchmen_telemetry::{Counter, FlightRecorder, FrameTimer, Histogram, DEFAULT_CAPACITY};
+use watchmen_telemetry::{FlightRecorder, FrameTimer, Histogram, Registry};
 
 use super::{Inbound, NodeEvent, WatchmenNode};
 use crate::audit::{AuditKind, AuditLog, AuditRecord};
@@ -16,24 +17,25 @@ pub(super) type Point = (Phase, EventKind, &'static str);
 /// What an audit record decided: `(kind, check, score, confidence label)`.
 pub(super) type Judgement = (AuditKind, &'static str, u8, &'static str);
 
-/// Every node metric and its help text, described once per node.
-const HELP: [(&str, &str); 22] = [
+/// The node's timing histograms and their help text, described in the
+/// process-wide registry once per node.
+const TIMINGS: [(&str, &str); 3] = [
     ("node_tick_duration_ms", "wall time of one begin_frame call"),
     ("node_tick_phase_duration_ms", "wall time of one begin_frame phase"),
     ("node_handle_message_duration_ms", "wall time of one handle_message call"),
+];
+
+/// The node's own counts and their help text, in the order
+/// [`WatchmenNode::publish`] adds them.
+const COUNTS: [(&str, &str); 14] = [
     ("node_subscriptions_sent_total", "subscribe messages issued"),
     ("node_messages_forwarded_total", "signed messages forwarded as proxy"),
     ("proxy_handoffs_total", "handoff notices sent at epoch boundaries"),
-    ("proxy_handoffs_received_total", "handoff notices accepted from predecessors"),
-    ("node_bad_signatures_total", "messages rejected for signature failure"),
-    ("node_replays_total", "messages rejected as replayed or stale"),
-    ("node_suspicions_total", "verification checks that flagged a player"),
     ("node_control_retransmits_total", "control messages re-sent after ack timeout"),
     ("node_control_acks_sent_total", "acks emitted for processed control messages"),
     ("node_control_acks_received_total", "acks that retired a pending control message"),
     ("node_control_abandoned_total", "control messages given up on (unrecovered)"),
     ("node_proxy_fallbacks_total", "switches to a fallback proxy draw"),
-    ("node_roster_active", "active roster members after the last boundary"),
     ("node_roster_joins_total", "mid-game joins applied at boundaries"),
     ("node_roster_leaves_total", "graceful leaves applied at boundaries"),
     ("node_roster_evictions_total", "timeout evictions applied at boundaries"),
@@ -42,27 +44,8 @@ const HELP: [(&str, &str); 22] = [
     ("node_stale_drops_total", "messages dropped as superseded churn traffic"),
 ];
 
-/// A per-node count and its global registry counter, bumped together so
-/// each event is counted in one place.
-#[derive(Debug)]
-pub(super) struct Tally {
-    pub(super) count: u64,
-    global: Arc<Counter>,
-}
-
-impl Tally {
-    pub(super) fn new(name: &'static str) -> Self {
-        Tally { count: 0, global: watchmen_telemetry::global().counter(name) }
-    }
-
-    pub(super) fn inc(&mut self) {
-        self.count += 1;
-        self.global.inc();
-    }
-}
-
-/// The node's instrumentation. Handles are fetched once per node so
-/// per-frame recording is a couple of atomic adds, never a registry
+/// The node's instrumentation. Histogram handles are fetched once per
+/// node so per-frame timing is a couple of atomic adds, never a registry
 /// lookup.
 #[derive(Debug)]
 pub(super) struct Instrument {
@@ -73,13 +56,12 @@ pub(super) struct Instrument {
     pub(super) publish_phase_ms: Arc<Histogram>,
     pub(super) handoff_phase_ms: Arc<Histogram>,
     pub(super) handle_message_ms: Arc<Histogram>,
-    messages_forwarded: Arc<Counter>,
-    handoffs_received: Arc<Counter>,
-    bad_signatures: Arc<Counter>,
-    replays: Arc<Counter>,
-    /// Per-node flight recorder of trace events (sends, relays,
-    /// deliveries, rejections, verdicts, tick-phase spans).
-    recorder: Arc<FlightRecorder>,
+    /// Signed messages forwarded as proxy.
+    messages_forwarded: u64,
+    /// The flight recorder of trace events (sends, relays, deliveries,
+    /// rejections, verdicts, tick-phase spans), when the driver asked
+    /// for one ([`WatchmenNode::with_recorder_capacity`]).
+    recorder: Option<Arc<FlightRecorder>>,
     /// The verdict audit stream: one structured record per detection
     /// decision, drained by the embedding driver.
     audit: AuditLog,
@@ -88,7 +70,7 @@ pub(super) struct Instrument {
 impl Instrument {
     pub(super) fn new(node: u32) -> Self {
         let t = watchmen_telemetry::global();
-        for (name, help) in HELP {
+        for (name, help) in TIMINGS {
             t.describe(name, help);
         }
         let phase = |p: &str| t.histogram_with("node_tick_phase_duration_ms", &[("phase", p)]);
@@ -99,17 +81,14 @@ impl Instrument {
             publish_phase_ms: phase("publish"),
             handoff_phase_ms: phase("handoff"),
             handle_message_ms: t.histogram("node_handle_message_duration_ms"),
-            messages_forwarded: t.counter("node_messages_forwarded_total"),
-            handoffs_received: t.counter("proxy_handoffs_received_total"),
-            bad_signatures: t.counter("node_bad_signatures_total"),
-            replays: t.counter("node_replays_total"),
-            recorder: Arc::new(FlightRecorder::new(DEFAULT_CAPACITY)),
+            messages_forwarded: 0,
+            recorder: None,
             audit: AuditLog::default(),
         }
     }
 
     /// Times one tick phase into `hist` and, as this node's span, into
-    /// the recorder: one clock reading at each edge.
+    /// the recorder if there is one: one clock reading at each edge.
     pub(super) fn span(
         &self,
         hist: &Arc<Histogram>,
@@ -117,14 +96,19 @@ impl Instrument {
         phase: Phase,
         detail: &'static str,
     ) -> FrameTimer {
-        FrameTimer::traced(hist, &self.recorder, self.node, frame, phase, detail)
+        match &self.recorder {
+            Some(r) => FrameTimer::traced(hist, r, self.node, frame, phase, detail),
+            None => FrameTimer::start(hist),
+        }
     }
 
     pub(super) fn point(&self, trace: TraceId, subject: u32, frame: u64, what: Point, value: i64) {
-        let (phase, kind, detail) = what;
-        self.recorder.record(TraceEvent::point(
-            trace, self.node, subject, frame, phase, kind, detail, value,
-        ));
+        if let Some(r) = &self.recorder {
+            let (phase, kind, detail) = what;
+            r.record(TraceEvent::point(
+                trace, self.node, subject, frame, phase, kind, detail, value,
+            ));
+        }
     }
 
     /// Pushes one audit record about `subject`; `detail` is only
@@ -154,9 +138,9 @@ impl Instrument {
     /// The single instrumentation point of a protocol entry: mirrors
     /// `events` into the flight recorder, audits every decision among
     /// them (each record names its trace id, from which
-    /// [`watchmen_telemetry::causal_chain`] rebuilds the message's path),
-    /// marks each suspicious verdict with a violation event, and bumps
-    /// the security counters.
+    /// [`watchmen_telemetry::causal_chain`] rebuilds the message's path)
+    /// and marks each suspicious verdict with a violation event. The
+    /// events themselves are the driver's to count.
     pub(super) fn observe(&mut self, frame: u64, trace: TraceId, events: &[NodeEvent]) {
         for e in events {
             let (subject, at, what, value) = point_of(e, self.node, frame);
@@ -164,18 +148,13 @@ impl Instrument {
             match *e {
                 NodeEvent::BadSignature { .. } | NodeEvent::Replay { .. } => {
                     let kind = if matches!(e, NodeEvent::Replay { .. }) {
-                        self.replays.inc();
                         AuditKind::Replay
                     } else {
-                        self.bad_signatures.inc();
                         AuditKind::BadSignature
                     };
                     self.audit(frame, subject, trace, (kind, "", 0, ""), String::new);
                 }
                 NodeEvent::Suspicion { rating, check, .. } => {
-                    watchmen_telemetry::global()
-                        .counter_with("node_suspicions_total", &[("check", check)])
-                        .inc();
                     let judged =
                         (AuditKind::Verdict, check, rating.score, rating.confidence.label());
                     self.audit(frame, subject, trace, judged, || format!("{rating}"));
@@ -184,8 +163,8 @@ impl Instrument {
                         self.point(trace, subject, frame, violation, value);
                     }
                 }
-                NodeEvent::HandoffReceived { .. } => self.handoffs_received.inc(),
                 NodeEvent::Delivery { .. }
+                | NodeEvent::HandoffReceived { .. }
                 | NodeEvent::RosterChanged { .. }
                 | NodeEvent::BootstrapReceived { .. } => {}
             }
@@ -194,13 +173,13 @@ impl Instrument {
 
     /// Accounts a dispatched message's output: one relay event per
     /// forward batch (`value` = fan-out) and the forwarded-message count.
-    pub(super) fn relayed(&self, rx: &Inbound<'_>) {
+    pub(super) fn relayed(&mut self, rx: &Inbound<'_>) {
         let fan_out = rx.out.datagrams.len();
         if fan_out > 0 {
             let relay = (Phase::ProxyRelay, EventKind::Relay, rx.label);
             self.point(rx.trace, rx.origin.0, rx.gen_frame, relay, fan_out as i64);
         }
-        self.messages_forwarded.add(fan_out as u64);
+        self.messages_forwarded += fan_out as u64;
     }
 }
 
@@ -235,30 +214,56 @@ fn point_of(e: &NodeEvent, node: u32, frame: u64) -> (u32, u64, Point, i64) {
 }
 
 impl WatchmenNode {
-    /// Replaces the flight recorder with a fresh ring of `capacity`
-    /// events. The default [`DEFAULT_CAPACITY`]-event ring costs tens of
-    /// kilobytes per node — the right trade for a handful of
-    /// nodes under a debugging microscope, but prohibitive when a fleet
-    /// orchestrator keeps thousands of nodes alive at once. Call this
-    /// immediately after construction, before any frame runs: handles
-    /// already cloned out via [`WatchmenNode::recorder`] keep pointing at
-    /// the old ring.
+    /// Gives this node a flight recorder: a ring of the last `capacity`
+    /// trace events, which [`WatchmenNode::recorder`] hands out. A node
+    /// built without one records no trace event, so only a driver that
+    /// reads the ring pays for it. Call this immediately after
+    /// construction, before any frame runs: handles already cloned out
+    /// via [`WatchmenNode::recorder`] keep pointing at the old ring.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     #[must_use]
     pub fn with_recorder_capacity(mut self, capacity: usize) -> Self {
-        self.instrument.recorder = Arc::new(FlightRecorder::new(capacity));
+        self.instrument.recorder = Some(Arc::new(FlightRecorder::new(capacity)));
         self
     }
 
-    /// A handle on this node's flight recorder, for cross-node causal
-    /// chains ([`watchmen_telemetry::causal_chain`]) and Chrome-trace
-    /// export.
+    /// A handle on this node's flight recorder, if it has one, for
+    /// cross-node causal chains ([`watchmen_telemetry::causal_chain`])
+    /// and Chrome-trace export.
     #[must_use]
-    pub fn recorder(&self) -> Arc<FlightRecorder> {
-        Arc::clone(&self.instrument.recorder)
+    pub fn recorder(&self) -> Option<Arc<FlightRecorder>> {
+        self.instrument.recorder.clone()
+    }
+
+    /// Adds this node's counts to `registry`: subscriptions sent,
+    /// messages forwarded, handoffs sent and the control-plane and churn
+    /// stats. A driver calls it once, when the node's run is over. The
+    /// counts of what the node emits as [`NodeEvent`]s are the driver's
+    /// to keep.
+    pub fn publish(&self, registry: &Registry) {
+        let (c, ch) = (self.control_stats(), self.churn_stats());
+        registry.add_counts(
+            &COUNTS,
+            [
+                self.knowledge.subscriptions_sent,
+                self.instrument.messages_forwarded,
+                self.duty.handoffs_sent,
+                c.retransmits,
+                c.acks_sent,
+                c.acks_received,
+                c.abandoned,
+                c.proxy_fallbacks,
+                ch.joins_applied,
+                ch.leaves_applied,
+                ch.evictions_applied,
+                ch.bootstraps_sent,
+                ch.bootstraps_received,
+                ch.stale_drops,
+            ],
+        );
     }
 
     /// Drains this node's verdict audit stream, oldest record first. The

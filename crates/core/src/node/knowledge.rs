@@ -2,12 +2,10 @@
 //! the discontinuities in those streams, and the subscriptions it derives.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use watchmen_game::trace::PlayerFrame;
 use watchmen_game::PlayerId;
 use watchmen_math::Vec3;
-use watchmen_telemetry::Counter;
 use watchmen_world::PhysicsConfig;
 
 use super::WatchmenNode;
@@ -43,7 +41,8 @@ pub(super) struct Knowledge {
     /// pre-discontinuity copies: a full others-cadence refresh on both
     /// sides plus transit.
     break_window: u64,
-    subscriptions_sent: Arc<Counter>,
+    /// Subscribe messages issued.
+    pub(super) subscriptions_sent: u64,
 }
 
 impl Knowledge {
@@ -56,8 +55,7 @@ impl Knowledge {
             my_subs: BTreeMap::new(),
             frame_travel: physics.max_speed * config.frame_seconds(),
             break_window: 2 * WatchmenConfig::GUIDANCE_PERIOD,
-            subscriptions_sent: watchmen_telemetry::global()
-                .counter("node_subscriptions_sent_total"),
+            subscriptions_sent: 0,
         }
     }
 
@@ -219,7 +217,7 @@ impl WatchmenNode {
             if subs.get(&(target, kind)).is_none_or(|&last| frame >= last + retention / 2) {
                 subs.insert((target, kind), frame);
                 self.sign_and_queue(out, my_proxy, frame, Payload::Subscribe { target, kind });
-                self.knowledge.subscriptions_sent.inc();
+                self.knowledge.subscriptions_sent += 1;
             }
         }
         self.knowledge.my_subs.retain(|_, &mut last| frame < last + 4 * retention);

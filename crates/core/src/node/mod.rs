@@ -345,7 +345,7 @@ impl WatchmenNode {
         drop(span);
         let ins = &self.instrument;
         let span = ins.span(&ins.publish_phase_ms, frame, Phase::Publish, "publish");
-        self.publish(frame, my_state, scheduled_proxy, my_proxy, out);
+        self.publish_updates(frame, my_state, scheduled_proxy, my_proxy, out);
         drop(span);
         let ins = &self.instrument;
         let span = ins.span(&ins.handoff_phase_ms, frame, Phase::Handoff, "handoff");
@@ -360,7 +360,7 @@ impl WatchmenNode {
 
     /// The state update, plus 1 Hz guidance and position updates on this
     /// player's staggered frames.
-    fn publish(
+    fn publish_updates(
         &mut self,
         frame: u64,
         my_state: &PlayerFrame,
@@ -443,7 +443,7 @@ impl WatchmenNode {
             // its admission boundary here), dropped without scoring.
             match env.payload {
                 Payload::Join(ticket) => self.consider_join(frame, &msg, bytes, ticket, out),
-                _ => self.churn.stale_drops.inc(),
+                _ => self.churn.stats.stale_drops += 1,
             }
             return trace;
         };
@@ -455,7 +455,7 @@ impl WatchmenNode {
             // A member removed at a boundary keeps emitting for up to a
             // round-trip (its own removal reaches it last). Superseded,
             // never scored: churn must produce zero false verdicts.
-            self.churn.stale_drops.inc();
+            self.churn.stats.stale_drops += 1;
             return trace;
         }
         // A verified signature proves the *origin* was alive at the

@@ -17,7 +17,9 @@
 //! an honest player a **false verdict**.
 //! Every suspicion report is also forwarded to the cell's lobby, whose
 //! threshold reputation bans players that accumulate enough failed
-//! interactions — long matches end with their cheaters banned.
+//! interactions — long matches end with their cheaters banned. When the
+//! match drains, its nodes', simnet's and verdicts' counters are
+//! published into the shard's registry, once.
 
 use std::time::Instant;
 
@@ -34,13 +36,9 @@ use watchmen_net::{latency, SimNetwork};
 use watchmen_sim::cluster::{Cluster, Verdicts};
 use watchmen_sim::quality::{evaluate, DetectionQuality, GroundTruth, UNDETECTED};
 use watchmen_sim::workload::{match_workload, speed_hack, FIRST_CHEAT_FRAME};
+use watchmen_telemetry::Registry;
 
 use crate::pool::{Quantum, ShardContext, Task};
-
-/// Flight recorders are trimmed for population scale: the default 1024
-/// events/node costs over a megabyte per match at 16 players, and a fleet
-/// reads its verdicts from the audit stream, not from the rings.
-const RECORDER_CAPACITY: usize = 128;
 
 /// Simnet one-way latency for fleet matches, in milliseconds.
 const LATENCY_MS: f64 = 8.0;
@@ -271,7 +269,7 @@ impl MatchCell {
             &workload.map,
         )
         .map(|core| {
-            let mut node = core.into_node().with_recorder_capacity(RECORDER_CAPACITY);
+            let mut node = core.into_node();
             node.set_audit_enabled(spec.observe);
             ProtocolCore::new(node)
         });
@@ -341,8 +339,8 @@ impl MatchCell {
     /// Final sweep after the last playable frame: deliver everything
     /// still in flight (constant latency means one generous horizon
     /// catches it all), count verdicts, but send nothing new — the match
-    /// is over.
-    fn drain(run: &mut Running, spec: &MatchSpec) -> MatchReport {
+    /// is over. Then the match's counts go to the shard's `registry`.
+    fn drain(run: &mut Running, spec: &MatchSpec, registry: &Registry) -> MatchReport {
         let Running { cluster, verdicts, lobby, .. } = run;
         let horizon = (spec.frames as f64 + 2.0) * cluster.frame_ms + 10.0 * LATENCY_MS;
         cluster.deliver_until(spec.frames, horizon, |i, output| {
@@ -350,6 +348,8 @@ impl MatchCell {
         });
         let net = cluster.net.stats();
         net.assert_invariant("fleet match cell");
+        cluster.publish(registry);
+        verdicts.publish(registry);
         Self::collect_audit(run, spec);
         let verdicts = &run.verdicts;
 
@@ -435,7 +435,7 @@ impl Task for MatchCell {
         }
 
         if run.frame >= self.spec.frames {
-            let output = Self::drain(run, &self.spec);
+            let output = Self::drain(run, &self.spec, &cx.registry);
             self.state = None;
             Quantum::Complete { ticks, output }
         } else {
@@ -448,7 +448,6 @@ impl Task for MatchCell {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use watchmen_telemetry::Registry;
 
     fn drive(spec: MatchSpec) -> MatchReport {
         let cx = ShardContext { shard: 0, registry: Arc::new(Registry::new()) };

@@ -111,11 +111,13 @@ impl FleetConfig {
 /// holds the shard registries the pool workers record into, so a metrics
 /// endpoint on another thread can [`FleetView::snapshot`] mid-soak: each
 /// call re-merges every shard under a `shard=<i>` label, adds the
-/// process-wide [`global`] registry the matches' nodes and simnets
-/// record into (unlabelled, and counted since the process started: its
-/// `node_*` and `net_*` series include every fleet and match the process
-/// has run, not only this one), and derives `fleet_matches{state=…}`
-/// lifecycle gauges from the scheduler counters. Cloning the view shares
+/// process-wide [`global`] registry unlabelled, and derives
+/// `fleet_matches{state=…}` lifecycle gauges from the scheduler counters.
+/// A match publishes its nodes', simnet's and verdicts' counters into its
+/// shard's registry when it drains, so every counter is this fleet's own.
+/// The [`global`] registry holds only the nodes' timing histograms, which
+/// are counted since the process started: they include every fleet and
+/// match the process has run, not only this one. Cloning the view shares
 /// the same registries.
 #[derive(Debug, Clone)]
 pub struct FleetView {
@@ -146,10 +148,11 @@ impl FleetView {
         &self.shards
     }
 
-    /// A point-in-time merge of every shard, re-labelled `shard=<i>`, and
-    /// of the [`global`] registry (process-wide since start), plus
-    /// `fleet_matches{state="pending"|"completed"|"panicked"}` gauges.
-    /// Safe to call at any time, including while the fleet runs.
+    /// A point-in-time merge of every shard, re-labelled `shard=<i>` (the
+    /// fleet's counters: a match's appear when it drains), and of the
+    /// [`global`] registry (the node histograms, process-wide since
+    /// start), plus `fleet_matches{state="pending"|"completed"|"panicked"}`
+    /// gauges. Safe to call at any time, including while the fleet runs.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
         let merged = Registry::new();
@@ -168,8 +171,9 @@ impl FleetView {
         merged.snapshot()
     }
 
-    /// Help text for `name`, from whichever shard or the [`global`]
-    /// registry described it (plus the view's own derived gauges).
+    /// Help text for `name`, from whichever shard (the counters) or the
+    /// [`global`] registry (the node histograms) described it, plus the
+    /// view's own derived gauges.
     #[must_use]
     pub fn help_for(&self, name: &str) -> Option<&'static str> {
         if name == "fleet_matches" {

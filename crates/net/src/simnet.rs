@@ -1,9 +1,7 @@
 //! The in-process discrete-event network simulator.
 
-use std::sync::Arc;
-
 use watchmen_crypto::rng::Xoshiro256;
-use watchmen_telemetry::{Counter, Gauge, Histogram};
+use watchmen_telemetry::Registry;
 
 use crate::fault::FaultPlan;
 use crate::latency::LatencyModel;
@@ -28,6 +26,15 @@ pub struct Delivery<T> {
     /// Wire size used for bandwidth accounting.
     pub bytes: usize,
 }
+
+/// The network's counts and their help text, in [`NetStats::publish`]'s
+/// order.
+const COUNTS: [(&str, &str); 4] = [
+    ("net_messages_sent_total", "messages submitted to the simulated network"),
+    ("net_messages_delivered_total", "messages delivered by the simulated network"),
+    ("net_messages_dropped_total", "messages lost to the loss model, a fault or a dead receiver"),
+    ("net_messages_duplicated_total", "extra message copies injected by the duplication fault"),
+];
 
 /// Aggregate traffic counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -81,6 +88,12 @@ impl NetStats {
         ))
     }
 
+    /// Adds these counts to `registry`: a driver calls it once, when the
+    /// run is over.
+    pub fn publish(&self, registry: &Registry) {
+        registry.add_counts(&COUNTS, [self.sent, self.delivered, self.dropped, self.duplicated]);
+    }
+
     /// Asserts conservation, panicking with the offending counts and the
     /// caller's context instead of a bare boolean failure.
     ///
@@ -90,49 +103,6 @@ impl NetStats {
     pub fn assert_invariant(&self, context: &str) {
         if let Err(report) = self.check_invariant() {
             panic!("{context}: {report}");
-        }
-    }
-}
-
-/// Cached global-registry handles for the simulator's hot paths.
-#[derive(Debug)]
-struct SimNetMetrics {
-    sent: Arc<Counter>,
-    delivered: Arc<Counter>,
-    dropped: Arc<Counter>,
-    duplicated: Arc<Counter>,
-    fault_dropped: Arc<Counter>,
-    in_flight: Arc<Gauge>,
-    latency_ms: Arc<Histogram>,
-}
-
-impl SimNetMetrics {
-    fn new() -> Self {
-        let t = watchmen_telemetry::global();
-        t.describe("net_messages_sent_total", "messages submitted to the simulated network");
-        t.describe("net_messages_delivered_total", "messages delivered by the simulated network");
-        t.describe(
-            "net_messages_dropped_total",
-            "messages dropped by the loss model, a fault plan, or a crashed receiver",
-        );
-        t.describe(
-            "net_messages_duplicated_total",
-            "extra message copies injected by the duplication fault",
-        );
-        t.describe(
-            "net_fault_drops_total",
-            "messages dropped specifically by the fault plan (burst loss, crash, churn gate)",
-        );
-        t.describe("net_messages_in_flight", "messages queued but not yet delivered");
-        t.describe("net_delivery_latency_ms", "virtual send-to-deliver latency");
-        SimNetMetrics {
-            sent: t.counter("net_messages_sent_total"),
-            delivered: t.counter("net_messages_delivered_total"),
-            dropped: t.counter("net_messages_dropped_total"),
-            duplicated: t.counter("net_messages_duplicated_total"),
-            fault_dropped: t.counter("net_fault_drops_total"),
-            in_flight: t.gauge("net_messages_in_flight"),
-            latency_ms: t.histogram("net_delivery_latency_ms"),
         }
     }
 }
@@ -165,7 +135,6 @@ pub struct SimNetwork<T> {
     rng: Xoshiro256,
     meters: Vec<BandwidthMeter>,
     stats: NetStats,
-    metrics: SimNetMetrics,
     /// Optional fault plan layered on top of the Bernoulli loss model.
     faults: Option<FaultPlan>,
 }
@@ -189,7 +158,6 @@ impl<T> SimNetwork<T> {
             rng: Xoshiro256::seed_from(seed, 0x10c0),
             meters: vec![BandwidthMeter::new(); n],
             stats: NetStats::default(),
-            metrics: SimNetMetrics::new(),
             faults: None,
         }
     }
@@ -273,7 +241,6 @@ impl<T> SimNetwork<T> {
         assert!(from < self.n && to < self.n, "node out of range");
         assert_ne!(from, to, "no self-sends; local delivery is free");
         self.stats.sent += 1;
-        self.metrics.sent.inc();
         self.meters[from].record_up(bytes);
         let now = self.now_ms;
         let fault_drop = match self.faults.as_mut() {
@@ -288,13 +255,10 @@ impl<T> SimNetwork<T> {
         };
         if fault_drop {
             self.stats.dropped += 1;
-            self.metrics.dropped.inc();
-            self.metrics.fault_dropped.inc();
             return;
         }
         if self.rng.next_bool(self.loss_rate) {
             self.stats.dropped += 1;
-            self.metrics.dropped.inc();
             return;
         }
         let mut copies = 1u32;
@@ -302,7 +266,6 @@ impl<T> SimNetwork<T> {
             if plan.duplicate() {
                 copies = 2;
                 self.stats.duplicated += 1;
-                self.metrics.duplicated.inc();
             }
         }
         for _ in 0..copies {
@@ -316,7 +279,6 @@ impl<T> SimNetwork<T> {
                 Delivery { from, to, sent_ms: now, deliver_ms, payload: payload.clone(), bytes },
             );
         }
-        self.metrics.in_flight.set(self.queue.len() as i64);
     }
 
     /// Advances virtual time to `t_ms`, returning every message delivered
@@ -339,17 +301,12 @@ impl<T> SimNetwork<T> {
                 f.is_crashed(d.to, d.deliver_ms) || f.is_offline(d.to, d.deliver_ms)
             }) {
                 self.stats.dropped += 1;
-                self.metrics.dropped.inc();
-                self.metrics.fault_dropped.inc();
                 continue;
             }
             self.meters[d.to].record_down(d.bytes);
             self.stats.delivered += 1;
-            self.metrics.delivered.inc();
-            self.metrics.latency_ms.record(d.deliver_ms - d.sent_ms);
             out.push(d);
         }
-        self.metrics.in_flight.set(self.queue.len() as i64);
         // Conservation must hold at every quiescent point; a violation
         // here panics with the offending counts rather than corrupting
         // downstream bandwidth figures silently.
@@ -528,26 +485,23 @@ mod tests {
             .assert_invariant("unit test");
     }
 
+    /// The network counts each message once, in its `NetStats`; a
+    /// registry sees them only when a driver publishes them.
     #[test]
-    fn telemetry_mirrors_sim_counters() {
-        let before = watchmen_telemetry::global().snapshot();
-        let base = |name: &str| match before.get(name) {
-            Some(watchmen_telemetry::MetricValue::Counter(v)) => *v,
-            _ => 0,
-        };
-        let (sent0, dropped0) =
-            (base("net_messages_sent_total"), base("net_messages_dropped_total"));
+    fn stats_count_the_run_and_publish_adds_them() {
         let mut net: SimNetwork<u8> = SimNetwork::new(2, latency::constant(1.0), 1.0, 13);
         for _ in 0..25 {
             net.send(0, 1, 0, 10);
         }
-        let after = watchmen_telemetry::global().snapshot();
-        let read = |name: &str| match after.get(name) {
-            Some(watchmen_telemetry::MetricValue::Counter(v)) => *v,
-            _ => 0,
-        };
-        assert!(read("net_messages_sent_total") >= sent0 + 25);
-        assert!(read("net_messages_dropped_total") >= dropped0 + 25);
+        let stats = net.stats();
+        assert_eq!((stats.sent, stats.dropped, stats.delivered), (25, 25, 0));
+        let registry = Registry::new();
+        stats.publish(&registry);
+        stats.publish(&registry);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter_sum("net_messages_sent_total"), 50);
+        assert_eq!(snap.counter_sum("net_messages_dropped_total"), 50);
+        assert_eq!(snap.counter_sum("net_messages_delivered_total"), 0);
     }
 
     #[test]

@@ -9,13 +9,11 @@
 //! node id, so a receiver can demultiplex players without a lookup table.
 //! Every received datagram lands in exactly one of three buckets —
 //! accepted ([`Recv::Frame`]), [`Recv::Malformed`] or [`Recv::Truncated`]
-//! — each with its own telemetry counter, so a receive loop can keep
-//! draining through garbage and an operator can tell wire corruption from
+//! — so a receive loop can keep draining through garbage, and its caller
+//! (the live transport's `LiveStats`) can tell wire corruption from
 //! oversized datagrams at a glance.
 //!
-//! The per-datagram path is held to what the kernel charges: the five
-//! `udp_*` counters are resolved on the global registry once, at
-//! [`UdpEndpoint::bind`], and bumped through the held handles; a send
+//! The per-datagram path is held to what the kernel charges: a send
 //! frames into a buffer the endpoint reuses; a receive lands in one
 //! per-endpoint buffer and is parsed in place, so the only allocation per
 //! datagram is the payload `Vec` handed to the caller. [`encode_frame`]
@@ -27,9 +25,6 @@
 use std::cell::RefCell;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::Arc;
-
-use watchmen_telemetry::Counter;
 
 /// Maximum payload accepted per frame (fits comfortably in one datagram).
 pub const MAX_PAYLOAD: usize = 1400;
@@ -46,10 +41,6 @@ const RECV_BUF: usize = HEADER_LEN + MAX_PAYLOAD + 1;
 
 /// Magic bytes marking a Watchmen frame.
 const MAGIC: u16 = 0x574d; // "WM"
-
-/// Counter names shared by [`parse_frame`] and the endpoint's cached handles.
-const FRAMES_RECEIVED: &str = "udp_frames_received_total";
-const FRAMES_MALFORMED: &str = "udp_frames_malformed_total";
 
 /// The typed outcome of one receive attempt: exactly one of accepted,
 /// malformed, truncated, or nothing pending. Drain loops match on this
@@ -101,36 +92,11 @@ pub enum Recv {
 pub struct UdpEndpoint {
     node_id: u32,
     socket: UdpSocket,
-    counters: Counters,
     /// The outgoing frame is assembled here; it grows to the largest frame
     /// sent and keeps that capacity.
     send_buf: RefCell<Vec<u8>>,
     /// Every datagram is received into, and parsed out of, this buffer.
     recv_buf: RefCell<Box<[u8; RECV_BUF]>>,
-}
-
-/// Handles to the `udp_*` counters on the global registry, looked up once
-/// per endpoint instead of once per datagram.
-#[derive(Debug)]
-struct Counters {
-    frames_sent: Arc<Counter>,
-    bytes_sent: Arc<Counter>,
-    frames_received: Arc<Counter>,
-    frames_malformed: Arc<Counter>,
-    frames_truncated: Arc<Counter>,
-}
-
-impl Counters {
-    fn resolve() -> Self {
-        let telemetry = watchmen_telemetry::global();
-        Counters {
-            frames_sent: telemetry.counter("udp_frames_sent_total"),
-            bytes_sent: telemetry.counter("udp_bytes_sent_total"),
-            frames_received: telemetry.counter(FRAMES_RECEIVED),
-            frames_malformed: telemetry.counter(FRAMES_MALFORMED),
-            frames_truncated: telemetry.counter("udp_frames_truncated_total"),
-        }
-    }
 }
 
 impl UdpEndpoint {
@@ -146,7 +112,6 @@ impl UdpEndpoint {
         Ok(UdpEndpoint {
             node_id,
             socket,
-            counters: Counters::resolve(),
             send_buf: RefCell::new(Vec::new()),
             recv_buf: RefCell::new(Box::new([0u8; RECV_BUF])),
         })
@@ -184,8 +149,6 @@ impl UdpEndpoint {
         frame.clear();
         write_frame(&mut frame, self.node_id, payload);
         self.socket.send_to(&frame, dest)?;
-        self.counters.frames_sent.inc();
-        self.counters.bytes_sent.add(frame.len() as u64);
         Ok(())
     }
 
@@ -206,19 +169,14 @@ impl UdpEndpoint {
                     // at least one byte longer than any legal frame and
                     // its tail is gone. Distinct from malformed — this is
                     // an MTU/attacker signal, not wire corruption.
-                    self.counters.frames_truncated.inc();
                     Ok(Recv::Truncated { from })
                 } else {
-                    match split_frame(&buf[..len]) {
+                    Ok(match split_frame(&buf[..len]) {
                         Some((sender, payload)) => {
-                            self.counters.frames_received.inc();
-                            Ok(Recv::Frame { sender, from, payload: payload.to_vec() })
+                            Recv::Frame { sender, from, payload: payload.to_vec() }
                         }
-                        None => {
-                            self.counters.frames_malformed.inc();
-                            Ok(Recv::Malformed { from })
-                        }
-                    }
+                        None => Recv::Malformed { from },
+                    })
                 }
             }
             Err(e)
@@ -232,7 +190,7 @@ impl UdpEndpoint {
 
     /// Receives one well-formed frame if available, returning the
     /// sender's logical node id, socket address and payload. Malformed or
-    /// truncated datagrams are skipped (and counted), so `Ok(None)` means
+    /// truncated datagrams are skipped, so `Ok(None)` means
     /// the queue is truly empty — a `while let Some(..)` drain no longer
     /// stalls on one garbage datagram.
     ///
@@ -272,17 +230,7 @@ fn write_frame(frame: &mut Vec<u8>, node_id: u32, payload: &[u8]) {
 /// malformed. Never panics, whatever the input bytes.
 #[must_use]
 pub fn parse_frame(data: &[u8]) -> Option<(u32, Vec<u8>)> {
-    let telemetry = watchmen_telemetry::global();
-    match split_frame(data) {
-        Some((id, payload)) => {
-            telemetry.counter(FRAMES_RECEIVED).inc();
-            Some((id, payload.to_vec()))
-        }
-        None => {
-            telemetry.counter(FRAMES_MALFORMED).inc();
-            None
-        }
-    }
+    split_frame(data).map(|(id, payload)| (id, payload.to_vec()))
 }
 
 /// The framing check itself, borrowing the payload out of `data`: what

@@ -19,11 +19,14 @@
 //! eats traffic to and from such slots; the skip models the dead process
 //! not running. [`Verdicts`] classifies what the cores conclude.
 
+use std::collections::BTreeMap;
+
 use watchmen_core::node::{NodeEvent, Outgoing, WatchmenNode};
 use watchmen_core::sans_io::{CoreOutput, ProtocolCore};
 use watchmen_game::trace::PlayerFrame;
 use watchmen_game::PlayerId;
 use watchmen_net::{SimNetwork, Transport};
+use watchmen_telemetry::Registry;
 
 /// N protocol cores on one transport. See the module docs.
 /// Fields are public: scenarios seat joiners and send out-of-band
@@ -142,9 +145,29 @@ impl<T: Transport> Cluster<T> {
     }
 }
 
+impl Cluster {
+    /// Adds every seated node's counts and the network's to `registry`:
+    /// a driver calls it once, when the run is over.
+    pub fn publish(&self, registry: &Registry) {
+        for core in self.cores.iter().flatten() {
+            core.node().publish(registry);
+        }
+        self.net.stats().publish(registry);
+    }
+}
+
+/// The event counts [`Verdicts::publish`] adds, and their help text.
+const COUNTS: [(&str, &str); 3] = [
+    ("node_bad_signatures_total", "messages rejected for signature failure"),
+    ("node_replays_total", "messages rejected as replayed or stale"),
+    ("proxy_handoffs_received_total", "handoff notices accepted from predecessors"),
+];
+
 /// The one verdict classifier: a severe rating
 /// (`CheatRating::is_suspicious`, every gate's bar) on a scripted cheater
-/// detects it, on anyone else it is a false verdict.
+/// detects it, on anyone else it is a false verdict. It is also where a
+/// run counts the events the nodes emit, once: rejections, suspicions by
+/// check and handoffs received.
 #[derive(Debug, Clone, Default)]
 pub struct Verdicts {
     /// Each scripted cheater's id and the severe ratings it drew.
@@ -153,6 +176,12 @@ pub struct Verdicts {
     pub false_verdicts: u64,
     /// Datagrams rejected for a bad signature.
     pub bad_signatures: u64,
+    /// Datagrams rejected as replayed or stale.
+    pub replays: u64,
+    /// Ratings of every severity, per check.
+    pub suspicions: BTreeMap<&'static str, u64>,
+    /// Handoff notices accepted from a predecessor.
+    pub handoffs_received: u64,
 }
 
 impl Verdicts {
@@ -162,19 +191,35 @@ impl Verdicts {
         Verdicts { per_cheater: cheaters.iter().map(|&c| (c, 0)).collect(), ..Self::default() }
     }
 
-    /// Counts the severe ratings and bad signatures among `events`.
+    /// Classifies the severe ratings among `events` and counts the rest.
     pub fn note(&mut self, events: &[NodeEvent]) {
         for e in events {
-            match e {
-                NodeEvent::Suspicion { subject, rating, .. } if rating.is_suspicious() => {
+            match *e {
+                NodeEvent::Suspicion { subject, rating, check } => {
+                    *self.suspicions.entry(check).or_default() += 1;
+                    if !rating.is_suspicious() {
+                        continue;
+                    }
                     match self.per_cheater.iter_mut().find(|(c, _)| *c == subject.0) {
                         Some((_, n)) => *n += 1,
                         None => self.false_verdicts += 1,
                     }
                 }
                 NodeEvent::BadSignature { .. } => self.bad_signatures += 1,
+                NodeEvent::Replay { .. } => self.replays += 1,
+                NodeEvent::HandoffReceived { .. } => self.handoffs_received += 1,
                 _ => {}
             }
+        }
+    }
+
+    /// Adds the event counts to `registry`: a driver calls it once, when
+    /// the run is over.
+    pub fn publish(&self, registry: &Registry) {
+        registry.add_counts(&COUNTS, [self.bad_signatures, self.replays, self.handoffs_received]);
+        registry.describe("node_suspicions_total", "verification checks that flagged a player");
+        for (&check, &n) in &self.suspicions {
+            registry.counter_with("node_suspicions_total", &[("check", check)]).add(n);
         }
     }
 
@@ -329,5 +374,15 @@ mod tests {
         assert!(!v.detected(), "cheater 4 drew no severe rating");
         v.note(&[NodeEvent::BadSignature { claimed_from: PlayerId(1) }]);
         assert_eq!((v.bad_signatures, v.severe(), v.false_verdicts), (1, 1, 1), "bad signature");
+        v.note(&[
+            NodeEvent::Replay { from: PlayerId(3) },
+            NodeEvent::HandoffReceived { player: PlayerId(2), worst_rating: 10 },
+        ]);
+        assert_eq!((v.replays, v.handoffs_received, v.suspicions[checks::POSITION]), (1, 1, 2));
+        let registry = Registry::new();
+        v.publish(&registry);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter_sum("node_suspicions_total"), 4, "position 2, epoch-summary 2");
+        assert_eq!(snap.counter_sum("node_replays_total"), 1);
     }
 }

@@ -25,7 +25,7 @@ use watchmen_net::{latency, NetStats, SimNetwork};
 use watchmen_telemetry::report::Report;
 use watchmen_world::{maps, GameMap, PhysicsConfig};
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, Verdicts};
 
 const FRAME_MS: f64 = 50.0;
 
@@ -177,7 +177,7 @@ pub fn control_plane_soak(plan: FaultPlan) -> (Cluster, ControlPlaneOutcome) {
     let trace = GameTrace::record(GameConfig { map, ..GameConfig::default() }, N, SEED, FRAMES);
 
     let mut severe = Vec::new();
-    let mut handoffs_received = 0u64;
+    let mut verdicts = Verdicts::default();
     let mut digest = WireDigest::new();
     for f in 0..FRAMES {
         // A crashed node does not tick at all; on recovery its own gap
@@ -193,11 +193,7 @@ pub fn control_plane_soak(plan: FaultPlan) -> (Cluster, ControlPlaneOutcome) {
                 );
                 note_severe(&mut severe, f, i, output);
                 digest.fold(f, i, &output.datagrams, &output.events);
-                handoffs_received += output
-                    .events
-                    .iter()
-                    .filter(|e| matches!(e, NodeEvent::HandoffReceived { .. }))
-                    .count() as u64;
+                verdicts.note(&output.events);
             },
         );
     }
@@ -215,7 +211,7 @@ pub fn control_plane_soak(plan: FaultPlan) -> (Cluster, ControlPlaneOutcome) {
     }
     let outcome = ControlPlaneOutcome {
         severe,
-        handoffs_received,
+        handoffs_received: verdicts.handoffs_received,
         control,
         pending_handoffs,
         net,

@@ -15,8 +15,11 @@
 //!   [`Histogram::quantile`] queries (p50/p90/p99) and ~3% relative
 //!   resolution over the full `u64` range.
 //! * [`Registry`] — interns metrics by static name plus a label set and
-//!   hands out [`std::sync::Arc`] handles; the [`global`] registry is what
-//!   the node, proxy, net and sim layers record into.
+//!   hands out [`std::sync::Arc`] handles. A layer counts its events in
+//!   its own stats and publishes a finished run's totals into the
+//!   registry its driver names ([`Registry::add_counts`]), so counters are
+//!   per run; the [`global`] registry holds what still records as it
+//!   happens, the node's timing histograms, process-wide since start.
 //! * [`FrameTimer`] — the one scope timer: it records elapsed wall-clock
 //!   milliseconds into a histogram on drop and, in its
 //!   [`FrameTimer::traced`] form, the same interval as a span event in a
@@ -74,7 +77,7 @@
 //! # Conventions
 //!
 //! Metric names are `snake_case`, prefixed by the owning layer
-//! (`node_`, `proxy_`, `net_`, `udp_`), with `_total` for
+//! (`node_`, `proxy_`, `net_`, `live_`, `fleet_`), with `_total` for
 //! counters and a unit suffix (`_ms`, `_bytes`, `_kbps`) for histograms.
 //! The Prometheus exporter renames `_ms` metrics to the base-unit
 //! `_seconds` form (values scaled) so scrapes conform to Prometheus
@@ -106,7 +109,8 @@ pub use trace::{causal_chain, EventKind, Phase, TraceEvent, TraceId};
 
 use std::sync::OnceLock;
 
-/// The process-wide registry the instrumented layers record into.
+/// The process-wide registry the node's timing histograms record into,
+/// counted since the process started.
 ///
 /// Handles looked up here are cheap to clone and cache; hot paths should
 /// fetch their handles once (at construction) rather than per event.

@@ -17,8 +17,8 @@ use crate::trace::{now_us, TraceEvent};
 
 /// Default ring capacity: 72 KiB of events, more than a proxy epoch of a
 /// busy node, so a fresh verdict's message is still retained when its
-/// causal chain is read. A mid-game joiner is built with this default,
-/// and fleets shrink it per node (`with_recorder_capacity`).
+/// causal chain is read. A node keeps a ring only when its driver asks
+/// for one (`with_recorder_capacity`); `deathmatch` asks for this size.
 pub const DEFAULT_CAPACITY: usize = 1024;
 
 /// Ring state behind the mutex.

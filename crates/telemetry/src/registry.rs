@@ -143,6 +143,24 @@ impl Registry {
         self.help.write().expect("telemetry help lock").insert(name, help);
     }
 
+    /// Describes each `(name, help)` of `described` and adds the value at
+    /// the same index to the counter `name`: how the owner of a run's
+    /// counts publishes its totals.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a name is already registered as a different metric type.
+    pub fn add_counts<const N: usize>(
+        &self,
+        described: &[(&'static str, &'static str); N],
+        values: [u64; N],
+    ) {
+        for (&(name, help), n) in described.iter().zip(values) {
+            self.describe(name, help);
+            self.counter(name).add(n);
+        }
+    }
+
     /// The counter `name` with no labels.
     ///
     /// # Panics

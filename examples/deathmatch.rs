@@ -16,7 +16,8 @@
 //! Chrome `trace_event` JSON (load it at `ui.perfetto.dev` or
 //! `chrome://tracing`); any other value but `off` exits 2. Set
 //! `WATCHMEN_METRICS_ADDR=127.0.0.1:9464` to serve the global registry
-//! live on `/metrics` while the match runs
+//! live on `/metrics` while the match runs: the node histograms as they
+//! fill, and each run's counters once it ends
 //! (`WATCHMEN_METRICS_HOLD_MS=<ms>` keeps it up after the final
 //! snapshot). The control-plane soak runs under
 //! `sim::scenario::default_fault_plan`.
@@ -25,20 +26,20 @@ use std::sync::Arc;
 
 use watchmen::core::audit::{AuditKind, AuditRecord};
 use watchmen::core::rating::SEVERE_SCORE;
-use watchmen::core::sans_io::secured_cores;
+use watchmen::core::sans_io::{secured_cores, ProtocolCore};
 use watchmen::core::WatchmenConfig;
 use watchmen::crypto::schnorr::{Keypair, PublicKey};
 use watchmen::game::heatmap::Heatmap;
 use watchmen::game::trace::GameTrace;
 use watchmen::game::{GameConfig, GameEvent};
 use watchmen::net::{latency, SimNetwork};
-use watchmen::sim::cluster::Cluster;
+use watchmen::sim::cluster::{Cluster, Verdicts};
 use watchmen::sim::overlay::run_watchmen;
 use watchmen::sim::scenario;
 use watchmen::sim::workload::speed_hack;
 use watchmen::telemetry::trace::EventKind;
 use watchmen::telemetry::{
-    causal_chain, export, global, FlightRecorder, MetricValue, MetricsServer,
+    causal_chain, export, global, FlightRecorder, MetricValue, MetricsServer, DEFAULT_CAPACITY,
 };
 use watchmen::world::{maps, GameMap};
 
@@ -179,17 +180,23 @@ fn main() {
     // crash, then through joins, leaves and crash-evictions. Each gates
     // itself.
     println!("\ncontrol-plane soak: 16 secured nodes under faults plus a scripted proxy crash…");
-    let faulted = scenario::control_plane_soak(scenario::default_fault_plan()).1.report();
+    let (soaked, faulted) = scenario::control_plane_soak(scenario::default_fault_plan());
+    soaked.publish(global());
+    let faulted = faulted.report();
     println!("{faulted}");
     println!("\nchurn soak: 16 veterans, 4 mid-game joins, 2 leaves, 2 crash-evictions…");
-    let churn = scenario::churn_soak().1.report();
+    let (soaked, churn) = scenario::churn_soak();
+    soaked.publish(global());
+    let churn = churn.report();
     println!("{churn}");
     if let Err(e) = faulted.check().and_then(|()| churn.check()) {
         eprintln!("soak FAILED: {e}");
         std::process::exit(1);
     }
 
-    // --- Telemetry: what the instrumented layers recorded.
+    // --- Telemetry: the node histograms, and the counters published as
+    // each run ended: the secured segment's nodes, network and verdicts,
+    // and the soaks' nodes and networks.
     let snap = global().snapshot();
     println!("\ntelemetry highlights:");
     println!("  proxy handoffs sent:       {}", snap.counter_sum("proxy_handoffs_total"));
@@ -244,8 +251,10 @@ fn usage_error(reason: &str) -> ! {
 /// Drives a small [`Cluster`] over a clean 8 ms simnet, feeding it the
 /// first `cluster_size` players' recorded states — except player 2, who
 /// speed-hacks every fourth frame, and player 1, whose first state update
-/// is replayed verbatim once. Returns every node's flight recorder and
-/// the audit records drained from every node after each frame.
+/// is replayed verbatim once. Each node keeps a flight recorder; the
+/// segment's counters go to the global registry when it ends. Returns
+/// every node's flight recorder and the audit records drained from every
+/// node after each frame.
 fn run_secured_segment(
     trace: &GameTrace,
     map: &GameMap,
@@ -257,11 +266,14 @@ fn run_secured_segment(
     let keys: Vec<Keypair> =
         (0..cluster_size).map(|i| Keypair::generate(seed ^ i as u64)).collect();
     let directory: Vec<PublicKey> = keys.iter().map(Keypair::public).collect();
+    let cores = secured_cores(&keys, &directory, None, seed, config, map)
+        .map(|c| ProtocolCore::new(c.into_node().with_recorder_capacity(DEFAULT_CAPACITY)));
     let mut cluster = Cluster::new(
-        secured_cores(&keys, &directory, None, seed, config, map),
+        cores,
         SimNetwork::new(cluster_size, latency::constant(8.0), 0.0, seed),
         config.frame_ms,
     );
+    let mut verdicts = Verdicts::new(&[2]);
     let mut replayed: Option<(usize, Vec<u8>)> = None;
     let mut audit = Vec::new();
     for frame in 0..frames {
@@ -285,6 +297,7 @@ fn run_secured_segment(
                 state
             },
             |i, output| {
+                verdicts.note(&output.events);
                 if i == 1 && frame == 0 {
                     // Keep p1's first state update for the later replay
                     // (nothing is in flight yet, so this is its tick).
@@ -298,7 +311,9 @@ fn run_secured_segment(
         );
         audit.extend(cluster.cores.iter_mut().flatten().flat_map(|c| c.drain_audit()));
     }
-    let recorders = cluster.cores.iter().flatten().map(|c| c.node().recorder()).collect();
+    cluster.publish(global());
+    verdicts.publish(global());
+    let recorders = cluster.cores.iter().flatten().filter_map(|c| c.node().recorder()).collect();
     (recorders, audit)
 }
 

@@ -19,10 +19,11 @@
 //!   find the bound port. `WATCHMEN_METRICS_HOLD_MS=<ms>` keeps the
 //!   endpoint up that long after the summary, for scrapers that want a
 //!   settled final snapshot. The scrape carries the pool's per-shard
-//!   `fleet_*` metrics and the process-wide `node_*` and `net_*`
-//!   metrics, counted since the process started — with
-//!   `WATCHMEN_BENCH_OUT` set they include the plane-overhead probe's
-//!   extra fleets.
+//!   `fleet_*` metrics and each match's `node_*` and `net_*` counters,
+//!   published into its shard's registry when it ends, so they count
+//!   this fleet only. The node timing histograms are process-wide,
+//!   counted since the process started — with `WATCHMEN_BENCH_OUT` set
+//!   they include the plane-overhead probe's extra fleets.
 //! * `WATCHMEN_AUDIT=<path>` retains each match's verdict audit stream
 //!   and writes the fleet's as JSONL; the stream is byte-identical across
 //!   worker counts for a fixed seed.

@@ -11,6 +11,7 @@
 
 use std::collections::VecDeque;
 
+use watchmen::core::audit::AuditRecord;
 use watchmen::core::node::{NodeEvent, Outgoing};
 use watchmen::core::sans_io::{secured_cores, ProtocolCore};
 use watchmen::core::WatchmenConfig;
@@ -18,6 +19,7 @@ use watchmen::crypto::schnorr::{Keypair, PublicKey};
 use watchmen::game::trace::{standard_trace, GameTrace, PlayerFrame};
 use watchmen::game::PlayerId;
 use watchmen::sim::workload::speed_hack;
+use watchmen::telemetry::DEFAULT_CAPACITY;
 use watchmen::world::maps;
 
 /// An in-memory cluster: N cores plus a FIFO bus.
@@ -306,14 +308,8 @@ fn violations_are_audited_with_their_causal_chain() {
     use watchmen::telemetry::trace::EventKind;
 
     let trace = standard_trace(5, 23, 120);
-    let mut cluster = Cluster::new(5, 23);
-    // Same speed-hack scenario as above: player 2 teleports. The audit
-    // streams are drained every frame, as an embedding driver does.
-    let mut audit = Vec::new();
-    for f in 0..120 {
-        cluster.run_frame_with(f, &trace, speed_hack_at(f));
-        audit.extend(cluster.cores.iter_mut().flat_map(ProtocolCore::drain_audit));
-    }
+    // Same speed-hack scenario as above: player 2 teleports.
+    let (cluster, audit) = speed_hacked(&trace, Some(DEFAULT_CAPACITY));
 
     // Some proxy of player 2 must have audited severe position verdicts.
     let verdicts: Vec<_> = audit
@@ -330,7 +326,7 @@ fn violations_are_audited_with_their_causal_chain() {
     // Each verdict names the offending message; assembling the causal
     // chain across every node's recorder must show the origin's send and
     // the verifying proxy's violation mark, in causal order.
-    let recorders: Vec<_> = cluster.cores.iter().map(|c| c.node().recorder()).collect();
+    let recorders: Vec<_> = cluster.cores.iter().flat_map(|c| c.node().recorder()).collect();
     let recorder_refs: Vec<&watchmen::telemetry::FlightRecorder> =
         recorders.iter().map(std::sync::Arc::as_ref).collect();
     let mut chains_with_full_story = 0;
@@ -355,6 +351,46 @@ fn violations_are_audited_with_their_causal_chain() {
         .filter(|e| e.kind == EventKind::Relay)
         .count();
     assert!(relays > 0, "no proxy relay events recorded");
+}
+
+/// Runs 5 nodes for 120 frames with player 2 speed-hacking, each with a
+/// flight recorder of `recorder` events if asked; returns the cluster and
+/// the audit streams, drained every frame as an embedding driver does.
+fn speed_hacked(trace: &GameTrace, recorder: Option<usize>) -> (Cluster, Vec<AuditRecord>) {
+    let mut cluster = Cluster::new(5, 23);
+    if let Some(capacity) = recorder {
+        let recorded = |c: ProtocolCore| c.into_node().with_recorder_capacity(capacity);
+        cluster.cores = cluster.cores.into_iter().map(|c| ProtocolCore::new(recorded(c))).collect();
+    }
+    let mut audit = Vec::new();
+    for f in 0..120 {
+        cluster.run_frame_with(f, trace, speed_hack_at(f));
+        audit.extend(cluster.cores.iter_mut().flat_map(ProtocolCore::drain_audit));
+    }
+    (cluster, audit)
+}
+
+/// A node keeps a flight recorder only when its driver asks for one, and
+/// the ring changes nothing else. The rings hold what they held when
+/// every node had a 1024-event ring: their events, wall-clock stamps
+/// aside, hash to a digest captured then.
+#[test]
+fn flight_recorders_are_opt_in_and_keep_their_events() {
+    let trace = standard_trace(5, 23, 120);
+    let (bare, bare_audit) = speed_hacked(&trace, None);
+    assert!(bare.cores.iter().all(|c| c.node().recorder().is_none()), "a ring nobody asked for");
+    let (traced, traced_audit) = speed_hacked(&trace, Some(DEFAULT_CAPACITY));
+    assert_eq!((bare.events, bare_audit), (traced.events, traced_audit));
+
+    let mut hash = watchmen::crypto::Sha256::new();
+    for e in traced.cores.iter().flat_map(|c| c.node().recorder().expect("a ring").snapshot()) {
+        let (id, node, subject, frame) = (e.trace_id, e.node, e.subject, e.frame);
+        let (phase, kind, detail, value) = (e.phase, e.kind, e.detail, e.value);
+        let line = format!("{id} {node} {subject} {frame} {phase:?} {kind:?} {detail} {value}\n");
+        hash.update(line.as_bytes());
+    }
+    let hex: String = hash.finalize().iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, "d3c5ca6fdacd57312a4ba98445ffdb7b01165108095775aad97fa72759fcf2ef");
 }
 
 #[test]

@@ -12,8 +12,8 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use watchmen::fleet::{
-    run_fleet_specs, run_fleet_specs_on, FleetConfig, FleetView, MatchSpec, PoolConfig,
-    TTD_BUDGET_FRAMES,
+    run_fleet_on, run_fleet_specs, run_fleet_specs_on, FleetConfig, FleetView, MatchSpec,
+    PoolConfig, TTD_BUDGET_FRAMES,
 };
 use watchmen::telemetry::MetricsServer;
 
@@ -135,8 +135,9 @@ fn live_endpoint_serves_prometheus_exposition_for_a_fleet() {
     assert!(body.contains("_seconds_bucket{"), "histograms not exported in seconds:\n{body}");
     assert!(!body.contains("_ms_bucket"), "raw millisecond buckets leaked:\n{body}");
 
-    // The matches' node metrics share the process-wide registry, and the
-    // fleet's scrape carries them unlabelled.
+    // The matches' node counters come per shard; their timing
+    // histograms share the process-wide registry, carried unlabelled.
+    assert!(body.contains("node_messages_forwarded_total{shard="), "no node counters:\n{body}");
     assert!(
         body.contains("# TYPE node_tick_duration_seconds histogram"),
         "no node metrics:\n{body}"
@@ -148,6 +149,22 @@ fn live_endpoint_serves_prometheus_exposition_for_a_fleet() {
 
     let (missing_head, _) = scrape(addr, "/nope");
     assert!(missing_head.starts_with("HTTP/1.1 404"), "expected 404: {missing_head}");
+}
+
+/// A fleet's scrape counts its own fleet: a match publishes its node
+/// counters into its shard's registry when it drains, so two identical
+/// fleets run back to back in one process read the same totals.
+#[test]
+fn a_fleet_scrape_counts_only_its_own_fleet() {
+    let config = FleetConfig { matches: 4, players: 6, frames: 60, ..FleetConfig::default() };
+    let forwarded = || {
+        let view = FleetView::for_config(&config);
+        assert_eq!(run_fleet_on(&config, &view).completed(), 4);
+        view.snapshot().counter_sum("node_messages_forwarded_total")
+    };
+    let first = forwarded();
+    assert!(first > 0, "the fleet's nodes forwarded nothing");
+    assert_eq!(forwarded(), first, "the second fleet's scrape counts the first fleet too");
 }
 
 #[test]

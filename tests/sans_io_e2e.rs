@@ -12,7 +12,7 @@ use watchmen::core::sans_io::{secured_cores, ProtocolCore};
 use watchmen::core::WatchmenConfig;
 use watchmen::crypto::schnorr::{Keypair, PublicKey};
 use watchmen::net::live::LiveTransport;
-use watchmen::net::{latency, SimNetwork};
+use watchmen::net::{latency, SimNetwork, Transport};
 use watchmen::sim::cluster::{Cluster, Verdicts};
 use watchmen::sim::workload::{match_workload, speed_hack, Workload};
 
@@ -83,12 +83,15 @@ fn live_transports_carry_the_core_and_catch_a_cheater() {
         }
     }
 
-    // Stepped in index order: loopback delivery is synchronous, so each
-    // node hands over the previous frame's sends in this frame's step.
+    // Stepped in index order. Loopback delivery is synchronous, so one
+    // more flush on every transport after the frame's steps drains that
+    // frame's sends from every peer; the carry hands them over in the
+    // next frame's step, and the last ones in the final delivery.
     let mut verdicts = Verdicts::new(&[CHEATER]);
+    let mut handed = 0;
     for f in 0..FRAMES + DRAIN {
         for c in &mut clusters {
-            c.step(
+            handed += c.step(
                 f,
                 |i| {
                     let mut state =
@@ -101,8 +104,17 @@ fn live_transports_carry_the_core_and_catch_a_cheater() {
                 |_, out| verdicts.note(&out.events),
             );
         }
+        for c in &mut clusters {
+            c.net.flush();
+        }
+    }
+    let end_ms = (FRAMES + DRAIN) as f64 * frame_ms;
+    for c in &mut clusters {
+        handed += c.deliver_until(FRAMES + DRAIN, end_ms, |_, out| verdicts.note(&out.events));
     }
 
+    let received: u64 = clusters.iter().map(|c| c.net.stats().frames_in).sum();
+    assert_eq!(handed as u64, received, "a drained payload frame never reached its core");
     assert!(verdicts.detected(), "the speed-hacker was never convicted over live UDP");
     assert_eq!(verdicts.false_verdicts, 0, "honest players were flagged over live UDP");
     for c in &clusters {
