@@ -96,7 +96,7 @@ tallies=$(grep -rlE 'count_verdicts|struct Tally' crates examples tests || true)
 # their driver names. The process-wide registry is reached from the core
 # only for the node's timing histograms, and never from the net crate;
 # and a node keeps a flight recorder only when its driver asks for one.
-echo "==> one count per event, recorders opt-in"
+echo "==> one count per event, recorders opt-in, one export path"
 globals=$(grep -rn 'global()' crates/core/src | sed -E 's/:[0-9]+: */: /')
 [ "$globals" = "crates/core/src/node/instrument.rs: let t = watchmen_telemetry::global();" ] ||
     { echo "global() in the core beyond Instrument::new: $globals" >&2; exit 1; }
@@ -104,6 +104,12 @@ globals=$(grep -rn 'global()' crates/net/src || true)
 [ -z "$globals" ] || { echo "global() in the net crate: $globals" >&2; exit 1; }
 trimmed=$(grep -rn 'RECORDER_CAPACITY' crates/fleet || true)
 [ -z "$trimmed" ] || { echo "fleet nodes carry a recorder again: $trimmed" >&2; exit 1; }
+# Metrics leave one way: a snapshot carries its own help text, one
+# renderer feeds the printed dump and the scrape, no layer keeps an
+# exporter or a timer no driver reads, and the core has two inputs.
+unread=$(grep -rnE 'prometheus_text_with_help|HelpSource|publish_metrics|LiveTimings|CoreInput' \
+    crates src examples tests || true)
+[ -z "$unread" ] || { echo "a second export path or an unread entry point is back: $unread" >&2; exit 1; }
 
 # One run covers the trace smoke and both scripted soaks (control plane
 # under burst loss + duplication + reordering + a proxy crash; churn with

@@ -169,12 +169,6 @@ impl AuditLog {
         self.records.push(make());
     }
 
-    /// Whether the log is currently recording.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Turns recording on or off (off: `push` becomes a cheap no-op).
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
@@ -260,7 +254,6 @@ mod tests {
     fn disabled_log_drops_silently() {
         let mut log = AuditLog::default();
         log.set_enabled(false);
-        assert!(!log.is_enabled());
         log.push(record(1, 1));
         assert!(log.is_empty());
         assert_eq!(log.dropped(), 0);

@@ -35,6 +35,18 @@ pub struct ControlPlaneStats {
     pub proxy_fallbacks: u64,
 }
 
+/// Field-wise sum: how a driver totals its nodes' counters.
+impl std::ops::AddAssign for ControlPlaneStats {
+    fn add_assign(&mut self, other: Self) {
+        self.retransmits += other.retransmits;
+        self.acks_sent += other.acks_sent;
+        self.acks_received += other.acks_received;
+        self.abandoned += other.abandoned;
+        self.superseded += other.superseded;
+        self.proxy_fallbacks += other.proxy_fallbacks;
+    }
+}
+
 /// Which reliable-control class a pending message belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ControlKind {

@@ -168,39 +168,6 @@ impl ProxySchedule {
         self.joined_epoch[i] <= epoch && self.excluded_from[i].is_none_or(|from| epoch < from)
     }
 
-    /// Number of players eligible for proxy duty in the epoch containing
-    /// `frame`.
-    #[must_use]
-    pub fn eligible_count_at(&self, frame: u64) -> usize {
-        let epoch = self.epoch_of(frame);
-        (0..self.players).filter(|&i| self.eligible_at(i, epoch)).count()
-    }
-
-    /// Number of players never excluded from proxy duty (the eventual
-    /// pool, once every scheduled exclusion has taken effect).
-    #[must_use]
-    pub fn eligible_count(&self) -> usize {
-        self.excluded_from.iter().filter(|e| e.is_none()).count()
-    }
-
-    /// Returns `true` if the pool is down to at most one eventual
-    /// eligible proxy — the degraded single-proxy mode.
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        self.eligible_count() <= 1
-    }
-
-    /// Returns `true` if `player` is excluded from proxy duty (from any
-    /// epoch on).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    #[must_use]
-    pub fn is_excluded(&self, player: PlayerId) -> bool {
-        self.excluded_from[player.index()].is_some()
-    }
-
     /// The proxy assigned to `player` during the epoch containing
     /// `frame` — the core verifiable computation.
     ///
@@ -324,6 +291,14 @@ impl ProxySchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ProxySchedule {
+        /// Players eligible for proxy duty in the epoch containing `frame`.
+        fn eligible_count_at(&self, frame: u64) -> usize {
+            let epoch = self.epoch_of(frame);
+            (0..self.players).filter(|&i| self.eligible_at(i, epoch)).count()
+        }
+    }
 
     /// SHA-256 over every draw of a 48-player schedule (47 founders and
     /// one joiner admitted at epoch 30, one founder excluded from epoch
@@ -469,8 +444,7 @@ mod tests {
         let mut s = ProxySchedule::new(17, 8, 40);
         s.try_exclude_from(PlayerId(2), 0).unwrap();
         s.try_exclude_from(PlayerId(5), 0).unwrap();
-        assert!(s.is_excluded(PlayerId(2)));
-        assert!(!s.is_excluded(PlayerId(0)));
+        assert_eq!(s.eligible_count_at(0), 6, "exactly the two excluded players left the pool");
         for epoch in 0..200 {
             for p in 0..8 {
                 let proxy = s.proxy_of(PlayerId(p), epoch * 40);
@@ -558,8 +532,7 @@ mod tests {
         let mut s = ProxySchedule::new(1, 3, 40);
         s.try_exclude_from(PlayerId(0), 0).unwrap();
         s.try_exclude_from(PlayerId(1), 0).unwrap();
-        assert_eq!(s.eligible_count(), 1);
-        assert!(s.is_degraded());
+        assert_eq!(s.eligible_count_at(0), 1, "the degraded single-proxy mode");
         // Everyone's proxy is the sole survivor…
         assert_eq!(s.proxy_of(PlayerId(0), 0), PlayerId(2));
         assert_eq!(s.proxy_of(PlayerId(1), 0), PlayerId(2));
@@ -568,8 +541,8 @@ mod tests {
         assert_eq!(s.proxy_of(PlayerId(2), 0), PlayerId(2));
         // Emptying the pool outright is refused and mutates nothing.
         assert_eq!(s.try_exclude_from(PlayerId(2), 0), Err(PoolError::Exhausted));
-        assert!(!s.is_excluded(PlayerId(2)));
-        assert_eq!(s.eligible_count(), 1);
+        assert_eq!(s.eligible_count_at(0), 1);
+        assert_eq!(s.proxy_of(PlayerId(0), 0), PlayerId(2), "the survivor still serves");
     }
 
     #[test]

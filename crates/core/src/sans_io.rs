@@ -8,8 +8,8 @@
 //!
 //! | direction | carrier | meaning |
 //! |---|---|---|
-//! | in | [`CoreInput::Tick`] | frame `now` begins; here is my avatar state |
-//! | in | [`CoreInput::Datagram`] | these bytes arrived before frame `now` |
+//! | in | [`ProtocolCore::tick`]`(now, state)` | frame `now` begins; here is my avatar state |
+//! | in | [`ProtocolCore::datagram`]`(now, wire_sender, bytes)` | these bytes arrived before frame `now` |
 //! | out | [`CoreOutput::datagrams`] | `(destination, bytes)` to put on *some* wire |
 //! | out | [`CoreOutput::events`] | deliveries/suspicions for the app & reputation layer |
 //!
@@ -39,13 +39,13 @@
 //!        │  1. collect datagrams the transport delivered since the  │
 //!        │     last tick (Transport::deliver_until)                 │
 //!        └──────────────────────────────────────────────────────────┘
-//!   for each:  core.handle(now, Datagram { wire_sender, bytes })
+//!   for each:  core.datagram(now, wire_sender, bytes)
 //!                │                                   │
 //!                ▼                                   ▼
 //!        CoreOutput.datagrams ──► transport     CoreOutput.events ──► app
 //!        (proxy forwards, acks)                 (deliveries, suspicions)
 //!
-//!   then once:  core.handle(now, Tick { state })
+//!   then once:  core.tick(now, state)
 //!                │                                   │
 //!                ▼                                   ▼
 //!        CoreOutput.datagrams ──► transport     CoreOutput.events ──► app
@@ -72,28 +72,7 @@ use crate::audit::AuditRecord;
 use crate::node::{NodeEvent, Outgoing, WatchmenNode};
 use crate::WatchmenConfig;
 
-/// One input to the core: a tick boundary or an arrived datagram.
-#[derive(Debug)]
-pub enum CoreInput<'a> {
-    /// Frame `now_frame` begins; `state` is the local avatar's state this
-    /// frame. Drives publishing, subscriptions, epoch boundaries and
-    /// control-plane retransmits.
-    Tick {
-        /// The local player's state for this frame.
-        state: &'a PlayerFrame,
-    },
-    /// `bytes` arrived from the transport, which believes they came from
-    /// `wire_sender` (the core re-verifies: signatures decide identity,
-    /// the wire id only routes).
-    Datagram {
-        /// The transport-level sender id (frame header, not trusted).
-        wire_sender: PlayerId,
-        /// The received payload.
-        bytes: &'a [u8],
-    },
-}
-
-/// Everything one [`ProtocolCore::handle`] call produced.
+/// Everything one call into a [`ProtocolCore`] produced.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CoreOutput {
     /// Datagrams to put on the wire: `(destination, bytes)` pairs, in
@@ -106,12 +85,13 @@ pub struct CoreOutput {
 
 /// The poll-driven protocol endpoint. Construct a [`WatchmenNode`]
 /// (regular or joining) and wrap it; from then on the only way the
-/// protocol observes the world is through [`ProtocolCore::handle`].
+/// protocol observes the world is through [`ProtocolCore::tick`] and
+/// [`ProtocolCore::datagram`].
 ///
 /// # Examples
 ///
 /// ```
-/// use watchmen_core::sans_io::{CoreInput, ProtocolCore};
+/// use watchmen_core::sans_io::ProtocolCore;
 /// use watchmen_core::node::WatchmenNode;
 /// use watchmen_core::WatchmenConfig;
 /// use watchmen_crypto::schnorr::Keypair;
@@ -137,7 +117,7 @@ pub struct CoreOutput {
 ///     map,
 ///     PhysicsConfig::default(),
 /// ));
-/// let out = core.handle(0, CoreInput::Tick { state: &trace.frames[0].states[0] });
+/// let out = core.tick(0, &trace.frames[0].states[0]);
 /// assert!(!out.datagrams.is_empty(), "frame 0 publishes state to the proxy");
 /// ```
 #[derive(Debug)]
@@ -153,26 +133,19 @@ impl ProtocolCore {
         ProtocolCore { node }
     }
 
-    /// The single entry point: feed one input at frame `now_frame`, get
-    /// the datagrams and events it produced. Drivers present all
-    /// datagrams delivered before a frame, then the frame's tick.
-    pub fn handle(&mut self, now_frame: u64, input: CoreInput<'_>) -> CoreOutput {
-        match input {
-            CoreInput::Tick { state } => self.node.begin_frame(now_frame, state),
-            CoreInput::Datagram { wire_sender, bytes } => {
-                self.node.handle_message(now_frame, wire_sender, bytes)
-            }
-        }
-    }
-
-    /// Convenience for [`CoreInput::Tick`].
+    /// Frame `now_frame` begins; `state` is the local avatar's state this
+    /// frame. Drives publishing, subscriptions, epoch boundaries and
+    /// control-plane retransmits. Drivers present all datagrams delivered
+    /// before a frame, then the frame's tick.
     pub fn tick(&mut self, now_frame: u64, state: &PlayerFrame) -> CoreOutput {
-        self.handle(now_frame, CoreInput::Tick { state })
+        self.node.begin_frame(now_frame, state)
     }
 
-    /// Convenience for [`CoreInput::Datagram`].
+    /// `bytes` arrived from the transport, which believes they came from
+    /// `wire_sender` (the frame header, not trusted: the core re-verifies,
+    /// signatures decide identity and the wire id only routes).
     pub fn datagram(&mut self, now_frame: u64, wire_sender: PlayerId, bytes: &[u8]) -> CoreOutput {
-        self.handle(now_frame, CoreInput::Datagram { wire_sender, bytes })
+        self.node.handle_message(now_frame, wire_sender, bytes)
     }
 
     /// Announces this player's graceful departure (reliable control
@@ -199,7 +172,7 @@ impl ProtocolCore {
 
     /// Read access to the wrapped node for stats and introspection
     /// (`control_stats`, `roster_digest`, …). The protocol itself is
-    /// only ever driven through [`ProtocolCore::handle`].
+    /// only ever driven through the core's own methods.
     #[must_use]
     pub fn node(&self) -> &WatchmenNode {
         &self.node

@@ -118,21 +118,6 @@ impl MatchSpec {
         self.poison_at = Some(frame);
         self
     }
-
-    /// Disables the observability plane for this match: no audit
-    /// collection, no detection-quality join (the overhead-probe mode).
-    #[must_use]
-    pub fn without_observability(mut self) -> Self {
-        self.observe = false;
-        self
-    }
-
-    /// Retains the audit stream as JSONL lines in the report.
-    #[must_use]
-    pub fn with_audit(mut self) -> Self {
-        self.audit = true;
-        self
-    }
 }
 
 /// What one finished match reports back to the fleet.
@@ -541,7 +526,7 @@ mod tests {
             ),
         ];
         for (spec, line, audit_sha) in golden {
-            let report = drive(spec.with_audit());
+            let report = drive(MatchSpec { audit: true, ..spec });
             assert_eq!(report.summary_line(), line);
             let mut hash = watchmen_crypto::Sha256::new();
             for l in &report.audit_lines {
@@ -555,7 +540,8 @@ mod tests {
 
     #[test]
     fn audit_stream_joins_ground_truth() {
-        let report = drive(MatchSpec::new(2, 8, 160, 905).with_cheater(2).with_audit());
+        let spec = MatchSpec::new(2, 8, 160, 905).with_cheater(2);
+        let report = drive(MatchSpec { audit: true, ..spec });
         assert!(report.audit_records > 0, "the plane must have recorded decisions");
         assert_eq!(report.audit_lines.len(), report.audit_records as usize);
         assert!(report.audit_lines[0].starts_with("{\"match\":2,\"frame\":"));
@@ -573,7 +559,7 @@ mod tests {
     fn observability_off_still_detects_inline() {
         let spec = MatchSpec::new(4, 8, 120, 906).with_cheater(1);
         let on = drive(spec.clone());
-        let off = drive(spec.without_observability());
+        let off = drive(MatchSpec { observe: false, ..spec });
         assert!(off.detected, "inline tallies are independent of the plane");
         assert_eq!(off.audit_records, 0);
         assert_eq!(off.quality, DetectionQuality::default());

@@ -113,6 +113,8 @@ impl FleetConfig {
 /// call re-merges every shard under a `shard=<i>` label, adds the
 /// process-wide [`global`] registry unlabelled, and derives
 /// `fleet_matches{state=…}` lifecycle gauges from the scheduler counters.
+/// Every metric in the snapshot carries the help text its publisher
+/// described, so a scrape renders it from the snapshot alone.
 /// A match publishes its nodes', simnet's and verdicts' counters into its
 /// shard's registry when it drains, so every counter is this fleet's own.
 /// The [`global`] registry holds only the nodes' timing histograms, which
@@ -156,6 +158,7 @@ impl FleetView {
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
         let merged = Registry::new();
+        merged.describe("fleet_matches", "matches by lifecycle state across the fleet");
         for (i, shard) in self.shards.iter().enumerate() {
             let label = i.to_string();
             merged.merge_labeled(shard, &[("shard", &label)]);
@@ -169,17 +172,6 @@ impl FleetView {
         merged.gauge_with("fleet_matches", &[("state", "completed")]).set(completed as i64);
         merged.gauge_with("fleet_matches", &[("state", "panicked")]).set(panicked as i64);
         merged.snapshot()
-    }
-
-    /// Help text for `name`, from whichever shard (the counters) or the
-    /// [`global`] registry (the node histograms) described it, plus the
-    /// view's own derived gauges.
-    #[must_use]
-    pub fn help_for(&self, name: &str) -> Option<&'static str> {
-        if name == "fleet_matches" {
-            return Some("matches by lifecycle state across the fleet");
-        }
-        self.shards.iter().find_map(|s| s.help_for(name)).or_else(|| global().help_for(name))
     }
 }
 
@@ -488,11 +480,9 @@ mod tests {
             snap.get_with("fleet_matches", &[("state", "pending")]),
             Some(&MetricValue::Gauge(0))
         );
-        assert_eq!(
-            view.help_for("fleet_matches"),
-            Some("matches by lifecycle state across the fleet")
-        );
-        assert!(view.help_for("fleet_quanta_total").is_some(), "shard help must surface");
+        let help = |name| snap.entries.iter().find(|e| e.name == name).and_then(|e| e.help);
+        assert_eq!(help("fleet_matches"), Some("matches by lifecycle state across the fleet"));
+        assert!(help("fleet_quanta_total").is_some(), "shard help must surface");
     }
 
     /// The gate `fleet_soak` exits on: a clean fleet passes it, and a

@@ -144,8 +144,8 @@ pub struct PopulationResult {
     pub store_commits: u64,
     /// Store snapshot compactions.
     pub store_compactions: u64,
-    /// Wall-clock time the store spent committing, in fsync and
-    /// compacting — prose for the reader, never a report figure.
+    /// Wall-clock time the store spent in fsync and compacting — prose
+    /// for the reader, never a report figure.
     pub store_timings: StoreTimings,
     /// Final store WAL size, bytes.
     pub store_wal_bytes: u64,

@@ -12,8 +12,7 @@
 //!    pending datagrams (skipping and counting malformed/truncated ones),
 //!    heartbeat the idle peers when the cadence is due, then flush the
 //!    send queue until the socket pushes back.
-//! 3. [`LiveTransport::stats`] — the transport-level counters
-//!    ([`LiveTransport::timings`] has where the pump's time went).
+//! 3. [`LiveTransport::stats`] — the transport-level counters.
 //!
 //! The transport's protocol is clock-free: "time" is the tick counter
 //! advanced by each [`LiveTransport::pump`] call, so the same code is
@@ -46,9 +45,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
-use std::time::{Duration, Instant};
-
-use watchmen_telemetry::Registry;
 
 use crate::simnet::{Delivery, NodeId};
 use crate::udp::{Recv, UdpEndpoint};
@@ -96,19 +92,6 @@ pub struct LiveStats {
     pub unroutable_dropped: u64,
 }
 
-/// Where [`LiveTransport::pump`]'s wall time went. Kept apart from
-/// [`LiveStats`], which two runs of one script must reproduce exactly;
-/// durations never do.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LiveTimings {
-    /// Pumps timed.
-    pub pumps: u64,
-    /// Total time draining the socket (receive, classify, peer table).
-    pub drain_total: Duration,
-    /// Total time sending: cadence heartbeats, then the queue flush.
-    pub flush_total: Duration,
-}
-
 /// One tick's inbound result from [`LiveTransport::pump`]: the payload
 /// frames that arrived, in receive order.
 pub type Inbound = Vec<(u32, Vec<u8>)>;
@@ -131,7 +114,6 @@ pub struct LiveTransport {
     queue: VecDeque<(u32, Vec<u8>)>,
     ticks: u64,
     stats: LiveStats,
-    timings: LiveTimings,
     /// Payload frames the last `flush` drained, not yet handed over.
     carried: Inbound,
 }
@@ -151,7 +133,6 @@ impl LiveTransport {
             queue: VecDeque::new(),
             ticks: 0,
             stats: LiveStats::default(),
-            timings: LiveTimings::default(),
             carried: Inbound::new(),
         })
     }
@@ -208,31 +189,10 @@ impl LiveTransport {
         self.stats
     }
 
-    /// Where the pumps' wall time went so far.
-    #[must_use]
-    pub fn timings(&self) -> LiveTimings {
-        self.timings
-    }
-
     /// Outbound payloads still waiting for socket room.
     #[must_use]
     pub fn queued(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Publishes the pump timings and the send-queue depth into a
-    /// telemetry registry. Durations go out as whole-millisecond `_ms`
-    /// gauges, which the Prometheus exporter renames to `_seconds` and
-    /// scales; [`Self::timings`] has the exact values.
-    pub fn publish_metrics(&self, registry: &Registry) {
-        let gauges = [
-            ("live_pump_drain_total_ms", self.timings.drain_total.as_millis()),
-            ("live_pump_flush_total_ms", self.timings.flush_total.as_millis()),
-            ("live_send_queue_depth", self.queue.len() as u128),
-        ];
-        for (name, value) in gauges {
-            registry.gauge(name).set(i64::try_from(value).unwrap_or(i64::MAX));
-        }
     }
 
     /// Enqueues `bytes` for peer `to`. Unknown peers drop immediately
@@ -259,18 +219,13 @@ impl LiveTransport {
     /// Propagates socket errors other than `WouldBlock`.
     pub fn pump(&mut self) -> io::Result<Inbound> {
         self.ticks += 1;
-        let started = Instant::now();
         let inbound = self.drain()?;
-        let drained = Instant::now();
         let every = self.config.heartbeat_every;
         // Cadence ticks are 1, every + 1, 2 * every + 1, …
         if every == 1 || (every > 1 && self.ticks % every == 1) {
             self.heartbeat(every)?;
         }
         self.flush_queue()?;
-        self.timings.pumps += 1;
-        self.timings.drain_total += drained - started;
-        self.timings.flush_total += drained.elapsed();
         Ok(inbound)
     }
 
@@ -698,27 +653,5 @@ mod tests {
         let every_peer_every_cadence = 16 * 15 * 6;
         assert!(sum(|s| s.heartbeats_sent) < every_peer_every_cadence);
         assert!(sum(|s| s.heartbeats_sent) >= 16 * 15, "the first cadence tick reaches everyone");
-    }
-
-    #[test]
-    fn pump_is_timed_and_published() {
-        let (mut a, mut b) = pair();
-        a.queue(1, b"x".to_vec());
-        a.pump().unwrap();
-        pump_until(&mut b, 1);
-        a.queue(1, b"still queued".to_vec());
-        let t = b.timings();
-        assert_eq!(t.pumps, b.ticks());
-        assert!(t.drain_total > Duration::ZERO && t.flush_total > Duration::ZERO);
-
-        let registry = Registry::new();
-        a.publish_metrics(&registry);
-        let snapshot = registry.snapshot();
-        let gauge = |name: &str| match snapshot.get(name) {
-            Some(watchmen_telemetry::MetricValue::Gauge(v)) => *v,
-            other => panic!("{name}: expected a gauge, got {other:?}"),
-        };
-        assert_eq!(gauge("live_send_queue_depth"), 1);
-        assert!(gauge("live_pump_drain_total_ms") >= 0 && gauge("live_pump_flush_total_ms") >= 0);
     }
 }

@@ -202,11 +202,7 @@ pub fn control_plane_soak(plan: FaultPlan) -> (Cluster, ControlPlaneOutcome) {
     net.assert_invariant("control-plane soak");
     let (mut control, mut pending_handoffs) = (ControlPlaneStats::default(), 0);
     for core in cluster.cores.iter().flatten() {
-        let stats = core.node().control_stats();
-        control.retransmits += stats.retransmits;
-        control.acks_received += stats.acks_received;
-        control.proxy_fallbacks += stats.proxy_fallbacks;
-        control.abandoned += stats.abandoned;
+        control += core.node().control_stats();
         pending_handoffs += core.node().pending_handoffs() as u64;
     }
     let outcome = ControlPlaneOutcome {

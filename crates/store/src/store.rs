@@ -29,9 +29,9 @@
 //! `note_outcome` keeps, per identity the batch mentions, the entry that
 //! identity will have once the batch folds, so deciding a ban is one
 //! hash lookup however long the batch has grown; `commit` encodes the
-//! batch into one buffer. [`StoreTimings`] records where the wall-clock
-//! time went (commit and the fsync inside it, compaction, recovery)
-//! beside [`StoreStats`]' deterministic counts.
+//! batch into one buffer. [`StoreTimings`] records the wall-clock time
+//! spent in fsync and in compaction beside [`StoreStats`]' deterministic
+//! counts. The store publishes no metrics: its driver reports both.
 
 use std::collections::HashMap;
 use std::io;
@@ -42,7 +42,6 @@ use crate::log::scan_log;
 use crate::record::{StoreRecord, FRAME_LEN};
 use crate::snapshot::{encode_snapshot, snapshot_matches, CheckedImage};
 use crate::state::{IdentityEntry, RepState, StorePolicy};
-use watchmen_telemetry::Registry;
 
 /// WAL file name inside the store directory.
 pub const WAL_FILE: &str = "wal.bin";
@@ -86,7 +85,7 @@ pub struct CommitReceipt {
     pub new_bans: Vec<(u64, u32)>,
 }
 
-/// Cumulative operational counters, exported to telemetry.
+/// Cumulative operational counters, reported by the store's driver.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StoreStats {
     /// Successful commits.
@@ -109,24 +108,17 @@ pub struct StoreStats {
     pub lost_bytes: u64,
 }
 
-/// Wall-clock time the store spent in its three expensive operations.
-/// Kept apart from [`StoreStats`], which deterministic runs compare
-/// with `==`.
+/// Wall-clock time the store spent making commits durable and
+/// compacting. Kept apart from [`StoreStats`], which deterministic runs
+/// compare with `==`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StoreTimings {
-    /// Total time in successful non-empty commits (encode, append,
-    /// fsync, fold).
-    pub commit_total: Duration,
-    /// The part of `commit_total` spent inside the backend's `sync`: what
+    /// Total time inside the backend's `sync` in successful commits: what
     /// durability itself costs, which on real files is most of a commit.
     pub fsync_total: Duration,
     /// Total time in successful compactions (encode, replace, read
     /// back, verify, truncate).
     pub compaction_total: Duration,
-    /// The most recent successful compaction.
-    pub last_compaction: Duration,
-    /// How long [`ReputationStore::open`] took to recover.
-    pub recovery: Duration,
 }
 
 /// A durable, crash-safe reputation store over an abstract [`Dir`].
@@ -163,7 +155,6 @@ impl ReputationStore {
     /// Panics if `policy` is invalid (see [`StorePolicy::validate`]).
     pub fn open(mut dir: Box<dyn Dir>, policy: StorePolicy) -> io::Result<(Self, RecoveryReport)> {
         policy.validate();
-        let started = Instant::now();
         let mut report = RecoveryReport::default();
 
         // Pick the freshest snapshot slot that validates. Each image is
@@ -237,7 +228,6 @@ impl ReputationStore {
             store.stage(StoreRecord::Ban { seq: 0, identity, suspicion_permille: permille });
             report.restaged_bans += 1;
         }
-        store.timings.recovery = started.elapsed();
         Ok((store, report))
     }
 
@@ -277,7 +267,7 @@ impl ReputationStore {
         self.stats
     }
 
-    /// Where the store's wall-clock time went.
+    /// The wall-clock time spent in fsync and in compaction.
     #[must_use]
     pub fn timings(&self) -> StoreTimings {
         self.timings
@@ -362,7 +352,6 @@ impl ReputationStore {
                 new_bans: Vec::new(),
             });
         }
-        let started = Instant::now();
         let mut frames = Vec::with_capacity(self.staged.len() * FRAME_LEN);
         for record in &self.staged {
             record.encode_frame_into(&mut frames);
@@ -403,7 +392,6 @@ impl ReputationStore {
         self.prospective.clear();
         self.stats.commits += 1;
         self.stats.records_committed += records;
-        self.timings.commit_total += started.elapsed();
         self.timings.fsync_total += synced;
         Ok(CommitReceipt { acked_seq: self.state.applied_seq(), records, new_bans })
     }
@@ -436,8 +424,7 @@ impl ReputationStore {
         self.wal_bytes = 0;
         self.next_snap_slot = 1 - self.next_snap_slot;
         self.stats.compactions += 1;
-        self.timings.last_compaction = started.elapsed();
-        self.timings.compaction_total += self.timings.last_compaction;
+        self.timings.compaction_total += started.elapsed();
         Ok(())
     }
 
@@ -455,39 +442,6 @@ impl ReputationStore {
             let _ = self.compact();
         }
         Ok(receipt)
-    }
-
-    /// Publishes the store counters and timings into a telemetry
-    /// registry. Durations go out as whole-millisecond `_ms` gauges,
-    /// which the Prometheus exporter renames to `_seconds` and scales;
-    /// [`Self::timings`] has the exact values.
-    pub fn publish_metrics(&self, registry: &Registry) {
-        let (s, t) = (&self.stats, &self.timings);
-        let pairs: [(&str, u64); 8] = [
-            ("store_commits_total", s.commits),
-            ("store_records_committed_total", s.records_committed),
-            ("store_commit_failures_total", s.commit_failures),
-            ("store_short_write_retries_total", s.short_write_retries),
-            ("store_compactions_total", s.compactions),
-            ("store_snapshot_verify_failures_total", s.snapshot_verify_failures),
-            ("store_corrupt_episodes_total", s.corrupt_episodes),
-            ("store_lost_bytes_total", s.lost_bytes),
-        ];
-        for (name, value) in pairs {
-            let counter = registry.counter(name);
-            counter.reset();
-            counter.add(value);
-        }
-        let durations = [
-            ("store_commit_total_ms", t.commit_total),
-            ("store_fsync_total_ms", t.fsync_total),
-            ("store_compaction_total_ms", t.compaction_total),
-            ("store_last_compaction_ms", t.last_compaction),
-            ("store_recovery_ms", t.recovery),
-        ];
-        for (name, d) in durations {
-            registry.gauge(name).set(i64::try_from(d.as_millis()).unwrap_or(i64::MAX));
-        }
     }
 }
 
@@ -689,59 +643,23 @@ mod tests {
     }
 
     #[test]
-    fn metrics_publish_counters() {
+    fn commits_are_counted_in_stats() {
         let (_dir, mut store) = mem_store();
         store.note_outcome(1, 9, 1);
         store.commit().expect("commit");
-        let registry = Registry::new();
-        store.publish_metrics(&registry);
-        assert_eq!(registry.counter("store_commits_total").get(), 1);
-        assert_eq!(registry.counter("store_records_committed_total").get(), 1);
+        assert_eq!((store.stats().commits, store.stats().records_committed), (1, 1));
     }
 
     #[test]
-    fn timings_cover_commit_compaction_and_recovery() {
-        let (dir, mut store) = mem_store();
-        assert_eq!(store.timings().commit_total, Duration::ZERO);
+    fn timings_cover_fsync_and_compaction() {
+        let (_dir, mut store) = mem_store();
         store.commit().expect("empty commit");
-        assert_eq!(store.timings().commit_total, Duration::ZERO, "nothing to time");
+        assert_eq!(store.timings(), StoreTimings::default(), "nothing to time");
         store.note_outcome(1, 9, 1);
-        store.commit_and_maybe_compact(1).expect("commit");
-        let t = store.timings();
-        assert!(t.commit_total > Duration::ZERO);
-        assert!(t.last_compaction > Duration::ZERO);
-        assert_eq!(t.compaction_total, t.last_compaction, "one compaction so far");
-        let (back, _) = reopen(&dir);
-        assert!(back.timings().recovery > Duration::ZERO);
-
-        // The exported totals are whole milliseconds: work until both
-        // have a few (each round grows the state the next one compacts).
-        let enough = Duration::from_millis(3);
-        let mut identity = 2;
-        while store.timings().commit_total < enough || store.timings().compaction_total < enough {
-            for _ in 0..256 {
-                store.note_outcome(identity, 9, 1);
-                identity += 1;
-            }
-            store.commit_and_maybe_compact(1).expect("commit");
-        }
-        let registry = Registry::new();
-        store.publish_metrics(&registry);
-        assert!(registry.gauge("store_commit_total_ms").get() >= 3);
-        assert!(registry.gauge("store_compaction_total_ms").get() >= 3);
-        let text = watchmen_telemetry::export::prometheus_text(&registry.snapshot());
-        for name in ["store_commit_total_seconds", "store_compaction_total_seconds"] {
-            let sample = text.lines().find_map(|l| l.strip_prefix(&format!("{name} ")));
-            let seconds: f64 = sample.expect(name).parse().expect("a number");
-            assert!((0.003..60.0).contains(&seconds), "{name} = {seconds}");
-        }
-        let t = store.timings();
-        assert!(t.fsync_total <= t.commit_total, "the sync is part of the commit: {t:?}");
-        for name in
-            ["store_fsync_total_seconds", "store_last_compaction_seconds", "store_recovery_seconds"]
-        {
-            assert!(text.contains(&format!("# TYPE {name} gauge")), "{name} missing from:\n{text}");
-        }
+        store.commit().expect("commit");
+        assert_eq!(store.timings().compaction_total, Duration::ZERO, "nothing compacted yet");
+        store.compact().expect("compact");
+        assert!(store.timings().compaction_total > Duration::ZERO);
     }
 
     /// Drives the indexed `note_outcome` and the staged scan it replaced

@@ -1,5 +1,7 @@
 //! Snapshot exporters: the Prometheus text exposition format for
-//! metrics, and the Chrome `trace_event` format for flight-recorder
+//! metrics — [`prometheus_text`], the one renderer behind every printed
+//! dump and every `/metrics` scrape, reading help text off the snapshot
+//! itself — and the Chrome `trace_event` format for flight-recorder
 //! events.
 
 use std::fmt::Write as _;
@@ -12,10 +14,11 @@ use crate::trace::{EventKind, TraceEvent, NO_SUBJECT};
 /// Counters and gauges render one sample line each; histograms render
 /// cumulative `_bucket{le="…"}` lines over their non-empty buckets plus
 /// `_sum` and `_count`. `# HELP`/`# TYPE` headers are emitted once per
-/// metric name, label values and help text are escaped per the
-/// exposition format, and metrics named with the workspace's internal
-/// `_ms` suffix are exported under the Prometheus base unit as
-/// `_seconds` with values scaled accordingly.
+/// metric name, the `# HELP` line only for a name whose entries carry
+/// help text ([`crate::Registry::describe`]). Label values and help text
+/// are escaped per the exposition format, and metrics named with the
+/// workspace's internal `_ms` suffix are exported under the Prometheus
+/// base unit as `_seconds` with values scaled accordingly.
 ///
 /// # Examples
 ///
@@ -23,28 +26,20 @@ use crate::trace::{EventKind, TraceEvent, NO_SUBJECT};
 /// use watchmen_telemetry::Registry;
 ///
 /// let r = Registry::new();
+/// r.describe("updates_total", "updates sent");
 /// r.counter_with("updates_total", &[("class", "state")]).add(7);
 /// let text = watchmen_telemetry::export::prometheus_text(&r.snapshot());
+/// assert!(text.starts_with("# HELP updates_total updates sent\n# TYPE updates_total"));
 /// assert!(text.contains("updates_total{class=\"state\"} 7"));
 /// ```
 #[must_use]
 pub fn prometheus_text(snapshot: &Snapshot) -> String {
-    prometheus_text_with_help(snapshot, &|_| None)
-}
-
-/// Like [`prometheus_text`], with a help-text lookup (normally
-/// `|name| registry.help_for(name)`).
-#[must_use]
-pub fn prometheus_text_with_help(
-    snapshot: &Snapshot,
-    help: &dyn Fn(&str) -> Option<&'static str>,
-) -> String {
     let mut out = String::new();
     let mut last_name: Option<&str> = None;
     for entry in &snapshot.entries {
         let (name, scale) = exposition_name(entry.name);
         if last_name != Some(entry.name) {
-            if let Some(h) = help(entry.name) {
+            if let Some(h) = entry.help {
                 let _ = writeln!(out, "# HELP {name} {}", escape_help(h));
             }
             let kind = match entry.value {
@@ -257,7 +252,7 @@ mod tests {
         r.describe("a_total", "things that happened");
         r.counter("a_total").add(5);
         r.gauge("depth").set(-2);
-        let text = prometheus_text_with_help(&r.snapshot(), &|n| r.help_for(n));
+        let text = prometheus_text(&r.snapshot());
         assert!(text.contains("# HELP a_total things that happened"));
         assert!(text.contains("# TYPE a_total counter"));
         assert!(text.contains("a_total 5"));
@@ -290,7 +285,7 @@ mod tests {
         let r = Registry::new();
         r.describe("quantum_ms", "scheduler quantum");
         r.gauge("quantum_ms").set(250);
-        let text = prometheus_text_with_help(&r.snapshot(), &|n| r.help_for(n));
+        let text = prometheus_text(&r.snapshot());
         assert!(text.contains("# HELP quantum_seconds scheduler quantum"), "{text}");
         assert!(text.contains("# TYPE quantum_seconds gauge"), "{text}");
         assert!(text.contains("quantum_seconds 0.25"), "{text}");
@@ -301,7 +296,7 @@ mod tests {
         let r = Registry::new();
         r.describe("odd_total", "line one\nback\\slash");
         r.counter("odd_total").inc();
-        let text = prometheus_text_with_help(&r.snapshot(), &|n| r.help_for(n));
+        let text = prometheus_text(&r.snapshot());
         assert!(text.contains("# HELP odd_total line one\\nback\\\\slash"), "{text}");
     }
 

@@ -19,7 +19,9 @@
 //!   its own stats and publishes a finished run's totals into the
 //!   registry its driver names ([`Registry::add_counts`]), so counters are
 //!   per run; the [`global`] registry holds what still records as it
-//!   happens, the node's timing histograms, process-wide since start.
+//!   happens, the node's timing histograms, process-wide since start. A
+//!   layer whose driver reports its stats directly (the live transport,
+//!   the store) publishes nothing.
 //! * [`FrameTimer`] — the one scope timer: it records elapsed wall-clock
 //!   milliseconds into a histogram on drop and, in its
 //!   [`FrameTimer::traced`] form, the same interval as a span event in a
@@ -40,7 +42,10 @@
 //! # Exporters
 //!
 //! [`export::prometheus_text`] renders a [`Snapshot`] in the Prometheus
-//! text exposition format — the workspace's one metrics format.
+//! text exposition format — the workspace's one metrics format and its
+//! one renderer, for a printed dump and a live scrape alike. Each
+//! [`SnapshotEntry`] carries the help text [`Registry::describe`]
+//! attached to its name, so the snapshot is all a renderer needs.
 //! [`export::chrome_trace`] renders flight-recorder events as a Chrome
 //! `trace_event` JSON document loadable in `chrome://tracing` or
 //! Perfetto. [`report::Report`] is the one run report every driver
@@ -48,9 +53,9 @@
 //!
 //! For *live* visibility — watching a fleet mid-run rather than reading
 //! a report after it exits — [`serve::MetricsServer`] is a `std`-only HTTP
-//! scrape endpoint (`/metrics`, `/healthz`) on a background thread,
-//! enabled by the `WATCHMEN_METRICS_ADDR` knob (and held up after the
-//! run for `WATCHMEN_METRICS_HOLD_MS`).
+//! scrape endpoint (`/metrics`, `/healthz`) on a background thread over
+//! one snapshot source, enabled by the `WATCHMEN_METRICS_ADDR` knob (and
+//! held up after the run for `WATCHMEN_METRICS_HOLD_MS`).
 //!
 //! # Examples
 //!
@@ -77,7 +82,7 @@
 //! # Conventions
 //!
 //! Metric names are `snake_case`, prefixed by the owning layer
-//! (`node_`, `proxy_`, `net_`, `live_`, `fleet_`), with `_total` for
+//! (`node_`, `proxy_`, `net_`, `fleet_`), with `_total` for
 //! counters and a unit suffix (`_ms`, `_bytes`, `_kbps`) for histograms.
 //! The Prometheus exporter renames `_ms` metrics to the base-unit
 //! `_seconds` form (values scaled) so scrapes conform to Prometheus

@@ -59,12 +59,15 @@ pub struct SnapshotEntry {
     pub name: &'static str,
     /// Sorted label pairs.
     pub labels: Vec<(&'static str, String)>,
+    /// The text [`Registry::describe`] attached to the name, if any.
+    pub help: Option<&'static str>,
     /// The captured value.
     pub value: MetricValue,
 }
 
 /// A point-in-time capture of every metric in a registry, sorted by name
-/// then labels — the input to the exporters in [`crate::export`].
+/// then labels, each with its help text — everything
+/// [`crate::export::prometheus_text`] renders.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// Captured metrics in deterministic order.
@@ -137,8 +140,9 @@ impl Registry {
         Registry::default()
     }
 
-    /// Attaches help text to a metric name, rendered by the Prometheus
-    /// exporter as `# HELP`.
+    /// Attaches help text to a metric name: each [`SnapshotEntry`] of that
+    /// name carries it, and the Prometheus exporter renders it as
+    /// `# HELP`.
     pub fn describe(&self, name: &'static str, help: &'static str) {
         self.help.write().expect("telemetry help lock").insert(name, help);
     }
@@ -251,22 +255,18 @@ impl Registry {
         map.entry(key).or_insert_with(make).clone()
     }
 
-    /// Help text for `name`, if registered via [`Registry::describe`].
-    #[must_use]
-    pub fn help_for(&self, name: &str) -> Option<&'static str> {
-        self.help.read().expect("telemetry help lock").get(name).copied()
-    }
-
-    /// Captures every metric into a deterministic, lock-free-to-consume
-    /// [`Snapshot`].
+    /// Captures every metric, with its help text, into a deterministic,
+    /// lock-free-to-consume [`Snapshot`].
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
         let map = self.metrics.read().expect("telemetry lock");
+        let help = self.help.read().expect("telemetry help lock");
         let entries = map
             .iter()
             .map(|(key, entry)| SnapshotEntry {
                 name: key.name,
                 labels: key.labels.clone(),
+                help: help.get(key.name).copied(),
                 value: match entry {
                     Entry::Counter(c) => MetricValue::Counter(c.get()),
                     Entry::Gauge(g) => MetricValue::Gauge(g.get()),
@@ -437,7 +437,9 @@ mod tests {
             snap.get_with("fleet_in_flight", &[("shard", "1")]),
             Some(&MetricValue::Gauge(3))
         );
-        assert_eq!(fleet.help_for("fleet_ticks_total"), Some("ticks advanced"));
+        let help = |name| snap.entries.iter().find(|e| e.name == name).and_then(|e| e.help);
+        assert_eq!(help("fleet_ticks_total"), Some("ticks advanced"));
+        assert_eq!(help("fleet_in_flight"), None);
 
         // Label-free merge aggregates the histograms bucket-wise.
         let agg = Registry::new();

@@ -2,8 +2,9 @@
 //! background thread, serving live registry snapshots while the process
 //! runs.
 //!
-//! The dump-at-exit exporters in [`crate::export`] answer "what happened
-//! over the whole run"; this module answers "what is happening *now*".
+//! A driver's printed dump answers "what happened over the whole run";
+//! this module answers "what is happening *now*", through the same
+//! renderer.
 //! A [`MetricsServer`] binds a blocking [`TcpListener`], accepts plain
 //! HTTP/1.1 `GET`s on a background thread, and renders a fresh snapshot
 //! per request — no framework, no dependency, one short-lived connection
@@ -12,14 +13,15 @@
 //! Routes:
 //!
 //! * `GET /metrics` — Prometheus text exposition
-//!   (`text/plain; version=0.0.4`), via
-//!   [`export::prometheus_text_with_help`]. A rate is the scraper's to
-//!   compute from two cumulative scrapes, so the server keeps no state.
+//!   (`text/plain; version=0.0.4`), via [`export::prometheus_text`], the
+//!   same renderer a driver's printed dump uses; help text travels on the
+//!   snapshot. A rate is the scraper's to compute from two cumulative
+//!   scrapes, so the server keeps no state.
 //! * `GET /healthz` — `ok`, for liveness probes.
 //!
-//! The snapshot source is a closure, so the endpoint can serve one
-//! registry or a merged per-shard view rebuilt on every scrape (what
-//! `watchmen-fleet` does). Drivers enable it with the `WATCHMEN_METRICS_ADDR` env knob
+//! The one input is a snapshot source, a closure, so the endpoint can
+//! serve one registry or a merged per-shard view rebuilt on every scrape
+//! (what `watchmen-fleet` does). Drivers enable it with the `WATCHMEN_METRICS_ADDR` env knob
 //! ([`MetricsServer::from_env`], e.g. `127.0.0.1:9464`, port `0` for an
 //! ephemeral port); `WATCHMEN_METRICS_HOLD_MS` keeps it up that long
 //! after the run ([`MetricsServer::hold_then_stop`]).
@@ -33,13 +35,7 @@
 //!
 //! let registry = Arc::new(Registry::new());
 //! registry.counter("demo_total").add(3);
-//! let source = Arc::clone(&registry);
-//! let server = MetricsServer::bind(
-//!     "127.0.0.1:0",
-//!     Arc::new(move || source.snapshot()),
-//!     Arc::new(|_| None),
-//! )
-//! .unwrap();
+//! let server = MetricsServer::bind("127.0.0.1:0", Arc::new(move || registry.snapshot())).unwrap();
 //! let addr = server.local_addr();
 //! assert_ne!(addr.port(), 0);
 //! // `curl http://{addr}/metrics` would now return `demo_total 3`.
@@ -57,10 +53,6 @@ use crate::registry::Snapshot;
 
 /// Produces a fresh [`Snapshot`] per scrape.
 pub type SnapshotSource = Arc<dyn Fn() -> Snapshot + Send + Sync>;
-
-/// Looks up `# HELP` text per metric name (normally a registry's
-/// [`crate::Registry::help_for`]).
-pub type HelpSource = Arc<dyn Fn(&str) -> Option<&'static str> + Send + Sync>;
 
 /// How long the accept loop sleeps between polls of the stop flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
@@ -91,7 +83,7 @@ impl MetricsServer {
     /// # Errors
     ///
     /// Returns the bind error (address in use, permission) verbatim.
-    pub fn bind(addr: &str, source: SnapshotSource, help: HelpSource) -> io::Result<Self> {
+    pub fn bind(addr: &str, source: SnapshotSource) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
@@ -99,7 +91,7 @@ impl MetricsServer {
         let stop_flag = Arc::clone(&stop);
         let handle = thread::Builder::new()
             .name("watchmen-metrics".into())
-            .spawn(move || accept_loop(&listener, &stop_flag, &source, &help))
+            .spawn(move || accept_loop(&listener, &stop_flag, &source))
             .expect("spawn metrics thread");
         Ok(MetricsServer { addr: local, hold: Duration::ZERO, stop, handle: Some(handle) })
     }
@@ -115,13 +107,13 @@ impl MetricsServer {
     /// whole number of milliseconds — an explicitly requested endpoint
     /// that cannot come up as asked should fail the run, not silently
     /// vanish.
-    pub fn from_env(source: SnapshotSource, help: HelpSource) -> io::Result<Option<Self>> {
+    pub fn from_env(source: SnapshotSource) -> io::Result<Option<Self>> {
         let addr = match std::env::var("WATCHMEN_METRICS_ADDR") {
             Ok(addr) if !addr.trim().is_empty() => addr,
             _ => return Ok(None),
         };
         let hold = parse_hold(std::env::var("WATCHMEN_METRICS_HOLD_MS").ok().as_deref())?;
-        let mut server = Self::bind(addr.trim(), source, help).map_err(|e| {
+        let mut server = Self::bind(addr.trim(), source).map_err(|e| {
             io::Error::new(e.kind(), format!("WATCHMEN_METRICS_ADDR={addr:?}: {e}"))
         })?;
         server.hold = hold;
@@ -163,19 +155,14 @@ fn parse_hold(value: Option<&str>) -> io::Result<Duration> {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    stop: &AtomicBool,
-    source: &SnapshotSource,
-    help: &HelpSource,
-) {
+fn accept_loop(listener: &TcpListener, stop: &AtomicBool, source: &SnapshotSource) {
     while !stop.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _)) => {
                 // One connection at a time, fully handled inline: a
                 // scrape is a single short GET and the poll cadence is
                 // seconds — no need for a connection pool.
-                let _ = handle_connection(stream, source, help);
+                let _ = handle_connection(stream, source);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
             Err(_) => thread::sleep(ACCEPT_POLL),
@@ -183,11 +170,7 @@ fn accept_loop(
     }
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    source: &SnapshotSource,
-    help: &HelpSource,
-) -> io::Result<()> {
+fn handle_connection(stream: TcpStream, source: &SnapshotSource) -> io::Result<()> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     stream.set_nonblocking(false)?;
@@ -220,7 +203,7 @@ fn handle_connection(
     }
     match path {
         "/metrics" => {
-            let body = export::prometheus_text_with_help(&(source)(), &|n| (help)(n));
+            let body = export::prometheus_text(&(source)());
             respond(&mut stream, "200 OK", "text/plain; version=0.0.4; charset=utf-8", &body)
         }
         "/healthz" => respond(&mut stream, "200 OK", "text/plain", "ok\n"),
@@ -258,14 +241,7 @@ mod tests {
     }
 
     fn server_for(registry: Arc<Registry>) -> MetricsServer {
-        let source = Arc::clone(&registry);
-        let help = Arc::clone(&registry);
-        MetricsServer::bind(
-            "127.0.0.1:0",
-            Arc::new(move || source.snapshot()),
-            Arc::new(move |name| help.help_for(name)),
-        )
-        .expect("bind")
+        MetricsServer::bind("127.0.0.1:0", Arc::new(move || registry.snapshot())).expect("bind")
     }
 
     #[test]
@@ -279,7 +255,10 @@ mod tests {
         let body = get(addr, "/metrics");
         assert!(body.starts_with("HTTP/1.1 200 OK"), "{body}");
         assert!(body.contains("text/plain; version=0.0.4"), "{body}");
-        assert!(body.contains("# TYPE demo_total counter"), "{body}");
+        assert!(
+            body.contains("# HELP demo_total a demo counter\n# TYPE demo_total counter"),
+            "{body}"
+        );
         assert!(body.contains("demo_total 3"), "{body}");
 
         // The snapshot is taken per scrape: a later increment shows up.
@@ -314,8 +293,7 @@ mod tests {
         // The knob is process-global; this test only asserts the unset
         // path (other tests must not set it).
         if std::env::var("WATCHMEN_METRICS_ADDR").is_err() {
-            let server = MetricsServer::from_env(Arc::new(Snapshot::default), Arc::new(|_| None))
-                .expect("from_env");
+            let server = MetricsServer::from_env(Arc::new(Snapshot::default)).expect("from_env");
             assert!(server.is_none());
         }
     }

@@ -138,7 +138,7 @@ fn prometheus_exporter_golden() {
     h.record(1.0);
     h.record(1.0);
     h.record(4.0);
-    let text = export::prometheus_text_with_help(&r.snapshot(), &|n| r.help_for(n));
+    let text = export::prometheus_text(&r.snapshot());
     let expected = "\
 # TYPE age_frames histogram
 age_frames_bucket{le=\"1.008\"} 2

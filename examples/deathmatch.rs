@@ -66,10 +66,7 @@ fn main() {
 
     // The live scrape endpoint over the process-wide registry, when
     // WATCHMEN_METRICS_ADDR asks for one.
-    let metrics_server = match MetricsServer::from_env(
-        Arc::new(|| global().snapshot()),
-        Arc::new(|name| global().help_for(name)),
-    ) {
+    let metrics_server = match MetricsServer::from_env(Arc::new(|| global().snapshot())) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("metrics endpoint failed: {e}");
@@ -207,7 +204,7 @@ fn main() {
     }
 
     println!("\nfull snapshot (Prometheus text format):");
-    print!("{}", export::prometheus_text_with_help(&snap, &|n| global().help_for(n)));
+    print!("{}", export::prometheus_text(&snap));
 
     if let Some(server) = metrics_server {
         server.hold_then_stop();

@@ -18,8 +18,10 @@
 //!   soak prints `metrics endpoint listening on <addr>` so scripts can
 //!   find the bound port. `WATCHMEN_METRICS_HOLD_MS=<ms>` keeps the
 //!   endpoint up that long after the summary, for scrapers that want a
-//!   settled final snapshot. The scrape carries the pool's per-shard
-//!   `fleet_*` metrics and each match's `node_*` and `net_*` counters,
+//!   settled final snapshot. Every family in the scrape has its `# HELP`
+//!   and `# TYPE` lines, from the snapshot alone. The scrape carries the
+//!   pool's per-shard `fleet_*` metrics, the `fleet_matches{state}`
+//!   lifecycle gauges and each match's `node_*` and `net_*` counters,
 //!   published into its shard's registry when it ends, so they count
 //!   this fleet only. The node timing histograms are process-wide,
 //!   counted since the process started — with `WATCHMEN_BENCH_OUT` set
@@ -81,15 +83,8 @@ fn main() {
     // record into; the endpoint (when enabled) re-merges them per
     // scrape, so `/metrics` is current mid-soak.
     let view = FleetView::for_config(&config);
-    let server = {
-        let scrape = view.clone();
-        let help = view.clone();
-        MetricsServer::from_env(
-            Arc::new(move || scrape.snapshot()),
-            Arc::new(move |name| help.help_for(name)),
-        )
-    };
-    let server = match server {
+    let scrape = view.clone();
+    let server = match MetricsServer::from_env(Arc::new(move || scrape.snapshot())) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("metrics endpoint failed: {e}");

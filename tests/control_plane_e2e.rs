@@ -6,6 +6,7 @@
 //! proxy, and raise **zero** severe cheat verdicts against the
 //! all-honest population.
 
+use watchmen::core::node::ControlPlaneStats;
 use watchmen::net::fault::{FaultPlan, GilbertElliott};
 use watchmen::sim::scenario::{control_plane_soak, default_fault_plan};
 
@@ -43,6 +44,26 @@ fn handoff_chains_survive_loss_duplication_and_a_proxy_crash() {
                 "{name}: node {i} has unrecovered chains"
             );
         }
+        // --- The outcome's control counters are every node's, summed
+        // field by field: none of the six is left at zero by omission.
+        let fields = |c: ControlPlaneStats| {
+            [
+                c.retransmits,
+                c.acks_sent,
+                c.acks_received,
+                c.abandoned,
+                c.superseded,
+                c.proxy_fallbacks,
+            ]
+        };
+        let mut summed = [0u64; 6];
+        for core in cluster.cores.iter().flatten() {
+            for (total, n) in summed.iter_mut().zip(fields(core.node().control_stats())) {
+                *total += n;
+            }
+        }
+        assert_eq!(fields(outcome.control), summed, "{name}: control totals");
+        assert!(outcome.control.acks_sent > 0, "{name}: no node acked anything");
 
         // --- The fault plan actually bit: bursts dropped messages, the
         // duplicator fired, and the conservation invariant held throughout.

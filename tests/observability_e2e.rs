@@ -102,13 +102,8 @@ fn scrape(addr: std::net::SocketAddr, path: &str) -> (String, String) {
 fn live_endpoint_serves_prometheus_exposition_for_a_fleet() {
     let view = Arc::new(FleetView::new(2, 8));
     let scrape_view = Arc::clone(&view);
-    let help_view = Arc::clone(&view);
-    let server = MetricsServer::bind(
-        "127.0.0.1:0",
-        Arc::new(move || scrape_view.snapshot()),
-        Arc::new(move |name| help_view.help_for(name)),
-    )
-    .expect("bind loopback endpoint");
+    let server = MetricsServer::bind("127.0.0.1:0", Arc::new(move || scrape_view.snapshot()))
+        .expect("bind loopback endpoint");
     let addr = server.local_addr();
 
     // Before any match runs, the endpoint is already up: every planned
@@ -142,6 +137,17 @@ fn live_endpoint_serves_prometheus_exposition_for_a_fleet() {
         body.contains("# TYPE node_tick_duration_seconds histogram"),
         "no node metrics:\n{body}"
     );
+    // A scrape is readable without the source: the derived gauges, a
+    // shard's counters and the process-wide histograms each carry one
+    // `# HELP` line, right above their `# TYPE` line.
+    let lines: Vec<&str> = body.lines().collect();
+    for name in ["fleet_matches", "fleet_quanta_total", "node_tick_duration_seconds"] {
+        let help = format!("# HELP {name} ");
+        let at: Vec<usize> = (0..lines.len()).filter(|&i| lines[i].starts_with(&help)).collect();
+        assert_eq!(at.len(), 1, "{name} needs exactly one HELP line:\n{body}");
+        let type_line = lines.get(at[0] + 1).copied().unwrap_or_default();
+        assert!(type_line.starts_with(&format!("# TYPE {name} ")), "{name}: HELP, then TYPE");
+    }
 
     let (health_head, health_body) = scrape(addr, "/healthz");
     assert!(health_head.starts_with("HTTP/1.1 200"), "healthz not ok: {health_head}");
