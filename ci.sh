@@ -270,6 +270,10 @@ cargo test --release -q -p watchmen-store
 unsafe_in=$(grep -rlE 'unsafe[[:space:]]*(\{|fn|impl)' crates src examples tests | sort | tr '\n' ' ' || true)
 [ "$unsafe_in" = "crates/crypto/src/sha256/sha_ni.rs crates/store/src/record/clmul.rs " ] ||
     { echo "unsafe outside the audited files: $unsafe_in" >&2; exit 1; }
+# A commit writes its batch as one checksummed frame per run of up to
+# 256 records; per-record framing must not come back on the commit path.
+framing=$(grep -n 'encode_frame_into' crates/store/src/store.rs || true)
+[ -z "$framing" ] || { echo "per-record framing is back on the commit path: $framing" >&2; exit 1; }
 formats=$(grep -rl 'BenchRecord\|fn summary_line' crates examples tests src | tr '\n' ' ' || true)
 [ "$formats" = "crates/fleet/src/cell.rs " ] || { echo "a second report format: $formats" >&2; exit 1; }
 long=$(wc -l crates/core/src/{node,msg,lobby}/*.rs | awk '$2 != "total" && $1 > 800 { print $2 }')

@@ -6,9 +6,9 @@
 //! *ban*. This crate persists the per-identity interaction totals and
 //! explicit ban decisions across matches and across crashes:
 //!
-//! * [`record`] — checksummed, length-prefixed WAL frames
-//!   ([`StoreRecord`]) and the CRC-32 itself, on the CPU's carry-less
-//!   multiply where it has one;
+//! * [`record`] — checksummed, length-prefixed WAL frames, one per
+//!   committed run of up to 256 [`StoreRecord`]s, and the CRC-32 itself,
+//!   on the CPU's carry-less multiply where it has one;
 //! * [`log`] — the scan-to-last-valid recovery scanner ([`scan_log`])
 //!   tolerating torn tails, bit flips, and duplicated batches;
 //! * [`snapshot`] — whole-state images with a trailing CRC, written to

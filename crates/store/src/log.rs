@@ -4,11 +4,12 @@
 //! decodable record, tolerating the three corruption shapes a crashed
 //! writer leaves behind:
 //!
-//! * **torn tail** — the final record was mid-write; decoding hits a
+//! * **torn tail** — the final frame was mid-write; decoding hits a
 //!   truncated frame and the scan stops, counting the dangling bytes;
-//! * **bit flips** — a record's CRC (or magic/length) fails mid-log;
-//!   the scan *resyncs* by searching forward for the next frame magic
-//!   and continues, counting the corrupt episode and skipped bytes;
+//! * **bit flips** — a frame's CRC (or magic/length) fails mid-log;
+//!   that frame's records are lost whole, and the scan *resyncs* by
+//!   searching forward for the next frame magic and continues,
+//!   counting the corrupt episode and skipped bytes;
 //! * **duplicated batches** — a commit retried after a failed fsync
 //!   appends the same records twice; the scan surfaces both copies and
 //!   the seq-guarded fold in [`crate::state::RepState`] drops the
@@ -37,15 +38,25 @@ pub struct LogScanReport {
 /// plus the corruption accounting.
 #[must_use]
 pub fn scan_log(bytes: &[u8]) -> (Vec<StoreRecord>, LogScanReport) {
-    let magic = FRAME_MAGIC.to_le_bytes();
     let mut records = Vec::new();
+    let report = scan_frames(bytes, |frame| records.extend_from_slice(frame));
+    (records, report)
+}
+
+/// [`scan_log`] without the list: hands each intact frame's records to
+/// `visit`, in file order — how recovery folds a log without holding a
+/// copy of it.
+pub(crate) fn scan_frames(bytes: &[u8], mut visit: impl FnMut(&[StoreRecord])) -> LogScanReport {
+    let magic = FRAME_MAGIC.to_le_bytes();
+    let mut frame = Vec::new();
     let mut report = LogScanReport::default();
     let mut offset = 0usize;
     while offset < bytes.len() {
-        match decode_frame(&bytes[offset..]) {
-            Ok((record, used)) => {
-                records.push(record);
-                report.records += 1;
+        frame.clear();
+        match decode_frame(&bytes[offset..], &mut frame) {
+            Ok(used) => {
+                visit(&frame);
+                report.records += frame.len() as u64;
                 offset += used;
             }
             Err(FrameError::Truncated) => {
@@ -64,7 +75,7 @@ pub fn scan_log(bytes: &[u8]) -> (Vec<StoreRecord>, LogScanReport) {
             }
         }
     }
-    (records, report)
+    report
 }
 
 /// First offset of `magic` in `haystack`, if any.
@@ -75,6 +86,7 @@ fn find_magic(haystack: &[u8], magic: &[u8; 4]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::encode_frames;
 
     fn outcome(seq: u64, identity: u64, ok: u32, failed: u32) -> StoreRecord {
         StoreRecord::Outcome { seq, identity, ok, failed }
@@ -126,6 +138,70 @@ mod tests {
         assert_eq!(got, vec![records[0], records[2]], "scan must reach the last valid record");
         assert_eq!(report.corrupt_episodes, 1);
         assert!(report.skipped_bytes > 0);
+    }
+
+    /// Three frames written the way commits write them: seqs 1–3, 4–7
+    /// (the one the tests below damage) and 8–9.
+    fn three_batches() -> (Vec<u8>, Vec<StoreRecord>, std::ops::Range<usize>) {
+        let batch = |seqs: std::ops::RangeInclusive<u64>| -> Vec<StoreRecord> {
+            seqs.map(|seq| outcome(seq, seq % 3, 9, 1)).collect()
+        };
+        let (a, b, c) = (batch(1..=3), batch(4..=7), batch(8..=9));
+        let mut bytes = encode_frames(&a);
+        let middle = bytes.len()..bytes.len() + encode_frames(&b).len();
+        bytes.extend(encode_frames(&b));
+        bytes.extend(encode_frames(&c));
+        (bytes, [a, c].concat(), middle)
+    }
+
+    #[test]
+    fn bit_flip_in_a_multi_record_frame_loses_that_frame_alone() {
+        let (bytes, survivors, middle) = three_batches();
+        assert_eq!(scan_log(&bytes).1.records, 9);
+        for at in middle.clone() {
+            let mut bent = bytes.clone();
+            bent[at] ^= 0x04;
+            let (got, report) = scan_log(&bent);
+            assert_eq!(got, survivors, "flip at {at}");
+            let expected = LogScanReport {
+                records: 5,
+                corrupt_episodes: 1,
+                skipped_bytes: middle.len() as u64,
+                torn_tail_bytes: 0,
+            };
+            assert_eq!(report, expected, "flip at {at}");
+        }
+    }
+
+    #[test]
+    fn a_length_beyond_the_cap_is_corruption_not_a_torn_tail() {
+        let (bytes, survivors, middle) = three_batches();
+        // On the 17-byte grid and longer than what follows, so a scan
+        // that believed it would call the rest of the log a torn tail.
+        for records in [257u32, 1_000, 200_000] {
+            let mut bent = bytes.clone();
+            bent[middle.start + 4..middle.start + 8]
+                .copy_from_slice(&(8 + 17 * records).to_le_bytes());
+            let (got, report) = scan_log(&bent);
+            assert_eq!(got, survivors, "{records} records claimed");
+            assert_eq!(report.corrupt_episodes, 1);
+            assert_eq!(report.skipped_bytes, middle.len() as u64);
+            assert_eq!(report.torn_tail_bytes, 0);
+        }
+    }
+
+    #[test]
+    fn cutting_a_multi_record_frame_anywhere_is_a_torn_tail() {
+        let (bytes, _, middle) = three_batches();
+        let kept = scan_log(&bytes[..middle.start]).0;
+        for cut in middle.start + 1..middle.end {
+            let (got, report) = scan_log(&bytes[..cut]);
+            assert_eq!(got, kept, "cut at {cut}");
+            let torn = (cut - middle.start) as u64;
+            let expected =
+                LogScanReport { records: 3, torn_tail_bytes: torn, ..LogScanReport::default() };
+            assert_eq!(report, expected, "cut at {cut}");
+        }
     }
 
     #[test]

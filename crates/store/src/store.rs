@@ -3,7 +3,7 @@
 //! [`ReputationStore`] ties the pieces together around one hard
 //! contract: **an acknowledgement means durability**. `note_outcome`
 //! and the bans it derives are only *staged*; [`ReputationStore::commit`]
-//! appends the staged frames to the WAL, fsyncs, and only then folds
+//! appends the staged batch to the WAL, fsyncs, and only then folds
 //! them into the visible state and returns a receipt. A crash before
 //! the receipt may lose the batch (the caller never saw an ack); a
 //! crash after cannot, because recovery replays the WAL.
@@ -29,7 +29,9 @@
 //! `note_outcome` keeps, per identity the batch mentions, the entry that
 //! identity will have once the batch folds, so deciding a ban is one
 //! hash lookup however long the batch has grown; `commit` encodes the
-//! batch into one buffer. [`StoreTimings`] records the wall-clock time
+//! batch into one buffer of frames, one checksum per 256 records, and
+//! recovery folds each frame as the scan decodes it, never holding the
+//! log's records as a list. [`StoreTimings`] records the wall-clock time
 //! spent in fsync and in compaction beside [`StoreStats`]' deterministic
 //! counts. The store publishes no metrics: its driver reports both.
 
@@ -38,8 +40,8 @@ use std::io;
 use std::time::{Duration, Instant};
 
 use crate::io::Dir;
-use crate::log::scan_log;
-use crate::record::{StoreRecord, FRAME_LEN};
+use crate::log::scan_frames;
+use crate::record::{encode_frames, StoreRecord, FRAME_LEN};
 use crate::snapshot::{encode_snapshot, snapshot_matches, CheckedImage};
 use crate::state::{IdentityEntry, RepState, StorePolicy};
 
@@ -182,14 +184,15 @@ impl ReputationStore {
         // Replay the WAL over the snapshot.
         let wal = dir.read(WAL_FILE)?.unwrap_or_default();
         let wal_bytes = wal.len() as u64;
-        let (records, scan) = scan_log(&wal);
-        for record in &records {
-            if state.apply(record) {
-                report.wal_records += 1;
-            } else {
-                report.stale_replays += 1;
+        let scan = scan_frames(&wal, |frame| {
+            for record in frame {
+                if state.apply(record) {
+                    report.wal_records += 1;
+                } else {
+                    report.stale_replays += 1;
+                }
             }
-        }
+        });
         report.corrupt_episodes = scan.corrupt_episodes;
         report.skipped_bytes = scan.skipped_bytes;
         report.torn_tail_bytes = scan.torn_tail_bytes;
@@ -216,8 +219,10 @@ impl ReputationStore {
         };
 
         // Counts may satisfy the ban policy while the Ban record itself
-        // was lost in a torn tail (it was never acked, so no contract is
-        // violated — but convergence demands the decision be re-made).
+        // was lost in a torn tail — possible only where a frame boundary
+        // falls between the two, since a frame is kept or lost whole (it
+        // was never acked, so no contract is violated — but convergence
+        // demands the decision be re-made).
         let overdue: Vec<(u64, u32)> = store
             .state
             .iter()
@@ -352,10 +357,7 @@ impl ReputationStore {
                 new_bans: Vec::new(),
             });
         }
-        let mut frames = Vec::with_capacity(self.staged.len() * FRAME_LEN);
-        for record in &self.staged {
-            record.encode_frame_into(&mut frames);
-        }
+        let frames = encode_frames(&self.staged);
         let mut written = 0usize;
         let mut calls = 0u64;
         while written < frames.len() {
@@ -453,6 +455,8 @@ fn suspicion_permille(entry: &IdentityEntry) -> u32 {
 mod tests {
     use super::*;
     use crate::io::{FaultDir, FaultSpec, MemDir};
+    use crate::log::scan_log;
+    use crate::record::decode_frame;
 
     fn mem_store() -> (MemDir, ReputationStore) {
         let dir = MemDir::new();
@@ -617,12 +621,19 @@ mod tests {
     #[test]
     fn recovery_restages_ban_lost_in_torn_tail() {
         let (dir, mut store) = mem_store();
+        // 255 clean outcomes first, so the outcome that trips the ban
+        // closes the batch's first frame and the Ban opens the second.
+        for identity in 1000..1255 {
+            store.note_outcome(identity, 20, 0);
+        }
         store.note_outcome(4, 0, 40);
         store.commit().expect("commit");
         // Chop the Ban frame (the last one) off the WAL: an unacked-ban
         // crash shape. Counts survive, the ban record does not.
         let wal = dir.clone().read(WAL_FILE).expect("read").expect("exists");
         let torn = &wal[..wal.len() - FRAME_LEN];
+        let (_, scan) = scan_log(torn);
+        assert_eq!((scan.records, scan.torn_tail_bytes), (256, 0), "torn at a frame boundary");
         dir.clone().replace(WAL_FILE, torn).expect("truncate");
 
         let (mut back, report) = reopen(&dir);
@@ -631,6 +642,18 @@ mod tests {
         let receipt = back.commit().expect("commit");
         assert_eq!(receipt.new_bans.len(), 1);
         assert!(back.is_banned(4));
+    }
+
+    #[test]
+    fn a_batch_of_256_outcomes_is_one_4372_byte_frame() {
+        let (dir, mut store) = mem_store();
+        for identity in 0..256 {
+            store.note_outcome(identity, 30, 1);
+        }
+        assert_eq!(store.commit().expect("commit").records, 256);
+        assert_eq!((store.wal_bytes(), dir.len(WAL_FILE)), (4_372, 4_372));
+        // 17.08 bytes per outcome, against 37 for a frame per record.
+        assert!(store.wal_bytes() * 100 / 256 == 1_707);
     }
 
     #[test]
@@ -700,13 +723,9 @@ mod tests {
                 calls += 1;
             }
             assert_eq!(indexed.staged, scanned.staged, "after {calls} calls");
-            match (indexed.commit(), scanned.commit()) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a, b, "receipts after {calls} calls");
-                    bans += a.new_bans.len();
-                }
-                (Err(_), Err(_)) => failed_commits += 1,
-                (a, b) => panic!("commits disagree after {calls} calls: {a:?} vs {b:?}"),
+            match commit_both(&mut indexed, &mut scanned, calls) {
+                Some(receipt) => bans += receipt.new_bans.len(),
+                None => failed_commits += 1,
             }
             assert_eq!(indexed.staged, scanned.staged, "what a commit leaves staged");
             assert_eq!(indexed.state().digest(), scanned.state().digest());
@@ -714,16 +733,41 @@ mod tests {
 
             if !reopened && calls >= CALLS / 2 {
                 reopened = true;
-                // Tear both logs just before their last ban frame (every
-                // frame in them is whole), so recovery re-stages it.
+                // Settle what is staged, then commit 255 clean outcomes
+                // and one that trips a ban: the ban opens the batch's
+                // second frame.
+                while !indexed.staged.is_empty() {
+                    commit_both(&mut indexed, &mut scanned, calls);
+                }
+                for store in [&mut indexed, &mut scanned] {
+                    for i in 0..255 {
+                        store.note_outcome(1 << 40 | i, 10, 0);
+                    }
+                    store.note_outcome(1 << 41, 0, 40);
+                }
+                assert_eq!(indexed.staged, scanned.staged, "the padded batch");
+                while commit_both(&mut indexed, &mut scanned, calls).is_none() {}
+                // Tear both logs at the start of the first frame holding
+                // that ban (every frame in them is whole), so the counts
+                // before it stay durable and recovery re-stages the ban.
                 let wal = wal_of(&media_a);
                 let (records, _) = scan_log(&wal);
                 let last_ban = records
                     .iter()
-                    .rposition(|r| matches!(r, StoreRecord::Ban { .. }))
-                    .expect("a ban was logged");
+                    .rfind(|r| matches!(r, StoreRecord::Ban { .. }))
+                    .expect("a ban was logged")
+                    .seq();
+                let mut tear = 0;
+                loop {
+                    let mut frame = Vec::new();
+                    let used = decode_frame(&wal[tear..], &mut frame).expect("whole frames");
+                    if frame.iter().any(|r| r.seq() == last_ban) {
+                        break;
+                    }
+                    tear += used;
+                }
                 for media in [&media_a, &media_b] {
-                    media.clone().replace(WAL_FILE, &wal[..last_ban * FRAME_LEN]).expect("tear");
+                    media.clone().replace(WAL_FILE, &wal[..tear]).expect("tear");
                 }
                 let (a, report_a) = open(&media_a);
                 let (b, report_b) = open(&media_b);
@@ -736,5 +780,22 @@ mod tests {
         assert!(failed_commits >= 5, "only {failed_commits} commits failed");
         assert!(bans >= 50, "only {bans} bans");
         assert!(restaged >= 1, "the torn ban was not re-staged");
+    }
+
+    /// Commits both stores of the differential test and requires them to
+    /// agree: the shared receipt, or `None` when both failed.
+    fn commit_both(
+        indexed: &mut ReputationStore,
+        scanned: &mut ReputationStore,
+        calls: u64,
+    ) -> Option<CommitReceipt> {
+        match (indexed.commit(), scanned.commit()) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a, b, "receipts after {calls} calls");
+                Some(a)
+            }
+            (Err(_), Err(_)) => None,
+            (a, b) => panic!("commits disagree after {calls} calls: {a:?} vs {b:?}"),
+        }
     }
 }
