@@ -653,7 +653,7 @@ mod tests {
         assert_eq!(store.commit().expect("commit").records, 256);
         assert_eq!((store.wal_bytes(), dir.len(WAL_FILE)), (4_372, 4_372));
         // 17.08 bytes per outcome, against 37 for a frame per record.
-        assert!(store.wal_bytes() * 100 / 256 == 1_707);
+        assert_eq!(store.wal_bytes() * 100 / 256, 1_707);
     }
 
     #[test]
