@@ -5,11 +5,14 @@
 //! writer leaves behind:
 //!
 //! * **torn tail** — the final frame was mid-write; decoding hits a
-//!   truncated frame and the scan stops, counting the dangling bytes;
+//!   truncated frame with no frame magic after it and the scan stops,
+//!   counting the dangling bytes;
 //! * **bit flips** — a frame's CRC (or magic/length) fails mid-log;
 //!   that frame's records are lost whole, and the scan *resyncs* by
 //!   searching forward for the next frame magic and continues,
-//!   counting the corrupt episode and skipped bytes;
+//!   counting the corrupt episode and skipped bytes. A torn frame that
+//!   a reopened store appended behind is the same shape: it claims
+//!   more bytes than it holds, and the frames after it still count;
 //! * **duplicated batches** — a commit retried after a failed fsync
 //!   appends the same records twice; the scan surfaces both copies and
 //!   the seq-guarded fold in [`crate::state::RepState`] drops the
@@ -59,17 +62,17 @@ pub(crate) fn scan_frames(bytes: &[u8], mut visit: impl FnMut(&[StoreRecord])) -
                 report.records += frame.len() as u64;
                 offset += used;
             }
-            Err(FrameError::Truncated) => {
-                // Not enough bytes left for a frame: the torn tail.
-                report.torn_tail_bytes += (bytes.len() - offset) as u64;
-                break;
-            }
-            Err(_) => {
-                // Corruption at this offset: scan forward for the next
-                // plausible frame start.
+            Err(error) => {
+                // A frame cut short with no frame start after it is the
+                // torn tail. Anything else is corruption: scan forward
+                // for the next plausible frame start.
+                let next = find_magic(&bytes[offset + 1..], &magic).map(|at| offset + 1 + at);
+                if error == FrameError::Truncated && next.is_none() {
+                    report.torn_tail_bytes += (bytes.len() - offset) as u64;
+                    break;
+                }
+                let resume = next.unwrap_or(bytes.len());
                 report.corrupt_episodes += 1;
-                let resume = find_magic(&bytes[offset + 1..], &magic)
-                    .map_or(bytes.len(), |at| offset + 1 + at);
                 report.skipped_bytes += (resume - offset) as u64;
                 offset = resume;
             }
@@ -200,6 +203,28 @@ mod tests {
             let torn = (cut - middle.start) as u64;
             let expected =
                 LogScanReport { records: 3, torn_tail_bytes: torn, ..LogScanReport::default() };
+            assert_eq!(report, expected, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn a_torn_frame_with_frames_appended_behind_it_is_skipped() {
+        // A reopened store appends behind a torn tail: the torn frame
+        // claims more bytes than the short frame after it supplies, and
+        // that frame must still be read.
+        let (bytes, _, middle) = three_batches();
+        let later = encode_frames(&[outcome(4, 7, 9, 1)]);
+        for cut in middle.start + 1..middle.end {
+            let mut log = bytes[..cut].to_vec();
+            log.extend_from_slice(&later);
+            let (got, report) = scan_log(&log);
+            assert_eq!(got[3..], [outcome(4, 7, 9, 1)], "cut at {cut}");
+            let expected = LogScanReport {
+                records: 4,
+                corrupt_episodes: 1,
+                skipped_bytes: (cut - middle.start) as u64,
+                torn_tail_bytes: 0,
+            };
             assert_eq!(report, expected, "cut at {cut}");
         }
     }

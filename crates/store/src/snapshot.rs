@@ -58,23 +58,18 @@ pub fn encode_snapshot(state: &RepState) -> Vec<u8> {
     out.extend_from_slice(&SNAP_VERSION.to_le_bytes());
     out.extend_from_slice(&state.applied_seq().to_le_bytes());
     out.extend_from_slice(&(state.len() as u64).to_le_bytes());
-    // Each entry is written in place into a body sized up front: the
-    // columns as two slices when they hold everything, otherwise the
-    // state's merged iterator.
+    // Each entry is written in place into a body sized up front; the
+    // state's iterator is a chain of slice runs, which `for_each` walks
+    // as plain loops.
     let body = out.len();
     out.resize(body + state.len() * ENTRY_LEN, 0);
-    let slots = out[body..].chunks_exact_mut(ENTRY_LEN);
-    let put = |(entry, (id, e)): (&mut [u8], (&u64, &IdentityEntry))| {
+    out[body..].chunks_exact_mut(ENTRY_LEN).zip(state.iter()).for_each(|(entry, (id, e))| {
         entry[0..8].copy_from_slice(&id.to_le_bytes());
         entry[8..16].copy_from_slice(&e.ok.to_le_bytes());
         entry[16..24].copy_from_slice(&e.failed.to_le_bytes());
         entry[24] = u8::from(e.banned);
         entry[25..29].copy_from_slice(&e.ban_suspicion_permille.to_le_bytes());
-    };
-    match state.columns() {
-        Some((ids, vals)) => slots.zip(ids.iter().zip(vals)).for_each(put),
-        None => slots.zip(state.iter()).for_each(put),
-    }
+    });
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
@@ -188,18 +183,12 @@ pub fn snapshot_matches(bytes: &[u8], state: &RepState) -> bool {
     let Ok((applied_seq, mut raw)) = parse_image(bytes) else {
         return false;
     };
-    if applied_seq != state.applied_seq() || raw.len() != state.len() {
-        return false;
-    }
-    // The lengths agree, so the image runs out exactly when the state
-    // does. The columns alone when they hold everything; otherwise the
-    // state's iterator drives, walking its slice runs as plain loops.
-    match state.columns() {
-        Some((ids, vals)) => {
-            raw.zip(ids.iter().zip(vals)).all(|(e, (&id, &entry))| parse_entry(e) == (id, entry))
-        }
-        None => state.iter().all(|(&id, &entry)| raw.next().map(parse_entry) == Some((id, entry))),
-    }
+    // The state's iterator drives (it walks its slice runs as plain
+    // loops under `all`); the lengths were compared first, so the image
+    // runs out exactly when the state does.
+    applied_seq == state.applied_seq()
+        && raw.len() == state.len()
+        && state.iter().all(|(&id, &entry)| raw.next().map(parse_entry) == Some((id, entry)))
 }
 
 #[cfg(test)]
@@ -349,15 +338,13 @@ mod tests {
     }
 
     #[test]
-    fn the_column_walk_writes_and_verifies_what_the_merged_walk_does() {
+    fn entries_in_the_columns_or_in_recent_write_and_verify_alike() {
         // All in `recent`; all in the columns (an ascending image decodes
         // there); and columns plus one identity in `recent`.
         let merged = sample_state();
         let columns = decode_snapshot(&encode_snapshot(&merged)).expect("valid");
         let mut mixed = columns.clone();
         mixed.apply(&StoreRecord::Outcome { seq: 4, identity: 9, ok: 5, failed: 5 });
-        assert!(merged.columns().is_none() && mixed.columns().is_none());
-        assert!(columns.columns().is_some());
 
         assert_eq!(encode_snapshot(&columns), encode_snapshot(&merged));
         let image = encode_snapshot(&columns);

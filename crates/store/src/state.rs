@@ -283,13 +283,6 @@ impl RepState {
         })
     }
 
-    /// The columns as two plain slices when they hold every entry
-    /// (`recent` is empty): the run [`Self::iter`] would walk, for the
-    /// whole-state passes that want a loop over slices.
-    pub(crate) fn columns(&self) -> Option<(&[u64], &[IdentityEntry])> {
-        self.recent.is_empty().then_some((&self.ids, &self.vals))
-    }
-
     /// Whether a durable ban exists for `identity`.
     #[must_use]
     pub fn is_banned(&self, identity: u64) -> bool {

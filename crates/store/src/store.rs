@@ -645,6 +645,43 @@ mod tests {
     }
 
     #[test]
+    fn commits_behind_a_torn_batch_frame_survive_the_next_reopen() {
+        let (dir, mut store) = mem_store();
+        // 255 clean outcomes, the one that trips a ban, 255 more: the
+        // Ban opens the second of two 256-record frames.
+        for identity in 1000..1255 {
+            store.note_outcome(identity, 20, 0);
+        }
+        store.note_outcome(4, 0, 40);
+        for identity in 2000..2255 {
+            store.note_outcome(identity, 20, 0);
+        }
+        store.commit().expect("commit");
+        // A crash tears the second frame mid-payload, its header intact.
+        let wal = dir.clone().read(WAL_FILE).expect("read").expect("exists");
+        assert_eq!(wal.len(), 2 * 4_372);
+        dir.clone().replace(WAL_FILE, &wal[..4_372 + 100]).expect("tear");
+
+        let (mut back, report) = reopen(&dir);
+        assert_eq!((report.torn_tail_bytes, report.restaged_bans), (100, 1));
+        back.note_outcome(5, 7, 3);
+        // The re-staged ban and the outcome: one 54-byte frame, far
+        // shorter than the 4 272 bytes the torn frame still claims.
+        let receipt = back.commit().expect("commit");
+        assert_eq!((receipt.records, receipt.new_bans.len()), (2, 1));
+        drop(back);
+
+        let (back, report) = reopen(&dir);
+        assert!(back.is_banned(4), "the acked ban survives");
+        let entry = back.state().entry(5).expect("the acked outcome survives");
+        assert_eq!((entry.ok, entry.failed), (7, 3));
+        assert_eq!(back.state().applied_seq(), receipt.acked_seq);
+        assert_eq!(report.restaged_bans, 0);
+        let damage = (report.corrupt_episodes, report.skipped_bytes, report.torn_tail_bytes);
+        assert_eq!(damage, (1, 100, 0), "the torn frame is skipped, not the log's end");
+    }
+
+    #[test]
     fn a_batch_of_256_outcomes_is_one_4372_byte_frame() {
         let (dir, mut store) = mem_store();
         for identity in 0..256 {
