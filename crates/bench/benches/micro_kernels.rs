@@ -2,9 +2,9 @@
 //! time: prepared-key signature verify, SHA-256 and CRC-32 beside their
 //! reference paths, the store's point lookup, one-pass snapshot verify and
 //! large-batch staging, the live transport beside the raw sockets under
-//! it, and one message's handling with and without tracing. Schnorr
-//! sign/verify, `compute_sets`, `proxy_of`/`clients_of`,
-//! `check_position`, the flight recorder, the dispatched CRC-32,
+//! it, and one message's handling (verify plus the physics check).
+//! Schnorr sign/verify, `compute_sets`, `proxy_of`/`clients_of`,
+//! `check_position`, the event ring, the dispatched CRC-32,
 //! snapshot encode/decode and `note_outcome` at batch 16/256 are ledger
 //! metrics (EXPERIMENTS.md names them).
 //!
@@ -31,8 +31,7 @@ use watchmen_store::{
     crc32_bitwise, crc32_table, encode_snapshot, snapshot_matches, MemDir, RepState,
     ReputationStore, StorePolicy, StoreRecord,
 };
-use watchmen_telemetry::trace::{EventKind, Phase, TraceEvent, TraceId};
-use watchmen_telemetry::{FlightRecorder, Histogram, Registry};
+use watchmen_telemetry::{Histogram, Registry};
 use watchmen_world::PhysicsConfig;
 
 /// Iterations per kernel (quick mode: fewer).
@@ -383,32 +382,12 @@ fn main() {
             let verifier = Verifier::new(WatchmenConfig::default(), PhysicsConfig::default());
             let prev = wv.trace.frames[30].states[3].position;
             let next = wv.trace.frames[31].states[3].position;
-            let recorder = FlightRecorder::new(4096);
 
-            // The realistic per-message hot path — signature verify plus
-            // the physics check — with and without tracing. The delta
-            // between the two is the recorder's overhead on message
-            // handling (the budget is < 5%).
+            // The realistic per-message hot path: signature verify plus
+            // the physics check.
             lines.push(bench_kernel(&registry, "handle_state", || {
                 black_box(prepared.verify(black_box(&msg), black_box(&sig)));
                 black_box(verifier.check_position(black_box(prev), black_box(next), 1, &wv.map));
-            }));
-            let mut tseq = 0u64;
-            lines.push(bench_kernel(&registry, "handle_state_traced", || {
-                black_box(prepared.verify(black_box(&msg), black_box(&sig)));
-                let score = verifier.check_position(black_box(prev), black_box(next), 1, &wv.map);
-                tseq += 1;
-                recorder.record(TraceEvent::point(
-                    TraceId::from_origin_seq(3, tseq),
-                    0,
-                    3,
-                    tseq,
-                    Phase::Verify,
-                    EventKind::Verdict,
-                    "position",
-                    i64::from(score),
-                ));
-                black_box(score);
             }));
 
             lines.join("\n")

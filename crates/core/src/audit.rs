@@ -1,7 +1,7 @@
 //! The verdict audit stream: append-only, structured records of every
 //! detection decision.
 //!
-//! Metrics aggregate and the flight recorder keeps raw trace events; the
+//! Metrics aggregate; a seeded re-run reproduces every datagram. The
 //! audit stream sits between them — one compact, structured record per
 //! *decision* (a verification verdict, a supervised player's worst-rating
 //! transition, a parked subscription check resolving, a lobby ban), each

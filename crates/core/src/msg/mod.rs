@@ -14,9 +14,9 @@
 //!
 //! The `(origin, seq)` pair also gives every message a *causal trace id*
 //! ([`Envelope::trace_id`]): a 64-bit identity recomputable at each hop
-//! with zero extra wire bytes, so the flight recorders at the origin, the
-//! relaying proxy and every subscriber tag their events with the same id
-//! and one identifier stitches the whole multi-hop journey together.
+//! with zero extra wire bytes, so the origin's send, the proxy's relay and
+//! a verdict's audit record all name the same id, and filtering a seeded
+//! re-run's datagrams by it rebuilds the whole multi-hop journey.
 //!
 //! # The codec
 //!

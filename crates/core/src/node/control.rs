@@ -6,7 +6,6 @@
 use std::collections::BTreeMap;
 
 use watchmen_game::PlayerId;
-use watchmen_telemetry::trace::{EventKind, Phase, TraceId};
 
 use super::{Inbound, Outgoing, WatchmenNode};
 use crate::msg::{Envelope, Payload};
@@ -64,7 +63,6 @@ enum ControlKind {
 #[derive(Debug, Clone)]
 struct PendingControl {
     kind: ControlKind,
-    phase: Phase,
     /// Current destination (recomputed on retransmit — the responsible
     /// proxy may have fallen back since the original send).
     to: PlayerId,
@@ -81,7 +79,6 @@ struct PendingControl {
     attempts: u32,
     /// Frame at (or after) which the next retransmission fires.
     next_retry: u64,
-    trace: TraceId,
 }
 
 #[derive(Debug)]
@@ -239,8 +236,6 @@ impl WatchmenNode {
         } else if !self.control.fallback_active {
             self.control.fallback_active = true;
             self.control.stats.proxy_fallbacks += 1;
-            let mark = (Phase::Publish, EventKind::Mark, "proxy-fallback");
-            self.instrument.point(TraceId::NONE, effective.0, frame, mark, i64::from(scheduled.0));
         }
         (scheduled, effective)
     }
@@ -271,15 +266,9 @@ impl WatchmenNode {
             | Payload::Bootstrap(_) => Some((ControlKind::Direct, to, frame)),
             _ => None,
         };
-        let phase = match (route, payload) {
-            (Some((ControlKind::Handoff, ..)), _) => Phase::Handoff,
-            (Some(_), _) | (None, Payload::Ack { .. }) => Phase::Subscription,
-            (None, _) => Phase::Publish,
-        };
         if let Some((kind, route_player, route_frame)) = route {
             let pending = PendingControl {
                 kind,
-                phase,
                 to,
                 bytes: bytes.clone(),
                 route_player,
@@ -287,12 +276,9 @@ impl WatchmenNode {
                 sent_frame: frame,
                 attempts: 0,
                 next_retry: frame + WatchmenConfig::RETRANSMIT_TIMEOUT_FRAMES,
-                trace: env.trace_id(),
             };
             self.control.pending.insert(self.seq, pending);
         }
-        let send = (phase, EventKind::Send, payload.label());
-        self.instrument.point(env.trace_id(), self.id.0, frame, send, bytes.len() as i64);
         out.datagrams.push(Outgoing { to, bytes });
     }
 
@@ -332,10 +318,8 @@ impl WatchmenNode {
         for seq in due {
             let p = &self.control.pending[&seq];
             if p.attempts >= WatchmenConfig::RETRANSMIT_MAX_ATTEMPTS {
-                let p = self.control.pending.remove(&seq).expect("listed");
+                self.control.pending.remove(&seq);
                 self.control.stats.abandoned += 1;
-                let mark = (p.phase, EventKind::Mark, "control-abandoned");
-                self.instrument.point(p.trace, p.to.0, frame, mark, i64::from(p.attempts));
                 continue;
             }
             let to = if p.kind == ControlKind::Direct {
@@ -360,8 +344,6 @@ impl WatchmenNode {
             p.next_retry = frame + backoff;
             out.datagrams.push(Outgoing { to, bytes: p.bytes.clone() });
             self.control.stats.retransmits += 1;
-            let send = (p.phase, EventKind::Send, "retransmit");
-            self.instrument.point(p.trace, to.0, frame, send, p.bytes.len() as i64);
         }
     }
 }

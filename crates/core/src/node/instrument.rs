@@ -1,18 +1,16 @@
-//! Instrumentation: timing histograms, the node's own counts, the
-//! optional flight recorder and the verdict audit stream. Each protocol
-//! entry point reports its events here exactly once
-//! ([`Instrument::observe`]).
+//! Instrumentation: timing histograms, the node's own counts and the
+//! verdict audit stream. Each protocol entry point reports its events
+//! here exactly once ([`Instrument::observe`]). A message's causal chain
+//! is not kept here: a seeded re-run reproduces every datagram, and the
+//! audit record names the trace id to filter them by.
 
 use std::sync::Arc;
 
-use watchmen_telemetry::trace::{EventKind, Phase, TraceEvent, TraceId};
-use watchmen_telemetry::{FlightRecorder, FrameTimer, Histogram, Registry};
+use watchmen_telemetry::trace::TraceId;
+use watchmen_telemetry::{Histogram, Registry};
 
 use super::{Inbound, NodeEvent, WatchmenNode};
 use crate::audit::{AuditKind, AuditLog, AuditRecord};
-
-/// What a recorder event is: its phase, kind and detail label.
-pub(super) type Point = (Phase, EventKind, &'static str);
 
 /// What an audit record decided: `(kind, check, score, confidence label)`.
 pub(super) type Judgement = (AuditKind, &'static str, u8, &'static str);
@@ -49,7 +47,7 @@ const COUNTS: [(&str, &str); 14] = [
 /// lookup.
 #[derive(Debug)]
 pub(super) struct Instrument {
-    /// The recording node's id, stamped on every event and record.
+    /// The recording node's id, stamped on every audit record.
     node: u32,
     pub(super) tick_ms: Arc<Histogram>,
     pub(super) subscription_phase_ms: Arc<Histogram>,
@@ -58,10 +56,6 @@ pub(super) struct Instrument {
     pub(super) handle_message_ms: Arc<Histogram>,
     /// Signed messages forwarded as proxy.
     messages_forwarded: u64,
-    /// The flight recorder of trace events (sends, relays, deliveries,
-    /// rejections, verdicts, tick-phase spans), when the driver asked
-    /// for one ([`WatchmenNode::with_recorder_capacity`]).
-    recorder: Option<Arc<FlightRecorder>>,
     /// The verdict audit stream: one structured record per detection
     /// decision, drained by the embedding driver.
     audit: AuditLog,
@@ -82,32 +76,7 @@ impl Instrument {
             handoff_phase_ms: phase("handoff"),
             handle_message_ms: t.histogram("node_handle_message_duration_ms"),
             messages_forwarded: 0,
-            recorder: None,
             audit: AuditLog::default(),
-        }
-    }
-
-    /// Times one tick phase into `hist` and, as this node's span, into
-    /// the recorder if there is one: one clock reading at each edge.
-    pub(super) fn span(
-        &self,
-        hist: &Arc<Histogram>,
-        frame: u64,
-        phase: Phase,
-        detail: &'static str,
-    ) -> FrameTimer {
-        match &self.recorder {
-            Some(r) => FrameTimer::traced(hist, r, self.node, frame, phase, detail),
-            None => FrameTimer::start(hist),
-        }
-    }
-
-    pub(super) fn point(&self, trace: TraceId, subject: u32, frame: u64, what: Point, value: i64) {
-        if let Some(r) = &self.recorder {
-            let (phase, kind, detail) = what;
-            r.record(TraceEvent::point(
-                trace, self.node, subject, frame, phase, kind, detail, value,
-            ));
         }
     }
 
@@ -135,33 +104,24 @@ impl Instrument {
         });
     }
 
-    /// The single instrumentation point of a protocol entry: mirrors
-    /// `events` into the flight recorder, audits every decision among
-    /// them (each record names its trace id, from which
-    /// [`watchmen_telemetry::causal_chain`] rebuilds the message's path)
-    /// and marks each suspicious verdict with a violation event. The
-    /// events themselves are the driver's to count.
+    /// The single instrumentation point of a protocol entry: audits
+    /// every decision among `events`, each record naming the trace id of
+    /// the message it judged. The events themselves are the driver's to
+    /// count.
     pub(super) fn observe(&mut self, frame: u64, trace: TraceId, events: &[NodeEvent]) {
         for e in events {
-            let (subject, at, what, value) = point_of(e, self.node, frame);
-            self.point(trace, subject, at, what, value);
             match *e {
-                NodeEvent::BadSignature { .. } | NodeEvent::Replay { .. } => {
-                    let kind = if matches!(e, NodeEvent::Replay { .. }) {
-                        AuditKind::Replay
-                    } else {
-                        AuditKind::BadSignature
-                    };
-                    self.audit(frame, subject, trace, (kind, "", 0, ""), String::new);
+                NodeEvent::BadSignature { claimed_from } => {
+                    let judged = (AuditKind::BadSignature, "", 0, "");
+                    self.audit(frame, claimed_from.0, trace, judged, String::new);
                 }
-                NodeEvent::Suspicion { rating, check, .. } => {
+                NodeEvent::Replay { from } => {
+                    self.audit(frame, from.0, trace, (AuditKind::Replay, "", 0, ""), String::new);
+                }
+                NodeEvent::Suspicion { subject, rating, check } => {
                     let judged =
                         (AuditKind::Verdict, check, rating.score, rating.confidence.label());
-                    self.audit(frame, subject, trace, judged, || format!("{rating}"));
-                    if rating.is_suspicious() {
-                        let violation = (Phase::Verify, EventKind::Violation, check);
-                        self.point(trace, subject, frame, violation, value);
-                    }
+                    self.audit(frame, subject.0, trace, judged, || format!("{rating}"));
                 }
                 NodeEvent::Delivery { .. }
                 | NodeEvent::HandoffReceived { .. }
@@ -171,71 +131,21 @@ impl Instrument {
         }
     }
 
-    /// Accounts a dispatched message's output: one relay event per
-    /// forward batch (`value` = fan-out) and the forwarded-message count.
+    /// Counts a dispatched message's forwards.
     pub(super) fn relayed(&mut self, rx: &Inbound<'_>) {
-        let fan_out = rx.out.datagrams.len();
-        if fan_out > 0 {
-            let relay = (Phase::ProxyRelay, EventKind::Relay, rx.label);
-            self.point(rx.trace, rx.origin.0, rx.gen_frame, relay, fan_out as i64);
-        }
-        self.messages_forwarded += fan_out as u64;
-    }
-}
-
-/// The recorder event each [`NodeEvent`] leaves, as `(subject, frame,
-/// point, value)`; `frame` is the local frame of the entry that raised it.
-fn point_of(e: &NodeEvent, node: u32, frame: u64) -> (u32, u64, Point, i64) {
-    use EventKind::{Deliver, Mark, Reject, Verdict};
-    match *e {
-        NodeEvent::Delivery { about, class, gen_frame } => {
-            (about.0, gen_frame, (Phase::Verify, Deliver, class), 0)
-        }
-        NodeEvent::BadSignature { claimed_from } => {
-            (claimed_from.0, frame, (Phase::Verify, Reject, "bad-signature"), 0)
-        }
-        NodeEvent::Replay { from } => (from.0, frame, (Phase::Verify, Reject, "replay"), 0),
-        NodeEvent::Suspicion { subject, rating, check } => {
-            (subject.0, frame, (Phase::Verify, Verdict, check), i64::from(rating.score))
-        }
-        NodeEvent::HandoffReceived { player, worst_rating } => {
-            (player.0, frame, (Phase::Handoff, Mark, "handoff-received"), i64::from(worst_rating))
-        }
-        NodeEvent::RosterChanged { epoch, active } => (
-            node,
-            frame,
-            (Phase::Tick, Mark, "roster-changed"),
-            (epoch as i64) << 16 | active as i64,
-        ),
-        NodeEvent::BootstrapReceived { from, entries } => {
-            (from.0, frame, (Phase::Subscription, Mark, "bootstrap-received"), i64::from(entries))
-        }
+        self.messages_forwarded += rx.out.datagrams.len() as u64;
     }
 }
 
 impl WatchmenNode {
-    /// Gives this node a flight recorder: a ring of the last `capacity`
-    /// trace events, which [`WatchmenNode::recorder`] hands out. A node
-    /// built without one records no trace event, so only a driver that
-    /// reads the ring pays for it. Call this immediately after
-    /// construction, before any frame runs: handles already cloned out
-    /// via [`WatchmenNode::recorder`] keep pointing at the old ring.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
+    /// Does nothing. Nodes keep no flight recorder: a seeded re-run
+    /// reproduces every datagram a ring would have held. Kept, hidden,
+    /// only because the benchmark ledger (`benchmark/src/matches.rs`)
+    /// still calls it; it retires with ROADMAP item 19.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_recorder_capacity(mut self, capacity: usize) -> Self {
-        self.instrument.recorder = Some(Arc::new(FlightRecorder::new(capacity)));
+    pub fn with_recorder_capacity(self, _capacity: usize) -> Self {
         self
-    }
-
-    /// A handle on this node's flight recorder, if it has one, for
-    /// cross-node causal chains ([`watchmen_telemetry::causal_chain`])
-    /// and Chrome-trace export.
-    #[must_use]
-    pub fn recorder(&self) -> Option<Arc<FlightRecorder>> {
-        self.instrument.recorder.clone()
     }
 
     /// Adds this node's counts to `registry`: subscriptions sent,

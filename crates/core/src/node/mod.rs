@@ -32,7 +32,7 @@ mod knowledge;
 use watchmen_crypto::schnorr::{Keypair, PublicKey};
 use watchmen_game::trace::PlayerFrame;
 use watchmen_game::PlayerId;
-use watchmen_telemetry::trace::{Phase, TraceId};
+use watchmen_telemetry::trace::TraceId;
 use watchmen_telemetry::FrameTimer;
 use watchmen_world::{GameMap, PhysicsConfig};
 
@@ -291,7 +291,7 @@ impl WatchmenNode {
 
     /// Runs one frame for the local avatar in `my_state` (see [`Self::tick`]).
     pub(crate) fn begin_frame(&mut self, frame: u64, my_state: &PlayerFrame) -> CoreOutput {
-        let _tick = self.instrument.span(&self.instrument.tick_ms, frame, Phase::Tick, "tick");
+        let _tick = FrameTimer::start(&self.instrument.tick_ms);
         let mut out = CoreOutput::default();
         self.tick(frame, my_state, &mut out);
         self.instrument.observe(frame, TraceId::NONE, &out.events);
@@ -336,19 +336,13 @@ impl WatchmenNode {
         // targets itself.
         self.knowledge.learn(self.id, frame, StateUpdate::from(my_state));
 
-        // Each phase is one guard: its histogram and its flight span read
-        // the same two clock readings.
-        let ins = &self.instrument;
-        let span =
-            ins.span(&ins.subscription_phase_ms, frame, Phase::Subscription, "subscriptions");
+        let span = FrameTimer::start(&self.instrument.subscription_phase_ms);
         self.refresh_subscriptions(frame, my_state, my_proxy, out);
         drop(span);
-        let ins = &self.instrument;
-        let span = ins.span(&ins.publish_phase_ms, frame, Phase::Publish, "publish");
+        let span = FrameTimer::start(&self.instrument.publish_phase_ms);
         self.publish_updates(frame, my_state, scheduled_proxy, my_proxy, out);
         drop(span);
-        let ins = &self.instrument;
-        let span = ins.span(&ins.handoff_phase_ms, frame, Phase::Handoff, "handoff");
+        let span = FrameTimer::start(&self.instrument.handoff_phase_ms);
         self.send_handoffs(frame, out);
         drop(span);
 

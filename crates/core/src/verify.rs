@@ -23,10 +23,9 @@ use crate::WatchmenConfig;
 
 /// Canonical names for the verification checks.
 ///
-/// Suspicion events, flight-recorder entries, audit records and detection
-/// reports all tag verdicts with one of these strings, so a trace or an
-/// audit stream can be filtered by check without guessing at ad-hoc
-/// labels.
+/// Suspicion events, audit records and detection reports all tag
+/// verdicts with one of these strings, so an audit stream can be
+/// filtered by check without guessing at ad-hoc labels.
 pub mod checks {
     /// [`super::Verifier::check_position`] — speed/physics/map sanity.
     pub const POSITION: &str = "position";

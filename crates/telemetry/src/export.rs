@@ -1,13 +1,11 @@
-//! Snapshot exporters: the Prometheus text exposition format for
+//! The snapshot exporter: the Prometheus text exposition format for
 //! metrics — [`prometheus_text`], the one renderer behind every printed
 //! dump and every `/metrics` scrape, reading help text off the snapshot
-//! itself — and the Chrome `trace_event` format for flight-recorder
-//! events.
+//! itself — and the workspace's one JSON string escaper.
 
 use std::fmt::Write as _;
 
 use crate::registry::{MetricValue, Snapshot};
-use crate::trace::{EventKind, TraceEvent, NO_SUBJECT};
 
 /// Renders a snapshot in the Prometheus text exposition format.
 ///
@@ -108,73 +106,6 @@ fn escape_help(v: &str) -> String {
     v.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
-/// Renders flight-recorder events in the Chrome `trace_event` JSON
-/// format, loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
-///
-/// [`EventKind::Span`] events become complete (`"ph": "X"`) spans with
-/// microsecond timestamps and durations — one track per node (`pid` =
-/// node, `tid` = node) — so per-tick phase spans (subscription, publish,
-/// proxy relay, verify, net flush) render as nested bars. All other
-/// kinds become thread-scoped instant (`"ph": "i"`) events. Trace id,
-/// frame, subject, and value travel in `args` for the inspector pane.
-///
-/// # Examples
-///
-/// ```
-/// use watchmen_telemetry::trace::{EventKind, Phase, TraceEvent, TraceId};
-///
-/// let mut span = TraceEvent::point(
-///     TraceId::NONE, 0, u32::MAX, 1, Phase::Tick, EventKind::Span, "tick", 0,
-/// );
-/// span.at_us = 10;
-/// span.dur_us = 250;
-/// let json = watchmen_telemetry::export::chrome_trace(&[span]);
-/// assert!(json.contains("\"ph\": \"X\""));
-/// assert!(json.contains("\"dur\": 250"));
-/// ```
-#[must_use]
-pub fn chrome_trace(events: &[TraceEvent]) -> String {
-    let mut out = String::from("{\"traceEvents\": [");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let name = if e.detail.is_empty() { e.kind.label() } else { e.detail };
-        let _ = write!(
-            out,
-            "\n  {{\"name\": {}, \"cat\": {}, \"pid\": {}, \"tid\": {}, \"ts\": {}",
-            json_string(name),
-            json_string(e.phase.label()),
-            e.node,
-            e.node,
-            e.at_us,
-        );
-        if e.kind == EventKind::Span {
-            let _ = write!(out, ", \"ph\": \"X\", \"dur\": {}", e.dur_us);
-        } else {
-            out.push_str(", \"ph\": \"i\", \"s\": \"t\"");
-        }
-        let _ = write!(
-            out,
-            ", \"args\": {{\"kind\": {}, \"frame\": {}",
-            json_string(e.kind.label()),
-            e.frame
-        );
-        if e.trace_id.is_some() {
-            let _ = write!(out, ", \"trace_id\": \"{}\"", e.trace_id);
-        }
-        if e.subject != NO_SUBJECT {
-            let _ = write!(out, ", \"subject\": {}", e.subject);
-        }
-        if e.value != 0 {
-            let _ = write!(out, ", \"value\": {}", e.value);
-        }
-        out.push_str("}}");
-    }
-    out.push_str("\n], \"displayTimeUnit\": \"ms\"}");
-    out
-}
-
 /// Renders a `{k="v",…}` label block, merging metric labels with extras
 /// (e.g. `le`); empty when there are no labels at all.
 fn labels(base: &[(&'static str, String)], extra: &[(&str, &str)]) -> String {
@@ -212,8 +143,7 @@ fn fmt_f64(v: f64) -> String {
 }
 
 /// JSON-escapes a string and wraps it in quotes — the workspace's one
-/// escaper ([`chrome_trace`], [`crate::report`], the verdict audit
-/// stream).
+/// escaper ([`crate::report`], the verdict audit stream).
 ///
 /// # Examples
 ///
@@ -311,47 +241,5 @@ mod tests {
     #[test]
     fn empty_snapshot_renders_an_empty_document() {
         assert_eq!(prometheus_text(&Registry::new().snapshot()), "");
-    }
-
-    #[test]
-    fn chrome_trace_emits_spans_and_instants() {
-        use crate::trace::{EventKind, Phase, TraceEvent, TraceId};
-        let mut span = TraceEvent::point(
-            TraceId::NONE,
-            3,
-            u32::MAX,
-            42,
-            Phase::Subscription,
-            EventKind::Span,
-            "subscriptions",
-            0,
-        );
-        span.at_us = 100;
-        span.dur_us = 50;
-        let mut point = TraceEvent::point(
-            TraceId::from_origin_seq(9, 7),
-            3,
-            9,
-            42,
-            Phase::Verify,
-            EventKind::Violation,
-            "position",
-            8,
-        );
-        point.at_us = 160;
-        let out = chrome_trace(&[span, point]);
-        assert!(out.starts_with("{\"traceEvents\": ["), "{out}");
-        assert!(out.contains("\"ph\": \"X\""), "{out}");
-        assert!(out.contains("\"dur\": 50"), "{out}");
-        assert!(out.contains("\"ph\": \"i\""), "{out}");
-        assert!(out.contains("\"subject\": 9"), "{out}");
-        assert!(out.contains("\"cat\": \"verify\""), "{out}");
-        assert!(out.ends_with("\"displayTimeUnit\": \"ms\"}"), "{out}");
-    }
-
-    #[test]
-    fn chrome_trace_empty_is_valid_shell() {
-        let out = chrome_trace(&[]);
-        assert_eq!(out, "{\"traceEvents\": [\n], \"displayTimeUnit\": \"ms\"}");
     }
 }

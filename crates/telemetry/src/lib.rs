@@ -23,21 +23,20 @@
 //!   layer whose driver reports its stats directly (the live transport,
 //!   the store) publishes nothing.
 //! * [`FrameTimer`] — the one scope timer: it records elapsed wall-clock
-//!   milliseconds into a histogram on drop and, in its
-//!   [`FrameTimer::traced`] form, the same interval as a span event in a
-//!   [`FlightRecorder`] — two clock readings either way.
+//!   milliseconds into a histogram on drop, from two clock readings.
 //!
 //! # Tracing
 //!
 //! Metrics aggregate; the tracing layer keeps *individual* decisions
 //! auditable. [`trace::TraceId`] gives every wire message a causal
 //! identity derived from its `(origin, seq)` pair — recomputable at each
-//! hop with no extra wire bytes — and [`FlightRecorder`] is the per-node
-//! fixed-capacity ring of [`trace::TraceEvent`]s (overwrite-oldest, zero
-//! allocation after startup). A verdict's record in the node's audit
-//! stream carries the trace id of the message it judged, and
-//! [`causal_chain`] stitches that message's origin → proxy → subscriber
-//! journey across several nodes' recorders.
+//! hop with no extra wire bytes. A verdict's record in the node's audit
+//! stream carries the trace id of the message it judged, and since a run
+//! is deterministic from its seed, a re-run's datagrams filtered by that
+//! id are the message's origin → proxy → verdict journey (DESIGN §8).
+//! No node records into [`FlightRecorder`], a fixed-capacity ring of
+//! [`trace::TraceEvent`]s; it stays for the benchmark ledger's
+//! `telemetry.recorder.record_ns` kernel.
 //!
 //! # Exporters
 //!
@@ -46,10 +45,8 @@
 //! one renderer, for a printed dump and a live scrape alike. Each
 //! [`SnapshotEntry`] carries the help text [`Registry::describe`]
 //! attached to its name, so the snapshot is all a renderer needs.
-//! [`export::chrome_trace`] renders flight-recorder events as a Chrome
-//! `trace_event` JSON document loadable in `chrome://tracing` or
-//! Perfetto. [`report::Report`] is the one run report every driver
-//! prints, records (`BENCH_<name>.json`) and gates through.
+//! [`report::Report`] is the one run report every driver prints, records
+//! (`BENCH_<name>.json`) and gates through.
 //!
 //! For *live* visibility — watching a fleet mid-run rather than reading
 //! a report after it exits — [`serve::MetricsServer`] is a `std`-only HTTP
@@ -106,11 +103,11 @@ pub mod trace;
 
 pub use counter::{Counter, Gauge};
 pub use histogram::Histogram;
-pub use recorder::{FlightRecorder, DEFAULT_CAPACITY};
+pub use recorder::FlightRecorder;
 pub use registry::{MetricValue, Registry, Snapshot, SnapshotEntry};
 pub use serve::MetricsServer;
 pub use timer::FrameTimer;
-pub use trace::{causal_chain, EventKind, Phase, TraceEvent, TraceId};
+pub use trace::{EventKind, Phase, TraceEvent, TraceId};
 
 use std::sync::OnceLock;
 

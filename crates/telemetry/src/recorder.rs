@@ -1,25 +1,15 @@
-//! The per-node flight recorder: a fixed-capacity ring of
-//! [`TraceEvent`]s.
+//! A fixed-capacity ring of [`TraceEvent`]s.
 //!
-//! Cheat-detection literature stresses that *individual* decisions — not
-//! aggregates — are what make distributed detection auditable. The
-//! recorder keeps the last `capacity` events a node saw, overwriting the
-//! oldest; a verdict's audit record names its trace id, and
-//! [`crate::causal_chain`] pulls that message's events out of every
-//! node's ring.
+//! No node records into one: a verdict's causal chain is rebuilt from a
+//! seeded re-run (DESIGN §8). The ring stays only because the benchmark
+//! ledger times [`FlightRecorder::record`] (`telemetry.recorder.record_ns`).
 //!
-//! Hot-path cost is one uncontended mutex lock plus a `Copy` store into
+//! Cost per record is one uncontended mutex lock plus a `Copy` store into
 //! preallocated storage — no allocation after construction.
 
 use std::sync::Mutex;
 
 use crate::trace::{now_us, TraceEvent};
-
-/// Default ring capacity: 72 KiB of events, more than a proxy epoch of a
-/// busy node, so a fresh verdict's message is still retained when its
-/// causal chain is read. A node keeps a ring only when its driver asks
-/// for one (`with_recorder_capacity`); `deathmatch` asks for this size.
-pub const DEFAULT_CAPACITY: usize = 1024;
 
 /// Ring state behind the mutex.
 #[derive(Debug)]
@@ -46,7 +36,8 @@ impl Ring {
     }
 }
 
-/// A fixed-capacity, overwrite-oldest event ring. See the module docs.
+/// A fixed-capacity, overwrite-oldest event ring, kept for the benchmark
+/// ledger's `telemetry.recorder.record_ns` kernel. See the module docs.
 ///
 /// # Examples
 ///
@@ -119,11 +110,6 @@ impl FlightRecorder {
         if event.at_us == 0 {
             event.at_us = now_us();
         }
-        self.store(event);
-    }
-
-    /// Stores `event` as stamped: a span carries its own start instant.
-    pub(crate) fn store(&self, event: TraceEvent) {
         let mut ring = self.inner.lock().expect("recorder lock");
         let cap = ring.cap;
         if ring.buf.len() < cap {

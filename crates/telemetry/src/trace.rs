@@ -1,14 +1,18 @@
-//! Causal trace identities and the events the flight recorder stores.
+//! Causal trace identities, and the event type of the benchmark's ring.
 //!
 //! Aggregate metrics answer "how many" and "how slow"; they cannot answer
-//! "what happened to frame 4217 of player 9's update". The tracing layer
-//! closes that gap: every wire message gets a [`TraceId`] derived from its
-//! `(origin, seq)` pair, so the same identifier is recomputed — with no
-//! extra wire bytes — at the origin, at the relaying proxy, and at every
-//! subscriber, stitching the full origin → proxy → subscriber journey
-//! across nodes. Each hop records a [`TraceEvent`] into its local
-//! [`crate::FlightRecorder`]; [`causal_chain`] reassembles the cross-node
-//! story for one id.
+//! "what happened to frame 4217 of player 9's update". Every wire message
+//! gets a [`TraceId`] derived from its `(origin, seq)` pair, so the same
+//! identifier is recomputed — with no extra wire bytes — at the origin,
+//! at the relaying proxy, and at every subscriber, and a verdict's audit
+//! record names it. A run is deterministic from its seed, so filtering a
+//! re-run's datagrams by that id rebuilds the origin → proxy → verdict
+//! journey (DESIGN §8).
+//!
+//! [`TraceEvent`], [`EventKind`] and [`Phase`] are what a
+//! [`crate::FlightRecorder`] stores. No node records them; they stay
+//! because the benchmark ledger times the ring
+//! (`telemetry.recorder.record_ns`).
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -71,8 +75,8 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The protocol phase an event belongs to — the closed set the Chrome
-/// exporter uses as track/category names.
+/// The protocol phase a [`TraceEvent`] belongs to. Kept for the benchmark
+/// ledger's ring kernel (`telemetry.recorder.record_ns`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Whole-frame tick.
@@ -90,7 +94,7 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// Stable label for exporters and reports.
+    /// Stable label, as a [`TraceEvent`] displays it.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
@@ -104,7 +108,8 @@ impl Phase {
     }
 }
 
-/// What kind of step a [`TraceEvent`] records.
+/// What kind of step a [`TraceEvent`] records. Kept for the benchmark
+/// ledger's ring kernel (`telemetry.recorder.record_ns`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// A message was signed and queued at its origin.
@@ -126,7 +131,7 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Stable label for exporters and reports.
+    /// Stable label, as a [`TraceEvent`] displays it.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
@@ -146,7 +151,8 @@ impl EventKind {
 pub const NO_SUBJECT: u32 = u32::MAX;
 
 /// One step of one message's (or one tick phase's) story. `Copy` and
-/// fixed-size, so recording never allocates.
+/// fixed-size, so recording never allocates. Kept for the benchmark
+/// ledger's ring kernel (`telemetry.recorder.record_ns`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {
     /// The message's causal id, or [`TraceId::NONE`] for phase spans.
@@ -230,9 +236,8 @@ impl std::fmt::Display for TraceEvent {
     }
 }
 
-/// The process-wide epoch all recorders stamp against, so events from
-/// different per-node recorders in one process share a timeline and can
-/// be merged by [`causal_chain`] or exported together.
+/// The process-wide epoch every ring stamps against, so events from
+/// different rings in one process share a timeline.
 #[must_use]
 pub fn process_epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -243,18 +248,6 @@ pub fn process_epoch() -> Instant {
 #[must_use]
 pub fn now_us() -> u64 {
     process_epoch().elapsed().as_micros() as u64
-}
-
-/// Reassembles the cross-node causal chain for one message: every event
-/// touching `id` across the given recorders, ordered by `(frame, at_us)`
-/// — frame first, because frames are the protocol's causal clock and
-/// survive even when recorders start at different instants.
-#[must_use]
-pub fn causal_chain(recorders: &[&crate::FlightRecorder], id: TraceId) -> Vec<TraceEvent> {
-    let mut events: Vec<TraceEvent> =
-        recorders.iter().flat_map(|r| r.snapshot()).filter(|e| e.trace_id == id).collect();
-    events.sort_by_key(|e| (e.frame, e.at_us));
-    events
 }
 
 #[cfg(test)]

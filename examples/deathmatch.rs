@@ -2,20 +2,18 @@
 //! headline workload, with a live scoreboard, the Figure 1 presence
 //! heatmap, a replay through one secured node per player over the
 //! simnet, a small secured segment with a scripted cheater (whose
-//! verdicts the audit stream reports, one traced back across the
-//! flight recorders), the two scripted soaks of
-//! `sim::scenario` (control plane under faults, churn — the run exits
-//! non-zero if either fails its gate), and a final telemetry snapshot in
-//! Prometheus text format.
+//! verdicts the audit stream reports, the first one traced back through
+//! a seeded re-run of the segment), the two scripted soaks of
+//! `sim::scenario` (control plane under faults, churn), and a final
+//! telemetry snapshot in Prometheus text format. The run exits non-zero
+//! if a soak fails its gate, if the re-run's audit stream differs from
+//! the first run's, or if the traced verdict's chain has no send.
 //!
 //! ```sh
 //! cargo run --release --example deathmatch [players] [frames]
 //! ```
 //!
-//! Set `WATCHMEN_TRACE=chrome:<path>` to also write the segment's merged
-//! Chrome `trace_event` JSON (load it at `ui.perfetto.dev` or
-//! `chrome://tracing`); any other value but `off` exits 2. Set
-//! `WATCHMEN_METRICS_ADDR=127.0.0.1:9464` to serve the global registry
+//! Set `WATCHMEN_METRICS_ADDR=127.0.0.1:9464` to serve the global registry
 //! live on `/metrics` while the match runs: the node histograms as they
 //! fill, and each run's counters once it ends
 //! (`WATCHMEN_METRICS_HOLD_MS=<ms>` keeps it up after the final
@@ -25,8 +23,9 @@
 use std::sync::Arc;
 
 use watchmen::core::audit::{AuditKind, AuditRecord};
+use watchmen::core::msg::SignedEnvelope;
 use watchmen::core::rating::SEVERE_SCORE;
-use watchmen::core::sans_io::{secured_cores, ProtocolCore};
+use watchmen::core::sans_io::{secured_cores, CoreOutput};
 use watchmen::core::WatchmenConfig;
 use watchmen::crypto::schnorr::{Keypair, PublicKey};
 use watchmen::game::heatmap::Heatmap;
@@ -37,10 +36,7 @@ use watchmen::sim::cluster::{Cluster, Verdicts};
 use watchmen::sim::overlay::run_watchmen;
 use watchmen::sim::scenario;
 use watchmen::sim::workload::speed_hack;
-use watchmen::telemetry::trace::EventKind;
-use watchmen::telemetry::{
-    causal_chain, export, global, FlightRecorder, MetricValue, MetricsServer, DEFAULT_CAPACITY,
-};
+use watchmen::telemetry::{export, global, MetricValue, MetricsServer};
 use watchmen::world::{maps, GameMap};
 
 fn main() {
@@ -59,10 +55,6 @@ fn main() {
     if players < 2 {
         usage_error("players must be >= 2");
     }
-    let trace_mode = match std::env::var("WATCHMEN_TRACE") {
-        Err(_) => TraceMode::Off,
-        Ok(v) => TraceMode::parse(&v).unwrap_or_else(|e| usage_error(&e)),
-    };
 
     // The live scrape endpoint over the process-wide registry, when
     // WATCHMEN_METRICS_ADDR asks for one.
@@ -169,8 +161,17 @@ fn main() {
         "\nrunning {cluster_size} secured nodes for {cluster_frames} frames \
          (signatures, proxies, handoffs; p2 speed-hacks, p1 replays)…"
     );
-    let (recorders, audit) = run_secured_segment(&trace, &map, cluster_size, cluster_frames);
-    report_violations(&recorders, &audit, &trace_mode);
+    let segment = |tap: &mut dyn FnMut(u64, usize, &CoreOutput)| {
+        run_secured_segment(&trace, &map, cluster_size, cluster_frames, tap)
+    };
+    let (cluster, verdicts, audit) = segment(&mut |_, _, _| {});
+    cluster.publish(global());
+    verdicts.publish(global());
+    report_audit(&audit);
+    if let Err(e) = print_causal_chain(&audit, segment) {
+        eprintln!("causal chain FAILED: {e}");
+        std::process::exit(1);
+    }
 
     // --- The scripted soaks: 16 honest secured nodes over a faulted
     // simnet, first under burst loss, duplication, reordering and a proxy
@@ -211,31 +212,6 @@ fn main() {
     }
 }
 
-/// What `WATCHMEN_TRACE` asks the secured segment to write.
-#[derive(Debug, PartialEq, Eq)]
-enum TraceMode {
-    /// Unset, blank or `off`: the printed report only.
-    Off,
-    /// `chrome:<path>`: also every node's events as one Chrome
-    /// `trace_event` JSON file at `path`.
-    Chrome(String),
-}
-
-impl TraceMode {
-    /// Parses a `WATCHMEN_TRACE` value; anything else is an error that
-    /// names the variable, so a typo cannot quietly turn tracing off.
-    fn parse(value: &str) -> Result<TraceMode, String> {
-        let v = value.trim();
-        if v.is_empty() || v.eq_ignore_ascii_case("off") {
-            return Ok(TraceMode::Off);
-        }
-        match v.strip_prefix("chrome:") {
-            Some(path) if !path.is_empty() => Ok(TraceMode::Chrome(path.to_owned())),
-            _ => Err(format!("WATCHMEN_TRACE={value:?} is not off or chrome:<path>")),
-        }
-    }
-}
-
 /// Rejects malformed CLI input loudly: silently soaking the default
 /// workload under a typo'd argument burns minutes and gates on the wrong
 /// run.
@@ -248,25 +224,25 @@ fn usage_error(reason: &str) -> ! {
 /// Drives a small [`Cluster`] over a clean 8 ms simnet, feeding it the
 /// first `cluster_size` players' recorded states — except player 2, who
 /// speed-hacks every fourth frame, and player 1, whose first state update
-/// is replayed verbatim once. Each node keeps a flight recorder; the
-/// segment's counters go to the global registry when it ends. Returns
-/// every node's flight recorder and the audit records drained from every
-/// node after each frame.
+/// is replayed verbatim once. `tap(frame, slot, output)` sees every
+/// output before it goes on the wire. The run is deterministic, so two
+/// calls put the same datagrams on the wire. Returns the cluster, its
+/// verdicts and the audit records drained from every node after each
+/// frame.
 fn run_secured_segment(
     trace: &GameTrace,
     map: &GameMap,
     cluster_size: usize,
     frames: u64,
-) -> (Vec<Arc<FlightRecorder>>, Vec<AuditRecord>) {
+    tap: &mut dyn FnMut(u64, usize, &CoreOutput),
+) -> (Cluster, Verdicts, Vec<AuditRecord>) {
     let seed = 2013u64;
     let config = WatchmenConfig::default();
     let keys: Vec<Keypair> =
         (0..cluster_size).map(|i| Keypair::generate(seed ^ i as u64)).collect();
     let directory: Vec<PublicKey> = keys.iter().map(Keypair::public).collect();
-    let cores = secured_cores(&keys, &directory, None, seed, config, map)
-        .map(|c| ProtocolCore::new(c.into_node().with_recorder_capacity(DEFAULT_CAPACITY)));
     let mut cluster = Cluster::new(
-        cores,
+        secured_cores(&keys, &directory, None, seed, config, map),
         SimNetwork::new(cluster_size, latency::constant(8.0), 0.0, seed),
         config.frame_ms,
     );
@@ -294,6 +270,7 @@ fn run_secured_segment(
                 state
             },
             |i, output| {
+                tap(frame, i, output);
                 verdicts.note(&output.events);
                 if i == 1 && frame == 0 {
                     // Keep p1's first state update for the later replay
@@ -308,18 +285,12 @@ fn run_secured_segment(
         );
         audit.extend(cluster.cores.iter_mut().flatten().flat_map(|c| c.drain_audit()));
     }
-    cluster.publish(global());
-    verdicts.publish(global());
-    let recorders = cluster.cores.iter().flatten().filter_map(|c| c.node().recorder()).collect();
-    (recorders, audit)
+    (cluster, verdicts, audit)
 }
 
 /// Prints what the audit stream recorded in the secured segment: the
-/// record count per kind, the first records, the cross-node causal chain
-/// of the first severe position verdict on the cheater p2 that the
-/// flight recorders still hold, and — per
-/// `WATCHMEN_TRACE` — a merged Chrome trace file (`chrome:<path>`).
-fn report_violations(recorders: &[Arc<FlightRecorder>], audit: &[AuditRecord], mode: &TraceMode) {
+/// record count per kind and the first records.
+fn report_audit(audit: &[AuditRecord]) {
     let mut kinds: Vec<(&str, usize)> = Vec::new();
     for r in audit {
         match kinds.iter_mut().find(|(k, _)| *k == r.kind.label()) {
@@ -332,74 +303,67 @@ fn report_violations(recorders: &[Arc<FlightRecorder>], audit: &[AuditRecord], m
     for r in audit.iter().take(6) {
         println!("  {}", r.to_jsonl());
     }
-
-    // Reconstruct the causal chain of one offending message across every
-    // node: origin send → proxy relay → verifier's verdict. The rings
-    // keep only recent events, so this is the first verdict whose
-    // origin send and violation mark are both still retained.
-    let refs: Vec<&FlightRecorder> = recorders.iter().map(Arc::as_ref).collect();
-    let first = audit
-        .iter()
-        .filter(|r| {
-            r.kind == AuditKind::Verdict
-                && r.check == "position"
-                && r.subject == 2
-                && r.score >= SEVERE_SCORE
-                && r.trace.is_some()
-        })
-        .map(|r| (r, causal_chain(&refs, r.trace)))
-        .find(|(_, chain)| {
-            [EventKind::Send, EventKind::Violation]
-                .iter()
-                .all(|k| chain.iter().any(|e| e.kind == *k))
-        });
-    if let Some((verdict, chain)) = first {
-        println!(
-            "\ncausal chain of the offending message (trace {}, \"{}\" on p{} by n{}):",
-            verdict.trace, verdict.check, verdict.subject, verdict.node
-        );
-        for e in chain {
-            println!("  {e}");
-        }
-    }
-
-    match mode {
-        TraceMode::Off => {
-            println!("\n(set WATCHMEN_TRACE=chrome:<path> for the merged trace file)");
-        }
-        TraceMode::Chrome(path) => {
-            let mut events = Vec::new();
-            for r in &refs {
-                events.extend(r.snapshot());
-            }
-            events.sort_by_key(|e| e.at_us);
-            let json = export::chrome_trace(&events);
-            match std::fs::write(path, &json) {
-                Ok(()) => println!(
-                    "\nwrote {} trace events to {path} (load at ui.perfetto.dev)",
-                    events.len()
-                ),
-                Err(e) => eprintln!("\nfailed to write chrome trace to {path}: {e}"),
-            }
-        }
-    }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::TraceMode;
-
-    #[test]
-    fn trace_mode_parsing() {
-        assert_eq!(
-            TraceMode::parse("chrome:/tmp/t.json"),
-            Ok(TraceMode::Chrome("/tmp/t.json".into()))
-        );
-        assert_eq!(TraceMode::parse(""), Ok(TraceMode::Off));
-        assert_eq!(TraceMode::parse("off"), Ok(TraceMode::Off));
-        for junk in ["bogus", "dump", "chrome:", "chrom:/x"] {
-            let e = TraceMode::parse(junk).expect_err(junk);
-            assert!(e.contains("WATCHMEN_TRACE"), "{e}");
+/// Prints the causal chain of the first severe `position` verdict on the
+/// cheater p2 in `audit`, rebuilt by re-running the seeded segment
+/// through `segment` and keeping every datagram whose trace id is the
+/// verdict's: one sent by its origin's slot is the send, any other a
+/// relay; then the audit records that name the trace. Fails when the
+/// re-run's audit stream differs from `audit` or the chain has no send;
+/// a segment too short to draw such a verdict has no chain to print.
+fn print_causal_chain(
+    audit: &[AuditRecord],
+    segment: impl FnOnce(
+        &mut dyn FnMut(u64, usize, &CoreOutput),
+    ) -> (Cluster, Verdicts, Vec<AuditRecord>),
+) -> Result<(), String> {
+    let Some(verdict) = audit.iter().find(|r| {
+        r.kind == AuditKind::Verdict
+            && r.check == "position"
+            && r.subject == 2
+            && r.score >= SEVERE_SCORE
+    }) else {
+        println!("\n(no severe position verdict on p2 to trace)");
+        return Ok(());
+    };
+    let (mut hops, mut sends) = (Vec::new(), 0);
+    let (_, _, rerun) = segment(&mut |frame, slot, output| {
+        let mut hop: Option<(bool, &str, String)> = None;
+        for o in &output.datagrams {
+            let Ok(msg) = SignedEnvelope::decode(&o.bytes) else { continue };
+            if msg.trace_id() == verdict.trace {
+                let env = msg.envelope;
+                let send = env.from.index() == slot;
+                let (_, _, to) = hop.get_or_insert((send, env.payload.label(), String::new()));
+                to.push_str(&format!(" n{}", o.to.index()));
+            }
         }
+        if let Some((send, label, to)) = hop {
+            sends += usize::from(send);
+            let step = if send { "send" } else { "relay" };
+            hops.push(format!("f{frame:<4} n{slot} {step:<5} {label} ->{to}"));
+        }
+    });
+    if rerun != audit {
+        return Err("the re-run's audit stream differs from the first run's".into());
     }
+    println!(
+        "\ncausal chain of the first severe \"{}\" verdict on p{} (trace {}, n{} at frame {}), \
+         from a seeded re-run:",
+        verdict.check, verdict.subject, verdict.trace, verdict.node, verdict.frame
+    );
+    for hop in &hops {
+        println!("  {hop}");
+    }
+    if hops.len() == sends {
+        println!("  (no relay: its proxy had no subscriber to forward it to)");
+    }
+    for r in audit.iter().filter(|r| r.trace == verdict.trace) {
+        println!("  {}", r.to_jsonl());
+    }
+    if sends == 0 {
+        return Err(format!("the chain of trace {} has no send", verdict.trace));
+    }
+    Ok(())
 }
