@@ -93,17 +93,18 @@ tallies=$(grep -rlE 'count_verdicts|struct Tally' crates examples tests || true)
 
 # One count per event: the node, the simnet and the UDP endpoint count in
 # their own stats and publish a finished run's totals into the registry
-# their driver names. The process-wide registry is reached from the core
-# only for the node's timing histograms, and never from the net crate.
+# their driver names. There is no process-wide registry, and the core
+# reads no clock: the cluster times the calls it makes into a core.
 # No node keeps a flight recorder: a causal chain is rebuilt from a
 # seeded re-run, so the ring's readers, the Chrome export and the traced
 # timer stay gone, and `with_recorder_capacity` (a no-op the benchmark
 # ledger still calls) is named only at its definition and in the test
 # that it changes nothing.
 echo "==> one count per event, no recorder in the node, one export path"
-globals=$(grep -rn 'global()' crates/core/src | sed -E 's/:[0-9]+: */: /')
-[ "$globals" = "crates/core/src/node/instrument.rs: let t = watchmen_telemetry::global();" ] ||
-    { echo "global() in the core beyond Instrument::new: $globals" >&2; exit 1; }
+clocks=$(grep -rnE 'global\(\)|FrameTimer|Instant|SystemTime' crates/core/src || true)
+[ -z "$clocks" ] || { echo "a clock or a global in the core: $clocks" >&2; exit 1; }
+globals=$(grep -rn 'fn global' crates/telemetry/src || true)
+[ -z "$globals" ] || { echo "a process-wide registry is back: $globals" >&2; exit 1; }
 globals=$(grep -rn 'global()' crates/net/src || true)
 [ -z "$globals" ] || { echo "global() in the net crate: $globals" >&2; exit 1; }
 trimmed=$(grep -rn 'RECORDER_CAPACITY' crates/fleet || true)

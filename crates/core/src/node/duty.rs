@@ -643,6 +643,7 @@ pub(super) mod tests {
             label: "state",
             trace: TraceId::NONE,
             bytes: &[],
+            forwards: 0,
             out: &mut out,
         };
         check(node, &mut rx);

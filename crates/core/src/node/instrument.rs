@@ -1,27 +1,17 @@
-//! Instrumentation: timing histograms, the node's own counts and the
-//! verdict audit stream. Each protocol entry point reports its events
+//! Instrumentation: the node's own counts and the verdict audit stream.
+//! The node reads no clock: its driver times the calls it makes. Each protocol entry point reports its events
 //! here exactly once ([`Instrument::observe`]). A message's causal chain
 //! is not kept here: a seeded re-run reproduces every datagram, and the
 //! audit record names the trace id to filter them by.
 
-use std::sync::Arc;
-
 use watchmen_telemetry::trace::TraceId;
-use watchmen_telemetry::{Histogram, Registry};
+use watchmen_telemetry::Registry;
 
 use super::{Inbound, NodeEvent, WatchmenNode};
 use crate::audit::{AuditKind, AuditLog, AuditRecord};
 
 /// What an audit record decided: `(kind, check, score, confidence label)`.
 pub(super) type Judgement = (AuditKind, &'static str, u8, &'static str);
-
-/// The node's timing histograms and their help text, described in the
-/// process-wide registry once per node.
-const TIMINGS: [(&str, &str); 3] = [
-    ("node_tick_duration_ms", "wall time of one begin_frame call"),
-    ("node_tick_phase_duration_ms", "wall time of one begin_frame phase"),
-    ("node_handle_message_duration_ms", "wall time of one handle_message call"),
-];
 
 /// The node's own counts and their help text, in the order
 /// [`WatchmenNode::publish`] adds them.
@@ -42,19 +32,12 @@ const COUNTS: [(&str, &str); 14] = [
     ("node_stale_drops_total", "messages dropped as superseded churn traffic"),
 ];
 
-/// The node's instrumentation. Histogram handles are fetched once per
-/// node so per-frame timing is a couple of atomic adds, never a registry
-/// lookup.
+/// The node's instrumentation.
 #[derive(Debug)]
 pub(super) struct Instrument {
     /// The recording node's id, stamped on every audit record.
     node: u32,
-    pub(super) tick_ms: Arc<Histogram>,
-    pub(super) subscription_phase_ms: Arc<Histogram>,
-    pub(super) publish_phase_ms: Arc<Histogram>,
-    pub(super) handoff_phase_ms: Arc<Histogram>,
-    pub(super) handle_message_ms: Arc<Histogram>,
-    /// Signed messages forwarded as proxy.
+    /// Signed messages relayed verbatim as proxy.
     messages_forwarded: u64,
     /// The verdict audit stream: one structured record per detection
     /// decision, drained by the embedding driver.
@@ -63,21 +46,7 @@ pub(super) struct Instrument {
 
 impl Instrument {
     pub(super) fn new(node: u32) -> Self {
-        let t = watchmen_telemetry::global();
-        for (name, help) in TIMINGS {
-            t.describe(name, help);
-        }
-        let phase = |p: &str| t.histogram_with("node_tick_phase_duration_ms", &[("phase", p)]);
-        Instrument {
-            node,
-            tick_ms: t.histogram("node_tick_duration_ms"),
-            subscription_phase_ms: phase("subscriptions"),
-            publish_phase_ms: phase("publish"),
-            handoff_phase_ms: phase("handoff"),
-            handle_message_ms: t.histogram("node_handle_message_duration_ms"),
-            messages_forwarded: 0,
-            audit: AuditLog::default(),
-        }
+        Instrument { node, messages_forwarded: 0, audit: AuditLog::default() }
     }
 
     /// Pushes one audit record about `subject`; `detail` is only
@@ -131,9 +100,10 @@ impl Instrument {
         }
     }
 
-    /// Counts a dispatched message's forwards.
+    /// Counts a dispatched message's verbatim relays; its acks and
+    /// other replies are not forwards.
     pub(super) fn relayed(&mut self, rx: &Inbound<'_>) {
-        self.messages_forwarded += rx.out.datagrams.len() as u64;
+        self.messages_forwarded += rx.forwards;
     }
 }
 
@@ -187,5 +157,34 @@ impl WatchmenNode {
     /// decision-site push a cheap no-op, for overhead measurements.
     pub fn set_audit_enabled(&mut self, enabled: bool) {
         self.instrument.audit.set_enabled(enabled);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use watchmen_crypto::schnorr::Keypair;
+    use watchmen_game::PlayerId;
+    use watchmen_telemetry::Registry;
+
+    use super::super::duty::tests::node;
+    use crate::msg::{Envelope, Payload};
+
+    #[test]
+    fn an_ack_is_not_a_forward() {
+        // Player 1 announces its leave to player 0, which acks it and
+        // relays nothing.
+        let mut node = node(3);
+        let leave = Envelope {
+            from: PlayerId(1),
+            seq: 1,
+            frame: 5,
+            payload: Payload::Leave { effective_frame: 160 },
+        };
+        let bytes = leave.sign_encoded(&Keypair::generate(77 ^ 1));
+        let out = node.handle_message(5, PlayerId(1), &bytes);
+        assert_eq!(out.datagrams.len(), 1, "the leave is acked once");
+        let registry = Registry::new();
+        node.publish(&registry);
+        assert_eq!(registry.snapshot().counter_sum("node_messages_forwarded_total"), 0);
     }
 }

@@ -33,7 +33,6 @@ use watchmen_crypto::schnorr::{Keypair, PublicKey};
 use watchmen_game::trace::PlayerFrame;
 use watchmen_game::PlayerId;
 use watchmen_telemetry::trace::TraceId;
-use watchmen_telemetry::FrameTimer;
 use watchmen_world::{GameMap, PhysicsConfig};
 
 pub use churn::ChurnStats;
@@ -183,6 +182,8 @@ struct Inbound<'a> {
     trace: TraceId,
     /// The original signed bytes, forwarded verbatim.
     bytes: &'a [u8],
+    /// How many times [`Inbound::forward`] relayed them.
+    forwards: u64,
     out: &'a mut CoreOutput,
 }
 
@@ -193,6 +194,7 @@ impl Inbound<'_> {
     }
 
     fn forward(&mut self, to: PlayerId) {
+        self.forwards += 1;
         self.out.datagrams.push(Outgoing { to, bytes: self.bytes.to_vec() });
     }
 }
@@ -291,7 +293,6 @@ impl WatchmenNode {
 
     /// Runs one frame for the local avatar in `my_state` (see [`Self::tick`]).
     pub(crate) fn begin_frame(&mut self, frame: u64, my_state: &PlayerFrame) -> CoreOutput {
-        let _tick = FrameTimer::start(&self.instrument.tick_ms);
         let mut out = CoreOutput::default();
         self.tick(frame, my_state, &mut out);
         self.instrument.observe(frame, TraceId::NONE, &out.events);
@@ -336,15 +337,9 @@ impl WatchmenNode {
         // targets itself.
         self.knowledge.learn(self.id, frame, StateUpdate::from(my_state));
 
-        let span = FrameTimer::start(&self.instrument.subscription_phase_ms);
         self.refresh_subscriptions(frame, my_state, my_proxy, out);
-        drop(span);
-        let span = FrameTimer::start(&self.instrument.publish_phase_ms);
         self.publish_updates(frame, my_state, scheduled_proxy, my_proxy, out);
-        drop(span);
-        let span = FrameTimer::start(&self.instrument.handoff_phase_ms);
         self.send_handoffs(frame, out);
-        drop(span);
 
         if boundary {
             self.turn_epoch(frame, out);
@@ -404,7 +399,6 @@ impl WatchmenNode {
         sender: PlayerId,
         bytes: &[u8],
     ) -> CoreOutput {
-        let _span = FrameTimer::start(&self.instrument.handle_message_ms);
         let mut out = CoreOutput::default();
         let trace = self.receive(frame, sender, bytes, &mut out);
         self.instrument.observe(frame, trace, &out.events);
@@ -475,6 +469,7 @@ impl WatchmenNode {
             label: env.payload.label(),
             trace,
             bytes,
+            forwards: 0,
             out,
         };
         self.dispatch(&mut rx, env.payload);

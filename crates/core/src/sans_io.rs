@@ -13,9 +13,10 @@
 //! | out | [`CoreOutput::datagrams`] | `(destination, bytes)` to put on *some* wire |
 //! | out | [`CoreOutput::events`] | deliveries/suspicions for the app & reputation layer |
 //!
-//! No sockets, no clocks, no sleeps: time is the `now_frame` the driver
-//! passes in, and retransmits/heartbeats/epoch boundaries all fall out of
-//! the tick input. That makes the identical core exact under the one
+//! No sockets, no clocks, no sleeps, no process-wide registry: time is
+//! the `now_frame` the driver passes in, and retransmits/heartbeats/epoch
+//! boundaries all fall out of the tick input. A driver that wants a
+//! call's latency times it from outside (`Cluster::time_into`). That makes the identical core exact under the one
 //! driver in the repo, `watchmen-sim::cluster::Cluster`, over either
 //! `watchmen_net::Transport`:
 //!

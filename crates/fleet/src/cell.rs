@@ -17,9 +17,11 @@
 //! an honest player a **false verdict**.
 //! Every suspicion report is also forwarded to the cell's lobby, whose
 //! threshold reputation bans players that accumulate enough failed
-//! interactions — long matches end with their cheaters banned. When the
-//! match drains, its nodes', simnet's and verdicts' counters are
-//! published into the shard's registry, once.
+//! interactions — long matches end with their cheaters banned. Each
+//! quantum times its frames (`fleet_tick_ms`) and, through
+//! [`Cluster::time_into`], every call into a core into the registry of
+//! the shard running it. When the match drains, its nodes', simnet's and
+//! verdicts' counters are published into the shard's registry, once.
 
 use std::time::Instant;
 
@@ -410,6 +412,7 @@ impl Task for MatchCell {
 
         let tick_ms = cx.registry.histogram("fleet_tick_ms");
         cx.registry.describe("fleet_tick_ms", "wall-clock duration of one match frame");
+        run.cluster.time_into(&cx.registry);
         let until = (run.frame + self.spec.tick_quantum).min(self.spec.frames);
         let mut ticks = 0;
         while run.frame < until {

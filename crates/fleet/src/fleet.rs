@@ -20,7 +20,7 @@ use watchmen_core::verify::checks;
 use watchmen_crypto::rng::SplitMix64;
 use watchmen_sim::quality::DetectionQuality;
 use watchmen_telemetry::report::Report;
-use watchmen_telemetry::{global, Registry, Snapshot};
+use watchmen_telemetry::{Registry, Snapshot};
 
 use crate::cell::{MatchCell, MatchReport, MatchSpec};
 use crate::pool::{default_workers, run_tasks_on, PoolConfig, TaskOutcome, WorkerStats};
@@ -110,17 +110,14 @@ impl FleetConfig {
 /// Created *before* the run and handed to [`run_fleet_on`], the view
 /// holds the shard registries the pool workers record into, so a metrics
 /// endpoint on another thread can [`FleetView::snapshot`] mid-soak: each
-/// call re-merges every shard under a `shard=<i>` label, adds the
-/// process-wide [`global`] registry unlabelled, and derives
+/// call re-merges every shard under a `shard=<i>` label and derives
 /// `fleet_matches{state=…}` lifecycle gauges from the scheduler counters.
 /// Every metric in the snapshot carries the help text its publisher
 /// described, so a scrape renders it from the snapshot alone.
-/// A match publishes its nodes', simnet's and verdicts' counters into its
-/// shard's registry when it drains, so every counter is this fleet's own.
-/// The [`global`] registry holds only the nodes' timing histograms, which
-/// are counted since the process started: they include every fleet and
-/// match the process has run, not only this one. Cloning the view shares
-/// the same registries.
+/// A match times its nodes' calls into the shard running each quantum,
+/// and publishes its nodes', simnet's and verdicts' counters into its
+/// shard's registry when it drains, so every metric is this fleet's own.
+/// Cloning the view shares the same registries.
 #[derive(Debug, Clone)]
 pub struct FleetView {
     shards: Vec<Arc<Registry>>,
@@ -151,10 +148,10 @@ impl FleetView {
     }
 
     /// A point-in-time merge of every shard, re-labelled `shard=<i>` (the
-    /// fleet's counters: a match's appear when it drains), and of the
-    /// [`global`] registry (the node histograms, process-wide since
-    /// start), plus `fleet_matches{state="pending"|"completed"|"panicked"}`
-    /// gauges. Safe to call at any time, including while the fleet runs.
+    /// fleet's histograms as they fill, and its counters: a match's
+    /// appear when it drains), plus
+    /// `fleet_matches{state="pending"|"completed"|"panicked"}` gauges.
+    /// Safe to call at any time, including while the fleet runs.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
         let merged = Registry::new();
@@ -163,7 +160,6 @@ impl FleetView {
             let label = i.to_string();
             merged.merge_labeled(shard, &[("shard", &label)]);
         }
-        merged.merge_labeled(global(), &[]);
         let snap = merged.snapshot();
         let completed = snap.counter_sum("fleet_tasks_completed_total");
         let panicked = snap.counter_sum("fleet_tasks_panicked_total");

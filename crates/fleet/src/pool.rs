@@ -78,10 +78,8 @@ pub struct ShardContext {
     /// The worker index, stable for the lifetime of the pool run.
     pub shard: usize,
     /// The shard-private registry the pool's and the match's `fleet_*`
-    /// metrics go to, and each match's node, simnet and verdict counters
-    /// when it drains. The nodes' timing histograms still go to the
-    /// process-wide `watchmen_telemetry::global()`, which counts every
-    /// match the process has run since start; see [`crate::rollup`].
+    /// metrics go to, the node timings of each quantum the shard runs,
+    /// and each match's node, simnet and verdict counters when it drains.
     pub registry: Arc<Registry>,
 }
 

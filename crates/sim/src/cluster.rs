@@ -18,15 +18,28 @@
 //! or offline under the network's fault plan. The network independently
 //! eats traffic to and from such slots; the skip models the dead process
 //! not running. [`Verdicts`] classifies what the cores conclude.
+//!
+//! The cores read no clock. A driver that wants their latency names a
+//! registry with [`Cluster::time_into`], and the cluster times each call
+//! it makes into a core there; a cluster given none reads no clock either.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
+use std::time::Instant;
 
 use watchmen_core::node::{NodeEvent, Outgoing, WatchmenNode};
 use watchmen_core::sans_io::{CoreOutput, ProtocolCore};
 use watchmen_game::trace::PlayerFrame;
 use watchmen_game::PlayerId;
 use watchmen_net::{SimNetwork, Transport};
-use watchmen_telemetry::Registry;
+use watchmen_telemetry::{Histogram, Registry};
+
+/// The histograms [`Cluster::time_into`] records into, and their help
+/// text: one observation per call into a core.
+const TIMINGS: [(&str, &str); 2] = [
+    ("node_tick_duration_ms", "wall time of one ProtocolCore::tick call"),
+    ("node_handle_message_duration_ms", "wall time of one ProtocolCore::datagram call"),
+];
 
 /// N protocol cores on one transport. See the module docs.
 /// Fields are public: scenarios seat joiners and send out-of-band
@@ -38,6 +51,18 @@ pub struct Cluster<T: Transport = SimNetwork<Vec<u8>>> {
     pub net: T,
     /// Milliseconds per protocol frame.
     pub frame_ms: f64,
+    /// Where each `tick` and `datagram` call is timed, if anywhere.
+    timers: Option<(Arc<Histogram>, Arc<Histogram>)>,
+}
+
+/// Runs `call`, recording its wall time in milliseconds into `hist` when
+/// there is one; without one it reads no clock.
+fn timed<R>(hist: Option<&Arc<Histogram>>, call: impl FnOnce() -> R) -> R {
+    let Some(hist) = hist else { return call() };
+    let started = Instant::now();
+    let result = call();
+    hist.record(started.elapsed().as_secs_f64() * 1000.0);
+    result
 }
 
 impl<T: Transport> Cluster<T> {
@@ -52,7 +77,19 @@ impl<T: Transport> Cluster<T> {
         let mut cores: Vec<Option<ProtocolCore>> = cores.into_iter().map(Some).collect();
         assert!(cores.len() <= net.slots(), "more cores than transport slots");
         cores.resize_with(net.slots(), || None);
-        Cluster { cores, net, frame_ms }
+        Cluster { cores, net, frame_ms, timers: None }
+    }
+
+    /// From now on, times each call this cluster makes into a core:
+    /// `tick` into `registry`'s `node_tick_duration_ms`, `datagram` into
+    /// its `node_handle_message_duration_ms`. The handles are the
+    /// registry's own, so every cluster timed into one registry shares
+    /// one pair of histograms.
+    pub fn time_into(&mut self, registry: &Registry) {
+        for (name, help) in TIMINGS {
+            registry.describe(name, help);
+        }
+        self.timers = Some((registry.histogram(TIMINGS[0].0), registry.histogram(TIMINGS[1].0)));
     }
 
     /// The node in `slot`.
@@ -94,7 +131,9 @@ impl<T: Transport> Cluster<T> {
                 continue;
             }
             let core = self.cores[d.to].as_mut().expect("running slot is seated");
-            let mut output = core.datagram(frame, PlayerId(d.from as u32), &d.payload);
+            let mut output = timed(self.timers.as_ref().map(|(_, ms)| ms), || {
+                core.datagram(frame, PlayerId(d.from as u32), &d.payload)
+            });
             handed += 1;
             on_output(d.to, &mut output);
             if forward {
@@ -122,8 +161,9 @@ impl<T: Transport> Cluster<T> {
                 continue;
             }
             let state = state_of(i);
+            let core = self.cores[i].as_mut().expect("running slot is seated");
             let mut output =
-                self.cores[i].as_mut().expect("running slot is seated").tick(frame, &state);
+                timed(self.timers.as_ref().map(|(ms, _)| ms), || core.tick(frame, &state));
             on_output(i, &mut output);
             self.send(i, output.datagrams);
         }
@@ -355,6 +395,24 @@ mod tests {
         let stats = c.net.stats();
         stats.assert_invariant("faulted cluster run");
         assert!(stats.dropped > 0 && stats.duplicated > 0, "the plan never engaged: {stats:?}");
+    }
+
+    /// A timed cluster records one observation per call into a core, and
+    /// two clusters timed into one registry share its histograms.
+    #[test]
+    fn time_into_records_each_call_into_a_core() {
+        let registry = Registry::new();
+        let mut handed = 0;
+        for _ in 0..2 {
+            let (mut c, w) = cluster(N, FaultPlan::new(1));
+            c.time_into(&registry);
+            for f in 0..10 {
+                handed += c.step(f, |i| w.trace.frames[f as usize].states[i], |_, _| {});
+            }
+        }
+        assert!(handed > 0, "nothing was delivered");
+        assert_eq!(registry.histogram("node_tick_duration_ms").count(), 2 * 10 * N as u64);
+        assert_eq!(registry.histogram("node_handle_message_duration_ms").count(), handed as u64);
     }
 
     #[test]

@@ -15,15 +15,14 @@
 //!   [`Histogram::quantile`] queries (p50/p90/p99) and ~3% relative
 //!   resolution over the full `u64` range.
 //! * [`Registry`] — interns metrics by static name plus a label set and
-//!   hands out [`std::sync::Arc`] handles. A layer counts its events in
-//!   its own stats and publishes a finished run's totals into the
-//!   registry its driver names ([`Registry::add_counts`]), so counters are
-//!   per run; the [`global`] registry holds what still records as it
-//!   happens, the node's timing histograms, process-wide since start. A
-//!   layer whose driver reports its stats directly (the live transport,
-//!   the store) publishes nothing.
-//! * [`FrameTimer`] — the one scope timer: it records elapsed wall-clock
-//!   milliseconds into a histogram on drop, from two clock readings.
+//!   hands out [`std::sync::Arc`] handles. There is no process-wide
+//!   registry: every metric goes to the registry its driver names. A
+//!   layer counts its events in its own stats and publishes a finished
+//!   run's totals there ([`Registry::add_counts`]), so counters are per
+//!   run; a driver that times calls (the match cluster, the fleet cell)
+//!   records into histogram handles it fetched there once, from an
+//!   `Instant` pair around each call. A layer whose driver reports its
+//!   stats directly (the live transport, the store) publishes nothing.
 //!
 //! # Tracing
 //!
@@ -57,7 +56,8 @@
 //! # Examples
 //!
 //! ```
-//! use watchmen_telemetry::{Registry, FrameTimer};
+//! use std::time::Instant;
+//! use watchmen_telemetry::Registry;
 //!
 //! let registry = Registry::new();
 //! let sent = registry.counter("net_messages_sent_total");
@@ -65,10 +65,9 @@
 //! sent.add(2);
 //!
 //! let ticks = registry.histogram("node_tick_duration_ms");
-//! {
-//!     let _span = FrameTimer::start(&ticks);
-//!     // ... the work being timed ...
-//! }
+//! let started = Instant::now();
+//! // ... the work being timed ...
+//! ticks.record(started.elapsed().as_secs_f64() * 1000.0);
 //! assert_eq!(sent.get(), 3);
 //! assert_eq!(ticks.count(), 1);
 //!
@@ -98,7 +97,6 @@ mod recorder;
 mod registry;
 pub mod report;
 pub mod serve;
-mod timer;
 pub mod trace;
 
 pub use counter::{Counter, Gauge};
@@ -106,26 +104,4 @@ pub use histogram::Histogram;
 pub use recorder::FlightRecorder;
 pub use registry::{MetricValue, Registry, Snapshot, SnapshotEntry};
 pub use serve::MetricsServer;
-pub use timer::FrameTimer;
 pub use trace::{EventKind, Phase, TraceEvent, TraceId};
-
-use std::sync::OnceLock;
-
-/// The process-wide registry the node's timing histograms record into,
-/// counted since the process started.
-///
-/// Handles looked up here are cheap to clone and cache; hot paths should
-/// fetch their handles once (at construction) rather than per event.
-///
-/// # Examples
-///
-/// ```
-/// let drops = watchmen_telemetry::global().counter("example_drops_total");
-/// drops.inc();
-/// assert!(drops.get() >= 1);
-/// ```
-#[must_use]
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
-}

@@ -13,9 +13,9 @@
 //! cargo run --release --example deathmatch [players] [frames]
 //! ```
 //!
-//! Set `WATCHMEN_METRICS_ADDR=127.0.0.1:9464` to serve the global registry
-//! live on `/metrics` while the match runs: the node histograms as they
-//! fill, and each run's counters once it ends
+//! Set `WATCHMEN_METRICS_ADDR=127.0.0.1:9464` to serve the run's registry
+//! live on `/metrics` while the match runs: the secured segment's node
+//! timings as they fill, and each run's counters once it ends
 //! (`WATCHMEN_METRICS_HOLD_MS=<ms>` keeps it up after the final
 //! snapshot). The control-plane soak runs under
 //! `sim::scenario::default_fault_plan`.
@@ -36,7 +36,7 @@ use watchmen::sim::cluster::{Cluster, Verdicts};
 use watchmen::sim::overlay::run_watchmen;
 use watchmen::sim::scenario;
 use watchmen::sim::workload::speed_hack;
-use watchmen::telemetry::{export, global, MetricValue, MetricsServer};
+use watchmen::telemetry::{export, MetricValue, MetricsServer, Registry};
 use watchmen::world::{maps, GameMap};
 
 fn main() {
@@ -56,9 +56,11 @@ fn main() {
         usage_error("players must be >= 2");
     }
 
-    // The live scrape endpoint over the process-wide registry, when
+    // The run's registry, and the live scrape endpoint over it when
     // WATCHMEN_METRICS_ADDR asks for one.
-    let metrics_server = match MetricsServer::from_env(Arc::new(|| global().snapshot())) {
+    let registry = Arc::new(Registry::new());
+    let scraped = Arc::clone(&registry);
+    let metrics_server = match MetricsServer::from_env(Arc::new(move || scraped.snapshot())) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("metrics endpoint failed: {e}");
@@ -161,14 +163,16 @@ fn main() {
         "\nrunning {cluster_size} secured nodes for {cluster_frames} frames \
          (signatures, proxies, handoffs; p2 speed-hacks, p1 replays)…"
     );
-    let segment = |tap: &mut dyn FnMut(u64, usize, &CoreOutput)| {
-        run_secured_segment(&trace, &map, cluster_size, cluster_frames, tap)
+    // Only this first run is timed into the registry; the re-run that
+    // rebuilds the causal chain is not.
+    let segment = |timed: Option<&Registry>, tap: &mut dyn FnMut(u64, usize, &CoreOutput)| {
+        run_secured_segment(&trace, &map, cluster_size, cluster_frames, timed, tap)
     };
-    let (cluster, verdicts, audit) = segment(&mut |_, _, _| {});
-    cluster.publish(global());
-    verdicts.publish(global());
+    let (cluster, verdicts, audit) = segment(Some(&registry), &mut |_, _, _| {});
+    cluster.publish(&registry);
+    verdicts.publish(&registry);
     report_audit(&audit);
-    if let Err(e) = print_causal_chain(&audit, segment) {
+    if let Err(e) = print_causal_chain(&audit, |tap| segment(None, tap)) {
         eprintln!("causal chain FAILED: {e}");
         std::process::exit(1);
     }
@@ -179,12 +183,12 @@ fn main() {
     // itself.
     println!("\ncontrol-plane soak: 16 secured nodes under faults plus a scripted proxy crash…");
     let (soaked, faulted) = scenario::control_plane_soak(scenario::default_fault_plan());
-    soaked.publish(global());
+    soaked.publish(&registry);
     let faulted = faulted.report();
     println!("{faulted}");
     println!("\nchurn soak: 16 veterans, 4 mid-game joins, 2 leaves, 2 crash-evictions…");
     let (soaked, churn) = scenario::churn_soak();
-    soaked.publish(global());
+    soaked.publish(&registry);
     let churn = churn.report();
     println!("{churn}");
     if let Err(e) = faulted.check().and_then(|()| churn.check()) {
@@ -192,10 +196,10 @@ fn main() {
         std::process::exit(1);
     }
 
-    // --- Telemetry: the node histograms, and the counters published as
-    // each run ended: the secured segment's nodes, network and verdicts,
-    // and the soaks' nodes and networks.
-    let snap = global().snapshot();
+    // --- Telemetry: the secured segment's node timings, and the counters
+    // published as each run ended: the secured segment's nodes, network
+    // and verdicts, and the soaks' nodes and networks.
+    let snap = registry.snapshot();
     println!("\ntelemetry highlights:");
     println!("  proxy handoffs sent:       {}", snap.counter_sum("proxy_handoffs_total"));
     println!("  network messages dropped:  {}", snap.counter_sum("net_messages_dropped_total"));
@@ -225,15 +229,16 @@ fn usage_error(reason: &str) -> ! {
 /// first `cluster_size` players' recorded states — except player 2, who
 /// speed-hacks every fourth frame, and player 1, whose first state update
 /// is replayed verbatim once. `tap(frame, slot, output)` sees every
-/// output before it goes on the wire. The run is deterministic, so two
-/// calls put the same datagrams on the wire. Returns the cluster, its
-/// verdicts and the audit records drained from every node after each
-/// frame.
+/// output before it goes on the wire, and each call into a core is timed
+/// into `timed` when given. The run is deterministic, so two calls put
+/// the same datagrams on the wire. Returns the cluster, its verdicts and
+/// the audit records drained from every node after each frame.
 fn run_secured_segment(
     trace: &GameTrace,
     map: &GameMap,
     cluster_size: usize,
     frames: u64,
+    timed: Option<&Registry>,
     tap: &mut dyn FnMut(u64, usize, &CoreOutput),
 ) -> (Cluster, Verdicts, Vec<AuditRecord>) {
     let seed = 2013u64;
@@ -246,6 +251,9 @@ fn run_secured_segment(
         SimNetwork::new(cluster_size, latency::constant(8.0), 0.0, seed),
         config.frame_ms,
     );
+    if let Some(registry) = timed {
+        cluster.time_into(registry);
+    }
     let mut verdicts = Verdicts::new(&[2]);
     let mut replayed: Option<(usize, Vec<u8>)> = None;
     let mut audit = Vec::new();

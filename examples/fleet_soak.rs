@@ -21,11 +21,10 @@
 //!   settled final snapshot. Every family in the scrape has its `# HELP`
 //!   and `# TYPE` lines, from the snapshot alone. The scrape carries the
 //!   pool's per-shard `fleet_*` metrics, the `fleet_matches{state}`
-//!   lifecycle gauges and each match's `node_*` and `net_*` counters,
-//!   published into its shard's registry when it ends, so they count
-//!   this fleet only. The node timing histograms are process-wide,
-//!   counted since the process started — with `WATCHMEN_BENCH_OUT` set
-//!   they include the plane-overhead probe's extra fleets.
+//!   lifecycle gauges, each match's `node_*` and `net_*` counters,
+//!   published into its shard's registry when it ends, and its node
+//!   timing histograms, recorded there as each quantum runs, so they all
+//!   count this fleet only.
 //! * `WATCHMEN_AUDIT=<path>` retains each match's verdict audit stream
 //!   and writes the fleet's as JSONL; the stream is byte-identical across
 //!   worker counts for a fixed seed.

@@ -15,7 +15,7 @@ use watchmen::fleet::{
     run_fleet_on, run_fleet_specs, run_fleet_specs_on, FleetConfig, FleetView, MatchSpec,
     PoolConfig, TTD_BUDGET_FRAMES,
 };
-use watchmen::telemetry::MetricsServer;
+use watchmen::telemetry::{MetricValue, MetricsServer};
 
 /// A small audited fleet: honest matches plus scripted cheaters, sizes
 /// varied so quanta interleave unevenly across workers.
@@ -130,16 +130,16 @@ fn live_endpoint_serves_prometheus_exposition_for_a_fleet() {
     assert!(body.contains("_seconds_bucket{"), "histograms not exported in seconds:\n{body}");
     assert!(!body.contains("_ms_bucket"), "raw millisecond buckets leaked:\n{body}");
 
-    // The matches' node counters come per shard; their timing
-    // histograms share the process-wide registry, carried unlabelled.
+    // The matches' node counters and timing histograms come per shard.
     assert!(body.contains("node_messages_forwarded_total{shard="), "no node counters:\n{body}");
     assert!(
         body.contains("# TYPE node_tick_duration_seconds histogram"),
         "no node metrics:\n{body}"
     );
+    assert!(body.contains("node_tick_duration_seconds_count{shard="), "unlabelled:\n{body}");
     // A scrape is readable without the source: the derived gauges, a
-    // shard's counters and the process-wide histograms each carry one
-    // `# HELP` line, right above their `# TYPE` line.
+    // shard's counters and its histograms each carry one `# HELP` line,
+    // right above their `# TYPE` line.
     let lines: Vec<&str> = body.lines().collect();
     for name in ["fleet_matches", "fleet_quanta_total", "node_tick_duration_seconds"] {
         let help = format!("# HELP {name} ");
@@ -158,19 +158,31 @@ fn live_endpoint_serves_prometheus_exposition_for_a_fleet() {
 }
 
 /// A fleet's scrape counts its own fleet: a match publishes its node
-/// counters into its shard's registry when it drains, so two identical
-/// fleets run back to back in one process read the same totals.
+/// counters into its shard's registry when it drains, and times its
+/// nodes' calls into the shard running it, so two identical fleets run
+/// back to back in one process read the same totals.
 #[test]
 fn a_fleet_scrape_counts_only_its_own_fleet() {
     let config = FleetConfig { matches: 4, players: 6, frames: 60, ..FleetConfig::default() };
-    let forwarded = || {
+    let scraped = || {
         let view = FleetView::for_config(&config);
         assert_eq!(run_fleet_on(&config, &view).completed(), 4);
-        view.snapshot().counter_sum("node_messages_forwarded_total")
+        let snap = view.snapshot();
+        let ticks: u64 = snap
+            .entries
+            .iter()
+            .filter(|e| e.name == "node_tick_duration_ms")
+            .map(|e| match e.value {
+                MetricValue::Histogram { count, .. } => count,
+                _ => 0,
+            })
+            .sum();
+        (snap.counter_sum("node_messages_forwarded_total"), ticks)
     };
-    let first = forwarded();
-    assert!(first > 0, "the fleet's nodes forwarded nothing");
-    assert_eq!(forwarded(), first, "the second fleet's scrape counts the first fleet too");
+    let first = scraped();
+    assert!(first.0 > 0, "the fleet's nodes forwarded nothing");
+    assert_eq!(first.1, 4 * 6 * 60, "one tick per node per frame of this fleet");
+    assert_eq!(scraped(), first, "the second fleet's scrape counts the first fleet too");
 }
 
 #[test]
